@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "common/running_stats.h"
 #include "core/lingxi.h"
+#include "predictor/hybrid.h"
 #include "sim/fleet_runner.h"
 #include "sim/monte_carlo.h"
 #include "trace/bandwidth.h"
@@ -41,20 +42,21 @@ void ablate_mc_samples(const bench::TrainedPredictor& predictor) {
     state.on_segment(seg, 1.0);
   }
   std::printf("%-10s %-14s %-14s\n", "samples", "mean R_exit", "sd across runs");
+  const auto exit_predictor = predictor.make();
+  const predictor::BatchPredictorExitEvaluator exits(exit_predictor, state, 1.0);
   for (std::size_t samples : {2, 4, 8, 16, 32, 64}) {
     sim::MonteCarloConfig mc;
     mc.samples = samples;
     mc.enable_pruning = false;
     const sim::MonteCarloEvaluator eval(mc, {});
     const auto video = eval.make_virtual_video(trace::BitrateLadder::default_ladder(), 1.0);
+    const abr::Hyb hyb{};
+    const trace::NormalBandwidth bw(900.0, 300.0);
     RunningStats runs;
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      abr::Hyb hyb;
-      predictor::PredictorExitModel exit_model(predictor.make(), state, 1.0);
-      trace::NormalBandwidth bw(900.0, 300.0);
       Rng rng(seed);
-      runs.add(eval.evaluate(video, hyb, exit_model, bw, 2.0,
-                             std::numeric_limits<double>::infinity(), rng)
+      runs.add(eval.evaluate_rollouts(video, hyb, exits, bw, 2.0,
+                                      std::numeric_limits<double>::infinity(), rng)
                    .exit_rate);
     }
     std::printf("%-10zu %-14.4f %-14.4f\n", samples, runs.mean(), runs.stddev());

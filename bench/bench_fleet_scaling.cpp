@@ -3,19 +3,21 @@
 //
 // Four sections:
 //   * a raw-simulation fleet (no LingXi) — pure session-loop throughput;
-//   * a LingXi treatment fleet with the scalar predictor path (monte_carlo
-//     batch_size 1) — the Fig. 10-12 experiment shape;
+//   * a LingXi treatment fleet with scalar inference (monte_carlo batch_size
+//     1, users_per_shard 1: per-user order, every stalled exit query a
+//     1-row forward) — the Fig. 10-12 experiment shape;
 //   * the same fleet with per-optimization batching (--batch N, default 16):
 //     Monte Carlo rollouts advance in lockstep and the stall-exit net
 //     evaluates whole waves per forward, scoped to one optimization;
 //   * cross-user vs per-optimization (a larger fleet, 512 users full mode):
-//     the cohort wave scheduler pools every stalled exit query across the
-//     shard's users into one flush, reported with the mean batch occupancy
-//     per flush of both schedules.
+//     cohort waves over many-user shards pool every stalled exit query
+//     across the shard's users into one flush, against the same fleet at
+//     users_per_shard 1 (per-optimization flushes), reported with the mean
+//     batch occupancy per flush of both arms.
 //
 // Checksum contract: within a section the merged FleetAccumulator checksum
 // must be identical at every thread count; the batched sections must
-// reproduce the scalar section's checksum bit for bit; and both schedulers
+// reproduce the scalar section's checksum bit for bit; and both shard sizes
 // must agree bitwise on the comparison fleet. A mismatch is a determinism
 // bug and exits non-zero — CI runs this binary as the batched-path smoke.
 //
@@ -90,8 +92,8 @@ ScalingRun run_scaling(const char* title, const sim::FleetConfig& base,
   return out;
 }
 
-/// One scheduler arm of the cross-user comparison section.
-struct SchedulerRun {
+/// One shard-size arm of the cross-user comparison section.
+struct ShardArmRun {
   double rate = 0.0;            ///< sessions/s, first (serial) thread count
   double rate_threaded = 0.0;   ///< sessions/s, last thread count
   std::uint32_t checksum = 0;
@@ -99,15 +101,14 @@ struct SchedulerRun {
   sim::FleetRunStats stats;     ///< from the serial run
 };
 
-SchedulerRun run_scheduler_arm(const sim::FleetConfig& base, sim::SchedulerMode mode,
-                               const sim::FleetRunner::PredictorFactory& predictor_factory,
-                               std::uint64_t seed,
-                               const std::vector<std::size_t>& thread_counts) {
-  SchedulerRun out;
+ShardArmRun run_shard_arm(const sim::FleetConfig& base, std::size_t users_per_shard,
+                          const sim::FleetRunner::PredictorFactory& predictor_factory,
+                          std::uint64_t seed, const std::vector<std::size_t>& thread_counts) {
+  ShardArmRun out;
   bool first = true;
   for (std::size_t threads : thread_counts) {
     sim::FleetConfig cfg = base;
-    cfg.scheduler = mode;
+    cfg.users_per_shard = users_per_shard;
     cfg.threads = threads;
     sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
     runner.set_predictor_factory(predictor_factory);
@@ -197,10 +198,10 @@ int main(int argc, char** argv) {
   treated.users = smoke ? 16 : 64;
   treated.days = 2;
   treated.sessions_per_user_day = 8;
-  treated.users_per_shard = 4;
-  // Sections 2-3 measure the per-optimization batching path (the PR 3
-  // shape); the cross-user comparison section below flips the scheduler.
-  treated.scheduler = sim::SchedulerMode::kPerUser;
+  // Sections 2-3 measure per-optimization batching: one-user shards keep
+  // every flush scoped to a single optimization. The cross-user comparison
+  // section below widens the shards.
+  treated.users_per_shard = 1;
   treated.enable_lingxi = true;
   treated.drift_user_tolerance = true;
   treated.network.median_bandwidth = 1500.0;
@@ -239,8 +240,9 @@ int main(int argc, char** argv) {
               batched.checksum,
               parity ? "bitwise identical" : "MISMATCH — PARITY BUG");
 
-  // Cross-user wave scheduler vs per-optimization batching, at realistic
-  // occupancy: many users per shard, all mid-optimization work pooled.
+  // Cross-user waves vs per-optimization batching, at realistic occupancy:
+  // many users per shard, all mid-optimization work pooled, against one-user
+  // shards whose flushes hold a single optimization's rollouts.
   sim::FleetConfig cohort = treated;
   cohort.users = smoke ? 24 : 512;
   cohort.users_per_shard = users_per_shard != 0 ? users_per_shard : (smoke ? 3 : 64);
@@ -252,13 +254,13 @@ int main(int argc, char** argv) {
       cohort.users, cohort.days, cohort.sessions_per_user_day, cohort.users_per_shard,
       batch, optimizer_threads, nn::dense_isa_name(nn::dense_isa()));
 
-  const SchedulerRun per_opt = run_scheduler_arm(cohort, sim::SchedulerMode::kPerUser,
-                                                 predictor_factory, 11, thread_counts);
-  const SchedulerRun cross = run_scheduler_arm(cohort, sim::SchedulerMode::kCohortWaves,
-                                               predictor_factory, 11, thread_counts);
+  const ShardArmRun per_opt =
+      run_shard_arm(cohort, 1, predictor_factory, 11, thread_counts);
+  const ShardArmRun cross =
+      run_shard_arm(cohort, cohort.users_per_shard, predictor_factory, 11, thread_counts);
 
   bench::print_header("Cross-user waves vs per-optimization batching");
-  std::printf("%-18s %-14s %-14s %-16s %-14s %-10s\n", "scheduler", "sess/s (1t)",
+  std::printf("%-18s %-14s %-14s %-16s %-14s %-10s\n", "arm", "sess/s (1t)",
               "sess/s (max t)", "mean batch/flush", "mean net rows", "checksum");
   std::printf("%-18s %-14.0f %-14.0f %-16.1f %-14.1f 0x%08x\n", "per-optimization",
               per_opt.rate, per_opt.rate_threaded, per_opt.stats.mean_flush_occupancy(),
@@ -271,10 +273,10 @@ int main(int argc, char** argv) {
               cohort_speedup,
               static_cast<unsigned long long>(cross.stats.pool_max_flush),
               static_cast<unsigned long long>(per_opt.stats.pool_max_flush));
-  const bool scheduler_parity = per_opt.checksum == cross.checksum &&
-                                per_opt.checksums_match && cross.checksums_match;
-  std::printf("scheduler checksums: %s\n",
-              scheduler_parity ? "bitwise identical" : "MISMATCH — PARITY BUG");
+  const bool shard_parity = per_opt.checksum == cross.checksum &&
+                            per_opt.checksums_match && cross.checksums_match;
+  std::printf("shard-size checksums: %s\n",
+              shard_parity ? "bitwise identical" : "MISMATCH — PARITY BUG");
 
   if (json_path != nullptr) {
     std::FILE* f = std::fopen(json_path, "w");
@@ -311,9 +313,9 @@ int main(int argc, char** argv) {
                  cross.rate, cohort_speedup, per_opt.stats.mean_flush_occupancy(),
                  cross.stats.mean_flush_occupancy(), per_opt.stats.mean_net_batch(),
                  cross.stats.mean_net_batch(), cross.checksum,
-                 scheduler_parity ? "true" : "false",
+                 shard_parity ? "true" : "false",
                  scalar.checksums_match && batched.checksums_match && parity &&
-                         scheduler_parity
+                         shard_parity
                      ? "true"
                      : "false");
     std::fclose(f);
@@ -323,7 +325,7 @@ int main(int argc, char** argv) {
   if (!obs.write()) return 2;
 
   if (!scalar.checksums_match || !batched.checksums_match || !parity ||
-      !scheduler_parity) {
+      !shard_parity) {
     return 1;
   }
   if (!obs.slo_ok()) return 3;

@@ -17,6 +17,7 @@
 #include "bench_util.h"
 #include "nn/dense.h"
 #include "predictor/exit_net.h"
+#include "predictor/hybrid.h"
 #include "sim/monte_carlo.h"
 #include "snapshot/snapshot.h"
 #include "trace/bandwidth.h"
@@ -134,26 +135,36 @@ void BM_ExitNetInference(benchmark::State& state) {
 }
 BENCHMARK(BM_ExitNetInference);
 
+// One candidate evaluation (Algorithm 2) on the wave engine, as the fleet
+// runs it (args: samples, lockstep batch). Batch 1 is a wave of one — every
+// stalled exit query pays a 1-row forward; batch 16 pools a wave's stalled
+// queries into one net forward. Results are bitwise identical across batch
+// sizes, so the gap is pure inference amortization.
 void BM_MonteCarloEvaluation(benchmark::State& state) {
   Rng rng(3);
-  auto net = std::make_shared<predictor::StallExitNet>(rng);
-  auto os = std::make_shared<predictor::OverallStatsModel>();
+  const predictor::HybridExitPredictor predictor(
+      std::make_shared<predictor::StallExitNet>(rng),
+      std::make_shared<predictor::OverallStatsModel>());
   predictor::EngagementState seed;
+  const predictor::BatchPredictorExitEvaluator exits(predictor, seed, 1.0);
 
   sim::MonteCarloConfig mc;
   mc.samples = static_cast<std::size_t>(state.range(0));
+  mc.batch_size = static_cast<std::size_t>(state.range(1));
   mc.enable_pruning = false;
   const sim::MonteCarloEvaluator eval(mc, {});
   const auto video = eval.make_virtual_video(trace::BitrateLadder::default_ladder(), 1.0);
-  abr::Hyb hyb;
-  trace::NormalBandwidth bw(1200.0, 300.0);
+  const abr::Hyb hyb{};
+  const trace::NormalBandwidth bw(1200.0, 300.0);
   for (auto _ : state) {
-    predictor::PredictorExitModel exits({net, os}, seed, 1.0);
-    benchmark::DoNotOptimize(eval.evaluate(video, hyb, exits, bw, 2.0,
-                                           std::numeric_limits<double>::infinity(), rng));
+    benchmark::DoNotOptimize(eval.evaluate_rollouts(
+        video, hyb, exits, bw, 2.0, std::numeric_limits<double>::infinity(), rng));
   }
+  state.counters["rollouts/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(mc.samples),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MonteCarloEvaluation)->Arg(8)->Arg(32);
+BENCHMARK(BM_MonteCarloEvaluation)->ArgsProduct({{8, 32}, {1, 16}});
 
 void BM_GpUpdateAndPredict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

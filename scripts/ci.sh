@@ -11,10 +11,10 @@
 #     sessions/sec ratios (batched vs scalar, cohort vs per-opt);
 #   * the batched-path + cross-user wave smoke: bench_fleet_scaling
 #     --batch 64 --users-per-shard 3 runs the LingXi fleet with scalar,
-#     per-optimization batched AND cross-user cohort-scheduled predictor
-#     inference at several thread counts, and exits non-zero unless every
-#     FleetAccumulator checksum is bitwise identical — the scalar/batched
-#     parity contract extended across scheduler modes. The machine-readable
+#     per-optimization batched (one-user shards) AND cross-user (3-user
+#     shards) predictor inference at several thread counts, and exits
+#     non-zero unless every FleetAccumulator checksum is bitwise identical —
+#     the scalar/batched parity contract extended across shard sizes. The machine-readable
 #     summary (rates, occupancy, checksums) lands in
 #     ${BUILD_DIR}/smoke/fleet_scaling.json for the artifact upload;
 #   * a telemetry capture->replay round-trip smoke (Fig. 12 A/B on 64
@@ -54,7 +54,11 @@
 #   * the bench_compare perf-regression gate (Release): dimensionless ratio
 #     checks from the fleet_scaling smoke JSON against the committed
 #     bench/baseline.json, plus a synthetic halved-throughput summary that
-#     must be caught with a non-zero exit.
+#     must be caught with a non-zero exit;
+#   * the Monte Carlo micro-benchmark (Release, when Google Benchmark was
+#     found): bench_micro filtered to BM_MonteCarloEvaluation — one
+#     Algorithm-2 evaluation on the wave engine at batch 1 and 16 — with its
+#     JSON kept under ${BUILD_DIR}/smoke/.
 #
 # Usage: scripts/ci.sh [Debug|Release]   (default Release)
 set -euo pipefail
@@ -90,7 +94,7 @@ mkdir -p "${SMOKE_DIR}"
 
 # Batched-inference + cross-user wave parity smoke (small fleet, batch 64,
 # shard 3, pooled optimizer fits on 2 workers; non-zero exit on any checksum
-# mismatch between thread counts, batch modes or scheduler modes).
+# mismatch between thread counts, batch modes or shard sizes).
 #
 # The wall-clock sessions/sec gates on the summary can be blanketed by a
 # host-side steal burst on virtualized single-core runners (one observed
@@ -108,7 +112,7 @@ for FLEET_ATTEMPT in 1 2 3; do
 
   # Sessions/sec non-regression gate on the smoke summary: the optimizer fast
   # path must keep the batched arm comfortably ahead of scalar inference and
-  # the cohort scheduler from regressing against per-optimization batching.
+  # cross-user waves from regressing against per-optimization batching.
   # Thresholds sit far below steady-state measurements (batched/scalar ~2.5x,
   # cross/per-opt ~1.2x) so only a real regression or a steal burst trips them.
   set +e
@@ -295,4 +299,17 @@ PYEOF
     exit 1
   fi
   echo "bench_compare gate OK: baseline within tolerance, synthetic regression caught"
+
+  # Monte Carlo micro-benchmark: Algorithm 2 on the wave engine with the
+  # batched predictor at batch 1 and 16. bench_micro exists only when Google
+  # Benchmark was found at configure time. No gate reads the JSON yet.
+  if [ -x "${BUILD_DIR}/bench/bench_micro" ]; then
+    "${BUILD_DIR}/bench/bench_micro" --benchmark_filter=MonteCarlo \
+      --benchmark_out="${SMOKE_DIR}/micro_montecarlo.json" \
+      --benchmark_out_format=json \
+      | tee "${SMOKE_DIR}/micro_montecarlo.txt"
+    echo "Monte Carlo micro-benchmark OK"
+  else
+    echo "bench_micro not built (Google Benchmark not found); skipping"
+  fi
 fi

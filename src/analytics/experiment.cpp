@@ -18,10 +18,10 @@ std::size_t stall_exit_count(const sim::SessionResult& session) {
 /// In-memory telemetry sink assembling an ExperimentResult from FleetRunner
 /// worker callbacks. Per-user buffers are written without locks — the
 /// FleetRunner contract guarantees calls for one user come from a single
-/// worker in (day, session) order, even under the cross-user wave scheduler
-/// where a shard's users interleave between optimization park points — and
-/// merged in user order afterwards, so the assembled result is identical at
-/// any thread count, shard size and scheduler mode.
+/// worker in (day, session) order, even though the cohort waves interleave
+/// a shard's users between optimization park points — and merged in user
+/// order afterwards, so the assembled result is identical at any thread
+/// count and shard size.
 class ExperimentSink final : public telemetry::TelemetrySink {
  public:
   /// Assembles records for sessions of days [first_day, days) — one leg of
@@ -177,7 +177,6 @@ sim::FleetConfig PopulationExperiment::fleet_config(bool treatment,
   fleet.intervention_day = treatment ? config_.intervention_day : 0;
   fleet.drift_user_tolerance = config_.drift_user_tolerance;
   fleet.predictor_batch = config_.predictor_batch;
-  fleet.scheduler = config_.scheduler;
   fleet.fixed_params = config_.lingxi.default_params;  // control arm pins defaults
   fleet.population = config_.population;
   fleet.network = config_.network;

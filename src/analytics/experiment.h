@@ -55,11 +55,6 @@ struct ExperimentConfig {
   /// Lockstep batch for LingXi's Monte Carlo rollouts (0 = keep
   /// `lingxi.monte_carlo.batch_size`); results identical at any value.
   std::size_t predictor_batch = 0;
-  /// Shard execution schedule (sim::SchedulerMode). The default cross-user
-  /// cohort schedule pools predictor flushes across each shard's users;
-  /// results are bitwise identical in both modes — the FleetRunner
-  /// guarantee, which the archive/regression suites pin for this driver.
-  sim::SchedulerMode scheduler = sim::SchedulerMode::kCohortWaves;
 
   user::UserPopulation::Config population;
   trace::PopulationModel::Config network;

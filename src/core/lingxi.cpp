@@ -80,17 +80,10 @@ std::unique_ptr<LingXi::OptimizationRun> LingXi::begin_optimization(
 }
 
 std::optional<abr::QoeParams> LingXi::maybe_optimize(abr::AbrAlgorithm& abr,
-                                                     Seconds current_buffer, Rng& rng,
-                                                     predictor::ExitQueryPool* pool,
-                                                     std::uint32_t user_tag) {
-  const auto run = begin_optimization(abr, current_buffer, rng, pool, user_tag);
+                                                     Seconds current_buffer, Rng& rng) {
+  const auto run = begin_optimization(abr, current_buffer, rng);
   if (run == nullptr) return std::nullopt;
-  // Drive the run to completion inline. Without a pool each wave flushes
-  // its own parked queries; with one, flush it between steps — either way
-  // the flush scope is a single optimization (the per-optimization batching
-  // baseline the cross-user scheduler is measured against).
   while (!run->step()) {
-    if (pool != nullptr) pool->flush();
   }
   return current_params_;
 }
@@ -123,7 +116,6 @@ LingXi::OptimizationRun::OptimizationRun(LingXi& owner, abr::AbrAlgorithm& abr,
       best_exit_(std::numeric_limits<double>::infinity()),
       best_params_(owner.current_params_),
       incumbent_exit_(std::numeric_limits<double>::infinity()) {
-  sequential_ = pool == nullptr && owner.config_.monte_carlo.batch_size <= 1;
   // OBO.init(x*, N, S, E_player): warm-start from the current parameters —
   // the previous optimum once one exists, the defaults otherwise. The warm
   // start is evaluated first, so on a flat exit-rate landscape the system
@@ -198,46 +190,22 @@ void LingXi::OptimizationRun::finish() {
 }
 
 bool LingXi::OptimizationRun::step() {
+  // A parked fit runs inline here when the caller did not run it itself.
+  if (pending_fit_) run_fit();
   if (done_) return true;
-  if (sequential_) {
-    // No parking possible: run the whole candidate loop through the
-    // sequential whole-session rollout path (bitwise identical to the wave
-    // path, without its stepping overhead) and finish in one step.
-    while (round_ < rounds_) {
-      begin_candidate();
-      const sim::MonteCarloResult mc = evaluator_.evaluate_rollouts(
-          virtual_video_, *rollout_abr_, exit_eval_, *bandwidth_model_, current_buffer_,
-          prune_bound(), rng_);
-      rollout_abr_.reset();
-      finish_round(mc);
-      ++round_;
-    }
-    finish();
-    return true;
-  }
-  if (pending_fit_) {
-    // A driver that ignores fit parking keeps making progress: run the
-    // parked fit inline, exactly where the un-parked path would have.
-    run_fit();
-  }
-  for (;;) {
-    if (done_) return true;
-    if (wave_ != nullptr) {
-      if (!wave_->step()) return false;  // parked on predictor queries
-      pending_mc_ = wave_->take_result();
-      wave_.reset();
-      rollout_abr_.reset();
-      pending_fit_ = true;
-      if (fit_parking_) return false;  // parked on the round-boundary fit
-      run_fit();
-      continue;
-    }
-    // A pooled run_fit() already drew the next candidate; otherwise (first
-    // round) draw it here. Wave construction always happens on this thread:
-    // the RolloutWave constructor touches the shared shard predictor.
+  if (wave_ == nullptr) {
+    // run_fit() already drew the next candidate; the first round draws it
+    // here. Wave construction always happens on this thread: the
+    // RolloutWave constructor touches the shared shard predictor.
     if (rollout_abr_ == nullptr) begin_candidate();
     start_wave();
   }
+  if (!wave_->step()) return false;  // parked on predictor queries
+  pending_mc_ = wave_->take_result();
+  wave_.reset();
+  rollout_abr_.reset();
+  pending_fit_ = true;
+  return false;  // parked on the round-boundary fit
 }
 
 void LingXi::OptimizationRun::run_fit() {

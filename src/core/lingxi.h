@@ -17,7 +17,7 @@
 //   * trigger threshold eta = 2 stall events (Fig. 8 trade-off);
 //   * pre-playback pruning — skip optimization when mu - 3*sigma > Q_max
 //     (stalls are statistically impossible, nothing to personalize);
-//   * virtual-playback pruning — inherited from sim::MonteCarloEvaluator;
+//   * virtual-playback pruning — inherited from sim::RolloutWave;
 //   * durable long-term state via snapshot()/restore() (logstore).
 #pragma once
 
@@ -107,33 +107,34 @@ class LingXi {
   /// True when the trigger condition (stall_count > eta) holds.
   bool should_optimize() const noexcept;
 
-  /// One OBO round (Algorithm 1 lines 6-20) in resumable form, so a wave
-  /// scheduler can interleave many users' optimizations and pool their
-  /// predictor flushes. step() advances the candidate loop until every live
-  /// Monte Carlo rollout has parked an exit query (returns false — with a
-  /// pool, the caller must flush it before the next step()) or the round is
-  /// complete (returns true; the ABR carries the final parameters).
-  /// Driving a run to completion is bitwise identical to maybe_optimize()
-  /// regardless of how steps interleave with other users' runs.
+  /// One OBO round (Algorithm 1 lines 6-20) in resumable form — the one
+  /// optimization loop, behind maybe_optimize() and the fleet's cohort
+  /// waves alike, so a wave scheduler can interleave many users'
+  /// optimizations and pool their predictor flushes and fits. step()
+  /// advances the candidate loop until every live Monte Carlo rollout has
+  /// parked an exit query (returns false — with a pool, the caller must
+  /// flush it before the next step()), a round-boundary fit is parked
+  /// (returns false; see needs_fit()), or the round is complete (returns
+  /// true; the ABR carries the final parameters). The result is bitwise
+  /// identical regardless of how steps interleave with other users' runs.
   class OptimizationRun {
    public:
     OptimizationRun(const OptimizationRun&) = delete;
     OptimizationRun& operator=(const OptimizationRun&) = delete;
 
-    /// True when finished; false when parked on predictor queries — or,
-    /// with fit parking enabled, on a round-boundary fit. Once finished, the
-    /// live ABR carries the adopted parameters (LingXi::current_params()).
+    /// True when finished; false when parked on predictor queries or on a
+    /// round-boundary fit. Once finished, the live ABR carries the adopted
+    /// parameters (LingXi::current_params()).
     bool step();
     bool done() const noexcept { return done_; }
 
-    /// Fit parking: when enabled, step() parks (returns false) at every
-    /// round boundary instead of running the GP observe + acquisition sweep
-    /// inline, so a scheduler can pool many users' fits — run_fit() touches
-    /// only this run's private state (its OBO/GP, its rng, its ABR clone),
-    /// making concurrent fits of different users race-free and the results
+    /// Fit parking: step() parks (returns false) at every round boundary
+    /// instead of running the GP observe + acquisition sweep inline, so a
+    /// scheduler can pool many users' fits — run_fit() touches only this
+    /// run's private state (its OBO/GP, its rng, its ABR clone), making
+    /// concurrent fits of different users race-free and the results
     /// independent of which thread ran them. A step() on a parked fit runs
-    /// it inline, so drivers that ignore parking still make progress.
-    void enable_fit_parking() noexcept { fit_parking_ = true; }
+    /// it inline, so callers that do not pool fits still make progress.
     /// True while a round-boundary fit is parked.
     bool needs_fit() const noexcept { return pending_fit_; }
     /// Run the parked fit: GP update with the round's Monte Carlo result,
@@ -151,7 +152,7 @@ class LingXi {
     void finish_round(const sim::MonteCarloResult& mc);
     void finish();
 
-    /// Candidate-draw half of a round (shared by both execution paths).
+    /// Candidate-draw half of a round.
     void begin_candidate();
     double prune_bound() const noexcept;
 
@@ -159,10 +160,6 @@ class LingXi {
     abr::AbrAlgorithm& abr_;
     Rng& rng_;
     Seconds current_buffer_;
-    /// Un-pooled batch<=1 runs keep the sequential whole-session rollout
-    /// path (no parking machinery): step() completes in one call. Pooled
-    /// runs always use waves so even single-rollout queries cross users.
-    bool sequential_;
     sim::MonteCarloEvaluator evaluator_;
     trace::Video virtual_video_;
     std::unique_ptr<trace::BandwidthModel> bandwidth_model_;
@@ -178,10 +175,9 @@ class LingXi {
     abr::QoeParams candidate_;
     std::unique_ptr<abr::AbrAlgorithm> rollout_abr_;
     std::unique_ptr<sim::RolloutWave> wave_;
-    /// Round result awaiting its fit while parked (fit parking only).
+    /// Round result awaiting its parked fit.
     sim::MonteCarloResult pending_mc_;
     bool pending_fit_ = false;
-    bool fit_parking_ = false;
     bool done_ = false;
   };
 
@@ -194,16 +190,14 @@ class LingXi {
       abr::AbrAlgorithm& abr, Seconds current_buffer, Rng& rng,
       predictor::ExitQueryPool* pool = nullptr, std::uint32_t user_tag = 0);
 
-  /// Run one OBO round to completion if triggered. `abr` is the live
-  /// algorithm: used as the rollout prototype and updated in place with the
-  /// optimized parameters. `current_buffer` seeds the virtual player.
-  /// Returns the new parameters when an optimization ran. `pool`, when
-  /// given, scopes the predictor flushes (for batching telemetry) without
-  /// changing any result.
+  /// Run one OBO round to completion if triggered: begin_optimization()
+  /// without a pool, stepped until done — each wave flushes its own parked
+  /// queries and each parked fit runs inline. `abr` is the live algorithm:
+  /// used as the rollout prototype and updated in place with the optimized
+  /// parameters. `current_buffer` seeds the virtual player. Returns the new
+  /// parameters when an optimization ran.
   std::optional<abr::QoeParams> maybe_optimize(abr::AbrAlgorithm& abr,
-                                               Seconds current_buffer, Rng& rng,
-                                               predictor::ExitQueryPool* pool = nullptr,
-                                               std::uint32_t user_tag = 0);
+                                               Seconds current_buffer, Rng& rng);
 
   /// -- state ---------------------------------------------------------------
   const abr::QoeParams& current_params() const noexcept { return current_params_; }

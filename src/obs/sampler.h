@@ -11,8 +11,8 @@
 //
 // The facts-derived gauges (`sim.fleet.*` except the sessions/sec rate) are
 // pure functions of (config, seed, day): they form the timeline's
-// deterministic section and are bitwise stable across scheduler, thread
-// count, sharding, predictor batching and checkpoint/kill/resume splices.
+// deterministic section and are bitwise stable across thread count,
+// sharding, predictor batching and checkpoint/kill/resume splices.
 // The rate, RSS and occupancy gauges measure the machine and stay
 // wall-clock.
 #pragma once

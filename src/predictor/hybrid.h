@@ -82,8 +82,8 @@ class HybridExitPredictor {
 
   /// Copy of this predictor whose net is deep-copied instead of shared.
   /// predict() runs forward passes that cache per-layer activations, so a
-  /// shared net must not be used from multiple threads; fleet workers take a
-  /// private copy per user (the OS model stays shared — it is const here).
+  /// shared net must not be used from multiple threads; each fleet worker
+  /// takes one private copy (the OS model stays shared — it is const here).
   HybridExitPredictor with_private_net() const;
 
  private:
@@ -206,17 +206,16 @@ class ExitQueryPool {
 };
 
 /// Bridges the hybrid predictor into the lockstep Monte Carlo engine
-/// (sim::MonteCarloEvaluator::evaluate_rollouts / sim::RolloutWave): hands
-/// out per-rollout PredictorExitModel instances seeded with the live user
-/// state, and evaluates their pending queries with one batched net forward
-/// per step. Two flush scopes:
+/// (sim::RolloutWave): hands out per-rollout PredictorExitModel instances
+/// seeded with the live user state, and evaluates their pending queries
+/// with one batched net forward per step. Two flush scopes:
 ///   * standalone (pool == nullptr): parked queries stay in the evaluator
 ///     and flush() computes the batch itself — one flush per wave of one
-///     evaluation (the per-optimization batching baseline);
+///     evaluation (maybe_optimize, evaluate_rollouts);
 ///   * pooled: parked queries go to a shared ExitQueryPool under the
 ///     (user, rollout, segment) key, the pool owner flushes once per
-///     scheduler wave across ALL users' evaluations, and flush() here just
-///     collects this evaluator's probabilities in park order.
+///     cohort wave across ALL the shard's evaluations, and flush() here
+///     just collects this evaluator's probabilities in park order.
 /// Both scopes are bitwise identical per query. The referenced predictor,
 /// seed state and pool must outlive the evaluator.
 class BatchPredictorExitEvaluator final : public sim::BatchExitEvaluator {

@@ -529,18 +529,18 @@ FleetAccumulator FleetRunner::run_days_leg(
 }
 
 // ---------------------------------------------------------------------------
-// ShardScheduler: per-user and cross-user wave schedules over one task type.
+// ShardScheduler: cohort waves of pausable per-user tasks.
 // ---------------------------------------------------------------------------
 
 /// One user's simulation as a pausable task — THE per-user simulation
-/// implementation, driven by both schedules. step() runs the user forward —
-/// live sessions inline (they never touch the exit predictor; user-model
-/// exits resolve immediately) — and returns false whenever the user's LingXi
-/// optimization parks stalled predictor queries in the pool; the next
-/// step() resumes it after the pool flush. Without a pool (or when nothing
-/// triggers), step() runs the whole user in one call. Every random draw
+/// implementation. step() runs the user forward — live sessions inline
+/// (they never touch the exit predictor; user-model exits resolve
+/// immediately) — and returns false whenever the user's LingXi optimization
+/// parks stalled predictor queries in the pool or parks a round-boundary
+/// fit; the next step() resumes it after the pool flush. When nothing
+/// triggers, step() runs the whole user in one call. Every random draw
 /// comes from (seed, user, day, session) streams only, so results cannot
-/// depend on which schedule drives the task.
+/// depend on how the waves interleave users.
 class ShardScheduler::UserTask {
  public:
   /// Runs days [first_day, stop_day). `resume`, when non-null, is the
@@ -548,8 +548,6 @@ class ShardScheduler::UserTask {
   /// user; the task continues bitwise identically to one that simulated the
   /// earlier days itself (static context re-derives from (seed, user)
   /// streams, evolving state restores from `resume`).
-  /// With `park_fits`, optimizations park at round boundaries so the
-  /// cohort schedule can pool the fits (see parked_fit()).
   /// `day_totals`, when non-null, is the shard's leg-relative per-day slot
   /// array (see ShardScheduler): every tally banked into `acc` is also
   /// banked into the slot of the day it is attributed to.
@@ -557,8 +555,7 @@ class ShardScheduler::UserTask {
            std::size_t user_index, FleetAccumulator& acc,
            const predictor::HybridExitPredictor* shard_predictor,
            predictor::ExitQueryPool* pool, std::size_t first_day, std::size_t stop_day,
-           const UserFleetState* resume, bool park_fits = false,
-           FleetAccumulator* day_totals = nullptr)
+           const UserFleetState* resume, FleetAccumulator* day_totals)
       : runner_(runner),
         cfg_(runner.config()),
         world_(world),
@@ -571,8 +568,7 @@ class ShardScheduler::UserTask {
         pool_(pool),
         scenario_(runner.config().scenario.empty() ? nullptr : &runner.config().scenario),
         day_(first_day),
-        stop_day_(stop_day),
-        park_fits_(park_fits) {
+        stop_day_(stop_day) {
     if (scenario_ != nullptr) {
       // A churn scheduled exactly at first_day belongs to THIS leg (it rolls
       // over in begin_day), so construction rebuilds the generation that was
@@ -625,8 +621,8 @@ class ShardScheduler::UserTask {
 
   /// Non-null while the task is parked on a round-boundary optimizer fit
   /// (never while parked on predictor queries): the run whose run_fit() the
-  /// scheduler must invoke — possibly from a pool worker — before the next
-  /// step(). Meaningful only for park_fits tasks.
+  /// scheduler invokes — possibly from a pool worker — before the next
+  /// step().
   core::LingXi::OptimizationRun* parked_fit() const noexcept {
     return opt_ != nullptr && opt_->needs_fit() ? opt_.get() : nullptr;
   }
@@ -773,7 +769,6 @@ class ShardScheduler::UserTask {
             result_.segments.empty() ? 0.0 : result_.segments.back().buffer_after;
         opt_ = lingxi_->begin_optimization(*abr_, buffer_seed, session_rng_, pool_,
                                            static_cast<std::uint32_t>(user_));
-        if (opt_ != nullptr && park_fits_) opt_->enable_fit_parking();
       }
     }
   }
@@ -888,7 +883,6 @@ class ShardScheduler::UserTask {
   double video_duration_ = 0.0;
   SessionResult result_;
   bool measured_ = false;
-  bool park_fits_ = false;
   std::unique_ptr<core::LingXi::OptimizationRun> opt_;
 };
 
@@ -921,49 +915,8 @@ ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& worl
 ShardScheduler::~ShardScheduler() = default;
 
 void ShardScheduler::run() {
-  if (runner_.config().scheduler == SchedulerMode::kCohortWaves) {
-    run_cohort();
-  } else {
-    run_per_user();
-  }
-}
-
-void ShardScheduler::run_per_user() {
-  const FleetConfig& cfg = runner_.config();
-  // Batches stay scoped to one optimization: a single task is in flight, so
-  // every pooled flush holds exactly one wave of one user's rollouts. With
-  // batch <= 1 the pool is withheld entirely so optimizations keep the
-  // sequential rollout fast path (nothing to batch anyway).
-  predictor::ExitQueryPool* pool =
-      cfg.lingxi.monte_carlo.batch_size > 1 ? pool_.get() : nullptr;
-  // The worker's private-net predictor serves every user (forwards are pure
-  // and this thread is the only one touching the net's layer caches); the
-  // clone-per-user fallback covers direct ShardScheduler construction.
-  std::optional<predictor::HybridExitPredictor> fallback_predictor;
-  if (cfg.enable_lingxi && worker_predictor_ == nullptr) {
-    LINGXI_ASSERT(runner_.predictor_factory_ != nullptr);
-    fallback_predictor.emplace(runner_.predictor_factory_().with_private_net());
-  }
-  const predictor::HybridExitPredictor* predictor =
-      worker_predictor_ != nullptr ? worker_predictor_
-                                   : (fallback_predictor ? &*fallback_predictor : nullptr);
-  for (std::size_t u = first_user_; u < last_user_; ++u) {
-    UserTask task(runner_, world_, seed_, u, acc_, cfg.enable_lingxi ? predictor : nullptr,
-                  pool, first_day_, last_day_,
-                  resume_ != nullptr ? &resume_->users[u] : nullptr,
-                  /*park_fits=*/false, day_totals_);
-    while (!task.step()) {
-      OBS_SPAN("wave.flush");
-      OBS_TIMED("sim.wave.flush_us");
-      pool_->flush();
-    }
-    if (out_state_ != nullptr) task.export_state(out_state_->users[u]);
-  }
-}
-
-void ShardScheduler::run_cohort() {
   // The worker's deep-copied predictor, shared by the shard's users (each
-  // user's LingXi copies the handle, not the net) — see
+  // user's LingXi borrows it, not a copy of the net) — see
   // set_predictor_factory for why sharing is bitwise invisible. The
   // clone-per-shard fallback covers direct ShardScheduler construction.
   std::optional<predictor::HybridExitPredictor> fallback_predictor;
@@ -981,7 +934,7 @@ void ShardScheduler::run_cohort() {
         runner_, world_, seed_, u, acc_,
         runner_.config().enable_lingxi ? shard_predictor : nullptr, pool_.get(),
         first_day_, last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr,
-        /*park_fits=*/true, day_totals_));
+        day_totals_));
   }
 
   // Live tasks in ascending user order. Each wave steps every live task

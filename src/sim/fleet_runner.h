@@ -16,21 +16,20 @@
 // Hence the merged result is bitwise identical at 1, 4 or 64 threads, which
 // is what makes the parallel fleet usable for paired A/B comparisons.
 //
-// Within a shard, two execution schedules exist (FleetConfig::scheduler):
-//   * kPerUser — users run one after another, whole simulation each; LingXi
-//     predictor batches are scoped to one optimization (the PR 3 shape);
-//   * kCohortWaves — every user of the shard advances as a pausable task
-//     (ShardScheduler below): live sessions run inline, and whenever a
-//     user's Monte Carlo optimization stalls on exit-predictor queries the
-//     task parks and the next user runs. Between waves one pooled flush
-//     (predictor::ExitQueryPool) evaluates every parked query across ALL
-//     the shard's users — rollouts of different users and candidates — as
-//     per-net sub-batches, so batch occupancy is bounded by the shard's
-//     concurrent optimizations instead of a single user's rollouts.
-// Both schedules produce bitwise-identical FleetAccumulator checksums and
-// telemetry archive bytes: per-user state (rng streams, OBO, engagement) is
-// task-private, predictor forwards are bitwise independent of batch
-// composition, the accumulator is integer, and telemetry buffers per user.
+// Within a shard, users run as cohort waves (ShardScheduler below): every
+// user of the shard advances as a pausable task — live sessions run inline,
+// and whenever a user's Monte Carlo optimization stalls on exit-predictor
+// queries the task parks and the next user runs. Between waves one pooled
+// flush (predictor::ExitQueryPool) evaluates every parked query across ALL
+// the shard's users — rollouts of different users and candidates — as
+// per-net sub-batches, so batch occupancy is bounded by the shard's
+// concurrent optimizations instead of a single user's rollouts.
+// users_per_shard = 1 is per-user order: one user at a time, each flush
+// scoped to that user's optimization. Any shard size produces
+// bitwise-identical FleetAccumulator checksums and telemetry archive bytes:
+// per-user state (rng streams, OBO, engagement) is task-private, predictor
+// forwards are bitwise independent of batch composition, the accumulator is
+// integer, and telemetry buffers per user.
 #pragma once
 
 #include <cstdint>
@@ -147,19 +146,6 @@ struct FleetAccumulator {
   std::uint32_t checksum() const;
 };
 
-/// How a worker executes the users of one shard. Purely a scheduling knob:
-/// both modes produce bitwise-identical results (checksums AND telemetry
-/// bytes) — the property test grid asserts it.
-enum class SchedulerMode {
-  /// One user at a time, whole simulation each; predictor batches are
-  /// scoped to a single optimization (the per-optimization baseline).
-  kPerUser,
-  /// Cross-user wave scheduler: all users of the shard advance as pausable
-  /// tasks and stalled exit-predictor queries pool into one fleet-wide
-  /// flush per wave (see ShardScheduler).
-  kCohortWaves,
-};
-
 /// Batching telemetry for one FleetRunner::run — deliberately OUTSIDE
 /// FleetAccumulator: occupancy depends on the schedule, and the accumulator
 /// checksum must not.
@@ -217,10 +203,9 @@ struct FleetConfig {
   /// identical for any value (0 is clamped to 1 at construction; values
   /// beyond the fleet size behave as one whole-fleet shard); smaller shards
   /// balance heterogeneous users better, larger shards amortize per-shard
-  /// setup and — under kCohortWaves — pool more users per predictor flush.
+  /// setup and pool more users per predictor flush; 1 runs users in
+  /// per-user order, each flush scoped to one optimization.
   std::size_t users_per_shard = 8;
-  /// Shard execution schedule; results are identical in both modes.
-  SchedulerMode scheduler = SchedulerMode::kCohortWaves;
   /// Treatment switch: run LingXi per user (config `lingxi`) vs pinning
   /// `fixed_params` on the ABR.
   bool enable_lingxi = false;
@@ -241,11 +226,10 @@ struct FleetConfig {
   std::size_t predictor_batch = 0;
   /// Extra worker threads (per shard worker) for the round-boundary
   /// optimizer fits — GP observe plus the next acquisition sweep — that
-  /// kCohortWaves parks at wave boundaries and runs as one pooled batch.
+  /// cohort waves park at wave boundaries and run as one pooled batch.
   /// 0 runs the fits inline on the shard's own thread. Purely a scheduling
   /// knob: each fit touches only its user's private state, so any value
   /// yields bitwise-identical results (asserted by test_properties.cpp).
-  /// Ignored under kPerUser, whose fits were never parked.
   std::size_t optimizer_threads = 0;
   /// Lognormal sigma jittering each session's mean bandwidth around the
   /// user's profile (cellular commute vs home Wi-Fi); 0 disables.
@@ -260,8 +244,8 @@ struct FleetConfig {
   /// session curves, flash-crowd arrivals, churn and cohort overrides, all
   /// pure functions of (user, day). An empty script (the default) is
   /// byte-for-byte the unscripted run; a non-empty script still satisfies
-  /// the full bitwise contract across scheduler / threads / shard size /
-  /// batch AND across checkpoint splices, and it is part of the telemetry
+  /// the full bitwise contract across threads / shard size / batch AND
+  /// across checkpoint splices, and it is part of the telemetry
   /// config digest so archives and snapshots pin the script they ran.
   scenario::ScenarioScript scenario;
 };
@@ -294,18 +278,17 @@ class FleetRunner {
   /// rng (an index-only factory therefore rebuilds identical users).
   void set_user_factory(UserFactory factory);
   /// Required when `config.enable_lingxi`. Invoked from worker threads —
-  /// once per user (kPerUser) or once per shard (kCohortWaves); the returned
-  /// predictor's net is deep-copied before use, so a factory handing out a
-  /// shared net is safe. Under kCohortWaves the shard's users share the
-  /// deep copy: batched forwards are const and pure per row, and one shard
-  /// is driven by one worker, so sharing changes no result bit while
-  /// letting one flush serve the whole shard as a single net sub-batch.
-  /// Because the invocation count depends on the schedule, the factory must
-  /// be pure configuration: every call must return an equivalent predictor
-  /// (same weights, same OS model, same blend config). A factory whose
-  /// output varies call to call (e.g. an rng advanced across calls) would
-  /// silently void the "results identical for any scheduler / shard size"
-  /// contract.
+  /// once per worker (or per chained run); the returned predictor's net is
+  /// deep-copied before use, so a factory handing out a shared net is safe.
+  /// A worker's shards and users share the deep copy: batched forwards are
+  /// const and pure per row, and one shard is driven by one worker, so
+  /// sharing changes no result bit while letting one flush serve the whole
+  /// shard as a single net sub-batch. Because the invocation count depends
+  /// on the thread count, the factory must be pure configuration: every
+  /// call must return an equivalent predictor (same weights, same OS model,
+  /// same blend config). A factory whose output varies call to call (e.g.
+  /// an rng advanced across calls) would silently void the "results
+  /// identical for any thread count / shard size" contract.
   void set_predictor_factory(PredictorFactory factory);
 
   /// Optional capture plane (telemetry/sink.h): the sink observes every
@@ -323,7 +306,7 @@ class FleetRunner {
   void set_checkpoint_hook(CheckpointHook hook, std::size_t every_k_days);
 
   /// Simulate the whole fleet. Bitwise-deterministic for a given seed,
-  /// independent of `config().threads` (and of `config().scheduler`).
+  /// independent of `config().threads` and `config().users_per_shard`.
   /// `stats`, when non-null, receives the merged batching telemetry.
   FleetAccumulator run(std::uint64_t seed, FleetRunStats* stats = nullptr) const;
 
@@ -339,8 +322,8 @@ class FleetRunner {
   ///     last_day (including the merged accumulator so far) for a later
   ///     resume or a disk snapshot.
   ///
-  /// Contract (pinned by tests/test_properties.cpp across the scheduler x
-  /// threads x users_per_shard x predictor_batch grid): splitting a run at
+  /// Contract (pinned by tests/test_properties.cpp across the threads x
+  /// users_per_shard x predictor_batch grid): splitting a run at
   /// any day boundary and resuming — in-process or through a disk snapshot —
   /// yields a bitwise-identical FleetAccumulator AND, with a restored
   /// ShardedCapture attached, bitwise-identical telemetry archive bytes.
@@ -395,26 +378,20 @@ class FleetRunner {
   std::size_t checkpoint_every_k_days_ = 0;
 };
 
-/// Executes the users of one shard under the configured SchedulerMode. Both
-/// schedules drive the same pausable per-user task (UserTask — there is ONE
-/// implementation of per-user simulation, so schedule parity is structural,
-/// not maintained by hand):
-///
-///   * kPerUser: one task at a time, driven to completion; the predictor is
-///     deep-copied per user and flushes stay scoped to one optimization
-///     (with batch <= 1 the pool is withheld entirely, keeping the
-///     sequential rollout fast path);
-///   * kCohortWaves: every task advances in waves — live sessions simulate
-///     inline, LingXi optimizations run until each Monte Carlo rollout
-///     parks a stalled exit query in the shared ExitQueryPool, then the
-///     next user runs; one pooled flush per wave serves every parked query
-///     across users, candidates and rollouts, sub-batched per net.
+/// Executes the users of one shard as cohort waves of pausable per-user
+/// tasks (UserTask — the one implementation of per-user simulation): every
+/// task advances in waves — live sessions simulate inline, LingXi
+/// optimizations run until each Monte Carlo rollout parks a stalled exit
+/// query in the shared ExitQueryPool or a round-boundary fit parks, then the
+/// next user runs. The wave's parked fits run as one pooled batch and one
+/// pooled flush serves every parked query across users, candidates and
+/// rollouts, sub-batched per net. A one-user shard is per-user order.
 ///
 /// Tasks step in ascending user order, so park order — and therefore every
 /// batch composition — is a pure function of (config, seed, shard range):
 /// replays are deterministic. Per-user outcomes cannot depend on the
 /// interleaving at all (task state is private; forwards are pure), which is
-/// what keeps cohort results bitwise equal to the per-user schedule.
+/// what keeps results bitwise equal across shard sizes.
 /// One ShardScheduler is driven by exactly one worker thread.
 class ShardScheduler {
  public:
@@ -422,7 +399,7 @@ class ShardScheduler {
   /// `resume` / `out_state`, when non-null, are the whole-fleet day-boundary
   /// states (indexed by absolute user index) this shard restores from /
   /// exports into; the scheduler touches only its own users' entries.
-  /// `fit_pool`, when non-null, runs the cohort waves' parked optimizer
+  /// `fit_pool`, when non-null, runs the waves' parked optimizer
   /// fits (shared across the worker's shards; may be a zero-worker pool).
   /// `worker_predictor`, when non-null, is the driving worker's private-net
   /// predictor clone, shared by every shard (and user) the worker processes
@@ -446,16 +423,13 @@ class ShardScheduler {
   ShardScheduler(const ShardScheduler&) = delete;
   ShardScheduler& operator=(const ShardScheduler&) = delete;
 
-  /// Drive every user of the shard to completion under the configured mode.
+  /// Drive every user of the shard to completion.
   void run();
   /// Pool batching telemetry accumulated so far.
   FleetRunStats stats() const;
 
  private:
   class UserTask;
-
-  void run_per_user();
-  void run_cohort();
 
   const FleetRunner& runner_;
   const FleetWorld& world_;
@@ -469,8 +443,8 @@ class ShardScheduler {
   FleetDayState* out_state_;
   std::unique_ptr<predictor::ExitQueryPool> pool_;
   OptimizerPool* fit_pool_;  ///< not owned; may be null (fits run inline)
-  /// Worker-owned private-net predictor; null falls back to per-shard /
-  /// per-user clones.
+  /// Worker-owned private-net predictor; null falls back to a per-shard
+  /// clone.
   const predictor::HybridExitPredictor* worker_predictor_;
   /// Per-day accumulator slots for this shard (leg-relative, size
   /// last_day_ - first_day_); null when no per-day observation is wanted.

@@ -8,36 +8,6 @@
 #include "common/assert.h"
 
 namespace lingxi::sim {
-namespace {
-
-/// Fold one completed rollout into `result` and apply the optimistic prune
-/// bound (every remaining sample watches the full virtual video and never
-/// exits); true when evaluation must stop. THE accumulation implementation,
-/// shared by the sequential path and RolloutWave so both prune at exactly
-/// the same rollout — the parity is structural, not maintained by hand.
-bool fold_rollout(const MonteCarloConfig& mc, std::size_t max_segments_per_sample,
-                  double best_known_exit_rate, const SessionResult& session,
-                  MonteCarloResult& result) {
-  result.watched_count += session.segments.size();
-  if (session.exited) ++result.exited_count;
-  ++result.samples_run;
-  if (mc.enable_pruning && result.samples_run >= mc.min_samples_before_prune &&
-      std::isfinite(best_known_exit_rate)) {
-    const std::size_t remaining = mc.samples - result.samples_run;
-    const double optimistic_watched =
-        static_cast<double>(result.watched_count + remaining * max_segments_per_sample);
-    const double lower_bound =
-        static_cast<double>(result.exited_count) / optimistic_watched;
-    if (lower_bound > best_known_exit_rate) {
-      result.pruned = true;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 MonteCarloEvaluator::MonteCarloEvaluator(MonteCarloConfig mc_config,
                                          SessionSimulator::Config session_config)
     : mc_config_(mc_config), session_config_(session_config) {
@@ -56,96 +26,15 @@ trace::Video MonteCarloEvaluator::make_virtual_video(const trace::BitrateLadder&
   return trace::Video{ladder, segments, segment_duration};
 }
 
-MonteCarloResult MonteCarloEvaluator::evaluate(const trace::Video& virtual_video,
-                                               BitrateSelector& abr, ExitModel& exit_model,
-                                               trace::BandwidthModel& bandwidth,
-                                               Seconds initial_buffer,
-                                               double best_known_exit_rate, Rng& rng) const {
-  SessionSimulator::Config cfg = session_config_;
-  cfg.player.startup_buffer = std::max(0.0, initial_buffer);
-  const SessionSimulator sim(cfg);
-
-  MonteCarloResult result;
-  const std::size_t max_segments_per_sample = virtual_video.segment_count();
-
-  for (std::size_t m = 0; m < mc_config_.samples; ++m) {
-    auto bw = bandwidth.clone();  // independent stochastic rollout
-    const SessionResult session = sim.run(virtual_video, abr, *bw, &exit_model, rng);
-    result.watched_count += session.segments.size();
-    if (session.exited) ++result.exited_count;
-    ++result.samples_run;
-
-    if (mc_config_.enable_pruning && result.samples_run >= mc_config_.min_samples_before_prune &&
-        std::isfinite(best_known_exit_rate)) {
-      // Optimistic bound: every remaining sample watches the full virtual
-      // video and never exits.
-      const std::size_t remaining = mc_config_.samples - result.samples_run;
-      const double optimistic_watched = static_cast<double>(
-          result.watched_count + remaining * max_segments_per_sample);
-      const double lower_bound = static_cast<double>(result.exited_count) / optimistic_watched;
-      if (lower_bound > best_known_exit_rate) {
-        result.pruned = true;
-        break;
-      }
-    }
-  }
-
-  result.exit_rate = result.watched_count == 0
-                         ? 0.0
-                         : static_cast<double>(result.exited_count) /
-                               static_cast<double>(result.watched_count);
-  return result;
-}
-
 MonteCarloResult MonteCarloEvaluator::evaluate_rollouts(
     const trace::Video& virtual_video, const abr::AbrAlgorithm& abr,
     const BatchExitEvaluator& exits, const trace::BandwidthModel& bandwidth,
     Seconds initial_buffer, double best_known_exit_rate, Rng& rng) const {
-  const std::size_t batch = std::max<std::size_t>(1, mc_config_.batch_size);
-  if (batch > 1) {
-    // Lockstep path: the resumable wave drives itself to completion here
-    // (its exits.flush() computes the parked batch directly); the cross-user
-    // scheduler drives the same class with flushes pooled across
-    // evaluations instead. The wave forks the per-rollout streams itself.
-    RolloutWave wave(*this, virtual_video, abr, exits, bandwidth, initial_buffer,
-                     best_known_exit_rate, rng);
-    while (!wave.step()) {
-    }
-    return wave.take_result();
+  RolloutWave wave(*this, virtual_video, abr, exits, bandwidth, initial_buffer,
+                   best_known_exit_rate, rng);
+  while (!wave.step()) {
   }
-
-  SessionSimulator::Config cfg = session_config_;
-  cfg.player.startup_buffer = std::max(0.0, initial_buffer);
-  const SessionSimulator sim(cfg);
-
-  // Per-rollout rng streams, forked upfront so the caller's rng advances by
-  // exactly `samples` forks no matter how pruning truncates the run — the
-  // caller's subsequent draws (e.g. the next OBO candidate) must not depend
-  // on the batch size or the prune point.
-  std::vector<Rng> streams;
-  streams.reserve(mc_config_.samples);
-  for (std::size_t m = 0; m < mc_config_.samples; ++m) streams.push_back(rng.fork());
-
-  MonteCarloResult result;
-  const std::size_t max_segments_per_sample = virtual_video.segment_count();
-
-  for (std::size_t m = 0; m < mc_config_.samples; ++m) {
-    const auto rollout_abr = abr.clone();
-    const auto bw = bandwidth.clone();
-    const auto model = exits.make_model();
-    const SessionResult session =
-        sim.run(virtual_video, *rollout_abr, *bw, model.get(), streams[m]);
-    if (fold_rollout(mc_config_, max_segments_per_sample, best_known_exit_rate, session,
-                     result)) {
-      break;
-    }
-  }
-
-  result.exit_rate = result.watched_count == 0
-                         ? 0.0
-                         : static_cast<double>(result.exited_count) /
-                               static_cast<double>(result.watched_count);
-  return result;
+  return wave.take_result();
 }
 
 RolloutWave::RolloutWave(const MonteCarloEvaluator& evaluator,
@@ -165,13 +54,30 @@ RolloutWave::RolloutWave(const MonteCarloEvaluator& evaluator,
       bandwidth_(bandwidth),
       best_known_exit_rate_(best_known_exit_rate),
       max_segments_(virtual_video.segment_count()) {
-  // Fork every rollout stream upfront (the evaluate_rollouts rng contract).
+  // Fork every rollout stream upfront, so the caller's rng advances by
+  // exactly `samples` forks however pruning truncates the run.
   streams_.reserve(mc_.samples);
   for (std::size_t m = 0; m < mc_.samples; ++m) streams_.push_back(rng.fork());
 }
 
 bool RolloutWave::accumulate(const SessionResult& session) {
-  return fold_rollout(mc_, max_segments_, best_known_exit_rate_, session, result_);
+  result_.watched_count += session.segments.size();
+  if (session.exited) ++result_.exited_count;
+  ++result_.samples_run;
+  if (mc_.enable_pruning && result_.samples_run >= mc_.min_samples_before_prune &&
+      std::isfinite(best_known_exit_rate_)) {
+    // Optimistic bound: every remaining sample watches the full virtual
+    // video and never exits.
+    const std::size_t remaining = mc_.samples - result_.samples_run;
+    const double optimistic_watched =
+        static_cast<double>(result_.watched_count + remaining * max_segments_);
+    const double lower_bound = static_cast<double>(result_.exited_count) / optimistic_watched;
+    if (lower_bound > best_known_exit_rate_) {
+      result_.pruned = true;
+      return true;
+    }
+  }
+  return false;
 }
 
 void RolloutWave::start_chunk() {
@@ -229,9 +135,9 @@ bool RolloutWave::step() {
     // any rollout's byte-for-byte outcome.
     //
     // Completed rollouts fold into the result in rollout order as soon as
-    // the prefix allows, so a prune fires at exactly the rollout it would
-    // under the sequential path — the in-flight tail is then abandoned, just
-    // as the sequential path never starts it.
+    // the prefix allows, so a prune fires at the same rollout for every
+    // batch size — the in-flight tail is then abandoned, exactly as a wave
+    // of one never starts it.
     parked_.clear();
     for (std::size_t j = 0; j < slots_.size(); ++j) {
       Slot& slot = slots_[j];

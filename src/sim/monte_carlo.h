@@ -27,10 +27,10 @@ struct MonteCarloConfig {
   Seconds sample_duration = 45.0;        ///< T_sample (mean online video length)
   bool enable_pruning = true;
   std::size_t min_samples_before_prune = 8;
-  /// Rollouts advanced in lockstep by evaluate_rollouts(), with the exit
-  /// predictor evaluated once per step as a batch across rollouts. 1 runs
-  /// the scalar reference path (whole sessions, one at a time). Results are
-  /// bitwise identical for every value — the parity suite asserts it.
+  /// Rollouts a RolloutWave advances in lockstep, with the exit predictor
+  /// evaluated once per step as a batch across them; 1 is a wave of one.
+  /// Results are bitwise identical for every value — the parity suite
+  /// asserts it.
   std::size_t batch_size = 1;
 };
 
@@ -46,29 +46,17 @@ class MonteCarloEvaluator {
  public:
   MonteCarloEvaluator(MonteCarloConfig mc_config, SessionSimulator::Config session_config);
 
-  /// Evaluate one candidate. `abr` must already carry the candidate QoE
-  /// parameters; `exit_model` must be seeded with the live user state;
-  /// `initial_buffer` comes from the live player; `best_known_exit_rate`
-  /// enables pruning (pass +inf to disable for this call).
-  MonteCarloResult evaluate(const trace::Video& virtual_video, BitrateSelector& abr,
-                            ExitModel& exit_model, trace::BandwidthModel& bandwidth,
-                            Seconds initial_buffer, double best_known_exit_rate,
-                            Rng& rng) const;
-
-  /// Like evaluate(), but with per-rollout isolation: every rollout gets its
-  /// own rng stream (exactly `samples` forks are taken from `rng` upfront,
-  /// regardless of pruning), its own clone of `abr` and `bandwidth`, and its
-  /// own exit model from `exits`. With batch_size == 1 the rollouts run as
-  /// whole sequential sessions — the scalar path; with batch_size > 1 they
-  /// advance in lockstep waves (SessionStepper) and the exit predictor is
-  /// evaluated once per step as a batch across the wave. Both paths return
-  /// bitwise-identical results and leave `rng` in the same state — the
-  /// contract behind the fleet's scalar/batched checksum identity. Pruning
-  /// follows the same per-rollout replay order in both modes; a lockstep
-  /// wave merely cannot stop mid-wave, so batching trades some pruned-away
-  /// work for batched forwards without changing any reported number. The
-  /// batched mode is a convenience driver over RolloutWave (below), which
-  /// also exposes the evaluation in resumable form.
+  /// Evaluate one candidate: the blocking form of RolloutWave (below), which
+  /// it steps until done — each wave's exits.flush() computes the parked
+  /// batch directly. `abr` must already carry the candidate QoE parameters;
+  /// `exits` hands out per-rollout exit models seeded with the live user
+  /// state; `initial_buffer` comes from the live player;
+  /// `best_known_exit_rate` enables pruning (pass +inf to disable). Every
+  /// rollout gets its own rng stream (exactly `samples` forks are taken from
+  /// `rng` upfront, regardless of pruning), its own clone of `abr` and
+  /// `bandwidth`, and its own exit model, so the result and the final `rng`
+  /// state are bitwise independent of the batch size and of how the wave is
+  /// driven.
   MonteCarloResult evaluate_rollouts(const trace::Video& virtual_video,
                                      const abr::AbrAlgorithm& abr,
                                      const BatchExitEvaluator& exits,
@@ -93,25 +81,27 @@ class MonteCarloEvaluator {
   SessionSimulator::Config session_config_;
 };
 
-/// Resumable form of MonteCarloEvaluator::evaluate_rollouts: one candidate
-/// evaluation that can pause whenever its rollouts have parked exit-predictor
-/// queries into the BatchExitEvaluator, so a caller may pool the flush across
-/// MANY concurrent evaluations (different candidates, different users — the
-/// cross-user wave scheduler) instead of flushing per evaluation.
+/// Algorithm 2 in resumable form — the one implementation behind
+/// MonteCarloEvaluator::evaluate_rollouts and every fleet optimization: one
+/// candidate evaluation that can pause whenever its rollouts have parked
+/// exit-predictor queries into the BatchExitEvaluator, so a caller may pool
+/// the flush across MANY concurrent evaluations (different candidates,
+/// different users — the cross-user wave scheduler) instead of flushing per
+/// evaluation.
 ///
 /// Protocol: step() advances every live rollout until it either finishes or
 /// parks a query into `exits`, folds completed rollouts into the result in
-/// rollout order (pruning fires at exactly the rollout it would under the
-/// sequential path), and returns true when the evaluation is complete. When
+/// rollout order (pruning fires at the same rollout whatever the batch
+/// size), and returns true when the evaluation is complete. When
 /// it returns false, at least one query is parked; the caller must make the
 /// parked probabilities available (either `exits` computes them itself on
 /// flush, or the caller flushes the shared ExitQueryPool the evaluator parks
 /// into) and then call step() again — the next step() collects the
 /// probabilities via exits.flush() before advancing.
 ///
-/// The rng contract matches evaluate_rollouts: exactly `samples` forks are
-/// taken from `rng` at construction, so the caller's stream advances
-/// identically no matter how the evaluation is driven, batched or pruned.
+/// Rng contract: exactly `samples` forks are taken from `rng` at
+/// construction, so the caller's stream advances identically no matter how
+/// the evaluation is driven, batched or pruned.
 /// All referenced objects must outlive the wave; the wave is neither
 /// copyable nor movable (rollout steppers hold pointers into it).
 class RolloutWave {

@@ -1,6 +1,6 @@
 // A small fork-join helper for round-boundary optimizer fits.
 //
-// ShardScheduler::run_cohort parks every user whose optimization reached a
+// ShardScheduler::run parks every user whose optimization reached a
 // round boundary (core::OptimizationRun fit parking) and hands the batch of
 // fits here. Each fit touches only its own user's private state (GP, rng,
 // ABR clone), so the fits of one wave are embarrassingly parallel and the

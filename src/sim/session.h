@@ -74,14 +74,13 @@ class ExitModel {
 };
 
 /// Factory + batched evaluator for per-rollout exit models — what the
-/// lockstep Monte Carlo path (MonteCarloEvaluator::evaluate_rollouts) needs
-/// from the predictor side. The prepare()/flush() split lets cheap decisions
+/// lockstep Monte Carlo engine (sim::RolloutWave) needs from the predictor
+/// side. The prepare()/flush() split lets cheap decisions
 /// (e.g. non-stalled segments, which skip the net entirely) resolve inline
 /// while expensive ones accumulate across rollouts into one batched forward.
 /// For any model the prepare()+flush() probabilities must be bitwise
 /// identical to exit_probability() on the same segment sequence — the
-/// contract that makes batched and scalar rollouts produce identical fleet
-/// checksums.
+/// contract that makes every batch size produce identical fleet checksums.
 class BatchExitEvaluator {
  public:
   virtual ~BatchExitEvaluator() = default;

@@ -7,15 +7,14 @@
 // finish() then merges the buffers in deterministic ascending user order and
 // regroups them into archive shard files of `users_per_shard` users each.
 //
-// The single-writer-per-user property survives the cross-user wave
-// scheduler: a cohort interleaves the *users* of a shard on one worker, but
+// The single-writer-per-user property survives the cohort waves: a cohort interleaves the *users* of a shard on one worker, but
 // each user's sessions are still recorded in chronological (day, session)
 // order (a debug assertion pins this), so per-user buffers — and therefore
 // the merged archive bytes — cannot observe the interleaving.
 //
 // Consequently the archive bytes depend only on (fleet config, seed, archive
-// users_per_shard) — never on the thread count, the runner's scheduling
-// shard size, or the scheduler mode. That is what lets one capture serve any
+// users_per_shard) — never on the thread count or the runner's scheduling
+// shard size. That is what lets one capture serve any
 // number of replays as the ground truth for paired comparisons.
 #pragma once
 

@@ -223,5 +223,65 @@ TEST(LingXi, StallSensitiveUserGetsLowerBeta) {
   EXPECT_LE(beta_tolerant, cfg.space.beta_max);
 }
 
+// -- Adoption rule: OBO adopts only a candidate that beats the incumbent ---
+
+/// Feed one stall-heavy session so the next maybe_optimize() triggers.
+void stall_session(LingXi& lx, bool stall_exit) {
+  lx.begin_session();
+  for (int i = 0; i < 4; ++i) lx.on_segment(make_segment(800.0, 1.5));
+  lx.end_session(stall_exit);
+}
+
+TEST(LingXiAdoption, FullMarginNeverLeavesTheIncumbent) {
+  // adoption_margin 1.0 demands an estimate below incumbent * 0, which no
+  // exit rate can reach: every optimization must keep the incumbent.
+  LingXiConfig cfg = fast_config();
+  cfg.adoption_margin = 1.0;
+  const auto lx_predictor = make_predictor(5);
+  LingXi lx(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+  abr::Hyb hyb;
+  hyb.set_params(cfg.default_params);
+  Rng rng(21);
+  for (int round = 0; round < 6; ++round) {
+    stall_session(lx, round % 2 == 0);
+    const auto params = lx.maybe_optimize(hyb, 2.0, rng);
+    ASSERT_TRUE(params.has_value()) << "round " << round;
+    EXPECT_TRUE(*params == cfg.default_params) << "round " << round;
+    EXPECT_TRUE(lx.current_params() == cfg.default_params) << "round " << round;
+    EXPECT_TRUE(hyb.params() == cfg.default_params) << "round " << round;
+  }
+  EXPECT_GT(lx.stats().optimizations_run, 0u);
+  EXPECT_EQ(lx.stats().optimizations_run, 6u);
+}
+
+TEST(LingXiAdoption, FixedCandidateModeAdoptsOnlyIncumbentOrListed) {
+  // L(F): every adoption is the incumbent or one of the listed candidates,
+  // even with no margin and across repeated optimizations that move the
+  // incumbent.
+  LingXiConfig cfg = fast_config();
+  cfg.adoption_margin = 0.0;
+  abr::QoeParams a;
+  a.hyb_beta = 0.5;
+  abr::QoeParams b;
+  b.hyb_beta = 0.9;
+  cfg.fixed_candidates = {a, b};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto lx_predictor = make_predictor(seed);
+    LingXi lx(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+    abr::Hyb hyb;
+    Rng rng(seed * 13);
+    for (int round = 0; round < 5; ++round) {
+      const abr::QoeParams incumbent = lx.current_params();
+      stall_session(lx, round % 2 == 1);
+      const auto params = lx.maybe_optimize(hyb, 2.0, rng);
+      ASSERT_TRUE(params.has_value());
+      EXPECT_TRUE(*params == incumbent || *params == cfg.space.clamp(a) ||
+                  *params == cfg.space.clamp(b))
+          << "seed " << seed << " round " << round << " beta " << params->hyb_beta;
+    }
+    EXPECT_EQ(lx.stats().optimizations_run, 5u);
+  }
+}
+
 }  // namespace
 }  // namespace lingxi::core

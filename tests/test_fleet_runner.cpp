@@ -126,28 +126,6 @@ TEST(FleetRunner, DegenerateShardSizesAreClampedNotUndefined) {
   }
 }
 
-TEST(FleetRunner, SchedulerModesProduceIdenticalResults) {
-  // kPerUser and kCohortWaves are pure scheduling choices; the merged
-  // accumulator must agree bitwise (the full grid lives in
-  // test_properties.cpp — this is the direct two-mode probe).
-  sim::FleetConfig cfg = small_fleet();
-  cfg.users = 8;
-  cfg.users_per_shard = 4;
-  cfg.network.median_bandwidth = 1000.0;  // stalls so optimizations happen
-  for (const bool lingxi : {false, true}) {
-    sim::FleetConfig per_user = cfg;
-    per_user.scheduler = sim::SchedulerMode::kPerUser;
-    sim::FleetConfig cohort = cfg;
-    cohort.scheduler = sim::SchedulerMode::kCohortWaves;
-    const auto a = run_with_threads(per_user, 2, 7, lingxi);
-    const auto b = run_with_threads(cohort, 2, 7, lingxi);
-    if (lingxi) {
-      EXPECT_GT(a.lingxi_optimizations, 0u);
-    }
-    expect_identical(a, b);
-  }
-}
-
 TEST(FleetRunner, DifferentSeedsDiffer) {
   const auto a = run_with_threads(small_fleet(), 2, 1);
   const auto b = run_with_threads(small_fleet(), 2, 2);

@@ -19,6 +19,7 @@
 #include "abr/robust_mpc.h"
 #include "bayesopt/gp.h"
 #include "common/rng.h"
+#include "inline_exit_evaluator.h"
 #include "logstore/session_log.h"
 #include "nn/dense.h"
 #include "obs/health.h"
@@ -447,13 +448,15 @@ class McPruningProperty : public ::testing::TestWithParam<int> {
     hyb.set_params(params);
     // Stall-sensitive user over a weak link: exits actually happen, so the
     // comparison is non-trivial.
-    user::DataDrivenUser::Config ucfg;
-    ucfg.stall_archetype = user::StallArchetype::kSensitive;
-    ucfg.tolerance = 1.5;
-    user::DataDrivenUser exit_model(ucfg);
-    trace::NormalBandwidth bandwidth(650.0, 280.0);
+    const testing_util::InlineExitEvaluator exits([] {
+      user::DataDrivenUser::Config ucfg;
+      ucfg.stall_archetype = user::StallArchetype::kSensitive;
+      ucfg.tolerance = 1.5;
+      return std::make_unique<user::DataDrivenUser>(ucfg);
+    });
+    const trace::NormalBandwidth bandwidth(650.0, 280.0);
     Rng rng(seed);
-    return eval.evaluate(video, hyb, exit_model, bandwidth, 1.0, best_known, rng);
+    return eval.evaluate_rollouts(video, hyb, exits, bandwidth, 1.0, best_known, rng);
   }
 };
 
@@ -517,10 +520,6 @@ class FleetBatchingInvariance : public ::testing::TestWithParam<BatchThreadCase>
     cfg.days = 2;
     cfg.sessions_per_user_day = 6;
     cfg.users_per_shard = 2;
-    // Pin the per-user schedule: this grid is the per-optimization batching
-    // contract (sequential batch<=1 path and pooled batch>1 path both live
-    // here); CrossUserWaveInvariance below covers the cohort schedule.
-    cfg.scheduler = sim::SchedulerMode::kPerUser;
     cfg.enable_lingxi = true;
     cfg.drift_user_tolerance = true;
     // Weak links so stalls (and therefore optimizations + net forwards)
@@ -576,11 +575,11 @@ INSTANTIATE_TEST_SUITE_P(BatchByThreads, FleetBatchingInvariance,
                                             ::testing::Values(1, 4)));
 
 // ---------------------------------------------------------------------------
-// Cross-user wave scheduler invariance: the cohort schedule (users of a
-// shard interleaved as pausable tasks, exit queries pooled across users into
-// per-net sub-batches) must reproduce the per-user schedule's merged
-// accumulator bit for bit over the whole (threads x users_per_shard x
-// predictor_batch) grid — and the telemetry archive bytes with it.
+// Cross-user wave invariance: cohort waves (users of a shard interleaved as
+// pausable tasks, exit queries pooled across users into per-net sub-batches)
+// must reproduce per-user order (one-user shards, serial, batch 0) bit for
+// bit over the whole (threads x users_per_shard x predictor_batch x
+// optimizer_threads) grid — and the telemetry archive bytes with it.
 // ---------------------------------------------------------------------------
 
 using WaveCase =
@@ -588,12 +587,11 @@ using WaveCase =
 
 class CrossUserWaveInvariance : public ::testing::TestWithParam<WaveCase> {
  public:
-  static sim::FleetAccumulator run(sim::SchedulerMode mode, std::size_t threads,
-                                   std::size_t users_per_shard, std::size_t batch,
+  static sim::FleetAccumulator run(std::size_t threads, std::size_t users_per_shard,
+                                   std::size_t batch,
                                    telemetry::TelemetrySink* sink = nullptr,
                                    std::size_t optimizer_threads = 0) {
     sim::FleetConfig cfg = FleetBatchingInvariance::fleet_config();
-    cfg.scheduler = mode;
     cfg.threads = threads;
     cfg.users_per_shard = users_per_shard;
     cfg.predictor_batch = batch;
@@ -610,17 +608,15 @@ class CrossUserWaveInvariance : public ::testing::TestWithParam<WaveCase> {
   }
 };
 
-TEST_P(CrossUserWaveInvariance, ChecksumMatchesPerUserSchedule) {
-  static const sim::FleetAccumulator reference =
-      run(sim::SchedulerMode::kPerUser, 1, 2, 0);
+TEST_P(CrossUserWaveInvariance, ChecksumMatchesPerUserOrder) {
+  static const sim::FleetAccumulator reference = run(1, 1, 0);
   // Meaningful only if optimizations (and so pooled forwards) actually ran.
   ASSERT_GT(reference.lingxi_optimizations, 0u);
 
   const auto [threads, users_per_shard, batch, opt_threads] = GetParam();
   const sim::FleetAccumulator acc =
-      run(sim::SchedulerMode::kCohortWaves, static_cast<std::size_t>(threads),
-          static_cast<std::size_t>(users_per_shard), static_cast<std::size_t>(batch),
-          nullptr, static_cast<std::size_t>(opt_threads));
+      run(static_cast<std::size_t>(threads), static_cast<std::size_t>(users_per_shard),
+          static_cast<std::size_t>(batch), nullptr, static_cast<std::size_t>(opt_threads));
   EXPECT_EQ(acc.checksum(), reference.checksum())
       << "threads=" << threads << " users_per_shard=" << users_per_shard
       << " batch=" << batch << " optimizer_threads=" << opt_threads;
@@ -646,14 +642,14 @@ TEST(CrossUserWaveInvariance, ChecksumInvariantAcrossDenseIsa) {
   const nn::DenseIsa before = nn::dense_isa();
   ASSERT_EQ(nn::set_dense_isa_for_testing(nn::DenseIsa::kScalar), nn::DenseIsa::kScalar);
   const sim::FleetAccumulator reference =
-      CrossUserWaveInvariance::run(sim::SchedulerMode::kCohortWaves, 1, 3, 7);
+      CrossUserWaveInvariance::run(1, 3, 7);
   ASSERT_GT(reference.lingxi_optimizations, 0u);
   for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2,
                                  nn::DenseIsa::kAvx512}) {
     if (!nn::dense_isa_supported(isa)) continue;
     ASSERT_EQ(nn::set_dense_isa_for_testing(isa), isa);
     const sim::FleetAccumulator acc =
-        CrossUserWaveInvariance::run(sim::SchedulerMode::kCohortWaves, 1, 3, 7);
+        CrossUserWaveInvariance::run(1, 3, 7);
     EXPECT_EQ(acc.checksum(), reference.checksum()) << nn::dense_isa_name(isa);
     EXPECT_EQ(acc.watch_ticks, reference.watch_ticks) << nn::dense_isa_name(isa);
   }
@@ -665,26 +661,23 @@ TEST(CrossUserWaveArchive, BytesIdenticalUnderInterleavedExecution) {
   // must leave the merged archive — manifest and every shard byte stream —
   // untouched. Archive shard granularity is fixed; only the execution
   // schedule varies.
-  const auto capture_run = [](sim::SchedulerMode mode, std::size_t threads,
-                              std::size_t users_per_shard, std::size_t batch,
-                              std::size_t optimizer_threads = 0) {
+  const auto capture_run = [](std::size_t threads, std::size_t users_per_shard,
+                              std::size_t batch, std::size_t optimizer_threads = 0) {
     telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-    CrossUserWaveInvariance::run(mode, threads, users_per_shard, batch, &capture,
+    CrossUserWaveInvariance::run(threads, users_per_shard, batch, &capture,
                                  optimizer_threads);
     return capture.finish();
   };
 
-  const telemetry::FleetArchive reference =
-      capture_run(sim::SchedulerMode::kPerUser, 1, 2, 0);
+  const telemetry::FleetArchive reference = capture_run(1, 1, 0);
   ASSERT_GT(reference.total_bytes(), 0u);
 
   const WaveCase interleaved_cases[] = {
       {1, 3, 7, 0}, {4, 8, 64, 0}, {2, 1, 1, 0}, {1, 8, 7, 2}};
   for (const auto& [threads, users_per_shard, batch, opt_threads] : interleaved_cases) {
     const telemetry::FleetArchive archive = capture_run(
-        sim::SchedulerMode::kCohortWaves, static_cast<std::size_t>(threads),
-        static_cast<std::size_t>(users_per_shard), static_cast<std::size_t>(batch),
-        static_cast<std::size_t>(opt_threads));
+        static_cast<std::size_t>(threads), static_cast<std::size_t>(users_per_shard),
+        static_cast<std::size_t>(batch), static_cast<std::size_t>(opt_threads));
     EXPECT_EQ(archive.checksum(), reference.checksum())
         << "threads=" << threads << " users_per_shard=" << users_per_shard
         << " batch=" << batch << " optimizer_threads=" << opt_threads;
@@ -697,7 +690,7 @@ TEST(CrossUserWaveArchive, BytesIdenticalUnderInterleavedExecution) {
 
 // ---------------------------------------------------------------------------
 // Observability parity: installing the obs registry + tracer must not change
-// a single result bit. For a grid of (scheduler x threads) cases, the merged
+// a single result bit. For a grid of (threads x shard x batch) cases, the merged
 // accumulator checksum AND the telemetry archive bytes of an instrumented
 // run are compared against the obs-off run — while asserting the registry
 // actually recorded the hot-path metrics (so the property is not vacuous).
@@ -705,21 +698,15 @@ TEST(CrossUserWaveArchive, BytesIdenticalUnderInterleavedExecution) {
 
 TEST(ObservabilityParity, ChecksumAndArchiveBytesIdenticalWithObsEnabled) {
   struct ObsCase {
-    sim::SchedulerMode mode;
     std::size_t threads;
     std::size_t users_per_shard;
     std::size_t batch;
   };
-  const ObsCase cases[] = {
-      {sim::SchedulerMode::kPerUser, 1, 2, 0},
-      {sim::SchedulerMode::kPerUser, 4, 3, 7},
-      {sim::SchedulerMode::kCohortWaves, 1, 3, 7},
-      {sim::SchedulerMode::kCohortWaves, 4, 8, 64},
-  };
+  const ObsCase cases[] = {{1, 3, 7}, {4, 8, 64}};
   const auto capture_run = [](const ObsCase& c) {
     telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
     const sim::FleetAccumulator acc = CrossUserWaveInvariance::run(
-        c.mode, c.threads, c.users_per_shard, c.batch, &capture);
+        c.threads, c.users_per_shard, c.batch, &capture);
     return std::make_pair(acc, capture.finish());
   };
   for (const ObsCase& c : cases) {
@@ -758,44 +745,37 @@ TEST(ObservabilityParity, ChecksumAndArchiveBytesIdenticalWithObsEnabled) {
       EXPECT_TRUE(obs_archive.shards[s] == ref_archive.shards[s]) << "shard " << s;
     }
 
-    // Not vacuous: the instrumented run recorded sessions and (for pooled
-    // cases) predictor flushes, and the tracer saw spans.
+    // Not vacuous: the instrumented run recorded sessions and predictor
+    // flushes, and the tracer saw spans.
     const obs::RegistrySnapshot snap = registry.snapshot();
     const obs::MetricSnapshot* steps = snap.find("sim.session.step_us");
     ASSERT_NE(steps, nullptr);
     EXPECT_EQ(steps->count, obs_acc.sessions);
-    if (c.mode == sim::SchedulerMode::kCohortWaves || c.batch > 1) {
-      EXPECT_GT(registry.counter("predictor.pool.flushes"), 0u);
-      EXPECT_GE(registry.counter("predictor.pool.queries"),
-                registry.counter("predictor.pool.flushes"));
-      EXPECT_GT(tracer.retained_events() + tracer.dropped_events(), 0u);
-    }
+    EXPECT_GT(registry.counter("predictor.pool.flushes"), 0u);
+    EXPECT_GE(registry.counter("predictor.pool.queries"),
+              registry.counter("predictor.pool.flushes"));
+    EXPECT_GT(tracer.retained_events() + tracer.dropped_events(), 0u);
     EXPECT_GT(registry.counter("core.optimization.rounds"), 0u);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot/resume parity (the snapshot subsystem's headline contract): for
-// any (scheduler mode x threads x users_per_shard x predictor_batch) grid
-// point, simulating days [0, D+K) in one run vs. snapshot-at-D (through a
+// any (threads x users_per_shard x predictor_batch) grid point, simulating days [0, D+K) in one run vs. snapshot-at-D (through a
 // disk round trip) then resume must produce a bitwise-identical
 // FleetAccumulator AND bitwise-identical telemetry archive bytes.
 // ---------------------------------------------------------------------------
 
-using SnapshotCase =
-    std::tuple<int /*scheduler*/, int /*threads*/, int /*users_per_shard*/, int /*batch*/>;
+using SnapshotCase = std::tuple<int /*threads*/, int /*users_per_shard*/, int /*batch*/>;
 
 class SnapshotResumeParity : public ::testing::TestWithParam<SnapshotCase> {
  public:
   static constexpr std::uint64_t kSeed = 77;
   static constexpr std::size_t kBoundary = 2;  // D = 2, K = 2 over 4 days
 
-  static sim::FleetConfig grid_config(int scheduler, int threads, int users_per_shard,
-                                      int batch) {
+  static sim::FleetConfig grid_config(int threads, int users_per_shard, int batch) {
     sim::FleetConfig cfg = FleetBatchingInvariance::fleet_config();
     cfg.days = 4;
-    cfg.scheduler = scheduler == 0 ? sim::SchedulerMode::kPerUser
-                                   : sim::SchedulerMode::kCohortWaves;
     cfg.threads = static_cast<std::size_t>(threads);
     cfg.users_per_shard = static_cast<std::size_t>(users_per_shard);
     cfg.predictor_batch = static_cast<std::size_t>(batch);
@@ -819,8 +799,8 @@ class SnapshotResumeParity : public ::testing::TestWithParam<SnapshotCase> {
 };
 
 TEST_P(SnapshotResumeParity, DiskResumeMatchesFullRunBitwise) {
-  const auto [scheduler, threads, users_per_shard, batch] = GetParam();
-  const sim::FleetConfig cfg = grid_config(scheduler, threads, users_per_shard, batch);
+  const auto [threads, users_per_shard, batch] = GetParam();
+  const sim::FleetConfig cfg = grid_config(threads, users_per_shard, batch);
 
   // Reference: the uninterrupted [0, D+K) run, captured.
   sim::FleetRunner full_runner = make_runner(cfg);
@@ -839,8 +819,8 @@ TEST_P(SnapshotResumeParity, DiskResumeMatchesFullRunBitwise) {
   auto snap = snapshot::capture_snapshot(leg_runner, kSeed, std::move(state), &leg_capture);
   ASSERT_TRUE(snap.has_value()) << snap.error().message;
   const std::string dir = ::testing::TempDir() + "/lingxi_prop_snap_" +
-                          std::to_string(scheduler) + "_" + std::to_string(threads) + "_" +
-                          std::to_string(users_per_shard) + "_" + std::to_string(batch);
+                          std::to_string(threads) + "_" + std::to_string(users_per_shard) +
+                          "_" + std::to_string(batch);
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(snapshot::save_snapshot(*snap, dir, 3).ok());
 
@@ -859,8 +839,8 @@ TEST_P(SnapshotResumeParity, DiskResumeMatchesFullRunBitwise) {
       resumed_runner.run_days(kSeed, kBoundary, cfg.days, &loaded->state);
 
   EXPECT_EQ(resumed.checksum(), full.checksum())
-      << "scheduler=" << scheduler << " threads=" << threads
-      << " users_per_shard=" << users_per_shard << " batch=" << batch;
+      << "threads=" << threads << " users_per_shard=" << users_per_shard
+      << " batch=" << batch;
   EXPECT_EQ(resumed.watch_ticks, full.watch_ticks);
   EXPECT_EQ(resumed.stall_ticks, full.stall_ticks);
   EXPECT_EQ(resumed.bitrate_time_ticks, full.bitrate_time_ticks);
@@ -877,16 +857,15 @@ TEST_P(SnapshotResumeParity, DiskResumeMatchesFullRunBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, SnapshotResumeParity,
-                         ::testing::Combine(::testing::Values(0, 1),
-                                            ::testing::Values(1, 4),
+                         ::testing::Combine(::testing::Values(1, 4),
                                             ::testing::Values(1, 8),
                                             ::testing::Values(0, 64)));
 
 // ---------------------------------------------------------------------------
 // Deterministic timeline (the health-timeline headline contract): the
 // deterministic section of every day record — the accumulator-derived
-// `sim.fleet.*` gauges — is BITWISE identical across the whole (scheduler x
-// threads x users_per_shard x predictor_batch) grid, and an SLO rule over a
+// `sim.fleet.*` gauges — is BITWISE identical across the whole (threads x
+// users_per_shard x predictor_batch) grid, and an SLO rule over a
 // deterministic metric fires on the same fleet day in every cell. A
 // companion test pins the same bytes across a checkpoint/kill/resume splice:
 // leg timelines concatenate to the uninterrupted run's timeline.
@@ -955,14 +934,14 @@ class DeterministicTimeline : public ::testing::TestWithParam<SnapshotCase> {
     TimelineRun run;
   };
 
-  /// Reference cell (per-user scheduler, serial, shard=2, scalar predictor)
+  /// Reference cell (serial, shard=2, scalar predictor)
   /// plus an SLO rule derived from a probe run so that the ceiling on the
   /// deterministic sessions_total is crossed mid-run — the alert must then
   /// land on the SAME day in every grid cell.
   static const Reference& reference() {
     static const Reference* ref = [] {
       auto* r = new Reference;
-      const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(0, 1, 2, 0);
+      const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(1, 2, 0);
       const TimelineRun probe = run_with_timeline(cfg, {}, "probe");
       auto days = day_records(probe);
       EXPECT_EQ(days.size(), 4u);
@@ -988,13 +967,11 @@ TEST_P(DeterministicTimeline, DetSectionBytesIdenticalAcrossGrid) {
   EXPECT_EQ(ref.run.alerts[0].day, 3u);
   EXPECT_EQ(ref.run.alerts[0].rule, "sessions-ceiling");
 
-  const auto [scheduler, threads, users_per_shard, batch] = GetParam();
-  const std::string tag = std::to_string(scheduler) + "_" + std::to_string(threads) +
-                          "_" + std::to_string(users_per_shard) + "_" +
-                          std::to_string(batch);
+  const auto [threads, users_per_shard, batch] = GetParam();
+  const std::string tag = std::to_string(threads) + "_" + std::to_string(users_per_shard) +
+                          "_" + std::to_string(batch);
   const TimelineRun run = run_with_timeline(
-      SnapshotResumeParity::grid_config(scheduler, threads, users_per_shard, batch),
-      ref.rules, tag);
+      SnapshotResumeParity::grid_config(threads, users_per_shard, batch), ref.rules, tag);
 
   // Result parity first: arming the health plane changed no result bit.
   EXPECT_EQ(run.acc.checksum(), ref.run.acc.checksum()) << tag;
@@ -1018,8 +995,7 @@ TEST_P(DeterministicTimeline, DetSectionBytesIdenticalAcrossGrid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, DeterministicTimeline,
-                         ::testing::Combine(::testing::Values(0, 1),
-                                            ::testing::Values(1, 4),
+                         ::testing::Combine(::testing::Values(1, 4),
                                             ::testing::Values(1, 8),
                                             ::testing::Values(0, 64)));
 
@@ -1030,7 +1006,7 @@ TEST(DeterministicTimelineSplice, LegTimelinesConcatenateToFullRun) {
   // days, same deterministic bytes — while the deterministic SLO alert
   // fires on the same day (it lands in leg 2, whose monitor starts cold).
   const auto& ref = DeterministicTimeline::reference();
-  const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(1, 4, 3, 7);
+  const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(4, 3, 7);
 
   const DeterministicTimeline::TimelineRun full =
       DeterministicTimeline::run_with_timeline(cfg, ref.rules, "splice_full");
@@ -1132,7 +1108,7 @@ TEST(DeterministicTimelineSplice, LegTimelinesConcatenateToFullRun) {
 // script that fires every event kind — bandwidth shock, diurnal session
 // curve, flash crowd, churn, cohort override — the merged accumulator
 // checksum AND the telemetry archive bytes are identical across the whole
-// (scheduler x threads x users_per_shard x predictor_batch) grid. Two
+// (threads x users_per_shard x predictor_batch) grid. Two
 // companion tests pin the transparency half of the contract: an empty
 // script is byte-for-byte the unscripted run, and a behaviorally NEUTRAL
 // non-empty script (scale-1 shock, all-ones curve, day-0 flash crowd,
@@ -1217,10 +1193,8 @@ class ScenarioParity : public ::testing::TestWithParam<SnapshotCase> {
   }
 
   static std::pair<sim::FleetAccumulator, telemetry::FleetArchive> run(
-      const scenario::ScenarioScript& script, int scheduler, int threads,
-      int users_per_shard, int batch) {
-    sim::FleetConfig cfg =
-        SnapshotResumeParity::grid_config(scheduler, threads, users_per_shard, batch);
+      const scenario::ScenarioScript& script, int threads, int users_per_shard, int batch) {
+    sim::FleetConfig cfg = SnapshotResumeParity::grid_config(threads, users_per_shard, batch);
     cfg.scenario = script;
     sim::FleetRunner runner = SnapshotResumeParity::make_runner(cfg);
     telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
@@ -1231,19 +1205,18 @@ class ScenarioParity : public ::testing::TestWithParam<SnapshotCase> {
 };
 
 TEST_P(ScenarioParity, ChecksumAndArchiveBytesIdenticalAcrossGrid) {
-  static const auto reference = run(event_script(), 0, 1, 2, 0);
+  static const auto reference = run(event_script(), 1, 2, 0);
   // Meaningful only if the scripted world actually moved: the two churned
   // slots emit departure summaries on top of the 8 horizon summaries, and
   // LingXi kept optimizing through the events.
   ASSERT_EQ(reference.first.users, 10u);
   ASSERT_GT(reference.first.lingxi_optimizations, 0u);
 
-  const auto [scheduler, threads, users_per_shard, batch] = GetParam();
-  const auto [acc, archive] =
-      run(event_script(), scheduler, threads, users_per_shard, batch);
+  const auto [threads, users_per_shard, batch] = GetParam();
+  const auto [acc, archive] = run(event_script(), threads, users_per_shard, batch);
   EXPECT_EQ(acc.checksum(), reference.first.checksum())
-      << "scheduler=" << scheduler << " threads=" << threads
-      << " users_per_shard=" << users_per_shard << " batch=" << batch;
+      << "threads=" << threads << " users_per_shard=" << users_per_shard
+      << " batch=" << batch;
   EXPECT_EQ(acc.sessions, reference.first.sessions);
   EXPECT_EQ(acc.users, reference.first.users);
   EXPECT_EQ(acc.watch_ticks, reference.first.watch_ticks);
@@ -1261,8 +1234,7 @@ TEST_P(ScenarioParity, ChecksumAndArchiveBytesIdenticalAcrossGrid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ScenarioParity,
-                         ::testing::Combine(::testing::Values(0, 1),
-                                            ::testing::Values(1, 4),
+                         ::testing::Combine(::testing::Values(1, 4),
                                             ::testing::Values(1, 8),
                                             ::testing::Values(0, 64)));
 
@@ -1271,8 +1243,8 @@ TEST(ScenarioScript, EventScriptActuallyChangesTheRun) {
   // unscripted one in exactly the expected shape — extra user summaries from
   // the churn departures and a different session tally from the curve +
   // flash-crowd absence.
-  const auto scripted = ScenarioParity::run(ScenarioParity::event_script(), 0, 1, 2, 0);
-  const auto plain = ScenarioParity::run(scenario::ScenarioScript{}, 0, 1, 2, 0);
+  const auto scripted = ScenarioParity::run(ScenarioParity::event_script(), 1, 2, 0);
+  const auto plain = ScenarioParity::run(scenario::ScenarioScript{}, 1, 2, 0);
   EXPECT_EQ(scripted.first.users, plain.first.users + 2);
   EXPECT_NE(scripted.first.sessions, plain.first.sessions);
   EXPECT_NE(scripted.first.checksum(), plain.first.checksum());
@@ -1280,14 +1252,14 @@ TEST(ScenarioScript, EventScriptActuallyChangesTheRun) {
 
 TEST(ScenarioScript, EmptyScriptIsByteForByteTheUnscriptedRun) {
   // Unscripted reference built WITHOUT touching FleetConfig::scenario.
-  const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(1, 4, 3, 7);
+  const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(4, 3, 7);
   sim::FleetRunner runner = SnapshotResumeParity::make_runner(cfg);
   telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
   runner.set_telemetry_sink(&capture);
   const sim::FleetAccumulator plain = runner.run(ScenarioParity::kSeed);
   const telemetry::FleetArchive plain_archive = capture.finish();
 
-  const auto [acc, archive] = ScenarioParity::run(scenario::ScenarioScript{}, 1, 4, 3, 7);
+  const auto [acc, archive] = ScenarioParity::run(scenario::ScenarioScript{}, 4, 3, 7);
   EXPECT_EQ(acc.checksum(), plain.checksum());
   // Full archive equality INCLUDING the manifest: the config digest skips
   // the scenario section when the script is empty, so existing archives and
@@ -1307,8 +1279,8 @@ TEST(ScenarioScript, NeutralScriptIsBitTransparent) {
   // non-empty script is pinned into the config digest.
   const scenario::ScenarioScript script = ScenarioParity::neutral_script();
   ASSERT_FALSE(script.empty());
-  const auto neutral = ScenarioParity::run(script, 0, 1, 2, 0);
-  const auto plain = ScenarioParity::run(scenario::ScenarioScript{}, 0, 1, 2, 0);
+  const auto neutral = ScenarioParity::run(script, 1, 2, 0);
+  const auto plain = ScenarioParity::run(scenario::ScenarioScript{}, 1, 2, 0);
   EXPECT_EQ(neutral.first.checksum(), plain.first.checksum());
   EXPECT_EQ(neutral.first.sessions, plain.first.sessions);
   EXPECT_EQ(neutral.first.users, plain.first.users);

@@ -1,11 +1,20 @@
 // Unit tests for lingxi_sim: Eq. 3 player dynamics, session simulation,
-// QoE_lin, Monte Carlo evaluation and pruning.
+// QoE_lin, Monte Carlo evaluation and pruning — including an independent
+// Algorithm 2 reference the wave engine must match bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "abr/abr.h"
+#include "abr/hyb.h"
 #include "common/rng.h"
+#include "inline_exit_evaluator.h"
+#include "predictor/hybrid.h"
 #include "sim/monte_carlo.h"
 #include "sim/player_env.h"
 #include "sim/session.h"
@@ -247,6 +256,20 @@ TEST(QoeLin, SwitchWeightScales) {
 
 // -- Monte Carlo ---------------------------------------------------------
 
+/// Always selects a fixed level; clonable, as every rollout clones its ABR.
+class FixedAbr final : public abr::AbrAlgorithm {
+ public:
+  explicit FixedAbr(std::size_t level) : level_(level) {}
+  std::string name() const override { return "fixed"; }
+  std::size_t select(const AbrObservation&) override { return level_; }
+  std::unique_ptr<abr::AbrAlgorithm> clone() const override {
+    return std::make_unique<FixedAbr>(*this);
+  }
+
+ private:
+  std::size_t level_;
+};
+
 /// Constant exit probability.
 class ConstantExit final : public ExitModel {
  public:
@@ -257,6 +280,12 @@ class ConstantExit final : public ExitModel {
   double p_;
 };
 
+testing_util::InlineExitEvaluator constant_exits(double p) {
+  return testing_util::InlineExitEvaluator([p] { return std::make_unique<ConstantExit>(p); });
+}
+
+constexpr double kNoBound = std::numeric_limits<double>::infinity();
+
 TEST(MonteCarlo, ZeroExitProbabilityGivesZeroRate) {
   MonteCarloConfig mc;
   mc.samples = 8;
@@ -265,12 +294,11 @@ TEST(MonteCarlo, ZeroExitProbabilityGivesZeroRate) {
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
   EXPECT_EQ(video.segment_count(), 10u);
-  FixedSelector abr(0);
-  ConstantExit exits(0.0);
-  trace::NormalBandwidth bw(5000.0, 500.0);
+  const FixedAbr abr(0);
+  const trace::NormalBandwidth bw(5000.0, 500.0);
   Rng rng(7);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0,
-                               std::numeric_limits<double>::infinity(), rng);
+  const auto r =
+      eval.evaluate_rollouts(video, abr, constant_exits(0.0), bw, 0.0, kNoBound, rng);
   EXPECT_DOUBLE_EQ(r.exit_rate, 0.0);
   EXPECT_EQ(r.exited_count, 0u);
   EXPECT_EQ(r.watched_count, 80u);
@@ -285,12 +313,11 @@ TEST(MonteCarlo, CertainExitGivesOneExitPerSample) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(1.0);
-  trace::NormalBandwidth bw(5000.0, 0.0);
+  const FixedAbr abr(0);
+  const trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(8);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0,
-                               std::numeric_limits<double>::infinity(), rng);
+  const auto r =
+      eval.evaluate_rollouts(video, abr, constant_exits(1.0), bw, 0.0, kNoBound, rng);
   EXPECT_EQ(r.exited_count, 10u);
   EXPECT_EQ(r.watched_count, 10u);  // every sample exits on its first segment
   EXPECT_DOUBLE_EQ(r.exit_rate, 1.0);
@@ -304,12 +331,11 @@ TEST(MonteCarlo, EstimatesModerateRate) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(0.1);
-  trace::NormalBandwidth bw(5000.0, 0.0);
+  const FixedAbr abr(0);
+  const trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(9);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0,
-                               std::numeric_limits<double>::infinity(), rng);
+  const auto r =
+      eval.evaluate_rollouts(video, abr, constant_exits(0.1), bw, 0.0, kNoBound, rng);
   // Geometric watching: per-segment exit prob 0.1 -> exit rate ~0.1 per
   // watched segment (most samples exit before the horizon).
   EXPECT_NEAR(r.exit_rate, 0.1, 0.03);
@@ -324,12 +350,12 @@ TEST(MonteCarlo, PruningStopsEarlyAgainstBetterAlternative) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(1.0);  // terrible candidate
-  trace::NormalBandwidth bw(5000.0, 0.0);
+  const FixedAbr abr(0);
+  const trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(10);
-  // Best known alternative has near-zero exit rate.
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0, 0.001, rng);
+  // Terrible candidate; the best known alternative has near-zero exit rate.
+  const auto r =
+      eval.evaluate_rollouts(video, abr, constant_exits(1.0), bw, 0.0, 0.001, rng);
   EXPECT_TRUE(r.pruned);
   EXPECT_LT(r.samples_run, 100u);
 }
@@ -341,11 +367,11 @@ TEST(MonteCarlo, NoPruningWhenCandidateIsGood) {
   const MonteCarloEvaluator eval(mc, {});
   const auto ladder = trace::BitrateLadder::default_ladder();
   const trace::Video video = eval.make_virtual_video(ladder, 1.0);
-  FixedSelector abr(0);
-  ConstantExit exits(0.0);
-  trace::NormalBandwidth bw(5000.0, 0.0);
+  const FixedAbr abr(0);
+  const trace::NormalBandwidth bw(5000.0, 0.0);
   Rng rng(11);
-  const auto r = eval.evaluate(video, abr, exits, bw, 0.0, 0.5, rng);
+  const auto r =
+      eval.evaluate_rollouts(video, abr, constant_exits(0.0), bw, 0.0, 0.5, rng);
   EXPECT_FALSE(r.pruned);
   EXPECT_EQ(r.samples_run, 30u);
 }
@@ -366,24 +392,243 @@ TEST(MonteCarlo, InitialBufferSeedsVirtualPlayer) {
 
   class StallProbe final : public ExitModel {
    public:
-    double total_stall = 0.0;
+    explicit StallProbe(double& total_stall) : total_stall_(total_stall) {}
     double exit_probability(const SegmentRecord& seg) override {
-      total_stall += seg.stall_time;
+      total_stall_ += seg.stall_time;
       return 0.0;
     }
+
+   private:
+    double& total_stall_;
   };
+  const auto total_stall = [&](Seconds initial_buffer) {
+    double total = 0.0;
+    const testing_util::InlineExitEvaluator probe(
+        [&total] { return std::make_unique<StallProbe>(total); });
+    const trace::ConstantBandwidth slow(200.0);
+    const FixedAbr abr(0);
+    Rng rng(12);
+    eval.evaluate_rollouts(video, abr, probe, slow, initial_buffer, kNoBound, rng);
+    return total;
+  };
+  EXPECT_LT(total_stall(20.0), total_stall(0.0));
+}
 
-  trace::ConstantBandwidth slow(200.0);
-  FixedSelector abr(0);
-  Rng rng(12);
+// -- Algorithm 2 against an independent reference -------------------------
 
-  StallProbe with_buffer;
-  eval.evaluate(video, abr, with_buffer, slow, 20.0,
-                std::numeric_limits<double>::infinity(), rng);
-  StallProbe without_buffer;
-  eval.evaluate(video, abr, without_buffer, slow, 0.0,
-                std::numeric_limits<double>::infinity(), rng);
-  EXPECT_LT(with_buffer.total_stall, without_buffer.total_stall);
+/// Algorithm 2 written out directly, independent of RolloutWave: fork
+/// `samples` streams upfront, play each rollout as one whole
+/// SessionSimulator::run over clones of the ABR and bandwidth with its own
+/// exit model, and stop at the optimistic prune bound.
+MonteCarloResult reference_evaluate(const MonteCarloConfig& mc,
+                                    SessionSimulator::Config session,
+                                    const trace::Video& video, const abr::AbrAlgorithm& abr,
+                                    const BatchExitEvaluator& exits,
+                                    const trace::BandwidthModel& bandwidth,
+                                    Seconds initial_buffer, double best_known, Rng& rng) {
+  session.player.startup_buffer = initial_buffer;
+  const SessionSimulator sim(session);
+  std::vector<Rng> streams;
+  for (std::size_t m = 0; m < mc.samples; ++m) streams.push_back(rng.fork());
+  MonteCarloResult r;
+  for (std::size_t m = 0; m < mc.samples && !r.pruned; ++m) {
+    const auto rollout_abr = abr.clone();
+    const auto bw = bandwidth.clone();
+    const auto model = exits.make_model();
+    const SessionResult played = sim.run(video, *rollout_abr, *bw, model.get(), streams[m]);
+    r.watched_count += played.segments.size();
+    if (played.exited) ++r.exited_count;
+    ++r.samples_run;
+    if (mc.enable_pruning && r.samples_run >= mc.min_samples_before_prune &&
+        std::isfinite(best_known)) {
+      const double optimistic_watched = static_cast<double>(
+          r.watched_count + (mc.samples - r.samples_run) * video.segment_count());
+      r.pruned = static_cast<double>(r.exited_count) / optimistic_watched > best_known;
+    }
+  }
+  r.exit_rate = r.watched_count == 0 ? 0.0
+                                     : static_cast<double>(r.exited_count) /
+                                           static_cast<double>(r.watched_count);
+  return r;
+}
+
+/// A stall-heavy rollout world on the real hybrid predictor, so stalled exit
+/// queries park and batch > 1 exercises the batched forward.
+struct PredictorWorld {
+  predictor::HybridExitPredictor predictor;
+  predictor::EngagementState seed_state;
+  abr::Hyb hyb;
+  trace::NormalBandwidth bandwidth{650.0, 280.0};
+
+  explicit PredictorWorld(std::uint64_t seed) : predictor(make_predictor(seed)) {
+    seed_state.begin_session();
+    for (int i = 0; i < 6; ++i) {
+      SegmentRecord seg;
+      seg.level = 1;
+      seg.bitrate = 750.0;
+      seg.throughput = 700.0;
+      seg.stall_time = i % 2 == 0 ? 1.4 : 0.0;
+      seed_state.on_segment(seg, 1.0);
+    }
+  }
+
+  static predictor::HybridExitPredictor make_predictor(std::uint64_t seed) {
+    Rng net_rng(seed);
+    return {std::make_shared<predictor::StallExitNet>(net_rng),
+            std::make_shared<predictor::OverallStatsModel>()};
+  }
+};
+
+MonteCarloConfig world_mc(std::size_t batch, bool pruning) {
+  MonteCarloConfig mc;
+  mc.samples = 12;
+  mc.sample_duration = 15.0;
+  mc.enable_pruning = pruning;
+  mc.min_samples_before_prune = 3;
+  mc.batch_size = batch;
+  return mc;
+}
+
+/// Exit hazard that differs per rollout and segment (it reads the stall and
+/// the sampled throughput), so a probability delivered to the wrong rollout
+/// changes the outcome.
+class ThroughputHazard final : public ExitModel {
+ public:
+  double exit_probability(const SegmentRecord& seg) override {
+    return std::min(0.9, 0.3 * seg.stall_time + 1e-4 * seg.throughput);
+  }
+};
+
+/// Parks every stalled segment and evaluates the parked batch in flush(),
+/// in park order — the protocol of the batched predictor, with a hazard that
+/// makes any mix-up in the wave's park bookkeeping visible.
+class ParkingExitEvaluator final : public BatchExitEvaluator {
+ public:
+  std::unique_ptr<ExitModel> make_model() const override {
+    return std::make_unique<ThroughputHazard>();
+  }
+  bool prepare(ExitModel& model, const SegmentRecord& segment, double& out) const override {
+    if (segment.stall_time <= 0.0) {
+      out = model.exit_probability(segment);
+      return true;
+    }
+    parked_.push_back({&model, segment});
+    return false;
+  }
+  std::size_t flush(double* out) const override {
+    for (std::size_t i = 0; i < parked_.size(); ++i) {
+      out[i] = parked_[i].model->exit_probability(parked_[i].segment);
+    }
+    const std::size_t count = parked_.size();
+    parked_.clear();
+    return count;
+  }
+  void discard_parked() const override { parked_.clear(); }
+
+ private:
+  struct Parked {
+    ExitModel* model;
+    SegmentRecord segment;
+  };
+  mutable std::vector<Parked> parked_;
+};
+
+TEST(MonteCarlo, WaveMatchesIndependentReference) {
+  bool any_pruned = false;
+  std::size_t exits_seen = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const PredictorWorld world(seed);
+    const predictor::BatchPredictorExitEvaluator predictor_exits(world.predictor,
+                                                                 world.seed_state, 1.0);
+    const ParkingExitEvaluator parking_exits;
+    for (const BatchExitEvaluator* exits :
+         {static_cast<const BatchExitEvaluator*>(&predictor_exits),
+          static_cast<const BatchExitEvaluator*>(&parking_exits)}) {
+      const MonteCarloEvaluator probe(world_mc(1, false), {});
+      const trace::Video video =
+          probe.make_virtual_video(trace::BitrateLadder::default_ladder(), 1.0);
+      // Tight bound: half the unpruned estimate of the same rollouts.
+      Rng probe_rng(seed * 97);
+      const double unpruned =
+          reference_evaluate(world_mc(1, false), {}, video, world.hyb, *exits,
+                             world.bandwidth, 1.0, kNoBound, probe_rng)
+              .exit_rate;
+      for (const bool pruning : {false, true}) {
+        const double bound = pruning ? 0.5 * unpruned : kNoBound;
+        for (const std::size_t batch : {1u, 3u, 16u}) {
+          const MonteCarloConfig mc = world_mc(batch, pruning);
+          Rng ref_rng(seed * 97);
+          const MonteCarloResult want = reference_evaluate(
+              mc, {}, video, world.hyb, *exits, world.bandwidth, 1.0, bound, ref_rng);
+          Rng wave_rng(seed * 97);
+          const MonteCarloResult got = MonteCarloEvaluator(mc, {}).evaluate_rollouts(
+              video, world.hyb, *exits, world.bandwidth, 1.0, bound, wave_rng);
+          const std::string cell = "seed=" + std::to_string(seed) +
+                                   " parking=" + std::to_string(exits == &parking_exits) +
+                                   " pruning=" + std::to_string(pruning) +
+                                   " batch=" + std::to_string(batch);
+          EXPECT_EQ(got.exit_rate, want.exit_rate) << cell;
+          EXPECT_EQ(got.exited_count, want.exited_count) << cell;
+          EXPECT_EQ(got.watched_count, want.watched_count) << cell;
+          EXPECT_EQ(got.samples_run, want.samples_run) << cell;
+          EXPECT_EQ(got.pruned, want.pruned) << cell;
+          EXPECT_TRUE(wave_rng.state() == ref_rng.state()) << cell;
+          any_pruned = any_pruned || got.pruned;
+          exits_seen += got.exited_count;
+        }
+      }
+    }
+  }
+  // Not vacuous: rollouts exited, and the tight bound pruned some cells.
+  EXPECT_GT(exits_seen, 0u);
+  EXPECT_TRUE(any_pruned);
+}
+
+// -- MonteCarloResult invariants ------------------------------------------
+
+TEST(MonteCarlo, ResultInvariantsHoldAcrossSeedsBatchesAndPruning) {
+  std::size_t early_prunes = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const PredictorWorld world(seed);
+    const predictor::BatchPredictorExitEvaluator exits(world.predictor, world.seed_state, 1.0);
+    for (const bool pruning : {false, true}) {
+      for (const std::size_t batch : {1u, 3u, 16u}) {
+        const MonteCarloConfig mc = world_mc(batch, pruning);
+        const MonteCarloEvaluator eval(mc, {});
+        const trace::Video video =
+            eval.make_virtual_video(trace::BitrateLadder::default_ladder(), 1.0);
+        Rng rng(seed);
+        // A bound from a spread of tight to loose, so both outcomes occur.
+        const double bound = pruning ? 0.02 * static_cast<double>(seed) : kNoBound;
+        const MonteCarloResult r = eval.evaluate_rollouts(video, world.hyb, exits,
+                                                          world.bandwidth, 1.0, bound, rng);
+        const std::string cell = "seed=" + std::to_string(seed) +
+                                 " pruning=" + std::to_string(pruning) +
+                                 " batch=" + std::to_string(batch);
+        EXPECT_LE(r.exited_count, r.samples_run) << cell;
+        EXPECT_LE(r.samples_run, mc.samples) << cell;
+        EXPECT_LE(r.exited_count, r.watched_count) << cell;
+        EXPECT_LE(r.watched_count, r.samples_run * video.segment_count()) << cell;
+        EXPECT_GE(r.exit_rate, 0.0) << cell;
+        EXPECT_LE(r.exit_rate, 1.0) << cell;
+        if (r.pruned) {
+          EXPECT_TRUE(pruning) << cell;
+          EXPECT_LE(mc.min_samples_before_prune, r.samples_run) << cell;
+          EXPECT_LE(r.samples_run, mc.samples) << cell;
+          // The bound is also checked after the final rollout, where it is
+          // the exact estimate: a prune there means the candidate lost.
+          if (r.samples_run == mc.samples) {
+            EXPECT_GT(r.exit_rate, bound) << cell;
+          } else {
+            ++early_prunes;
+          }
+        } else {
+          EXPECT_EQ(r.samples_run, mc.samples) << cell;
+        }
+      }
+    }
+  }
+  EXPECT_GT(early_prunes, 0u);
 }
 
 }  // namespace
