@@ -4,9 +4,11 @@
 #     and the `fleet` label (FleetRunner substrate + experiment drivers) are
 #     re-run explicitly, so a label regression fails loudly on every push;
 #     the `bayesopt` label pins the optimizer fast path (incremental
-#     Cholesky == full refit, batched-acquisition parity), and the nn suite
-#     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2/avx512 so every
-#     dispatchable dense kernel proves bitwise parity on the CI host;
+#     Cholesky == full refit, batched-acquisition parity), the `codec` label
+#     pins the on-disk byte formats (golden bytes, the frame-corruption table
+#     and hostile lengths), and the nn suite re-runs under
+#     LINGXI_DENSE_ISA=scalar/sse2/avx2 so every dispatchable dense kernel
+#     proves bitwise parity on the CI host;
 #     finally the fleet_scaling smoke JSON is gated on non-regressing
 #     sessions/sec ratios (batched vs scalar, cohort vs per-opt);
 #   * the batched-path + cross-user wave smoke: bench_fleet_scaling
@@ -74,7 +76,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # CTest label matrix (cheap re-runs). --no-tests=error is what actually
 # catches label wiring drift: a label matching zero tests would otherwise
 # exit 0 and silently disable the gate.
-for label in nn fleet snapshot obs scenario bayesopt; do
+for label in nn fleet snapshot obs scenario bayesopt codec; do
   ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L "${label}"
 done
 
@@ -82,7 +84,7 @@ done
 # LINGXI_DENSE_ISA, so the nn parity suite re-runs pinned to each variant
 # (requests wider than the hardware clamp down — redundant but still a valid
 # scalar-parity run, never a skip).
-for isa in scalar sse2 avx2 avx512; do
+for isa in scalar sse2 avx2; do
   LINGXI_DENSE_ISA="${isa}" \
     ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L nn
   echo "forced-ISA parity OK: ${isa}"

@@ -1,8 +1,8 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected).
 //
-// Used by lingxi::logstore to checksum persisted state records so corrupt
-// or truncated files are detected at load time instead of poisoning the
-// per-user personalization state.
+// Used by the frame codec (common/bytes.h) to checksum every persisted
+// record, so corrupt or truncated files are detected at load time instead of
+// poisoning the per-user personalization state.
 #pragma once
 
 #include <cstddef>

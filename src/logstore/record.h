@@ -1,59 +1,46 @@
-// Framed binary records: the storage primitive behind the state store.
+// LXRC framed records: the storage primitive behind the session log, the
+// state store, the telemetry archive and fleet snapshots.
 //
-// Layout per record: magic "LXRC" | u32 version | u32 payload_len |
-// payload bytes | u32 crc32(payload). Readers verify magic, version,
-// length bounds and checksum, so truncated or bit-flipped files surface as
-// Error::kCorrupt instead of silently corrupt personalization state.
-// This replaces the paper's HDF5 long-term state files (§4).
+// An LXRC record is one common/bytes.h frame with magic "LXRC" and version 2
+// (magic | u32 version | u32 payload_len | payload | u32 crc32(payload)), so
+// truncated or bit-flipped files surface as Error::kCorrupt instead of
+// silently corrupt personalization state. This replaces the paper's HDF5
+// long-term state files (§4).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/expected.h"
 
 namespace lingxi::logstore {
 
+inline constexpr std::string_view kRecordMagic = "LXRC";
+// v2: session payloads carry the stall/switch/mean-bitrate aggregates. v1
+// files fail the version check instead of being misparsed.
+inline constexpr std::uint32_t kRecordVersion = 2;
+
 /// Append one framed record to `out`.
-void write_record(std::vector<unsigned char>& out, const std::vector<unsigned char>& payload);
+inline void write_record(std::vector<unsigned char>& out, ByteSpan payload) {
+  append_frame(out, kRecordMagic, kRecordVersion, payload);
+}
 
-/// Read the record starting at `pos` in `bytes`; advances `pos` past it.
-Expected<std::vector<unsigned char>> read_record(const std::vector<unsigned char>& bytes,
-                                                 std::size_t& pos);
+/// Read the record starting at `pos` in `bytes`; advances `pos` past it. The
+/// payload is a view into `bytes`.
+inline Expected<ByteSpan> read_record(ByteSpan bytes, std::size_t& pos) {
+  return read_frame(bytes, pos, kRecordMagic, kRecordVersion);
+}
 
-/// Streaming variant: read the next framed record from `in` without loading
-/// the rest of the file. Callers detect a clean end-of-stream with
-/// `in.peek() == EOF` before calling; a stream that ends mid-record is
-/// reported as Error::kCorrupt.
-Expected<std::vector<unsigned char>> read_record(std::istream& in);
+/// Streaming form (see read_frame).
+inline Expected<std::vector<unsigned char>> read_record(std::istream& in) {
+  return read_frame(in, kRecordMagic, kRecordVersion);
+}
 
-/// Little-endian primitive packing helpers shared by payload codecs.
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v);
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v);
-void put_f64(std::vector<unsigned char>& out, double v);
-bool get_u32(const std::vector<unsigned char>& in, std::size_t& pos, std::uint32_t& v);
-bool get_u64(const std::vector<unsigned char>& in, std::size_t& pos, std::uint64_t& v);
-bool get_f64(const std::vector<unsigned char>& in, std::size_t& pos, double& v);
-
-/// Whole-file helpers.
-///
-/// write_file is atomic and durable: the bytes are written to `<path>.tmp`,
-/// flushed to stable storage (fsync) and closed with the result checked
-/// (a destructor-close would drop delayed write errors on the floor), then
-/// renamed over `path`. A crash, kill -9 or full disk at any point leaves
-/// either the old file intact or the new one complete — never a torn
-/// mixture — at the cost of a stale `<path>.tmp` that the next successful
-/// write replaces. Each failing stage returns a distinct Error::kIo whose
-/// message names the stage ("cannot open" / "write failed" / "fsync failed"
-/// / "close failed" / "rename failed"), so callers can report which part of
-/// the commit tore.
-Status write_file(const std::string& path, const std::vector<unsigned char>& bytes);
-Expected<std::vector<unsigned char>> read_file(const std::string& path);
-
-/// fsync a directory fd so a just-committed rename inside it survives power
-/// loss (the snapshot commit protocol's final durability point).
-Status fsync_directory(const std::string& dir);
+/// Leading u32 type tag of a typed record payload (archive shards and
+/// snapshot state files); 0 when the payload is too short to carry one.
+inline std::uint32_t record_type(ByteSpan payload) { return ByteReader(payload).u32(); }
 
 }  // namespace lingxi::logstore

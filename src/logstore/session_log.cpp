@@ -26,8 +26,20 @@ bool SessionLogEntry::operator==(const SessionLogEntry& other) const {
   return true;
 }
 
+namespace {
+
+// u32 level, nine f64 fields, u32 cumulative stall events.
+constexpr std::size_t kSegmentWireSize = 4 + 9 * 8 + 4;
+
+}  // namespace
+
 std::vector<unsigned char> encode_session(const SessionLogEntry& entry) {
   std::vector<unsigned char> p;
+  append_session(p, entry);
+  return p;
+}
+
+void append_session(std::vector<unsigned char>& p, const SessionLogEntry& entry) {
   put_u64(p, entry.user_id);
   put_u64(p, entry.timestamp);
   put_f64(p, entry.video_duration);
@@ -52,45 +64,45 @@ std::vector<unsigned char> encode_session(const SessionLogEntry& entry) {
     put_f64(p, seg.cumulative_stall);
     put_u32(p, static_cast<std::uint32_t>(seg.cumulative_stall_events));
   }
-  return p;
 }
 
-Expected<SessionLogEntry> decode_session(const std::vector<unsigned char>& payload) {
+Expected<SessionLogEntry> decode_session(ByteSpan payload) {
+  ByteReader in(payload);
+  return decode_session(in);
+}
+
+Expected<SessionLogEntry> decode_session(ByteReader& in) {
   SessionLogEntry e;
-  std::size_t pos = 0;
-  std::uint32_t exited = 0, stall_events = 0, switches = 0, count = 0;
-  if (!get_u64(payload, pos, e.user_id) || !get_u64(payload, pos, e.timestamp) ||
-      !get_f64(payload, pos, e.video_duration) || !get_u32(payload, pos, exited) ||
-      !get_f64(payload, pos, e.session.watch_time) ||
-      !get_f64(payload, pos, e.session.startup_delay) ||
-      !get_f64(payload, pos, e.session.total_stall) ||
-      !get_u32(payload, pos, stall_events) || !get_u32(payload, pos, switches) ||
-      !get_f64(payload, pos, e.session.mean_bitrate) || !get_u32(payload, pos, count)) {
-    return Error::corrupt("truncated session header");
-  }
-  if (count > 1u << 20) return Error::corrupt("segment count out of range");
-  e.session.exited = exited != 0;
-  e.session.stall_events = stall_events;
-  e.session.quality_switches = switches;
-  e.session.segments.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  e.user_id = in.u64();
+  e.timestamp = in.u64();
+  e.video_duration = in.f64();
+  e.session.exited = in.u32() != 0;
+  e.session.watch_time = in.f64();
+  e.session.startup_delay = in.f64();
+  e.session.total_stall = in.f64();
+  e.session.stall_events = in.u32();
+  e.session.quality_switches = in.u32();
+  e.session.mean_bitrate = in.f64();
+  const std::uint32_t count = in.u32();
+  if (!in.ok()) return Error::corrupt("truncated session header");
+  e.session.segments.resize(in.count(count, kSegmentWireSize));
+  if (!in.ok()) return Error::corrupt("session segment count exceeds payload");
+  for (std::size_t i = 0; i < e.session.segments.size(); ++i) {
     auto& seg = e.session.segments[i];
     seg.index = i;
-    std::uint32_t level = 0, events = 0;
-    const bool ok = get_u32(payload, pos, level) && get_f64(payload, pos, seg.position) &&
-                    get_f64(payload, pos, seg.bitrate) && get_f64(payload, pos, seg.size) &&
-                    get_f64(payload, pos, seg.throughput) &&
-                    get_f64(payload, pos, seg.download_time) &&
-                    get_f64(payload, pos, seg.stall_time) &&
-                    get_f64(payload, pos, seg.buffer_before) &&
-                    get_f64(payload, pos, seg.buffer_after) &&
-                    get_f64(payload, pos, seg.cumulative_stall) &&
-                    get_u32(payload, pos, events);
-    if (!ok) return Error::corrupt("truncated segment record");
-    seg.level = level;
-    seg.cumulative_stall_events = events;
+    seg.level = in.u32();
+    seg.position = in.f64();
+    seg.bitrate = in.f64();
+    seg.size = in.f64();
+    seg.throughput = in.f64();
+    seg.download_time = in.f64();
+    seg.stall_time = in.f64();
+    seg.buffer_before = in.f64();
+    seg.buffer_after = in.f64();
+    seg.cumulative_stall = in.f64();
+    seg.cumulative_stall_events = in.u32();
   }
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in session payload");
+  if (!in.done()) return Error::corrupt("trailing bytes in session payload");
   return e;
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/expected.h"
 #include "sim/session.h"
 
@@ -30,7 +31,11 @@ struct SessionLogEntry {
 
 /// Serialize one entry to a record payload (exposed for tests).
 std::vector<unsigned char> encode_session(const SessionLogEntry& entry);
-Expected<SessionLogEntry> decode_session(const std::vector<unsigned char>& payload);
+/// Append the payload encoding of `entry` to `out` (for records that embed it).
+void append_session(std::vector<unsigned char>& out, const SessionLogEntry& entry);
+Expected<SessionLogEntry> decode_session(ByteSpan payload);
+/// Decode an entry that runs to the end of `in` (trailing bytes are corrupt).
+Expected<SessionLogEntry> decode_session(ByteReader& in);
 
 /// Accumulates entries in memory and flushes them as a record stream.
 class SessionLogWriter {

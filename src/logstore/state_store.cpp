@@ -5,25 +5,6 @@
 #include "logstore/record.h"
 
 namespace lingxi::logstore {
-namespace {
-
-void put_vec(std::vector<unsigned char>& out, const std::vector<double>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (double x : v) put_f64(out, x);
-}
-
-bool get_vec(const std::vector<unsigned char>& in, std::size_t& pos, std::vector<double>& v) {
-  std::uint32_t n = 0;
-  if (!get_u32(in, pos, n)) return false;
-  if (n > 1024) return false;  // history vectors are capped at 8 in practice
-  v.resize(n);
-  for (auto& x : v) {
-    if (!get_f64(in, pos, x)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 void StateStore::put(std::uint64_t user_id, UserState state) {
   states_[user_id] = std::move(state);
@@ -42,9 +23,11 @@ bool StateStore::contains(std::uint64_t user_id) const {
 std::vector<unsigned char> StateStore::encode(std::uint64_t user_id, const UserState& state) {
   std::vector<unsigned char> p;
   put_u64(p, user_id);
-  put_vec(p, state.engagement.stall_durations);
-  put_vec(p, state.engagement.stall_intervals);
-  put_vec(p, state.engagement.stall_exit_intervals);
+  for (const auto* v : {&state.engagement.stall_durations, &state.engagement.stall_intervals,
+                        &state.engagement.stall_exit_intervals}) {
+    put_u32(p, static_cast<std::uint32_t>(v->size()));
+    put_f64s(p, *v);
+  }
   put_f64(p, state.engagement.total_watch_time);
   put_u64(p, state.engagement.total_stall_events);
   put_u64(p, state.engagement.total_stall_exits);
@@ -55,25 +38,22 @@ std::vector<unsigned char> StateStore::encode(std::uint64_t user_id, const UserS
   return p;
 }
 
-Expected<std::pair<std::uint64_t, UserState>> StateStore::decode(
-    const std::vector<unsigned char>& payload) {
-  std::size_t pos = 0;
-  std::uint64_t user_id = 0;
+Expected<std::pair<std::uint64_t, UserState>> StateStore::decode(ByteSpan payload) {
+  ByteReader in(payload);
+  const std::uint64_t user_id = in.u64();
   UserState s;
-  std::uint32_t has_params = 0;
-  const bool ok = get_u64(payload, pos, user_id) &&
-                  get_vec(payload, pos, s.engagement.stall_durations) &&
-                  get_vec(payload, pos, s.engagement.stall_intervals) &&
-                  get_vec(payload, pos, s.engagement.stall_exit_intervals) &&
-                  get_f64(payload, pos, s.engagement.total_watch_time) &&
-                  get_u64(payload, pos, s.engagement.total_stall_events) &&
-                  get_u64(payload, pos, s.engagement.total_stall_exits) &&
-                  get_f64(payload, pos, s.best_params.stall_penalty) &&
-                  get_f64(payload, pos, s.best_params.switch_penalty) &&
-                  get_f64(payload, pos, s.best_params.hyb_beta) &&
-                  get_u32(payload, pos, has_params);
-  if (!ok || pos != payload.size()) return Error::corrupt("malformed user state payload");
-  s.has_params = has_params != 0;
+  for (auto* v : {&s.engagement.stall_durations, &s.engagement.stall_intervals,
+                  &s.engagement.stall_exit_intervals}) {
+    *v = in.f64s(in.u32());
+  }
+  s.engagement.total_watch_time = in.f64();
+  s.engagement.total_stall_events = in.u64();
+  s.engagement.total_stall_exits = in.u64();
+  s.best_params.stall_penalty = in.f64();
+  s.best_params.switch_penalty = in.f64();
+  s.best_params.hyb_beta = in.f64();
+  s.has_params = in.u32() != 0;
+  if (!in.done()) return Error::corrupt("malformed user state payload");
   return std::make_pair(user_id, std::move(s));
 }
 

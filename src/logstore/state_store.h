@@ -5,7 +5,7 @@
 // keeps, per user id:
 //   * the engagement LongTermState feeding the exit predictor, and
 //   * the last optimized QoE parameters (OBO warm start for the next round).
-// File format: one framed record (logstore/record.h) per user entry.
+// File format: one LXRC record (logstore/record.h) per user entry.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "abr/qoe.h"
+#include "common/bytes.h"
 #include "common/expected.h"
 #include "predictor/engagement_state.h"
 
@@ -42,8 +43,7 @@ class StateStore {
 
   /// Payload codec, exposed for tests.
   static std::vector<unsigned char> encode(std::uint64_t user_id, const UserState& state);
-  static Expected<std::pair<std::uint64_t, UserState>> decode(
-      const std::vector<unsigned char>& payload);
+  static Expected<std::pair<std::uint64_t, UserState>> decode(ByteSpan payload);
 
  private:
   std::unordered_map<std::uint64_t, UserState> states_;

@@ -114,17 +114,17 @@ void dense_block8_simd(const double* w, const Tensor& bias, std::size_t in_featu
 #endif  // LINGXI_DENSE_SIMD
 
 #ifdef LINGXI_DENSE_X86
-// Wider per-ISA variants of the panel kernel, runtime-dispatched (the build
-// stays baseline x86-64; the target attribute lets each function use its
-// ISA). Same contract as dense_block8_simd: lanes across rows, each lane the
-// exact scalar accumulation sequence. Two hazards are handled explicitly:
+// The AVX2 variant of the panel kernel, runtime-dispatched (the build stays
+// baseline x86-64; the target attribute lets the function use AVX2). Same
+// contract as dense_block8_simd: lanes across rows, each lane the exact
+// scalar accumulation sequence. Two hazards are handled explicitly:
 //  * fp contraction — this file is compiled with -ffp-contract=off, so the
-//    mul-then-add below can never fuse into an FMA (AVX-512F brings FMA with
-//    it; a fused step skips the intermediate rounding the scalar path takes
-//    and would break bitwise parity);
+//    mul-then-add below can never fuse into an FMA (a fused step skips the
+//    intermediate rounding the scalar path takes and would break bitwise
+//    parity);
 //  * partial blocks — the panel is padded with zero lanes up to 8 rows, the
 //    padded lanes compute bias + 0*w garbage-free, and only the first `bn`
-//    lanes are stored. That lets blocks of 2..7 rows ride the wide kernels,
+//    lanes are stored. That lets blocks of 2..7 rows ride the wide kernel,
 //    which the scalar path serviced one unrolled chain per row.
 __attribute__((target("avx2"))) void dense_panel_avx2(
     const double* w, const Tensor& bias, std::size_t in_features,
@@ -148,22 +148,6 @@ __attribute__((target("avx2"))) void dense_panel_avx2(
   }
 }
 
-__attribute__((target("avx512f"))) void dense_panel_avx512(
-    const double* w, const Tensor& bias, std::size_t in_features,
-    std::size_t out_features, const double* panel, std::size_t bn,
-    double* const* dst) {
-  for (std::size_t o = 0; o < out_features; ++o) {
-    const double* wrow = w + o * in_features;
-    __m512d acc = _mm512_set1_pd(bias[o]);
-    for (std::size_t i = 0; i < in_features; ++i) {
-      const __m512d wv = _mm512_set1_pd(wrow[i]);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(wv, _mm512_loadu_pd(panel + 8 * i)));
-    }
-    double lanes[8];
-    _mm512_storeu_pd(lanes, acc);
-    for (std::size_t j = 0; j < bn; ++j) dst[j][o] = lanes[j];
-  }
-}
 #endif  // LINGXI_DENSE_X86
 
 // Active ISA: -1 = undecided (read LINGXI_DENSE_ISA on first use).
@@ -182,7 +166,6 @@ const char* dense_isa_name(DenseIsa isa) noexcept {
     case DenseIsa::kScalar: return "scalar";
     case DenseIsa::kSse2: return "sse2";
     case DenseIsa::kAvx2: return "avx2";
-    case DenseIsa::kAvx512: return "avx512";
   }
   return "unknown";
 }
@@ -203,12 +186,6 @@ bool dense_isa_supported(DenseIsa isa) noexcept {
 #else
       return false;
 #endif
-    case DenseIsa::kAvx512:
-#ifdef LINGXI_DENSE_X86
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -216,16 +193,11 @@ bool dense_isa_supported(DenseIsa isa) noexcept {
 DenseIsa dense_isa() noexcept {
   int v = g_dense_isa.load(std::memory_order_relaxed);
   if (v < 0) {
-    // AVX2 by default, not AVX-512: 512-bit ops trigger frequency licensing /
-    // port splitting on many server parts, and the zmm variant measures
-    // ~30% slower than the ymm one here (bench_micro per-ISA sections).
-    // LINGXI_DENSE_ISA=avx512 opts in where the hardware likes it.
     DenseIsa want = DenseIsa::kAvx2;
     if (const char* e = std::getenv("LINGXI_DENSE_ISA"); e != nullptr && *e != '\0') {
       if (std::strcmp(e, "scalar") == 0) want = DenseIsa::kScalar;
       else if (std::strcmp(e, "sse2") == 0) want = DenseIsa::kSse2;
       else if (std::strcmp(e, "avx2") == 0) want = DenseIsa::kAvx2;
-      else if (std::strcmp(e, "avx512") == 0) want = DenseIsa::kAvx512;
       // Unrecognized values fall through to the widest supported ISA.
     }
     v = static_cast<int>(clamp_to_supported(want));
@@ -261,7 +233,7 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
       dst[j] = out.row(b0 + j);
     }
 #ifdef LINGXI_DENSE_X86
-    // The wide kernels take any block of >= 2 rows (zero-padded lanes);
+    // The wide kernel takes any block of >= 2 rows (zero-padded lanes);
     // single rows stay on the scalar chain, where the pack cost cannot be
     // amortized on small weight matrices like the 64x2 head.
     if (isa >= DenseIsa::kAvx2 && bn >= 2) {
@@ -271,11 +243,7 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
         for (; j < bn; ++j) p[j] = rows[j][i];
         for (; j < kBlock; ++j) p[j] = 0.0;
       }
-      if (isa == DenseIsa::kAvx512) {
-        dense_panel_avx512(w_.data(), b_, in_, out_, panel.data(), bn, dst);
-      } else {
-        dense_panel_avx2(w_.data(), b_, in_, out_, panel.data(), bn, dst);
-      }
+      dense_panel_avx2(w_.data(), b_, in_, out_, panel.data(), bn, dst);
       b0 += bn;
       continue;
     }

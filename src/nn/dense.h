@@ -6,26 +6,25 @@
 namespace lingxi::nn {
 
 /// Instruction set the batched dense kernel runs on. Every variant keeps
-/// SIMD lanes ACROSS batch rows (never along the reduction), so all four
+/// SIMD lanes ACROSS batch rows (never along the reduction), so all three
 /// produce bitwise-identical outputs — pinned by the forced-ISA parity
 /// tests. Ordered narrow to wide so clamping to hardware support is a min().
 enum class DenseIsa {
   kScalar = 0,  ///< unrolled scalar blocks only
-  kSse2 = 1,    ///< 16-byte generic vectors (the PR4 kernel), full blocks only
+  kSse2 = 1,    ///< 16-byte generic vectors, full blocks only; the vector
+                ///< path on x86 without AVX2 and on non-x86 GCC builds
   kAvx2 = 2,    ///< 4-lane ymm panel, partial blocks >= 2 rows ride it too
-  kAvx512 = 3,  ///< 8-lane zmm panel, partial blocks >= 2 rows ride it too
 };
 
-/// Name for logs / env parsing: "scalar", "sse2", "avx2", "avx512".
+/// Name for logs / env parsing: "scalar", "sse2", "avx2".
 const char* dense_isa_name(DenseIsa isa) noexcept;
 
 /// True when this build + CPU can run `isa`.
 bool dense_isa_supported(DenseIsa isa) noexcept;
 
-/// The ISA forward_batch currently dispatches to: AVX2 where supported (the
-/// 512-bit variant downclocks on many server parts and measures slower, so
-/// it is opt-in), unless LINGXI_DENSE_ISA (scalar|sse2|avx2|avx512, clamped
-/// to hardware support) or set_dense_isa_for_testing() overrode it.
+/// The ISA forward_batch currently dispatches to: the widest supported one,
+/// unless LINGXI_DENSE_ISA (scalar|sse2|avx2, clamped to hardware support)
+/// or set_dense_isa_for_testing() overrode it.
 DenseIsa dense_isa() noexcept;
 
 /// In-process override for tests and benches (the env var is only read

@@ -1,208 +1,109 @@
 #include "nn/serialize.h"
 
-#include <cstring>
-#include <fstream>
+#include <string_view>
 
-#include "common/crc32.h"
-
-// GCC 12's stringop-overflow/overread analysis misfires on the inlined
-// std::vector growth paths in this file at -O2 (GCC PR 105329 and friends);
-// the diagnostics point into libstdc++, not user code. Scoped here so the
-// rest of the tree keeps the real diagnostics under -Werror.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wstringop-overflow"
-#pragma GCC diagnostic ignored "-Wstringop-overread"
-#endif
+#include "common/bytes.h"
 
 namespace lingxi::nn {
 namespace {
 
-constexpr unsigned char kMagic[4] = {'L', 'X', 'N', 'N'};
-constexpr unsigned char kContainerMagic[4] = {'L', 'X', 'N', 'C'};
-constexpr std::uint32_t kVersion = kTensorBlobVersion;
+constexpr std::string_view kBlobMagic = "LXNN";
+constexpr std::string_view kContainerMagic = "LXNC";
 
-template <typename T>
-void append(std::vector<unsigned char>& out, const T& v) {
-  const std::size_t pos = out.size();
-  out.resize(pos + sizeof(T));
-  std::memcpy(out.data() + pos, &v, sizeof(T));
+constexpr std::uint64_t kMaxDim = 1u << 24;
+// Smallest tensor on the wire: rank 1, one dim, one element.
+constexpr std::size_t kMinTensorWireSize = 4 + 8 + 8;
+
+void put_tensors(std::vector<unsigned char>& out, const std::vector<const Tensor*>& tensors) {
+  put_u32(out, static_cast<std::uint32_t>(tensors.size()));
+  for (const Tensor* t : tensors) {
+    put_u32(out, static_cast<std::uint32_t>(t->rank()));
+    for (std::size_t d = 0; d < t->rank(); ++d) put_u64(out, t->dim(d));
+    put_f64s(out, {t->data(), t->size()});
+  }
 }
 
-template <typename T>
-bool read(const std::vector<unsigned char>& in, std::size_t& pos, T& v) {
-  if (pos + sizeof(T) > in.size()) return false;
-  std::memcpy(&v, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return true;
+/// Reads a tensor list that must fill the rest of `in`.
+Expected<std::vector<Tensor>> get_tensors(ByteReader& in) {
+  std::vector<Tensor> tensors(in.count(in.u32(), kMinTensorWireSize));
+  if (!in.ok()) return Error::corrupt("tensor count exceeds payload");
+  for (Tensor& t : tensors) {
+    const std::uint32_t rank = in.u32();
+    if (rank == 0 || rank > 3) return Error::corrupt("tensor rank out of range");
+    std::vector<std::size_t> shape(rank);
+    // Element count so far; each step keeps numel * 8 within what remains,
+    // so the product can neither overflow nor outgrow the payload.
+    std::uint64_t numel = 1;
+    for (auto& d : shape) {
+      const std::uint64_t dim = in.u64();
+      if (dim == 0 || dim > kMaxDim) return Error::corrupt("tensor dim out of range");
+      if (dim > in.remaining() / 8 / numel) {
+        return Error::corrupt("tensor shape exceeds payload");
+      }
+      numel *= dim;
+      d = static_cast<std::size_t>(dim);
+    }
+    t = Tensor(std::move(shape), in.f64s(numel));
+  }
+  if (!in.done()) return Error::corrupt("trailing bytes after tensors");
+  return tensors;
+}
+
+/// The payload of the single frame `bytes` must consist of.
+Expected<ByteSpan> whole_frame(const std::vector<unsigned char>& bytes, std::string_view magic,
+                               std::uint32_t version) {
+  std::size_t pos = 0;
+  auto payload = read_frame(bytes, pos, magic, version);
+  if (payload && pos != bytes.size()) {
+    return Error::corrupt(std::string(magic) + ": trailing bytes after frame");
+  }
+  return payload;
 }
 
 }  // namespace
 
 std::vector<unsigned char> serialize_tensors(const std::vector<const Tensor*>& tensors) {
+  std::vector<unsigned char> payload;
+  put_tensors(payload, tensors);
   std::vector<unsigned char> out;
-  // Byte-wise append: GCC 12 misdiagnoses a 4-byte range insert here as a
-  // stringop-overflow at -O2.
-  for (unsigned char c : kMagic) out.push_back(c);
-  append(out, kVersion);
-  append(out, static_cast<std::uint32_t>(tensors.size()));
-  for (const Tensor* t : tensors) {
-    append(out, static_cast<std::uint32_t>(t->rank()));
-    for (std::size_t d = 0; d < t->rank(); ++d) {
-      append(out, static_cast<std::uint64_t>(t->dim(d)));
-    }
-    for (std::size_t i = 0; i < t->size(); ++i) append(out, (*t)[i]);
-  }
-  const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
-  append(out, crc);
+  append_frame(out, kBlobMagic, kTensorBlobVersion, payload);
   return out;
 }
 
 Expected<std::vector<Tensor>> deserialize_tensors(const std::vector<unsigned char>& bytes) {
-  if (bytes.size() < 4 + sizeof(std::uint32_t) * 2 + sizeof(std::uint32_t)) {
-    return Error::corrupt("tensor blob too small");
-  }
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    return Error::corrupt("bad magic in tensor blob");
-  }
-  // Verify trailing CRC over everything between magic and CRC.
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(std::uint32_t),
-              sizeof(std::uint32_t));
-  const std::uint32_t computed =
-      crc32(bytes.data() + 4, bytes.size() - 4 - sizeof(std::uint32_t));
-  if (stored_crc != computed) return Error::corrupt("tensor blob CRC mismatch");
-
-  std::size_t pos = 4;
-  std::uint32_t version = 0, count = 0;
-  if (!read(bytes, pos, version)) return Error::corrupt("truncated header");
-  if (version != kVersion) return Error::corrupt("unsupported tensor blob version");
-  if (!read(bytes, pos, count)) return Error::corrupt("truncated header");
-
-  std::vector<Tensor> tensors;
-  tensors.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t rank = 0;
-    if (!read(bytes, pos, rank)) return Error::corrupt("truncated tensor rank");
-    if (rank == 0 || rank > 3) return Error::corrupt("tensor rank out of range");
-    std::vector<std::size_t> shape(rank);
-    std::size_t numel = 1;
-    for (auto& d : shape) {
-      std::uint64_t dim = 0;
-      if (!read(bytes, pos, dim)) return Error::corrupt("truncated tensor shape");
-      if (dim == 0 || dim > (1u << 24)) return Error::corrupt("tensor dim out of range");
-      d = static_cast<std::size_t>(dim);
-      numel *= d;
-    }
-    std::vector<double> data(numel);
-    for (auto& x : data) {
-      if (!read(bytes, pos, x)) return Error::corrupt("truncated tensor data");
-    }
-    tensors.emplace_back(std::move(shape), std::move(data));
-  }
-  return tensors;
+  auto payload = whole_frame(bytes, kBlobMagic, kTensorBlobVersion);
+  if (!payload) return payload.error();
+  ByteReader in(*payload);
+  return get_tensors(in);
 }
 
 std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
                                            const std::vector<const Tensor*>& tensors) {
-  const auto blob = serialize_tensors(tensors);
+  std::vector<unsigned char> payload;
+  put_u32(payload, model_kind);
+  put_tensors(payload, tensors);
   std::vector<unsigned char> out;
-  for (unsigned char c : kContainerMagic) out.push_back(c);
-  append(out, kModelContainerVersion);
-  append(out, model_kind);
-  append(out, static_cast<std::uint64_t>(blob.size()));
-  out.insert(out.end(), blob.begin(), blob.end());
-  const std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
-  append(out, crc);
+  append_frame(out, kContainerMagic, kModelContainerVersion, payload);
   return out;
 }
 
 Expected<std::vector<Tensor>> deserialize_model(std::uint32_t expected_kind,
                                                 const std::vector<unsigned char>& bytes) {
-  constexpr std::size_t kHeader =
-      4 + sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t) + sizeof(std::uint32_t);
-  if (bytes.size() < kHeader) return Error::corrupt("model container too small");
-  if (std::memcmp(bytes.data(), kContainerMagic, 4) != 0) {
-    return Error::corrupt("bad magic in model container");
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - sizeof(std::uint32_t),
-              sizeof(std::uint32_t));
-  const std::uint32_t computed =
-      crc32(bytes.data() + 4, bytes.size() - 4 - sizeof(std::uint32_t));
-  if (stored_crc != computed) return Error::corrupt("model container CRC mismatch");
-
-  std::size_t pos = 4;
-  std::uint32_t version = 0, kind = 0;
-  std::uint64_t blob_len = 0;
-  if (!read(bytes, pos, version) || !read(bytes, pos, kind) || !read(bytes, pos, blob_len)) {
-    return Error::corrupt("truncated model container header");
-  }
-  if (version != kModelContainerVersion) {
-    return Error::corrupt("unsupported model container version");
-  }
-  if (kind != expected_kind) return Error::corrupt("model container kind mismatch");
-  if (pos + blob_len + sizeof(std::uint32_t) != bytes.size()) {
-    return Error::corrupt("model container length mismatch");
-  }
-  return deserialize_tensors(
-      std::vector<unsigned char>(bytes.begin() + static_cast<long>(pos),
-                                 bytes.end() - sizeof(std::uint32_t)));
-}
-
-namespace {
-
-/// Shared tail of the typed layer loaders: unwrap the container, check the
-/// tensor count and shapes against the destination parameters, then copy.
-Status load_layer(std::uint32_t kind, const std::vector<Tensor*>& params,
-                  const std::vector<unsigned char>& bytes) {
-  auto tensors = deserialize_model(kind, bytes);
-  if (!tensors) return tensors.error();
-  if (tensors->size() != params.size()) {
-    return Error::corrupt("layer checkpoint tensor count mismatch");
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (!(*tensors)[i].same_shape(*params[i])) {
-      return Error::corrupt("layer checkpoint shape mismatch");
-    }
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) *params[i] = std::move((*tensors)[i]);
-  return {};
-}
-
-}  // namespace
-
-std::vector<unsigned char> serialize_dense(const Dense& layer) {
-  return serialize_model(kModelKindDense, {&layer.weight(), &layer.bias()});
-}
-
-std::vector<unsigned char> serialize_conv1d(const Conv1D& layer) {
-  return serialize_model(kModelKindConv1D, {&layer.weight(), &layer.bias()});
-}
-
-Status load_dense(Dense& layer, const std::vector<unsigned char>& bytes) {
-  return load_layer(kModelKindDense, layer.parameters(), bytes);
-}
-
-Status load_conv1d(Conv1D& layer, const std::vector<unsigned char>& bytes) {
-  return load_layer(kModelKindConv1D, layer.parameters(), bytes);
+  auto payload = whole_frame(bytes, kContainerMagic, kModelContainerVersion);
+  if (!payload) return payload.error();
+  ByteReader in(*payload);
+  if (in.u32() != expected_kind) return Error::corrupt("model container kind mismatch");
+  return get_tensors(in);
 }
 
 Status save_tensors(const std::string& path, const std::vector<const Tensor*>& tensors) {
-  const auto bytes = serialize_tensors(tensors);
-  std::ofstream f(path, std::ios::binary);
-  if (!f) return Error::io("cannot open for write: " + path);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!f) return Error::io("write failed: " + path);
-  return {};
+  return write_file(path, serialize_tensors(tensors));
 }
 
 Expected<std::vector<Tensor>> load_tensors(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Error::io("cannot open: " + path);
-  std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(f)),
-                                   std::istreambuf_iterator<char>());
-  return deserialize_tensors(bytes);
+  auto bytes = read_file(path);
+  if (!bytes) return bytes.error();
+  return deserialize_tensors(*bytes);
 }
 
 }  // namespace lingxi::nn

@@ -1,21 +1,19 @@
 // Binary (de)serialization of tensor lists — model checkpoints.
 //
-// Two layers of format, both CRC-protected and versioned, both failing with
-// Expected errors (never asserts) so corrupt or future-versioned files are
-// recoverable conditions:
+// Both formats are common/bytes.h frames (magic | u32 version | u32 len |
+// payload | u32 crc32(payload)) and fail with Expected errors (never
+// asserts), so corrupt or other-versioned bytes are recoverable conditions:
 //
-//   * tensor blob: magic "LXNN", u32 version, u32 tensor count, then per
-//     tensor (u32 rank, u64 dims..., f64 data...), then CRC-32 of everything
-//     after the magic;
-//   * model container (snapshot subsystem): magic "LXNC", u32 container
-//     version, u32 model kind tag, u64 blob length, tensor blob, CRC-32 of
-//     everything after the magic. The kind tag names the architecture the
-//     weights belong to, so a fleet snapshot cannot silently load one
-//     model's tensors into another's layers.
+//   * tensor blob: frame "LXNN", version 2, payload [u32 tensor count,
+//     tensors];
+//   * model container (snapshot subsystem): frame "LXNC", version 2, payload
+//     [u32 model kind, u32 tensor count, tensors]. The kind tag names the
+//     architecture the weights belong to, so a fleet snapshot cannot
+//     silently load one model's tensors into another's layers.
 //
-// Typed layer helpers (Dense / Conv1D) round-trip a layer's parameters
-// through a model container whose kind encodes the layer type and whose
-// shape is validated against the destination layer on load.
+// A tensor is u32 rank (1..3), u64 dims (each 1..2^24), then its f64 data.
+// Version-1 bytes (whose CRC covered the header, and whose container nested
+// a whole tensor blob) fail the version check with Error::kCorrupt.
 #pragma once
 
 #include <cstdint>
@@ -23,20 +21,17 @@
 #include <vector>
 
 #include "common/expected.h"
-#include "nn/conv1d.h"
-#include "nn/dense.h"
 #include "nn/tensor.h"
 
 namespace lingxi::nn {
 
-/// Version of the tensor-blob framing written by serialize_tensors.
-inline constexpr std::uint32_t kTensorBlobVersion = 1;
-/// Version of the model-container framing written by serialize_model.
-inline constexpr std::uint32_t kModelContainerVersion = 1;
+/// Version of the tensor-blob frame written by serialize_tensors.
+inline constexpr std::uint32_t kTensorBlobVersion = 2;
+/// Version of the model-container frame written by serialize_model.
+inline constexpr std::uint32_t kModelContainerVersion = 2;
 
-/// Well-known model kind tags. Callers may define further tags >= 100.
-inline constexpr std::uint32_t kModelKindDense = 1;
-inline constexpr std::uint32_t kModelKindConv1D = 2;
+/// Model kind tag of the predictor's stall-exit net. Callers may define
+/// further tags >= 100.
 inline constexpr std::uint32_t kModelKindStallExitNet = 3;
 
 /// Serialize tensors to an in-memory byte buffer.
@@ -53,15 +48,8 @@ std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
 Expected<std::vector<Tensor>> deserialize_model(std::uint32_t expected_kind,
                                                 const std::vector<unsigned char>& bytes);
 
-/// Typed layer checkpoints: a model container holding [weight, bias].
-std::vector<unsigned char> serialize_dense(const Dense& layer);
-std::vector<unsigned char> serialize_conv1d(const Conv1D& layer);
-/// Load a layer checkpoint; shape mismatches against the destination layer
-/// are Error::kCorrupt (a checkpoint for a different architecture).
-Status load_dense(Dense& layer, const std::vector<unsigned char>& bytes);
-Status load_conv1d(Conv1D& layer, const std::vector<unsigned char>& bytes);
-
-/// File convenience wrappers.
+/// File convenience wrappers over serialize_tensors/deserialize_tensors. The
+/// write is atomic and durable (common/bytes.h write_file).
 Status save_tensors(const std::string& path, const std::vector<const Tensor*>& tensors);
 Expected<std::vector<Tensor>> load_tensors(const std::string& path);
 

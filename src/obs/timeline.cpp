@@ -1,132 +1,48 @@
 #include "obs/timeline.h"
 
 #include <atomic>
-#include <cstring>
 #include <utility>
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 
 namespace lingxi::obs {
 namespace {
 
-// Frame layout (logstore discipline, timeline magic):
-//   "LXTL" | u32 version | u32 payload_len | payload | u32 crc32(payload)
-// All integers little-endian; doubles as the little-endian bit pattern.
-constexpr char kMagic[4] = {'L', 'X', 'T', 'L'};
+constexpr std::string_view kMagic = "LXTL";
 constexpr std::uint32_t kFrameVersion = 1;
-constexpr std::size_t kHeaderSize = 4 + 4 + 4;
-// Generous ceiling; a day record for a large registry is a few KiB.
-constexpr std::uint32_t kMaxPayload = 64u * 1024u * 1024u;
 
 // Record types inside a frame payload.
 constexpr std::uint32_t kRecSchema = 0;
 constexpr std::uint32_t kRecDay = static_cast<std::uint32_t>(TimelineRecord::Type::kDay);
 constexpr std::uint32_t kRecAlert = static_cast<std::uint32_t>(TimelineRecord::Type::kAlert);
 
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::vector<unsigned char>& out, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_string(std::vector<unsigned char>& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-// Bounds-checked big-endian-free decoding cursor. Every get_ reports
-// exhaustion through `ok` so a truncated payload decodes to an error, not a
-// read past the end.
-struct Cursor {
-  const unsigned char* p;
-  std::size_t left;
-  bool ok = true;
-
-  bool take(std::size_t n) {
-    if (!ok || left < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return v;
-  }
-
-  double f64() {
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string str() {
-    std::uint32_t n = u32();
-    if (!take(n)) return {};
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return s;
-  }
-};
-
 // One metric inside a day-record section: name | kind | count | value |
 // min | max | bounds[] | buckets[].
 void encode_metric(std::vector<unsigned char>& out, const MetricSnapshot& m) {
-  put_string(out, m.name);
+  put_str(out, m.name);
   put_u32(out, static_cast<std::uint32_t>(m.kind));
   put_u64(out, m.count);
   put_f64(out, m.value);
   put_f64(out, m.min);
   put_f64(out, m.max);
   put_u32(out, static_cast<std::uint32_t>(m.bounds.size()));
-  for (double b : m.bounds) put_f64(out, b);
+  put_f64s(out, m.bounds);
   put_u32(out, static_cast<std::uint32_t>(m.buckets.size()));
   for (std::uint64_t c : m.buckets) put_u64(out, c);
 }
 
-bool decode_metric(Cursor& c, MetricSnapshot& m) {
-  m.name = c.str();
-  std::uint32_t kind = c.u32();
-  if (kind > static_cast<std::uint32_t>(MetricKind::kHistogram)) c.ok = false;
+void decode_metric(ByteReader& in, MetricSnapshot& m) {
+  m.name = in.str();
+  const std::uint32_t kind = in.u32();
+  if (kind > static_cast<std::uint32_t>(MetricKind::kHistogram)) in.fail();
   m.kind = static_cast<MetricKind>(kind);
-  m.count = c.u64();
-  m.value = c.f64();
-  m.min = c.f64();
-  m.max = c.f64();
-  std::uint32_t nb = c.u32();
-  if (!c.take(static_cast<std::size_t>(nb) * 8)) return false;
-  m.bounds.resize(nb);
-  for (std::uint32_t i = 0; i < nb; ++i) m.bounds[i] = c.f64();
-  std::uint32_t nk = c.u32();
-  if (!c.take(static_cast<std::size_t>(nk) * 8)) return false;
-  m.buckets.resize(nk);
-  for (std::uint32_t i = 0; i < nk; ++i) m.buckets[i] = c.u64();
-  return c.ok;
+  m.count = in.u64();
+  m.value = in.f64();
+  m.min = in.f64();
+  m.max = in.f64();
+  m.bounds = in.f64s(in.u32());
+  m.buckets.resize(in.count(in.u32(), 8));
+  for (std::uint64_t& c : m.buckets) c = in.u64();
 }
 
 // A metric section: u32 metric count, then each metric. The deterministic
@@ -139,17 +55,13 @@ std::vector<unsigned char> encode_section(const std::vector<MetricSnapshot>& met
   return out;
 }
 
-bool decode_section(Cursor& c, std::vector<MetricSnapshot>& out) {
-  std::uint32_t n = c.u32();
-  if (!c.ok) return false;
-  out.clear();
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    MetricSnapshot m;
-    if (!decode_metric(c, m)) return false;
-    out.push_back(std::move(m));
-  }
-  return true;
+// A section decodes only if it fills `in` exactly.
+bool decode_section(ByteReader& in, std::vector<MetricSnapshot>& out) {
+  // Smallest metric: empty name, kind, count, 3 doubles, two empty arrays.
+  constexpr std::size_t kMinMetricWireSize = 4 + 4 + 8 + 3 * 8 + 4 + 4;
+  out.resize(in.count(in.u32(), kMinMetricWireSize));
+  for (MetricSnapshot& m : out) decode_metric(in, m);
+  return in.done();
 }
 
 std::atomic<TimelineWriter*> g_active{nullptr};
@@ -181,26 +93,18 @@ TimelineWriter::TimelineWriter(const std::string& path) : path_(path) {
   }
   std::vector<unsigned char> payload;
   put_u32(payload, kRecSchema);
-  put_string(payload, kTimelineSchema);
-  append_frame(payload);
+  put_str(payload, kTimelineSchema);
+  append(payload);
 }
 
 TimelineWriter::~TimelineWriter() { close(); }
 
-void TimelineWriter::append_frame(const std::vector<unsigned char>& payload) {
+void TimelineWriter::append(const std::vector<unsigned char>& payload) {
   if (!status_.ok() || closed_) return;
-  unsigned char header[kHeaderSize];
-  std::memcpy(header, kMagic, 4);
-  std::vector<unsigned char> tail;
-  put_u32(tail, kFrameVersion);
-  put_u32(tail, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(header + 4, tail.data(), 8);
-  std::vector<unsigned char> crc;
-  put_u32(crc, crc32(payload.data(), payload.size()));
-  out_.write(reinterpret_cast<const char*>(header), kHeaderSize);
-  out_.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
-  out_.write(reinterpret_cast<const char*>(crc.data()), 4);
+  std::vector<unsigned char> frame;
+  append_frame(frame, kMagic, kFrameVersion, payload);
+  out_.write(reinterpret_cast<const char*>(frame.data()),
+             static_cast<std::streamsize>(frame.size()));
   if (!out_) status_ = Error::io("timeline: write failed for " + path_);
 }
 
@@ -222,7 +126,7 @@ void TimelineWriter::append_day(std::uint64_t day, const RegistrySnapshot& snaps
   put_u32(payload, static_cast<std::uint32_t>(det_bytes.size()));
   payload.insert(payload.end(), det_bytes.begin(), det_bytes.end());
   payload.insert(payload.end(), wall_bytes.begin(), wall_bytes.end());
-  append_frame(payload);
+  append(payload);
   if (status_.ok()) ++days_written_;
 }
 
@@ -231,12 +135,12 @@ void TimelineWriter::append_alert(const HealthAlert& alert) {
   std::vector<unsigned char> payload;
   put_u32(payload, kRecAlert);
   put_u64(payload, alert.day);
-  put_string(payload, alert.rule);
-  put_string(payload, alert.metric);
+  put_str(payload, alert.rule);
+  put_str(payload, alert.metric);
   put_f64(payload, alert.observed);
   put_f64(payload, alert.threshold);
-  put_string(payload, alert.message);
-  append_frame(payload);
+  put_str(payload, alert.message);
+  append(payload);
 }
 
 Status TimelineWriter::close() {
@@ -256,12 +160,12 @@ Expected<TimelineReader> TimelineReader::open(const std::string& path) {
   TimelineReader reader(std::move(in));
   // The first frame must be the schema header.
   if (!reader.has_next()) return Error::corrupt("timeline: empty file " + path);
-  auto frame = reader.read_frame();
+  auto frame = read_frame(*reader.in_, kMagic, kFrameVersion);
   if (!frame) return frame.error();
-  Cursor c{frame->data(), frame->size()};
-  std::uint32_t type = c.u32();
-  std::string schema = c.str();
-  if (!c.ok || type != kRecSchema) {
+  ByteReader header(*frame);
+  const std::uint32_t type = header.u32();
+  const std::string schema = header.str();
+  if (!header.done() || type != kRecSchema) {
     return Error::corrupt("timeline: missing schema header in " + path);
   }
   if (schema != kTimelineSchema) {
@@ -275,77 +179,39 @@ bool TimelineReader::has_next() {
   return in_->peek() != std::ifstream::traits_type::eof();
 }
 
-Expected<std::vector<unsigned char>> TimelineReader::read_frame() {
-  unsigned char header[kHeaderSize];
-  in_->read(reinterpret_cast<char*>(header), kHeaderSize);
-  if (in_->gcount() != static_cast<std::streamsize>(kHeaderSize)) {
-    return Error::corrupt("timeline: truncated frame header");
-  }
-  if (std::memcmp(header, kMagic, 4) != 0) {
-    return Error::corrupt("timeline: bad frame magic");
-  }
-  Cursor hc{header + 4, 8};
-  std::uint32_t version = hc.u32();
-  std::uint32_t len = hc.u32();
-  if (version != kFrameVersion) {
-    return Error::corrupt("timeline: unsupported frame version " + std::to_string(version));
-  }
-  if (len > kMaxPayload) {
-    return Error::corrupt("timeline: frame length " + std::to_string(len) + " exceeds limit");
-  }
-  std::vector<unsigned char> payload(len);
-  if (len > 0) {
-    in_->read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(len));
-    if (in_->gcount() != static_cast<std::streamsize>(len)) {
-      return Error::corrupt("timeline: truncated frame payload");
-    }
-  }
-  unsigned char crc_bytes[4];
-  in_->read(reinterpret_cast<char*>(crc_bytes), 4);
-  if (in_->gcount() != 4) return Error::corrupt("timeline: truncated frame checksum");
-  Cursor cc{crc_bytes, 4};
-  std::uint32_t stored = cc.u32();
-  if (stored != crc32(payload.data(), payload.size())) {
-    return Error::corrupt("timeline: frame checksum mismatch");
-  }
-  return payload;
-}
-
 Expected<TimelineRecord> TimelineReader::next() {
-  auto frame = read_frame();
+  auto frame = read_frame(*in_, kMagic, kFrameVersion);
   if (!frame) return frame.error();
-  Cursor c{frame->data(), frame->size()};
-  std::uint32_t type = c.u32();
-  if (!c.ok) return Error::corrupt("timeline: empty record payload");
+  ByteReader in(*frame);
+  const std::uint32_t type = in.u32();
+  if (!in.ok()) return Error::corrupt("timeline: empty record payload");
 
   TimelineRecord rec;
   if (type == kRecDay) {
     rec.type = TimelineRecord::Type::kDay;
-    rec.day = c.u64();
-    std::uint32_t det_len = c.u32();
-    if (!c.take(0) || c.left < det_len) {
+    rec.day = in.u64();
+    const ByteSpan det = in.bytes(in.u32());
+    if (!in.ok()) {
       return Error::corrupt("timeline: day record deterministic section overruns frame");
     }
-    rec.deterministic_bytes.assign(c.p, c.p + det_len);
-    Cursor dc{c.p, det_len};
-    if (!decode_section(dc, rec.deterministic) || dc.left != 0) {
+    rec.deterministic_bytes.assign(det.begin(), det.end());
+    ByteReader det_in(det);
+    if (!decode_section(det_in, rec.deterministic)) {
       return Error::corrupt("timeline: malformed deterministic section");
     }
-    c.p += det_len;
-    c.left -= det_len;
-    if (!decode_section(c, rec.wallclock) || c.left != 0) {
+    if (!decode_section(in, rec.wallclock)) {
       return Error::corrupt("timeline: malformed wall-clock section");
     }
   } else if (type == kRecAlert) {
     rec.type = TimelineRecord::Type::kAlert;
-    rec.day = c.u64();
+    rec.day = in.u64();
     rec.alert.day = rec.day;
-    rec.alert.rule = c.str();
-    rec.alert.metric = c.str();
-    rec.alert.observed = c.f64();
-    rec.alert.threshold = c.f64();
-    rec.alert.message = c.str();
-    if (!c.ok || c.left != 0) return Error::corrupt("timeline: malformed alert record");
+    rec.alert.rule = in.str();
+    rec.alert.metric = in.str();
+    rec.alert.observed = in.f64();
+    rec.alert.threshold = in.f64();
+    rec.alert.message = in.str();
+    if (!in.done()) return Error::corrupt("timeline: malformed alert record");
   } else {
     return Error::corrupt("timeline: unknown record type " + std::to_string(type));
   }

@@ -21,13 +21,10 @@
 //     histograms, RSS, sessions/sec, batching counters), which measures the
 //     machine rather than the simulation and legitimately differs run to run.
 //
-// Records are framed with the logstore discipline — magic | u32 version |
-// u32 payload_len | payload | u32 crc32(payload) — under a timeline-specific
-// magic. The framing is reimplemented here rather than linked from logstore
-// because obs sits at the very bottom of the module graph (it depends only
-// on common) while logstore sits far above it; the two codecs share the
-// discipline, not the code. Truncated frames, flipped bits and unknown
-// schema versions surface as Error::kCorrupt from the reader, never as UB.
+// Records are common/bytes.h frames with magic "LXTL", version 1 — the
+// same codec as the logstore LXRC records — so truncated frames, flipped
+// bits and unknown schema versions surface as Error::kCorrupt from the
+// reader, never as UB.
 //
 // The writer is a runtime-nullable process-global install, like Registry
 // and Tracer: when one is active (and a Registry is installed),
@@ -126,7 +123,7 @@ class TimelineWriter {
   std::uint64_t days_written() const noexcept { return days_written_; }
 
  private:
-  void append_frame(const std::vector<unsigned char>& payload);
+  void append(const std::vector<unsigned char>& payload);
 
   std::string path_;
   std::ofstream out_;
@@ -153,9 +150,6 @@ class TimelineReader {
 
  private:
   explicit TimelineReader(std::shared_ptr<std::ifstream> in) : in_(std::move(in)) {}
-
-  /// Read and CRC-verify one raw frame payload.
-  Expected<std::vector<unsigned char>> read_frame();
 
   /// Shared_ptr so the reader stays copyable/movable through Expected.
   std::shared_ptr<std::ifstream> in_;

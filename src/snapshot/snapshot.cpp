@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "common/assert.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "logstore/record.h"
 #include "nn/serialize.h"
@@ -24,67 +25,47 @@ constexpr std::uint32_t kUserStateRecord = 1;
 constexpr std::uint32_t kCaptureCursorRecord = 2;
 // Type 3 is reserved for in-flight OBO state (see snapshot.h).
 
-// Sanity caps for decoded containers: the engagement vectors are capped at
-// kHistoryLen and the bandwidth window at LingXiConfig::bandwidth_window by
-// construction, but a decoder must never let a corrupt length field drive an
-// allocation.
-constexpr std::uint64_t kMaxVectorLen = 1u << 20;
 // Largest fleet a snapshot may claim (16M users): load_snapshot pre-sizes
 // the user-state table from the manifest, so the count must be bounded
 // before it drives an allocation — a corrupt count surfaces as
 // Error::kCorrupt, never as bad_alloc.
 constexpr std::uint64_t kMaxSnapshotUsers = 1u << 24;
 
+// Vectors ride as u64 count + f64s.
 void put_vector(std::vector<unsigned char>& p, const std::vector<double>& v) {
-  logstore::put_u64(p, v.size());
-  for (double x : v) logstore::put_f64(p, x);
+  put_u64(p, v.size());
+  put_f64s(p, v);
 }
 
-bool get_vector(const std::vector<unsigned char>& in, std::size_t& pos,
-                std::vector<double>& v) {
-  std::uint64_t n = 0;
-  if (!logstore::get_u64(in, pos, n) || n > kMaxVectorLen) return false;
-  v.resize(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    if (!logstore::get_f64(in, pos, x)) return false;
-  }
-  return true;
-}
-
-std::uint32_t record_type(const std::vector<unsigned char>& payload) {
-  std::size_t pos = 0;
-  std::uint32_t type = 0;
-  if (!logstore::get_u32(payload, pos, type)) return 0;
-  return type;
-}
+std::vector<double> get_vector(ByteReader& in) { return in.f64s(in.u64()); }
 
 std::vector<unsigned char> encode_capture_cursor(
     std::uint64_t user, const telemetry::ShardedCapture::CaptureCursor& cursor) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kCaptureCursorRecord);
-  logstore::put_u64(p, user);
-  logstore::put_u64(p, cursor.records);
-  logstore::put_u64(p, cursor.next_expected_at_least);
-  logstore::put_u64(p, cursor.bytes.size());
+  put_u32(p, kCaptureCursorRecord);
+  put_u64(p, user);
+  put_u64(p, cursor.records);
+  put_u64(p, cursor.next_expected_at_least);
+  put_u64(p, cursor.bytes.size());
   p.insert(p.end(), cursor.bytes.begin(), cursor.bytes.end());
   return p;
 }
 
 Expected<std::pair<std::uint64_t, telemetry::ShardedCapture::CaptureCursor>>
-decode_capture_cursor(const std::vector<unsigned char>& payload) {
-  std::size_t pos = 4;  // past the type tag
-  std::uint64_t user = 0, byte_count = 0;
+decode_capture_cursor(ByteSpan payload) {
+  ByteReader in(payload);
+  in.u32();  // type tag
+  const std::uint64_t user = in.u64();
   telemetry::ShardedCapture::CaptureCursor cursor;
-  if (!logstore::get_u64(payload, pos, user) ||
-      !logstore::get_u64(payload, pos, cursor.records) ||
-      !logstore::get_u64(payload, pos, cursor.next_expected_at_least) ||
-      !logstore::get_u64(payload, pos, byte_count)) {
-    return Error::corrupt("truncated capture cursor record");
-  }
-  if (pos + byte_count != payload.size()) {
+  cursor.records = in.u64();
+  cursor.next_expected_at_least = in.u64();
+  const std::uint64_t byte_count = in.u64();
+  if (!in.ok()) return Error::corrupt("truncated capture cursor record");
+  const ByteSpan bytes = in.bytes(byte_count);
+  if (!in.done()) {
     return Error::corrupt("capture cursor byte count disagrees with record size");
   }
-  cursor.bytes.assign(payload.begin() + static_cast<long>(pos), payload.end());
+  cursor.bytes.assign(bytes.begin(), bytes.end());
   return std::make_pair(user, std::move(cursor));
 }
 
@@ -100,36 +81,28 @@ void put_accumulator(std::vector<unsigned char>& p, const sim::FleetAccumulator&
         static_cast<std::uint64_t>(acc.bitrate_time_ticks), acc.lingxi_triggers,
         acc.lingxi_optimizations, acc.lingxi_pruned_preplay, acc.lingxi_mc_evaluations,
         acc.lingxi_mc_rollouts_pruned, acc.adjusted_user_days, acc.overflowed}) {
-    logstore::put_u64(p, v);
+    put_u64(p, v);
   }
 }
 
-bool get_accumulator(const std::vector<unsigned char>& in, std::size_t& pos,
-                     sim::FleetAccumulator& acc) {
-  std::uint64_t f[19];
-  for (auto& v : f) {
-    if (!logstore::get_u64(in, pos, v)) return false;
+sim::FleetAccumulator get_accumulator(ByteReader& in) {
+  sim::FleetAccumulator acc;
+  for (std::uint64_t* v :
+       {&acc.sessions, &acc.completed, &acc.measured_sessions, &acc.measured_completed,
+        &acc.stall_events, &acc.stall_exits, &acc.quality_switches, &acc.users}) {
+    *v = in.u64();
   }
-  acc.sessions = f[0];
-  acc.completed = f[1];
-  acc.measured_sessions = f[2];
-  acc.measured_completed = f[3];
-  acc.stall_events = f[4];
-  acc.stall_exits = f[5];
-  acc.quality_switches = f[6];
-  acc.users = f[7];
-  acc.watch_ticks = static_cast<std::int64_t>(f[8]);
-  acc.stall_ticks = static_cast<std::int64_t>(f[9]);
-  acc.startup_ticks = static_cast<std::int64_t>(f[10]);
-  acc.bitrate_time_ticks = static_cast<std::int64_t>(f[11]);
-  acc.lingxi_triggers = f[12];
-  acc.lingxi_optimizations = f[13];
-  acc.lingxi_pruned_preplay = f[14];
-  acc.lingxi_mc_evaluations = f[15];
-  acc.lingxi_mc_rollouts_pruned = f[16];
-  acc.adjusted_user_days = f[17];
-  acc.overflowed = f[18];
-  return true;
+  for (std::int64_t* v :
+       {&acc.watch_ticks, &acc.stall_ticks, &acc.startup_ticks, &acc.bitrate_time_ticks}) {
+    *v = static_cast<std::int64_t>(in.u64());
+  }
+  for (std::uint64_t* v :
+       {&acc.lingxi_triggers, &acc.lingxi_optimizations, &acc.lingxi_pruned_preplay,
+        &acc.lingxi_mc_evaluations, &acc.lingxi_mc_rollouts_pruned, &acc.adjusted_user_days,
+        &acc.overflowed}) {
+    *v = in.u64();
+  }
+  return acc;
 }
 
 struct Manifest {
@@ -153,64 +126,59 @@ struct Manifest {
 
 std::vector<unsigned char> encode_manifest(const Manifest& m) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kSnapshotFormatVersion);
-  logstore::put_u64(p, m.seed);
-  logstore::put_u32(p, m.resume_digest);
-  logstore::put_u64(p, m.users);
-  logstore::put_u64(p, m.next_day);
-  logstore::put_u64(p, m.users_per_shard);
-  logstore::put_u32(p, m.has_net ? 1u : 0u);
-  logstore::put_u32(p, m.net_crc);
-  logstore::put_u32(p, m.has_capture ? 1u : 0u);
+  put_u32(p, kSnapshotFormatVersion);
+  put_u64(p, m.seed);
+  put_u32(p, m.resume_digest);
+  put_u64(p, m.users);
+  put_u64(p, m.next_day);
+  put_u64(p, m.users_per_shard);
+  put_u32(p, m.has_net ? 1u : 0u);
+  put_u32(p, m.net_crc);
+  put_u32(p, m.has_capture ? 1u : 0u);
   put_accumulator(p, m.accumulated);
-  logstore::put_u64(p, m.shards.size());
+  put_u64(p, m.shards.size());
   for (const auto& shard : m.shards) {
-    logstore::put_u64(p, shard.first_user);
-    logstore::put_u64(p, shard.user_count);
-    logstore::put_u64(p, shard.byte_count);
-    logstore::put_u32(p, shard.crc);
+    put_u64(p, shard.first_user);
+    put_u64(p, shard.user_count);
+    put_u64(p, shard.byte_count);
+    put_u32(p, shard.crc);
   }
   return p;
 }
 
-Expected<Manifest> decode_manifest(const std::vector<unsigned char>& payload) {
+// u64 first_user, user_count, byte_count; u32 crc.
+constexpr std::size_t kShardWireSize = 3 * 8 + 4;
+
+Expected<Manifest> decode_manifest(ByteSpan payload) {
+  ByteReader in(payload);
+  if (in.u32() != kSnapshotFormatVersion) {
+    return Error::corrupt(in.ok() ? "unsupported snapshot format version"
+                                  : "truncated snapshot manifest");
+  }
   Manifest m;
-  std::size_t pos = 0;
-  std::uint32_t format = 0, net_flag = 0, capture_flag = 0;
-  if (!logstore::get_u32(payload, pos, format)) {
-    return Error::corrupt("truncated snapshot manifest");
-  }
-  if (format != kSnapshotFormatVersion) {
-    return Error::corrupt("unsupported snapshot format version");
-  }
-  std::uint64_t shard_count = 0;
-  const bool ok = logstore::get_u64(payload, pos, m.seed) &&
-                  logstore::get_u32(payload, pos, m.resume_digest) &&
-                  logstore::get_u64(payload, pos, m.users) &&
-                  logstore::get_u64(payload, pos, m.next_day) &&
-                  logstore::get_u64(payload, pos, m.users_per_shard) &&
-                  logstore::get_u32(payload, pos, net_flag) &&
-                  logstore::get_u32(payload, pos, m.net_crc) &&
-                  logstore::get_u32(payload, pos, capture_flag) &&
-                  get_accumulator(payload, pos, m.accumulated) &&
-                  logstore::get_u64(payload, pos, shard_count);
-  if (!ok) return Error::corrupt("truncated snapshot manifest");
-  if (shard_count > (1u << 20)) return Error::corrupt("snapshot shard count out of range");
+  m.seed = in.u64();
+  m.resume_digest = in.u32();
+  m.users = in.u64();
+  m.next_day = in.u64();
+  m.users_per_shard = in.u64();
+  m.has_net = in.u32() != 0;
+  m.net_crc = in.u32();
+  m.has_capture = in.u32() != 0;
+  m.accumulated = get_accumulator(in);
+  const std::uint64_t shard_count = in.u64();
+  if (!in.ok()) return Error::corrupt("truncated snapshot manifest");
   if (m.users > kMaxSnapshotUsers) {
     return Error::corrupt("snapshot user count out of range");
   }
-  m.has_net = net_flag != 0;
-  m.has_capture = capture_flag != 0;
-  m.shards.resize(static_cast<std::size_t>(shard_count));
+  m.shards.resize(in.count(shard_count, kShardWireSize));
+  if (!in.ok()) return Error::corrupt("snapshot shard count exceeds manifest size");
   for (auto& shard : m.shards) {
-    if (!logstore::get_u64(payload, pos, shard.first_user) ||
-        !logstore::get_u64(payload, pos, shard.user_count) ||
-        !logstore::get_u64(payload, pos, shard.byte_count) ||
-        !logstore::get_u32(payload, pos, shard.crc)) {
-      return Error::corrupt("truncated snapshot shard index");
-    }
+    shard.first_user = in.u64();
+    shard.user_count = in.u64();
+    shard.byte_count = in.u64();
+    shard.crc = in.u32();
   }
-  if (pos != payload.size()) {
+  if (!in.done()) {
     return Error::corrupt("trailing bytes in snapshot manifest");
   }
   // The shard table must tile [0, users) contiguously, or per-user state
@@ -221,7 +189,7 @@ Expected<Manifest> decode_manifest(const std::vector<unsigned char>& payload) {
         shard.user_count > m.users) {
       return Error::corrupt("snapshot shard table does not tile the user range");
     }
-    next_user += shard.user_count;  // bounded: <= 2^20 shards x users cap
+    next_user += shard.user_count;  // < 2^22 shards (64 MiB frame) x <= 2^24 users
   }
   if (next_user != m.users) {
     return Error::corrupt("snapshot shard table disagrees with manifest user count");
@@ -250,132 +218,118 @@ std::string net_filename() { return "net.lxnw"; }
 std::vector<unsigned char> encode_user_state(std::uint64_t user,
                                              const sim::UserFleetState& state) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kUserStateRecord);
-  logstore::put_u64(p, user);
-  for (std::uint64_t word : state.session_rng.s) logstore::put_u64(p, word);
-  logstore::put_f64(p, state.session_rng.cached_normal);
-  logstore::put_u32(p, state.session_rng.has_cached_normal ? 1u : 0u);
-  logstore::put_f64(p, state.params.stall_penalty);
-  logstore::put_f64(p, state.params.switch_penalty);
-  logstore::put_f64(p, state.params.hyb_beta);
-  logstore::put_u64(p, state.adjusted_days);
-  logstore::put_u32(p, state.has_lingxi ? 1u : 0u);
+  put_u32(p, kUserStateRecord);
+  put_u64(p, user);
+  for (std::uint64_t word : state.session_rng.s) put_u64(p, word);
+  put_f64(p, state.session_rng.cached_normal);
+  put_u32(p, state.session_rng.has_cached_normal ? 1u : 0u);
+  put_f64(p, state.params.stall_penalty);
+  put_f64(p, state.params.switch_penalty);
+  put_f64(p, state.params.hyb_beta);
+  put_u64(p, state.adjusted_days);
+  put_u32(p, state.has_lingxi ? 1u : 0u);
   if (state.has_lingxi) {
     const core::LingXi::PersistentState& lx = state.lingxi;
     put_vector(p, lx.engagement.long_term.stall_durations);
     put_vector(p, lx.engagement.long_term.stall_intervals);
     put_vector(p, lx.engagement.long_term.stall_exit_intervals);
-    logstore::put_f64(p, lx.engagement.long_term.total_watch_time);
-    logstore::put_u64(p, lx.engagement.long_term.total_stall_events);
-    logstore::put_u64(p, lx.engagement.long_term.total_stall_exits);
-    logstore::put_f64(p, lx.engagement.last_stall_at);
-    logstore::put_f64(p, lx.engagement.last_stall_exit_at);
+    put_f64(p, lx.engagement.long_term.total_watch_time);
+    put_u64(p, lx.engagement.long_term.total_stall_events);
+    put_u64(p, lx.engagement.long_term.total_stall_exits);
+    put_f64(p, lx.engagement.last_stall_at);
+    put_f64(p, lx.engagement.last_stall_exit_at);
     put_vector(p, lx.bandwidth_window);
-    logstore::put_u64(p, lx.stalls_since_optimization);
-    logstore::put_u32(p, lx.has_optimized ? 1u : 0u);
-    logstore::put_f64(p, lx.params.stall_penalty);
-    logstore::put_f64(p, lx.params.switch_penalty);
-    logstore::put_f64(p, lx.params.hyb_beta);
-    logstore::put_u64(p, lx.stats.triggers);
-    logstore::put_u64(p, lx.stats.optimizations_run);
-    logstore::put_u64(p, lx.stats.pruned_preplay);
-    logstore::put_u64(p, lx.stats.mc_evaluations);
-    logstore::put_u64(p, lx.stats.mc_rollouts_pruned);
+    put_u64(p, lx.stalls_since_optimization);
+    put_u32(p, lx.has_optimized ? 1u : 0u);
+    put_f64(p, lx.params.stall_penalty);
+    put_f64(p, lx.params.switch_penalty);
+    put_f64(p, lx.params.hyb_beta);
+    put_u64(p, lx.stats.triggers);
+    put_u64(p, lx.stats.optimizations_run);
+    put_u64(p, lx.stats.pruned_preplay);
+    put_u64(p, lx.stats.mc_evaluations);
+    put_u64(p, lx.stats.mc_rollouts_pruned);
   }
   return p;
 }
 
-Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(
-    const std::vector<unsigned char>& payload) {
-  std::size_t pos = 4;  // past the type tag
-  std::uint64_t user = 0;
+Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(ByteSpan payload) {
+  ByteReader in(payload);
+  in.u32();  // type tag
+  const std::uint64_t user = in.u64();
   sim::UserFleetState state;
-  std::uint32_t cached_flag = 0, lingxi_flag = 0;
-  bool ok = logstore::get_u64(payload, pos, user);
-  for (auto& word : state.session_rng.s) ok = ok && logstore::get_u64(payload, pos, word);
-  ok = ok && logstore::get_f64(payload, pos, state.session_rng.cached_normal) &&
-       logstore::get_u32(payload, pos, cached_flag) &&
-       logstore::get_f64(payload, pos, state.params.stall_penalty) &&
-       logstore::get_f64(payload, pos, state.params.switch_penalty) &&
-       logstore::get_f64(payload, pos, state.params.hyb_beta) &&
-       logstore::get_u64(payload, pos, state.adjusted_days) &&
-       logstore::get_u32(payload, pos, lingxi_flag);
-  if (!ok) return Error::corrupt("truncated user state record");
-  state.session_rng.has_cached_normal = cached_flag != 0;
-  state.has_lingxi = lingxi_flag != 0;
+  for (auto& word : state.session_rng.s) word = in.u64();
+  state.session_rng.cached_normal = in.f64();
+  state.session_rng.has_cached_normal = in.u32() != 0;
+  state.params.stall_penalty = in.f64();
+  state.params.switch_penalty = in.f64();
+  state.params.hyb_beta = in.f64();
+  state.adjusted_days = in.u64();
+  state.has_lingxi = in.u32() != 0;
   if (state.has_lingxi) {
     core::LingXi::PersistentState& lx = state.lingxi;
-    std::uint32_t optimized_flag = 0;
-    ok = get_vector(payload, pos, lx.engagement.long_term.stall_durations) &&
-         get_vector(payload, pos, lx.engagement.long_term.stall_intervals) &&
-         get_vector(payload, pos, lx.engagement.long_term.stall_exit_intervals) &&
-         logstore::get_f64(payload, pos, lx.engagement.long_term.total_watch_time) &&
-         logstore::get_u64(payload, pos, lx.engagement.long_term.total_stall_events) &&
-         logstore::get_u64(payload, pos, lx.engagement.long_term.total_stall_exits) &&
-         logstore::get_f64(payload, pos, lx.engagement.last_stall_at) &&
-         logstore::get_f64(payload, pos, lx.engagement.last_stall_exit_at) &&
-         get_vector(payload, pos, lx.bandwidth_window) &&
-         logstore::get_u64(payload, pos, lx.stalls_since_optimization) &&
-         logstore::get_u32(payload, pos, optimized_flag) &&
-         logstore::get_f64(payload, pos, lx.params.stall_penalty) &&
-         logstore::get_f64(payload, pos, lx.params.switch_penalty) &&
-         logstore::get_f64(payload, pos, lx.params.hyb_beta) &&
-         logstore::get_u64(payload, pos, lx.stats.triggers) &&
-         logstore::get_u64(payload, pos, lx.stats.optimizations_run) &&
-         logstore::get_u64(payload, pos, lx.stats.pruned_preplay) &&
-         logstore::get_u64(payload, pos, lx.stats.mc_evaluations) &&
-         logstore::get_u64(payload, pos, lx.stats.mc_rollouts_pruned);
-    if (!ok) return Error::corrupt("truncated user state record");
-    lx.has_optimized = optimized_flag != 0;
+    lx.engagement.long_term.stall_durations = get_vector(in);
+    lx.engagement.long_term.stall_intervals = get_vector(in);
+    lx.engagement.long_term.stall_exit_intervals = get_vector(in);
+    lx.engagement.long_term.total_watch_time = in.f64();
+    lx.engagement.long_term.total_stall_events = in.u64();
+    lx.engagement.long_term.total_stall_exits = in.u64();
+    lx.engagement.last_stall_at = in.f64();
+    lx.engagement.last_stall_exit_at = in.f64();
+    lx.bandwidth_window = get_vector(in);
+    lx.stalls_since_optimization = in.u64();
+    lx.has_optimized = in.u32() != 0;
+    lx.params.stall_penalty = in.f64();
+    lx.params.switch_penalty = in.f64();
+    lx.params.hyb_beta = in.f64();
+    lx.stats.triggers = in.u64();
+    lx.stats.optimizations_run = in.u64();
+    lx.stats.pruned_preplay = in.u64();
+    lx.stats.mc_evaluations = in.u64();
+    lx.stats.mc_rollouts_pruned = in.u64();
   }
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in user state record");
+  if (!in.ok()) return Error::corrupt("truncated user state record");
+  if (!in.done()) return Error::corrupt("trailing bytes in user state record");
   return std::make_pair(user, std::move(state));
 }
 
 std::vector<unsigned char> encode_obo_state(const bayesopt::OnlineBayesOpt::State& state) {
   std::vector<unsigned char> p;
-  logstore::put_f64(p, state.gp.config.length_scale);
-  logstore::put_f64(p, state.gp.config.signal_variance);
-  logstore::put_f64(p, state.gp.config.noise_variance);
-  logstore::put_u64(p, state.gp.xs.size());
+  put_f64(p, state.gp.config.length_scale);
+  put_f64(p, state.gp.config.signal_variance);
+  put_f64(p, state.gp.config.noise_variance);
+  put_u64(p, state.gp.xs.size());
   for (std::size_t i = 0; i < state.gp.xs.size(); ++i) {
     put_vector(p, state.gp.xs[i]);
-    logstore::put_f64(p, state.gp.ys[i]);
+    put_f64(p, state.gp.ys[i]);
   }
-  logstore::put_u32(p, state.has_warm_start ? 1u : 0u);
+  put_u32(p, state.has_warm_start ? 1u : 0u);
   put_vector(p, state.warm_start);
-  logstore::put_u32(p, state.warm_start_used ? 1u : 0u);
+  put_u32(p, state.warm_start_used ? 1u : 0u);
   return p;
 }
 
-Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(
-    const std::vector<unsigned char>& payload) {
+Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(ByteSpan payload) {
+  ByteReader in(payload);
   bayesopt::OnlineBayesOpt::State state;
-  std::size_t pos = 0;
-  std::uint64_t n = 0;
-  if (!logstore::get_f64(payload, pos, state.gp.config.length_scale) ||
-      !logstore::get_f64(payload, pos, state.gp.config.signal_variance) ||
-      !logstore::get_f64(payload, pos, state.gp.config.noise_variance) ||
-      !logstore::get_u64(payload, pos, n) || n > kMaxVectorLen) {
-    return Error::corrupt("truncated OBO state");
+  state.gp.config.length_scale = in.f64();
+  state.gp.config.signal_variance = in.f64();
+  state.gp.config.noise_variance = in.f64();
+  // Each observation is at least a u64 count and its f64 target.
+  const std::size_t n = in.count(in.u64(), 8 + 8);
+  if (!in.ok()) return Error::corrupt("truncated OBO state");
+  state.gp.xs.resize(n);
+  state.gp.ys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    state.gp.xs[i] = get_vector(in);
+    state.gp.ys[i] = in.f64();
   }
-  state.gp.xs.resize(static_cast<std::size_t>(n));
-  state.gp.ys.resize(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < state.gp.xs.size(); ++i) {
-    if (!get_vector(payload, pos, state.gp.xs[i]) ||
-        !logstore::get_f64(payload, pos, state.gp.ys[i])) {
-      return Error::corrupt("truncated OBO observation");
-    }
-  }
-  std::uint32_t warm_flag = 0, used_flag = 0;
-  if (!logstore::get_u32(payload, pos, warm_flag) ||
-      !get_vector(payload, pos, state.warm_start) ||
-      !logstore::get_u32(payload, pos, used_flag)) {
-    return Error::corrupt("truncated OBO warm start");
-  }
-  state.has_warm_start = warm_flag != 0;
-  state.warm_start_used = used_flag != 0;
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in OBO state");
+  if (!in.ok()) return Error::corrupt("truncated OBO observation");
+  state.has_warm_start = in.u32() != 0;
+  state.warm_start = get_vector(in);
+  state.warm_start_used = in.u32() != 0;
+  if (!in.ok()) return Error::corrupt("truncated OBO warm start");
+  if (!in.done()) return Error::corrupt("trailing bytes in OBO state");
   return state;
 }
 
@@ -471,7 +425,7 @@ Status commit_directory(const std::string& staging, const std::string& dir) {
   }
   // Final durability point: the parent directory entry for `dir`.
   const std::filesystem::path parent = std::filesystem::path(dir).parent_path();
-  return logstore::fsync_directory(parent.empty() ? "." : parent.string());
+  return fsync_directory(parent.empty() ? "." : parent.string());
 }
 
 }  // namespace
@@ -495,7 +449,7 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
     if (!snapshot.net_model.empty()) {
       manifest.has_net = true;
       manifest.net_crc = crc32(snapshot.net_model.data(), snapshot.net_model.size());
-      if (auto s = logstore::write_file(dir + "/" + net_filename(), snapshot.net_model);
+      if (auto s = write_file(dir + "/" + net_filename(), snapshot.net_model);
           !s) {
         return s;
       }
@@ -519,7 +473,7 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
       info.user_count = last - first;
       info.byte_count = bytes.size();
       info.crc = crc32(bytes.data(), bytes.size());
-      if (auto st = logstore::write_file(dir + "/" + state_filename(s), bytes); !st) {
+      if (auto st = write_file(dir + "/" + state_filename(s), bytes); !st) {
         return st;
       }
     }
@@ -534,7 +488,7 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
     OBS_TIMED("snapshot.save.manifest_us");
     std::vector<unsigned char> framed;
     logstore::write_record(framed, encode_manifest(manifest));
-    if (auto s = logstore::write_file(dir + "/" + manifest_filename(), framed); !s) {
+    if (auto s = write_file(dir + "/" + manifest_filename(), framed); !s) {
       return s;
     }
   }
@@ -561,7 +515,7 @@ Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
   if (auto s = stage_snapshot(snapshot, staging, users_per_shard); !s) return s;
   {
     OBS_TIMED("snapshot.save.durable_us");
-    if (auto s = logstore::fsync_directory(staging); !s) return s;
+    if (auto s = fsync_directory(staging); !s) return s;
   }
   if (!commit_stage(SaveStage::kStagingDurable)) return simulated_crash();
   {
@@ -575,7 +529,7 @@ Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
 Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   OBS_SPAN("snapshot.load");
   OBS_TIMED("snapshot.load.total_us");
-  auto manifest_bytes = logstore::read_file(dir + "/" + manifest_filename());
+  auto manifest_bytes = read_file(dir + "/" + manifest_filename());
   if (!manifest_bytes) return manifest_bytes.error();
   std::size_t pos = 0;
   auto payload = logstore::read_record(*manifest_bytes, pos);
@@ -600,7 +554,7 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   }
 
   if (manifest->has_net) {
-    auto net = logstore::read_file(dir + "/" + net_filename());
+    auto net = read_file(dir + "/" + net_filename());
     if (!net) return net.error();
     if (crc32(net->data(), net->size()) != manifest->net_crc) {
       return Error::corrupt("snapshot net container CRC mismatch");
@@ -615,7 +569,7 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   for (std::size_t s = 0; s < manifest->shards.size(); ++s) {
     const auto& info = manifest->shards[s];
     const std::string path = dir + "/" + state_filename(s);
-    auto bytes = logstore::read_file(path);
+    auto bytes = read_file(path);
     if (!bytes) return bytes.error();
     if (bytes->size() != info.byte_count ||
         crc32(bytes->data(), bytes->size()) != info.crc) {
@@ -625,7 +579,7 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
     for (std::uint64_t u = info.first_user; u < info.first_user + info.user_count; ++u) {
       auto record = logstore::read_record(*bytes, shard_pos);
       if (!record) return record.error();
-      if (record_type(*record) != kUserStateRecord) {
+      if (logstore::record_type(*record) != kUserStateRecord) {
         return Error::corrupt("unexpected record type in snapshot state file");
       }
       auto user_state = decode_user_state(*record);
@@ -637,7 +591,7 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
       if (manifest->has_capture) {
         auto cursor_record = logstore::read_record(*bytes, shard_pos);
         if (!cursor_record) return cursor_record.error();
-        if (record_type(*cursor_record) != kCaptureCursorRecord) {
+        if (logstore::record_type(*cursor_record) != kCaptureCursorRecord) {
           return Error::corrupt("missing capture cursor record");
         }
         auto cursor = decode_capture_cursor(*cursor_record);

@@ -16,19 +16,19 @@
 // rather than misparse.
 //
 // A snapshot is a directory, mirroring the telemetry archive discipline
-// (manifest + framed per-shard files, everything CRC-protected through
-// logstore/record.h and common/crc32, failures surfacing through
-// common/expected.h):
+// (manifest + framed per-shard files, everything an LXRC record of
+// logstore/record.h over the common/bytes.h frame codec, failures surfacing
+// through common/expected.h):
 //
 //   <dir>/manifest.lxm     one framed record
-//   <dir>/net.lxnw         optional: nn::serialize model container
+//   <dir>/net.lxnw         optional: nn::serialize model container (LXNC v2)
 //                          (kModelKindStallExitNet) with the predictor
 //                          factory's net weights; absent when the fleet has
 //                          no predictor
 //   <dir>/state-NNNN.lxst  framed per-user state records for users
 //                          [NNNN * users_per_shard, (NNNN+1) * users_per_shard)
 //
-// Manifest payload (little-endian, logstore primitive codecs):
+// Manifest payload (little-endian, common/bytes.h codec):
 //   u32 format_version    kSnapshotFormatVersion
 //   u64 seed              fleet seed the snapshot was taken at
 //   u32 resume_digest     telemetry::config_digest over the FleetConfig with
@@ -86,7 +86,7 @@
 //   2. state files and the net container are written before the MANIFEST,
 //      which is written LAST — a directory with a valid manifest is
 //      therefore complete by construction;
-//   3. every file write is itself atomic-durable (logstore::write_file:
+//   3. every file write is itself atomic-durable (common/bytes.h write_file:
 //      temp file, fsync, checked close, rename) and the staging directory
 //      is fsynced before the commit;
 //   4. the staging directory is RENAMED into place: onto a fresh `<dir>`
@@ -109,6 +109,7 @@
 #include <vector>
 
 #include "bayesopt/obo.h"
+#include "common/bytes.h"
 #include "common/expected.h"
 #include "sim/fleet_runner.h"
 #include "telemetry/capture.h"
@@ -217,13 +218,11 @@ Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfi
 /// Per-user state codec (exposed for tests and bench_micro).
 std::vector<unsigned char> encode_user_state(std::uint64_t user,
                                              const sim::UserFleetState& state);
-Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(
-    const std::vector<unsigned char>& payload);
+Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(ByteSpan payload);
 
 /// OBO/GP optimizer-state codec (see the header comment: reserved record
 /// type 3; not embedded by day-boundary snapshots).
 std::vector<unsigned char> encode_obo_state(const bayesopt::OnlineBayesOpt::State& state);
-Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(
-    const std::vector<unsigned char>& payload);
+Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(ByteSpan payload);
 
 }  // namespace lingxi::snapshot

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "logstore/record.h"
 #include "obs/metrics.h"
@@ -18,126 +19,111 @@ constexpr std::uint32_t kUserRecord = 2;
 
 // Fixed prefix of a kSessionRecord: type, user, day, session_in_day,
 // measured, three QoE parameters. Range scans decode only this much before
-// deciding whether to decode the embedded trajectory.
+// deciding whether to decode the embedded trajectory, which the reader is
+// left positioned at.
 struct SessionPrefix {
   std::uint64_t user = 0;
   std::uint32_t day = 0;
   std::uint32_t session_in_day = 0;
-  std::uint32_t measured = 0;
+  bool measured = false;
   abr::QoeParams params;
-  std::size_t end = 0;  ///< offset of the embedded SessionLogEntry payload
 };
 
-bool decode_session_prefix(const std::vector<unsigned char>& payload, SessionPrefix& out) {
-  std::size_t pos = 4;  // past the type tag
-  const bool ok = logstore::get_u64(payload, pos, out.user) &&
-                  logstore::get_u32(payload, pos, out.day) &&
-                  logstore::get_u32(payload, pos, out.session_in_day) &&
-                  logstore::get_u32(payload, pos, out.measured) &&
-                  logstore::get_f64(payload, pos, out.params.stall_penalty) &&
-                  logstore::get_f64(payload, pos, out.params.switch_penalty) &&
-                  logstore::get_f64(payload, pos, out.params.hyb_beta);
-  out.end = pos;
-  return ok;
+bool decode_session_prefix(ByteReader& in, SessionPrefix& out) {
+  in.u32();  // type tag
+  out.user = in.u64();
+  out.day = in.u32();
+  out.session_in_day = in.u32();
+  out.measured = in.u32() != 0;
+  out.params.stall_penalty = in.f64();
+  out.params.switch_penalty = in.f64();
+  out.params.hyb_beta = in.f64();
+  return in.ok();
 }
 
-Expected<ArchiveSessionRecord> decode_session_record(
-    const std::vector<unsigned char>& payload) {
-  SessionPrefix prefix;
-  if (!decode_session_prefix(payload, prefix)) {
-    return Error::corrupt("truncated session record prefix");
-  }
-  auto entry = logstore::decode_session(std::vector<unsigned char>(
-      payload.begin() + static_cast<long>(prefix.end), payload.end()));
+Expected<ArchiveSessionRecord> decode_session_record(const SessionPrefix& prefix,
+                                                     ByteReader& in) {
+  auto entry = logstore::decode_session(in);
   if (!entry) return entry.error();
   ArchiveSessionRecord rec;
   rec.user = prefix.user;
   rec.day = prefix.day;
   rec.session_in_day = prefix.session_in_day;
-  rec.measured = prefix.measured != 0;
+  rec.measured = prefix.measured;
   rec.params_after = prefix.params;
   rec.entry = std::move(*entry);
   return rec;
 }
 
-Expected<ArchiveUserRecord> decode_user_record(const std::vector<unsigned char>& payload) {
+Expected<ArchiveUserRecord> decode_user_record(ByteSpan payload) {
+  ByteReader in(payload);
+  in.u32();  // type tag
   ArchiveUserRecord rec;
-  std::size_t pos = 4;  // past the type tag
-  const bool ok = logstore::get_u64(payload, pos, rec.user) &&
-                  logstore::get_f64(payload, pos, rec.tolerable_stall) &&
-                  logstore::get_u64(payload, pos, rec.adjusted_days) &&
-                  logstore::get_u64(payload, pos, rec.stats.triggers) &&
-                  logstore::get_u64(payload, pos, rec.stats.optimizations_run) &&
-                  logstore::get_u64(payload, pos, rec.stats.pruned_preplay) &&
-                  logstore::get_u64(payload, pos, rec.stats.mc_evaluations) &&
-                  logstore::get_u64(payload, pos, rec.stats.mc_rollouts_pruned);
-  if (!ok || pos != payload.size()) return Error::corrupt("malformed user record");
+  rec.user = in.u64();
+  rec.tolerable_stall = in.f64();
+  rec.adjusted_days = in.u64();
+  rec.stats.triggers = in.u64();
+  rec.stats.optimizations_run = in.u64();
+  rec.stats.pruned_preplay = in.u64();
+  rec.stats.mc_evaluations = in.u64();
+  rec.stats.mc_rollouts_pruned = in.u64();
+  if (!in.done()) return Error::corrupt("malformed user record");
   return rec;
-}
-
-std::uint32_t record_type(const std::vector<unsigned char>& payload) {
-  std::size_t pos = 0;
-  std::uint32_t type = 0;
-  if (!logstore::get_u32(payload, pos, type)) return 0;
-  return type;
 }
 
 }  // namespace
 
 std::vector<unsigned char> ArchiveManifest::encode() const {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kArchiveFormatVersion);
-  logstore::put_u64(p, seed);
-  logstore::put_u32(p, config_digest);
-  logstore::put_u64(p, users);
-  logstore::put_u64(p, days);
-  logstore::put_u64(p, sessions_per_user_day);
-  logstore::put_u64(p, warmup_sessions);
-  logstore::put_u64(p, intervention_day);
-  logstore::put_u32(p, enable_lingxi ? 1u : 0u);
-  logstore::put_u64(p, users_per_shard);
-  logstore::put_u64(p, shards.size());
+  put_u32(p, kArchiveFormatVersion);
+  put_u64(p, seed);
+  put_u32(p, config_digest);
+  put_u64(p, users);
+  put_u64(p, days);
+  put_u64(p, sessions_per_user_day);
+  put_u64(p, warmup_sessions);
+  put_u64(p, intervention_day);
+  put_u32(p, enable_lingxi ? 1u : 0u);
+  put_u64(p, users_per_shard);
+  put_u64(p, shards.size());
   for (const auto& shard : shards) {
-    logstore::put_u64(p, shard.first_user);
-    logstore::put_u64(p, shard.user_count);
-    logstore::put_u64(p, shard.record_count);
-    logstore::put_u64(p, shard.byte_count);
+    put_u64(p, shard.first_user);
+    put_u64(p, shard.user_count);
+    put_u64(p, shard.record_count);
+    put_u64(p, shard.byte_count);
   }
   return p;
 }
 
-Expected<ArchiveManifest> ArchiveManifest::decode(const std::vector<unsigned char>& payload) {
+Expected<ArchiveManifest> ArchiveManifest::decode(ByteSpan payload) {
+  // u64 first_user, user_count, record_count, byte_count per shard.
+  constexpr std::size_t kShardWireSize = 4 * 8;
+  ByteReader in(payload);
+  const std::uint32_t format = in.u32();
   ArchiveManifest m;
-  std::size_t pos = 0;
-  std::uint32_t format = 0, lingxi_flag = 0;
-  std::uint64_t shard_count = 0;
-  const bool ok = logstore::get_u32(payload, pos, format) &&
-                  logstore::get_u64(payload, pos, m.seed) &&
-                  logstore::get_u32(payload, pos, m.config_digest) &&
-                  logstore::get_u64(payload, pos, m.users) &&
-                  logstore::get_u64(payload, pos, m.days) &&
-                  logstore::get_u64(payload, pos, m.sessions_per_user_day) &&
-                  logstore::get_u64(payload, pos, m.warmup_sessions) &&
-                  logstore::get_u64(payload, pos, m.intervention_day) &&
-                  logstore::get_u32(payload, pos, lingxi_flag) &&
-                  logstore::get_u64(payload, pos, m.users_per_shard) &&
-                  logstore::get_u64(payload, pos, shard_count);
-  if (!ok) return Error::corrupt("truncated archive manifest");
+  m.seed = in.u64();
+  m.config_digest = in.u32();
+  m.users = in.u64();
+  m.days = in.u64();
+  m.sessions_per_user_day = in.u64();
+  m.warmup_sessions = in.u64();
+  m.intervention_day = in.u64();
+  m.enable_lingxi = in.u32() != 0;
+  m.users_per_shard = in.u64();
+  const std::uint64_t shard_count = in.u64();
+  if (!in.ok()) return Error::corrupt("truncated archive manifest");
   if (format != kArchiveFormatVersion) {
     return Error::corrupt("unsupported archive format version");
   }
-  if (shard_count > (1u << 20)) return Error::corrupt("shard count out of range");
-  m.enable_lingxi = lingxi_flag != 0;
-  m.shards.resize(shard_count);
+  m.shards.resize(in.count(shard_count, kShardWireSize));
+  if (!in.ok()) return Error::corrupt("archive shard count exceeds manifest size");
   for (auto& shard : m.shards) {
-    if (!logstore::get_u64(payload, pos, shard.first_user) ||
-        !logstore::get_u64(payload, pos, shard.user_count) ||
-        !logstore::get_u64(payload, pos, shard.record_count) ||
-        !logstore::get_u64(payload, pos, shard.byte_count)) {
-      return Error::corrupt("truncated shard index");
-    }
+    shard.first_user = in.u64();
+    shard.user_count = in.u64();
+    shard.record_count = in.u64();
+    shard.byte_count = in.u64();
   }
-  if (pos != payload.size()) return Error::corrupt("trailing bytes in archive manifest");
+  if (!in.done()) return Error::corrupt("trailing bytes in archive manifest");
   return m;
 }
 
@@ -148,18 +134,18 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
   // code, not config, and cannot be hashed — archives produced with
   // different factories but equal configs share a digest.
   std::vector<unsigned char> p;
-  logstore::put_u64(p, config.users);
-  logstore::put_u64(p, config.days);
-  logstore::put_u64(p, config.sessions_per_user_day);
-  logstore::put_u64(p, config.warmup_sessions);
-  logstore::put_u64(p, config.intervention_day);
-  logstore::put_u32(p, config.enable_lingxi ? 1u : 0u);
-  logstore::put_u32(p, config.drift_user_tolerance ? 1u : 0u);
-  logstore::put_f64(p, config.session_jitter_sigma);
+  put_u64(p, config.users);
+  put_u64(p, config.days);
+  put_u64(p, config.sessions_per_user_day);
+  put_u64(p, config.warmup_sessions);
+  put_u64(p, config.intervention_day);
+  put_u32(p, config.enable_lingxi ? 1u : 0u);
+  put_u32(p, config.drift_user_tolerance ? 1u : 0u);
+  put_f64(p, config.session_jitter_sigma);
   for (const abr::QoeParams* params : {&config.fixed_params, &config.lingxi.default_params}) {
-    logstore::put_f64(p, params->stall_penalty);
-    logstore::put_f64(p, params->switch_penalty);
-    logstore::put_f64(p, params->hyb_beta);
+    put_f64(p, params->stall_penalty);
+    put_f64(p, params->switch_penalty);
+    put_f64(p, params->hyb_beta);
   }
   // Population mixture (user::UserPopulation::Config).
   for (double f : {config.population.sensitive_fraction, config.population.threshold_fraction,
@@ -169,47 +155,47 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
                    config.population.high_tolerance_fraction,
                    config.population.very_high_tolerance_fraction,
                    config.population.stable_fraction, config.population.moderate_fraction}) {
-    logstore::put_f64(p, f);
+    put_f64(p, f);
   }
   // Network world (trace::PopulationModel::Config).
   for (double f : {config.network.median_bandwidth, config.network.sigma,
                    config.network.min_bandwidth, config.network.max_bandwidth,
                    config.network.relative_sd, config.network.rho}) {
-    logstore::put_f64(p, f);
+    put_f64(p, f);
   }
   // Video world (trace::VideoGenerator::Config), ladder included.
-  for (Kbps bitrate : config.video.ladder.bitrates()) logstore::put_f64(p, bitrate);
+  for (Kbps bitrate : config.video.ladder.bitrates()) put_f64(p, bitrate);
   for (double f : {config.video.mean_duration, config.video.min_duration,
                    config.video.max_duration, config.video.segment_duration,
                    config.video.duration_sigma, config.video.vbr_sigma}) {
-    logstore::put_f64(p, f);
+    put_f64(p, f);
   }
   // LingXi controller knobs that move the assigned parameters.
-  logstore::put_u32(p, config.lingxi.space.optimize_stall ? 1u : 0u);
-  logstore::put_u32(p, config.lingxi.space.optimize_switch ? 1u : 0u);
-  logstore::put_u32(p, config.lingxi.space.optimize_beta ? 1u : 0u);
+  put_u32(p, config.lingxi.space.optimize_stall ? 1u : 0u);
+  put_u32(p, config.lingxi.space.optimize_switch ? 1u : 0u);
+  put_u32(p, config.lingxi.space.optimize_beta ? 1u : 0u);
   for (double f : {config.lingxi.space.stall_min, config.lingxi.space.stall_max,
                    config.lingxi.space.switch_min, config.lingxi.space.switch_max,
                    config.lingxi.space.beta_min, config.lingxi.space.beta_max}) {
-    logstore::put_f64(p, f);
+    put_f64(p, f);
   }
-  logstore::put_u64(p, config.lingxi.trigger_stall_threshold);
-  logstore::put_u64(p, config.lingxi.obo_rounds);
-  logstore::put_u64(p, config.lingxi.monte_carlo.samples);
-  logstore::put_f64(p, config.lingxi.monte_carlo.sample_duration);
-  logstore::put_u32(p, config.lingxi.enable_preplay_pruning ? 1u : 0u);
-  logstore::put_f64(p, config.lingxi.rollout_rho);
-  logstore::put_f64(p, config.lingxi.rollout_pessimism);
-  logstore::put_f64(p, config.lingxi.adoption_margin);
+  put_u64(p, config.lingxi.trigger_stall_threshold);
+  put_u64(p, config.lingxi.obo_rounds);
+  put_u64(p, config.lingxi.monte_carlo.samples);
+  put_f64(p, config.lingxi.monte_carlo.sample_duration);
+  put_u32(p, config.lingxi.enable_preplay_pruning ? 1u : 0u);
+  put_f64(p, config.lingxi.rollout_rho);
+  put_f64(p, config.lingxi.rollout_pessimism);
+  put_f64(p, config.lingxi.adoption_margin);
   // Session simulator / player.
   const sim::SessionSimulator::Config& session = config.session;
-  logstore::put_u64(p, session.throughput_window);
-  logstore::put_f64(p, session.stall_event_threshold);
-  logstore::put_u32(p, session.adaptive_buffer_max ? 1u : 0u);
+  put_u64(p, session.throughput_window);
+  put_f64(p, session.stall_event_threshold);
+  put_u32(p, session.adaptive_buffer_max ? 1u : 0u);
   for (double f : {session.player.rtt, session.player.base_buffer_max,
                    session.player.min_buffer_max, session.player.max_buffer_max,
                    session.player.reference_bandwidth, session.player.startup_buffer}) {
-    logstore::put_f64(p, f);
+    put_f64(p, f);
   }
   // Scenario script — every event, in script order, so archives and
   // snapshots pin the exact world the run simulated and a resumed leg can
@@ -218,36 +204,36 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
   // existing archive and snapshot readable.
   if (!config.scenario.empty()) {
     const auto put_cohort = [&p](const scenario::Cohort& cohort) {
-      logstore::put_u64(p, cohort.first_user);
-      logstore::put_u64(p, cohort.last_user);
-      logstore::put_u64(p, cohort.stride);
-      logstore::put_u64(p, cohort.phase);
+      put_u64(p, cohort.first_user);
+      put_u64(p, cohort.last_user);
+      put_u64(p, cohort.stride);
+      put_u64(p, cohort.phase);
     };
-    logstore::put_u64(p, config.scenario.shocks.size());
+    put_u64(p, config.scenario.shocks.size());
     for (const auto& shock : config.scenario.shocks) {
       put_cohort(shock.cohort);
-      logstore::put_u64(p, shock.first_day);
-      logstore::put_u64(p, shock.last_day);
-      logstore::put_f64(p, shock.bandwidth_scale);
-      logstore::put_f64(p, shock.sd_scale);
+      put_u64(p, shock.first_day);
+      put_u64(p, shock.last_day);
+      put_f64(p, shock.bandwidth_scale);
+      put_f64(p, shock.sd_scale);
     }
-    logstore::put_u64(p, config.scenario.curves.size());
+    put_u64(p, config.scenario.curves.size());
     for (const auto& curve : config.scenario.curves) {
       put_cohort(curve.cohort);
-      logstore::put_u64(p, curve.multipliers.size());
-      for (double m : curve.multipliers) logstore::put_f64(p, m);
+      put_u64(p, curve.multipliers.size());
+      for (double m : curve.multipliers) put_f64(p, m);
     }
-    logstore::put_u64(p, config.scenario.flash_crowds.size());
+    put_u64(p, config.scenario.flash_crowds.size());
     for (const auto& crowd : config.scenario.flash_crowds) {
       put_cohort(crowd.cohort);
-      logstore::put_u64(p, crowd.arrival_day);
+      put_u64(p, crowd.arrival_day);
     }
-    logstore::put_u64(p, config.scenario.churns.size());
+    put_u64(p, config.scenario.churns.size());
     for (const auto& churn : config.scenario.churns) {
       put_cohort(churn.cohort);
-      logstore::put_u64(p, churn.day);
+      put_u64(p, churn.day);
     }
-    logstore::put_u64(p, config.scenario.cohorts.size());
+    put_u64(p, config.scenario.cohorts.size());
     for (const auto& cohort : config.scenario.cohorts) {
       put_cohort(cohort.cohort);
       for (double f :
@@ -256,7 +242,7 @@ std::uint32_t config_digest(const sim::FleetConfig& config) {
             cohort.population.mid_tolerance_fraction, cohort.population.high_tolerance_fraction,
             cohort.population.very_high_tolerance_fraction, cohort.population.stable_fraction,
             cohort.population.moderate_fraction}) {
-        logstore::put_f64(p, f);
+        put_f64(p, f);
       }
     }
   }
@@ -273,30 +259,29 @@ std::string shard_filename(std::size_t shard_index) {
 
 std::vector<unsigned char> encode_session_record(const ArchiveSessionRecord& rec) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kSessionRecord);
-  logstore::put_u64(p, rec.user);
-  logstore::put_u32(p, rec.day);
-  logstore::put_u32(p, rec.session_in_day);
-  logstore::put_u32(p, rec.measured ? 1u : 0u);
-  logstore::put_f64(p, rec.params_after.stall_penalty);
-  logstore::put_f64(p, rec.params_after.switch_penalty);
-  logstore::put_f64(p, rec.params_after.hyb_beta);
-  const auto entry = logstore::encode_session(rec.entry);
-  p.insert(p.end(), entry.begin(), entry.end());
+  put_u32(p, kSessionRecord);
+  put_u64(p, rec.user);
+  put_u32(p, rec.day);
+  put_u32(p, rec.session_in_day);
+  put_u32(p, rec.measured ? 1u : 0u);
+  put_f64(p, rec.params_after.stall_penalty);
+  put_f64(p, rec.params_after.switch_penalty);
+  put_f64(p, rec.params_after.hyb_beta);
+  logstore::append_session(p, rec.entry);
   return p;
 }
 
 std::vector<unsigned char> encode_user_record(const ArchiveUserRecord& rec) {
   std::vector<unsigned char> p;
-  logstore::put_u32(p, kUserRecord);
-  logstore::put_u64(p, rec.user);
-  logstore::put_f64(p, rec.tolerable_stall);
-  logstore::put_u64(p, rec.adjusted_days);
-  logstore::put_u64(p, rec.stats.triggers);
-  logstore::put_u64(p, rec.stats.optimizations_run);
-  logstore::put_u64(p, rec.stats.pruned_preplay);
-  logstore::put_u64(p, rec.stats.mc_evaluations);
-  logstore::put_u64(p, rec.stats.mc_rollouts_pruned);
+  put_u32(p, kUserRecord);
+  put_u64(p, rec.user);
+  put_f64(p, rec.tolerable_stall);
+  put_u64(p, rec.adjusted_days);
+  put_u64(p, rec.stats.triggers);
+  put_u64(p, rec.stats.optimizations_run);
+  put_u64(p, rec.stats.pruned_preplay);
+  put_u64(p, rec.stats.mc_evaluations);
+  put_u64(p, rec.stats.mc_rollouts_pruned);
   return p;
 }
 
@@ -306,12 +291,12 @@ Status FleetArchive::write(const std::string& dir) const {
   if (ec) return Error::io("cannot create archive directory: " + dir);
   std::vector<unsigned char> manifest_bytes;
   logstore::write_record(manifest_bytes, manifest.encode());
-  if (auto s = logstore::write_file(dir + "/" + manifest_filename(), manifest_bytes); !s) {
+  if (auto s = write_file(dir + "/" + manifest_filename(), manifest_bytes); !s) {
     return s;
   }
   for (std::size_t i = 0; i < shards.size(); ++i) {
     OBS_TIMED("telemetry.archive.shard_write_us");
-    if (auto s = logstore::write_file(dir + "/" + shard_filename(i), shards[i]); !s) {
+    if (auto s = write_file(dir + "/" + shard_filename(i), shards[i]); !s) {
       return s;
     }
     if (obs::Registry* reg = obs::Registry::active()) {
@@ -329,8 +314,8 @@ std::uint32_t FleetArchive::checksum() const {
     // Chain per-shard CRCs through a fixed 8-byte block instead of copying
     // shard bytes: crc32(crc_so_far || crc32(shard)).
     std::vector<unsigned char> link;
-    logstore::put_u32(link, crc);
-    logstore::put_u32(link, crc32(shard.data(), shard.size()));
+    put_u32(link, crc);
+    put_u32(link, crc32(shard.data(), shard.size()));
     crc = crc32(link.data(), link.size());
   }
   return crc;
@@ -369,7 +354,7 @@ Status validate_manifest(const ArchiveManifest& manifest) {
 }  // namespace
 
 Expected<ArchiveReader> ArchiveReader::open(const std::string& dir) {
-  auto bytes = logstore::read_file(dir + "/" + manifest_filename());
+  auto bytes = read_file(dir + "/" + manifest_filename());
   if (!bytes) return bytes.error();
   std::size_t pos = 0;
   auto payload = logstore::read_record(*bytes, pos);
@@ -423,16 +408,17 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
     auto payload = logstore::read_record(in);
     if (!payload) return payload.error();
     ++records;
-    switch (record_type(*payload)) {
+    switch (logstore::record_type(*payload)) {
       case kSessionRecord: {
+        ByteReader in(*payload);
         SessionPrefix prefix;
-        if (!decode_session_prefix(*payload, prefix)) {
+        if (!decode_session_prefix(in, prefix)) {
           return Error::corrupt("truncated session record prefix");
         }
         if (prefix.user < first_user || prefix.user > last_user) break;
         if (prefix.day < first_day || prefix.day > last_day) break;
         if (!on_session) break;
-        auto rec = decode_session_record(*payload);
+        auto rec = decode_session_record(prefix, in);
         if (!rec) return rec.error();
         on_session(*rec);
         break;

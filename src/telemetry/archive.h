@@ -1,9 +1,10 @@
 // Fleet telemetry archives — the on-disk capture format and its reader.
 //
 // An archive is a directory holding one manifest plus N shard files, all
-// built from the framed-record primitive of logstore/record.h (magic "LXRC"
-// | u32 version | u32 payload_len | payload | u32 crc32(payload)), so every
-// corruption mode surfaces as Error::kCorrupt.
+// sequences of LXRC records (logstore/record.h: the common/bytes.h frame
+// magic "LXRC" | u32 version | u32 payload_len | payload |
+// u32 crc32(payload)), decoded through the bounds-checked ByteReader, so
+// every corruption mode surfaces as Error::kCorrupt.
 //
 // ## Archive format spec (version 1)
 //
@@ -11,7 +12,7 @@
 //   <dir>/shard-NNNN.lxs   framed telemetry records for users
 //                          [NNNN * users_per_shard, (NNNN+1) * users_per_shard)
 //
-// Manifest payload (little-endian, logstore primitive codecs):
+// Manifest payload (little-endian, common/bytes.h codec):
 //   u32 format_version   kArchiveFormatVersion
 //   u64 seed             fleet seed the archive was captured at
 //   u32 config_digest    CRC32 over the result-shaping FleetConfig fields
@@ -51,6 +52,7 @@
 #include <vector>
 
 #include "abr/qoe.h"
+#include "common/bytes.h"
 #include "common/expected.h"
 #include "core/lingxi.h"
 #include "logstore/session_log.h"
@@ -98,7 +100,7 @@ struct ArchiveManifest {
   std::vector<ArchiveShardInfo> shards;
 
   std::vector<unsigned char> encode() const;
-  static Expected<ArchiveManifest> decode(const std::vector<unsigned char>& payload);
+  static Expected<ArchiveManifest> decode(ByteSpan payload);
 };
 
 /// Digest of the FleetConfig fields that shape captured results. Excludes

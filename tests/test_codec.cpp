@@ -1,0 +1,756 @@
+// The binary codec (common/bytes.h) and the on-disk formats built on it.
+//
+//   * Golden bytes: every persisted format is built from fixed inputs and
+//     compared to a hex literal. The LXRC (session log, state store, archive,
+//     snapshot) and LXTL (timeline) literals were captured before these
+//     formats moved onto the shared codec and must never change without a
+//     format version bump; LXNN/LXNC pin the version-2 net containers.
+//   * ByteReader semantics: sticky failure, counted reads checked before
+//     they allocate, trailing-byte rejection.
+//   * One table of frame-corruption cases, run for the LXRC and LXTL magics
+//     through both the in-memory and the streaming reader.
+//   * Hostile lengths behind valid CRCs: every decoder returns kCorrupt
+//     without allocating from the claimed count.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/bytes.h"
+#include "logstore/record.h"
+#include "logstore/session_log.h"
+#include "logstore/state_store.h"
+#include "nn/serialize.h"
+#include "obs/timeline.h"
+#include "snapshot/snapshot.h"
+#include "telemetry/archive.h"
+
+namespace lingxi {
+namespace {
+
+std::string hex(const std::vector<unsigned char>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (unsigned char b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+std::vector<unsigned char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string temp_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/lingxi_codec_" + name;
+  std::filesystem::remove_all(path);
+  return path;
+}
+
+// ---------------------------------------------------------------------------
+// Fixed inputs.
+// ---------------------------------------------------------------------------
+
+logstore::SessionLogEntry golden_session() {
+  logstore::SessionLogEntry e;
+  e.user_id = 9;
+  e.timestamp = 86401;
+  e.video_duration = 30.0;
+  e.session.exited = true;
+  e.session.watch_time = 12.5;
+  e.session.startup_delay = 0.75;
+  e.session.total_stall = 2.25;
+  e.session.stall_events = 3;
+  e.session.quality_switches = 4;
+  e.session.mean_bitrate = 1850.0;
+  sim::SegmentRecord seg;
+  seg.level = 2;
+  seg.position = 4.0;
+  seg.bitrate = 1850.0;
+  seg.size = 925000.0;
+  seg.throughput = 2400.5;
+  seg.download_time = 1.5;
+  seg.stall_time = 0.5;
+  seg.buffer_before = 1.0;
+  seg.buffer_after = 3.0;
+  seg.cumulative_stall = 2.25;
+  seg.cumulative_stall_events = 3;
+  e.session.segments = {seg};
+  return e;
+}
+
+logstore::UserState golden_user_state() {
+  logstore::UserState s;
+  s.engagement.stall_durations = {1.5, 3.25};
+  s.engagement.stall_intervals = {42.0};
+  s.engagement.stall_exit_intervals = {};
+  s.engagement.total_watch_time = 1234.5;
+  s.engagement.total_stall_events = 17;
+  s.engagement.total_stall_exits = 3;
+  s.best_params.stall_penalty = 9.5;
+  s.best_params.switch_penalty = 1.25;
+  s.best_params.hyb_beta = 0.65;
+  s.has_params = true;
+  return s;
+}
+
+telemetry::ArchiveManifest golden_archive_manifest() {
+  telemetry::ArchiveManifest m;
+  m.seed = 20250101;
+  m.config_digest = 0xa1b2c3d4u;
+  m.users = 3;
+  m.days = 4;
+  m.sessions_per_user_day = 6;
+  m.warmup_sessions = 2;
+  m.intervention_day = 1;
+  m.enable_lingxi = true;
+  m.users_per_shard = 2;
+  m.shards = {{0, 2, 5, 640}, {2, 1, 3, 384}};
+  return m;
+}
+
+telemetry::ArchiveSessionRecord golden_archive_session() {
+  telemetry::ArchiveSessionRecord rec;
+  rec.user = 2;
+  rec.day = 3;
+  rec.session_in_day = 5;
+  rec.measured = true;
+  rec.params_after.stall_penalty = 8.0;
+  rec.params_after.switch_penalty = 1.0;
+  rec.params_after.hyb_beta = 0.5;
+  rec.entry = golden_session();
+  return rec;
+}
+
+telemetry::ArchiveUserRecord golden_archive_user() {
+  telemetry::ArchiveUserRecord rec;
+  rec.user = 2;
+  rec.tolerable_stall = 3.5;
+  rec.adjusted_days = 2;
+  rec.stats.triggers = 11;
+  rec.stats.optimizations_run = 4;
+  rec.stats.pruned_preplay = 1;
+  rec.stats.mc_evaluations = 40;
+  rec.stats.mc_rollouts_pruned = 7;
+  return rec;
+}
+
+sim::UserFleetState golden_fleet_user(bool with_lingxi) {
+  sim::UserFleetState s;
+  s.session_rng.s[0] = 0x0123456789abcdefULL;
+  s.session_rng.s[1] = 2;
+  s.session_rng.s[2] = 3;
+  s.session_rng.s[3] = 0xfedcba9876543210ULL;
+  s.session_rng.cached_normal = -0.5;
+  s.session_rng.has_cached_normal = true;
+  s.params.stall_penalty = 7.0;
+  s.params.switch_penalty = 1.0;
+  s.params.hyb_beta = 0.25;
+  s.adjusted_days = 1;
+  s.has_lingxi = with_lingxi;
+  if (with_lingxi) {
+    core::LingXi::PersistentState& lx = s.lingxi;
+    lx.engagement.long_term.stall_durations = {2.0};
+    lx.engagement.long_term.stall_intervals = {};
+    lx.engagement.long_term.stall_exit_intervals = {60.0, 90.0};
+    lx.engagement.long_term.total_watch_time = 500.0;
+    lx.engagement.long_term.total_stall_events = 6;
+    lx.engagement.long_term.total_stall_exits = 2;
+    lx.engagement.last_stall_at = 12.0;
+    lx.engagement.last_stall_exit_at = -1.0;
+    lx.bandwidth_window = {1200.0, 950.5};
+    lx.stalls_since_optimization = 2;
+    lx.has_optimized = true;
+    lx.params.stall_penalty = 7.0;
+    lx.params.switch_penalty = 1.0;
+    lx.params.hyb_beta = 0.25;
+    lx.stats.triggers = 5;
+    lx.stats.optimizations_run = 2;
+    lx.stats.pruned_preplay = 1;
+    lx.stats.mc_evaluations = 12;
+    lx.stats.mc_rollouts_pruned = 3;
+  }
+  return s;
+}
+
+snapshot::FleetSnapshot golden_fleet_snapshot() {
+  snapshot::FleetSnapshot snap;
+  snap.seed = 77;
+  snap.resume_digest = 0x5eed5eedu;
+  snap.state.next_day = 2;
+  snap.state.users = {golden_fleet_user(true), golden_fleet_user(false)};
+  snap.state.accumulated.sessions = 24;
+  snap.state.accumulated.completed = 20;
+  snap.state.accumulated.stall_events = 9;
+  snap.state.accumulated.users = 2;
+  snap.state.accumulated.watch_ticks = 123456789;
+  snap.state.accumulated.adjusted_user_days = 1;
+  // Opaque to save_snapshot: only its CRC lands in the manifest.
+  snap.net_model = {0x4c, 0x58, 0x4e, 0x43, 1, 2, 3};
+  snap.has_capture = true;
+  snap.capture.resize(2);
+  snap.capture[0].bytes = {0xde, 0xad, 0xbe, 0xef};
+  snap.capture[0].records = 1;
+  snap.capture[0].next_expected_at_least = (std::uint64_t{1} << 32) | 3;
+  snap.capture[1].records = 0;
+  return snap;
+}
+
+bayesopt::OnlineBayesOpt::State golden_obo_state() {
+  bayesopt::OnlineBayesOpt::State s;
+  s.gp.config.length_scale = 0.3;
+  s.gp.config.signal_variance = 1.0;
+  s.gp.config.noise_variance = 0.01;
+  s.gp.xs = {{0.25, 0.5}, {0.75, 0.125}};
+  s.gp.ys = {0.5, -0.25};
+  s.has_warm_start = true;
+  s.warm_start = {0.5, 0.5};
+  s.warm_start_used = false;
+  return s;
+}
+
+obs::RegistrySnapshot golden_registry() {
+  obs::RegistrySnapshot snap;
+  obs::MetricSnapshot rss;
+  rss.name = "process.rss_bytes";
+  rss.kind = obs::MetricKind::kGauge;
+  rss.count = 1;
+  rss.value = 1048576.0;
+  obs::MetricSnapshot day;
+  day.name = "sim.fleet.day";
+  day.kind = obs::MetricKind::kGauge;
+  day.count = 3;
+  day.value = 3.0;
+  obs::MetricSnapshot step;
+  step.name = "sim.step_us";
+  step.kind = obs::MetricKind::kHistogram;
+  step.count = 2;
+  step.value = 3.5;
+  step.min = 1.25;
+  step.max = 2.25;
+  step.bounds = {1.0, 2.0};
+  step.buckets = {0, 1, 1};
+  snap.metrics = {rss, day, step};
+  return snap;
+}
+
+// ---------------------------------------------------------------------------
+// Golden literals. LXRC/LXTL: captured before the shared-codec refactor.
+// ---------------------------------------------------------------------------
+
+constexpr const char* kSessionLogRecordHex =
+    "4c58524302000000980000000900000000000000815101000000000000000000"
+    "00003e40010000000000000000002940000000000000e83f0000000000000240"
+    "03000000040000000000000000e89c4001000000020000000000000000001040"
+    "0000000000e89c4000000000903a2c410000000000c1a240000000000000f83f"
+    "000000000000e03f000000000000f03f00000000000008400000000000000240"
+    "030000002613796b";
+constexpr const char* kStateStoreRecordHex =
+    "4c58524302000000600000004d0000000000000002000000000000000000f83f"
+    "0000000000000a400100000000000000000045400000000000000000004a9340"
+    "110000000000000003000000000000000000000000002340000000000000f43f"
+    "cdcccccccccce43f0100000035185c39";
+constexpr const char* kArchiveManifestHex =
+    "01000000f5fd340100000000d4c3b2a103000000000000000400000000000000"
+    "0600000000000000020000000000000001000000000000000100000002000000"
+    "0000000002000000000000000000000000000000020000000000000005000000"
+    "0000000080020000000000000200000000000000010000000000000003000000"
+    "000000008001000000000000";
+constexpr const char* kArchiveManifestFileHex =
+    "4c585243020000008c00000001000000f5fd340100000000d4c3b2a103000000"
+    "0000000004000000000000000600000000000000020000000000000001000000"
+    "0000000001000000020000000000000002000000000000000000000000000000"
+    "0200000000000000050000000000000080020000000000000200000000000000"
+    "010000000000000003000000000000008001000000000000837fe148";
+constexpr const char* kArchiveSessionRecordHex =
+    "0100000002000000000000000300000005000000010000000000000000002040"
+    "000000000000f03f000000000000e03f09000000000000008151010000000000"
+    "0000000000003e40010000000000000000002940000000000000e83f00000000"
+    "0000024003000000040000000000000000e89c40010000000200000000000000"
+    "000010400000000000e89c4000000000903a2c410000000000c1a24000000000"
+    "0000f83f000000000000e03f000000000000f03f000000000000084000000000"
+    "0000024003000000";
+constexpr const char* kArchiveUserRecordHex =
+    "0200000002000000000000000000000000000c4002000000000000000b000000"
+    "0000000004000000000000000100000000000000280000000000000007000000"
+    "00000000";
+constexpr std::uint32_t kArchiveChecksum = 0x24d51130u;
+constexpr const char* kUserStateLingXiHex =
+    "010000000400000000000000efcdab8967452301020000000000000003000000"
+    "000000001032547698badcfe000000000000e0bf010000000000000000001c40"
+    "000000000000f03f000000000000d03f01000000000000000100000001000000"
+    "0000000000000000000000400000000000000000020000000000000000000000"
+    "00004e4000000000008056400000000000407f40060000000000000002000000"
+    "000000000000000000002840000000000000f0bf020000000000000000000000"
+    "00c092400000000000b48d400200000000000000010000000000000000001c40"
+    "000000000000f03f000000000000d03f05000000000000000200000000000000"
+    "01000000000000000c000000000000000300000000000000";
+constexpr const char* kUserStatePlainHex =
+    "010000000500000000000000efcdab8967452301020000000000000003000000"
+    "000000001032547698badcfe000000000000e0bf010000000000000000001c40"
+    "000000000000f03f000000000000d03f010000000000000000000000";
+constexpr const char* kSnapshotManifestFileHex =
+    "4c58524302000000f0000000020000004d00000000000000ed5eed5e02000000"
+    "0000000002000000000000000200000000000000010000001d02853a01000000"
+    "1800000000000000140000000000000000000000000000000000000000000000"
+    "0900000000000000000000000000000000000000000000000200000000000000"
+    "15cd5b0700000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000010000000000000000000000000000000100000000000000"
+    "000000000000000002000000000000000002000000000000e36a79276c52420d";
+constexpr const char* kSnapshotStateFileHex =
+    "4c5852430200000018010000010000000000000000000000efcdab8967452301"
+    "020000000000000003000000000000001032547698badcfe000000000000e0bf"
+    "010000000000000000001c40000000000000f03f000000000000d03f01000000"
+    "0000000001000000010000000000000000000000000000400000000000000000"
+    "02000000000000000000000000004e4000000000008056400000000000407f40"
+    "060000000000000002000000000000000000000000002840000000000000f0bf"
+    "02000000000000000000000000c092400000000000b48d400200000000000000"
+    "010000000000000000001c40000000000000f03f000000000000d03f05000000"
+    "00000000020000000000000001000000000000000c0000000000000003000000"
+    "00000000d438c1164c5852430200000028000000020000000000000000000000"
+    "010000000000000003000000010000000400000000000000deadbeef0179be32"
+    "4c585243020000005c000000010000000100000000000000efcdab8967452301"
+    "020000000000000003000000000000001032547698badcfe000000000000e0bf"
+    "010000000000000000001c40000000000000f03f000000000000d03f01000000"
+    "000000000000000005b085e94c58524302000000240000000200000001000000"
+    "000000000000000000000000000000000000000000000000000000001418fc6a";
+constexpr const char* kOboStateHex =
+    "333333333333d33f000000000000f03f7b14ae47e17a843f0200000000000000"
+    "0200000000000000000000000000d03f000000000000e03f000000000000e03f"
+    "0200000000000000000000000000e83f000000000000c03f000000000000d0bf"
+    "010000000200000000000000000000000000e03f000000000000e03f00000000";
+constexpr const char* kTimelineFileHex =
+    "4c58544c010000001e00000000000000160000006c696e6778692e6f62732e74"
+    "696d656c696e652f7631cdea8b8e4c58544c01000000f9000000010000000300"
+    "00000000000041000000010000000d00000073696d2e666c6565742e64617901"
+    "0000000300000000000000000000000000084000000000000000000000000000"
+    "0000000000000000000000020000001100000070726f636573732e7273735f62"
+    "7974657301000000010000000000000000000000000030410000000000000000"
+    "000000000000000000000000000000000b00000073696d2e737465705f757302"
+    "00000002000000000000000000000000000c40000000000000f43f0000000000"
+    "00024002000000000000000000f03f0000000000000040030000000000000000"
+    "000000010000000000000001000000000000003880db684c58544c010000004b"
+    "00000002000000030000000000000013000000666c6f6f723a73696d2e666c65"
+    "65742e6461790d00000073696d2e666c6565742e646179000000000000084000"
+    "00000000001040030000006c6f77f1377fce";
+
+TEST(CodecGolden, SessionLogRecord) {
+  logstore::SessionLogWriter writer;
+  writer.append(golden_session());
+  EXPECT_EQ(hex(writer.bytes()), kSessionLogRecordHex);
+}
+
+TEST(CodecGolden, StateStoreRecord) {
+  logstore::StateStore store;
+  store.put(77, golden_user_state());
+  const std::string path = temp_path("state_store.bin");
+  ASSERT_TRUE(store.save(path).ok());
+  EXPECT_EQ(hex(file_bytes(path)), kStateStoreRecordHex);
+}
+
+TEST(CodecGolden, ArchiveManifest) {
+  const telemetry::ArchiveManifest m = golden_archive_manifest();
+  EXPECT_EQ(hex(m.encode()), kArchiveManifestHex);
+  telemetry::FleetArchive archive;
+  archive.manifest = m;
+  const std::string dir = temp_path("archive");
+  ASSERT_TRUE(archive.write(dir).ok());
+  EXPECT_EQ(hex(file_bytes(dir + "/" + telemetry::manifest_filename())),
+            kArchiveManifestFileHex);
+}
+
+TEST(CodecGolden, ArchiveRecords) {
+  EXPECT_EQ(hex(telemetry::encode_session_record(golden_archive_session())),
+            kArchiveSessionRecordHex);
+  EXPECT_EQ(hex(telemetry::encode_user_record(golden_archive_user())),
+            kArchiveUserRecordHex);
+}
+
+TEST(CodecGolden, ArchiveChecksum) {
+  telemetry::FleetArchive archive;
+  archive.manifest = golden_archive_manifest();
+  archive.shards = {telemetry::encode_session_record(golden_archive_session()),
+                    telemetry::encode_user_record(golden_archive_user())};
+  EXPECT_EQ(archive.checksum(), kArchiveChecksum);
+}
+
+TEST(CodecGolden, SnapshotUserState) {
+  EXPECT_EQ(hex(snapshot::encode_user_state(4, golden_fleet_user(true))),
+            kUserStateLingXiHex);
+  EXPECT_EQ(hex(snapshot::encode_user_state(5, golden_fleet_user(false))),
+            kUserStatePlainHex);
+}
+
+TEST(CodecGolden, SnapshotFiles) {
+  // Manifest (with net CRC and accumulator) and one state file holding both
+  // users' state records, each followed by its capture-cursor record.
+  const std::string dir = temp_path("snapshot");
+  ASSERT_TRUE(snapshot::save_snapshot(golden_fleet_snapshot(), dir, 2).ok());
+  EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::manifest_filename())),
+            kSnapshotManifestFileHex);
+  EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::state_filename(0))), kSnapshotStateFileHex);
+}
+
+TEST(CodecGolden, OboState) {
+  EXPECT_EQ(hex(snapshot::encode_obo_state(golden_obo_state())), kOboStateHex);
+}
+
+TEST(CodecGolden, TimelineFrames) {
+  // Schema header frame, one day frame (deterministic + wall-clock sections)
+  // and one alert frame.
+  const std::string path = temp_path("timeline.bin");
+  {
+    obs::TimelineWriter writer(path);
+    writer.append_day(3, golden_registry());
+    obs::HealthAlert alert;
+    alert.day = 3;
+    alert.rule = "floor:sim.fleet.day";
+    alert.metric = "sim.fleet.day";
+    alert.observed = 3.0;
+    alert.threshold = 4.0;
+    alert.message = "low";
+    writer.append_alert(alert);
+    ASSERT_TRUE(writer.close().ok());
+  }
+  EXPECT_EQ(hex(file_bytes(path)), kTimelineFileHex);
+}
+
+constexpr const char* kTensorBlobHex =
+    "4c584e4e02000000440000000200000001000000020000000000000000000000"
+    "0000f83f00000000000004c00200000002000000000000000100000000000000"
+    "000000000000d03f000000000000104044d52cbd";
+constexpr const char* kModelContainerHex =
+    "4c584e4302000000480000000300000002000000010000000200000000000000"
+    "000000000000f83f00000000000004c002000000020000000000000001000000"
+    "00000000000000000000d03f000000000000104046f2558b";
+
+std::vector<nn::Tensor> golden_tensors() {
+  return {nn::Tensor::vector({1.5, -2.5}), nn::Tensor({2, 1}, {0.25, 4.0})};
+}
+
+TEST(CodecGolden, NetContainersVersion2) {
+  const std::vector<nn::Tensor> t = golden_tensors();
+  EXPECT_EQ(hex(nn::serialize_tensors({&t[0], &t[1]})), kTensorBlobHex);
+  EXPECT_EQ(hex(nn::serialize_model(nn::kModelKindStallExitNet, {&t[0], &t[1]})),
+            kModelContainerHex);
+}
+
+// ---------------------------------------------------------------------------
+// ByteReader.
+// ---------------------------------------------------------------------------
+
+TEST(ByteReader, RoundTripsEveryPrimitive) {
+  std::vector<unsigned char> buf;
+  put_u32(buf, 0xdeadbeefu);
+  put_u64(buf, 0x0123456789abcdefULL);
+  put_f64(buf, -3.14159);
+  put_str(buf, "lingxi");
+  const std::vector<double> xs = {0.5, -1e300};
+  put_f64s(buf, xs);
+  ByteReader in(buf);
+  EXPECT_EQ(in.u32(), 0xdeadbeefu);
+  EXPECT_EQ(in.u64(), 0x0123456789abcdefULL);
+  EXPECT_EQ(in.f64(), -3.14159);
+  EXPECT_EQ(in.str(), "lingxi");
+  EXPECT_EQ(in.f64s(2), xs);
+  EXPECT_TRUE(in.done());
+}
+
+TEST(ByteReader, ReadPastEndFailsAndStaysFailed) {
+  const std::vector<unsigned char> buf = {1, 2, 3, 4, 5};
+  ByteReader in(buf);
+  EXPECT_EQ(in.u64(), 0u);
+  EXPECT_FALSE(in.ok());
+  // Four bytes are still there, but a failed reader never recovers.
+  EXPECT_EQ(in.u32(), 0u);
+  EXPECT_TRUE(in.bytes(1).empty());
+  EXPECT_FALSE(in.ok());
+  EXPECT_FALSE(in.done());
+}
+
+TEST(ByteReader, StrLongerThanRemainingFailsWithoutAllocating) {
+  std::vector<unsigned char> buf;
+  put_u32(buf, 0xfffffff0u);
+  buf.insert(buf.end(), {'a', 'b', 'c'});
+  ByteReader in(buf);
+  EXPECT_TRUE(in.str().empty());
+  EXPECT_FALSE(in.ok());
+}
+
+TEST(ByteReader, CountedReadOverRemainingFailsBeforeResize) {
+  std::vector<unsigned char> buf;
+  put_f64(buf, 1.0);
+  ByteReader in(buf);
+  EXPECT_EQ(in.count(2, 8), 0u);
+  EXPECT_FALSE(in.ok());
+  ByteReader big(buf);
+  const std::vector<double> v = big.f64s(std::uint64_t{1} << 40);
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), 0u);  // nothing was allocated for the claim
+  EXPECT_FALSE(big.ok());
+  // Exactly what remains is fine.
+  ByteReader exact(buf);
+  EXPECT_EQ(exact.count(1, 8), 1u);
+  EXPECT_TRUE(exact.ok());
+}
+
+TEST(ByteReader, DoneRejectsTrailingBytes) {
+  std::vector<unsigned char> buf;
+  put_u32(buf, 7);
+  buf.push_back(0);
+  ByteReader in(buf);
+  EXPECT_EQ(in.u32(), 7u);
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(in.remaining(), 1u);
+  EXPECT_FALSE(in.done());
+}
+
+// ---------------------------------------------------------------------------
+// Frames: one corruption table, every magic, both readers.
+// ---------------------------------------------------------------------------
+
+struct FrameFormat {
+  const char* magic;
+  std::uint32_t version;
+};
+
+constexpr FrameFormat kFrameFormats[] = {{"LXRC", logstore::kRecordVersion}, {"LXTL", 1}};
+
+void put_u32_at(std::vector<unsigned char>& bytes, std::size_t at, std::uint32_t v) {
+  std::vector<unsigned char> le;
+  put_u32(le, v);
+  std::copy(le.begin(), le.end(), bytes.begin() + static_cast<long>(at));
+}
+
+struct FrameCase {
+  const char* name;
+  void (*mutate)(std::vector<unsigned char>& frame);  // frame carries 8 payload bytes
+  const char* error;
+};
+
+const FrameCase kFrameCases[] = {
+    {"wrong magic", [](auto& f) { f[1] ^= 0x20; }, "magic mismatch"},
+    {"wrong version", [](auto& f) { put_u32_at(f, 4, 99); }, "unsupported frame version"},
+    {"length over 64 MiB", [](auto& f) { put_u32_at(f, 8, kMaxFramePayload + 1); },
+     "exceeds limit"},
+    {"empty input", [](auto& f) { f.clear(); }, "truncated frame header"},
+    {"truncated header", [](auto& f) { f.resize(11); }, "truncated frame header"},
+    {"truncated payload", [](auto& f) { f.resize(12 + 5); }, "truncated frame payload"},
+    {"truncated CRC", [](auto& f) { f.resize(f.size() - 1); }, "truncated frame checksum"},
+    {"CRC mismatch", [](auto& f) { f[14] ^= 0x01; }, "checksum mismatch"},
+};
+
+TEST(Frame, RoundTripsInMemoryAndStreaming) {
+  for (const FrameFormat& fmt : kFrameFormats) {
+    std::vector<unsigned char> bytes;
+    append_frame(bytes, fmt.magic, fmt.version, std::vector<unsigned char>{10});
+    append_frame(bytes, fmt.magic, fmt.version, std::vector<unsigned char>{});
+    std::size_t pos = 0;
+    const auto a = read_frame(bytes, pos, fmt.magic, fmt.version);
+    const auto b = read_frame(bytes, pos, fmt.magic, fmt.version);
+    ASSERT_TRUE(a.has_value()) << fmt.magic;
+    ASSERT_TRUE(b.has_value()) << fmt.magic;
+    EXPECT_EQ(std::vector<unsigned char>(a->begin(), a->end()),
+              std::vector<unsigned char>{10});
+    EXPECT_TRUE(b->empty());
+    EXPECT_EQ(pos, bytes.size());
+    // The payload is a view into the input, not a copy.
+    EXPECT_EQ(a->data(), bytes.data() + 12);
+
+    std::istringstream in(std::string(bytes.begin(), bytes.end()));
+    const auto sa = read_frame(in, fmt.magic, fmt.version);
+    const auto sb = read_frame(in, fmt.magic, fmt.version);
+    ASSERT_TRUE(sa.has_value()) << fmt.magic;
+    ASSERT_TRUE(sb.has_value()) << fmt.magic;
+    EXPECT_EQ(*sa, std::vector<unsigned char>{10});
+    EXPECT_TRUE(sb->empty());
+    EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
+  }
+}
+
+TEST(Frame, LogstoreRecordIsTheLxrcFrame) {
+  const std::vector<unsigned char> payload = {1, 2, 3};
+  std::vector<unsigned char> record;
+  logstore::write_record(record, payload);
+  std::vector<unsigned char> frame;
+  append_frame(frame, "LXRC", 2, payload);
+  EXPECT_EQ(record, frame);
+}
+
+TEST(Frame, CorruptionTableRejectsEveryCaseInBothReaders) {
+  for (const FrameFormat& fmt : kFrameFormats) {
+    for (const FrameCase& c : kFrameCases) {
+      std::vector<unsigned char> bytes;
+      append_frame(bytes, fmt.magic, fmt.version,
+                   std::vector<unsigned char>{1, 2, 3, 4, 5, 6, 7, 8});
+      c.mutate(bytes);
+      const std::string label = std::string(fmt.magic) + ": " + c.name;
+
+      std::size_t pos = 0;
+      const auto mem = read_frame(bytes, pos, fmt.magic, fmt.version);
+      ASSERT_FALSE(mem.has_value()) << label;
+      EXPECT_EQ(mem.error().code, Error::Code::kCorrupt) << label;
+      EXPECT_NE(mem.error().message.find(c.error), std::string::npos)
+          << label << ": " << mem.error().message;
+
+      std::istringstream in(std::string(bytes.begin(), bytes.end()));
+      const auto stream = read_frame(in, fmt.magic, fmt.version);
+      ASSERT_FALSE(stream.has_value()) << label;
+      EXPECT_EQ(stream.error().code, Error::Code::kCorrupt) << label;
+      EXPECT_NE(stream.error().message.find(c.error), std::string::npos)
+          << label << ": " << stream.error().message;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile lengths behind valid CRCs.
+// ---------------------------------------------------------------------------
+
+void expect_corrupt(const Status& s, const std::string& what) {
+  ASSERT_FALSE(s.ok()) << what;
+  EXPECT_EQ(s.error().code, Error::Code::kCorrupt) << what;
+}
+
+template <typename T>
+Status status_of(const Expected<T>& e) {
+  if (e) return {};
+  return e.error();
+}
+
+TEST(HostileLengths, SessionSegmentCountFailsOnCountCheck) {
+  // The 72-byte session header alone, claiming 2^20 segments.
+  logstore::SessionLogEntry e = golden_session();
+  e.session.segments.clear();
+  std::vector<unsigned char> payload = logstore::encode_session(e);
+  ASSERT_EQ(payload.size(), 72u);
+  put_u32_at(payload, 68, 1u << 20);
+  const auto decoded = logstore::decode_session(payload);
+  expect_corrupt(status_of(decoded), "session");
+  EXPECT_NE(decoded.error().message.find("segment count exceeds payload"), std::string::npos)
+      << decoded.error().message;
+  // Same through a CRC-valid session log.
+  std::vector<unsigned char> log;
+  logstore::write_record(log, payload);
+  expect_corrupt(status_of(logstore::SessionLogReader::read_bytes(log)), "session log");
+}
+
+TEST(HostileLengths, SnapshotVectorAndOboCounts) {
+  sim::UserFleetState user = golden_fleet_user(true);
+  user.lingxi.engagement.long_term.stall_durations.clear();
+  std::vector<unsigned char> state = snapshot::encode_user_state(1, user);
+  // type, user, 4 rng words, cached normal, flag, 3 params, adjusted days,
+  // has_lingxi: the first engagement vector's u64 count follows.
+  constexpr std::size_t kFirstVector = 4 + 8 + 32 + 8 + 4 + 24 + 8 + 4;
+  put_u32_at(state, kFirstVector, 1u << 20);
+  expect_corrupt(status_of(snapshot::decode_user_state(state)), "user state vector");
+
+  std::vector<unsigned char> obo = snapshot::encode_obo_state(golden_obo_state());
+  put_u32_at(obo, 24, 1u << 20);  // observation count, after three f64s
+  expect_corrupt(status_of(snapshot::decode_obo_state(obo)), "OBO observations");
+}
+
+TEST(HostileLengths, TimelineMetricCount) {
+  // A day record whose wall-clock section claims 2^31 metrics.
+  std::vector<unsigned char> header;
+  put_u32(header, 0);  // schema record
+  put_str(header, obs::kTimelineSchema);
+  std::vector<unsigned char> day;
+  put_u32(day, 1);  // day record
+  put_u64(day, 1);
+  put_u32(day, 4);  // deterministic section: 4 bytes, no metrics
+  put_u32(day, 0);
+  put_u32(day, 0x80000000u);
+  std::vector<unsigned char> file;
+  append_frame(file, "LXTL", 1, header);
+  append_frame(file, "LXTL", 1, day);
+  const std::string path = temp_path("hostile_timeline.bin");
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(file.data()), static_cast<std::streamsize>(file.size()));
+  auto reader = obs::TimelineReader::open(path);
+  ASSERT_TRUE(reader.has_value());
+  expect_corrupt(status_of(reader->read_all()), "timeline metric count");
+}
+
+std::vector<unsigned char> tensor_blob(const std::vector<std::uint64_t>& dims,
+                                       std::size_t values, bool trailing_byte = false) {
+  std::vector<unsigned char> payload;
+  put_u32(payload, 1);  // one tensor
+  put_u32(payload, static_cast<std::uint32_t>(dims.size()));
+  for (std::uint64_t d : dims) put_u64(payload, d);
+  for (std::size_t i = 0; i < values; ++i) put_f64(payload, 1.0);
+  if (trailing_byte) payload.push_back(0);
+  std::vector<unsigned char> blob;
+  append_frame(blob, "LXNN", nn::kTensorBlobVersion, payload);
+  return blob;
+}
+
+TEST(HostileLengths, TensorShapes) {
+  constexpr std::uint64_t k24 = std::uint64_t{1} << 24;
+  // Sanity: the builder makes decodable blobs.
+  ASSERT_TRUE(nn::deserialize_tensors(tensor_blob({2, 1}, 2)).has_value());
+  // 2^48 elements claimed: rejected before any allocation.
+  expect_corrupt(status_of(nn::deserialize_tensors(tensor_blob({k24, k24, 1}, 2))),
+                 "2^24 x 2^24 x 1");
+  // 2^72 elements: the product would wrap to 0 in 64 bits.
+  expect_corrupt(status_of(nn::deserialize_tensors(tensor_blob({k24, k24, k24}, 0))),
+                 "2^24 x 2^24 x 2^24");
+  expect_corrupt(status_of(nn::deserialize_tensors(tensor_blob({2, 1}, 2, true))),
+                 "bytes after the last tensor");
+  // A huge tensor count with nothing behind it.
+  std::vector<unsigned char> payload;
+  put_u32(payload, 0xffffffffu);
+  std::vector<unsigned char> blob;
+  append_frame(blob, "LXNN", nn::kTensorBlobVersion, payload);
+  expect_corrupt(status_of(nn::deserialize_tensors(blob)), "tensor count");
+  // Bytes after the frame itself.
+  std::vector<unsigned char> framed = tensor_blob({2, 1}, 2);
+  framed.push_back(0);
+  expect_corrupt(status_of(nn::deserialize_tensors(framed)), "bytes after the frame");
+}
+
+TEST(NetContainer, VersionOneBytesAreCorrupt) {
+  const std::vector<nn::Tensor> t = golden_tensors();
+  for (const char* magic : {"LXNN", "LXNC"}) {
+    std::vector<unsigned char> payload;
+    if (std::string(magic) == "LXNC") put_u32(payload, nn::kModelKindStallExitNet);
+    put_u32(payload, 0);
+    std::vector<unsigned char> v1;
+    append_frame(v1, magic, 1, payload);
+    const Status s = std::string(magic) == "LXNN"
+                         ? status_of(nn::deserialize_tensors(v1))
+                         : status_of(nn::deserialize_model(nn::kModelKindStallExitNet, v1));
+    expect_corrupt(s, magic);
+  }
+  const auto round = nn::deserialize_model(
+      nn::kModelKindStallExitNet, nn::serialize_model(nn::kModelKindStallExitNet, {&t[0]}));
+  ASSERT_TRUE(round.has_value());
+  EXPECT_EQ((*round)[0][1], -2.5);
+}
+
+TEST(NetContainer, SaveTensorsWritesAtomically) {
+  const std::vector<nn::Tensor> t = golden_tensors();
+  const std::string path = temp_path("weights.lxnn");
+  ASSERT_TRUE(nn::save_tensors(path, {&t[0], &t[1]}).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(hex(file_bytes(path)), kTensorBlobHex);
+  const auto loaded = nn::load_tensors(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE((*loaded)[1].same_shape(t[1]));
+  const auto missing = nn::save_tensors(temp_path("no_such_dir") + "/w.lxnn", {&t[0]});
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code, Error::Code::kIo);
+}
+
+}  // namespace
+}  // namespace lingxi

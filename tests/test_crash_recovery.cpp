@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "abr/hyb.h"
+#include "common/bytes.h"
 #include "common/rng.h"
-#include "logstore/record.h"
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
 #include "predictor/os_model.h"
@@ -339,10 +339,10 @@ TEST(FindLatestValid, TruncatedManifestFallsBackToPriorCheckpoint) {
   // non-atomic writer could have produced).
   const std::string manifest =
       root + "/checkpoint-day-000003/" + snapshot::manifest_filename();
-  auto bytes = logstore::read_file(manifest);
+  auto bytes = read_file(manifest);
   ASSERT_TRUE(bytes.has_value());
   bytes->resize(bytes->size() / 2);
-  ASSERT_TRUE(logstore::write_file(manifest, *bytes).ok());
+  ASSERT_TRUE(write_file(manifest, *bytes).ok());
 
   // Recovery skips the torn day-3 checkpoint and resumes from day 2.
   resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/2);
@@ -359,10 +359,10 @@ TEST(FindLatestValid, TruncatedShardFallsBackToPriorCheckpoint) {
 
   const std::string shard =
       root + "/checkpoint-day-000003/" + snapshot::state_filename(0);
-  auto bytes = logstore::read_file(shard);
+  auto bytes = read_file(shard);
   ASSERT_TRUE(bytes.has_value());
   bytes->resize(bytes->size() - 3);
-  ASSERT_TRUE(logstore::write_file(shard, *bytes).ok());
+  ASSERT_TRUE(write_file(shard, *bytes).ok());
 
   resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/2);
 }

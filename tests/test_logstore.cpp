@@ -1,145 +1,16 @@
-// Unit tests for lingxi_logstore: record framing (in-memory and streaming),
-// primitive codecs, session-log error paths and the durable per-user state
-// store.
+// Unit tests for lingxi_logstore: session-log error paths, the durable
+// per-user state store and the atomic whole-file helpers it writes with. The
+// LXRC framing itself is covered by the frame table in test_codec.cpp.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 
-#include "logstore/record.h"
+#include "common/bytes.h"
 #include "logstore/session_log.h"
 #include "logstore/state_store.h"
 
 namespace lingxi::logstore {
 namespace {
-
-TEST(Record, RoundTrip) {
-  std::vector<unsigned char> payload{1, 2, 3, 4, 5};
-  std::vector<unsigned char> bytes;
-  write_record(bytes, payload);
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(*r, payload);
-  EXPECT_EQ(pos, bytes.size());
-}
-
-TEST(Record, MultipleRecordsSequential) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {10});
-  write_record(bytes, {20, 21});
-  std::size_t pos = 0;
-  const auto a = read_record(bytes, pos);
-  const auto b = read_record(bytes, pos);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->size(), 1u);
-  EXPECT_EQ(b->size(), 2u);
-  EXPECT_EQ(pos, bytes.size());
-}
-
-TEST(Record, EmptyPayloadAllowed) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {});
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_TRUE(r->empty());
-}
-
-TEST(Record, DetectsBitFlipInPayload) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3, 4});
-  bytes[13] ^= 0x01;  // somewhere inside the payload
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
-}
-
-TEST(Record, DetectsTruncation) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3, 4});
-  bytes.resize(bytes.size() - 2);
-  std::size_t pos = 0;
-  EXPECT_FALSE(read_record(bytes, pos).has_value());
-}
-
-TEST(Record, DetectsBadMagic) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1});
-  bytes[0] = 'Z';
-  std::size_t pos = 0;
-  EXPECT_FALSE(read_record(bytes, pos).has_value());
-}
-
-TEST(Record, DetectsBadVersion) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3});
-  bytes[4] = 0x63;  // version is the little-endian u32 right after the magic
-  std::size_t pos = 0;
-  const auto r = read_record(bytes, pos);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
-}
-
-TEST(Record, StreamingRoundTrip) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {10});
-  write_record(bytes, {20, 21});
-  std::istringstream in(std::string(bytes.begin(), bytes.end()));
-  const auto a = read_record(in);
-  const auto b = read_record(in);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->size(), 1u);
-  EXPECT_EQ(b->size(), 2u);
-  EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
-}
-
-TEST(Record, StreamingDetectsTruncationAndBitFlip) {
-  std::vector<unsigned char> bytes;
-  write_record(bytes, {1, 2, 3, 4});
-  {
-    std::istringstream in(std::string(bytes.begin(), bytes.end() - 2));
-    const auto r = read_record(in);
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
-  }
-  {
-    auto flipped = bytes;
-    flipped[13] ^= 0x01;
-    std::istringstream in(std::string(flipped.begin(), flipped.end()));
-    const auto r = read_record(in);
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
-  }
-}
-
-TEST(Primitives, RoundTripAllTypes) {
-  std::vector<unsigned char> buf;
-  put_u32(buf, 0xdeadbeefu);
-  put_u64(buf, 0x0123456789abcdefULL);
-  put_f64(buf, -3.14159);
-  std::size_t pos = 0;
-  std::uint32_t a = 0;
-  std::uint64_t b = 0;
-  double c = 0.0;
-  ASSERT_TRUE(get_u32(buf, pos, a));
-  ASSERT_TRUE(get_u64(buf, pos, b));
-  ASSERT_TRUE(get_f64(buf, pos, c));
-  EXPECT_EQ(a, 0xdeadbeefu);
-  EXPECT_EQ(b, 0x0123456789abcdefULL);
-  EXPECT_DOUBLE_EQ(c, -3.14159);
-  EXPECT_EQ(pos, buf.size());
-}
-
-TEST(Primitives, ReadPastEndFails) {
-  std::vector<unsigned char> buf{1, 2};
-  std::size_t pos = 0;
-  std::uint32_t v = 0;
-  EXPECT_FALSE(get_u32(buf, pos, v));
-}
 
 SessionLogEntry sample_entry() {
   SessionLogEntry e;

@@ -3,10 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "nn/activations.h"
 #include "nn/conv1d.h"
@@ -299,86 +298,58 @@ TEST(Serialize, FileRoundTrip) {
   EXPECT_DOUBLE_EQ((*r)[0][0], 9.0);
 }
 
-// -- versioned model container + typed layer checkpoints ---------------------
+// -- versioned model container ----------------------------------------------
 
-TEST(SerializeModel, DenseRoundTripIsBitwise) {
+constexpr std::uint32_t kTestKind = 100;
+
+TEST(SerializeModel, RoundTripIsBitwise) {
   Rng rng(11);
-  Dense src(7, 3, rng);
-  const auto bytes = serialize_dense(src);
-
-  Dense dst(7, 3, rng);  // different He-initialized weights
-  ASSERT_TRUE(load_dense(dst, bytes).ok());
-  for (std::size_t i = 0; i < src.weight().size(); ++i) {
-    EXPECT_EQ(dst.weight()[i], src.weight()[i]) << "weight " << i;
+  Dense dense(7, 3, rng);
+  Conv1D conv(2, 5, 3, rng);
+  const std::vector<const Tensor*> src = {&dense.weight(), &dense.bias(), &conv.weight(),
+                                          &conv.bias()};
+  const auto restored = deserialize_model(kTestKind, serialize_model(kTestKind, src));
+  ASSERT_TRUE(restored.has_value());
+  ASSERT_EQ(restored->size(), src.size());
+  for (std::size_t t = 0; t < src.size(); ++t) {
+    ASSERT_TRUE((*restored)[t].same_shape(*src[t]));
+    for (std::size_t i = 0; i < src[t]->size(); ++i) {
+      EXPECT_EQ((*restored)[t][i], (*src[t])[i]) << "tensor " << t << " element " << i;
+    }
   }
-  for (std::size_t i = 0; i < src.bias().size(); ++i) {
-    EXPECT_EQ(dst.bias()[i], src.bias()[i]);
-  }
-  // Forward passes through the restored layer are bitwise identical.
-  Tensor in = Tensor::vector({0.3, -1.0, 2.0, 0.7, 0.0, -0.25, 1.5});
-  const Tensor a = src.forward(in);
-  const Tensor b = dst.forward(in);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
-TEST(SerializeModel, Conv1DRoundTripIsBitwise) {
-  Rng rng(12);
-  Conv1D src(2, 5, 3, rng);
-  const auto bytes = serialize_conv1d(src);
-
-  Conv1D dst(2, 5, 3, rng);
-  ASSERT_TRUE(load_conv1d(dst, bytes).ok());
-  Tensor in({2, 8});
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = 0.1 * static_cast<double>(i) - 0.5;
-  const Tensor a = src.forward(in);
-  const Tensor b = dst.forward(in);
-  ASSERT_TRUE(a.same_shape(b));
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-}
-
-TEST(SerializeModel, RejectsBadContainerVersionWithError) {
-  Rng rng(13);
-  Dense layer(4, 2, rng);
-  auto bytes = serialize_dense(layer);
-  // The container version is the u32 right after the 4-byte magic. Clobber
-  // it and re-stamp the trailing CRC so only the version check can object —
-  // the failure must be an Expected error, never an assert.
-  bytes[4] = 0x7f;
-  const std::uint32_t crc = crc32(bytes.data() + 4, bytes.size() - 4 - sizeof(std::uint32_t));
-  std::memcpy(bytes.data() + bytes.size() - sizeof(std::uint32_t), &crc, sizeof(crc));
-  const auto status = load_dense(layer, bytes);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, Error::Code::kCorrupt);
+TEST(SerializeModel, RejectsVersionOneContainer) {
+  // A well-formed frame in every respect but its version: only the version
+  // check can object, and it must do so with an Expected error.
+  std::vector<unsigned char> payload;
+  put_u32(payload, kTestKind);
+  put_u32(payload, 0);  // no tensors
+  std::vector<unsigned char> bytes;
+  append_frame(bytes, "LXNC", 1, payload);
+  const auto r = deserialize_model(kTestKind, bytes);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
 }
 
 TEST(SerializeModel, RejectsKindMismatch) {
   Rng rng(14);
   Dense dense(4, 2, rng);
-  Conv1D conv(1, 2, 3, rng);
-  // A Dense checkpoint must not load into a Conv1D (and vice versa): the
-  // kind tag in the container header catches it before any shape check.
-  const auto status = load_conv1d(conv, serialize_dense(dense));
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, Error::Code::kCorrupt);
-}
-
-TEST(SerializeModel, RejectsShapeMismatch) {
-  Rng rng(15);
-  Dense src(4, 2, rng);
-  Dense dst(5, 2, rng);
-  const auto status = load_dense(dst, serialize_dense(src));
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, Error::Code::kCorrupt);
+  // Weights saved under one kind tag must not load as another model's.
+  const auto bytes = serialize_model(kTestKind, {&dense.weight(), &dense.bias()});
+  const auto r = deserialize_model(kTestKind + 1, bytes);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
 }
 
 TEST(SerializeModel, RejectsCrcFlip) {
   Rng rng(16);
   Conv1D layer(1, 3, 2, rng);
-  auto bytes = serialize_conv1d(layer);
+  auto bytes = serialize_model(kTestKind, {&layer.weight(), &layer.bias()});
   bytes[bytes.size() / 2] ^= 0x10;
-  const auto status = load_conv1d(layer, bytes);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, Error::Code::kCorrupt);
+  const auto r = deserialize_model(kTestKind, bytes);
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
 }
 
 TEST(HeInit, BoundsRespectFanIn) {

@@ -136,8 +136,7 @@ TEST(DenseBatch, ForcedIsaBitwiseParity) {
               nn::DenseIsa::kScalar);
     std::vector<double> want(batch * kOut, -1.0);
     layer.forward_batch({in.data(), batch, kIn}, {want.data(), batch, kOut});
-    for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2,
-                                   nn::DenseIsa::kAvx512}) {
+    for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
       if (!nn::dense_isa_supported(isa)) continue;
       ASSERT_EQ(nn::set_dense_isa_for_testing(isa), isa);
       std::vector<double> got(batch * kOut, -2.0);
@@ -156,11 +155,10 @@ TEST(DenseIsa, ClampsToSupportAndReportsNames) {
   EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kScalar), "scalar");
   EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kSse2), "sse2");
   EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kAvx2), "avx2");
-  EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kAvx512), "avx512");
   EXPECT_TRUE(nn::dense_isa_supported(nn::DenseIsa::kScalar));
   // Requesting any ISA yields a supported one no wider than the request.
-  for (const nn::DenseIsa isa : {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2,
-                                 nn::DenseIsa::kAvx2, nn::DenseIsa::kAvx512}) {
+  for (const nn::DenseIsa isa :
+       {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
     const nn::DenseIsa got = nn::set_dense_isa_for_testing(isa);
     EXPECT_TRUE(nn::dense_isa_supported(got));
     EXPECT_LE(static_cast<int>(got), static_cast<int>(isa));

@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/bytes.h"
 #include "common/expected.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -401,7 +401,8 @@ TEST(ObsRegistry, PrometheusExposition) {
 }
 
 // ---------------------------------------------------------------------------
-// Timeline: framing round-trip, section partitioning, corruption handling.
+// Timeline: round-trip, section partitioning, schema handling. The LXTL
+// framing itself is covered by the frame table in test_codec.cpp.
 // ---------------------------------------------------------------------------
 
 TEST(ObsTimeline, DeterministicSectionPredicate) {
@@ -497,104 +498,31 @@ TEST(ObsTimeline, RoundTripDaysAndAlerts) {
 
 namespace {
 
-/// Byte image of a freshly written one-day timeline, for corruption tests.
-std::string timeline_bytes(const std::string& path) {
-  Registry reg;
-  reg.set("sim.fleet.day", 1.0);
-  reg.set("sim.fleet.sessions_total", 50.0);
-  reg.add("sched.waves", 3);
-  TimelineWriter writer(path);
-  writer.append_day(1, reg.snapshot());
-  EXPECT_TRUE(writer.close().ok());
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
+void write_bytes(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/// Appends one LXTL frame (magic | version | len | payload | crc) to `out`.
-void append_raw_frame(std::string& out, const std::vector<unsigned char>& payload,
-                      std::uint32_t version = 1) {
-  auto put32 = [&out](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  out += "LXTL";
-  put32(version);
-  put32(static_cast<std::uint32_t>(payload.size()));
-  out.append(reinterpret_cast<const char*>(payload.data()), payload.size());
-  put32(crc32(payload.data(), payload.size()));
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Schema-header payload for an arbitrary schema string.
 std::vector<unsigned char> schema_payload(std::string_view schema) {
   std::vector<unsigned char> p;
-  auto put32 = [&p](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) p.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-  };
-  put32(0);  // kRecSchema
-  put32(static_cast<std::uint32_t>(schema.size()));
-  p.insert(p.end(), schema.begin(), schema.end());
+  put_u32(p, 0);  // kRecSchema
+  put_str(p, schema);
   return p;
 }
 
 }  // namespace
 
-TEST(ObsTimeline, TruncatedFrameIsCorruptNotUb) {
-  const std::string path = "obs_timeline_truncated.bin";
-  const std::string bytes = timeline_bytes(path);
-  ASSERT_GT(bytes.size(), 20u);
-  // Cut mid-way through the day frame (past the header frame).
-  write_bytes(path, bytes.substr(0, bytes.size() - 7));
-  auto reader = TimelineReader::open(path);
-  ASSERT_TRUE(static_cast<bool>(reader));  // header frame is intact
-  auto records = reader->read_all();
-  ASSERT_FALSE(static_cast<bool>(records));
-  EXPECT_EQ(records.error().code, Error::Code::kCorrupt);
-  std::remove(path.c_str());
-}
-
-TEST(ObsTimeline, FlippedBitIsChecksumMismatch) {
-  const std::string path = "obs_timeline_crcflip.bin";
-  std::string bytes = timeline_bytes(path);
-  // Flip a bit deep inside the day frame's payload (well past the header
-  // frame, well before the trailing CRC).
-  bytes[bytes.size() - 20] = static_cast<char>(bytes[bytes.size() - 20] ^ 0x01);
-  write_bytes(path, bytes);
-  auto reader = TimelineReader::open(path);
-  ASSERT_TRUE(static_cast<bool>(reader));
-  auto records = reader->read_all();
-  ASSERT_FALSE(static_cast<bool>(records));
-  EXPECT_EQ(records.error().code, Error::Code::kCorrupt);
-  EXPECT_NE(records.error().message.find("checksum mismatch"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 TEST(ObsTimeline, UnknownSchemaRejectedAtOpen) {
   const std::string path = "obs_timeline_badschema.bin";
-  std::string bytes;
-  append_raw_frame(bytes, schema_payload("lingxi.obs.timeline/v999"));
+  std::vector<unsigned char> bytes;
+  append_frame(bytes, "LXTL", 1, schema_payload("lingxi.obs.timeline/v999"));
   write_bytes(path, bytes);
   auto reader = TimelineReader::open(path);
   ASSERT_FALSE(static_cast<bool>(reader));
   EXPECT_EQ(reader.error().code, Error::Code::kCorrupt);
   EXPECT_NE(reader.error().message.find("unknown schema"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(ObsTimeline, UnsupportedFrameVersionRejected) {
-  const std::string path = "obs_timeline_badversion.bin";
-  std::string bytes;
-  append_raw_frame(bytes, schema_payload(kTimelineSchema), /*version=*/9);
-  write_bytes(path, bytes);
-  auto reader = TimelineReader::open(path);
-  ASSERT_FALSE(static_cast<bool>(reader));
-  EXPECT_EQ(reader.error().code, Error::Code::kCorrupt);
-  EXPECT_NE(reader.error().message.find("unsupported frame version"), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -644,8 +644,7 @@ TEST(CrossUserWaveInvariance, ChecksumInvariantAcrossDenseIsa) {
   const sim::FleetAccumulator reference =
       CrossUserWaveInvariance::run(1, 3, 7);
   ASSERT_GT(reference.lingxi_optimizations, 0u);
-  for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2,
-                                 nn::DenseIsa::kAvx512}) {
+  for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
     if (!nn::dense_isa_supported(isa)) continue;
     ASSERT_EQ(nn::set_dense_isa_for_testing(isa), isa);
     const sim::FleetAccumulator acc =

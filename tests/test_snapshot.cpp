@@ -344,10 +344,10 @@ TEST(SnapshotDisk, DetectsFlippedByteInManifest) {
   const std::string dir = fresh_dir("manifest-flip");
   ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
   const std::string path = dir + "/" + snapshot::manifest_filename();
-  auto bytes = logstore::read_file(path);
+  auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   (*bytes)[bytes->size() / 2] ^= 0x20;
-  ASSERT_TRUE(logstore::write_file(path, *bytes).ok());
+  ASSERT_TRUE(write_file(path, *bytes).ok());
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
@@ -358,17 +358,18 @@ TEST(SnapshotDisk, RejectsBadFormatVersion) {
   const std::string dir = fresh_dir("bad-version");
   ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
   const std::string path = dir + "/" + snapshot::manifest_filename();
-  auto bytes = logstore::read_file(path);
+  auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   std::size_t pos = 0;
-  auto payload = logstore::read_record(*bytes, pos);
-  ASSERT_TRUE(payload.has_value());
+  auto record = logstore::read_record(*bytes, pos);
+  ASSERT_TRUE(record.has_value());
   // Clobber the leading format_version u32 and re-frame with a fresh record
   // CRC: only the version check can reject it.
-  (*payload)[0] = 0x55;
+  std::vector<unsigned char> payload(record->begin(), record->end());
+  payload[0] = 0x55;
   std::vector<unsigned char> framed;
-  logstore::write_record(framed, *payload);
-  ASSERT_TRUE(logstore::write_file(path, framed).ok());
+  logstore::write_record(framed, payload);
+  ASSERT_TRUE(write_file(path, framed).ok());
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
@@ -379,28 +380,28 @@ TEST(SnapshotDisk, RejectsAbsurdUserCountInsteadOfAllocating) {
   // bounded decoder — never drive the user-table allocation (bad_alloc /
   // abort). Built by hand, following the format spec in snapshot.h.
   std::vector<unsigned char> payload;
-  logstore::put_u32(payload, snapshot::kSnapshotFormatVersion);
-  logstore::put_u64(payload, 77);        // seed
-  logstore::put_u32(payload, 0);         // resume digest
+  put_u32(payload, snapshot::kSnapshotFormatVersion);
+  put_u64(payload, 77);        // seed
+  put_u32(payload, 0);         // resume digest
   const std::uint64_t absurd_users = 1ULL << 50;
-  logstore::put_u64(payload, absurd_users);
-  logstore::put_u64(payload, 2);         // next_day
-  logstore::put_u64(payload, 64);        // users_per_shard
-  logstore::put_u32(payload, 0);         // has_net
-  logstore::put_u32(payload, 0);         // net_crc
-  logstore::put_u32(payload, 0);         // has_capture
-  for (int i = 0; i < 19; ++i) logstore::put_u64(payload, 0);  // accumulator
-  logstore::put_u64(payload, 1);         // shard_count
-  logstore::put_u64(payload, 0);         // shard first_user
-  logstore::put_u64(payload, absurd_users);
-  logstore::put_u64(payload, 0);         // byte_count
-  logstore::put_u32(payload, 0);         // crc
+  put_u64(payload, absurd_users);
+  put_u64(payload, 2);         // next_day
+  put_u64(payload, 64);        // users_per_shard
+  put_u32(payload, 0);         // has_net
+  put_u32(payload, 0);         // net_crc
+  put_u32(payload, 0);         // has_capture
+  for (int i = 0; i < 19; ++i) put_u64(payload, 0);  // accumulator
+  put_u64(payload, 1);         // shard_count
+  put_u64(payload, 0);         // shard first_user
+  put_u64(payload, absurd_users);
+  put_u64(payload, 0);         // byte_count
+  put_u32(payload, 0);         // crc
 
   const std::string dir = fresh_dir("absurd-users");
   std::filesystem::create_directories(dir);
   std::vector<unsigned char> framed;
   logstore::write_record(framed, payload);
-  ASSERT_TRUE(logstore::write_file(dir + "/" + snapshot::manifest_filename(), framed).ok());
+  ASSERT_TRUE(write_file(dir + "/" + snapshot::manifest_filename(), framed).ok());
 
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_FALSE(loaded.has_value());
@@ -412,10 +413,10 @@ TEST(SnapshotDisk, DetectsTruncatedStateFile) {
   const std::string dir = fresh_dir("state-trunc");
   ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
   const std::string path = dir + "/" + snapshot::state_filename(0);
-  auto bytes = logstore::read_file(path);
+  auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   bytes->resize(bytes->size() - 9);
-  ASSERT_TRUE(logstore::write_file(path, *bytes).ok());
+  ASSERT_TRUE(write_file(path, *bytes).ok());
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
@@ -427,10 +428,10 @@ TEST(SnapshotDisk, DetectsNetContainerFlip) {
   const std::string dir = fresh_dir("net-flip");
   ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
   const std::string path = dir + "/" + snapshot::net_filename();
-  auto bytes = logstore::read_file(path);
+  auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   (*bytes)[bytes->size() / 3] ^= 0x01;
-  ASSERT_TRUE(logstore::write_file(path, *bytes).ok());
+  ASSERT_TRUE(write_file(path, *bytes).ok());
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);

@@ -264,10 +264,10 @@ TEST(ArchiveReader, DetectsFlippedByteInShard) {
   const std::string dir = fresh_dir("flip");
   ASSERT_TRUE(archive.write(dir).ok());
   const std::string shard_path = dir + "/" + telemetry::shard_filename(0);
-  auto bytes = logstore::read_file(shard_path);
+  auto bytes = read_file(shard_path);
   ASSERT_TRUE(bytes.has_value());
   (*bytes)[bytes->size() / 2] ^= 0x01;
-  ASSERT_TRUE(logstore::write_file(shard_path, *bytes).ok());
+  ASSERT_TRUE(write_file(shard_path, *bytes).ok());
 
   const auto replayed = telemetry::Replay::run(dir);
   ASSERT_FALSE(replayed.has_value());
@@ -279,10 +279,10 @@ TEST(ArchiveReader, DetectsTruncatedShard) {
   const std::string dir = fresh_dir("trunc");
   ASSERT_TRUE(archive.write(dir).ok());
   const std::string shard_path = dir + "/" + telemetry::shard_filename(0);
-  auto bytes = logstore::read_file(shard_path);
+  auto bytes = read_file(shard_path);
   ASSERT_TRUE(bytes.has_value());
   bytes->resize(bytes->size() - 7);
-  ASSERT_TRUE(logstore::write_file(shard_path, *bytes).ok());
+  ASSERT_TRUE(write_file(shard_path, *bytes).ok());
 
   const auto replayed = telemetry::Replay::run(dir);
   ASSERT_FALSE(replayed.has_value());
@@ -294,12 +294,12 @@ TEST(ArchiveReader, DetectsFlippedByteInManifest) {
   const std::string dir = fresh_dir("manifest-flip");
   ASSERT_TRUE(archive.write(dir).ok());
   const std::string path = dir + "/" + telemetry::manifest_filename();
-  auto bytes = logstore::read_file(path);
+  auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   // Flip one payload byte; the record CRC must catch it at open() instead of
   // scans running against a corrupt shard table.
   (*bytes)[bytes->size() / 2] ^= 0x04;
-  ASSERT_TRUE(logstore::write_file(path, *bytes).ok());
+  ASSERT_TRUE(write_file(path, *bytes).ok());
 
   const auto opened = telemetry::ArchiveReader::open(dir);
   ASSERT_FALSE(opened.has_value());
@@ -318,7 +318,7 @@ TEST(ArchiveReader, DetectsManifestTruncatedMidShardEntry) {
   std::vector<unsigned char> framed;
   logstore::write_record(framed, payload);
   ASSERT_TRUE(
-      logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
+      write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
   const auto opened = telemetry::ArchiveReader::open(dir);
   ASSERT_FALSE(opened.has_value());
@@ -338,7 +338,7 @@ TEST(ArchiveReader, RejectsShardTableNotCoveringUsers) {
   std::vector<unsigned char> framed;
   logstore::write_record(framed, manifest.encode());
   ASSERT_TRUE(
-      logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
+      write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
   const auto opened = telemetry::ArchiveReader::open(dir);
   ASSERT_FALSE(opened.has_value());
@@ -357,7 +357,7 @@ TEST(ArchiveReader, RejectsBadManifestVersion) {
   std::vector<unsigned char> framed;
   logstore::write_record(framed, payload);
   ASSERT_TRUE(
-      logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
+      write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
   const auto opened = telemetry::ArchiveReader::open(dir);
   ASSERT_FALSE(opened.has_value());
@@ -374,7 +374,7 @@ TEST(Replay, RejectsManifestDayCountDisagreeingWithShards) {
   std::vector<unsigned char> framed;
   logstore::write_record(framed, manifest.encode());
   ASSERT_TRUE(
-      logstore::write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
+      write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
 
   const auto replayed = telemetry::Replay::run(dir);
   ASSERT_FALSE(replayed.has_value());
