@@ -93,11 +93,15 @@ void BM_DenseForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseForwardBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(64)->Arg(512);
 
-// The same fc1-shaped panel under each dispatchable ISA (args: isa, rows).
-// All variants are bitwise identical (lanes across rows).
+// The same fc1-shaped panel under each dispatchable ISA (args: isa, rows,
+// zero %). The zero share is of whole input columns, zero in every row: the
+// kind the branch ReLUs produce and the vector kernels skip (about 40% of
+// fc1's columns in a pooled flush). All variants are bitwise identical
+// (lanes across rows).
 void BM_DenseForwardBatchIsa(benchmark::State& state) {
   const auto requested = static_cast<nn::DenseIsa>(state.range(0));
   const auto rows = static_cast<std::size_t>(state.range(1));
+  const double zero_fraction = static_cast<double>(state.range(2)) / 100.0;
   if (!nn::dense_isa_supported(requested)) {
     state.SkipWithError("isa not supported on this cpu");
     return;
@@ -111,6 +115,10 @@ void BM_DenseForwardBatchIsa(benchmark::State& state) {
   std::vector<double> in(rows * kIn);
   std::vector<double> out(rows * kOut);
   for (double& x : in) x = rng.uniform(0.0, 1.0);
+  for (std::size_t c = 0; c < kIn; ++c) {
+    if (!rng.bernoulli(zero_fraction)) continue;
+    for (std::size_t r = 0; r < rows; ++r) in[r * kIn + c] = 0.0;
+  }
   for (auto _ : state) {
     layer.forward_batch({in.data(), rows, kIn}, {out.data(), rows, kOut});
     benchmark::DoNotOptimize(out.data());
@@ -122,7 +130,40 @@ void BM_DenseForwardBatchIsa(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DenseForwardBatchIsa)
-    ->ArgsProduct({{0, 1, 2}, {8, 64, 512}});
+    ->ArgsProduct({{0, 1, 2}, {8, 64, 512}, {0, 50}});
+
+// StallExitNet::predict_batch, the pooled forward of one wave flush (arg:
+// rows; a lowbw fleet averages about 10 rows per flush). Features are
+// uniform in [0, 1] with short histories zero-padded on the left, as
+// EngagementState::write_features emits them, so the branch ReLUs leave the
+// realistic share of zero columns for fc1.
+void BM_PredictBatch(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kFeat = predictor::kChannels * predictor::kHistoryLen;
+  Rng rng(3);
+  predictor::StallExitNet net(rng);
+  std::vector<double> features(rows * kFeat);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t history = 1 + r % predictor::kHistoryLen;
+    for (std::size_t c = 0; c < predictor::kChannels; ++c) {
+      for (std::size_t i = 0; i < predictor::kHistoryLen; ++i) {
+        features[r * kFeat + c * predictor::kHistoryLen + i] =
+            i + history < predictor::kHistoryLen ? 0.0 : rng.uniform(0.0, 1.0);
+      }
+    }
+  }
+  std::vector<double> out(rows);
+  predictor::StallExitNet::BatchWorkspace ws;
+  for (auto _ : state) {
+    net.predict_batch({features.data(), rows, kFeat}, out.data(), &ws);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(rows),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PredictBatch)->Arg(1)->Arg(2)->Arg(5)->Arg(10)->Arg(16)->Arg(64);
 
 void BM_ExitNetInference(benchmark::State& state) {
   Rng rng(2);

@@ -57,10 +57,12 @@
 #     checks from the fleet_scaling smoke JSON against the committed
 #     bench/baseline.json, plus a synthetic halved-throughput summary that
 #     must be caught with a non-zero exit;
-#   * the Monte Carlo micro-benchmark (Release, when Google Benchmark was
-#     found): bench_micro filtered to BM_MonteCarloEvaluation — one
-#     Algorithm-2 evaluation on the wave engine at batch 1 and 16 — with its
-#     JSON kept under ${BUILD_DIR}/smoke/.
+#   * the micro-benchmarks (Release, when Google Benchmark was found):
+#     bench_micro filtered to BM_MonteCarloEvaluation — one Algorithm-2
+#     evaluation on the wave engine at batch 1 and 16 — and to the pooled
+#     exit-net forward (BM_DenseForwardBatch*, BM_PredictBatch), with their
+#     JSON kept under ${BUILD_DIR}/smoke/ (micro_montecarlo.json,
+#     micro_dense.json). Informational: no gate reads them yet.
 #
 # Usage: scripts/ci.sh [Debug|Release]   (default Release)
 set -euo pipefail
@@ -302,15 +304,22 @@ PYEOF
   fi
   echo "bench_compare gate OK: baseline within tolerance, synthetic regression caught"
 
-  # Monte Carlo micro-benchmark: Algorithm 2 on the wave engine with the
-  # batched predictor at batch 1 and 16. bench_micro exists only when Google
-  # Benchmark was found at configure time. No gate reads the JSON yet.
+  # Micro-benchmarks: Algorithm 2 on the wave engine with the batched
+  # predictor at batch 1 and 16, then the pooled exit-net forward (the dense
+  # panel per ISA and zero-column share, and predict_batch per flush size).
+  # bench_micro exists only when Google Benchmark was found at configure
+  # time. No gate reads the JSON yet.
   if [ -x "${BUILD_DIR}/bench/bench_micro" ]; then
     "${BUILD_DIR}/bench/bench_micro" --benchmark_filter=MonteCarlo \
       --benchmark_out="${SMOKE_DIR}/micro_montecarlo.json" \
       --benchmark_out_format=json \
       | tee "${SMOKE_DIR}/micro_montecarlo.txt"
     echo "Monte Carlo micro-benchmark OK"
+    "${BUILD_DIR}/bench/bench_micro" --benchmark_filter='DenseForwardBatch|PredictBatch' \
+      --benchmark_out="${SMOKE_DIR}/micro_dense.json" \
+      --benchmark_out_format=json \
+      | tee "${SMOKE_DIR}/micro_dense.txt"
+    echo "dense / predict_batch micro-benchmark OK"
   else
     echo "bench_micro not built (Google Benchmark not found); skipping"
   fi

@@ -17,9 +17,10 @@ class Conv1D final : public Layer {
 
   /// Batched inference: each input row holds one [in_channels, L] input
   /// flattened row-major (L = in.cols / in_channels), each output row the
-  /// matching [out_channels, L-K+1] feature map. The accumulation order per
-  /// output element matches forward() exactly, so every row is bitwise
-  /// identical to the scalar path. Inference only (no backward caches).
+  /// matching [out_channels, L-K+1] feature map. SIMD lanes run across
+  /// output channels; the accumulation order per output element matches
+  /// forward() exactly, so every row is bitwise identical to the scalar
+  /// path. Inference only (no backward caches).
   void forward_batch(ConstBatchView in, BatchView out) const;
 
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }

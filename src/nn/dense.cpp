@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -62,24 +63,61 @@ void dense_block(const double* w, const Tensor& bias, std::size_t in_features,
 }
 
 #ifdef LINGXI_DENSE_SIMD
+// Interleaved row panel shared by the vector kernels: every input column
+// that is nonzero in at least one of the block's `bn` rows becomes one
+// `width`-double panel row (lanes past `bn` zero-padded), and `cols[k]`
+// records which input column panel row k came from. Columns that are exactly
+// zero (+0.0 or -0.0) in every row are dropped; the branch ReLUs of the
+// stall-exit net make about 40% of fc1's columns zero across a whole block.
+// The pack is a pure copy (no rounding) amortized over all out_features
+// weight rows. Branch-free: each column is written to slot `kept` and kept
+// only by advancing the count. Returns the number of kept columns.
+std::size_t pack_panel(const double* const* rows, std::size_t bn, std::size_t width,
+                       std::size_t in_features, double* panel, std::uint32_t* cols) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < in_features; ++i) {
+    double* p = panel + width * kept;
+    bool nonzero = false;
+    std::size_t j = 0;
+    for (; j < bn; ++j) {
+      p[j] = rows[j][i];
+      nonzero |= p[j] != 0.0;
+    }
+    for (; j < width; ++j) p[j] = 0.0;
+    cols[kept] = static_cast<std::uint32_t>(i);
+    kept += nonzero ? 1 : 0;
+  }
+  return kept;
+}
+
+// Why the column skip is exact. The vector kernels below run, for each lane,
+// the scalar forward()'s accumulation sequence minus the terms of dropped
+// columns. A dropped term is w*(+-0) = +-0 for finite w (load_weights and
+// the snapshot loader reject non-finite weights), and adding +-0 to a
+// nonzero accumulator returns it unchanged, so every nonzero partial sum
+// matches step for step. A zero accumulator can only differ in its sign:
+// -0 + +0 = +0, while the skip keeps -0. Starting from a +0 bias the chain
+// can never reach -0, so the one reachable difference is an output that is
+// exactly zero under a -0.0 bias. Both compare equal, and the ReLU after fc1
+// and the softmax after fc2 map either sign to the same bits, so no exit
+// probability changes.
+
 // Explicitly vectorized full block: SIMD lanes run ACROSS batch rows, never
 // along the reduction, so each lane performs exactly the scalar kernel's
 // accumulation sequence for its row — same adds, same order, bitwise parity
 // with forward() by construction (reduction-order vectorization would
-// reassociate and drift). The 8 rows are first packed into an interleaved
-// [in_features][8] panel so every step loads four contiguous 2-lane vectors
-// instead of gathering from 8 strided row pointers; the pack is a pure copy
-// (no rounding) amortized over all out_features weight rows. The vector is
-// the baseline 16-byte width — wider generic vectors get split into slow
-// stack-spilling sequences on pre-AVX codegen (measured ~5x slower), while
-// the native width runs ~1.6x faster than the unrolled scalar block. The
-// fp-contraction decision is made under the same flags as the scalar path,
-// keeping lane and scalar math identical.
+// reassociate and drift). It reads the 8-wide pack_panel() layout, four
+// contiguous 2-lane vectors per kept column, and broadcasts the matching
+// weight wrow[cols[k]]. The vector is the baseline 16-byte width — wider
+// generic vectors get split into slow stack-spilling sequences on pre-AVX
+// codegen (measured ~5x slower), while the native width runs ~1.6x faster
+// than the unrolled scalar block. The fp-contraction decision is made under
+// the same flags as the scalar path, keeping lane and scalar math identical.
 typedef double v2df __attribute__((vector_size(16)));
 
 void dense_block8_simd(const double* w, const Tensor& bias, std::size_t in_features,
                        std::size_t out_features, const double* panel,
-                       double* const* dst) {
+                       const std::uint32_t* cols, std::size_t kept, double* const* dst) {
   for (std::size_t o = 0; o < out_features; ++o) {
     const double* wrow = w + o * in_features;
     const double b = bias[o];
@@ -87,10 +125,10 @@ void dense_block8_simd(const double* w, const Tensor& bias, std::size_t in_featu
     v2df acc1 = {b, b};
     v2df acc2 = {b, b};
     v2df acc3 = {b, b};
-    for (std::size_t i = 0; i < in_features; ++i) {
-      const double wi = wrow[i];
+    for (std::size_t k = 0; k < kept; ++k) {
+      const double wi = wrow[cols[k]];
       const v2df wv = {wi, wi};
-      const double* p = panel + 8 * i;
+      const double* p = panel + 8 * k;
       v2df r0, r1, r2, r3;
       __builtin_memcpy(&r0, p, sizeof r0);
       __builtin_memcpy(&r1, p + 2, sizeof r1);
@@ -117,34 +155,66 @@ void dense_block8_simd(const double* w, const Tensor& bias, std::size_t in_featu
 // The AVX2 variant of the panel kernel, runtime-dispatched (the build stays
 // baseline x86-64; the target attribute lets the function use AVX2). Same
 // contract as dense_block8_simd: lanes across rows, each lane the exact
-// scalar accumulation sequence. Two hazards are handled explicitly:
+// scalar accumulation sequence over the kept columns. Two hazards are
+// handled explicitly:
 //  * fp contraction — this file is compiled with -ffp-contract=off, so the
 //    mul-then-add below can never fuse into an FMA (a fused step skips the
 //    intermediate rounding the scalar path takes and would break bitwise
 //    parity);
-//  * partial blocks — the panel is padded with zero lanes up to 8 rows, the
-//    padded lanes compute bias + 0*w garbage-free, and only the first `bn`
-//    lanes are stored. That lets blocks of 2..7 rows ride the wide kernel,
-//    which the scalar path serviced one unrolled chain per row.
+//  * partial blocks — the panel is as wide as the block needs: NA ymm
+//    accumulators of 4 lanes (one for 2..4 rows, two for 5..8), the lanes
+//    past `bn` zero-padded and never stored. A 2-row block pays for 4 lanes,
+//    not 8.
+// Each output's chain is serial (forward()'s order), so running one output
+// at a time waits a full add latency per column with only NA chains in
+// flight. dense_panel_avx2 therefore carries NO = 8 / NA outputs through the
+// column loop together: eight independent chains per column, each still in
+// its own output's order. At the fc1 shape that measured 1.3x (dense
+// inputs) to 2x (half the columns skipped) faster than one output at a time;
+// 12 / NA outputs ran slower.
+template <std::size_t NA, std::size_t NO>
+__attribute__((target("avx2"), always_inline)) inline void dense_panel_outputs_avx2(
+    const double* w, const Tensor& bias, std::size_t in_features, std::size_t o,
+    const double* panel, const std::uint32_t* cols, std::size_t kept, std::size_t bn,
+    double* const* dst) {
+  const double* wrow[NO];
+  __m256d acc[NO][NA];
+  for (std::size_t q = 0; q < NO; ++q) {
+    wrow[q] = w + (o + q) * in_features;
+    for (std::size_t a = 0; a < NA; ++a) acc[q][a] = _mm256_set1_pd(bias[o + q]);
+  }
+  for (std::size_t k = 0; k < kept; ++k) {
+    const std::uint32_t c = cols[k];
+    const double* p = panel + 4 * NA * k;
+    __m256d x[NA];
+    for (std::size_t a = 0; a < NA; ++a) x[a] = _mm256_loadu_pd(p + 4 * a);
+    for (std::size_t q = 0; q < NO; ++q) {
+      const __m256d wv = _mm256_set1_pd(wrow[q][c]);
+      for (std::size_t a = 0; a < NA; ++a) {
+        acc[q][a] = _mm256_add_pd(acc[q][a], _mm256_mul_pd(wv, x[a]));
+      }
+    }
+  }
+  for (std::size_t q = 0; q < NO; ++q) {
+    double lanes[4 * NA];
+    for (std::size_t a = 0; a < NA; ++a) _mm256_storeu_pd(lanes + 4 * a, acc[q][a]);
+    for (std::size_t j = 0; j < bn; ++j) dst[j][o + q] = lanes[j];
+  }
+}
+
+template <std::size_t NA>
 __attribute__((target("avx2"))) void dense_panel_avx2(
     const double* w, const Tensor& bias, std::size_t in_features,
-    std::size_t out_features, const double* panel, std::size_t bn,
-    double* const* dst) {
-  for (std::size_t o = 0; o < out_features; ++o) {
-    const double* wrow = w + o * in_features;
-    const __m256d init = _mm256_set1_pd(bias[o]);
-    __m256d acc0 = init;
-    __m256d acc1 = init;
-    for (std::size_t i = 0; i < in_features; ++i) {
-      const __m256d wv = _mm256_set1_pd(wrow[i]);
-      const double* p = panel + 8 * i;
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(wv, _mm256_loadu_pd(p)));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(wv, _mm256_loadu_pd(p + 4)));
-    }
-    double lanes[8];
-    _mm256_storeu_pd(lanes, acc0);
-    _mm256_storeu_pd(lanes + 4, acc1);
-    for (std::size_t j = 0; j < bn; ++j) dst[j][o] = lanes[j];
+    std::size_t out_features, const double* panel, const std::uint32_t* cols,
+    std::size_t kept, std::size_t bn, double* const* dst) {
+  constexpr std::size_t kOutputs = 8 / NA;
+  std::size_t o = 0;
+  for (; o + kOutputs <= out_features; o += kOutputs) {
+    dense_panel_outputs_avx2<NA, kOutputs>(w, bias, in_features, o, panel, cols, kept, bn,
+                                           dst);
+  }
+  for (; o < out_features; ++o) {
+    dense_panel_outputs_avx2<NA, 1>(w, bias, in_features, o, panel, cols, kept, bn, dst);
   }
 }
 
@@ -218,33 +288,39 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
   constexpr std::size_t kBlock = 8;
   [[maybe_unused]] const DenseIsa isa = dense_isa();
 #ifdef LINGXI_DENSE_SIMD
-  // Interleaved row panel for the vector kernels, reused across blocks (and
-  // calls) so a lockstep Monte Carlo run allocates it once per thread.
+  // Panel and kept-column index for the vector kernels, reused across blocks
+  // (and calls) so a lockstep Monte Carlo run allocates them once per thread.
   static thread_local std::vector<double> panel;
+  static thread_local std::vector<std::uint32_t> cols;
   panel.resize(kBlock * in_);
+  cols.resize(in_);
 #endif
   std::size_t b0 = 0;
   while (b0 < in.rows) {
-    const std::size_t bn = std::min(kBlock, in.rows - b0);
+    // No block of a multi-row call holds a single row: 9 rows left split
+    // 5 + 4, so every block can ride a vector panel. Single-row calls stay
+    // on dense_block<1>.
+    const std::size_t left = in.rows - b0;
+    const std::size_t bn = left == kBlock + 1 ? 5 : std::min(kBlock, left);
     const double* rows[kBlock];
     double* dst[kBlock];
     for (std::size_t j = 0; j < bn; ++j) {
       rows[j] = in.row(b0 + j);
       dst[j] = out.row(b0 + j);
     }
+    b0 += bn;
 #ifdef LINGXI_DENSE_X86
     // The wide kernel takes any block of >= 2 rows (zero-padded lanes);
     // single rows stay on the scalar chain, where the pack cost cannot be
     // amortized on small weight matrices like the 64x2 head.
     if (isa >= DenseIsa::kAvx2 && bn >= 2) {
-      for (std::size_t i = 0; i < in_; ++i) {
-        double* p = panel.data() + 8 * i;
-        std::size_t j = 0;
-        for (; j < bn; ++j) p[j] = rows[j][i];
-        for (; j < kBlock; ++j) p[j] = 0.0;
+      const std::size_t width = bn <= 4 ? 4 : 8;
+      const std::size_t kept = pack_panel(rows, bn, width, in_, panel.data(), cols.data());
+      if (width == 4) {
+        dense_panel_avx2<1>(w_.data(), b_, in_, out_, panel.data(), cols.data(), kept, bn, dst);
+      } else {
+        dense_panel_avx2<2>(w_.data(), b_, in_, out_, panel.data(), cols.data(), kept, bn, dst);
       }
-      dense_panel_avx2(w_.data(), b_, in_, out_, panel.data(), bn, dst);
-      b0 += bn;
       continue;
     }
 #endif
@@ -259,17 +335,14 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
       default:
 #ifdef LINGXI_DENSE_SIMD
         if (isa >= DenseIsa::kSse2) {
-          for (std::size_t i = 0; i < in_; ++i) {
-            for (std::size_t j = 0; j < kBlock; ++j) panel[8 * i + j] = rows[j][i];
-          }
-          dense_block8_simd(w_.data(), b_, in_, out_, panel.data(), dst);
+          const std::size_t kept = pack_panel(rows, kBlock, 8, in_, panel.data(), cols.data());
+          dense_block8_simd(w_.data(), b_, in_, out_, panel.data(), cols.data(), kept, dst);
           break;
         }
 #endif
         dense_block<8>(w_.data(), b_, in_, out_, rows, dst);
         break;
     }
-    b0 += bn;
   }
 }
 

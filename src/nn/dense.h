@@ -5,15 +5,17 @@
 
 namespace lingxi::nn {
 
-/// Instruction set the batched dense kernel runs on. Every variant keeps
-/// SIMD lanes ACROSS batch rows (never along the reduction), so all three
+/// Instruction set the batched nn kernels run on (Dense::forward_batch, and
+/// Conv1D::forward_batch's lane width). Every variant keeps SIMD lanes ACROSS
+/// batch rows or output channels (never along the reduction), so all three
 /// produce bitwise-identical outputs — pinned by the forced-ISA parity
 /// tests. Ordered narrow to wide so clamping to hardware support is a min().
 enum class DenseIsa {
   kScalar = 0,  ///< unrolled scalar blocks only
   kSse2 = 1,    ///< 16-byte generic vectors, full blocks only; the vector
                 ///< path on x86 without AVX2 and on non-x86 GCC builds
-  kAvx2 = 2,    ///< 4-lane ymm panel, partial blocks >= 2 rows ride it too
+  kAvx2 = 2,    ///< ymm panels sized to the block: one ymm for 2..4 rows,
+                ///< two for 5..8
 };
 
 /// Name for logs / env parsing: "scalar", "sse2", "avx2".
@@ -41,11 +43,15 @@ class Dense final : public Layer {
 
   /// Batched inference: out.row(b) = W in.row(b) + b for every row. Blocked
   /// over batch rows so each weight row is streamed once per block instead of
-  /// once per item (the 64x1600 fc1 weight matrix of the stall-exit net does
-  /// not fit in L1/L2, so weight traffic dominates the scalar path). The
-  /// per-output accumulation order matches forward() exactly, making each
-  /// output row bitwise identical to the scalar path. Inference only: does
-  /// not touch the backward() caches, safe on a const layer.
+  /// once per item; a multi-row call never forms a 1-row block (9 rows run
+  /// as 5 + 4). The vector kernels pack each block into a panel without the
+  /// input columns that are zero in every row of the block, and the AVX2
+  /// panel carries several outputs' accumulation chains at once. Each output
+  /// keeps forward()'s accumulation order over the kept columns, so every
+  /// row is bitwise identical to forward() for finite weights, up to the
+  /// sign of an output that is exactly zero under a -0.0 bias (see
+  /// dense.cpp). Inference only: does not touch the backward() caches, safe
+  /// on a const layer.
   void forward_batch(ConstBatchView in, BatchView out) const;
 
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }

@@ -1,5 +1,8 @@
 #include "predictor/exit_net.h"
 
+#include <cmath>
+#include <string>
+
 #include "common/assert.h"
 #include "nn/loss.h"
 
@@ -112,17 +115,43 @@ std::vector<const nn::Tensor*> StallExitNet::weights() const {
   return out;
 }
 
+Status StallExitNet::validate_weights(const std::vector<nn::Tensor>& tensors) {
+  // weights() order: (kernel, bias) per branch, then fc1 and fc2.
+  std::vector<std::vector<std::size_t>> shapes;
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    shapes.push_back({kConvChannels, 1, kKernel});
+    shapes.push_back({kConvChannels});
+  }
+  shapes.push_back({kFc1Size, kMergedSize});
+  shapes.push_back({kFc1Size});
+  shapes.push_back({2, kFc1Size});
+  shapes.push_back({2});
+  if (tensors.size() != shapes.size()) {
+    return Error::corrupt("stall-exit net expects " + std::to_string(shapes.size()) +
+                          " tensors, got " + std::to_string(tensors.size()));
+  }
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    if (tensors[i].shape() != shapes[i]) {
+      return Error::corrupt("stall-exit net tensor " + std::to_string(i) + " has the wrong shape");
+    }
+    for (std::size_t k = 0; k < tensors[i].size(); ++k) {
+      if (!std::isfinite(tensors[i][k])) {
+        return Error::corrupt("stall-exit net tensor " + std::to_string(i) +
+                              " holds a non-finite weight");
+      }
+    }
+  }
+  return {};
+}
+
 bool StallExitNet::load_weights(const std::vector<nn::Tensor>& tensors) {
+  if (!validate_weights(tensors)) return false;
   std::vector<nn::Tensor*> targets;
   for (auto& b : branches_) {
     for (nn::Tensor* t : b.parameters()) targets.push_back(t);
   }
   for (nn::Tensor* t : fc1_.parameters()) targets.push_back(t);
   for (nn::Tensor* t : fc2_.parameters()) targets.push_back(t);
-  if (tensors.size() != targets.size()) return false;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (!targets[i]->same_shape(tensors[i])) return false;
-  }
   for (std::size_t i = 0; i < targets.size(); ++i) *targets[i] = tensors[i];
   return true;
 }

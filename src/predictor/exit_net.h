@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "common/expected.h"
 #include "nn/activations.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
@@ -51,8 +52,13 @@ class StallExitNet {
 
   /// Weight (de)serialization for checkpointing.
   std::vector<const nn::Tensor*> weights() const;
+  /// Checks that `tensors` fit this architecture in the order of weights():
+  /// the tensor count, every shape, and every value finite. Returns kCorrupt
+  /// naming the first misfit. Finite weights are also what makes the batched
+  /// kernels' zero-column skip exact (nn::Dense::forward_batch).
+  static Status validate_weights(const std::vector<nn::Tensor>& tensors);
   /// Restore from tensors in the same order as weights(). Fails (returns
-  /// false) on shape mismatch.
+  /// false, leaving the net unchanged) unless validate_weights() accepts them.
   bool load_weights(const std::vector<nn::Tensor>& tensors);
 
  private:

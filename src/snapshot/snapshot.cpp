@@ -15,6 +15,7 @@
 #include "logstore/record.h"
 #include "nn/serialize.h"
 #include "obs/timer.h"
+#include "predictor/exit_net.h"
 #include "telemetry/archive.h"
 
 namespace lingxi::snapshot {
@@ -560,9 +561,13 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
       return Error::corrupt("snapshot net container CRC mismatch");
     }
     // Validate the container end to end now, not at resume time inside a
-    // predictor factory that has no error channel.
+    // predictor factory that has no error channel: the frame, then that its
+    // tensors fit the net (count, shapes, finite values).
     auto tensors = nn::deserialize_model(nn::kModelKindStallExitNet, *net);
     if (!tensors) return tensors.error();
+    if (auto fits = predictor::StallExitNet::validate_weights(*tensors); !fits) {
+      return fits.error();
+    }
     snapshot.net_model = std::move(*net);
   }
 

@@ -7,10 +7,14 @@
 // "equivalent" reformulations drift unless parity is pinned exactly).
 //
 // Batch sizes cover 1, 2, 7 (odd remainder against the 8-row block of
-// Dense::forward_batch), 64, and the empty batch.
+// Dense::forward_batch), 64, and the empty batch. The exactness section
+// below adds the sparse inputs the panel kernels skip columns on, and the
+// stall-exit net's outputs pinned as hex literals.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -167,29 +171,6 @@ TEST(DenseIsa, ClampsToSupportAndReportsNames) {
   nn::set_dense_isa_for_testing(before);
 }
 
-TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
-  Rng rng(17);
-  constexpr std::size_t kInCh = 2, kOutCh = 5, kKernel = 3, kLen = 10;
-  constexpr std::size_t kInCols = kInCh * kLen;
-  constexpr std::size_t kOutCols = kOutCh * (kLen - kKernel + 1);
-  nn::Conv1D layer(kInCh, kOutCh, kKernel, rng);
-  for (const std::size_t batch : kBatchSizes) {
-    const std::vector<double> in = random_values(batch * kInCols, rng);
-    std::vector<double> want;
-    want.reserve(batch * kOutCols);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const nn::Tensor out = layer.forward(nn::Tensor(
-          {kInCh, kLen}, {in.begin() + b * kInCols, in.begin() + (b + 1) * kInCols}));
-      for (std::size_t i = 0; i < kOutCols; ++i) want.push_back(out[i]);
-    }
-    std::vector<double> got(batch * kOutCols, -1.0);
-    layer.forward_batch({in.data(), batch, kInCols}, {got.data(), batch, kOutCols});
-    for (std::size_t i = 0; i < batch * kOutCols; ++i) {
-      EXPECT_EQ(got[i], want[i]) << "batch " << batch << " element " << i;
-    }
-  }
-}
-
 TEST(ActivationBatch, ReluAndSoftmaxRowsMatchScalar) {
   Rng rng(23);
   constexpr std::size_t kCols = 5;
@@ -231,6 +212,217 @@ TEST(StallExitNetBatch, BitwiseParityAcrossBatchSizes) {
       EXPECT_EQ(got[b], want) << "batch " << batch << " row " << b;
     }
   }
+}
+
+// ------------------------------------------------------------ exactness --
+// The panel kernels drop input columns that are exactly zero in every row of
+// a block and size the AVX2 panel to the block. These tests compare bit
+// patterns (EXPECT_EQ on doubles would accept -0.0 == +0.0) under every
+// supported ISA.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::vector<nn::DenseIsa> supported_isas() {
+  std::vector<nn::DenseIsa> out;
+  for (const nn::DenseIsa isa :
+       {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
+    if (nn::dense_isa_supported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+enum class ZeroPattern { kWholeColumns, kScattered };
+
+/// rows x cols inputs in [-2, 2] with a `zero_fraction` share of exact
+/// zeros: either whole columns (zero in every row, the kind the panel pack
+/// skips) or scattered elements. Every other zero is -0.0.
+std::vector<double> sparse_inputs(std::size_t rows, std::size_t cols, double zero_fraction,
+                                  ZeroPattern pattern, Rng& rng) {
+  std::vector<double> v = random_values(rows * cols, rng);
+  std::size_t zeros = 0;
+  const auto zero = [&](double& x) { x = (zeros++ % 2 == 0) ? 0.0 : -0.0; };
+  if (pattern == ZeroPattern::kWholeColumns) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (!rng.bernoulli(zero_fraction)) continue;
+      for (std::size_t r = 0; r < rows; ++r) zero(v[r * cols + c]);
+    }
+  } else {
+    for (double& x : v) {
+      if (rng.bernoulli(zero_fraction)) zero(x);
+    }
+  }
+  return v;
+}
+
+TEST(DenseBatchExactness, SparseInputsMatchForwardBitwise) {
+  const nn::DenseIsa before = nn::dense_isa();
+  Rng rng(2027);
+  constexpr std::size_t kIn = 96, kOut = 13;
+  nn::Dense zero_bias(kIn, kOut, rng);
+  nn::Dense random_bias(kIn, kOut, rng);
+  nn::Tensor& bias = *random_bias.parameters()[1];
+  for (std::size_t o = 0; o < kOut; ++o) bias[o] = rng.uniform(-1.0, 1.0);
+  constexpr std::size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 64};
+  for (nn::Dense* layer : {&zero_bias, &random_bias}) {
+    for (const ZeroPattern pattern : {ZeroPattern::kWholeColumns, ZeroPattern::kScattered}) {
+      for (const double fraction : {0.0, 0.5, 0.9, 1.0}) {
+        for (const std::size_t rows : kRows) {
+          const std::vector<double> in = sparse_inputs(rows, kIn, fraction, pattern, rng);
+          std::vector<double> want;
+          for (std::size_t b = 0; b < rows; ++b) {
+            const nn::Tensor out = layer->forward(
+                nn::Tensor({kIn}, {in.begin() + b * kIn, in.begin() + (b + 1) * kIn}));
+            for (std::size_t o = 0; o < kOut; ++o) want.push_back(out[o]);
+          }
+          for (const nn::DenseIsa isa : supported_isas()) {
+            nn::set_dense_isa_for_testing(isa);
+            std::vector<double> got(rows * kOut, -1.0);
+            layer->forward_batch({in.data(), rows, kIn}, {got.data(), rows, kOut});
+            for (std::size_t i = 0; i < rows * kOut; ++i) {
+              ASSERT_EQ(bits(got[i]), bits(want[i]))
+                  << nn::dense_isa_name(isa) << " rows " << rows << " zero fraction "
+                  << fraction << " pattern " << static_cast<int>(pattern) << " element " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  nn::set_dense_isa_for_testing(before);
+}
+
+TEST(DenseBatchExactness, NegativeZeroBiasDiffersOnlyInTheSignOfZero) {
+  // The one difference the column skip allows: with a -0.0 bias and an
+  // all-zero input row, forward() adds w*(+0) terms and can land on +0.0
+  // while a skipped column leaves the -0.0 bias untouched. Both compare
+  // equal, and the ReLU after fc1 (and the softmax after fc2) map either
+  // sign to the same bits, so every exit probability is unchanged.
+  const nn::DenseIsa before = nn::dense_isa();
+  Rng rng(2028);
+  constexpr std::size_t kIn = 40, kOut = 9;
+  nn::Dense layer(kIn, kOut, rng);
+  nn::Tensor& bias = *layer.parameters()[1];
+  for (std::size_t o = 0; o < kOut; ++o) bias[o] = -0.0;
+  for (const std::size_t rows : {1, 2, 5, 9, 17}) {
+    const std::vector<double> in(rows * kIn, 0.0);
+    const nn::Tensor want = layer.forward(nn::Tensor({kIn}, std::vector<double>(kIn, 0.0)));
+    nn::Tensor want_relu = nn::ReLU().forward(want);
+    for (const nn::DenseIsa isa : supported_isas()) {
+      nn::set_dense_isa_for_testing(isa);
+      std::vector<double> got(rows * kOut, -1.0);
+      layer.forward_batch({in.data(), rows, kIn}, {got.data(), rows, kOut});
+      for (std::size_t i = 0; i < rows * kOut; ++i) EXPECT_EQ(got[i], 0.0);
+      nn::relu_rows({got.data(), rows, kOut});
+      for (std::size_t i = 0; i < rows * kOut; ++i) {
+        ASSERT_EQ(bits(got[i]), bits(want_relu[i % kOut]))
+            << nn::dense_isa_name(isa) << " rows " << rows << " element " << i;
+      }
+    }
+  }
+  nn::set_dense_isa_for_testing(before);
+}
+
+TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
+  // The exit net's branch shape (1 -> 64 channels, kernel 4, length 8) with
+  // zero-padded histories, a multi-channel shape, and one whose weights
+  // exceed the batched kernel's stack buffer, under every supported ISA.
+  struct Shape {
+    std::size_t in_ch, out_ch, kernel, len;
+  };
+  const nn::DenseIsa before = nn::dense_isa();
+  Rng rng(17);
+  for (const Shape s : {Shape{1, 64, 4, 8}, Shape{2, 5, 3, 10}, Shape{3, 40, 3, 7}}) {
+    nn::Conv1D layer(s.in_ch, s.out_ch, s.kernel, rng);
+    nn::Tensor& bias = *layer.parameters()[1];
+    for (std::size_t o = 0; o < s.out_ch; ++o) bias[o] = rng.uniform(-0.5, 0.5);
+    const std::size_t in_cols = s.in_ch * s.len;
+    const std::size_t out_cols = s.out_ch * (s.len - s.kernel + 1);
+    for (const std::size_t rows : kBatchSizes) {
+      std::vector<double> in = random_values(rows * in_cols, rng);
+      for (std::size_t r = 0; r < rows; ++r) {  // left zero padding
+        for (std::size_t i = 0; i < r % s.len; ++i) in[r * in_cols + i] = 0.0;
+      }
+      std::vector<double> want;
+      for (std::size_t b = 0; b < rows; ++b) {
+        const nn::Tensor out = layer.forward(nn::Tensor(
+            {s.in_ch, s.len}, {in.begin() + b * in_cols, in.begin() + (b + 1) * in_cols}));
+        for (std::size_t i = 0; i < out_cols; ++i) want.push_back(out[i]);
+      }
+      for (const nn::DenseIsa isa : supported_isas()) {
+        nn::set_dense_isa_for_testing(isa);
+        std::vector<double> got(rows * out_cols, -1.0);
+        layer.forward_batch({in.data(), rows, in_cols}, {got.data(), rows, out_cols});
+        for (std::size_t i = 0; i < rows * out_cols; ++i) {
+          ASSERT_EQ(bits(got[i]), bits(want[i]))
+              << nn::dense_isa_name(isa) << " in_ch " << s.in_ch << " rows " << rows
+              << " element " << i;
+        }
+      }
+    }
+  }
+  nn::set_dense_isa_for_testing(before);
+}
+
+/// 16 fixed 5x8 feature rows shaped like EngagementState::write_features:
+/// channels 0-1 hold a right-aligned short-term history of r % 9 segments
+/// (zero-padded on the left), channels 2-4 long-term rows, all-zero in
+/// every fourth row.
+std::vector<double> exit_net_feature_rows() {
+  constexpr std::size_t kRows = 16, kLen = predictor::kHistoryLen;
+  std::vector<double> f(kRows * predictor::kChannels * kLen, 0.0);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    double* row = f.data() + r * predictor::kChannels * kLen;
+    const std::size_t history = r % 9;
+    for (std::size_t c = 0; c < 2; ++c) {
+      for (std::size_t i = kLen - history; i < kLen; ++i) {
+        row[c * kLen + i] = static_cast<double>((r * 37 + c * 11 + i * 5) % 17) / 16.0;
+      }
+    }
+    if (r % 4 == 3) continue;
+    for (std::size_t c = 2; c < predictor::kChannels; ++c) {
+      for (std::size_t i = 0; i < kLen; ++i) {
+        row[c * kLen + i] = static_cast<double>((r * 13 + c * 7 + i * 3) % 23) / 8.0;
+      }
+    }
+  }
+  return f;
+}
+
+// P(exit) of StallExitNet(Rng(4242)) on exit_net_feature_rows(), as IEEE-754
+// bit patterns captured from predict() and predict_batch() before the
+// sparse-aware panel kernels and the vectorized conv branches landed.
+constexpr std::uint64_t kExitNetGolden[16] = {
+    0x3fee490fda50b8f9, 0x3feadff4060692d2, 0x3fee2ed7fcbbbe72, 0x3fd38711c2e6afc5,
+    0x3fe7ea1b50faeacc, 0x3fed90b88e530e3f, 0x3fd0a9aa4260b64c, 0x3fcdaf8a2a3d12f7,
+    0x3feaed38a40385c1, 0x3feee258160630f5, 0x3fec9c35a746da5c, 0x3fd73341f7a9101c,
+    0x3fec06f3d62ab3ee, 0x3fe47bb57b82431d, 0x3fee9e895860ccdc, 0x3fd670ff62fed718,
+};
+
+TEST(StallExitNetBatch, PinnedOutputsAcrossBatchSizesAndIsas) {
+  const nn::DenseIsa before = nn::dense_isa();
+  Rng rng(4242);
+  predictor::StallExitNet net(rng);
+  constexpr std::size_t kFeat = predictor::kChannels * predictor::kHistoryLen;
+  const std::vector<double> feats = exit_net_feature_rows();
+  for (std::size_t r = 0; r < 16; ++r) {
+    const double p = net.predict(nn::Tensor({predictor::kChannels, predictor::kHistoryLen},
+                                            {feats.begin() + r * kFeat,
+                                             feats.begin() + (r + 1) * kFeat}));
+    EXPECT_EQ(bits(p), kExitNetGolden[r]) << "predict() row " << r;
+  }
+  predictor::StallExitNet::BatchWorkspace ws;
+  for (const nn::DenseIsa isa : supported_isas()) {
+    nn::set_dense_isa_for_testing(isa);
+    for (const std::size_t batch : {1, 3, 9, 16}) {
+      std::vector<double> got(batch, -1.0);
+      net.predict_batch({feats.data(), batch, kFeat}, got.data(), &ws);
+      for (std::size_t r = 0; r < batch; ++r) {
+        EXPECT_EQ(bits(got[r]), kExitNetGolden[r])
+            << nn::dense_isa_name(isa) << " batch " << batch << " row " << r;
+      }
+    }
+  }
+  nn::set_dense_isa_for_testing(before);
 }
 
 sim::SegmentRecord make_segment(std::size_t index, double bitrate, double throughput,

@@ -131,7 +131,8 @@ TEST(ObsRegistry, GaugeMergeHighestUpdateCountWinsTieMaxValue) {
     reg.set("g", 6.0);
     reg.set("g", 1.0);
     std::thread([&reg] { reg.set("g", 9.0); }).join();
-    const MetricSnapshot* g = reg.snapshot().find("g");
+    const RegistrySnapshot snap = reg.snapshot();
+    const MetricSnapshot* g = snap.find("g");
     ASSERT_NE(g, nullptr);
     EXPECT_DOUBLE_EQ(g->value, 1.0);
   }
@@ -140,7 +141,8 @@ TEST(ObsRegistry, GaugeMergeHighestUpdateCountWinsTieMaxValue) {
     Registry reg;
     reg.set("g", 3.0);
     std::thread([&reg] { reg.set("g", 8.0); }).join();
-    const MetricSnapshot* g = reg.snapshot().find("g");
+    const RegistrySnapshot snap = reg.snapshot();
+    const MetricSnapshot* g = snap.find("g");
     ASSERT_NE(g, nullptr);
     EXPECT_DOUBLE_EQ(g->value, 8.0);
   }

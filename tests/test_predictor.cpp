@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/rng.h"
@@ -175,6 +176,32 @@ TEST(StallExitNet, LoadRejectsWrongShapes) {
   std::vector<nn::Tensor> wrong;
   wrong.emplace_back(std::vector<std::size_t>{3});
   EXPECT_FALSE(net.load_weights(wrong));
+}
+
+TEST(StallExitNet, ValidateWeightsChecksCountShapesAndFiniteness) {
+  Rng rng(8);
+  StallExitNet net(rng);
+  std::vector<nn::Tensor> tensors;
+  for (const nn::Tensor* t : net.weights()) tensors.push_back(*t);
+  EXPECT_TRUE(StallExitNet::validate_weights(tensors).ok());
+
+  std::vector<nn::Tensor> short_list(tensors.begin(), tensors.end() - 1);
+  EXPECT_EQ(StallExitNet::validate_weights(short_list).error().code, Error::Code::kCorrupt);
+  std::vector<nn::Tensor> reshaped = tensors;
+  reshaped[10] = nn::Tensor({1600, 64});  // fc1 transposed
+  EXPECT_EQ(StallExitNet::validate_weights(reshaped).error().code, Error::Code::kCorrupt);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<nn::Tensor> non_finite = tensors;
+    non_finite[10][123] = bad;
+    EXPECT_EQ(StallExitNet::validate_weights(non_finite).error().code, Error::Code::kCorrupt);
+    // load_weights refuses the same tensors and leaves the net unchanged.
+    nn::Tensor f({kChannels, kHistoryLen});
+    f.fill(0.3);
+    const double before = net.predict(f);
+    EXPECT_FALSE(net.load_weights(non_finite));
+    EXPECT_EQ(net.predict(f), before);
+  }
 }
 
 TEST(StallExitNet, LearnsSimpleSeparableRule) {

@@ -8,8 +8,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abr/hyb.h"
@@ -435,6 +437,41 @@ TEST(SnapshotDisk, DetectsNetContainerFlip) {
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
+}
+
+TEST(SnapshotDisk, RejectsNetContainerThatDoesNotFitTheNet) {
+  // Valid LXNC frames with valid CRCs whose tensors do not fit the
+  // stall-exit net: the loader must answer kCorrupt rather than hand the
+  // blob to resume_predictor_factory, which cannot report an error.
+  SavedLeg leg = make_saved_leg();
+  const auto original = predictor_factory(4242)();
+  std::vector<nn::Tensor> weights;
+  for (const nn::Tensor* t : original.net().weights()) weights.push_back(*t);
+  ASSERT_TRUE(predictor::StallExitNet::validate_weights(weights).ok());
+
+  const nn::Tensor one({1, 1});
+  std::vector<nn::Tensor> wrong_shape = weights;
+  wrong_shape[2] = nn::Tensor({64, 1, 3});  // branch 1's kernel, one tap short
+  std::vector<nn::Tensor> nan_weight = weights;
+  nan_weight.back()[1] = std::numeric_limits<double>::quiet_NaN();
+  const auto pointers = [](const std::vector<nn::Tensor>& v) {
+    std::vector<const nn::Tensor*> out;
+    for (const nn::Tensor& t : v) out.push_back(&t);
+    return out;
+  };
+  const std::pair<const char*, std::vector<const nn::Tensor*>> cases[] = {
+      {"wrong-count", {&one}},
+      {"wrong-shape", pointers(wrong_shape)},
+      {"nan-weight", pointers(nan_weight)},
+  };
+  for (const auto& [name, tensors] : cases) {
+    leg.snapshot.net_model = nn::serialize_model(nn::kModelKindStallExitNet, tensors);
+    const std::string dir = fresh_dir(std::string("net-misfit-") + name);
+    ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok()) << name;
+    const auto loaded = snapshot::load_snapshot(dir);
+    ASSERT_FALSE(loaded.has_value()) << name;
+    EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt) << name;
+  }
 }
 
 TEST(SnapshotCompatibility, RejectsMismatches) {
