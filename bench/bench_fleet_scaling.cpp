@@ -22,9 +22,7 @@
 // bug and exits non-zero — CI runs this binary as the batched-path smoke.
 //
 // Flags: --batch N (lockstep batch, default 16), --users-per-shard N
-// (override the comparison fleet's shard size), --opt-threads N (pooled
-// round-boundary optimizer fits on the comparison fleet; 0 = inline),
-// --json PATH (machine-readable summary), --smoke (shrunk configs + {1,2}
+// (override the comparison fleet's shard size), --json PATH (machine-readable summary), --smoke (shrunk configs + {1,2}
 // threads for CI), --metrics-json PATH (obs registry snapshot across all
 // sections), --trace-out PATH (Chrome trace_event JSON of the instrumented
 // spans), --timeline-out PATH (per-day health timeline across all sections),
@@ -134,7 +132,6 @@ ShardArmRun run_shard_arm(const sim::FleetConfig& base, std::size_t users_per_sh
 int main(int argc, char** argv) {
   std::size_t batch = 16;
   std::size_t users_per_shard = 0;  // 0 = per-section defaults
-  std::size_t optimizer_threads = 0;
   const char* json_path = nullptr;
   std::string metrics_path;
   std::string trace_path;
@@ -146,8 +143,6 @@ int main(int argc, char** argv) {
       batch = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--users-per-shard") == 0 && i + 1 < argc) {
       users_per_shard = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--opt-threads") == 0 && i + 1 < argc) {
-      optimizer_threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
@@ -162,7 +157,7 @@ int main(int argc, char** argv) {
       smoke = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--batch N] [--users-per-shard N] [--opt-threads N] "
+                   "usage: %s [--batch N] [--users-per-shard N] "
                    "[--json PATH] [--metrics-json PATH] [--trace-out PATH] "
                    "[--timeline-out PATH] [--slo SPEC] [--smoke]\n",
                    argv[0]);
@@ -247,12 +242,11 @@ int main(int argc, char** argv) {
   cohort.users = smoke ? 24 : 512;
   cohort.users_per_shard = users_per_shard != 0 ? users_per_shard : (smoke ? 3 : 64);
   cohort.predictor_batch = batch;
-  cohort.optimizer_threads = optimizer_threads;
   std::printf(
       "\ncross-user fleet: %zu users x %zu days x %zu sessions, shard %zu, batch %zu, "
-      "opt-threads %zu, dense isa %s\n",
+      "dense isa %s\n",
       cohort.users, cohort.days, cohort.sessions_per_user_day, cohort.users_per_shard,
-      batch, optimizer_threads, nn::dense_isa_name(nn::dense_isa()));
+      batch, nn::dense_isa_name(nn::dense_isa()));
 
   const ShardArmRun per_opt =
       run_shard_arm(cohort, 1, predictor_factory, 11, thread_counts);
@@ -289,7 +283,6 @@ int main(int argc, char** argv) {
                  "  \"smoke\": %s,\n"
                  "  \"batch\": %zu,\n"
                  "  \"dense_isa\": \"%s\",\n"
-                 "  \"optimizer_threads\": %zu,\n"
                  "  \"scalar_sessions_per_sec\": %.1f,\n"
                  "  \"batched_sessions_per_sec\": %.1f,\n"
                  "  \"cross_user\": {\n"
@@ -308,7 +301,7 @@ int main(int argc, char** argv) {
                  "  \"all_checksums_match\": %s\n"
                  "}\n",
                  smoke ? "true" : "false", batch, nn::dense_isa_name(nn::dense_isa()),
-                 optimizer_threads, scalar.rates.front(),
+                 scalar.rates.front(),
                  batched.rates.front(), cohort.users, cohort.users_per_shard, per_opt.rate,
                  cross.rate, cohort_speedup, per_opt.stats.mean_flush_occupancy(),
                  cross.stats.mean_flush_occupancy(), per_opt.stats.mean_net_batch(),

@@ -97,8 +97,8 @@ rm -rf "${SMOKE_DIR}"
 mkdir -p "${SMOKE_DIR}"
 
 # Batched-inference + cross-user wave parity smoke (small fleet, batch 64,
-# shard 3, pooled optimizer fits on 2 workers; non-zero exit on any checksum
-# mismatch between thread counts, batch modes or shard sizes).
+# shard 3; non-zero exit on any checksum mismatch between thread counts,
+# batch modes or shard sizes).
 #
 # The wall-clock sessions/sec gates on the summary can be blanketed by a
 # host-side steal burst on virtualized single-core runners (one observed
@@ -109,7 +109,6 @@ mkdir -p "${SMOKE_DIR}"
 FLEET_GATE_OK=0
 for FLEET_ATTEMPT in 1 2 3; do
   "${BUILD_DIR}/bench/bench_fleet_scaling" --batch 64 --users-per-shard 3 --smoke \
-    --opt-threads 2 \
     --json "${SMOKE_DIR}/fleet_scaling.json" \
     | tee "${SMOKE_DIR}/fleet_scaling.txt"
   echo "batched-path + cross-user wave smoke OK (attempt ${FLEET_ATTEMPT})"
@@ -131,8 +130,7 @@ cross = summary["cross_user"]["cross_user_sessions_per_sec"]
 assert batched >= 1.2 * scalar, f"batched/scalar regressed: {batched:.0f} vs {scalar:.0f}"
 assert cross >= 0.9 * per_opt, f"cross-user regressed: {cross:.0f} vs {per_opt:.0f}"
 print(f"sessions/sec gate OK: batched/scalar {batched / scalar:.2f}x, "
-      f"cross/per-opt {cross / per_opt:.2f}x (isa {summary['dense_isa']}, "
-      f"opt-threads {summary['optimizer_threads']})")
+      f"cross/per-opt {cross / per_opt:.2f}x (isa {summary['dense_isa']})")
 PYEOF
   FLEET_GATE_RC=$?
   set -e

@@ -190,34 +190,20 @@ void LingXi::OptimizationRun::finish() {
 }
 
 bool LingXi::OptimizationRun::step() {
-  // A parked fit runs inline here when the caller did not run it itself.
-  if (pending_fit_) run_fit();
-  if (done_) return true;
-  if (wave_ == nullptr) {
-    // run_fit() already drew the next candidate; the first round draws it
-    // here. Wave construction always happens on this thread: the
-    // RolloutWave constructor touches the shared shard predictor.
-    if (rollout_abr_ == nullptr) begin_candidate();
-    start_wave();
+  while (!done_) {
+    if (wave_ == nullptr) {
+      begin_candidate();
+      start_wave();
+    }
+    if (!wave_->step()) return false;  // parked on predictor queries
+    // Round boundary: GP observe, then the next candidate's acquisition
+    // sweep (or the adoption decision after the last round).
+    finish_round(wave_->take_result());
+    wave_.reset();
+    rollout_abr_.reset();
+    if (++round_ >= rounds_) finish();
   }
-  if (!wave_->step()) return false;  // parked on predictor queries
-  pending_mc_ = wave_->take_result();
-  wave_.reset();
-  rollout_abr_.reset();
-  pending_fit_ = true;
-  return false;  // parked on the round-boundary fit
-}
-
-void LingXi::OptimizationRun::run_fit() {
-  LINGXI_ASSERT(pending_fit_);
-  pending_fit_ = false;
-  finish_round(pending_mc_);
-  ++round_;
-  if (round_ >= rounds_) {
-    finish();
-  } else {
-    begin_candidate();
-  }
+  return true;
 }
 
 LingXi::PersistentState LingXi::persistent_state() const {

@@ -110,38 +110,24 @@ class LingXi {
   /// One OBO round (Algorithm 1 lines 6-20) in resumable form — the one
   /// optimization loop, behind maybe_optimize() and the fleet's cohort
   /// waves alike, so a wave scheduler can interleave many users'
-  /// optimizations and pool their predictor flushes and fits. step()
-  /// advances the candidate loop until every live Monte Carlo rollout has
-  /// parked an exit query (returns false — with a pool, the caller must
-  /// flush it before the next step()), a round-boundary fit is parked
-  /// (returns false; see needs_fit()), or the round is complete (returns
-  /// true; the ABR carries the final parameters). The result is bitwise
-  /// identical regardless of how steps interleave with other users' runs.
+  /// optimizations and pool their predictor flushes. step() advances the
+  /// candidate loop — rollouts, then at each round boundary the GP observe
+  /// and the next candidate's acquisition sweep, inline — until every live
+  /// Monte Carlo rollout has parked an exit query (returns false; with a
+  /// pool, the caller must flush it before the next step()) or the round is
+  /// complete (returns true; the ABR carries the final parameters). The
+  /// result is bitwise identical regardless of how steps interleave with
+  /// other users' runs: every draw comes from this run's own rng and OBO.
   class OptimizationRun {
    public:
     OptimizationRun(const OptimizationRun&) = delete;
     OptimizationRun& operator=(const OptimizationRun&) = delete;
 
-    /// True when finished; false when parked on predictor queries or on a
-    /// round-boundary fit. Once finished, the live ABR carries the adopted
-    /// parameters (LingXi::current_params()).
+    /// True when finished; false when parked on predictor queries. Once
+    /// finished, the live ABR carries the adopted parameters
+    /// (LingXi::current_params()).
     bool step();
     bool done() const noexcept { return done_; }
-
-    /// Fit parking: step() parks (returns false) at every round boundary
-    /// instead of running the GP observe + acquisition sweep inline, so a
-    /// scheduler can pool many users' fits — run_fit() touches only this
-    /// run's private state (its OBO/GP, its rng, its ABR clone), making
-    /// concurrent fits of different users race-free and the results
-    /// independent of which thread ran them. A step() on a parked fit runs
-    /// it inline, so callers that do not pool fits still make progress.
-    /// True while a round-boundary fit is parked.
-    bool needs_fit() const noexcept { return pending_fit_; }
-    /// Run the parked fit: GP update with the round's Monte Carlo result,
-    /// then either the next candidate's acquisition sweep or the adoption
-    /// decision. Wave construction stays in step() on the caller's thread
-    /// (it touches the shared shard predictor).
-    void run_fit();
 
    private:
     friend class LingXi;
@@ -175,9 +161,6 @@ class LingXi {
     abr::QoeParams candidate_;
     std::unique_ptr<abr::AbrAlgorithm> rollout_abr_;
     std::unique_ptr<sim::RolloutWave> wave_;
-    /// Round result awaiting its parked fit.
-    sim::MonteCarloResult pending_mc_;
-    bool pending_fit_ = false;
     bool done_ = false;
   };
 
@@ -192,10 +175,10 @@ class LingXi {
 
   /// Run one OBO round to completion if triggered: begin_optimization()
   /// without a pool, stepped until done — each wave flushes its own parked
-  /// queries and each parked fit runs inline. `abr` is the live algorithm:
-  /// used as the rollout prototype and updated in place with the optimized
-  /// parameters. `current_buffer` seeds the virtual player. Returns the new
-  /// parameters when an optimization ran.
+  /// queries. `abr` is the live algorithm: used as the rollout prototype and
+  /// updated in place with the optimized parameters. `current_buffer` seeds
+  /// the virtual player. Returns the new parameters when an optimization
+  /// ran.
   std::optional<abr::QoeParams> maybe_optimize(abr::AbrAlgorithm& abr,
                                                Seconds current_buffer, Rng& rng);
 

@@ -18,7 +18,6 @@
 #include "obs/timeline.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
-#include "sim/optimizer_pool.h"
 #include "telemetry/sink.h"
 #include "user/data_driven.h"
 
@@ -289,75 +288,28 @@ FleetAccumulator FleetRunner::run_days(std::uint64_t seed, std::size_t first_day
                                        std::size_t last_day, const FleetDayState* resume,
                                        FleetDayState* out_state,
                                        FleetRunStats* stats) const {
-  // Fleet-health sampler, fed at every interior day boundary (the same seam
-  // the checkpoint hook rides) and once at run end. A resumed run seeds the
-  // rate window with the sessions already banked so sessions/sec reflects
-  // only this run's work. No-op unless a Registry is installed.
+  LINGXI_ASSERT(first_day < last_day && last_day <= config_.days);
+  // Resuming mid-calendar requires the matching day-boundary state; a fresh
+  // start must begin at day 0.
+  LINGXI_ASSERT((first_day == 0) == (resume == nullptr));
+  // Fleet-health sampler, fed one record per fleet day. A resumed run seeds
+  // the rate window with the sessions already banked so sessions/sec
+  // reflects only this run's work. No-op unless a Registry is installed.
   obs::PeriodicSampler sampler(
       obs::Registry::active(),
       resume != nullptr ? resume->accumulated.sessions : 0);
-  const std::size_t k = checkpoint_every_k_days_;
-  const bool hook_armed = checkpoint_hook_ != nullptr && k > 0;
-  // The health timeline wants a record per fleet day, but that no longer
-  // forces 1-day leg chaining: with a TimelineWriter or HealthMonitor armed
-  // (and a Registry to snapshot) each leg collects fleet-wide PER-DAY
-  // accumulator totals in-band (see run_days_leg) and the interior day
-  // records are emitted post-hoc after the leg, from base + partial sums.
-  // That reconstruction is bitwise equal to what a chain of 1-day legs
-  // would have exported — the accumulator is associative integer saturating
-  // sums, and every user-level tally is attributed to the same day a 1-day
-  // leg would have banked it on — while costing none of the per-leg fixed
-  // work chaining paid. Legs therefore follow the checkpoint cadence only,
-  // and with observability off the single-leg fast path is unchanged.
-  //
-  // The deterministic section of each interior day record is exact per day;
-  // the wall-clock section (RSS, counters, sessions/sec) is sampled when
-  // the leg ends, so its resolution is the leg cadence. Interior samples
-  // share one timestamp: the first carries the leg-window rate and the rest
-  // hit the sampler's zero-window guard instead of fabricating rates.
-  const bool per_day_obs =
-      obs::Registry::active() != nullptr &&
-      (obs::TimelineWriter::active() != nullptr || obs::HealthMonitor::active() != nullptr);
-  std::vector<FleetAccumulator> day_totals;
-  std::vector<FleetAccumulator>* day_totals_ptr = per_day_obs ? &day_totals : nullptr;
-  // Emit the day records of leg [a, b): cumulative day boundaries a+1..b-1
-  // reconstructed from `base` (everything accumulated before the leg) plus
-  // the leg's per-day totals, then the boundary at b from the leg's exact
-  // merged accumulator (bitwise the same sum; using it directly keeps the
-  // final record trivially equal to the run result).
-  const auto emit_leg_days = [&](std::size_t a, std::size_t b,
-                                 const FleetAccumulator& base,
-                                 const FleetAccumulator& leg_merged) {
-    if (!per_day_obs) {
-      sampler.sample(day_facts(b, config_.users, leg_merged));
-      return;
-    }
-    const std::uint64_t now_us = obs::Tracer::now_us();
-    FleetAccumulator cum = base;
-    for (std::size_t d = a; d + 1 < b; ++d) {
-      cum.merge(day_totals[d - a]);
-      sampler.sample_at(day_facts(d + 1, config_.users, cum), now_us);
-    }
-    sampler.sample_at(day_facts(b, config_.users, leg_merged), now_us);
-  };
+  // Legs follow the checkpoint cadence: <= k-day legs chained through the
+  // day-boundary state, the hook called at every interior boundary. Without
+  // a hook the run is one leg. Chaining is bitwise invisible (the run_days
+  // resume contract).
+  const bool hook_armed = checkpoint_hook_ != nullptr && checkpoint_every_k_days_ > 0;
+  const std::size_t leg_len = hook_armed ? checkpoint_every_k_days_ : last_day - first_day;
 
-  const std::size_t step = hook_armed ? k : 0;
-  if (step == 0 || last_day - first_day <= step) {
-    const FleetAccumulator base =
-        resume != nullptr ? resume->accumulated : FleetAccumulator{};
-    const FleetAccumulator acc = run_days_leg(seed, first_day, last_day, resume,
-                                              out_state, stats, nullptr, day_totals_ptr);
-    emit_leg_days(first_day, last_day, base, acc);
-    return acc;
-  }
-  // Chain <= step-day legs through the day-boundary state; hand boundaries
-  // on the checkpoint cadence (every k days from first_day) to the hook and
-  // every leg's days to the sampler.
-  if (stats != nullptr) *stats = FleetRunStats{};
-  // Clone the per-worker private-net predictors ONCE for the whole chain.
-  // Each clone is driven by exactly one worker thread per leg and forwards
-  // are pure in (weights, input), so reuse across legs is bitwise invisible
-  // — re-cloning per leg was pure per-leg fixed cost.
+  // One private-net predictor per worker slot, cloned once for the whole
+  // run and reused by every leg: each clone is driven by exactly one worker
+  // thread per leg and forwards are pure in (weights, input), so reuse is
+  // bitwise invisible, while each clone (the fc1 weight matrix) is
+  // ms-scale.
   std::vector<predictor::HybridExitPredictor> worker_predictors;
   if (config_.enable_lingxi && config_.users > 0) {
     LINGXI_ASSERT(predictor_factory_ != nullptr);
@@ -367,34 +319,43 @@ FleetAccumulator FleetRunner::run_days(std::uint64_t seed, std::size_t first_day
       worker_predictors.emplace_back(predictor_factory_().with_private_net());
     }
   }
+
+  FleetRunStats run_stats;
+  FleetAccumulator acc = resume != nullptr ? resume->accumulated : FleetAccumulator{};
   FleetDayState boundary;
   const FleetDayState* leg_resume = resume;
-  std::size_t leg_first = first_day;
-  FleetRunStats leg_stats;
-  FleetAccumulator leg_base =
-      resume != nullptr ? resume->accumulated : FleetAccumulator{};
-  for (std::size_t b = first_day + step; b < last_day; b += step) {
+  for (std::size_t a = first_day; a < last_day; a += leg_len) {
+    const std::size_t b = std::min(a + leg_len, last_day);
+    const bool last_leg = b == last_day;
     FleetDayState next;
-    run_days_leg(seed, leg_first, b, leg_resume, &next,
-                 stats != nullptr ? &leg_stats : nullptr,
-                 worker_predictors.empty() ? nullptr : &worker_predictors,
-                 day_totals_ptr);
-    if (stats != nullptr) stats->merge(leg_stats);
-    if (hook_armed && (b - first_day) % k == 0) checkpoint_hook_(next);
-    emit_leg_days(leg_first, b, leg_base, next.accumulated);
-    leg_base = next.accumulated;
-    boundary = std::move(next);
-    leg_resume = &boundary;
-    leg_first = b;
+    FleetDayState* leg_out = last_leg ? out_state : &next;
+    std::vector<FleetAccumulator> days =
+        run_days_leg(seed, a, b, leg_resume, leg_out, run_stats, worker_predictors);
+    // The running sum over the leg's per-day tallies: each prefix is the
+    // day-boundary aggregate, the last one the leg result. Merge order is
+    // free (see FleetAccumulator), so this equals any other summation.
+    for (FleetAccumulator& day : days) {
+      acc.merge(day);
+      day = acc;
+    }
+    if (leg_out != nullptr) leg_out->accumulated = acc;
+    if (!last_leg) checkpoint_hook_(next);
+    // The deterministic section of each day record is exact per day; the
+    // wall-clock section (RSS, counters, sessions/sec) is sampled when the
+    // leg ends, so its resolution is the leg cadence. A leg's samples share
+    // one timestamp: the first carries the leg-window rate and the rest hit
+    // the sampler's zero-window guard instead of fabricating rates.
+    const std::uint64_t now_us = obs::Tracer::now_us();
+    for (std::size_t i = 0; i < days.size(); ++i) {
+      sampler.sample_at(day_facts(a + i + 1, config_.users, days[i]), now_us);
+    }
+    if (!last_leg) {
+      boundary = std::move(next);
+      leg_resume = &boundary;
+    }
   }
-  const FleetAccumulator merged =
-      run_days_leg(seed, leg_first, last_day, leg_resume, out_state,
-                   stats != nullptr ? &leg_stats : nullptr,
-                   worker_predictors.empty() ? nullptr : &worker_predictors,
-                   day_totals_ptr);
-  if (stats != nullptr) stats->merge(leg_stats);
-  emit_leg_days(leg_first, last_day, leg_base, merged);
-  return merged;
+  if (stats != nullptr) *stats = run_stats;
+  return acc;
 }
 
 std::size_t FleetRunner::worker_pool_size() const noexcept {
@@ -406,38 +367,24 @@ std::size_t FleetRunner::worker_pool_size() const noexcept {
   return std::min(pool, shard_count);
 }
 
-FleetAccumulator FleetRunner::run_days_leg(
+std::vector<FleetAccumulator> FleetRunner::run_days_leg(
     std::uint64_t seed, std::size_t first_day, std::size_t last_day,
-    const FleetDayState* resume, FleetDayState* out_state, FleetRunStats* stats,
-    std::vector<predictor::HybridExitPredictor>* worker_predictors,
-    std::vector<FleetAccumulator>* day_totals) const {
-  LINGXI_ASSERT(first_day < last_day && last_day <= config_.days);
-  // Resuming mid-calendar requires the matching day-boundary state; a fresh
-  // start must begin at day 0.
-  LINGXI_ASSERT((first_day == 0) == (resume == nullptr));
+    const FleetDayState* resume, FleetDayState* out_state, FleetRunStats& stats,
+    const std::vector<predictor::HybridExitPredictor>& worker_predictors) const {
   if (resume != nullptr) {
     LINGXI_ASSERT(resume->next_day == first_day);
     LINGXI_ASSERT(resume->users.size() == config_.users);
   }
-
-  // Chronological merge base: everything the resumed-from legs accumulated.
-  FleetAccumulator merged;
-  if (resume != nullptr) merged = resume->accumulated;
-  if (stats != nullptr) *stats = FleetRunStats{};
   if (out_state != nullptr) {
     out_state->next_day = last_day;
     out_state->users.assign(config_.users, UserFleetState{});
-    out_state->accumulated = FleetAccumulator{};
   }
   const std::size_t leg_days = last_day - first_day;
-  if (day_totals != nullptr) day_totals->assign(leg_days, FleetAccumulator{});
+  std::vector<FleetAccumulator> days(leg_days);
   // A resumed leg must not reset the sink: its capture buffers carry the
   // earlier days' records (restored from a snapshot or reused in-process).
   if (sink_ && first_day == 0) sink_->begin_fleet(config_, seed);
-  if (config_.users == 0) {
-    if (out_state != nullptr) out_state->accumulated = merged;
-    return merged;
-  }
+  if (config_.users == 0) return days;
 
   // Immutable config-derived context, built once and read concurrently by
   // every worker instead of being reconstructed per user.
@@ -448,59 +395,32 @@ FleetAccumulator FleetRunner::run_days_leg(
 
   const std::size_t shard_count =
       (config_.users + config_.users_per_shard - 1) / config_.users_per_shard;
-  std::vector<FleetAccumulator> shards(shard_count);
-  std::vector<FleetRunStats> shard_stats(shard_count);
-  // Per-shard per-day slots (shard-major), merged below in fixed shard order
-  // once the workers join. Only allocated when per-day totals are wanted:
-  // the obs-off path stays allocation-identical. ~176 B per (shard, day) —
-  // auto-checkpoint cadences bound leg_days, so this stays small even for
-  // very large fleets.
-  std::vector<FleetAccumulator> shard_day_totals;
-  if (day_totals != nullptr) {
-    shard_day_totals.assign(shard_count * leg_days, FleetAccumulator{});
-  }
+  const std::size_t pool = worker_pool_size();
+  LINGXI_ASSERT(!config_.enable_lingxi || worker_predictors.size() >= pool);
+  // Per-worker per-day slots: a worker banks every tally of every shard it
+  // pulls into its own array, so the LSQ pull queue needs no coordination
+  // beyond the shard counter, and memory scales with workers x leg days
+  // instead of shards.
+  std::vector<std::vector<FleetAccumulator>> slots(pool,
+                                                   std::vector<FleetAccumulator>(leg_days));
+  std::vector<FleetRunStats> worker_stats(pool);
 
   std::atomic<std::size_t> next_shard{0};
   const auto worker = [&](std::size_t slot) {
-    // One fit pool per worker, shared across its shards, so the fit workers
-    // are spawned once per leg rather than once per shard. A zero-worker
-    // pool runs the fits inline on this thread.
-    OptimizerPool fit_pool(config_.optimizer_threads);
-    // One private-net predictor per worker, shared by every shard it
-    // processes. Forward passes are pure in (weights, input) and weights
-    // never change during a run, so sharing within the single driving
-    // thread is bitwise invisible; cloning per shard only protected against
-    // cross-THREAD cache races, and the clone is ~ms-scale (the fc1 weight
-    // matrix) — a fixed cost every leg would otherwise pay. Checkpoint-chained
-    // runs hoist further: run_days pre-clones one predictor per worker slot
-    // and every leg reuses them through `worker_predictors`.
-    std::optional<predictor::HybridExitPredictor> local_predictor;
-    const predictor::HybridExitPredictor* worker_predictor = nullptr;
-    if (config_.enable_lingxi) {
-      LINGXI_ASSERT(predictor_factory_ != nullptr);
-      if (worker_predictors != nullptr) {
-        worker_predictor = &(*worker_predictors)[slot];
-      } else {
-        local_predictor.emplace(predictor_factory_().with_private_net());
-        worker_predictor = &*local_predictor;
-      }
-    }
+    const predictor::HybridExitPredictor* predictor =
+        config_.enable_lingxi ? &worker_predictors[slot] : nullptr;
     for (;;) {
       const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
       if (shard >= shard_count) return;
       const std::size_t first = shard * config_.users_per_shard;
       const std::size_t last = std::min(first + config_.users_per_shard, config_.users);
-      ShardScheduler scheduler(
-          *this, world, seed, first, last, shards[shard], first_day, last_day,
-          resume, out_state, &fit_pool, worker_predictor,
-          day_totals != nullptr ? &shard_day_totals[shard * leg_days] : nullptr);
+      ShardScheduler scheduler(*this, world, seed, first, last, slots[slot].data(),
+                               first_day, last_day, resume, out_state, predictor);
       scheduler.run();
-      shard_stats[shard] = scheduler.stats();
+      worker_stats[slot].merge(scheduler.stats());
     }
   };
 
-  const std::size_t pool = worker_pool_size();
-  LINGXI_ASSERT(worker_predictors == nullptr || worker_predictors->size() >= pool);
   if (pool <= 1) {
     worker(0);
   } else {
@@ -510,22 +430,12 @@ FleetAccumulator FleetRunner::run_days_leg(
     for (auto& t : threads) t.join();
   }
 
-  // Fixed left-to-right merge in shard order. With the integer accumulator
-  // any merge tree gives the same bits; the fixed order keeps that true even
-  // if a float field is ever added.
-  for (const auto& shard : shards) merged.merge(shard);
-  if (day_totals != nullptr) {
-    for (std::size_t d = 0; d < leg_days; ++d) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        (*day_totals)[d].merge(shard_day_totals[s * leg_days + d]);
-      }
-    }
+  // Merge order is free (see FleetAccumulator).
+  for (std::size_t w = 0; w < pool; ++w) {
+    for (std::size_t d = 0; d < leg_days; ++d) days[d].merge(slots[w][d]);
+    stats.merge(worker_stats[w]);
   }
-  if (stats != nullptr) {
-    for (const auto& s : shard_stats) stats->merge(s);
-  }
-  if (out_state != nullptr) out_state->accumulated = merged;
-  return merged;
+  return days;
 }
 
 // ---------------------------------------------------------------------------
@@ -536,8 +446,8 @@ FleetAccumulator FleetRunner::run_days_leg(
 /// implementation. step() runs the user forward — live sessions inline
 /// (they never touch the exit predictor; user-model exits resolve
 /// immediately) — and returns false whenever the user's LingXi optimization
-/// parks stalled predictor queries in the pool or parks a round-boundary
-/// fit; the next step() resumes it after the pool flush. When nothing
+/// parks stalled predictor queries in the pool; the next step() resumes it
+/// after the pool flush. When nothing
 /// triggers, step() runs the whole user in one call. Every random draw
 /// comes from (seed, user, day, session) streams only, so results cannot
 /// depend on how the waves interleave users.
@@ -548,23 +458,22 @@ class ShardScheduler::UserTask {
   /// user; the task continues bitwise identically to one that simulated the
   /// earlier days itself (static context re-derives from (seed, user)
   /// streams, evolving state restores from `resume`).
-  /// `day_totals`, when non-null, is the shard's leg-relative per-day slot
-  /// array (see ShardScheduler): every tally banked into `acc` is also
-  /// banked into the slot of the day it is attributed to.
+  /// `day_slots` is the worker's leg-relative per-day slot array (see
+  /// ShardScheduler): every tally is banked into the slot of the day it is
+  /// attributed to.
   UserTask(const FleetRunner& runner, const FleetWorld& world, std::uint64_t seed,
-           std::size_t user_index, FleetAccumulator& acc,
-           const predictor::HybridExitPredictor* shard_predictor,
+           std::size_t user_index, FleetAccumulator* day_slots,
+           const predictor::HybridExitPredictor* predictor,
            predictor::ExitQueryPool* pool, std::size_t first_day, std::size_t stop_day,
-           const UserFleetState* resume, FleetAccumulator* day_totals)
+           const UserFleetState* resume)
       : runner_(runner),
         cfg_(runner.config()),
         world_(world),
         seed_(seed),
         user_(user_index),
-        acc_(acc),
-        day_totals_(day_totals),
+        day_slots_(day_slots),
         leg_first_day_(first_day),
-        shard_predictor_(shard_predictor),
+        predictor_(predictor),
         pool_(pool),
         scenario_(runner.config().scenario.empty() ? nullptr : &runner.config().scenario),
         day_(first_day),
@@ -619,14 +528,6 @@ class ShardScheduler::UserTask {
     return true;
   }
 
-  /// Non-null while the task is parked on a round-boundary optimizer fit
-  /// (never while parked on predictor queries): the run whose run_fit() the
-  /// scheduler invokes — possibly from a pool worker — before the next
-  /// step().
-  core::LingXi::OptimizationRun* parked_fit() const noexcept {
-    return opt_ != nullptr && opt_->needs_fit() ? opt_.get() : nullptr;
-  }
-
   /// Day-boundary state for a later resume; call only after step() returned
   /// true on a task whose stop_day precedes the configured horizon.
   void export_state(UserFleetState& out) const {
@@ -661,14 +562,13 @@ class ShardScheduler::UserTask {
     abr_->set_params(start_params);
 
     if (cfg_.enable_lingxi) {
-      LINGXI_ASSERT(shard_predictor_ != nullptr);
+      LINGXI_ASSERT(predictor_ != nullptr);
       // The shard's users BORROW the worker's private net copy (LingXi never
       // mutates it): forwards are pure per row and the shard runs on one
       // worker, so sharing is bitwise invisible — and not copying the net
       // per user keeps identity (re)builds cheap when the checkpoint cadence
       // chains legs or churn rolls a slot over.
-      lingxi_ = std::make_unique<core::LingXi>(cfg_.lingxi, *shard_predictor_,
-                                               cfg_.video.ladder);
+      lingxi_ = std::make_unique<core::LingXi>(cfg_.lingxi, *predictor_, cfg_.video.ladder);
     }
   }
 
@@ -756,10 +656,7 @@ class ShardScheduler::UserTask {
           world_.simulator.run(video, *abr_, *bandwidth, day_user_.get(), session_rng_);
     }
     measured_ = session_index_ >= cfg_.warmup_sessions;
-    acc_.add_session(result_, measured_);
-    if (day_totals_ != nullptr) {
-      day_totals_[day_ - leg_first_day_].add_session(result_, measured_);
-    }
+    day_slots_[day_ - leg_first_day_].add_session(result_, measured_);
 
     if (lingxi_) {
       for (const auto& seg : result_.segments) lingxi_->on_segment(seg);
@@ -805,20 +702,15 @@ class ShardScheduler::UserTask {
   /// Bank the current occupant's summary: accumulator tallies plus the
   /// telemetry user record. Emitted at the horizon (finish_user) and at
   /// every churn departure (retire_generation). `slot_day` attributes the
-  /// tallies to one calendar day for per-day observation; the attribution
-  /// (rollover day for churn, final day for the horizon) reproduces exactly
-  /// which 1-day-leg boundary accumulators would have contained them, so
-  /// post-hoc per-day reconstruction stays bitwise equal to leg chaining.
+  /// tallies to one calendar day; the attribution (rollover day for churn,
+  /// final day for the horizon) reproduces exactly which 1-day-leg boundary
+  /// accumulators would have contained them, so the per-day running sums
+  /// stay bitwise equal to leg chaining.
   void emit_user_summary(std::size_t slot_day) {
-    acc_.adjusted_user_days += adjusted_days_;
-    if (lingxi_) acc_.add_lingxi_stats(lingxi_->stats());
-    ++acc_.users;
-    if (day_totals_ != nullptr) {
-      FleetAccumulator& slot = day_totals_[slot_day - leg_first_day_];
-      slot.adjusted_user_days += adjusted_days_;
-      if (lingxi_) slot.add_lingxi_stats(lingxi_->stats());
-      ++slot.users;
-    }
+    FleetAccumulator& slot = day_slots_[slot_day - leg_first_day_];
+    slot.adjusted_user_days += adjusted_days_;
+    if (lingxi_) slot.add_lingxi_stats(lingxi_->stats());
+    ++slot.users;
     if (runner_.sink_) {
       telemetry::UserTelemetry user;
       user.user_index = user_;
@@ -843,12 +735,10 @@ class ShardScheduler::UserTask {
   const FleetWorld& world_;
   std::uint64_t seed_;
   std::size_t user_;
-  FleetAccumulator& acc_;
-  /// Shard's per-day accumulator slots (leg-relative), mirroring every bank
-  /// into acc_; null when per-day observation is off.
-  FleetAccumulator* day_totals_;
+  /// The worker's per-day accumulator slots (leg-relative): the only sink.
+  FleetAccumulator* day_slots_;
   std::size_t leg_first_day_;
-  const predictor::HybridExitPredictor* shard_predictor_;  ///< kept for churn rebuilds
+  const predictor::HybridExitPredictor* predictor_;  ///< kept for churn rebuilds
   predictor::ExitQueryPool* pool_;
 
   // Scenario context: null for an empty script, which keeps every
@@ -888,69 +778,47 @@ class ShardScheduler::UserTask {
 
 ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& world,
                                std::uint64_t seed, std::size_t first_user,
-                               std::size_t last_user, FleetAccumulator& acc,
+                               std::size_t last_user, FleetAccumulator* day_slots,
                                std::size_t first_day, std::size_t last_day,
                                const FleetDayState* resume, FleetDayState* out_state,
-                               OptimizerPool* fit_pool,
-                               const predictor::HybridExitPredictor* worker_predictor,
-                               FleetAccumulator* day_totals)
+                               const predictor::HybridExitPredictor* predictor)
     : runner_(runner),
       world_(world),
       seed_(seed),
       first_user_(first_user),
       last_user_(last_user),
-      acc_(acc),
+      day_slots_(day_slots),
       first_day_(first_day),
       last_day_(last_day),
       resume_(resume),
       out_state_(out_state),
-      pool_(std::make_unique<predictor::ExitQueryPool>()),
-      fit_pool_(fit_pool),
-      worker_predictor_(worker_predictor),
-      day_totals_(day_totals) {
+      predictor_(predictor),
+      pool_(std::make_unique<predictor::ExitQueryPool>()) {
   LINGXI_ASSERT(first_user_ <= last_user_);
   LINGXI_ASSERT(first_day_ < last_day_);
+  LINGXI_ASSERT(day_slots_ != nullptr);
 }
 
 ShardScheduler::~ShardScheduler() = default;
 
 void ShardScheduler::run() {
-  // The worker's deep-copied predictor, shared by the shard's users (each
-  // user's LingXi borrows it, not a copy of the net) — see
-  // set_predictor_factory for why sharing is bitwise invisible. The
-  // clone-per-shard fallback covers direct ShardScheduler construction.
-  std::optional<predictor::HybridExitPredictor> fallback_predictor;
-  if (runner_.config().enable_lingxi && worker_predictor_ == nullptr) {
-    LINGXI_ASSERT(runner_.predictor_factory_ != nullptr);
-    fallback_predictor.emplace(runner_.predictor_factory_().with_private_net());
-  }
-  const predictor::HybridExitPredictor* shard_predictor =
-      worker_predictor_ != nullptr ? worker_predictor_
-                                   : (fallback_predictor ? &*fallback_predictor : nullptr);
   std::vector<std::unique_ptr<UserTask>> tasks;
   tasks.reserve(last_user_ - first_user_);
   for (std::size_t u = first_user_; u < last_user_; ++u) {
     tasks.push_back(std::make_unique<UserTask>(
-        runner_, world_, seed_, u, acc_,
-        runner_.config().enable_lingxi ? shard_predictor : nullptr, pool_.get(),
-        first_day_, last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr,
-        day_totals_));
+        runner_, world_, seed_, u, day_slots_, predictor_, pool_.get(), first_day_,
+        last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr));
   }
 
   // Live tasks in ascending user order. Each wave steps every live task
-  // until it parks or completes; the wave's parked optimizer fits then run
-  // as one pooled batch, one pooled flush serves all parked queries, and
-  // the next wave resumes the parked tasks. The fit batch is determined by
-  // task order alone and every fit touches only its own user's state, so
-  // neither the pooling nor the worker count can change any result.
+  // until it parks on predictor queries or completes; one pooled flush then
+  // serves all parked queries, and the next wave resumes the parked tasks.
   std::vector<std::size_t> live;
   live.reserve(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) live.push_back(i);
   std::vector<std::size_t> parked;
-  std::vector<core::LingXi::OptimizationRun*> fits;
   while (!live.empty()) {
     parked.clear();
-    fits.clear();
     for (const std::size_t i : live) {
       if (tasks[i]->step()) {
         if (out_state_ != nullptr) {
@@ -959,25 +827,9 @@ void ShardScheduler::run() {
         tasks[i].reset();  // free completed per-user state before the shard ends
       } else {
         parked.push_back(i);
-        if (core::LingXi::OptimizationRun* fit = tasks[i]->parked_fit()) {
-          fits.push_back(fit);
-        }
       }
     }
     live = parked;
-    if (!fits.empty()) {
-      if (obs::Registry* reg = obs::Registry::active()) {
-        reg->observe("sim.wave.pooled_fits", obs::HistogramSpec::rows(),
-                     static_cast<double>(fits.size()));
-      }
-      OBS_SPAN("wave.fits");
-      OBS_TIMED("sim.wave.fits_us");
-      if (fit_pool_ != nullptr) {
-        fit_pool_->run(fits.size(), [&](std::size_t i) { fits[i]->run_fit(); });
-      } else {
-        for (core::LingXi::OptimizationRun* fit : fits) fit->run_fit();
-      }
-    }
     if (!live.empty()) {
       if (obs::Registry* reg = obs::Registry::active()) {
         reg->add("sim.wave.count");

@@ -11,8 +11,8 @@
 //   * every per-user random stream is derived only from (seed, user index,
 //     day, session) — never from thread identity or execution order;
 //   * sharding is a pure function of the user count, not of the pool size;
-//   * per-shard results go into FleetAccumulator, whose state is integer
-//     (fixed-point) so that merging is exactly associative and commutative.
+//   * tallies go into FleetAccumulator, whose state is integer (fixed-point)
+//     so that merging is exactly associative and commutative.
 // Hence the merged result is bitwise identical at 1, 4 or 64 threads, which
 // is what makes the parallel fleet usable for paired A/B comparisons.
 //
@@ -58,8 +58,6 @@ class ExitQueryPool;
 
 namespace lingxi::sim {
 
-class OptimizerPool;
-
 /// Immutable config-derived simulation context shared (read-only) by all
 /// fleet workers.
 struct FleetWorld {
@@ -73,13 +71,15 @@ struct FleetWorld {
 ///
 /// All state is integral: times are stored in microsecond ticks and the
 /// bitrate-time product in kbps-milliseconds, quantized once per session at
-/// add_session() time. Integer addition is exactly associative and
-/// commutative, so any shard partitioning and any merge tree produce the
-/// same bits — the property the fleet tests assert and the scaling bench
-/// checksums. (Bounds: ~5e10 session-seconds of watch time before the
-/// bitrate-time product can overflow 63 bits at ladder-top bitrates; past
-/// that bound the fixed-point sums saturate at INT64_MAX and `overflowed`
-/// latches — see below — instead of silently wrapping.)
+/// add_session() time. Every field is an integer sum (saturating for the
+/// fixed-point ones) or the OR-ed overflow latch, so merge order is free:
+/// any shard partitioning, any worker assignment and any merge tree produce
+/// the same bits — the property the fleet tests assert and the scaling
+/// bench checksums. A field of any other kind (a float sum, say) would void
+/// that and must not be added. (Bounds: ~5e10 session-seconds of watch time
+/// before the bitrate-time product can overflow 63 bits at ladder-top
+/// bitrates; past that bound the fixed-point sums saturate at INT64_MAX and
+/// `overflowed` latches — see below — instead of silently wrapping.)
 struct FleetAccumulator {
   static constexpr double kTicksPerSecond = 1e6;       ///< time resolution
   static constexpr double kBitrateTicksPerKbpsSec = 1e3;
@@ -224,13 +224,6 @@ struct FleetConfig {
   /// bitwise-identical fleet checksum (the scalar/batched parity contract,
   /// asserted by tests/test_properties.cpp).
   std::size_t predictor_batch = 0;
-  /// Extra worker threads (per shard worker) for the round-boundary
-  /// optimizer fits — GP observe plus the next acquisition sweep — that
-  /// cohort waves park at wave boundaries and run as one pooled batch.
-  /// 0 runs the fits inline on the shard's own thread. Purely a scheduling
-  /// knob: each fit touches only its user's private state, so any value
-  /// yields bitwise-identical results (asserted by test_properties.cpp).
-  std::size_t optimizer_threads = 0;
   /// Lognormal sigma jittering each session's mean bandwidth around the
   /// user's profile (cellular commute vs home Wi-Fi); 0 disables.
   double session_jitter_sigma = 0.0;
@@ -277,8 +270,8 @@ class FleetRunner {
   /// churn it is re-invoked per generation with a fresh generation-derived
   /// rng (an index-only factory therefore rebuilds identical users).
   void set_user_factory(UserFactory factory);
-  /// Required when `config.enable_lingxi`. Invoked from worker threads —
-  /// once per worker (or per chained run); the returned predictor's net is
+  /// Required when `config.enable_lingxi`. Invoked once per worker per
+  /// run_days() call, on the calling thread; the returned predictor's net is
   /// deep-copied before use, so a factory handing out a shared net is safe.
   /// A worker's shards and users share the deep copy: batched forwards are
   /// const and pure per row, and one shard is driven by one worker, so
@@ -348,25 +341,21 @@ class FleetRunner {
  private:
   friend class ShardScheduler;
 
-  /// One contiguous leg (the pre-hook run_days body); run_days() chains legs
-  /// through it when the checkpoint hook is armed. `worker_predictors`, when
-  /// non-null, supplies one pre-cloned private-net predictor per worker slot
-  /// (size >= the worker pool) so chained legs reuse the clones instead of
-  /// re-deriving them per leg; null keeps the per-leg clone (single-leg runs).
-  /// `day_totals`, when non-null, receives (last_day - first_day) fleet-wide
-  /// per-day accumulators (merged across shards in fixed shard order): slot i
-  /// holds exactly the tallies attributed to day first_day + i, so
-  /// base + slots[0..i] reproduces the day-boundary aggregate a chain of
-  /// 1-day legs would have exported — bitwise, because the accumulator is
-  /// all integer saturating sums (associative and commutative).
-  FleetAccumulator run_days_leg(
+  /// One contiguous leg [first_day, last_day): restores `resume`, runs
+  /// every shard on the worker pool and, when `out_state` is non-null,
+  /// exports the per-user states at last_day (run_days sets its
+  /// accumulator). `worker_predictors` holds one private-net predictor per
+  /// worker slot (empty when LingXi is off). Returns the leg's tallies per
+  /// day: slot i holds exactly what is attributed to day first_day + i, each
+  /// the sum of the workers' slots for that day. `stats` gains the leg's
+  /// batching telemetry.
+  std::vector<FleetAccumulator> run_days_leg(
       std::uint64_t seed, std::size_t first_day, std::size_t last_day,
-      const FleetDayState* resume, FleetDayState* out_state, FleetRunStats* stats,
-      std::vector<predictor::HybridExitPredictor>* worker_predictors = nullptr,
-      std::vector<FleetAccumulator>* day_totals = nullptr) const;
+      const FleetDayState* resume, FleetDayState* out_state, FleetRunStats& stats,
+      const std::vector<predictor::HybridExitPredictor>& worker_predictors) const;
 
   /// Size of the leg worker pool for the current config (threads capped by
-  /// shard count); shared by run_days_leg and the run_days clone hoist.
+  /// shard count); shared by run_days_leg and the run_days predictor clones.
   std::size_t worker_pool_size() const noexcept;
 
   FleetConfig config_;
@@ -381,44 +370,36 @@ class FleetRunner {
 /// Executes the users of one shard as cohort waves of pausable per-user
 /// tasks (UserTask — the one implementation of per-user simulation): every
 /// task advances in waves — live sessions simulate inline, LingXi
-/// optimizations run until each Monte Carlo rollout parks a stalled exit
-/// query in the shared ExitQueryPool or a round-boundary fit parks, then the
-/// next user runs. The wave's parked fits run as one pooled batch and one
-/// pooled flush serves every parked query across users, candidates and
-/// rollouts, sub-batched per net. A one-user shard is per-user order.
+/// optimizations (round-boundary GP fits included) run until each Monte
+/// Carlo rollout parks a stalled exit query in the shared ExitQueryPool,
+/// then the next user runs. One pooled flush per wave serves every parked
+/// query across users, candidates and rollouts, sub-batched per net. A
+/// one-user shard is per-user order.
 ///
 /// Tasks step in ascending user order, so park order — and therefore every
 /// batch composition — is a pure function of (config, seed, shard range):
 /// replays are deterministic. Per-user outcomes cannot depend on the
 /// interleaving at all (task state is private; forwards are pure), which is
 /// what keeps results bitwise equal across shard sizes.
-/// One ShardScheduler is driven by exactly one worker thread.
+/// One ShardScheduler is driven by exactly one worker thread; only
+/// FleetRunner::run_days_leg constructs one.
 class ShardScheduler {
  public:
   /// Drives users [first_user, last_user) over days [first_day, last_day).
-  /// `resume` / `out_state`, when non-null, are the whole-fleet day-boundary
-  /// states (indexed by absolute user index) this shard restores from /
-  /// exports into; the scheduler touches only its own users' entries.
-  /// `fit_pool`, when non-null, runs the waves' parked optimizer
-  /// fits (shared across the worker's shards; may be a zero-worker pool).
-  /// `worker_predictor`, when non-null, is the driving worker's private-net
-  /// predictor clone, shared by every shard (and user) the worker processes
-  /// instead of re-cloning the net per shard/user — forwards are pure
-  /// functions of (weights, input) and weights never change during a run,
-  /// so the sharing is bitwise invisible (the net's fc1 weight matrix makes
-  /// each clone ~ms-scale).
-  /// `day_totals`, when non-null, points at (last_day - first_day)
-  /// per-day accumulators for this shard: every tally banked into `acc` is
-  /// also banked into the slot of the day it belongs to, so the health
-  /// timeline can reconstruct each interior day-boundary aggregate from a
-  /// single leg without forcing 1-day leg chaining.
+  /// `day_slots` is the driving worker's array of (last_day - first_day)
+  /// accumulators: every tally is banked once, into the slot of the day it
+  /// is attributed to. `resume` / `out_state`, when non-null, are the
+  /// whole-fleet day-boundary states (indexed by absolute user index) this
+  /// shard restores from / exports into; the scheduler touches only its own
+  /// users' entries. `predictor` is the worker's private-net predictor
+  /// (null when LingXi is off), shared by every shard and user the worker
+  /// processes — forwards are pure functions of (weights, input) and weights
+  /// never change during a run, so the sharing is bitwise invisible.
   ShardScheduler(const FleetRunner& runner, const FleetWorld& world, std::uint64_t seed,
-                 std::size_t first_user, std::size_t last_user, FleetAccumulator& acc,
+                 std::size_t first_user, std::size_t last_user, FleetAccumulator* day_slots,
                  std::size_t first_day, std::size_t last_day,
                  const FleetDayState* resume, FleetDayState* out_state,
-                 OptimizerPool* fit_pool = nullptr,
-                 const predictor::HybridExitPredictor* worker_predictor = nullptr,
-                 FleetAccumulator* day_totals = nullptr);
+                 const predictor::HybridExitPredictor* predictor);
   ~ShardScheduler();
   ShardScheduler(const ShardScheduler&) = delete;
   ShardScheduler& operator=(const ShardScheduler&) = delete;
@@ -436,19 +417,13 @@ class ShardScheduler {
   std::uint64_t seed_;
   std::size_t first_user_;
   std::size_t last_user_;
-  FleetAccumulator& acc_;
+  FleetAccumulator* day_slots_;
   std::size_t first_day_;
   std::size_t last_day_;
   const FleetDayState* resume_;
   FleetDayState* out_state_;
+  const predictor::HybridExitPredictor* predictor_;
   std::unique_ptr<predictor::ExitQueryPool> pool_;
-  OptimizerPool* fit_pool_;  ///< not owned; may be null (fits run inline)
-  /// Worker-owned private-net predictor; null falls back to a per-shard
-  /// clone.
-  const predictor::HybridExitPredictor* worker_predictor_;
-  /// Per-day accumulator slots for this shard (leg-relative, size
-  /// last_day_ - first_day_); null when no per-day observation is wanted.
-  FleetAccumulator* day_totals_;
 };
 
 }  // namespace lingxi::sim

@@ -291,5 +291,84 @@ TEST(GpPredictBatch, PriorOnEmptyGp) {
   EXPECT_DOUBLE_EQ(p.variance, 1.0);
 }
 
+// ---------------------------------------------------------------------------
+// Algorithm properties of the GP update the optimizer runs at every round
+// boundary: conditioning on one more observation never widens the
+// posterior, and the incremental Cholesky survives near-duplicate inputs.
+// ---------------------------------------------------------------------------
+
+TEST(GpProperty, PosteriorSdNeverGrowsWhenAnObservationIsAdded) {
+  constexpr double kRelTol = 1e-12;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const std::size_t dim = 1 + seed % 3;
+    GpConfig config;
+    config.length_scale = 0.15 + 0.1 * static_cast<double>(seed % 3);
+    GaussianProcess gp(config);
+    std::vector<double> probes(32 * dim);
+    for (double& v : probes) v = rng.uniform();
+    const std::size_t count = probes.size() / dim;
+    std::vector<GpPrediction> before(count);
+    std::vector<GpPrediction> after(count);
+    GpWorkspace ws;
+    gp.predict_batch(probes.data(), count, dim, before.data(), ws);
+    for (std::size_t n = 1; n <= 64; ++n) {
+      std::vector<double> x(dim);
+      for (double& v : x) v = rng.uniform();
+      gp.observe(x, rng.normal(0.0, 1.0));
+      gp.predict_batch(probes.data(), count, dim, after.data(), ws);
+      for (std::size_t c = 0; c < count; ++c) {
+        const double sd_before = std::sqrt(before[c].variance);
+        const double sd_after = std::sqrt(after[c].variance);
+        ASSERT_LE(sd_after, sd_before * (1.0 + kRelTol))
+            << "seed " << seed << " n " << n << " probe " << c;
+      }
+      before.swap(after);
+    }
+  }
+}
+
+TEST(GpProperty, IncrementalCholeskyFiniteOnNearDuplicateCandidates) {
+  for (const double noise : {1e-4, 0.0}) {
+    Rng rng(17);
+    GpConfig config;
+    config.noise_variance = noise;
+    GaussianProcess gp(config);
+    // Eight clusters of eight points, members 1e-12 apart: the kernel rows
+    // of a cluster agree to ~1e-23, so only the noise and jitter keep the
+    // pivots positive.
+    std::vector<double> probes;
+    for (int cluster = 0; cluster < 8; ++cluster) {
+      const double a = rng.uniform();
+      const double b = rng.uniform();
+      for (int member = 0; member < 8; ++member) {
+        const double x0 = a + 1e-12 * member;
+        gp.observe({x0, b}, rng.normal(0.0, 1.0));
+        probes.push_back(x0);
+        probes.push_back(b);
+      }
+      probes.push_back(a + 0.01);  // a probe beside the cluster
+      probes.push_back(b);
+    }
+    ASSERT_EQ(gp.observations(), 64u);
+    for (const double v : gp.factor()) ASSERT_TRUE(std::isfinite(v)) << "noise " << noise;
+    for (const double v : gp.alpha()) ASSERT_TRUE(std::isfinite(v)) << "noise " << noise;
+
+    const std::size_t count = probes.size() / 2;
+    std::vector<GpPrediction> batch(count);
+    GpWorkspace ws;
+    gp.predict_batch(probes.data(), count, 2, batch.data(), ws);
+    for (std::size_t c = 0; c < count; ++c) {
+      const GpPrediction p = gp.predict({probes[2 * c], probes[2 * c + 1]});
+      for (const GpPrediction& q : {p, batch[c]}) {
+        EXPECT_TRUE(std::isfinite(q.mean)) << "noise " << noise << " probe " << c;
+        EXPECT_TRUE(std::isfinite(q.variance)) << "noise " << noise << " probe " << c;
+        EXPECT_GE(q.variance, 0.0) << "noise " << noise << " probe " << c;
+        EXPECT_GE(std::sqrt(q.variance), 0.0) << "noise " << noise << " probe " << c;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lingxi::bayesopt

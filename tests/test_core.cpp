@@ -283,5 +283,61 @@ TEST(LingXiAdoption, FixedCandidateModeAdoptsOnlyIncumbentOrListed) {
   }
 }
 
+TEST(LingXiOptimizationRun, PooledStepsParkOnlyOnQueriesAndMatchMaybeOptimize) {
+  // Drive begin_optimization() by hand against a caller-owned ExitQueryPool,
+  // flushing between steps as the fleet's wave scheduler does. step() may
+  // return false only when rollouts parked exit queries — the GP observe
+  // and acquisition sweep of a round boundary run inline — and the pooled
+  // run must adopt exactly what maybe_optimize() adopts on an identically
+  // fed LingXi.
+  const LingXiConfig cfg = fast_config();
+  const auto lx_predictor = make_predictor(7);
+  LingXi pooled(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+  LingXi direct(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+  abr::Hyb pooled_hyb;
+  abr::Hyb direct_hyb;
+  Rng pooled_rng(29);
+  Rng direct_rng(29);
+  predictor::ExitQueryPool pool;
+  std::size_t parked_steps = 0;
+  // A volatile link (sd ~ mean) so the virtual rollouts stall and park
+  // net queries.
+  const auto volatile_session = [](LingXi& lx, bool stall_exit) {
+    lx.begin_session();
+    for (int i = 0; i < 8; ++i) lx.on_segment(make_segment(i % 2 == 0 ? 150.0 : 1400.0, 1.5));
+    lx.end_session(stall_exit);
+  };
+  for (int round = 0; round < 4; ++round) {
+    volatile_session(pooled, round % 2 == 0);
+    volatile_session(direct, round % 2 == 0);
+    const auto run = pooled.begin_optimization(pooled_hyb, 2.0, pooled_rng, &pool,
+                                               /*user_tag=*/3);
+    ASSERT_NE(run, nullptr) << "round " << round;
+    while (!run->step()) {
+      ASSERT_GT(pool.pending(), 0u) << "round " << round << ": parked with nothing to flush";
+      ++parked_steps;
+      pool.flush();
+    }
+    EXPECT_TRUE(run->done());
+    EXPECT_EQ(pool.pending(), 0u);
+
+    const auto params = direct.maybe_optimize(direct_hyb, 2.0, direct_rng);
+    ASSERT_TRUE(params.has_value());
+    EXPECT_TRUE(pooled.current_params() == *params) << "round " << round;
+    EXPECT_TRUE(pooled_hyb.params() == direct_hyb.params()) << "round " << round;
+    const LingXiStats& a = pooled.stats();
+    const LingXiStats& b = direct.stats();
+    EXPECT_EQ(a.triggers, b.triggers);
+    EXPECT_EQ(a.optimizations_run, b.optimizations_run);
+    EXPECT_EQ(a.pruned_preplay, b.pruned_preplay);
+    EXPECT_EQ(a.mc_evaluations, b.mc_evaluations);
+    EXPECT_EQ(a.mc_rollouts_pruned, b.mc_rollouts_pruned);
+  }
+  // Not vacuous: rollouts really parked on the pool and it served them.
+  EXPECT_GT(parked_steps, 0u);
+  EXPECT_EQ(pool.stats().flushes, parked_steps);
+  EXPECT_EQ(pooled.stats().optimizations_run, 4u);
+}
+
 }  // namespace
 }  // namespace lingxi::core

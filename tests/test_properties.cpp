@@ -578,24 +578,21 @@ INSTANTIATE_TEST_SUITE_P(BatchByThreads, FleetBatchingInvariance,
 // Cross-user wave invariance: cohort waves (users of a shard interleaved as
 // pausable tasks, exit queries pooled across users into per-net sub-batches)
 // must reproduce per-user order (one-user shards, serial, batch 0) bit for
-// bit over the whole (threads x users_per_shard x predictor_batch x
-// optimizer_threads) grid — and the telemetry archive bytes with it.
+// bit over the whole (threads x users_per_shard x predictor_batch) grid —
+// and the telemetry archive bytes with it.
 // ---------------------------------------------------------------------------
 
-using WaveCase =
-    std::tuple<int /*threads*/, int /*users_per_shard*/, int /*batch*/, int /*opt_threads*/>;
+using WaveCase = std::tuple<int /*threads*/, int /*users_per_shard*/, int /*batch*/>;
 
 class CrossUserWaveInvariance : public ::testing::TestWithParam<WaveCase> {
  public:
   static sim::FleetAccumulator run(std::size_t threads, std::size_t users_per_shard,
                                    std::size_t batch,
-                                   telemetry::TelemetrySink* sink = nullptr,
-                                   std::size_t optimizer_threads = 0) {
+                                   telemetry::TelemetrySink* sink = nullptr) {
     sim::FleetConfig cfg = FleetBatchingInvariance::fleet_config();
     cfg.threads = threads;
     cfg.users_per_shard = users_per_shard;
     cfg.predictor_batch = batch;
-    cfg.optimizer_threads = optimizer_threads;
     sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
     runner.set_predictor_factory([] {
       Rng net_rng(4242);
@@ -613,13 +610,13 @@ TEST_P(CrossUserWaveInvariance, ChecksumMatchesPerUserOrder) {
   // Meaningful only if optimizations (and so pooled forwards) actually ran.
   ASSERT_GT(reference.lingxi_optimizations, 0u);
 
-  const auto [threads, users_per_shard, batch, opt_threads] = GetParam();
+  const auto [threads, users_per_shard, batch] = GetParam();
   const sim::FleetAccumulator acc =
       run(static_cast<std::size_t>(threads), static_cast<std::size_t>(users_per_shard),
-          static_cast<std::size_t>(batch), nullptr, static_cast<std::size_t>(opt_threads));
+          static_cast<std::size_t>(batch));
   EXPECT_EQ(acc.checksum(), reference.checksum())
       << "threads=" << threads << " users_per_shard=" << users_per_shard
-      << " batch=" << batch << " optimizer_threads=" << opt_threads;
+      << " batch=" << batch;
   EXPECT_EQ(acc.watch_ticks, reference.watch_ticks);
   EXPECT_EQ(acc.stall_ticks, reference.stall_ticks);
   EXPECT_EQ(acc.bitrate_time_ticks, reference.bitrate_time_ticks);
@@ -632,8 +629,7 @@ TEST_P(CrossUserWaveInvariance, ChecksumMatchesPerUserOrder) {
 INSTANTIATE_TEST_SUITE_P(Grid, CrossUserWaveInvariance,
                          ::testing::Combine(::testing::Values(1, 4),
                                             ::testing::Values(1, 3, 8),
-                                            ::testing::Values(0, 1, 7, 64),
-                                            ::testing::Values(0, 2)));
+                                            ::testing::Values(0, 1, 7, 64)));
 
 // The dense kernel's ISA dispatch (nn::dense_isa) must be invisible to
 // fleet results: every supported ISA reproduces the scalar checksum bit for
@@ -661,25 +657,23 @@ TEST(CrossUserWaveArchive, BytesIdenticalUnderInterleavedExecution) {
   // untouched. Archive shard granularity is fixed; only the execution
   // schedule varies.
   const auto capture_run = [](std::size_t threads, std::size_t users_per_shard,
-                              std::size_t batch, std::size_t optimizer_threads = 0) {
+                              std::size_t batch) {
     telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-    CrossUserWaveInvariance::run(threads, users_per_shard, batch, &capture,
-                                 optimizer_threads);
+    CrossUserWaveInvariance::run(threads, users_per_shard, batch, &capture);
     return capture.finish();
   };
 
   const telemetry::FleetArchive reference = capture_run(1, 1, 0);
   ASSERT_GT(reference.total_bytes(), 0u);
 
-  const WaveCase interleaved_cases[] = {
-      {1, 3, 7, 0}, {4, 8, 64, 0}, {2, 1, 1, 0}, {1, 8, 7, 2}};
-  for (const auto& [threads, users_per_shard, batch, opt_threads] : interleaved_cases) {
+  const WaveCase interleaved_cases[] = {{1, 3, 7}, {4, 8, 64}, {2, 1, 1}, {1, 8, 7}};
+  for (const auto& [threads, users_per_shard, batch] : interleaved_cases) {
     const telemetry::FleetArchive archive = capture_run(
         static_cast<std::size_t>(threads), static_cast<std::size_t>(users_per_shard),
-        static_cast<std::size_t>(batch), static_cast<std::size_t>(opt_threads));
+        static_cast<std::size_t>(batch));
     EXPECT_EQ(archive.checksum(), reference.checksum())
         << "threads=" << threads << " users_per_shard=" << users_per_shard
-        << " batch=" << batch << " optimizer_threads=" << opt_threads;
+        << " batch=" << batch;
     ASSERT_EQ(archive.shards.size(), reference.shards.size());
     for (std::size_t s = 0; s < reference.shards.size(); ++s) {
       EXPECT_TRUE(archive.shards[s] == reference.shards[s]) << "shard " << s;
@@ -712,8 +706,8 @@ TEST(ObservabilityParity, ChecksumAndArchiveBytesIdenticalWithObsEnabled) {
     const auto [ref_acc, ref_archive] = capture_run(c);
 
     // The FULL health plane: registry + tracer + per-day timeline + SLO
-    // monitor. The timeline forces run_days onto 1-day chained legs, so this
-    // also pins that the chunking is bitwise invisible.
+    // monitor. Every fleet day gets a timeline record, so this also pins
+    // that the per-day records are bitwise invisible to the results.
     const std::string timeline_path =
         ::testing::TempDir() + "/lingxi_obs_parity_timeline.bin";
     obs::Registry registry;
@@ -878,13 +872,18 @@ class DeterministicTimeline : public ::testing::TestWithParam<SnapshotCase> {
     sim::FleetAccumulator acc;
     std::vector<obs::TimelineRecord> records;
     std::vector<obs::HealthAlert> alerts;
+    /// (next_day, accumulated sessions) of every checkpoint-hook call.
+    std::vector<std::pair<std::size_t, std::uint64_t>> checkpoints;
   };
 
-  /// Run the 8-user / 4-day grid fleet with the full health plane installed
-  /// and return the decoded timeline. `rules` arms the SLO monitor.
+  /// Run `cfg` (an 8-user grid fleet) with the full health plane installed
+  /// and return the decoded timeline. `rules` arms the SLO monitor;
+  /// `every_k_days` > 0 arms a recording checkpoint hook on that cadence;
+  /// `sink`, when non-null, captures telemetry.
   static TimelineRun run_with_timeline(const sim::FleetConfig& cfg,
                                        const std::vector<obs::SloRule>& rules,
-                                       const std::string& tag) {
+                                       const std::string& tag, std::size_t every_k_days = 0,
+                                       telemetry::TelemetrySink* sink = nullptr) {
     const std::string path = ::testing::TempDir() + "/lingxi_dtl_" + tag + ".bin";
     TimelineRun out;
     {
@@ -895,6 +894,14 @@ class DeterministicTimeline : public ::testing::TestWithParam<SnapshotCase> {
       obs::TimelineWriter::install(&writer);
       obs::HealthMonitor::install(&monitor);
       sim::FleetRunner runner = SnapshotResumeParity::make_runner(cfg);
+      if (every_k_days > 0) {
+        runner.set_checkpoint_hook(
+            [&out](const sim::FleetDayState& state) {
+              out.checkpoints.emplace_back(state.next_day, state.accumulated.sessions);
+            },
+            every_k_days);
+      }
+      if (sink != nullptr) runner.set_telemetry_sink(sink);
       out.acc = runner.run(kSeed);
       obs::Registry::install(nullptr);
       obs::TimelineWriter::install(nullptr);
@@ -1288,6 +1295,95 @@ TEST(ScenarioScript, NeutralScriptIsBitTransparent) {
     EXPECT_TRUE(neutral.second.shards[s] == plain.second.shards[s]) << "shard " << s;
   }
   EXPECT_NE(neutral.second.manifest.config_digest, plain.second.manifest.config_digest);
+}
+
+// Leg cadence: a checkpoint hook chains run_days into <= k-day legs, each
+// leg's day records rebuilt from its per-day running sums. On a scripted
+// fleet (churn and flash crowds across a 6-day calendar, so user summaries
+// land on interior days) every cadence must reproduce the one-leg run: the
+// accumulator, the archive bytes, every day record's deterministic bytes
+// and the day a deterministic SLO alert fires.
+TEST(ScenarioTimelineCadence, CheckpointLegsMatchOneLegBitwise) {
+  sim::FleetConfig cfg = SnapshotResumeParity::grid_config(2, 3, 7);
+  cfg.days = 6;
+  cfg.scenario = ScenarioParity::event_script();
+  scenario::ChurnEvent late_churn;
+  late_churn.cohort = {4, 6, 1, 0};
+  late_churn.day = 4;
+  cfg.scenario.churns.push_back(late_churn);
+  scenario::FlashCrowd late_crowd;
+  late_crowd.cohort = {0, 1, 1, 0};
+  late_crowd.arrival_day = 3;
+  cfg.scenario.flash_crowds.push_back(late_crowd);
+
+  struct CadenceRun {
+    DeterministicTimeline::TimelineRun timeline;
+    telemetry::FleetArchive archive;
+  };
+  const auto run = [&cfg](std::size_t k, const std::vector<obs::SloRule>& rules) {
+    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+    CadenceRun out;
+    out.timeline = DeterministicTimeline::run_with_timeline(
+        cfg, rules, "cadence_" + std::to_string(k), k, &capture);
+    out.archive = capture.finish();
+    return out;
+  };
+
+  // A ceiling on the deterministic sessions_total crossed between days 4
+  // and 5 of the one-leg run.
+  const CadenceRun probe = run(0, {});
+  const auto probe_days = DeterministicTimeline::day_records(probe.timeline);
+  ASSERT_EQ(probe_days.size(), 6u);
+  const double day4 = DeterministicTimeline::det_gauge(*probe_days[3], "sim.fleet.sessions_total");
+  const double day5 = DeterministicTimeline::det_gauge(*probe_days[4], "sim.fleet.sessions_total");
+  ASSERT_LT(day4, day5);
+  const std::vector<obs::SloRule> rules = {
+      {obs::SloKind::kGaugeCeiling, "sim.fleet.sessions_total", 0.5 * (day4 + day5),
+       "sessions-ceiling"}};
+
+  const CadenceRun ref = run(0, rules);
+  // Not vacuous: the churns banked departure summaries on interior days.
+  ASSERT_EQ(ref.timeline.acc.users, 12u);
+  ASSERT_GT(ref.timeline.acc.lingxi_optimizations, 0u);
+  ASSERT_TRUE(ref.timeline.checkpoints.empty());
+  ASSERT_EQ(ref.timeline.alerts.size(), 1u);
+  EXPECT_EQ(ref.timeline.alerts[0].day, 5u);
+  const auto ref_days = DeterministicTimeline::day_records(ref.timeline);
+  ASSERT_EQ(ref_days.size(), 6u);
+
+  for (const std::size_t k : {1, 2, 3}) {
+    const CadenceRun got = run(k, rules);
+    EXPECT_EQ(got.timeline.acc.checksum(), ref.timeline.acc.checksum()) << "k=" << k;
+    EXPECT_EQ(got.archive.checksum(), ref.archive.checksum()) << "k=" << k;
+    ASSERT_EQ(got.archive.shards.size(), ref.archive.shards.size()) << "k=" << k;
+    for (std::size_t s = 0; s < ref.archive.shards.size(); ++s) {
+      EXPECT_TRUE(got.archive.shards[s] == ref.archive.shards[s]) << "k=" << k << " shard " << s;
+    }
+
+    const auto days = DeterministicTimeline::day_records(got.timeline);
+    ASSERT_EQ(days.size(), ref_days.size()) << "k=" << k;
+    for (std::size_t d = 0; d < days.size(); ++d) {
+      EXPECT_EQ(days[d]->day, ref_days[d]->day) << "k=" << k;
+      EXPECT_EQ(days[d]->deterministic_bytes, ref_days[d]->deterministic_bytes)
+          << "k=" << k << " day " << days[d]->day;
+    }
+    ASSERT_EQ(got.timeline.alerts.size(), ref.timeline.alerts.size()) << "k=" << k;
+    EXPECT_EQ(got.timeline.alerts[0].day, ref.timeline.alerts[0].day) << "k=" << k;
+    EXPECT_EQ(got.timeline.alerts[0].observed, ref.timeline.alerts[0].observed) << "k=" << k;
+
+    // The hook saw every interior boundary on the cadence, each carrying the
+    // same aggregate as that day's record.
+    std::vector<std::size_t> expected_boundaries;
+    for (std::size_t b = k; b < cfg.days; b += k) expected_boundaries.push_back(b);
+    ASSERT_EQ(got.timeline.checkpoints.size(), expected_boundaries.size()) << "k=" << k;
+    for (std::size_t i = 0; i < expected_boundaries.size(); ++i) {
+      const auto [day, sessions] = got.timeline.checkpoints[i];
+      EXPECT_EQ(day, expected_boundaries[i]) << "k=" << k;
+      EXPECT_EQ(static_cast<double>(sessions),
+                DeterministicTimeline::det_gauge(*ref_days[day - 1], "sim.fleet.sessions_total"))
+          << "k=" << k << " boundary " << day;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
