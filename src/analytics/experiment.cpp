@@ -1,152 +1,91 @@
 #include "analytics/experiment.h"
 
 #include "common/assert.h"
-#include "sim/fleet_runner.h"
-#include "telemetry/sink.h"
 
 namespace lingxi::analytics {
 namespace {
 
+/// Stall shorter than this is sub-perceptual: it is neither a stall event
+/// nor a stall exit.
 constexpr Seconds kStallThreshold = 0.05;
 
-/// Count stall events that were followed by an exit (0 or 1 per session —
-/// the session ends at the exit).
-std::size_t stall_exit_count(const sim::SessionResult& session) {
-  return sim::exited_during_stall(session, kStallThreshold) ? 1u : 0u;
+}  // namespace
+
+SessionRecords::SessionRecords(std::size_t users, bool stall_events,
+                               std::size_t intervention_day)
+    : stall_events_(stall_events), intervention_day_(intervention_day), users_(users) {}
+
+void SessionRecords::add(std::size_t user_index, std::size_t day,
+                         const abr::QoeParams& params_after,
+                         const sim::SessionResult& session) {
+  UserBuffer& user = users_[user_index];
+  if (day >= user.days.size()) user.days.resize(day + 1);
+  DayBuffer& buf = user.days[day];
+  buf.metrics.add(session);
+
+  UserDayRecord& rec = buf.rec;
+  rec.watch_time += session.watch_time;
+  rec.stall_time += session.total_stall;
+  rec.stall_events += static_cast<double>(session.stall_events);
+  // At most one per session: the session ends at the exit.
+  if (sim::exited_during_stall(session, kStallThreshold)) rec.stall_exits += 1.0;
+  for (const auto& seg : session.segments) {
+    buf.bw_sum += seg.throughput;
+    ++buf.bw_count;
+  }
+  buf.param_beta_sum += params_after.hyb_beta;
+  buf.param_stall_sum += params_after.stall_penalty;
+  ++buf.session_count;
+
+  if (!stall_events_ || day < intervention_day_) return;
+  for (const auto& seg : session.segments) {
+    if (seg.stall_time <= kStallThreshold) continue;
+    StallEventRecord ev;
+    ev.user = user_index;
+    ev.event_index = user.stall_events.size();
+    ev.stall_time = seg.stall_time;
+    ev.param_beta_after = params_after.hyb_beta;
+    ev.param_stall_after = params_after.stall_penalty;
+    ev.exited = session.exited && seg.index + 2 >= session.segments.size();
+    user.stall_events.push_back(ev);
+  }
 }
 
-/// In-memory telemetry sink assembling an ExperimentResult from FleetRunner
-/// worker callbacks. Per-user buffers are written without locks — the
-/// FleetRunner contract guarantees calls for one user come from a single
-/// worker in (day, session) order, even though the cohort waves interleave
-/// a shard's users between optimization park points — and merged in user
-/// order afterwards, so the assembled result is identical at any thread
-/// count and shard size.
-class ExperimentSink final : public telemetry::TelemetrySink {
- public:
-  /// Assembles records for sessions of days [first_day, days) — one leg of
-  /// an arm. A full run is the single leg [0, config.days); incremental-day
-  /// legs splice their results in PopulationExperiment::resume().
-  ExperimentSink(const ExperimentConfig& config, bool treatment, std::size_t first_day,
-                 std::size_t days)
-      : config_(config),
-        treatment_(treatment),
-        first_day_(first_day),
-        days_(days),
-        users_(config.users) {
-    for (auto& user : users_) user.days.resize(days_);
-  }
+void SessionRecords::end_user(std::size_t user, double tolerable_stall) {
+  users_[user].tolerable_stall = tolerable_stall;
+}
 
-  /// Seed the per-user stall-event counters with a checkpoint's running
-  /// counts so Fig. 15 event indices stay continuous across a day boundary.
-  void set_stall_event_counts(const std::vector<std::size_t>& counts) {
-    LINGXI_ASSERT(counts.size() == users_.size());
-    for (std::size_t u = 0; u < counts.size(); ++u) {
-      users_[u].stall_event_counter = counts[u];
+ExperimentResult SessionRecords::finish(std::size_t days) const {
+  ExperimentResult result;
+  result.daily.resize(days);
+  result.user_days.reserve(users_.size() * days);
+  const DayBuffer absent;
+  for (std::size_t u = 0; u < users_.size(); ++u) {
+    const UserBuffer& user = users_[u];
+    LINGXI_ASSERT(user.days.size() <= days);
+    for (std::size_t d = 0; d < days; ++d) {
+      const DayBuffer& buf = d < user.days.size() ? user.days[d] : absent;
+      result.daily[d].merge(buf.metrics);
+      UserDayRecord rec = buf.rec;
+      rec.user = u;
+      rec.day = d;
+      // Divide by the sessions the day actually ran — under a scenario the
+      // curve / flash-crowd count differs from the configured base (and a
+      // zero-session day keeps the default-zero means).
+      const double sessions = static_cast<double>(buf.session_count);
+      rec.mean_beta = buf.session_count > 0 ? buf.param_beta_sum / sessions : 0.0;
+      rec.mean_stall_penalty = buf.session_count > 0 ? buf.param_stall_sum / sessions : 0.0;
+      rec.mean_bandwidth =
+          buf.bw_count > 0 ? buf.bw_sum / static_cast<double>(buf.bw_count) : 0.0;
+      result.user_days.push_back(rec);
+    }
+    for (StallEventRecord ev : user.stall_events) {
+      ev.user_tolerance = user.tolerable_stall;
+      result.stall_events.push_back(ev);
     }
   }
-
-  std::vector<std::size_t> stall_event_counts() const {
-    std::vector<std::size_t> counts;
-    counts.reserve(users_.size());
-    for (const auto& user : users_) counts.push_back(user.stall_event_counter);
-    return counts;
-  }
-
-  void begin_fleet(const sim::FleetConfig&, std::uint64_t) override {}
-
-  void record_session(const telemetry::SessionContext& ctx,
-                      const sim::SessionResult& session) override {
-    UserBuffer& user = users_[ctx.user_index];
-    DayBuffer& day = user.days[ctx.day];
-    day.metrics.add(session);
-
-    UserDayRecord& rec = day.rec;
-    rec.watch_time += session.watch_time;
-    rec.stall_time += session.total_stall;
-    rec.stall_events += static_cast<double>(session.stall_events);
-    rec.stall_exits += static_cast<double>(stall_exit_count(session));
-    for (const auto& seg : session.segments) {
-      day.bw_sum += seg.throughput;
-      ++day.bw_count;
-    }
-    day.param_beta_sum += ctx.params_after.hyb_beta;
-    day.param_stall_sum += ctx.params_after.stall_penalty;
-    ++day.session_count;
-
-    if (config_.record_stall_events && treatment_ && ctx.day >= config_.intervention_day) {
-      for (const auto& seg : session.segments) {
-        if (seg.stall_time > kStallThreshold) {
-          StallEventRecord ev;
-          ev.user = ctx.user_index;
-          ev.event_index = user.stall_event_counter++;
-          ev.stall_time = seg.stall_time;
-          ev.param_beta_after = ctx.params_after.hyb_beta;
-          ev.param_stall_after = ctx.params_after.stall_penalty;
-          ev.exited = session.exited && seg.index + 2 >= session.segments.size();
-          ev.user_tolerance = ctx.user_tolerance;
-          user.stall_events.push_back(ev);
-        }
-      }
-    }
-  }
-
-  void record_user(const telemetry::UserTelemetry&) override {}
-
-  /// Deterministic user-order merge into the public result shape. Daily
-  /// slots before first_day stay default-empty; resume() overwrites them
-  /// from the checkpoint prefix.
-  ExperimentResult finish() {
-    ExperimentResult result;
-    result.daily.resize(days_);
-    for (std::size_t u = 0; u < users_.size(); ++u) {
-      UserBuffer& user = users_[u];
-      for (std::size_t d = first_day_; d < days_; ++d) {
-        DayBuffer& day = user.days[d];
-        result.daily[d].merge(day.metrics);
-        day.rec.user = u;
-        day.rec.day = d;
-        // Divide by the sessions the day actually ran — under a scenario the
-        // curve / flash-crowd count differs from the configured base (and a
-        // zero-session day keeps the default-zero means).
-        const double sessions = static_cast<double>(day.session_count);
-        day.rec.mean_beta = day.session_count > 0 ? day.param_beta_sum / sessions : 0.0;
-        day.rec.mean_stall_penalty =
-            day.session_count > 0 ? day.param_stall_sum / sessions : 0.0;
-        day.rec.mean_bandwidth =
-            day.bw_count > 0 ? day.bw_sum / static_cast<double>(day.bw_count) : 0.0;
-        result.user_days.push_back(day.rec);
-      }
-      result.stall_events.insert(result.stall_events.end(), user.stall_events.begin(),
-                                 user.stall_events.end());
-    }
-    return result;
-  }
-
- private:
-  struct DayBuffer {
-    MetricAccumulator metrics;
-    UserDayRecord rec;
-    double param_beta_sum = 0.0;
-    double param_stall_sum = 0.0;
-    double bw_sum = 0.0;
-    std::size_t bw_count = 0;
-    std::size_t session_count = 0;
-  };
-  struct UserBuffer {
-    std::vector<DayBuffer> days;
-    std::vector<StallEventRecord> stall_events;
-    std::size_t stall_event_counter = 0;
-  };
-
-  const ExperimentConfig& config_;
-  bool treatment_;
-  std::size_t first_day_;
-  std::size_t days_;
-  std::vector<UserBuffer> users_;
-};
-
-}  // namespace
+  return result;
+}
 
 ExperimentConfig::ExperimentConfig() {
   // The production A/B test tunes HYB's beta (§5.3): search beta only.
@@ -187,6 +126,11 @@ sim::FleetConfig PopulationExperiment::fleet_config(bool treatment,
   return fleet;
 }
 
+SessionRecords PopulationExperiment::make_records(bool treatment) const {
+  return SessionRecords(config_.users, config_.record_stall_events && treatment,
+                        config_.intervention_day);
+}
+
 ExperimentResult PopulationExperiment::run(bool treatment, std::uint64_t seed) const {
   // One fleet run per arm. Population, network and per-session worlds derive
   // from (seed, user, day, session) streams inside the runner, so control
@@ -195,11 +139,12 @@ ExperimentResult PopulationExperiment::run(bool treatment, std::uint64_t seed) c
   // variance-reduction analogue of the paper's 30M-user population.
   sim::FleetRunner runner(fleet_config(treatment, config_.days), abr_factory_);
   if (treatment) runner.set_predictor_factory(make_predictor_);
-  ExperimentSink sink(config_, treatment, 0, config_.days);
+  SessionRecords records = make_records(treatment);
+  SessionRecordsSink sink(records);
   runner.set_telemetry_sink(&sink);
   sim::FleetRunStats stats;
   runner.run(seed, &stats);
-  ExperimentResult result = sink.finish();
+  ExperimentResult result = records.finish(config_.days);
   result.batching = stats;
   return result;
 }
@@ -209,14 +154,10 @@ PopulationExperiment::ArmCheckpoint PopulationExperiment::run_to_day(
   LINGXI_ASSERT(day > 0 && day < config_.days);
   sim::FleetRunner runner(fleet_config(treatment, config_.days), abr_factory_);
   if (treatment) runner.set_predictor_factory(make_predictor_);
-  ExperimentSink sink(config_, treatment, 0, day);
+  ArmCheckpoint checkpoint{{}, make_records(treatment), {}};
+  SessionRecordsSink sink(checkpoint.records);
   runner.set_telemetry_sink(&sink);
-  ArmCheckpoint checkpoint;
-  sim::FleetRunStats stats;
-  runner.run_days(seed, 0, day, nullptr, &checkpoint.fleet, &stats);
-  checkpoint.prefix = sink.finish();
-  checkpoint.prefix.batching = stats;
-  checkpoint.stall_event_counts = sink.stall_event_counts();
+  runner.run_days(seed, 0, day, nullptr, &checkpoint.fleet, &checkpoint.batching);
   return checkpoint;
 }
 
@@ -227,55 +168,24 @@ ExperimentResult PopulationExperiment::resume(bool treatment, std::uint64_t seed
   const std::size_t boundary = checkpoint.fleet.next_day;
   LINGXI_ASSERT(boundary > 0 && boundary < total);
   LINGXI_ASSERT(checkpoint.fleet.users.size() == config_.users);
-  LINGXI_ASSERT(checkpoint.prefix.user_days.size() == config_.users * boundary);
-  LINGXI_ASSERT(checkpoint.stall_event_counts.size() == config_.users);
 
   // Days before `boundary` never re-simulate: the fleet resumes from the
-  // checkpointed per-user state. A horizon beyond config().days is legal —
-  // no pre-boundary draw depends on the calendar length.
+  // checkpointed per-user state and the continuation feeds the checkpoint's
+  // assembler. A horizon beyond config().days is legal — no pre-boundary
+  // draw depends on the calendar length.
   sim::FleetRunner runner(fleet_config(treatment, total), abr_factory_);
   if (treatment) runner.set_predictor_factory(make_predictor_);
-  ExperimentSink sink(config_, treatment, boundary, total);
-  sink.set_stall_event_counts(checkpoint.stall_event_counts);
+  SessionRecords records = checkpoint.records;
+  SessionRecordsSink sink(records);
   runner.set_telemetry_sink(&sink);
   sim::FleetRunStats continuation_stats;
   runner.run_days(seed, boundary, total, &checkpoint.fleet, nullptr,
                   &continuation_stats);
-  const ExperimentResult continuation = sink.finish();
-
-  // Splice prefix + continuation into the shape a single full run produces.
-  // Every record and accumulation is scoped to one (user, day) bucket, so
-  // the split cannot change a single bit of any value.
-  ExperimentResult result;
-  result.daily = continuation.daily;
-  for (std::size_t d = 0; d < boundary; ++d) result.daily[d] = checkpoint.prefix.daily[d];
-  // Batching counters merge across legs — a spliced experiment reports the
+  ExperimentResult result = records.finish(total);
+  // Batching counters merge across legs — a resumed experiment reports the
   // same pool totals as an uninterrupted one (test_analytics.cpp pins this).
-  result.batching = checkpoint.prefix.batching;
+  result.batching = checkpoint.batching;
   result.batching.merge(continuation_stats);
-
-  const std::size_t cont_days = total - boundary;
-  result.user_days.reserve(config_.users * total);
-  for (std::size_t u = 0; u < config_.users; ++u) {
-    for (std::size_t d = 0; d < boundary; ++d) {
-      result.user_days.push_back(checkpoint.prefix.user_days[u * boundary + d]);
-    }
-    for (std::size_t d = 0; d < cont_days; ++d) {
-      result.user_days.push_back(continuation.user_days[u * cont_days + d]);
-    }
-  }
-
-  // Stall-event records are user-major in both legs; interleave per user.
-  std::size_t pi = 0, ci = 0;
-  const auto& pre = checkpoint.prefix.stall_events;
-  const auto& post = continuation.stall_events;
-  result.stall_events.reserve(pre.size() + post.size());
-  for (std::size_t u = 0; u < config_.users; ++u) {
-    while (pi < pre.size() && pre[pi].user == u) result.stall_events.push_back(pre[pi++]);
-    while (ci < post.size() && post[ci].user == u) {
-      result.stall_events.push_back(post[ci++]);
-    }
-  }
   return result;
 }
 

@@ -10,16 +10,20 @@
 //
 // The driver is a thin shell over sim::FleetRunner: each arm is one fleet
 // run (control pins the default parameters, treatment enables LingXi), and
-// an in-memory telemetry sink assembles the ExperimentResult from the
-// runner's worker callbacks. Results are deterministic for a given seed and
-// independent of `threads` / `predictor_batch` — the FleetRunner guarantees.
+// a telemetry sink feeds the runner's worker callbacks to SessionRecords,
+// which assembles the ExperimentResult. Results are deterministic for a
+// given seed and independent of `threads` / `predictor_batch` — the
+// FleetRunner guarantees.
 //
-// The driver records:
+// SessionRecords is the only code that turns sessions into these records:
 //   * per-day aggregate metrics (watch time, bitrate, stall) per arm,
 //   * per-user-per-day records (assigned parameter, stall exit rate, mean
 //     bandwidth) for Figs. 13 and 14,
 //   * per-stall-event trajectories (stall time, parameter after update,
 //     exit) for Fig. 15.
+// Live runs feed it through PopulationExperiment; telemetry::Replay feeds
+// it from an archive scan, so a replayed archive yields the live records
+// bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +37,7 @@
 #include "predictor/hybrid.h"
 #include "scenario/scenario.h"
 #include "sim/fleet_runner.h"
+#include "telemetry/sink.h"
 #include "trace/population.h"
 #include "trace/video.h"
 #include "user/user_population.h"
@@ -92,7 +97,10 @@ struct StallEventRecord {
   double param_beta_after = 0.0;
   double param_stall_after = 0.0;
   bool exited = false;
-  double user_tolerance = 0.0;  ///< ground truth for the Fig. 15 narrative
+  /// Ground truth for the Fig. 15 narrative: the base user's tolerable
+  /// stall (UserTelemetry::tolerable_stall, the value archives carry). A
+  /// churned slot's events carry the final generation's tolerance.
+  double user_tolerance = 0.0;
 };
 
 struct ExperimentResult {
@@ -103,6 +111,70 @@ struct ExperimentResult {
   /// experiment merges every leg's counters, so a run_to_day+resume split
   /// reports the same totals as one uninterrupted run.
   sim::FleetRunStats batching;
+};
+
+/// Assembles an ExperimentResult from (user, day, params_after,
+/// SessionResult) tuples plus one tolerance per user. Buffers are per user
+/// and per (user, day): calls for different users may run concurrently
+/// (the FleetRunner sink contract), calls for one user must come in
+/// chronological (day, session) order. Every sum is scoped to one
+/// (user, day) and merged in user order by finish(), so the result is
+/// independent of thread count, scheduling and of where a run was split.
+class SessionRecords {
+ public:
+  /// `stall_events`: record Fig. 15 stall events for sessions on days
+  /// >= `intervention_day` (pass false for a control arm).
+  SessionRecords(std::size_t users, bool stall_events, std::size_t intervention_day);
+
+  void add(std::size_t user, std::size_t day, const abr::QoeParams& params_after,
+           const sim::SessionResult& session);
+  /// Label the user's stall events with `tolerable_stall`. A churned slot
+  /// calls this once per generation; the last call wins.
+  void end_user(std::size_t user, double tolerable_stall);
+
+  /// Records for days [0, days): one UserDayRecord per (user, day),
+  /// zero-session days included, user-major; per-day metrics merged in
+  /// user order; stall events user-major. `batching` stays empty.
+  ExperimentResult finish(std::size_t days) const;
+
+ private:
+  struct DayBuffer {
+    MetricAccumulator metrics;
+    UserDayRecord rec;
+    double param_beta_sum = 0.0;
+    double param_stall_sum = 0.0;
+    double bw_sum = 0.0;
+    std::size_t bw_count = 0;
+    std::size_t session_count = 0;
+  };
+  struct UserBuffer {
+    std::vector<DayBuffer> days;  ///< grows to the last day played
+    std::vector<StallEventRecord> stall_events;
+    double tolerable_stall = 0.0;
+  };
+
+  bool stall_events_;
+  std::size_t intervention_day_;
+  std::vector<UserBuffer> users_;
+};
+
+/// The live-run adapter: a FleetRunner telemetry sink feeding SessionRecords
+/// (record_session -> add, record_user -> end_user). Not owning.
+class SessionRecordsSink final : public telemetry::TelemetrySink {
+ public:
+  explicit SessionRecordsSink(SessionRecords& records) : records_(records) {}
+
+  void begin_fleet(const sim::FleetConfig&, std::uint64_t) override {}
+  void record_session(const telemetry::SessionContext& ctx,
+                      const sim::SessionResult& session) override {
+    records_.add(ctx.user_index, ctx.day, ctx.params_after, session);
+  }
+  void record_user(const telemetry::UserTelemetry& user) override {
+    records_.end_user(user.user_index, user.tolerable_stall);
+  }
+
+ private:
+  SessionRecords& records_;
 };
 
 class PopulationExperiment {
@@ -122,13 +194,12 @@ class PopulationExperiment {
   /// Incremental-day experiments (snapshot subsystem): one arm simulated in
   /// legs, with every leg boundary at a day boundary. The resumable state of
   /// one arm at day D: the fleet-day state (per-user engagement, parameters,
-  /// optimizer counters, accumulator) plus the records already assembled for
-  /// days [0, D) and the per-user stall-event counters that keep Fig. 15
-  /// event indices continuous across the boundary.
+  /// optimizer counters, accumulator), the record assembler holding days
+  /// [0, D), and the prefix leg's batching counters.
   struct ArmCheckpoint {
     sim::FleetDayState fleet;
-    ExperimentResult prefix;
-    std::vector<std::size_t> stall_event_counts;  ///< per user
+    SessionRecords records;
+    sim::FleetRunStats batching;
   };
 
   /// Simulate days [0, day) of one arm (day < config().days) and checkpoint.
@@ -137,10 +208,10 @@ class PopulationExperiment {
   /// Continue a checkpointed arm through day `total_days` (0 = the
   /// configured horizon; larger values EXTEND the experiment — e.g. add K
   /// days to a finished A/B fleet without re-simulating the first D). The
-  /// spliced result is identical to a single run over `total_days` with the
-  /// same seed — bitwise, including the float per-day/per-user records: no
-  /// accumulation crosses a day boundary, so splitting cannot reorder any
-  /// sum (test_analytics.cpp pins this against run()).
+  /// continuation feeds the checkpoint's assembler, so the result is
+  /// identical to a single run over `total_days` with the same seed —
+  /// bitwise, including the float per-day/per-user records
+  /// (test_analytics.cpp pins this against run()).
   ExperimentResult resume(bool treatment, std::uint64_t seed,
                           const ArmCheckpoint& checkpoint,
                           std::size_t total_days = 0) const;
@@ -149,6 +220,7 @@ class PopulationExperiment {
 
  private:
   sim::FleetConfig fleet_config(bool treatment, std::size_t days) const;
+  SessionRecords make_records(bool treatment) const;
 
   ExperimentConfig config_;
   AbrFactory abr_factory_;

@@ -18,7 +18,7 @@
 //   * pre-playback pruning — skip optimization when mu - 3*sigma > Q_max
 //     (stalls are statistically impossible, nothing to personalize);
 //   * virtual-playback pruning — inherited from sim::RolloutWave;
-//   * durable long-term state via snapshot()/restore() (logstore).
+//   * durable long-term state via snapshot()/restore() (UserState).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,7 @@
 
 #include "abr/abr.h"
 #include "bayesopt/obo.h"
-#include "logstore/state_store.h"
+#include "predictor/engagement_state.h"
 #include "predictor/hybrid.h"
 #include "sim/monte_carlo.h"
 
@@ -189,8 +189,20 @@ class LingXi {
   /// Client bandwidth distribution estimate (mean, sd) in kbps.
   std::pair<Kbps, Kbps> bandwidth_estimate() const;
 
-  logstore::UserState snapshot() const;
-  void restore(const logstore::UserState& state);
+  /// Durable per-user personalization state (§4 "Seamless Integration"):
+  /// what the production system persists on app exit and restores after
+  /// first render on the next startup. (Fleet snapshots persist the
+  /// complete PersistentState below instead.)
+  struct UserState {
+    predictor::LongTermState engagement;
+    abr::QoeParams best_params;
+    bool has_params = false;  ///< OBO has produced an optimum at least once
+
+    bool operator==(const UserState&) const = default;
+  };
+
+  UserState snapshot() const;
+  void restore(const UserState& state);
 
   /// Complete evolving controller state at a session boundary — everything
   /// a fleet snapshot must persist so a resumed LingXi continues bitwise

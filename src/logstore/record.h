@@ -1,11 +1,12 @@
-// LXRC framed records: the storage primitive behind the session log, the
-// state store, the telemetry archive and fleet snapshots.
+// LXRC framed records: the storage primitive behind the telemetry archive
+// and fleet snapshots (and a standalone session-log record: write_record
+// over logstore::encode_session).
 //
 // An LXRC record is one common/bytes.h frame with magic "LXRC" and version 2
 // (magic | u32 version | u32 payload_len | payload | u32 crc32(payload)), so
 // truncated or bit-flipped files surface as Error::kCorrupt instead of
-// silently corrupt personalization state. This replaces the paper's HDF5
-// long-term state files (§4).
+// silently corrupt fleet state. This replaces the paper's HDF5 long-term
+// state files (§4).
 #pragma once
 
 #include <cstdint>

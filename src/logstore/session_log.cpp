@@ -1,7 +1,5 @@
 #include "logstore/session_log.h"
 
-#include "logstore/record.h"
-
 namespace lingxi::logstore {
 
 bool SessionLogEntry::operator==(const SessionLogEntry& other) const {
@@ -104,35 +102,6 @@ Expected<SessionLogEntry> decode_session(ByteReader& in) {
   }
   if (!in.done()) return Error::corrupt("trailing bytes in session payload");
   return e;
-}
-
-void SessionLogWriter::append(const SessionLogEntry& entry) {
-  write_record(bytes_, encode_session(entry));
-  ++entries_;
-}
-
-Status SessionLogWriter::save(const std::string& path) const {
-  return write_file(path, bytes_);
-}
-
-Expected<std::vector<SessionLogEntry>> SessionLogReader::read_bytes(
-    const std::vector<unsigned char>& bytes) {
-  std::vector<SessionLogEntry> entries;
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    auto payload = read_record(bytes, pos);
-    if (!payload) return payload.error();
-    auto entry = decode_session(*payload);
-    if (!entry) return entry.error();
-    entries.push_back(std::move(*entry));
-  }
-  return entries;
-}
-
-Expected<std::vector<SessionLogEntry>> SessionLogReader::load(const std::string& path) {
-  auto bytes = read_file(path);
-  if (!bytes) return bytes.error();
-  return read_bytes(*bytes);
 }
 
 }  // namespace lingxi::logstore

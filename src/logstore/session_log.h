@@ -1,17 +1,13 @@
-// Binary session trajectory logs — the storage behind the paper's offline
-// analyses (§2.2's 1.5M playback trajectories).
-//
-// A SessionLogWriter appends one framed record (logstore/record.h) per
-// playback session: user id, timestamp, video length, the session aggregates
-// (watch time, exit flag, stall/switch counts, mean bitrate) and the full
-// per-segment trace (level, bitrate, size, throughput, download time, stall
-// time, buffer). SessionLogReader streams them back. All figures
-// that bin per-segment exit behaviour (Fig. 3/4) can be regenerated from
-// such a log instead of live simulation.
+// The session payload codec: one playback session as bytes — user id,
+// timestamp, video length, the session aggregates (watch time, exit flag,
+// stall/switch counts, mean bitrate) and the full per-segment trace (level,
+// bitrate, size, throughput, download time, stall time, buffer). Telemetry
+// archives embed it in every session record (telemetry/archive.h); framed
+// with write_record() (logstore/record.h) it is a standalone session-log
+// record, the form of the paper's §2.2 playback trajectories.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -36,27 +32,5 @@ void append_session(std::vector<unsigned char>& out, const SessionLogEntry& entr
 Expected<SessionLogEntry> decode_session(ByteSpan payload);
 /// Decode an entry that runs to the end of `in` (trailing bytes are corrupt).
 Expected<SessionLogEntry> decode_session(ByteReader& in);
-
-/// Accumulates entries in memory and flushes them as a record stream.
-class SessionLogWriter {
- public:
-  void append(const SessionLogEntry& entry);
-  std::size_t size() const noexcept { return entries_; }
-  /// Serialized bytes of everything appended so far.
-  const std::vector<unsigned char>& bytes() const noexcept { return bytes_; }
-  Status save(const std::string& path) const;
-
- private:
-  std::vector<unsigned char> bytes_;
-  std::size_t entries_ = 0;
-};
-
-/// Parses a record stream produced by SessionLogWriter.
-class SessionLogReader {
- public:
-  static Expected<std::vector<SessionLogEntry>> read_bytes(
-      const std::vector<unsigned char>& bytes);
-  static Expected<std::vector<SessionLogEntry>> load(const std::string& path);
-};
 
 }  // namespace lingxi::logstore

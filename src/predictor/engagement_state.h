@@ -9,8 +9,8 @@
 //   4  intervals between the last 8 stall-exits  (long-term engagement)
 //
 // Channels 0-1 reset per session; channels 2-4 and the counters persist
-// across sessions (they are the "long-term state" serialized by
-// lingxi::logstore on app exit, §4 Seamless Integration).
+// across sessions (they are the "long-term state" of
+// core::LingXi::UserState, persisted on app exit, §4 Seamless Integration).
 #pragma once
 
 #include <array>

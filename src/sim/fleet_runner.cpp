@@ -681,7 +681,6 @@ class ShardScheduler::UserTask {
       ctx.measured = measured_;
       ctx.video_duration = video_duration_;
       ctx.params_after = abr_->params();
-      ctx.user_tolerance = day_user_->tolerable_stall();
       runner_.sink_->record_session(ctx, result_);
     }
     ++session_;

@@ -403,6 +403,13 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
   const std::string path = dir_ + "/" + shard_filename(shard_index);
   std::ifstream in(path, std::ios::binary);
   if (!in) return Error::io("cannot open archive shard: " + path);
+  // A record outside its shard's users or past the manifest's days is
+  // corrupt even when its CRC holds: replay indexes per-user, per-day
+  // buffers by these fields.
+  const ArchiveShardInfo& shard = manifest_.shards[shard_index];
+  const auto misrouted = [&](std::uint64_t user) {
+    return user < shard.first_user || user - shard.first_user >= shard.user_count;
+  };
   std::uint64_t records = 0;
   while (in.peek() != std::char_traits<char>::eof()) {
     auto payload = logstore::read_record(in);
@@ -415,6 +422,12 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
         if (!decode_session_prefix(in, prefix)) {
           return Error::corrupt("truncated session record prefix");
         }
+        if (misrouted(prefix.user)) {
+          return Error::corrupt("session record user outside its shard: " + path);
+        }
+        if (prefix.day >= manifest_.days) {
+          return Error::corrupt("session record day past the manifest's day count: " + path);
+        }
         if (prefix.user < first_user || prefix.user > last_user) break;
         if (prefix.day < first_day || prefix.day > last_day) break;
         if (!on_session) break;
@@ -426,6 +439,9 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
       case kUserRecord: {
         auto rec = decode_user_record(*payload);
         if (!rec) return rec.error();
+        if (misrouted(rec->user)) {
+          return Error::corrupt("user record outside its shard: " + path);
+        }
         if (rec->user < first_user || rec->user > last_user) break;
         if (on_user) on_user(*rec);
         break;
@@ -442,7 +458,7 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
   if (in.bad() || (in.fail() && !in.eof())) {
     return Error::io("archive shard stream failed mid-scan: " + path);
   }
-  if (records != manifest_.shards[shard_index].record_count) {
+  if (records != shard.record_count) {
     return Error::corrupt("shard record count disagrees with manifest: " + path);
   }
   return {};

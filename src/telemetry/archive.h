@@ -142,6 +142,9 @@ class ArchiveReader {
   const ArchiveManifest& manifest() const noexcept { return manifest_; }
 
   /// Full scan over every shard, in user order. Either callback may be null.
+  /// Every scan fails with kCorrupt on a record whose user lies outside its
+  /// shard's [first_user, first_user + user_count) or whose day is at or
+  /// past manifest().days, even when its CRC holds.
   Status scan(const SessionCallback& on_session, const UserCallback& on_user) const;
 
   /// Scan users in [first_user, last_user]. Only the shard files whose user

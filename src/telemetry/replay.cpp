@@ -1,156 +1,40 @@
 #include "telemetry/replay.h"
 
-#include <limits>
-
 namespace lingxi::telemetry {
-namespace {
-
-/// Accumulates one (user, day) worth of sessions into a UserDayRecord.
-struct UserDayBuilder {
-  analytics::UserDayRecord rec;
-  double param_beta_sum = 0.0;
-  double param_stall_sum = 0.0;
-  double bw_sum = 0.0;
-  std::size_t bw_count = 0;
-  // Sessions actually archived for this (user, day) — NOT the manifest's
-  // sessions_per_user_day, which scenario scripts (diurnal curves, flash
-  // crowds) modulate per day. Identical for unscripted archives, where
-  // every user-day holds exactly the configured count.
-  std::size_t session_count = 0;
-  bool open = false;
-
-  void begin(std::size_t user, std::size_t day) {
-    *this = UserDayBuilder{};
-    rec.user = user;
-    rec.day = day;
-    open = true;
-  }
-
-  void flush(std::vector<analytics::UserDayRecord>& out) {
-    if (!open) return;
-    const double n = static_cast<double>(session_count);
-    rec.mean_beta = n > 0.0 ? param_beta_sum / n : 0.0;
-    rec.mean_stall_penalty = n > 0.0 ? param_stall_sum / n : 0.0;
-    rec.mean_bandwidth =
-        bw_count > 0 ? bw_sum / static_cast<double>(bw_count) : 0.0;
-    out.push_back(rec);
-    open = false;
-  }
-};
-
-}  // namespace
 
 Expected<ReplayResult> Replay::run(const ArchiveReader& reader, Options options) {
   const ArchiveManifest& manifest = reader.manifest();
   ReplayResult result;
-  result.daily.resize(manifest.days);
-  result.exit_by_stall.resize(options.stall_bin_edges.size() + 1);
-  for (std::size_t b = 0; b < result.exit_by_stall.size(); ++b) {
-    result.exit_by_stall[b].stall_lo = b == 0 ? 0.0 : options.stall_bin_edges[b - 1];
-    result.exit_by_stall[b].stall_hi = b < options.stall_bin_edges.size()
-                                           ? options.stall_bin_edges[b]
-                                           : std::numeric_limits<double>::infinity();
-  }
+  // The reader rejects records outside their shard's users or past the
+  // manifest's days as corrupt, so every record fed here is in range.
+  analytics::SessionRecords records(
+      manifest.users, options.collect_stall_events && manifest.enable_lingxi,
+      manifest.intervention_day);
 
-  UserDayBuilder day_builder;
-  // Stall events for the in-flight user; their ground-truth tolerance only
-  // arrives with the trailing user record.
-  std::size_t user_events_start = 0;
-  std::uint64_t current_user = 0;
-  std::size_t user_event_counter = 0;
-
-  bool day_out_of_range = false;
   const auto on_session = [&](const ArchiveSessionRecord& rec) {
     const sim::SessionResult& session = rec.entry.session;
     result.fleet.add_session(session, rec.measured);
-    if (rec.day < result.daily.size()) {
-      result.daily[rec.day].add(session);
-    } else {
-      // Shard contents disagree with the manifest's day count: corrupt
-      // archive, reported after the scan (callbacks cannot fail mid-stream).
-      day_out_of_range = true;
-    }
-
-    if (options.collect_watch_times) result.watch_times.push_back(session.watch_time);
-    for (auto& bin : result.exit_by_stall) {
-      if (session.total_stall >= bin.stall_lo && session.total_stall < bin.stall_hi) {
-        ++bin.sessions;
-        if (session.exited) ++bin.exits;
-        break;
-      }
-    }
-
-    if (options.collect_user_days) {
-      if (!day_builder.open || day_builder.rec.user != rec.user ||
-          day_builder.rec.day != rec.day) {
-        day_builder.flush(result.user_days);
-        day_builder.begin(rec.user, rec.day);
-      }
-      ++day_builder.session_count;
-      day_builder.rec.watch_time += session.watch_time;
-      day_builder.rec.stall_time += session.total_stall;
-      day_builder.rec.stall_events += static_cast<double>(session.stall_events);
-      if (sim::exited_during_stall(session, options.stall_threshold)) {
-        day_builder.rec.stall_exits += 1.0;
-      }
-      for (const auto& seg : session.segments) {
-        day_builder.bw_sum += seg.throughput;
-        ++day_builder.bw_count;
-      }
-      day_builder.param_beta_sum += rec.params_after.hyb_beta;
-      day_builder.param_stall_sum += rec.params_after.stall_penalty;
-    }
-
-    if (options.collect_stall_events) {
-      if (rec.user != current_user) {
-        current_user = rec.user;
-        user_events_start = result.stall_events.size();
-        user_event_counter = 0;
-      }
-      const bool lingxi_active =
-          manifest.enable_lingxi && rec.day >= manifest.intervention_day;
-      if (lingxi_active) {
-        for (const auto& seg : session.segments) {
-          if (seg.stall_time > options.stall_threshold) {
-            analytics::StallEventRecord ev;
-            ev.user = rec.user;
-            ev.event_index = user_event_counter++;
-            ev.stall_time = seg.stall_time;
-            ev.param_beta_after = rec.params_after.hyb_beta;
-            ev.param_stall_after = rec.params_after.stall_penalty;
-            ev.exited = session.exited && seg.index + 2 >= session.segments.size();
-            result.stall_events.push_back(ev);
-          }
-        }
-      }
-    }
+    records.add(rec.user, rec.day, rec.params_after, session);
   };
-
   const auto on_user = [&](const ArchiveUserRecord& rec) {
-    day_builder.flush(result.user_days);
     ++result.fleet.users;
     result.fleet.add_lingxi_stats(rec.stats);
     result.fleet.adjusted_user_days += rec.adjusted_days;
-    if (options.collect_stall_events && rec.user == current_user) {
-      for (std::size_t i = user_events_start; i < result.stall_events.size(); ++i) {
-        result.stall_events[i].user_tolerance = rec.tolerable_stall;
-      }
-      user_events_start = result.stall_events.size();
-    }
+    records.end_user(rec.user, rec.tolerable_stall);
   };
-
   if (auto s = reader.scan(on_session, on_user); !s) return s.error();
-  if (day_out_of_range) {
-    return Error::corrupt("session day exceeds the manifest's day count");
-  }
-  day_builder.flush(result.user_days);
+
+  analytics::ExperimentResult assembled = records.finish(manifest.days);
+  result.daily = std::move(assembled.daily);
+  result.user_days = std::move(assembled.user_days);
+  result.stall_events = std::move(assembled.stall_events);
   return result;
 }
 
 Expected<ReplayResult> Replay::run(const std::string& dir, Options options) {
   auto reader = ArchiveReader::open(dir);
   if (!reader) return reader.error();
-  return run(*reader, std::move(options));
+  return run(*reader, options);
 }
 
 }  // namespace lingxi::telemetry

@@ -6,15 +6,13 @@
 //   * a sim::FleetAccumulator that is bitwise identical (checksum()) to the
 //     accumulator the live FleetRunner produced at capture time — the proof
 //     that nothing was lost on the way to disk;
-//   * per-day analytics::MetricAccumulator series (Fig. 12 A/B deltas);
-//   * per-user-day records (stall exit rate vs assigned parameter, Figs.
-//     13/14);
-//   * per-stall-event trajectories (Fig. 15), opt-in;
-//   * watch-time samples and exit-rate-vs-stall-time bins (Figs. 3/4-style
-//     QoS binning).
+//   * the analytics::SessionRecords outputs — per-day MetricAccumulator
+//     series (Fig. 12 A/B deltas), per-user-day records (Figs. 13/14) and,
+//     opt-in, per-stall-event trajectories (Fig. 15). The archive feeds the
+//     same assembler a live PopulationExperiment arm does, so these equal
+//     the live records bitwise.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,26 +28,9 @@ namespace lingxi::telemetry {
 /// defaulted argument; nested classes with default member initializers
 /// cannot.)
 struct ReplayOptions {
-  bool collect_user_days = true;
+  /// Record Fig. 15 stall events (LingXi archives, days from the
+  /// intervention day on).
   bool collect_stall_events = false;
-  bool collect_watch_times = false;
-  /// Stall shorter than this is sub-perceptual (matches
-  /// analytics/experiment.cpp).
-  double stall_threshold = 0.05;
-  /// Upper edges of the exit_by_stall bins; the last bin is open-ended.
-  std::vector<double> stall_bin_edges = {0.5, 1.0, 2.0, 4.0, 8.0, 16.0};
-};
-
-/// Exit-rate within one bin of per-session stall time.
-struct QosBin {
-  double stall_lo = 0.0;  ///< inclusive
-  double stall_hi = 0.0;  ///< exclusive (last bin: +inf)
-  std::uint64_t sessions = 0;
-  std::uint64_t exits = 0;
-  double exit_rate() const noexcept {
-    return sessions == 0 ? 0.0
-                         : static_cast<double>(exits) / static_cast<double>(sessions);
-  }
 };
 
 struct ReplayResult {
@@ -57,15 +38,11 @@ struct ReplayResult {
   sim::FleetAccumulator fleet;
   /// Per-day aggregates, indexed by day (size == manifest.days).
   std::vector<analytics::MetricAccumulator> daily;
-  /// One record per (user, day), user-major.
+  /// One record per (user, day), user-major, zero-session days included.
   std::vector<analytics::UserDayRecord> user_days;
   /// Per-stall-event trajectories; filled only when
   /// Options::collect_stall_events.
   std::vector<analytics::StallEventRecord> stall_events;
-  /// Per-session watch time, seconds, in archive (user-major) order.
-  std::vector<double> watch_times;
-  /// Sessions binned by total stall time (Fig. 4-style exit-rate-vs-QoS).
-  std::vector<QosBin> exit_by_stall;
 };
 
 class Replay {

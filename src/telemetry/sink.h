@@ -37,15 +37,13 @@ struct SessionContext {
   /// ABR parameters at session end, i.e. after any LingXi update this
   /// session triggered — the per-session assignment of Figs. 13-15.
   abr::QoeParams params_after;
-  /// Ground-truth tolerable stall of the user model that played this session
-  /// (the day-drifted value, unlike UserTelemetry's base-user figure).
-  double user_tolerance = 0.0;
 };
 
 /// Per-user summary emitted once, after the user's last session.
 struct UserTelemetry {
   std::size_t user_index = 0;
-  /// Ground-truth stall tolerance of the user model (Fig. 15 labels).
+  /// Ground-truth stall tolerance of the base user model (Fig. 15 labels;
+  /// archives carry this value, not the day-drifted one).
   double tolerable_stall = 0.0;
   /// User-days that ended off the default parameters.
   std::uint64_t adjusted_days = 0;

@@ -206,6 +206,7 @@ void expect_results_identical(const ExperimentResult& a, const ExperimentResult&
     EXPECT_EQ(x.stall_time, y.stall_time) << "event " << i;
     EXPECT_EQ(x.param_beta_after, y.param_beta_after) << "event " << i;
     EXPECT_EQ(x.exited, y.exited) << "event " << i;
+    EXPECT_EQ(x.user_tolerance, y.user_tolerance) << "event " << i;
   }
 }
 
@@ -230,12 +231,12 @@ TEST(PopulationExperiment, BatchingStatsMergeAcrossLegs) {
 
   // Split after the intervention day so the prefix leg has pool activity.
   const auto checkpoint = exp.run_to_day(true, seed, 3);
-  EXPECT_GT(checkpoint.prefix.batching.pool_flushes, 0u);
+  EXPECT_GT(checkpoint.batching.pool_flushes, 0u);
   const auto resumed = exp.resume(true, seed, checkpoint);
   EXPECT_EQ(resumed.batching.pool_queries, full.batching.pool_queries);
-  EXPECT_GT(resumed.batching.pool_flushes, checkpoint.prefix.batching.pool_flushes);
+  EXPECT_GT(resumed.batching.pool_flushes, checkpoint.batching.pool_flushes);
   EXPECT_GE(resumed.batching.pool_max_flush,
-            checkpoint.prefix.batching.pool_max_flush);
+            checkpoint.batching.pool_max_flush);
   EXPECT_GE(resumed.batching.pool_net_batches, resumed.batching.pool_flushes);
   EXPECT_GT(resumed.batching.mean_flush_occupancy(), 0.0);
 }
@@ -252,7 +253,7 @@ TEST(PopulationExperiment, IncrementalDayResumeMatchesFullRun) {
     const auto full = exp.run(treatment, 11);
     const auto checkpoint = exp.run_to_day(treatment, 11, 2);
     EXPECT_EQ(checkpoint.fleet.next_day, 2u);
-    EXPECT_EQ(checkpoint.prefix.user_days.size(), cfg.users * 2);
+    EXPECT_EQ(checkpoint.records.finish(2).user_days.size(), cfg.users * 2);
     const auto resumed = exp.resume(treatment, 11, checkpoint);
     expect_results_identical(resumed, full);
   }

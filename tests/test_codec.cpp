@@ -1,8 +1,8 @@
 // The binary codec (common/bytes.h) and the on-disk formats built on it.
 //
 //   * Golden bytes: every persisted format is built from fixed inputs and
-//     compared to a hex literal. The LXRC (session log, state store, archive,
-//     snapshot) and LXTL (timeline) literals were captured before these
+//     compared to a hex literal. The LXRC (session log, archive, snapshot)
+//     and LXTL (timeline) literals were captured before these
 //     formats moved onto the shared codec and must never change without a
 //     format version bump; LXNN/LXNC pin the version-2 net containers.
 //   * ByteReader semantics: sticky failure, counted reads checked before
@@ -11,6 +11,8 @@
 //     through both the in-memory and the streaming reader.
 //   * Hostile lengths behind valid CRCs: every decoder returns kCorrupt
 //     without allocating from the claimed count.
+//   * Misrouted archive records behind valid CRCs: a record outside its
+//     shard's users or past the manifest's days is kCorrupt.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,11 +26,11 @@
 #include "common/bytes.h"
 #include "logstore/record.h"
 #include "logstore/session_log.h"
-#include "logstore/state_store.h"
 #include "nn/serialize.h"
 #include "obs/timeline.h"
 #include "snapshot/snapshot.h"
 #include "telemetry/archive.h"
+#include "telemetry/replay.h"
 
 namespace lingxi {
 namespace {
@@ -86,21 +88,6 @@ logstore::SessionLogEntry golden_session() {
   seg.cumulative_stall_events = 3;
   e.session.segments = {seg};
   return e;
-}
-
-logstore::UserState golden_user_state() {
-  logstore::UserState s;
-  s.engagement.stall_durations = {1.5, 3.25};
-  s.engagement.stall_intervals = {42.0};
-  s.engagement.stall_exit_intervals = {};
-  s.engagement.total_watch_time = 1234.5;
-  s.engagement.total_stall_events = 17;
-  s.engagement.total_stall_exits = 3;
-  s.best_params.stall_penalty = 9.5;
-  s.best_params.switch_penalty = 1.25;
-  s.best_params.hyb_beta = 0.65;
-  s.has_params = true;
-  return s;
 }
 
 telemetry::ArchiveManifest golden_archive_manifest() {
@@ -254,11 +241,6 @@ constexpr const char* kSessionLogRecordHex =
     "0000000000e89c4000000000903a2c410000000000c1a240000000000000f83f"
     "000000000000e03f000000000000f03f00000000000008400000000000000240"
     "030000002613796b";
-constexpr const char* kStateStoreRecordHex =
-    "4c58524302000000600000004d0000000000000002000000000000000000f83f"
-    "0000000000000a400100000000000000000045400000000000000000004a9340"
-    "110000000000000003000000000000000000000000002340000000000000f43f"
-    "cdcccccccccce43f0100000035185c39";
 constexpr const char* kArchiveManifestHex =
     "01000000f5fd340100000000d4c3b2a103000000000000000400000000000000"
     "0600000000000000020000000000000001000000000000000100000002000000"
@@ -345,17 +327,9 @@ constexpr const char* kTimelineFileHex =
     "00000000001040030000006c6f77f1377fce";
 
 TEST(CodecGolden, SessionLogRecord) {
-  logstore::SessionLogWriter writer;
-  writer.append(golden_session());
-  EXPECT_EQ(hex(writer.bytes()), kSessionLogRecordHex);
-}
-
-TEST(CodecGolden, StateStoreRecord) {
-  logstore::StateStore store;
-  store.put(77, golden_user_state());
-  const std::string path = temp_path("state_store.bin");
-  ASSERT_TRUE(store.save(path).ok());
-  EXPECT_EQ(hex(file_bytes(path)), kStateStoreRecordHex);
+  std::vector<unsigned char> record;
+  logstore::write_record(record, logstore::encode_session(golden_session()));
+  EXPECT_EQ(hex(record), kSessionLogRecordHex);
 }
 
 TEST(CodecGolden, ArchiveManifest) {
@@ -639,10 +613,13 @@ TEST(HostileLengths, SessionSegmentCountFailsOnCountCheck) {
   expect_corrupt(status_of(decoded), "session");
   EXPECT_NE(decoded.error().message.find("segment count exceeds payload"), std::string::npos)
       << decoded.error().message;
-  // Same through a CRC-valid session log.
+  // Same through a CRC-valid session-log record.
   std::vector<unsigned char> log;
   logstore::write_record(log, payload);
-  expect_corrupt(status_of(logstore::SessionLogReader::read_bytes(log)), "session log");
+  std::size_t pos = 0;
+  const auto record = logstore::read_record(log, pos);
+  ASSERT_TRUE(record.has_value()) << record.error().message;
+  expect_corrupt(status_of(logstore::decode_session(*record)), "session log");
 }
 
 TEST(HostileLengths, SnapshotVectorAndOboCounts) {
@@ -680,6 +657,68 @@ TEST(HostileLengths, TimelineMetricCount) {
   auto reader = obs::TimelineReader::open(path);
   ASSERT_TRUE(reader.has_value());
   expect_corrupt(status_of(reader->read_all()), "timeline metric count");
+}
+
+// ---------------------------------------------------------------------------
+// Misrouted archive records behind valid CRCs.
+// ---------------------------------------------------------------------------
+
+// The golden manifest: users [0, 2) in shard 0, user 2 in shard 1, days
+// [0, 4). Each case patches one field of a golden record, restamps its CRC
+// and places it in a shard; the other shard holds one valid user record.
+struct ArchiveCase {
+  const char* name;
+  std::size_t shard;
+  bool user_record;
+  std::uint64_t user;
+  std::uint32_t day;
+  const char* error;
+};
+
+const ArchiveCase kArchiveCases[] = {
+    {"session user below its shard", 1, false, 1, 3, "outside its shard"},
+    {"session user past its shard", 0, false, 2, 3, "outside its shard"},
+    {"session user past the fleet", 1, false, 3, 3, "outside its shard"},
+    {"user record in the wrong shard", 1, true, 0, 0, "outside its shard"},
+    {"user record past the fleet", 1, true, 7, 0, "outside its shard"},
+    {"session day past the manifest", 1, false, 2, 4, "past the manifest"},
+};
+
+TEST(ArchiveRouting, CorruptionTableRejectsEveryMisroutedRecord) {
+  for (const ArchiveCase& c : kArchiveCases) {
+    std::vector<unsigned char> payload =
+        c.user_record ? telemetry::encode_user_record(golden_archive_user())
+                      : telemetry::encode_session_record(golden_archive_session());
+    put_u32_at(payload, 4, static_cast<std::uint32_t>(c.user));  // u64 user, low word
+    if (!c.user_record) put_u32_at(payload, 12, c.day);
+    telemetry::ArchiveUserRecord valid = golden_archive_user();
+    valid.user = c.shard == 0 ? 2 : 1;
+
+    telemetry::FleetArchive archive;
+    archive.manifest = golden_archive_manifest();
+    archive.shards.resize(2);
+    logstore::write_record(archive.shards[c.shard], payload);
+    logstore::write_record(archive.shards[1 - c.shard], telemetry::encode_user_record(valid));
+    for (std::size_t i = 0; i < 2; ++i) {
+      archive.manifest.shards[i].record_count = 1;
+      archive.manifest.shards[i].byte_count = archive.shards[i].size();
+    }
+    const std::string dir = temp_path("misrouted");
+    ASSERT_TRUE(archive.write(dir).ok()) << c.name;
+
+    auto reader = telemetry::ArchiveReader::open(dir);
+    ASSERT_TRUE(reader.has_value()) << c.name << ": " << reader.error().message;
+    std::size_t delivered = 0;
+    const auto count = [&](const auto&) { ++delivered; };
+    const Status scanned = reader->scan(count, count);
+    ASSERT_FALSE(scanned.ok()) << c.name;
+    EXPECT_EQ(scanned.error().code, Error::Code::kCorrupt) << c.name;
+    EXPECT_NE(scanned.error().message.find(c.error), std::string::npos)
+        << c.name << ": " << scanned.error().message;
+    // Shards scan in order: only a valid shard 0 reaches the callbacks.
+    EXPECT_EQ(delivered, c.shard == 1 ? 1u : 0u) << c.name;
+    expect_corrupt(status_of(telemetry::Replay::run(*reader)), c.name);
+  }
 }
 
 std::vector<unsigned char> tensor_blob(const std::vector<std::uint64_t>& dims,

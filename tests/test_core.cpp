@@ -160,7 +160,7 @@ TEST(LingXi, SnapshotRestoreRoundTrip) {
   abr::Hyb hyb;
   Rng rng(7);
   lx.maybe_optimize(hyb, 2.0, rng);
-  const logstore::UserState snap = lx.snapshot();
+  const LingXi::UserState snap = lx.snapshot();
   EXPECT_TRUE(snap.has_params);
   EXPECT_EQ(snap.engagement.total_stall_events, 4u);
   EXPECT_EQ(snap.engagement.total_stall_exits, 1u);
@@ -174,7 +174,7 @@ TEST(LingXi, SnapshotRestoreRoundTrip) {
 }
 
 TEST(LingXi, RestoreClampsOutOfBoxParams) {
-  logstore::UserState snap;
+  LingXi::UserState snap;
   snap.has_params = true;
   snap.best_params.hyb_beta = 5.0;  // way outside the box
   const auto lx_predictor = make_predictor();

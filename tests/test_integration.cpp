@@ -1,5 +1,5 @@
 // Integration tests: full pipelines across modules — dataset -> predictor ->
-// LingXi -> A/B experiment, plus persistence through logstore.
+// LingXi -> A/B experiment, plus the app-exit snapshot/restore round trip.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +9,6 @@
 #include "analytics/experiment.h"
 #include "common/rng.h"
 #include "core/lingxi.h"
-#include "logstore/state_store.h"
 #include "predictor/dataset.h"
 #include "sim/session.h"
 #include "trace/population.h"
@@ -97,23 +96,15 @@ TEST(Integration, LingXiStatePersistsThroughStore) {
   ASSERT_TRUE(lx.maybe_optimize(hyb, 1.5, opt_rng).has_value());
 
   // Persist "on app exit".
-  logstore::StateStore store;
-  store.put(42, lx.snapshot());
-  const std::string path = ::testing::TempDir() + "/lingxi_integration_state.bin";
-  ASSERT_TRUE(store.save(path).ok());
+  const core::LingXi::UserState state = lx.snapshot();
 
   // Restore "on next startup".
-  logstore::StateStore store2;
-  ASSERT_TRUE(store2.load(path).ok());
-  const auto state = store2.get(42);
-  ASSERT_TRUE(state.has_value());
-
   const predictor::HybridExitPredictor lx2_predictor(net, os);
 
   core::LingXi lx2(cfg, lx2_predictor,
 
                   trace::BitrateLadder::default_ladder());
-  lx2.restore(*state);
+  lx2.restore(state);
   EXPECT_DOUBLE_EQ(lx2.current_params().hyb_beta, lx.current_params().hyb_beta);
   EXPECT_EQ(lx2.engagement().long_term().total_stall_events, 5u);
 }

@@ -1,13 +1,14 @@
-// Unit tests for lingxi_logstore: session-log error paths, the durable
-// per-user state store and the atomic whole-file helpers it writes with. The
-// LXRC framing itself is covered by the frame table in test_codec.cpp.
+// Unit tests for lingxi_logstore: session-log error paths (a session log is
+// a stream of LXRC records over the session payload codec) and the atomic
+// whole-file helpers the durable formats write with. The LXRC framing itself
+// is covered by the frame table in test_codec.cpp.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
 #include "common/bytes.h"
+#include "logstore/record.h"
 #include "logstore/session_log.h"
-#include "logstore/state_store.h"
 
 namespace lingxi::logstore {
 namespace {
@@ -33,6 +34,29 @@ SessionLogEntry sample_entry() {
   return e;
 }
 
+/// Write a one-record session log holding sample_entry() to `path`.
+void save_sample_log(const std::string& path) {
+  std::vector<unsigned char> bytes;
+  write_record(bytes, encode_session(sample_entry()));
+  ASSERT_TRUE(write_file(path, bytes).ok());
+}
+
+/// Decode every record of a session log file; the first failure wins.
+Expected<std::vector<SessionLogEntry>> load_log(const std::string& path) {
+  auto bytes = read_file(path);
+  if (!bytes) return bytes.error();
+  std::vector<SessionLogEntry> entries;
+  std::size_t pos = 0;
+  while (pos < bytes->size()) {
+    auto payload = read_record(*bytes, pos);
+    if (!payload) return payload.error();
+    auto entry = decode_session(*payload);
+    if (!entry) return entry.error();
+    entries.push_back(std::move(*entry));
+  }
+  return entries;
+}
+
 TEST(SessionLog, CodecPreservesSessionAggregates) {
   const SessionLogEntry e = sample_entry();
   const auto decoded = decode_session(encode_session(e));
@@ -44,144 +68,39 @@ TEST(SessionLog, CodecPreservesSessionAggregates) {
 }
 
 TEST(SessionLog, LoadRejectsTruncatedFile) {
-  SessionLogWriter writer;
-  writer.append(sample_entry());
   const std::string path = ::testing::TempDir() + "/lingxi_session_trunc.bin";
-  ASSERT_TRUE(writer.save(path).ok());
+  save_sample_log(path);
   auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   bytes->resize(bytes->size() - 5);
   ASSERT_TRUE(write_file(path, *bytes).ok());
-  const auto loaded = SessionLogReader::load(path);
+  const auto loaded = load_log(path);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
 }
 
 TEST(SessionLog, LoadRejectsFlippedCrcByte) {
-  SessionLogWriter writer;
-  writer.append(sample_entry());
   const std::string path = ::testing::TempDir() + "/lingxi_session_crc.bin";
-  ASSERT_TRUE(writer.save(path).ok());
+  save_sample_log(path);
   auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   bytes->back() ^= 0xff;  // last byte of the trailing CRC
   ASSERT_TRUE(write_file(path, *bytes).ok());
-  const auto loaded = SessionLogReader::load(path);
+  const auto loaded = load_log(path);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
 }
 
 TEST(SessionLog, LoadRejectsBadRecordVersion) {
-  SessionLogWriter writer;
-  writer.append(sample_entry());
   const std::string path = ::testing::TempDir() + "/lingxi_session_version.bin";
-  ASSERT_TRUE(writer.save(path).ok());
+  save_sample_log(path);
   auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   (*bytes)[4] = 0x63;  // record version field
   ASSERT_TRUE(write_file(path, *bytes).ok());
-  const auto loaded = SessionLogReader::load(path);
+  const auto loaded = load_log(path);
   ASSERT_FALSE(loaded.has_value());
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
-}
-
-UserState sample_state() {
-  UserState s;
-  s.engagement.stall_durations = {1.5, 3.25};
-  s.engagement.stall_intervals = {42.0};
-  s.engagement.stall_exit_intervals = {100.0, 250.0, 400.0};
-  s.engagement.total_watch_time = 1234.5;
-  s.engagement.total_stall_events = 17;
-  s.engagement.total_stall_exits = 3;
-  s.best_params.stall_penalty = 9.5;
-  s.best_params.switch_penalty = 1.25;
-  s.best_params.hyb_beta = 0.65;
-  s.has_params = true;
-  return s;
-}
-
-TEST(StateStore, EncodeDecodeRoundTrip) {
-  const UserState s = sample_state();
-  const auto payload = StateStore::encode(77, s);
-  const auto decoded = StateStore::decode(payload);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->first, 77u);
-  EXPECT_EQ(decoded->second, s);
-}
-
-TEST(StateStore, DecodeRejectsTruncatedPayload) {
-  auto payload = StateStore::encode(1, sample_state());
-  payload.resize(payload.size() - 3);
-  EXPECT_FALSE(StateStore::decode(payload).has_value());
-}
-
-TEST(StateStore, DecodeRejectsTrailingGarbage) {
-  auto payload = StateStore::encode(1, sample_state());
-  payload.push_back(0xab);
-  EXPECT_FALSE(StateStore::decode(payload).has_value());
-}
-
-TEST(StateStore, PutGetContains) {
-  StateStore store;
-  EXPECT_FALSE(store.contains(5));
-  store.put(5, sample_state());
-  EXPECT_TRUE(store.contains(5));
-  const auto got = store.get(5);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, sample_state());
-  EXPECT_FALSE(store.get(6).has_value());
-}
-
-TEST(StateStore, OverwriteReplaces) {
-  StateStore store;
-  store.put(1, sample_state());
-  UserState other = sample_state();
-  other.best_params.hyb_beta = 0.4;
-  store.put(1, other);
-  EXPECT_DOUBLE_EQ(store.get(1)->best_params.hyb_beta, 0.4);
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(StateStore, SaveLoadRoundTrip) {
-  StateStore store;
-  store.put(1, sample_state());
-  UserState s2 = sample_state();
-  s2.has_params = false;
-  s2.engagement.total_stall_events = 99;
-  store.put(2, s2);
-
-  const std::string path = ::testing::TempDir() + "/lingxi_state_store.bin";
-  ASSERT_TRUE(store.save(path).ok());
-
-  StateStore loaded;
-  ASSERT_TRUE(loaded.load(path).ok());
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(*loaded.get(1), sample_state());
-  EXPECT_EQ(*loaded.get(2), s2);
-}
-
-TEST(StateStore, LoadMissingFileIsIoError) {
-  StateStore store;
-  const auto status = store.load("/nonexistent/state.bin");
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, Error::Code::kIo);
-}
-
-TEST(StateStore, LoadCorruptFileFailsAndPreservesNothingPartial) {
-  StateStore store;
-  store.put(1, sample_state());
-  const std::string path = ::testing::TempDir() + "/lingxi_state_corrupt.bin";
-  ASSERT_TRUE(store.save(path).ok());
-
-  // Flip a byte in the middle of the file.
-  auto bytes = read_file(path);
-  ASSERT_TRUE(bytes.has_value());
-  (*bytes)[bytes->size() / 2] ^= 0xff;
-  ASSERT_TRUE(write_file(path, *bytes).ok());
-
-  StateStore loaded;
-  EXPECT_FALSE(loaded.load(path).ok());
-  EXPECT_EQ(loaded.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

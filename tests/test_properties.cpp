@@ -20,6 +20,7 @@
 #include "bayesopt/gp.h"
 #include "common/rng.h"
 #include "inline_exit_evaluator.h"
+#include "logstore/record.h"
 #include "logstore/session_log.h"
 #include "nn/dense.h"
 #include "obs/health.h"
@@ -339,13 +340,15 @@ TEST_P(SessionLogRoundTrip, RoundTripsThroughBytes) {
   entry.video_duration = video.duration();
   entry.session = sim.run(video, bba, bw, nullptr, rng);
 
-  logstore::SessionLogWriter writer;
-  writer.append(entry);
-  ASSERT_EQ(writer.size(), 1u);
-  const auto read = logstore::SessionLogReader::read_bytes(writer.bytes());
+  std::vector<unsigned char> bytes;
+  logstore::write_record(bytes, logstore::encode_session(entry));
+  std::size_t pos = 0;
+  const auto payload = logstore::read_record(bytes, pos);
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(pos, bytes.size());
+  const auto read = logstore::decode_session(*payload);
   ASSERT_TRUE(read.has_value());
-  ASSERT_EQ(read->size(), 1u);
-  EXPECT_EQ(read->front(), entry);
+  EXPECT_EQ(*read, entry);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionLogRoundTrip, ::testing::Range(1, 9));
@@ -357,34 +360,43 @@ TEST(SessionLog, MultipleEntriesAndFileRoundTrip) {
   abr::Hyb hyb;
   const sim::SessionSimulator sim({});
 
-  logstore::SessionLogWriter writer;
+  std::vector<logstore::SessionLogEntry> written;
+  std::vector<unsigned char> bytes;
   for (int i = 0; i < 5; ++i) {
     logstore::SessionLogEntry e;
     e.user_id = static_cast<std::uint64_t>(i);
     e.timestamp = 1700000000u + static_cast<std::uint64_t>(i);
     e.video_duration = video.duration();
     e.session = sim.run(video, hyb, bw, nullptr, rng);
-    writer.append(e);
+    logstore::write_record(bytes, logstore::encode_session(e));
+    written.push_back(std::move(e));
   }
   const std::string path = ::testing::TempDir() + "/lingxi_session_log.bin";
-  ASSERT_TRUE(writer.save(path).ok());
-  const auto loaded = logstore::SessionLogReader::load(path);
+  ASSERT_TRUE(write_file(path, bytes).ok());
+  const auto loaded = read_file(path);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 5u);
-  EXPECT_EQ((*loaded)[4].user_id, 4u);
+  std::size_t pos = 0;
+  for (const auto& expected : written) {
+    const auto payload = logstore::read_record(*loaded, pos);
+    ASSERT_TRUE(payload.has_value());
+    const auto entry = logstore::decode_session(*payload);
+    ASSERT_TRUE(entry.has_value());
+    EXPECT_EQ(*entry, expected);
+  }
+  EXPECT_EQ(pos, loaded->size());
 }
 
 TEST(SessionLog, CorruptionDetected) {
-  logstore::SessionLogWriter writer;
   logstore::SessionLogEntry e;
   e.user_id = 1;
   sim::SegmentRecord seg;
   seg.bitrate = 750.0;
   e.session.segments.push_back(seg);
-  writer.append(e);
-  auto bytes = writer.bytes();
+  std::vector<unsigned char> bytes;
+  logstore::write_record(bytes, logstore::encode_session(e));
   bytes[bytes.size() / 2] ^= 0x10;
-  EXPECT_FALSE(logstore::SessionLogReader::read_bytes(bytes).has_value());
+  std::size_t pos = 0;
+  EXPECT_FALSE(logstore::read_record(bytes, pos).has_value());
 }
 
 // ---------------------------------------------------------------------------

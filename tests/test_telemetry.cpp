@@ -1,16 +1,21 @@
 // Telemetry subsystem: capture determinism (archive bytes independent of
 // thread count and runner shard size), replay fidelity (bitwise accumulator
-// reconstruction), archive range scans, and corruption detection.
+// reconstruction, and replayed records equal to the live assembler's),
+// archive range scans, and corruption detection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 
 #include "abr/hyb.h"
+#include "analytics/experiment.h"
 #include "logstore/record.h"
 #include "predictor/exit_net.h"
 #include "predictor/os_model.h"
+#include "scenario/scenario.h"
 #include "sim/fleet_runner.h"
 #include "telemetry/capture.h"
 #include "telemetry/replay.h"
@@ -187,9 +192,7 @@ TEST(Replay, DailyMetricsAndUserDaysCoverTheFleet) {
   const auto archive = capture_fleet(cfg, 2, 11, &live);
   const std::string dir = fresh_dir("replay_metrics");
   ASSERT_TRUE(archive.write(dir).ok());
-  telemetry::Replay::Options opts;
-  opts.collect_watch_times = true;
-  const auto replayed = telemetry::Replay::run(dir, opts);
+  const auto replayed = telemetry::Replay::run(dir);
   ASSERT_TRUE(replayed.has_value()) << replayed.error().message;
 
   ASSERT_EQ(replayed->daily.size(), cfg.days);
@@ -203,10 +206,125 @@ TEST(Replay, DailyMetricsAndUserDaysCoverTheFleet) {
   EXPECT_NEAR(daily_watch, live.total_watch_time(), 1e-6 * daily_watch + 1e-9);
 
   EXPECT_EQ(replayed->user_days.size(), cfg.users * cfg.days);
-  EXPECT_EQ(replayed->watch_times.size(), live.sessions);
-  std::uint64_t binned = 0;
-  for (const auto& bin : replayed->exit_by_stall) binned += bin.sessions;
-  EXPECT_EQ(binned, live.sessions);
+}
+
+// ---------------------------------------------------------------------------
+// Live equals replay: one treatment arm runs through a tee of the live
+// record assembler and a ShardedCapture; replaying the archive must rebuild
+// the live records bit for bit.
+// ---------------------------------------------------------------------------
+
+class TeeSink final : public telemetry::TelemetrySink {
+ public:
+  TeeSink(telemetry::TelemetrySink& a, telemetry::TelemetrySink& b) : a_(a), b_(b) {}
+
+  void begin_fleet(const sim::FleetConfig& config, std::uint64_t seed) override {
+    a_.begin_fleet(config, seed);
+    b_.begin_fleet(config, seed);
+  }
+  void record_session(const telemetry::SessionContext& ctx,
+                      const sim::SessionResult& session) override {
+    a_.record_session(ctx, session);
+    b_.record_session(ctx, session);
+  }
+  void record_user(const telemetry::UserTelemetry& user) override {
+    a_.record_user(user);
+    b_.record_user(user);
+  }
+
+ private:
+  telemetry::TelemetrySink& a_;
+  telemetry::TelemetrySink& b_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_records_bitwise(const analytics::ExperimentResult& live,
+                            const telemetry::ReplayResult& replay, const std::string& cell) {
+  ASSERT_EQ(live.daily.size(), replay.daily.size()) << cell;
+  for (std::size_t d = 0; d < live.daily.size(); ++d) {
+    const auto& x = live.daily[d];
+    const auto& y = replay.daily[d];
+    EXPECT_EQ(x.sessions(), y.sessions()) << cell << " day " << d;
+    EXPECT_EQ(x.completed(), y.completed()) << cell << " day " << d;
+    EXPECT_EQ(x.stall_events(), y.stall_events()) << cell << " day " << d;
+    EXPECT_EQ(x.quality_switches(), y.quality_switches()) << cell << " day " << d;
+    EXPECT_EQ(bits(x.total_watch_time()), bits(y.total_watch_time())) << cell << " day " << d;
+    EXPECT_EQ(bits(x.total_stall_time()), bits(y.total_stall_time())) << cell << " day " << d;
+    EXPECT_EQ(bits(x.mean_bitrate()), bits(y.mean_bitrate())) << cell << " day " << d;
+  }
+  ASSERT_EQ(live.user_days.size(), replay.user_days.size()) << cell;
+  for (std::size_t i = 0; i < live.user_days.size(); ++i) {
+    const auto& x = live.user_days[i];
+    const auto& y = replay.user_days[i];
+    EXPECT_EQ(x.user, y.user) << cell << " record " << i;
+    EXPECT_EQ(x.day, y.day) << cell << " record " << i;
+    EXPECT_EQ(bits(x.mean_stall_penalty), bits(y.mean_stall_penalty)) << cell << " record " << i;
+    EXPECT_EQ(bits(x.mean_beta), bits(y.mean_beta)) << cell << " record " << i;
+    EXPECT_EQ(bits(x.stall_events), bits(y.stall_events)) << cell << " record " << i;
+    EXPECT_EQ(bits(x.stall_exits), bits(y.stall_exits)) << cell << " record " << i;
+    EXPECT_EQ(bits(x.stall_time), bits(y.stall_time)) << cell << " record " << i;
+    EXPECT_EQ(bits(x.watch_time), bits(y.watch_time)) << cell << " record " << i;
+    EXPECT_EQ(bits(x.mean_bandwidth), bits(y.mean_bandwidth)) << cell << " record " << i;
+  }
+  ASSERT_EQ(live.stall_events.size(), replay.stall_events.size()) << cell;
+  for (std::size_t i = 0; i < live.stall_events.size(); ++i) {
+    const auto& x = live.stall_events[i];
+    const auto& y = replay.stall_events[i];
+    EXPECT_EQ(x.user, y.user) << cell << " event " << i;
+    EXPECT_EQ(x.event_index, y.event_index) << cell << " event " << i;
+    EXPECT_EQ(bits(x.stall_time), bits(y.stall_time)) << cell << " event " << i;
+    EXPECT_EQ(bits(x.param_beta_after), bits(y.param_beta_after)) << cell << " event " << i;
+    EXPECT_EQ(bits(x.param_stall_after), bits(y.param_stall_after)) << cell << " event " << i;
+    EXPECT_EQ(x.exited, y.exited) << cell << " event " << i;
+    EXPECT_EQ(bits(x.user_tolerance), bits(y.user_tolerance)) << cell << " event " << i;
+  }
+}
+
+TEST(Replay, RecordsEqualLiveAssemblerBitwise) {
+  // Cells: drift on and unscripted, and the canonical brownout + flash crowd
+  // + churn script (flash-crowd users have zero-session days), each at 1 and
+  // 4 threads.
+  for (const bool scripted : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      sim::FleetConfig cfg = lingxi_fleet();
+      cfg.users = 16;
+      cfg.days = 6;
+      cfg.intervention_day = 2;
+      cfg.users_per_shard = 3;
+      cfg.threads = threads;
+      if (scripted) cfg.scenario = scenario::canonical_script(cfg.users, cfg.days);
+      const std::string cell = std::string(scripted ? "canonical_script" : "unscripted") +
+                               " @ " + std::to_string(threads) + " thread(s)";
+
+      analytics::SessionRecords records(cfg.users, true, cfg.intervention_day);
+      analytics::SessionRecordsSink live_sink(records);
+      telemetry::ShardedCapture capture;
+      TeeSink tee(live_sink, capture);
+      sim::FleetRunner runner(cfg, hyb_factory());
+      runner.set_predictor_factory(test_predictor_factory());
+      runner.set_telemetry_sink(&tee);
+      const sim::FleetAccumulator acc = runner.run(23);
+      const analytics::ExperimentResult live = records.finish(cfg.days);
+
+      const std::string dir = fresh_dir("live_parity");
+      ASSERT_TRUE(capture.finish().write(dir).ok()) << cell;
+      telemetry::Replay::Options opts;
+      opts.collect_stall_events = true;
+      const auto replayed = telemetry::Replay::run(dir, opts);
+      ASSERT_TRUE(replayed.has_value()) << cell << ": " << replayed.error().message;
+      EXPECT_EQ(replayed->fleet.checksum(), acc.checksum()) << cell;
+
+      ASSERT_EQ(live.user_days.size(), cfg.users * cfg.days) << cell;
+      ASSERT_GT(live.stall_events.size(), 0u) << cell;
+      std::size_t idle_days = 0;
+      for (const auto& rec : live.user_days) idle_days += rec.watch_time == 0.0 ? 1 : 0;
+      if (scripted) {
+        EXPECT_GT(idle_days, 0u) << cell;
+      }
+      expect_records_bitwise(live, *replayed, cell);
+    }
+  }
 }
 
 TEST(ArchiveReader, PerUserScanReturnsOnlyThatUser) {
@@ -415,7 +533,7 @@ TEST(Replay, StallEventsCarryGroundTruthTolerance) {
   ASSERT_GT(replayed->stall_events.size(), 0u);
   for (const auto& ev : replayed->stall_events) {
     EXPECT_GT(ev.stall_time, 0.05);
-    EXPECT_GT(ev.user_tolerance, 0.0);  // patched in from the user summary
+    EXPECT_GT(ev.user_tolerance, 0.0);  // the base user's, from the user record
     EXPECT_LT(ev.user, cfg.users);
   }
 }
