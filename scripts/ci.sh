@@ -5,20 +5,19 @@
 #     re-run explicitly, so a label regression fails loudly on every push;
 #     the `bayesopt` label pins the optimizer fast path (incremental
 #     Cholesky == full refit, batched-acquisition parity), the `codec` label
-#     pins the on-disk byte formats (golden bytes, the frame-corruption table
-#     and hostile lengths), and the nn suite re-runs under
-#     LINGXI_DENSE_ISA=scalar/sse2/avx2 so every dispatchable dense kernel
-#     proves bitwise parity on the CI host;
-#     finally the fleet_scaling smoke JSON is gated on non-regressing
-#     sessions/sec ratios (batched vs scalar, cohort vs per-opt);
+#     pins the on-disk byte formats (golden bytes, the frame-corruption table,
+#     hostile lengths and hostile archive shard tables), and the nn suite
+#     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2 so every dispatchable
+#     dense kernel proves bitwise parity on the CI host;
 #   * the batched-path + cross-user wave smoke: bench_fleet_scaling
 #     --batch 64 --users-per-shard 3 runs the LingXi fleet with scalar,
 #     per-optimization batched (one-user shards) AND cross-user (3-user
 #     shards) predictor inference at several thread counts, and exits
 #     non-zero unless every FleetAccumulator checksum is bitwise identical —
-#     the scalar/batched parity contract extended across shard sizes. The machine-readable
-#     summary (rates, occupancy, checksums) lands in
-#     ${BUILD_DIR}/smoke/fleet_scaling.json for the artifact upload;
+#     the scalar/batched parity contract extended across shard sizes. It runs
+#     once; its sessions/sec and occupancy figures land in
+#     ${BUILD_DIR}/smoke/fleet_scaling.json for information only, no gate
+#     reads them;
 #   * a telemetry capture->replay round-trip smoke (Fig. 12 A/B on 64
 #     users): simulate both arms once, archive them, recompute the DiD
 #     series from the archives, and exit non-zero unless the replayed
@@ -52,17 +51,23 @@
 #     per-day health timeline under a quiet floor SLO (exit 0 required),
 #     bench_health_report summarizes it into a schema-validated JSON report
 #     (day records present, deterministic section intact, zero alerts), and
-#     a second run under a must-fire ceiling SLO has to exit with code 3;
-#   * the bench_compare perf-regression gate (Release): dimensionless ratio
-#     checks from the fleet_scaling smoke JSON against the committed
-#     bench/baseline.json, plus a synthetic halved-throughput summary that
-#     must be caught with a non-zero exit;
+#     a second run under a must-fire ceiling SLO has to exit with code 3,
+#     its report listing the sessions-ceiling alert (also parsed by python3);
+#   * the perf gate (Release): `bash benchmark/run.sh --smoke` runs the
+#     repository benchmark's four workloads on tiny fleets with every
+#     correctness check (4-thread checksum equal to 1-thread, replay equal to
+#     live, checkpoint recovery), then scripts/check_smoke_pins.py compares
+#     its checksums, QoE values and exact work counters (exit-net queries and
+#     flushes, rollout segments, pruned rollouts, GP observes, wave
+#     occupancy, archive and checkpoint bytes) with scripts/smoke_pins.json
+#     by exact equality. A copy of the result with one counter moved must
+#     fail the checker, so the gate is shown to bite on every run;
 #   * the micro-benchmarks (Release, when Google Benchmark was found):
 #     bench_micro filtered to BM_MonteCarloEvaluation — one Algorithm-2
 #     evaluation on the wave engine at batch 1 and 16 — and to the pooled
 #     exit-net forward (BM_DenseForwardBatch*, BM_PredictBatch), with their
 #     JSON kept under ${BUILD_DIR}/smoke/ (micro_montecarlo.json,
-#     micro_dense.json). Informational: no gate reads them yet.
+#     micro_dense.json). Informational: no gate reads them.
 #
 # Usage: scripts/ci.sh [Debug|Release]   (default Release)
 set -euo pipefail
@@ -98,55 +103,11 @@ mkdir -p "${SMOKE_DIR}"
 
 # Batched-inference + cross-user wave parity smoke (small fleet, batch 64,
 # shard 3; non-zero exit on any checksum mismatch between thread counts,
-# batch modes or shard sizes).
-#
-# The wall-clock sessions/sec gates on the summary can be blanketed by a
-# host-side steal burst on virtualized single-core runners (one observed
-# burst read the batched arm at 0.57x scalar where steady state is ~2x), so
-# an over-gate measurement is re-taken from scratch up to 3 attempts —
-# checksum mismatches fail immediately (they are deterministic, retrying
-# cannot fix them), and a genuine perf regression fails every attempt.
-FLEET_GATE_OK=0
-for FLEET_ATTEMPT in 1 2 3; do
-  "${BUILD_DIR}/bench/bench_fleet_scaling" --batch 64 --users-per-shard 3 --smoke \
-    --json "${SMOKE_DIR}/fleet_scaling.json" \
-    | tee "${SMOKE_DIR}/fleet_scaling.txt"
-  echo "batched-path + cross-user wave smoke OK (attempt ${FLEET_ATTEMPT})"
-
-  # Sessions/sec non-regression gate on the smoke summary: the optimizer fast
-  # path must keep the batched arm comfortably ahead of scalar inference and
-  # cross-user waves from regressing against per-optimization batching.
-  # Thresholds sit far below steady-state measurements (batched/scalar ~2.5x,
-  # cross/per-opt ~1.2x) so only a real regression or a steal burst trips them.
-  set +e
-  python3 - "${SMOKE_DIR}/fleet_scaling.json" <<'PYEOF'
-import json, sys
-summary = json.load(open(sys.argv[1]))
-assert summary["all_checksums_match"] is True, "smoke checksum mismatch"
-scalar = summary["scalar_sessions_per_sec"]
-batched = summary["batched_sessions_per_sec"]
-per_opt = summary["cross_user"]["per_opt_sessions_per_sec"]
-cross = summary["cross_user"]["cross_user_sessions_per_sec"]
-assert batched >= 1.2 * scalar, f"batched/scalar regressed: {batched:.0f} vs {scalar:.0f}"
-assert cross >= 0.9 * per_opt, f"cross-user regressed: {cross:.0f} vs {per_opt:.0f}"
-print(f"sessions/sec gate OK: batched/scalar {batched / scalar:.2f}x, "
-      f"cross/per-opt {cross / per_opt:.2f}x (isa {summary['dense_isa']})")
-PYEOF
-  FLEET_GATE_RC=$?
-  set -e
-  # Determinism failures never retry: the checksum field is bitwise.
-  python3 -c 'import json,sys; sys.exit(0 if json.load(open(sys.argv[1]))["all_checksums_match"] else 1)' \
-    "${SMOKE_DIR}/fleet_scaling.json"
-  if [ "${FLEET_GATE_RC}" -eq 0 ]; then
-    FLEET_GATE_OK=1
-    break
-  fi
-  echo "sessions/sec gate over threshold on attempt ${FLEET_ATTEMPT}; re-measuring"
-done
-if [ "${FLEET_GATE_OK}" -ne 1 ]; then
-  echo "sessions/sec gate FAILED on all attempts" >&2
-  exit 1
-fi
+# batch modes or shard sizes). Its rates are informational.
+"${BUILD_DIR}/bench/bench_fleet_scaling" --batch 64 --users-per-shard 3 --smoke \
+  --json "${SMOKE_DIR}/fleet_scaling.json" \
+  | tee "${SMOKE_DIR}/fleet_scaling.txt"
+echo "batched-path + cross-user wave smoke OK"
 
 "${BUILD_DIR}/bench/bench_fig12_ab_test" \
   --users 64 --days 4 \
@@ -265,6 +226,36 @@ if [ "${SLO_RC}" -ne 3 ]; then
 fi
 echo "SLO watchdog smoke OK: must-fire ceiling exited 3"
 
+# The fired timeline's report must carry the alert: the reporting CLI exits 1
+# when alerts are on board, and python3 parses the whole report, alerts array
+# included.
+set +e
+"${BUILD_DIR}/bench/bench_health_report" \
+  --timeline "${SMOKE_DIR}/scenarios_timeline_fired.bin" \
+  --json "${SMOKE_DIR}/health_report_fired.json" \
+  > "${SMOKE_DIR}/health_report_fired.txt" 2>&1
+REPORT_RC=$?
+set -e
+if [ "${REPORT_RC}" -ne 1 ]; then
+  echo "health report BROKEN: fired timeline exited ${REPORT_RC}, want 1" >&2
+  exit 1
+fi
+python3 - "${SMOKE_DIR}/health_report_fired.json" <<'PYEOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["schema"] == "lingxi.obs.health_report/v1", report.get("schema")
+assert report["day_records"] > 0, "fired timeline recorded no fleet days"
+alerts = report["alerts"]
+assert alerts, "must-fire SLO left no alert in the report"
+rules = {a["rule"] for a in alerts}
+assert rules == {"sessions-ceiling"}, f"unexpected alert rules: {sorted(rules)}"
+for a in alerts:
+    assert a["metric"] == "sim.fleet.sessions_total", a
+    assert a["threshold"] == 1 and a["observed"] > 1, a
+print(f"fired health report OK: {len(alerts)} alert(s), first on day "
+      f"{alerts[0]['day']} ({alerts[0]['observed']:g} sessions > 1)")
+PYEOF
+
 # Obs fast-path regression gate (Release only: Debug timings say nothing
 # about the optimized cost of the disabled-path branch or the record path).
 # Non-zero exit when the best-of-N overhead exceeds 3%.
@@ -274,39 +265,39 @@ if [ "${BUILD_TYPE}" = "Release" ]; then
     | tee "${SMOKE_DIR}/obs_overhead.txt"
   echo "obs overhead gate OK"
 
-  # Perf-regression gate against the committed baseline (Release only: the
-  # committed ratios were measured on optimized builds). The checks are
-  # dimensionless ratios of quantities measured in the same process, so they
-  # transfer across machines; floors sit far below steady state so only a
-  # real regression trips them. Then prove the gate has teeth: a synthetic
-  # halved-throughput summary must exit non-zero.
-  "${BUILD_DIR}/bench/bench_compare" --baseline "${ROOT}/bench/baseline.json" \
-    --input "fleet_scaling=${SMOKE_DIR}/fleet_scaling.json" \
-    | tee "${SMOKE_DIR}/bench_compare.txt"
-  python3 - "${SMOKE_DIR}/fleet_scaling.json" "${SMOKE_DIR}/fleet_scaling_regressed.json" <<'PYEOF'
+  # Perf gate: the repository benchmark's smoke, then its checksums, QoE
+  # values and work counters against the committed pins (exact equality; a
+  # PR that means to move a pin re-pins it and says why in CHANGES.md).
+  bash "${ROOT}/benchmark/run.sh" --smoke --json "${SMOKE_DIR}/profile_smoke.json" \
+    | tee "${SMOKE_DIR}/profile_smoke.txt"
+  # The checker's output (every differing value and, on a mismatch, the
+  # replacement pin file) is kept beside the smoke JSON for the artifact.
+  python3 "${ROOT}/scripts/check_smoke_pins.py" "${SMOKE_DIR}/profile_smoke.json" 2>&1 \
+    | tee "${SMOKE_DIR}/smoke_pins_check.txt"
+
+  # Prove the gate has teeth: one pinned counter moved by one must fail it.
+  python3 - "${SMOKE_DIR}/profile_smoke.json" "${SMOKE_DIR}/profile_smoke_perturbed.json" <<'PYEOF'
 import json, sys
-summary = json.load(open(sys.argv[1]))
-summary["batched_sessions_per_sec"] = summary["scalar_sessions_per_sec"] * 0.5
-summary["cross_user"]["speedup"] = 0.4
-json.dump(summary, open(sys.argv[2], "w"))
+result = json.load(open(sys.argv[1]))
+result["workloads"][0]["per_layer"]["predictor.pool.flushes"]["value"] += 1
+json.dump(result, open(sys.argv[2], "w"))
 PYEOF
   set +e
-  "${BUILD_DIR}/bench/bench_compare" --baseline "${ROOT}/bench/baseline.json" \
-    --input "fleet_scaling=${SMOKE_DIR}/fleet_scaling_regressed.json" \
-    >> "${SMOKE_DIR}/bench_compare.txt" 2>&1
-  COMPARE_RC=$?
+  python3 "${ROOT}/scripts/check_smoke_pins.py" "${SMOKE_DIR}/profile_smoke_perturbed.json" \
+    > "${SMOKE_DIR}/smoke_pins_perturbed.txt" 2>&1
+  PINS_RC=$?
   set -e
-  if [ "${COMPARE_RC}" -ne 1 ]; then
-    echo "bench_compare gate BROKEN: synthetic regression exited ${COMPARE_RC}, want 1" >&2
+  if [ "${PINS_RC}" -ne 1 ]; then
+    echo "smoke pin gate BROKEN: a perturbed counter exited ${PINS_RC}, want 1" >&2
     exit 1
   fi
-  echo "bench_compare gate OK: baseline within tolerance, synthetic regression caught"
+  echo "smoke pin gate OK: pins match, a perturbed counter is caught"
 
   # Micro-benchmarks: Algorithm 2 on the wave engine with the batched
   # predictor at batch 1 and 16, then the pooled exit-net forward (the dense
   # panel per ISA and zero-column share, and predict_batch per flush size).
   # bench_micro exists only when Google Benchmark was found at configure
-  # time. No gate reads the JSON yet.
+  # time. No gate reads the JSON.
   if [ -x "${BUILD_DIR}/bench/bench_micro" ]; then
     "${BUILD_DIR}/bench/bench_micro" --benchmark_filter=MonteCarlo \
       --benchmark_out="${SMOKE_DIR}/micro_montecarlo.json" \

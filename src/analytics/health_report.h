@@ -6,8 +6,7 @@
 // distribution sit (bucket-interpolated p50/p95/p99), which SLO alerts
 // fired, and — given two timelines from two builds — which metrics moved
 // between them. bench/bench_health_report.cpp is the CLI wrapper; the
-// two-timeline comparator backs build-to-build regression triage the same
-// way analytics::bench_gate does for bench summaries.
+// two-timeline comparator backs build-to-build regression triage.
 #pragma once
 
 #include <cstdint>

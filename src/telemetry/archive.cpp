@@ -329,11 +329,18 @@ std::uint64_t FleetArchive::total_bytes() const noexcept {
 
 namespace {
 
+// The smallest shard record is a user record: a 68-byte payload in a frame
+// with a 12-byte header and a 4-byte CRC.
+constexpr std::uint64_t kMinRecordFrame = 12 + 68 + 4;
+
 /// A structurally valid manifest whose shard table does not actually cover
 /// the users it claims would make every scan silently yield nothing (each
 /// scan iterates the shard table, so missing coverage is skipped, not
 /// reported). Reject it at open() instead: the shard ranges must tile
-/// [0, users) contiguously in order.
+/// [0, users) contiguously in order. Each shard's counts must also fit its
+/// bytes — every user writes one user record, and every record is at least
+/// kMinRecordFrame bytes — so, with open() matching byte_count to the file,
+/// the users Replay sizes its buffers for are bounded by the bytes on disk.
 Status validate_manifest(const ArchiveManifest& manifest) {
   std::uint64_t next_user = 0;
   for (const auto& shard : manifest.shards) {
@@ -342,6 +349,10 @@ Status validate_manifest(const ArchiveManifest& manifest) {
     }
     if (shard.user_count == 0) {
       return Error::corrupt("archive shard table has an empty shard");
+    }
+    if (shard.user_count > shard.record_count ||
+        shard.record_count > shard.byte_count / kMinRecordFrame) {
+      return Error::corrupt("archive shard counts exceed its bytes");
     }
     next_user += shard.user_count;
   }
@@ -363,6 +374,14 @@ Expected<ArchiveReader> ArchiveReader::open(const std::string& dir) {
   auto manifest = ArchiveManifest::decode(*payload);
   if (!manifest) return manifest.error();
   if (auto s = validate_manifest(*manifest); !s) return s.error();
+  for (std::size_t i = 0; i < manifest->shards.size(); ++i) {
+    std::error_code ec;
+    const std::uint64_t size = std::filesystem::file_size(dir + "/" + shard_filename(i), ec);
+    if (ec) return Error::io("cannot stat archive shard: " + shard_filename(i));
+    if (size != manifest->shards[i].byte_count) {
+      return Error::corrupt("archive shard size disagrees with manifest: " + shard_filename(i));
+    }
+  }
   return ArchiveReader(dir, std::move(*manifest));
 }
 

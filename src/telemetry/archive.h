@@ -137,6 +137,10 @@ class ArchiveReader {
   using SessionCallback = std::function<void(const ArchiveSessionRecord&)>;
   using UserCallback = std::function<void(const ArchiveUserRecord&)>;
 
+  /// Read the manifest and check its shard table against the shard files:
+  /// kCorrupt unless the shards tile [0, users) and each has
+  /// user_count <= record_count, room for record_count records in
+  /// byte_count, and a file of exactly byte_count bytes.
   static Expected<ArchiveReader> open(const std::string& dir);
 
   const ArchiveManifest& manifest() const noexcept { return manifest_; }

@@ -13,6 +13,9 @@
 //     without allocating from the claimed count.
 //   * Misrouted archive records behind valid CRCs: a record outside its
 //     shard's users or past the manifest's days is kCorrupt.
+//   * Hostile archive shard tables behind a valid CRC: counts that exceed
+//     the shard's bytes, or bytes that differ from the file, are kCorrupt
+//     at open().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -660,12 +663,13 @@ TEST(HostileLengths, TimelineMetricCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Misrouted archive records behind valid CRCs.
+// Misrouted archive records and hostile shard tables behind valid CRCs.
 // ---------------------------------------------------------------------------
 
 // The golden manifest: users [0, 2) in shard 0, user 2 in shard 1, days
 // [0, 4). Each case patches one field of a golden record, restamps its CRC
-// and places it in a shard; the other shard holds one valid user record.
+// and places it first in a shard; behind it, every shard holds one valid
+// user record per user it covers.
 struct ArchiveCase {
   const char* name;
   std::size_t shard;
@@ -691,17 +695,20 @@ TEST(ArchiveRouting, CorruptionTableRejectsEveryMisroutedRecord) {
                       : telemetry::encode_session_record(golden_archive_session());
     put_u32_at(payload, 4, static_cast<std::uint32_t>(c.user));  // u64 user, low word
     if (!c.user_record) put_u32_at(payload, 12, c.day);
-    telemetry::ArchiveUserRecord valid = golden_archive_user();
-    valid.user = c.shard == 0 ? 2 : 1;
 
     telemetry::FleetArchive archive;
     archive.manifest = golden_archive_manifest();
     archive.shards.resize(2);
     logstore::write_record(archive.shards[c.shard], payload);
-    logstore::write_record(archive.shards[1 - c.shard], telemetry::encode_user_record(valid));
     for (std::size_t i = 0; i < 2; ++i) {
-      archive.manifest.shards[i].record_count = 1;
-      archive.manifest.shards[i].byte_count = archive.shards[i].size();
+      telemetry::ArchiveShardInfo& shard = archive.manifest.shards[i];
+      for (std::uint64_t u = shard.first_user; u < shard.first_user + shard.user_count; ++u) {
+        telemetry::ArchiveUserRecord valid = golden_archive_user();
+        valid.user = u;
+        logstore::write_record(archive.shards[i], telemetry::encode_user_record(valid));
+      }
+      shard.record_count = shard.user_count + (i == c.shard ? 1 : 0);
+      shard.byte_count = archive.shards[i].size();
     }
     const std::string dir = temp_path("misrouted");
     ASSERT_TRUE(archive.write(dir).ok()) << c.name;
@@ -716,8 +723,47 @@ TEST(ArchiveRouting, CorruptionTableRejectsEveryMisroutedRecord) {
     EXPECT_NE(scanned.error().message.find(c.error), std::string::npos)
         << c.name << ": " << scanned.error().message;
     // Shards scan in order: only a valid shard 0 reaches the callbacks.
-    EXPECT_EQ(delivered, c.shard == 1 ? 1u : 0u) << c.name;
+    EXPECT_EQ(delivered, c.shard == 1 ? 2u : 0u) << c.name;
     expect_corrupt(status_of(telemetry::Replay::run(*reader)), c.name);
+  }
+}
+
+// Hostile shard tables behind a valid manifest CRC, each over a one-shard
+// fleet whose shard file holds `file_bytes` zero bytes. At most as many
+// users as records, records that fit the claimed bytes and claimed bytes
+// equal to the file: open() refuses the rest, before Replay sizes a
+// per-user buffer from the manifest's user count.
+struct ManifestCase {
+  const char* name;
+  std::uint64_t users;
+  std::uint64_t record_count;
+  std::uint64_t byte_count;
+  std::size_t file_bytes;
+};
+
+constexpr std::uint64_t k40 = std::uint64_t{1} << 40;
+
+const ManifestCase kManifestCases[] = {
+    {"2^40 users, no records", k40, 0, 0, 0},
+    {"2^40 records in no bytes", k40, k40, 0, 0},
+    {"2^40 records in bytes the file lacks", k40, k40, k40 * 84, 0},
+    {"byte count one past the file", 1, 1, 85, 84},
+};
+
+TEST(ArchiveManifest, HostileShardTableIsCorruptAtOpen) {
+  for (const ManifestCase& c : kManifestCases) {
+    telemetry::FleetArchive archive;
+    archive.manifest = golden_archive_manifest();
+    archive.manifest.users = c.users;
+    archive.manifest.users_per_shard = c.users;
+    archive.manifest.shards = {{0, c.users, c.record_count, c.byte_count}};
+    archive.shards = {std::vector<unsigned char>(c.file_bytes)};
+    const std::string dir = temp_path("hostile_manifest");
+    ASSERT_TRUE(archive.write(dir).ok()) << c.name;
+
+    const auto reader = telemetry::ArchiveReader::open(dir);
+    expect_corrupt(status_of(reader), c.name);
+    expect_corrupt(status_of(telemetry::Replay::run(dir)), c.name);
   }
 }
 

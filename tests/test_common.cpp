@@ -1,17 +1,14 @@
-// Unit tests for lingxi_common: RNG, running stats, CRC32, Expected, JSON.
+// Unit tests for lingxi_common: RNG, running stats, CRC32, Expected, units.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/expected.h"
-#include "common/json.h"
 #include "common/rng.h"
 #include "common/running_stats.h"
 #include "common/units.h"
@@ -395,89 +392,6 @@ TEST(Units, SegmentBytesRoundTrip) {
 }
 
 TEST(Units, MbpsConversion) { EXPECT_DOUBLE_EQ(units::mbps(2.5), 2500.0); }
-
-// ---------------------------------------------------------------------------
-// JSON parser (consumed by the bench_compare perf gate).
-// ---------------------------------------------------------------------------
-
-TEST(Json, ParsesScalarsAndStructure) {
-  auto doc = parse_json(
-      R"({"name": "fleet", "pass": true, "skip": false, "none": null,
-          "rate": 1234.5, "neg": -3e2,
-          "tags": ["a", "b"], "nested": {"speedup": 1.4}})");
-  ASSERT_TRUE(static_cast<bool>(doc)) << doc.error().message;
-  ASSERT_TRUE(doc->is_object());
-  EXPECT_EQ(doc->find("name")->as_string(), "fleet");
-  EXPECT_TRUE(doc->find("pass")->as_bool());
-  EXPECT_FALSE(doc->find("skip")->as_bool());
-  EXPECT_TRUE(doc->find("none")->is_null());
-  EXPECT_DOUBLE_EQ(doc->find("rate")->as_number(), 1234.5);
-  EXPECT_DOUBLE_EQ(doc->find("neg")->as_number(), -300.0);
-  const auto& tags = doc->find("tags")->as_array();
-  ASSERT_EQ(tags.size(), 2u);
-  EXPECT_EQ(tags[1].as_string(), "b");
-  // Dotted-path lookup through nested objects.
-  const JsonValue* speedup = doc->find_path("nested.speedup");
-  ASSERT_NE(speedup, nullptr);
-  EXPECT_DOUBLE_EQ(speedup->as_number(), 1.4);
-  EXPECT_EQ(doc->find_path("nested.missing"), nullptr);
-  EXPECT_EQ(doc->find("absent"), nullptr);
-}
-
-TEST(Json, StringEscapesRoundTrip) {
-  auto doc = parse_json(R"(["a\"b", "tab\there", "\u0041\u00e9", "slash\/\\"])");
-  ASSERT_TRUE(static_cast<bool>(doc));
-  const auto& a = doc->as_array();
-  EXPECT_EQ(a[0].as_string(), "a\"b");
-  EXPECT_EQ(a[1].as_string(), "tab\there");
-  EXPECT_EQ(a[2].as_string(), "A\xc3\xa9");  // \u escapes decode to UTF-8
-  EXPECT_EQ(a[3].as_string(), "slash/\\");
-}
-
-TEST(Json, SeventeenDigitDoublesRoundTrip) {
-  // The repo's writers emit %.17g; the parser must hand the bits back.
-  const double v = 0.1234567890123456789;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "[%.17g]", v);
-  auto doc = parse_json(buf);
-  ASSERT_TRUE(static_cast<bool>(doc));
-  EXPECT_EQ(doc->as_array()[0].as_number(), v);  // bitwise, not approximate
-}
-
-TEST(Json, MalformedInputIsParseErrorNotUb) {
-  for (const char* bad : {"", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru",
-                          "\"unterminated", "{\"a\":1} trailing", "1.2.3",
-                          "[\"bad\\x\"]"}) {
-    auto doc = parse_json(bad);
-    EXPECT_FALSE(static_cast<bool>(doc)) << "input '" << bad << "' should not parse";
-    if (!doc) {
-      EXPECT_EQ(doc.error().code, Error::Code::kParse) << bad;
-    }
-  }
-}
-
-TEST(Json, DepthLimitStopsRunawayNesting) {
-  std::string deep(200, '[');
-  deep += std::string(200, ']');
-  auto doc = parse_json(deep);
-  ASSERT_FALSE(static_cast<bool>(doc));
-  EXPECT_EQ(doc.error().code, Error::Code::kParse);
-}
-
-TEST(Json, FileRoundTripAndMissingFile) {
-  const std::string path = "json_test_doc.json";
-  {
-    std::ofstream os(path);
-    os << "{\"x\": 42}\n";
-  }
-  auto doc = parse_json_file(path);
-  ASSERT_TRUE(static_cast<bool>(doc));
-  EXPECT_DOUBLE_EQ(doc->find("x")->as_number(), 42.0);
-  std::remove(path.c_str());
-  auto missing = parse_json_file("json_test_no_such_file.json");
-  ASSERT_FALSE(static_cast<bool>(missing));
-  EXPECT_EQ(missing.error().code, Error::Code::kIo);
-}
 
 }  // namespace
 }  // namespace lingxi

@@ -397,14 +397,21 @@ TEST(ArchiveReader, DetectsTruncatedShard) {
   const std::string dir = fresh_dir("trunc");
   ASSERT_TRUE(archive.write(dir).ok());
   const std::string shard_path = dir + "/" + telemetry::shard_filename(0);
+  // A reader opened before the truncation must catch it mid-scan; a fresh
+  // open() catches it up front, from the shard size in the manifest.
+  auto reader = telemetry::ArchiveReader::open(dir);
+  ASSERT_TRUE(reader.has_value()) << reader.error().message;
   auto bytes = read_file(shard_path);
   ASSERT_TRUE(bytes.has_value());
   bytes->resize(bytes->size() - 7);
   ASSERT_TRUE(write_file(shard_path, *bytes).ok());
 
-  const auto replayed = telemetry::Replay::run(dir);
+  const auto replayed = telemetry::Replay::run(*reader);
   ASSERT_FALSE(replayed.has_value());
   EXPECT_EQ(replayed.error().code, Error::Code::kCorrupt);
+  const auto reopened = telemetry::ArchiveReader::open(dir);
+  ASSERT_FALSE(reopened.has_value());
+  EXPECT_EQ(reopened.error().code, Error::Code::kCorrupt);
 }
 
 TEST(ArchiveReader, DetectsFlippedByteInManifest) {
@@ -549,11 +556,14 @@ TEST(ArchiveReader, ShardReadFailureIsIoErrorNotShortScan) {
   // Replace the shard with a directory: the stream opens but every read
   // fails (badbit) without tripping eofbit. That must surface as kIo — a
   // stream failing mid-scan — and never fall through to the record-count
-  // cross-check as a "clean but short" scan (kCorrupt).
+  // cross-check as a "clean but short" scan (kCorrupt). The reader is opened
+  // first: open() itself already refuses a shard it cannot size.
+  auto reader = telemetry::ArchiveReader::open(dir);
+  ASSERT_TRUE(reader.has_value()) << reader.error().message;
   std::filesystem::remove(shard_path);
   std::filesystem::create_directory(shard_path);
 
-  const auto replayed = telemetry::Replay::run(dir);
+  const auto replayed = telemetry::Replay::run(*reader);
   ASSERT_FALSE(replayed.has_value());
   EXPECT_EQ(replayed.error().code, Error::Code::kIo);
 }
