@@ -3,9 +3,11 @@
 //   2. balance classes and split 80:20 (stratified),
 //   3. train the 5-branch 1D-CNN with Adam + cross-entropy,
 //   4. report accuracy / precision / recall / F1, and
-//   5. checkpoint the weights to disk and reload them.
+//   5. checkpoint the weights to disk as an LXNC model container, reload
+//      them and exit 1 unless the reloaded net scores the same accuracy.
 #include <cstdio>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "nn/serialize.h"
 #include "predictor/dataset.h"
@@ -39,17 +41,32 @@ int main() {
   std::printf("test metrics: acc=%.3f prec=%.3f recall=%.3f f1=%.3f\n", metrics.accuracy,
               metrics.precision, metrics.recall, metrics.f1);
 
-  const std::string path = "exit_net.lxnn";
-  if (nn::save_tensors(path, net.weights()).ok()) {
-    std::printf("checkpoint written to %s\n", path.c_str());
-    const auto loaded = nn::load_tensors(path);
-    Rng rng2(1);
-    predictor::StallExitNet restored(rng2);
-    if (loaded && restored.load_weights(*loaded)) {
-      const auto again = predictor::evaluate(restored, split.test);
-      std::printf("reloaded checkpoint test accuracy: %.3f (matches: %s)\n",
-                  again.accuracy, again.accuracy == metrics.accuracy ? "yes" : "no");
-    }
+  const std::string path = "exit_net.lxnw";
+  if (const Status s = write_file(path, nn::serialize_model(nn::kModelKindStallExitNet,
+                                                            net.weights()));
+      !s.ok()) {
+    std::fprintf(stderr, "checkpoint write failed: %s\n", s.error().message.c_str());
+    return 1;
   }
-  return 0;
+  std::printf("checkpoint written to %s\n", path.c_str());
+  const auto bytes = read_file(path);
+  if (!bytes) {
+    std::fprintf(stderr, "checkpoint read failed: %s\n", bytes.error().message.c_str());
+    return 1;
+  }
+  const auto loaded = nn::deserialize_model(nn::kModelKindStallExitNet, *bytes);
+  if (!loaded) {
+    std::fprintf(stderr, "checkpoint decode failed: %s\n", loaded.error().message.c_str());
+    return 1;
+  }
+  Rng rng2(1);
+  predictor::StallExitNet restored(rng2);
+  if (!restored.load_weights(*loaded)) {
+    std::fprintf(stderr, "checkpoint weights do not fit the net\n");
+    return 1;
+  }
+  const auto again = predictor::evaluate(restored, split.test);
+  std::printf("reloaded checkpoint test accuracy: %.3f (matches: %s)\n", again.accuracy,
+              again.accuracy == metrics.accuracy ? "yes" : "no");
+  return again.accuracy == metrics.accuracy ? 0 : 1;
 }

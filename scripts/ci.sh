@@ -18,6 +18,10 @@
 #     once; its sessions/sec and occupancy figures land in
 #     ${BUILD_DIR}/smoke/fleet_scaling.json for information only, no gate
 #     reads them;
+#   * the net-file smoke: example_train_exit_predictor trains the exit net,
+#     writes it to ${BUILD_DIR}/smoke/exit_net.lxnw as an LXNC model
+#     container and reloads it, exiting non-zero unless the reload succeeds
+#     and the reloaded net's test accuracy equals the trained net's;
 #   * a telemetry capture->replay round-trip smoke (Fig. 12 A/B on 64
 #     users): simulate both arms once, archive them, recompute the DiD
 #     series from the archives, and exit non-zero unless the replayed
@@ -108,6 +112,12 @@ mkdir -p "${SMOKE_DIR}"
   --json "${SMOKE_DIR}/fleet_scaling.json" \
   | tee "${SMOKE_DIR}/fleet_scaling.txt"
 echo "batched-path + cross-user wave smoke OK"
+
+# Net-file smoke: the one on-disk net format (LXNC via write_file/read_file)
+# round-trips a trained exit net; non-zero exit on a failed or unequal reload.
+(cd "${SMOKE_DIR}" && "${BUILD_DIR}/examples/example_train_exit_predictor") \
+  | tee "${SMOKE_DIR}/train_exit_predictor.txt"
+echo "net-file smoke OK: $(ls "${SMOKE_DIR}/exit_net.lxnw")"
 
 "${BUILD_DIR}/bench/bench_fig12_ab_test" \
   --users 64 --days 4 \

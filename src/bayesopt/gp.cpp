@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/assert.h"
 #include "obs/timer.h"
@@ -14,23 +12,13 @@ namespace {
 // Offset of packed lower-triangular row i.
 constexpr std::size_t tri(std::size_t i) { return i * (i + 1) / 2; }
 
-// -1 = read LINGXI_GP_FULL_REFIT on first use, 0/1 = decided.
-std::atomic<int> g_full_refit{-1};
+// Set only by set_full_refit_for_testing.
+std::atomic<bool> g_full_refit{false};
 
 }  // namespace
 
 void GaussianProcess::set_full_refit_for_testing(bool force) {
-  g_full_refit.store(force ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool GaussianProcess::full_refit_forced() {
-  int v = g_full_refit.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* e = std::getenv("LINGXI_GP_FULL_REFIT");
-    v = (e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0) ? 1 : 0;
-    g_full_refit.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
+  g_full_refit.store(force, std::memory_order_relaxed);
 }
 
 GaussianProcess::GaussianProcess() : GaussianProcess(GpConfig{}) {}
@@ -61,7 +49,7 @@ void GaussianProcess::observe(const std::vector<double>& x, double y) {
   // Strict < keeps the first minimum on ties, matching the min_element scan
   // this running index replaced.
   if (ys_.size() == 1 || y < ys_[best_index_]) best_index_ = ys_.size() - 1;
-  if (full_refit_forced()) {
+  if (g_full_refit.load(std::memory_order_relaxed)) {
     refit();
   } else {
     extend_factor(xs_.size() - 1);
@@ -119,8 +107,8 @@ void GaussianProcess::recompute_alpha() {
   }
 }
 
-// Full O(n^3) refit — the LINGXI_GP_FULL_REFIT escape hatch, and the
-// reference the incremental path is pinned against.
+// Full O(n^3) refit — the reference the incremental path is pinned against
+// (set_full_refit_for_testing).
 void GaussianProcess::refit() {
   OBS_SPAN("obo.refit");
   OBS_TIMED("bayesopt.gp.refit_us");
@@ -235,38 +223,6 @@ void GaussianProcess::predict_batch(const double* candidates, std::size_t count,
   }
   for (std::size_t c = 0; c < count; ++c) {
     out[c].variance = std::max(0.0, config_.signal_variance - out[c].variance);
-  }
-}
-
-GpState GaussianProcess::state() const {
-  GpState s;
-  s.config = config_;
-  s.xs = xs_;
-  s.ys = ys_;
-  return s;
-}
-
-void GaussianProcess::restore(const GpState& state) {
-  LINGXI_ASSERT(state.xs.size() == state.ys.size());
-  config_ = state.config;
-  xs_ = state.xs;
-  ys_ = state.ys;
-  y_mean_ = 0.0;
-  best_index_ = 0;
-  chol_.clear();
-  alpha_.clear();
-  if (xs_.empty()) return;
-  // Replay through the same incremental row-extension path observe() uses —
-  // identical op sequence, so checkpoint/resume stays bitwise.
-  if (full_refit_forced()) {
-    refit();
-  } else {
-    chol_.reserve(tri(xs_.size()));
-    for (std::size_t i = 0; i < xs_.size(); ++i) extend_factor(i);
-    recompute_alpha();
-  }
-  for (std::size_t i = 1; i < ys_.size(); ++i) {
-    if (ys_[i] < ys_[best_index_]) best_index_ = i;
   }
 }
 

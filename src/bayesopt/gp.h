@@ -4,8 +4,8 @@
 // Cholesky factorization. observe() extends the factor with one new row
 // (O(n^2) incremental update); the factorization is row-ordered, so the
 // extended factor is bitwise identical to a from-scratch refit — pinned by
-// the IncrementalMatchesFullRefit property and forcible via the
-// LINGXI_GP_FULL_REFIT escape hatch.
+// the IncrementalMatchesFullRefit property against the full refit that
+// set_full_refit_for_testing forces.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +17,6 @@ struct GpConfig {
   double length_scale = 0.25;  ///< in unit-cube coordinates
   double signal_variance = 1.0;
   double noise_variance = 1e-4;
-
-  bool operator==(const GpConfig&) const = default;
 };
 
 struct GpPrediction {
@@ -31,19 +29,6 @@ struct GpPrediction {
 /// acquisition hot path allocation-free (the buffers only ever grow).
 struct GpWorkspace {
   std::vector<double> panel;  ///< [n][count] k_star, overwritten by L^-1 k_star
-};
-
-/// Checkpointable GP state: the observation history plus the kernel
-/// hyperparameters. The Cholesky factors are deliberately NOT part of the
-/// state — they are a pure function of (config, xs, ys), and restore()
-/// replays the observations through the same incremental row-extension path
-/// observe() uses, recomputing them bitwise identically.
-struct GpState {
-  GpConfig config;
-  std::vector<std::vector<double>> xs;
-  std::vector<double> ys;
-
-  bool operator==(const GpState&) const = default;
 };
 
 class GaussianProcess {
@@ -77,20 +62,14 @@ class GaussianProcess {
   double best_y() const;
   const std::vector<double>& best_x() const;
 
-  /// Checkpoint / resume (see GpState): restore(state()) reproduces the
-  /// identical posterior — predictions and best_x/best_y match bitwise.
-  GpState state() const;
-  void restore(const GpState& state);
-
   /// Packed lower-triangular Cholesky factor (row i at offset i*(i+1)/2) and
   /// the solved alpha = K^-1 (y - mean). Exposed so tests can pin the
   /// incremental-update path against a full refit exactly.
   const std::vector<double>& factor() const noexcept { return chol_; }
   const std::vector<double>& alpha() const noexcept { return alpha_; }
 
-  /// When true (or when LINGXI_GP_FULL_REFIT is set in the environment),
-  /// observe()/restore() refactor from scratch instead of extending the
-  /// factor — the escape hatch the equality property is pinned against.
+  /// When true, observe() refactors from scratch instead of extending the
+  /// factor — the reference the equality property is pinned against.
   static void set_full_refit_for_testing(bool force);
 
  private:
@@ -98,7 +77,6 @@ class GaussianProcess {
   void extend_factor(std::size_t i);
   void recompute_alpha();
   double kernel(const std::vector<double>& a, const std::vector<double>& b) const;
-  static bool full_refit_forced();
 
   GpConfig config_;
   std::vector<std::vector<double>> xs_;

@@ -76,24 +76,6 @@ std::vector<double> OnlineBayesOpt::next_candidate(Rng& rng) {
                              candidates_.begin() + (best + 1) * dims_);
 }
 
-OnlineBayesOpt::State OnlineBayesOpt::state() const {
-  State s;
-  s.gp = gp_.state();
-  s.warm_start = warm_start_;
-  s.has_warm_start = has_warm_start_;
-  s.warm_start_used = warm_start_used_;
-  return s;
-}
-
-void OnlineBayesOpt::restore(const State& state) {
-  if (state.has_warm_start) LINGXI_ASSERT(state.warm_start.size() == dims_);
-  for (const auto& x : state.gp.xs) LINGXI_ASSERT(x.size() == dims_);
-  gp_.restore(state.gp);
-  warm_start_ = state.warm_start;
-  has_warm_start_ = state.has_warm_start;
-  warm_start_used_ = state.warm_start_used;
-}
-
 void OnlineBayesOpt::update(const std::vector<double>& x, double y) {
   LINGXI_ASSERT(x.size() == dims_);
   gp_.observe(x, y);

@@ -49,22 +49,6 @@ class OnlineBayesOpt {
   double best_value() const { return gp_.best_y(); }
   std::size_t evaluations() const noexcept { return gp_.observations(); }
 
-  /// Checkpointable optimizer state: the GP observation history and
-  /// hyperparameters plus the warm-start bookkeeping. restore(state())
-  /// continues the candidate sequence bitwise identically given the same
-  /// Rng stream — what lets a snapshot cut across an OBO round.
-  struct State {
-    GpState gp;
-    std::vector<double> warm_start;
-    bool has_warm_start = false;
-    bool warm_start_used = false;
-
-    bool operator==(const State&) const = default;
-  };
-
-  State state() const;
-  void restore(const State& state);
-
  private:
   std::size_t dims_;
   Config config_;
@@ -74,7 +58,7 @@ class OnlineBayesOpt {
   bool warm_start_used_ = false;
   // Acquisition scratch, reused round to round so the hot path is
   // allocation-free: the flat candidate panel, the batched predictions and
-  // the GP solve workspace. Deliberately not part of State.
+  // the GP solve workspace.
   std::vector<double> candidates_;
   std::vector<GpPrediction> predictions_;
   GpWorkspace ws_;

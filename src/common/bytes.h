@@ -9,10 +9,10 @@
 //   magic[4] | u32 version | u32 payload_len | payload | u32 crc32(payload)
 //
 // with payload_len <= kMaxFramePayload (64 MiB). Users: "LXRC" records
-// (logstore/record.h: the telemetry archive and snapshots), the "LXTL" health timeline (obs/timeline.h) and the "LXNN" /
-// "LXNC" net containers (nn/serialize.h). A wrong magic, wrong version,
-// oversized length, truncation anywhere in the frame or a CRC mismatch is
-// Error::kCorrupt, never UB.
+// (logstore/record.h: the telemetry archive and snapshots), the "LXTL" health
+// timeline (obs/timeline.h) and the "LXNC" net container (nn/serialize.h).
+// A wrong magic, wrong version, oversized length, truncation anywhere in the
+// frame or a CRC mismatch is Error::kCorrupt, never UB.
 #pragma once
 
 #include <cstddef>

@@ -226,20 +226,4 @@ void LingXi::restore_persistent(const PersistentState& state) {
   stats_ = state.stats;
 }
 
-LingXi::UserState LingXi::snapshot() const {
-  UserState s;
-  s.engagement = engagement_.long_term();
-  s.best_params = current_params_;
-  s.has_params = has_optimized_;
-  return s;
-}
-
-void LingXi::restore(const UserState& state) {
-  engagement_.restore_long_term(state.engagement);
-  if (state.has_params) {
-    current_params_ = config_.space.clamp(state.best_params);
-    has_optimized_ = true;
-  }
-}
-
 }  // namespace lingxi::core

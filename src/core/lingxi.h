@@ -18,7 +18,8 @@
 //   * pre-playback pruning — skip optimization when mu - 3*sigma > Q_max
 //     (stalls are statistically impossible, nothing to personalize);
 //   * virtual-playback pruning — inherited from sim::RolloutWave;
-//   * durable long-term state via snapshot()/restore() (UserState).
+//   * durable per-user state via persistent_state()/restore_persistent(),
+//     the one form fleet snapshots persist (§4 "Seamless Integration").
 #pragma once
 
 #include <cstdint>
@@ -78,6 +79,8 @@ struct LingXiStats {
   std::uint64_t pruned_preplay = 0;       ///< skipped via mu-3sigma rule
   std::uint64_t mc_evaluations = 0;       ///< candidate evaluations
   std::uint64_t mc_rollouts_pruned = 0;   ///< Monte Carlo early exits
+
+  bool operator==(const LingXiStats&) const = default;
 };
 
 class LingXi {
@@ -189,31 +192,15 @@ class LingXi {
   /// Client bandwidth distribution estimate (mean, sd) in kbps.
   std::pair<Kbps, Kbps> bandwidth_estimate() const;
 
-  /// Durable per-user personalization state (§4 "Seamless Integration"):
-  /// what the production system persists on app exit and restores after
-  /// first render on the next startup. (Fleet snapshots persist the
-  /// complete PersistentState below instead.)
-  struct UserState {
-    predictor::LongTermState engagement;
-    abr::QoeParams best_params;
-    bool has_params = false;  ///< OBO has produced an optimum at least once
-
-    bool operator==(const UserState&) const = default;
-  };
-
-  UserState snapshot() const;
-  void restore(const UserState& state);
-
   /// Complete evolving controller state at a session boundary — everything
   /// a fleet snapshot must persist so a resumed LingXi continues bitwise
   /// identically: the full engagement snapshot (not just the durable
   /// long-term slice), the client bandwidth window in arrival order, the
   /// trigger counter, the adopted parameters and the optimizer counters.
-  /// Unlike snapshot()/restore() — the production app-exit path, which
-  /// re-anchors interval clocks and clamps parameters — restore_persistent
-  /// is exact by construction (no clamping, no re-anchoring); the config
-  /// and predictor are NOT part of the state and must be reconstructed
-  /// equal by the caller (the fleet's pure-factory contract).
+  /// This is the one persisted form of a LingXi. restore_persistent is exact
+  /// by construction (no clamping, no re-anchoring); the config and
+  /// predictor are NOT part of the state and must be reconstructed equal by
+  /// the caller (the fleet's pure-factory contract).
   struct PersistentState {
     predictor::EngagementState::Snapshot engagement;
     std::vector<Kbps> bandwidth_window;  ///< oldest first
@@ -221,6 +208,8 @@ class LingXi {
     bool has_optimized = false;
     abr::QoeParams params;
     LingXiStats stats;
+
+    bool operator==(const PersistentState&) const = default;
   };
 
   PersistentState persistent_state() const;

@@ -7,7 +7,6 @@
 namespace lingxi::nn {
 namespace {
 
-constexpr std::string_view kBlobMagic = "LXNN";
 constexpr std::string_view kContainerMagic = "LXNC";
 
 constexpr std::uint64_t kMaxDim = 1u << 24;
@@ -49,33 +48,7 @@ Expected<std::vector<Tensor>> get_tensors(ByteReader& in) {
   return tensors;
 }
 
-/// The payload of the single frame `bytes` must consist of.
-Expected<ByteSpan> whole_frame(const std::vector<unsigned char>& bytes, std::string_view magic,
-                               std::uint32_t version) {
-  std::size_t pos = 0;
-  auto payload = read_frame(bytes, pos, magic, version);
-  if (payload && pos != bytes.size()) {
-    return Error::corrupt(std::string(magic) + ": trailing bytes after frame");
-  }
-  return payload;
-}
-
 }  // namespace
-
-std::vector<unsigned char> serialize_tensors(const std::vector<const Tensor*>& tensors) {
-  std::vector<unsigned char> payload;
-  put_tensors(payload, tensors);
-  std::vector<unsigned char> out;
-  append_frame(out, kBlobMagic, kTensorBlobVersion, payload);
-  return out;
-}
-
-Expected<std::vector<Tensor>> deserialize_tensors(const std::vector<unsigned char>& bytes) {
-  auto payload = whole_frame(bytes, kBlobMagic, kTensorBlobVersion);
-  if (!payload) return payload.error();
-  ByteReader in(*payload);
-  return get_tensors(in);
-}
 
 std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
                                            const std::vector<const Tensor*>& tensors) {
@@ -89,21 +62,13 @@ std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
 
 Expected<std::vector<Tensor>> deserialize_model(std::uint32_t expected_kind,
                                                 const std::vector<unsigned char>& bytes) {
-  auto payload = whole_frame(bytes, kContainerMagic, kModelContainerVersion);
+  std::size_t pos = 0;
+  auto payload = read_frame(bytes, pos, kContainerMagic, kModelContainerVersion);
   if (!payload) return payload.error();
+  if (pos != bytes.size()) return Error::corrupt("LXNC: trailing bytes after frame");
   ByteReader in(*payload);
   if (in.u32() != expected_kind) return Error::corrupt("model container kind mismatch");
   return get_tensors(in);
-}
-
-Status save_tensors(const std::string& path, const std::vector<const Tensor*>& tensors) {
-  return write_file(path, serialize_tensors(tensors));
-}
-
-Expected<std::vector<Tensor>> load_tensors(const std::string& path) {
-  auto bytes = read_file(path);
-  if (!bytes) return bytes.error();
-  return deserialize_tensors(*bytes);
 }
 
 }  // namespace lingxi::nn

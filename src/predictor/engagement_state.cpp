@@ -126,12 +126,4 @@ void EngagementState::restore(const Snapshot& snapshot) {
   long_term_rows_valid_ = false;
 }
 
-void EngagementState::restore_long_term(LongTermState state) {
-  long_term_ = std::move(state);
-  // Interval anchors restart from the restored watch-time origin.
-  last_stall_at_ = long_term_.total_stall_events > 0 ? long_term_.total_watch_time : -1.0;
-  last_stall_exit_at_ = long_term_.total_stall_exits > 0 ? long_term_.total_watch_time : -1.0;
-  long_term_rows_valid_ = false;
-}
-
 }  // namespace lingxi::predictor

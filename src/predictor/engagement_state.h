@@ -9,8 +9,8 @@
 //   4  intervals between the last 8 stall-exits  (long-term engagement)
 //
 // Channels 0-1 reset per session; channels 2-4 and the counters persist
-// across sessions (they are the "long-term state" of
-// core::LingXi::UserState, persisted on app exit, §4 Seamless Integration).
+// across sessions (they are the long-term state that LingXi::PersistentState
+// carries through fleet snapshots, §4 Seamless Integration).
 #pragma once
 
 #include <array>
@@ -73,17 +73,15 @@ class EngagementState {
   void write_features(double* dst) const;
 
   const LongTermState& long_term() const noexcept { return long_term_; }
-  void restore_long_term(LongTermState state);
 
   /// Complete cross-session state at a session boundary: the long-term
   /// vectors/counters plus the interval anchors they cannot reproduce (only
-  /// the differences are stored in LongTermState). Unlike restore_long_term
-  /// — which re-anchors the interval clocks at the restored watch-time
-  /// origin — restore(snapshot()) is exact: every future feature matrix is
-  /// bitwise identical to the uncheckpointed continuation. Short-term
-  /// channels are excluded by design; they are cleared by the
-  /// begin_session() that precedes any read, so a snapshot is only valid
-  /// between sessions (the fleet snapshots at day boundaries).
+  /// the differences are stored in LongTermState). restore(snapshot()) is
+  /// exact: every future feature matrix is bitwise identical to the
+  /// uncheckpointed continuation. Short-term channels are excluded by
+  /// design; they are cleared by the begin_session() that precedes any read,
+  /// so a snapshot is only valid between sessions (the fleet snapshots at
+  /// day boundaries).
   struct Snapshot {
     LongTermState long_term;
     Seconds last_stall_at = -1.0;

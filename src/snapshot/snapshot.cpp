@@ -24,7 +24,6 @@ namespace {
 // State-file record type tags (leading u32 of every record payload).
 constexpr std::uint32_t kUserStateRecord = 1;
 constexpr std::uint32_t kCaptureCursorRecord = 2;
-// Type 3 is reserved for in-flight OBO state (see snapshot.h).
 
 // Largest fleet a snapshot may claim (16M users): load_snapshot pre-sizes
 // the user-state table from the manifest, so the count must be bounded
@@ -292,46 +291,6 @@ Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(ByteSp
   if (!in.ok()) return Error::corrupt("truncated user state record");
   if (!in.done()) return Error::corrupt("trailing bytes in user state record");
   return std::make_pair(user, std::move(state));
-}
-
-std::vector<unsigned char> encode_obo_state(const bayesopt::OnlineBayesOpt::State& state) {
-  std::vector<unsigned char> p;
-  put_f64(p, state.gp.config.length_scale);
-  put_f64(p, state.gp.config.signal_variance);
-  put_f64(p, state.gp.config.noise_variance);
-  put_u64(p, state.gp.xs.size());
-  for (std::size_t i = 0; i < state.gp.xs.size(); ++i) {
-    put_vector(p, state.gp.xs[i]);
-    put_f64(p, state.gp.ys[i]);
-  }
-  put_u32(p, state.has_warm_start ? 1u : 0u);
-  put_vector(p, state.warm_start);
-  put_u32(p, state.warm_start_used ? 1u : 0u);
-  return p;
-}
-
-Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(ByteSpan payload) {
-  ByteReader in(payload);
-  bayesopt::OnlineBayesOpt::State state;
-  state.gp.config.length_scale = in.f64();
-  state.gp.config.signal_variance = in.f64();
-  state.gp.config.noise_variance = in.f64();
-  // Each observation is at least a u64 count and its f64 target.
-  const std::size_t n = in.count(in.u64(), 8 + 8);
-  if (!in.ok()) return Error::corrupt("truncated OBO state");
-  state.gp.xs.resize(n);
-  state.gp.ys.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    state.gp.xs[i] = get_vector(in);
-    state.gp.ys[i] = in.f64();
-  }
-  if (!in.ok()) return Error::corrupt("truncated OBO observation");
-  state.has_warm_start = in.u32() != 0;
-  state.warm_start = get_vector(in);
-  state.warm_start_used = in.u32() != 0;
-  if (!in.ok()) return Error::corrupt("truncated OBO warm start");
-  if (!in.done()) return Error::corrupt("trailing bytes in OBO state");
-  return state;
 }
 
 Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
@@ -640,14 +599,6 @@ sim::FleetRunner::PredictorFactory resume_predictor_factory(
     LINGXI_ASSERT(loaded);
     return predictor;
   };
-}
-
-Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,
-                       const FleetSnapshot& snapshot) {
-  if (!snapshot.has_capture) {
-    return Error::invalid_arg("snapshot carries no capture state");
-  }
-  return restore_capture(capture, config, snapshot.seed, snapshot.capture);
 }
 
 Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,

@@ -68,14 +68,10 @@
 // has_capture is set each user's state record is followed by that user's
 // capture cursor record.
 //
-// OBO/GP optimizer state: day-boundary snapshots never carry an in-flight
-// OBO round — a LingXi optimization completes within the session that
-// triggered it, and its GP is rebuilt per round from the persisted warm
-// start (LingXi::PersistentState::params). The bayesopt layer is still
-// exactly checkpointable (bayesopt::OnlineBayesOpt::State), and
-// encode_obo_state/decode_obo_state round-trip the GP observation history
-// and hyperparameters for tooling and future mid-session snapshots; the
-// fleet format reserves record type 3 for them.
+// OBO/GP optimizer state is not persisted: a LingXi optimization completes
+// within the session that triggered it, so no day-boundary snapshot cuts
+// across an OBO round. The next round's GP starts from the persisted warm
+// start (LingXi::PersistentState::params).
 //
 // ## Durability contract (crash-safe commit)
 //
@@ -108,7 +104,6 @@
 #include <utility>
 #include <vector>
 
-#include "bayesopt/obo.h"
 #include "common/bytes.h"
 #include "common/expected.h"
 #include "sim/fleet_runner.h"
@@ -200,17 +195,12 @@ Status check_compatible(const FleetSnapshot& snapshot, const sim::FleetConfig& c
 sim::FleetRunner::PredictorFactory resume_predictor_factory(
     sim::FleetRunner::PredictorFactory base, std::vector<unsigned char> net_model);
 
-/// Re-arm a capture for a resumed leg: begin_fleet(config, snapshot seed)
-/// then restore the snapshot's cursors, so the resumed run appends days
-/// [D, ...) and finish() emits archive bytes identical to an unsplit run.
-/// Copies the cursor bytes (the whole captured archive so far); a resume
-/// path that is done with the snapshot's cursors should hand them to the
-/// moving overload instead.
-Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,
-                       const FleetSnapshot& snapshot);
-/// Moving form: same checks, but the cursors are consumed (pass
-/// `snapshot.seed, std::move(snapshot.capture)`), so resuming does not
-/// transiently duplicate the captured archive bytes.
+/// Re-arm a capture for a resumed leg: begin_fleet(config, seed) then
+/// restore the snapshot's cursors, so the resumed run appends days [D, ...)
+/// and finish() emits archive bytes identical to an unsplit run. The cursors
+/// are consumed (pass `snapshot.seed, std::move(snapshot.capture)`), so
+/// resuming does not transiently duplicate the captured archive bytes.
+/// Error::kInvalidArg when the cursor count differs from config.users.
 Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,
                        std::uint64_t seed,
                        std::vector<telemetry::ShardedCapture::CaptureCursor> cursors);
@@ -219,10 +209,5 @@ Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfi
 std::vector<unsigned char> encode_user_state(std::uint64_t user,
                                              const sim::UserFleetState& state);
 Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(ByteSpan payload);
-
-/// OBO/GP optimizer-state codec (see the header comment: reserved record
-/// type 3; not embedded by day-boundary snapshots).
-std::vector<unsigned char> encode_obo_state(const bayesopt::OnlineBayesOpt::State& state);
-Expected<bayesopt::OnlineBayesOpt::State> decode_obo_state(ByteSpan payload);
 
 }  // namespace lingxi::snapshot

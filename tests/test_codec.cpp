@@ -4,7 +4,7 @@
 //     compared to a hex literal. The LXRC (session log, archive, snapshot)
 //     and LXTL (timeline) literals were captured before these
 //     formats moved onto the shared codec and must never change without a
-//     format version bump; LXNN/LXNC pin the version-2 net containers.
+//     format version bump; LXNC pins the version-2 net container.
 //   * ByteReader semantics: sticky failure, counted reads checked before
 //     they allocate, trailing-byte rejection.
 //   * One table of frame-corruption cases, run for the LXRC and LXTL magics
@@ -195,19 +195,6 @@ snapshot::FleetSnapshot golden_fleet_snapshot() {
   return snap;
 }
 
-bayesopt::OnlineBayesOpt::State golden_obo_state() {
-  bayesopt::OnlineBayesOpt::State s;
-  s.gp.config.length_scale = 0.3;
-  s.gp.config.signal_variance = 1.0;
-  s.gp.config.noise_variance = 0.01;
-  s.gp.xs = {{0.25, 0.5}, {0.75, 0.125}};
-  s.gp.ys = {0.5, -0.25};
-  s.has_warm_start = true;
-  s.warm_start = {0.5, 0.5};
-  s.warm_start_used = false;
-  return s;
-}
-
 obs::RegistrySnapshot golden_registry() {
   obs::RegistrySnapshot snap;
   obs::MetricSnapshot rss;
@@ -309,11 +296,6 @@ constexpr const char* kSnapshotStateFileHex =
     "010000000000000000001c40000000000000f03f000000000000d03f01000000"
     "000000000000000005b085e94c58524302000000240000000200000001000000"
     "000000000000000000000000000000000000000000000000000000001418fc6a";
-constexpr const char* kOboStateHex =
-    "333333333333d33f000000000000f03f7b14ae47e17a843f0200000000000000"
-    "0200000000000000000000000000d03f000000000000e03f000000000000e03f"
-    "0200000000000000000000000000e83f000000000000c03f000000000000d0bf"
-    "010000000200000000000000000000000000e03f000000000000e03f00000000";
 constexpr const char* kTimelineFileHex =
     "4c58544c010000001e00000000000000160000006c696e6778692e6f62732e74"
     "696d656c696e652f7631cdea8b8e4c58544c01000000f9000000010000000300"
@@ -378,10 +360,6 @@ TEST(CodecGolden, SnapshotFiles) {
   EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::state_filename(0))), kSnapshotStateFileHex);
 }
 
-TEST(CodecGolden, OboState) {
-  EXPECT_EQ(hex(snapshot::encode_obo_state(golden_obo_state())), kOboStateHex);
-}
-
 TEST(CodecGolden, TimelineFrames) {
   // Schema header frame, one day frame (deterministic + wall-clock sections)
   // and one alert frame.
@@ -402,10 +380,6 @@ TEST(CodecGolden, TimelineFrames) {
   EXPECT_EQ(hex(file_bytes(path)), kTimelineFileHex);
 }
 
-constexpr const char* kTensorBlobHex =
-    "4c584e4e02000000440000000200000001000000020000000000000000000000"
-    "0000f83f00000000000004c00200000002000000000000000100000000000000"
-    "000000000000d03f000000000000104044d52cbd";
 constexpr const char* kModelContainerHex =
     "4c584e4302000000480000000300000002000000010000000200000000000000"
     "000000000000f83f00000000000004c002000000020000000000000001000000"
@@ -415,9 +389,8 @@ std::vector<nn::Tensor> golden_tensors() {
   return {nn::Tensor::vector({1.5, -2.5}), nn::Tensor({2, 1}, {0.25, 4.0})};
 }
 
-TEST(CodecGolden, NetContainersVersion2) {
+TEST(CodecGolden, NetContainerVersion2) {
   const std::vector<nn::Tensor> t = golden_tensors();
-  EXPECT_EQ(hex(nn::serialize_tensors({&t[0], &t[1]})), kTensorBlobHex);
   EXPECT_EQ(hex(nn::serialize_model(nn::kModelKindStallExitNet, {&t[0], &t[1]})),
             kModelContainerHex);
 }
@@ -625,7 +598,7 @@ TEST(HostileLengths, SessionSegmentCountFailsOnCountCheck) {
   expect_corrupt(status_of(logstore::decode_session(*record)), "session log");
 }
 
-TEST(HostileLengths, SnapshotVectorAndOboCounts) {
+TEST(HostileLengths, SnapshotVectorCount) {
   sim::UserFleetState user = golden_fleet_user(true);
   user.lingxi.engagement.long_term.stall_durations.clear();
   std::vector<unsigned char> state = snapshot::encode_user_state(1, user);
@@ -634,10 +607,6 @@ TEST(HostileLengths, SnapshotVectorAndOboCounts) {
   constexpr std::size_t kFirstVector = 4 + 8 + 32 + 8 + 4 + 24 + 8 + 4;
   put_u32_at(state, kFirstVector, 1u << 20);
   expect_corrupt(status_of(snapshot::decode_user_state(state)), "user state vector");
-
-  std::vector<unsigned char> obo = snapshot::encode_obo_state(golden_obo_state());
-  put_u32_at(obo, 24, 1u << 20);  // observation count, after three f64s
-  expect_corrupt(status_of(snapshot::decode_obo_state(obo)), "OBO observations");
 }
 
 TEST(HostileLengths, TimelineMetricCount) {
@@ -767,72 +736,83 @@ TEST(ArchiveManifest, HostileShardTableIsCorruptAtOpen) {
   }
 }
 
-std::vector<unsigned char> tensor_blob(const std::vector<std::uint64_t>& dims,
-                                       std::size_t values, bool trailing_byte = false) {
+// A stall-exit-net container holding one tensor of shape `dims` followed by
+// `values` doubles, whatever the shape claims.
+std::vector<unsigned char> model_blob(const std::vector<std::uint64_t>& dims,
+                                      std::size_t values, bool trailing_byte = false) {
   std::vector<unsigned char> payload;
+  put_u32(payload, nn::kModelKindStallExitNet);
   put_u32(payload, 1);  // one tensor
   put_u32(payload, static_cast<std::uint32_t>(dims.size()));
   for (std::uint64_t d : dims) put_u64(payload, d);
   for (std::size_t i = 0; i < values; ++i) put_f64(payload, 1.0);
   if (trailing_byte) payload.push_back(0);
   std::vector<unsigned char> blob;
-  append_frame(blob, "LXNN", nn::kTensorBlobVersion, payload);
+  append_frame(blob, "LXNC", nn::kModelContainerVersion, payload);
   return blob;
+}
+
+Status decode_model(const std::vector<unsigned char>& bytes) {
+  return status_of(nn::deserialize_model(nn::kModelKindStallExitNet, bytes));
 }
 
 TEST(HostileLengths, TensorShapes) {
   constexpr std::uint64_t k24 = std::uint64_t{1} << 24;
   // Sanity: the builder makes decodable blobs.
-  ASSERT_TRUE(nn::deserialize_tensors(tensor_blob({2, 1}, 2)).has_value());
+  ASSERT_TRUE(decode_model(model_blob({2, 1}, 2)).ok());
+  // Rank 0 and rank 4 are out of range; so are dims 0 and 2^24 + 1. Each
+  // blob carries enough doubles to pass the tensor-count check first.
+  expect_corrupt(decode_model(model_blob({}, 2)), "rank 0");
+  expect_corrupt(decode_model(model_blob({1, 1, 1, 1}, 1)), "rank 4");
+  expect_corrupt(decode_model(model_blob({0}, 1)), "dim 0");
+  expect_corrupt(decode_model(model_blob({k24 + 1}, 1)), "dim 2^24 + 1");
   // 2^48 elements claimed: rejected before any allocation.
-  expect_corrupt(status_of(nn::deserialize_tensors(tensor_blob({k24, k24, 1}, 2))),
-                 "2^24 x 2^24 x 1");
+  expect_corrupt(decode_model(model_blob({k24, k24, 1}, 2)), "2^24 x 2^24 x 1");
   // 2^72 elements: the product would wrap to 0 in 64 bits.
-  expect_corrupt(status_of(nn::deserialize_tensors(tensor_blob({k24, k24, k24}, 0))),
-                 "2^24 x 2^24 x 2^24");
-  expect_corrupt(status_of(nn::deserialize_tensors(tensor_blob({2, 1}, 2, true))),
-                 "bytes after the last tensor");
+  expect_corrupt(decode_model(model_blob({k24, k24, k24}, 0)), "2^24 x 2^24 x 2^24");
+  expect_corrupt(decode_model(model_blob({2, 1}, 2, true)), "bytes after the last tensor");
   // A huge tensor count with nothing behind it.
   std::vector<unsigned char> payload;
+  put_u32(payload, nn::kModelKindStallExitNet);
   put_u32(payload, 0xffffffffu);
   std::vector<unsigned char> blob;
-  append_frame(blob, "LXNN", nn::kTensorBlobVersion, payload);
-  expect_corrupt(status_of(nn::deserialize_tensors(blob)), "tensor count");
+  append_frame(blob, "LXNC", nn::kModelContainerVersion, payload);
+  expect_corrupt(decode_model(blob), "tensor count");
   // Bytes after the frame itself.
-  std::vector<unsigned char> framed = tensor_blob({2, 1}, 2);
+  std::vector<unsigned char> framed = model_blob({2, 1}, 2);
   framed.push_back(0);
-  expect_corrupt(status_of(nn::deserialize_tensors(framed)), "bytes after the frame");
+  expect_corrupt(decode_model(framed), "bytes after the frame");
 }
 
 TEST(NetContainer, VersionOneBytesAreCorrupt) {
   const std::vector<nn::Tensor> t = golden_tensors();
-  for (const char* magic : {"LXNN", "LXNC"}) {
-    std::vector<unsigned char> payload;
-    if (std::string(magic) == "LXNC") put_u32(payload, nn::kModelKindStallExitNet);
-    put_u32(payload, 0);
-    std::vector<unsigned char> v1;
-    append_frame(v1, magic, 1, payload);
-    const Status s = std::string(magic) == "LXNN"
-                         ? status_of(nn::deserialize_tensors(v1))
-                         : status_of(nn::deserialize_model(nn::kModelKindStallExitNet, v1));
-    expect_corrupt(s, magic);
-  }
+  std::vector<unsigned char> payload;
+  put_u32(payload, nn::kModelKindStallExitNet);
+  put_u32(payload, 0);
+  std::vector<unsigned char> v1;
+  append_frame(v1, "LXNC", 1, payload);
+  expect_corrupt(decode_model(v1), "LXNC version 1");
   const auto round = nn::deserialize_model(
       nn::kModelKindStallExitNet, nn::serialize_model(nn::kModelKindStallExitNet, {&t[0]}));
   ASSERT_TRUE(round.has_value());
   EXPECT_EQ((*round)[0][1], -2.5);
 }
 
-TEST(NetContainer, SaveTensorsWritesAtomically) {
+TEST(NetContainer, WriteFileIsAtomic) {
   const std::vector<nn::Tensor> t = golden_tensors();
-  const std::string path = temp_path("weights.lxnn");
-  ASSERT_TRUE(nn::save_tensors(path, {&t[0], &t[1]}).ok());
+  const std::string path = temp_path("weights.lxnw");
+  ASSERT_TRUE(write_file(path, nn::serialize_model(nn::kModelKindStallExitNet, {&t[0], &t[1]}))
+                  .ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  EXPECT_EQ(hex(file_bytes(path)), kTensorBlobHex);
-  const auto loaded = nn::load_tensors(path);
+  EXPECT_EQ(hex(file_bytes(path)), kModelContainerHex);
+  const auto bytes = read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  const auto loaded = nn::deserialize_model(nn::kModelKindStallExitNet, *bytes);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE((*loaded)[1].same_shape(t[1]));
-  const auto missing = nn::save_tensors(temp_path("no_such_dir") + "/w.lxnn", {&t[0]});
+  const auto missing =
+      write_file(temp_path("no_such_dir") + "/w.lxnw",
+                 nn::serialize_model(nn::kModelKindStallExitNet, {&t[0]}));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().code, Error::Code::kIo);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "abr/hyb.h"
 #include "common/rng.h"
@@ -151,7 +152,7 @@ TEST(LingXi, BandwidthEstimateTracksSegments) {
   EXPECT_NEAR(sd, 0.0, 1e-9);
 }
 
-TEST(LingXi, SnapshotRestoreRoundTrip) {
+TEST(LingXi, PersistentStateRoundTripContinuesBitwise) {
   const auto lx_predictor = make_predictor();
   LingXi lx(fast_config(), lx_predictor, trace::BitrateLadder::default_ladder());
   lx.begin_session();
@@ -160,27 +161,35 @@ TEST(LingXi, SnapshotRestoreRoundTrip) {
   abr::Hyb hyb;
   Rng rng(7);
   lx.maybe_optimize(hyb, 2.0, rng);
-  const LingXi::UserState snap = lx.snapshot();
-  EXPECT_TRUE(snap.has_params);
-  EXPECT_EQ(snap.engagement.total_stall_events, 4u);
-  EXPECT_EQ(snap.engagement.total_stall_exits, 1u);
+  const LingXi::PersistentState state = lx.persistent_state();
+  EXPECT_TRUE(state.has_optimized);
+  EXPECT_EQ(state.engagement.long_term.total_stall_events, 4u);
+  EXPECT_EQ(state.engagement.long_term.total_stall_exits, 1u);
 
   const auto restored_predictor = make_predictor();
-
   LingXi restored(fast_config(), restored_predictor, trace::BitrateLadder::default_ladder());
-  restored.restore(snap);
-  EXPECT_DOUBLE_EQ(restored.current_params().hyb_beta, lx.current_params().hyb_beta);
-  EXPECT_EQ(restored.engagement().long_term(), snap.engagement);
-}
+  restored.restore_persistent(state);
+  EXPECT_TRUE(restored.persistent_state() == state);
 
-TEST(LingXi, RestoreClampsOutOfBoxParams) {
-  LingXi::UserState snap;
-  snap.has_params = true;
-  snap.best_params.hyb_beta = 5.0;  // way outside the box
-  const auto lx_predictor = make_predictor();
-  LingXi lx(fast_config(), lx_predictor, trace::BitrateLadder::default_ladder());
-  lx.restore(snap);
-  EXPECT_LE(lx.current_params().hyb_beta, fast_config().space.beta_max);
+  // One more session and optimization on each: the restored controller must
+  // continue exactly as the original does.
+  std::optional<abr::QoeParams> results[2];
+  LingXi* controllers[2] = {&lx, &restored};
+  for (int k = 0; k < 2; ++k) {
+    LingXi& c = *controllers[k];
+    c.begin_session();
+    for (int i = 0; i < 4; ++i) c.on_segment(make_segment(700.0 + 50.0 * i, 1.5));
+    c.end_session(false);
+    abr::Hyb next_hyb;
+    Rng next_rng(8);
+    results[k] = c.maybe_optimize(next_hyb, 2.0, next_rng);
+  }
+  ASSERT_TRUE(results[0].has_value());
+  ASSERT_TRUE(results[1].has_value());
+  EXPECT_EQ(*results[1], *results[0]);
+  EXPECT_EQ(restored.stats(), lx.stats());
+  EXPECT_EQ(lx.stats().optimizations_run, 2u);
+  EXPECT_TRUE(restored.persistent_state() == lx.persistent_state());
 }
 
 TEST(LingXi, EndSessionWithoutStallExitKeepsCounters) {

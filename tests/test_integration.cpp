@@ -1,5 +1,5 @@
 // Integration tests: full pipelines across modules — dataset -> predictor ->
-// LingXi -> A/B experiment, plus the app-exit snapshot/restore round trip.
+// LingXi -> A/B experiment, plus the persistent-state round trip.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -95,16 +95,11 @@ TEST(Integration, LingXiStatePersistsThroughStore) {
   Rng opt_rng(4);
   ASSERT_TRUE(lx.maybe_optimize(hyb, 1.5, opt_rng).has_value());
 
-  // Persist "on app exit".
-  const core::LingXi::UserState state = lx.snapshot();
-
-  // Restore "on next startup".
+  // Persist at a session boundary, restore into a fresh controller.
+  const core::LingXi::PersistentState state = lx.persistent_state();
   const predictor::HybridExitPredictor lx2_predictor(net, os);
-
-  core::LingXi lx2(cfg, lx2_predictor,
-
-                  trace::BitrateLadder::default_ladder());
-  lx2.restore(state);
+  core::LingXi lx2(cfg, lx2_predictor, trace::BitrateLadder::default_ladder());
+  lx2.restore_persistent(state);
   EXPECT_DOUBLE_EQ(lx2.current_params().hyb_beta, lx.current_params().hyb_beta);
   EXPECT_EQ(lx2.engagement().long_term().total_stall_events, 5u);
 }

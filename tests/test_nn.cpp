@@ -253,11 +253,15 @@ TEST(ParamSet, CollectsAndZeros) {
   EXPECT_DOUBLE_EQ((*set.grads[0])[0], 0.0);
 }
 
+// -- versioned model container ----------------------------------------------
+
+constexpr std::uint32_t kTestKind = 100;
+
 TEST(Serialize, RoundTrip) {
   Tensor a = Tensor::vector({1.5, -2.5, 3.25});
   Tensor b({2, 2}, {1.0, 2.0, 3.0, 4.0});
-  const auto bytes = serialize_tensors({&a, &b});
-  const auto restored = deserialize_tensors(bytes);
+  const auto bytes = serialize_model(kTestKind, {&a, &b});
+  const auto restored = deserialize_model(kTestKind, bytes);
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), 2u);
   EXPECT_TRUE((*restored)[0].same_shape(a));
@@ -268,39 +272,37 @@ TEST(Serialize, RoundTrip) {
 
 TEST(Serialize, DetectsCorruption) {
   Tensor a = Tensor::vector({1.0, 2.0});
-  auto bytes = serialize_tensors({&a});
+  auto bytes = serialize_model(kTestKind, {&a});
   bytes[bytes.size() / 2] ^= 0xff;
-  const auto r = deserialize_tensors(bytes);
+  const auto r = deserialize_model(kTestKind, bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
 }
 
 TEST(Serialize, DetectsTruncation) {
   Tensor a = Tensor::vector({1.0, 2.0, 3.0});
-  auto bytes = serialize_tensors({&a});
+  auto bytes = serialize_model(kTestKind, {&a});
   bytes.resize(bytes.size() - 8);
-  EXPECT_FALSE(deserialize_tensors(bytes).has_value());
+  EXPECT_FALSE(deserialize_model(kTestKind, bytes).has_value());
 }
 
 TEST(Serialize, DetectsBadMagic) {
   Tensor a = Tensor::vector({1.0});
-  auto bytes = serialize_tensors({&a});
+  auto bytes = serialize_model(kTestKind, {&a});
   bytes[0] = 'X';
-  EXPECT_FALSE(deserialize_tensors(bytes).has_value());
+  EXPECT_FALSE(deserialize_model(kTestKind, bytes).has_value());
 }
 
 TEST(Serialize, FileRoundTrip) {
   Tensor a = Tensor::vector({9.0, 8.0});
   const std::string path = ::testing::TempDir() + "/lingxi_nn_weights.bin";
-  ASSERT_TRUE(save_tensors(path, {&a}).ok());
-  const auto r = load_tensors(path);
+  ASSERT_TRUE(write_file(path, serialize_model(kTestKind, {&a})).ok());
+  const auto bytes = read_file(path);
+  ASSERT_TRUE(bytes.has_value());
+  const auto r = deserialize_model(kTestKind, *bytes);
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ((*r)[0][0], 9.0);
 }
-
-// -- versioned model container ----------------------------------------------
-
-constexpr std::uint32_t kTestKind = 100;
 
 TEST(SerializeModel, RoundTripIsBitwise) {
   Rng rng(11);

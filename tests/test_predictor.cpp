@@ -113,18 +113,6 @@ TEST(EngagementState, StallExitTracking) {
   EXPECT_NEAR(s.long_term().stall_exit_intervals.back(), 5.0, 1e-9);
 }
 
-TEST(EngagementState, RestoreRoundTrip) {
-  EngagementState s;
-  s.begin_session();
-  s.on_segment(make_segment(750.0, 500.0, 3.0), 1.0);
-  s.on_stall_exit();
-  const LongTermState saved = s.long_term();
-
-  EngagementState fresh;
-  fresh.restore_long_term(saved);
-  EXPECT_EQ(fresh.long_term(), saved);
-}
-
 TEST(EngagementState, WatchTimeAccumulates) {
   EngagementState s;
   s.begin_session();
@@ -160,11 +148,11 @@ TEST(StallExitNet, WeightsRoundTrip) {
   f.fill(0.3);
   const double before = net.predict(f);
 
-  const auto bytes = nn::serialize_tensors(net.weights());
+  const auto bytes = nn::serialize_model(nn::kModelKindStallExitNet, net.weights());
   Rng rng2(99);
   StallExitNet other(rng2);
   EXPECT_NE(other.predict(f), before);  // different init
-  const auto tensors = nn::deserialize_tensors(bytes);
+  const auto tensors = nn::deserialize_model(nn::kModelKindStallExitNet, bytes);
   ASSERT_TRUE(tensors.has_value());
   ASSERT_TRUE(other.load_weights(*tensors));
   EXPECT_DOUBLE_EQ(other.predict(f), before);

@@ -337,7 +337,9 @@ TEST(ScenarioSplice, SnapshotAtChurnDayResumesBitwise) {
   resumed_runner.set_predictor_factory(
       snapshot::resume_predictor_factory(predictor_factory(), loaded->net_model));
   telemetry::ShardedCapture resumed_capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, *loaded).ok());
+  ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, loaded->seed,
+                                        std::move(loaded->capture))
+                  .ok());
   resumed_runner.set_telemetry_sink(&resumed_capture);
   const sim::FleetAccumulator resumed =
       resumed_runner.run_days(kSeed, kBoundary, cfg.days, &loaded->state);
@@ -367,7 +369,9 @@ TEST(ScenarioSplice, SnapshotResumeParityAtEveryBoundary) {
 
     sim::FleetRunner resumed_runner = make_runner(cfg);
     telemetry::ShardedCapture resumed_capture(telemetry::ShardedCapture::Config{4});
-    ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, *snap).ok());
+    ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, snap->seed,
+                                        std::move(snap->capture))
+                  .ok());
     resumed_runner.set_telemetry_sink(&resumed_capture);
     const sim::FleetAccumulator resumed =
         resumed_runner.run_days(kSeed, boundary, cfg.days, &snap->state);

@@ -1,5 +1,5 @@
-// Unit + integration tests for src/snapshot: state codecs (engagement, GP /
-// OBO, per-user fleet state), on-disk snapshot round trips, corruption and
+// Unit + integration tests for src/snapshot: state codecs (engagement,
+// per-user fleet state), on-disk snapshot round trips, corruption and
 // compatibility rejection, and bitwise resume parity — in process and
 // through a saved snapshot directory, accumulator checksums and telemetry
 // archive bytes alike. The full (threads x users_per_shard x predictor_batch)
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "abr/hyb.h"
-#include "bayesopt/obo.h"
 #include "common/rng.h"
 #include "logstore/record.h"
 #include "nn/serialize.h"
@@ -124,92 +123,6 @@ TEST(EngagementSnapshot, RoundTripContinuesBitwise) {
       EXPECT_EQ(a[j], b[j]) << "segment " << i << " feature " << j;
     }
   }
-}
-
-TEST(GpState, RoundTripReproducesPosteriorBitwise) {
-  bayesopt::GpConfig config;
-  config.length_scale = 0.31;
-  bayesopt::GaussianProcess gp(config);
-  Rng rng(9);
-  for (int i = 0; i < 12; ++i) {
-    gp.observe({rng.uniform(), rng.uniform()}, rng.uniform());
-  }
-  bayesopt::GaussianProcess restored;
-  restored.restore(gp.state());
-  EXPECT_EQ(restored.state(), gp.state());
-  EXPECT_EQ(restored.best_y(), gp.best_y());
-  for (int i = 0; i < 20; ++i) {
-    const std::vector<double> x{rng.uniform(), rng.uniform()};
-    const auto a = gp.predict(x);
-    const auto b = restored.predict(x);
-    EXPECT_EQ(a.mean, b.mean) << "probe " << i;
-    EXPECT_EQ(a.variance, b.variance) << "probe " << i;
-  }
-}
-
-TEST(GpState, EmptyRoundTrip) {
-  bayesopt::GaussianProcess gp;
-  bayesopt::GaussianProcess restored;
-  restored.restore(gp.state());
-  const auto p = restored.predict({0.5});
-  EXPECT_EQ(p.mean, 0.0);
-  EXPECT_GT(p.variance, 0.0);
-}
-
-TEST(OboState, RoundTripContinuesCandidateSequenceBitwise) {
-  bayesopt::OnlineBayesOpt obo(2);
-  Rng rng(31);
-  obo.warm_start({0.4, 0.6});
-  for (int i = 0; i < 5; ++i) {
-    const auto x = obo.next_candidate(rng);
-    obo.update(x, rng.uniform());
-  }
-  // Checkpoint mid-round: optimizer state + rng position together must
-  // reproduce the exact remaining candidate sequence.
-  const auto obo_state = obo.state();
-  const Rng::State rng_state = rng.state();
-
-  bayesopt::OnlineBayesOpt resumed(2);
-  resumed.restore(obo_state);
-  Rng resumed_rng;
-  resumed_rng.restore(rng_state);
-  for (int i = 0; i < 5; ++i) {
-    const auto a = obo.next_candidate(rng);
-    const auto b = resumed.next_candidate(resumed_rng);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t d = 0; d < a.size(); ++d) EXPECT_EQ(a[d], b[d]) << "round " << i;
-    const double y = rng.uniform();
-    const double y2 = resumed_rng.uniform();
-    EXPECT_EQ(y, y2);
-    obo.update(a, y);
-    resumed.update(b, y2);
-  }
-  EXPECT_EQ(resumed.state(), obo.state());
-}
-
-TEST(OboCodec, RoundTrip) {
-  bayesopt::OnlineBayesOpt obo(3);
-  Rng rng(17);
-  obo.warm_start({0.1, 0.9, 0.5});
-  for (int i = 0; i < 4; ++i) {
-    const auto x = obo.next_candidate(rng);
-    obo.update(x, rng.uniform());
-  }
-  const auto decoded = snapshot::decode_obo_state(snapshot::encode_obo_state(obo.state()));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, obo.state());
-}
-
-TEST(OboCodec, RejectsTruncation) {
-  bayesopt::OnlineBayesOpt obo(2);
-  Rng rng(18);
-  const auto x = obo.next_candidate(rng);
-  obo.update(x, 0.25);
-  auto bytes = snapshot::encode_obo_state(obo.state());
-  bytes.resize(bytes.size() - 5);
-  const auto decoded = snapshot::decode_obo_state(bytes);
-  ASSERT_FALSE(decoded.has_value());
-  EXPECT_EQ(decoded.error().code, Error::Code::kCorrupt);
 }
 
 sim::UserFleetState sample_user_state() {
@@ -570,14 +483,16 @@ TEST(SnapshotResume, DiskRoundTripMatchesFullRunIncludingArchiveBytes) {
 
   // Resume in a "new process": fresh runner, factory wrapped with the
   // snapshot's net weights, fresh capture restored from the cursors.
-  const auto loaded = snapshot::load_snapshot(dir);
+  auto loaded = snapshot::load_snapshot(dir);
   ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
   ASSERT_TRUE(snapshot::check_compatible(*loaded, cfg, kSeed).ok());
   sim::FleetRunner resumed_runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
   resumed_runner.set_predictor_factory(
       snapshot::resume_predictor_factory(predictor_factory(), loaded->net_model));
   telemetry::ShardedCapture resumed_capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, *loaded).ok());
+  ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, loaded->seed,
+                                        std::move(loaded->capture))
+                  .ok());
   resumed_runner.set_telemetry_sink(&resumed_capture);
 
   const sim::FleetAccumulator resumed =
