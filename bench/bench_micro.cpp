@@ -4,10 +4,12 @@
 // times more computational resources than conventional ABR decisions."
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "abr/hyb.h"
 #include "abr/pensieve.h"
@@ -15,6 +17,8 @@
 #include "bayesopt/gp.h"
 #include "bayesopt/obo.h"
 #include "bench_util.h"
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "nn/dense.h"
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
@@ -286,6 +290,36 @@ void BM_PlayerEnvStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlayerEnvStep);
+
+// CRC-32 throughput against memcpy over the same buffer sizes: every
+// persisted byte (capture, archive, checkpoint, recovery) passes through
+// crc32_update, and memcpy is the bound a checksum pass can approach.
+void BM_Crc32(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<unsigned char> bytes(size);
+  Rng rng(5);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(1 << 20);
+
+void BM_Memcpy(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<unsigned char> src(size, 0x5a);
+  std::vector<unsigned char> dst(size);
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), size);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_Memcpy)->Arg(64)->Arg(4 << 10)->Arg(1 << 20);
 
 // Snapshot save/load throughput (MB/s and users/s): serialization
 // regressions in the checkpoint subsystem show up here before they show up

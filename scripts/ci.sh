@@ -6,18 +6,11 @@
 #     the `bayesopt` label pins the optimizer fast path (incremental
 #     Cholesky == full refit, batched-acquisition parity), the `codec` label
 #     pins the on-disk byte formats (golden bytes, the frame-corruption table,
-#     hostile lengths and hostile archive shard tables), and the nn suite
+#     hostile lengths and hostile archive shard tables), the `common` label
+#     pins the shared utilities (the slicing-by-8 CRC-32 against its
+#     byte-at-a-time reference included), and the nn suite
 #     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2 so every dispatchable
 #     dense kernel proves bitwise parity on the CI host;
-#   * the batched-path + cross-user wave smoke: bench_fleet_scaling
-#     --batch 64 --users-per-shard 3 runs the LingXi fleet with scalar,
-#     per-optimization batched (one-user shards) AND cross-user (3-user
-#     shards) predictor inference at several thread counts, and exits
-#     non-zero unless every FleetAccumulator checksum is bitwise identical —
-#     the scalar/batched parity contract extended across shard sizes. It runs
-#     once; its sessions/sec and occupancy figures land in
-#     ${BUILD_DIR}/smoke/fleet_scaling.json for information only, no gate
-#     reads them;
 #   * the net-file smoke: example_train_exit_predictor trains the exit net,
 #     writes it to ${BUILD_DIR}/smoke/exit_net.lxnw as an LXNC model
 #     container and reloads it, exiting non-zero unless the reload succeeds
@@ -69,9 +62,16 @@
 #   * the micro-benchmarks (Release, when Google Benchmark was found):
 #     bench_micro filtered to BM_MonteCarloEvaluation — one Algorithm-2
 #     evaluation on the wave engine at batch 1 and 16 — and to the pooled
-#     exit-net forward (BM_DenseForwardBatch*, BM_PredictBatch), with their
+#     exit-net forward (BM_DenseForwardBatch*, BM_PredictBatch) and to CRC-32
+#     beside memcpy (BM_Crc32, BM_Memcpy at 64 B, 4 KiB and 1 MiB), with their
 #     JSON kept under ${BUILD_DIR}/smoke/ (micro_montecarlo.json,
-#     micro_dense.json). Informational: no gate reads them.
+#     micro_dense.json, micro_crc32.json). Informational: no gate reads them.
+#
+# Fleet parity across thread counts, predictor batch sizes and shard sizes
+# is pinned by test_properties' CrossUserWaveInvariance.Grid (threads {1,4}
+# x users_per_shard {1,3,8} x batch {0,1,7,64}) and by the perf gate's
+# 4-thread-vs-1-thread checksum check; bench_fleet_scaling is not re-run
+# here.
 #
 # Usage: scripts/ci.sh [Debug|Release]   (default Release)
 set -euo pipefail
@@ -87,7 +87,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # CTest label matrix (cheap re-runs). --no-tests=error is what actually
 # catches label wiring drift: a label matching zero tests would otherwise
 # exit 0 and silently disable the gate.
-for label in nn fleet snapshot obs scenario bayesopt codec; do
+for label in nn fleet snapshot obs scenario bayesopt codec common; do
   ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L "${label}"
 done
 
@@ -104,14 +104,6 @@ done
 SMOKE_DIR="${BUILD_DIR}/smoke"
 rm -rf "${SMOKE_DIR}"
 mkdir -p "${SMOKE_DIR}"
-
-# Batched-inference + cross-user wave parity smoke (small fleet, batch 64,
-# shard 3; non-zero exit on any checksum mismatch between thread counts,
-# batch modes or shard sizes). Its rates are informational.
-"${BUILD_DIR}/bench/bench_fleet_scaling" --batch 64 --users-per-shard 3 --smoke \
-  --json "${SMOKE_DIR}/fleet_scaling.json" \
-  | tee "${SMOKE_DIR}/fleet_scaling.txt"
-echo "batched-path + cross-user wave smoke OK"
 
 # Net-file smoke: the one on-disk net format (LXNC via write_file/read_file)
 # round-trips a trained exit net; non-zero exit on a failed or unequal reload.
@@ -304,8 +296,10 @@ PYEOF
   echo "smoke pin gate OK: pins match, a perturbed counter is caught"
 
   # Micro-benchmarks: Algorithm 2 on the wave engine with the batched
-  # predictor at batch 1 and 16, then the pooled exit-net forward (the dense
-  # panel per ISA and zero-column share, and predict_batch per flush size).
+  # predictor at batch 1 and 16, the pooled exit-net forward (the dense
+  # panel per ISA and zero-column share, and predict_batch per flush size),
+  # then CRC-32 beside memcpy at the same sizes (the bound of the durable
+  # plane's checksum pass).
   # bench_micro exists only when Google Benchmark was found at configure
   # time. No gate reads the JSON.
   if [ -x "${BUILD_DIR}/bench/bench_micro" ]; then
@@ -319,6 +313,11 @@ PYEOF
       --benchmark_out_format=json \
       | tee "${SMOKE_DIR}/micro_dense.txt"
     echo "dense / predict_batch micro-benchmark OK"
+    "${BUILD_DIR}/bench/bench_micro" --benchmark_filter='Crc32|Memcpy' \
+      --benchmark_out="${SMOKE_DIR}/micro_crc32.json" \
+      --benchmark_out_format=json \
+      | tee "${SMOKE_DIR}/micro_crc32.txt"
+    echo "crc32 / memcpy micro-benchmark OK"
   else
     echo "bench_micro not built (Google Benchmark not found); skipping"
   fi

@@ -1,5 +1,10 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected).
 //
+// Computed slicing-by-8 (Kounavis & Berry, ISCC 2005): eight input bytes
+// per step through eight 256-entry tables, a byte loop for the tail. Same
+// polynomial (0xedb88320) and the same value for every input as the
+// classic byte-at-a-time loop, independent of host byte order.
+//
 // Used by the frame codec (common/bytes.h) to checksum every persisted
 // record, so corrupt or truncated files are detected at load time instead of
 // poisoning the per-user personalization state.

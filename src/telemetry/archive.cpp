@@ -333,6 +333,15 @@ namespace {
 // with a 12-byte header and a 4-byte CRC.
 constexpr std::uint64_t kMinRecordFrame = 12 + 68 + 4;
 
+// Longest horizon an archive may claim (65536 days, about 180 years) and
+// most (user, day) cells it may span (16M, a kMaxSnapshotUsers-sized fleet
+// for one day): Replay's SessionRecords::finish sizes `daily` from `days`
+// and reserves one record per user-day, and zero-session days write no
+// bytes, so the shard sizes cannot bound either. A corrupt count surfaces
+// as Error::kCorrupt at open(), never as bad_alloc.
+constexpr std::uint64_t kMaxArchiveDays = std::uint64_t{1} << 16;
+constexpr std::uint64_t kMaxArchiveUserDays = std::uint64_t{1} << 24;
+
 /// A structurally valid manifest whose shard table does not actually cover
 /// the users it claims would make every scan silently yield nothing (each
 /// scan iterates the shard table, so missing coverage is skipped, not
@@ -341,7 +350,11 @@ constexpr std::uint64_t kMinRecordFrame = 12 + 68 + 4;
 /// bytes — every user writes one user record, and every record is at least
 /// kMinRecordFrame bytes — so, with open() matching byte_count to the file,
 /// the users Replay sizes its buffers for are bounded by the bytes on disk.
+/// The days, and users x days, are bounded by the constants above.
 Status validate_manifest(const ArchiveManifest& manifest) {
+  if (manifest.days > kMaxArchiveDays) {
+    return Error::corrupt("archive day count out of range");
+  }
   std::uint64_t next_user = 0;
   for (const auto& shard : manifest.shards) {
     if (shard.first_user != next_user) {
@@ -358,6 +371,9 @@ Status validate_manifest(const ArchiveManifest& manifest) {
   }
   if (next_user != manifest.users) {
     return Error::corrupt("archive shard table disagrees with manifest user count");
+  }
+  if (manifest.days != 0 && manifest.users > kMaxArchiveUserDays / manifest.days) {
+    return Error::corrupt("archive user-day count out of range");
   }
   return {};
 }

@@ -701,13 +701,16 @@ TEST(ArchiveRouting, CorruptionTableRejectsEveryMisroutedRecord) {
 // fleet whose shard file holds `file_bytes` zero bytes. At most as many
 // users as records, records that fit the claimed bytes and claimed bytes
 // equal to the file: open() refuses the rest, before Replay sizes a
-// per-user buffer from the manifest's user count.
+// per-user buffer from the manifest's user count. The day count, and users
+// x days, are bounded too, before Replay sizes its per-day and per-user-day
+// records from them.
 struct ManifestCase {
   const char* name;
   std::uint64_t users;
   std::uint64_t record_count;
   std::uint64_t byte_count;
   std::size_t file_bytes;
+  std::uint64_t days = 4;
 };
 
 constexpr std::uint64_t k40 = std::uint64_t{1} << 40;
@@ -717,6 +720,8 @@ const ManifestCase kManifestCases[] = {
     {"2^40 records in no bytes", k40, k40, 0, 0},
     {"2^40 records in bytes the file lacks", k40, k40, k40 * 84, 0},
     {"byte count one past the file", 1, 1, 85, 84},
+    {"2^40 days", 1, 1, 84, 84, k40},
+    {"2^9 users x 2^16 days", 512, 512, 512 * 84, 512 * 84, std::uint64_t{1} << 16},
 };
 
 TEST(ArchiveManifest, HostileShardTableIsCorruptAtOpen) {
@@ -724,6 +729,7 @@ TEST(ArchiveManifest, HostileShardTableIsCorruptAtOpen) {
     telemetry::FleetArchive archive;
     archive.manifest = golden_archive_manifest();
     archive.manifest.users = c.users;
+    archive.manifest.days = c.days;
     archive.manifest.users_per_shard = c.users;
     archive.manifest.shards = {{0, c.users, c.record_count, c.byte_count}};
     archive.shards = {std::vector<unsigned char>(c.file_bytes)};

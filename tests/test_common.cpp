@@ -1,6 +1,7 @@
 // Unit tests for lingxi_common: RNG, running stats, CRC32, Expected, units.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -355,6 +356,76 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const std::uint32_t before = crc32(data, sizeof(data));
   data[13] ^= 0x08;
   EXPECT_NE(crc32(data, sizeof(data)), before);
+}
+
+// The byte-at-a-time loop crc32_update ran before slicing-by-8: one
+// 256-entry table, one input byte per step. Kept as the reference the
+// eight-byte loop must match for every length, alignment and chain split.
+std::uint32_t crc32_bytewise(std::uint32_t crc, const unsigned char* p, std::size_t len) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  crc = ~crc;
+  for (std::size_t i = 0; i < len; ++i) crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  return ~crc;
+}
+
+std::vector<unsigned char> random_bytes(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next());
+  return bytes;
+}
+
+TEST(Crc32, MatchesBytewiseReference) {
+  // Every tail length (0..7 past the last eight-byte step) at every start
+  // alignment, from a zero and a non-zero running CRC.
+  const auto small = random_bytes(1, 80);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 72; ++len) {
+      const unsigned char* p = small.data() + offset;
+      EXPECT_EQ(crc32(p, len), crc32_bytewise(0, p, len)) << offset << "+" << len;
+      EXPECT_EQ(crc32_update(0x12345678u, p, len), crc32_bytewise(0x12345678u, p, len))
+          << offset << "+" << len;
+    }
+  }
+
+  // 200 seeded lengths up to 64 KiB at seeded alignments.
+  const auto big = random_bytes(3, (std::size_t{64} << 10) + 8);
+  Rng rng(2);
+  for (int i = 0; i < 200; ++i) {
+    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 64 << 10));
+    const auto offset = static_cast<std::size_t>(rng.uniform_int(0, 7));
+    const unsigned char* p = big.data() + offset;
+    EXPECT_EQ(crc32(p, len), crc32_bytewise(0, p, len)) << offset << "+" << len;
+  }
+
+  // crc32_update chains split at seeded points (empty chunks included)
+  // equal the one-shot and the reference over the whole range.
+  for (int i = 0; i < 50; ++i) {
+    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 64 << 10));
+    std::uint32_t chained = 0;
+    for (std::size_t pos = 0; pos < len;) {
+      const auto chunk =
+          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(len - pos)));
+      chained = crc32_update(chained, big.data() + pos, chunk);
+      pos += chunk;
+    }
+    EXPECT_EQ(chained, crc32(big.data(), len)) << len;
+    EXPECT_EQ(chained, crc32_bytewise(0, big.data(), len)) << len;
+  }
+}
+
+TEST(Crc32, OneMebibyteKnownAnswer) {
+  // Value computed by the byte-at-a-time implementation.
+  const auto bytes = random_bytes(20, std::size_t{1} << 20);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x5d5f6a74u);
 }
 
 TEST(Expected, HoldsValue) {
