@@ -41,11 +41,20 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-std::uint64_t dir_bytes(const std::string& dir) {
+/// The snapshot directory's files plus the capture segments its manifest
+/// lists in the store beside it.
+std::uint64_t snapshot_size(const std::string& dir) {
   std::uint64_t total = 0;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (entry.is_regular_file()) total += entry.file_size();
+  }
+  if (const auto segments = snapshot::listed_segment_files(dir)) {
+    for (const std::string& name : *segments) {
+      const auto bytes =
+          std::filesystem::file_size(snapshot::capture_store_dir(dir) + "/" + name, ec);
+      if (!ec) total += bytes;
+    }
   }
   return total;
 }
@@ -160,7 +169,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double save_wall = seconds_since(save_start);
-  const std::uint64_t snapshot_bytes = dir_bytes(dir);
+  const std::uint64_t snapshot_bytes = snapshot_size(dir);
   std::printf("days [0, %zu) simulated in %.3fs; snapshot saved in %.3fs (%.2f MB -> %s)\n",
               resume_at, leg_wall, save_wall,
               static_cast<double>(snapshot_bytes) / 1e6, dir.c_str());

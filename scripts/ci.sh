@@ -11,6 +11,8 @@
 #     byte-at-a-time reference included), and the nn suite
 #     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2 so every dispatchable
 #     dense kernel proves bitwise parity on the CI host;
+#   * (Release) an ASan + UBSan build of the `snapshot` and `codec` label
+#     tests in build-ci-asan/, run with every UBSan finding fatal;
 #   * the net-file smoke: example_train_exit_predictor trains the exit net,
 #     writes it to ${BUILD_DIR}/smoke/exit_net.lxnw as an LXNC model
 #     container and reloads it, exiting non-zero unless the reload succeeds
@@ -100,6 +102,21 @@ for isa in scalar sse2 avx2; do
     ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L nn
   echo "forced-ISA parity OK: ${isa}"
 done
+
+# Sanitizer build (Release invocation only, so CI builds it once): the
+# `snapshot` and `codec` labels — every on-disk decoder, the golden bytes,
+# the hostile-length and hostile segment tables, the kill-at-every-stage
+# crash grid and the snapshot/resume parity grids — under ASan + UBSan, any
+# UBSan finding fatal. A separate tree, flags through CMAKE_CXX_FLAGS.
+if [ "${BUILD_TYPE}" = "Release" ]; then
+  SAN_DIR="${ROOT}/build-ci-asan"
+  cmake -B "${SAN_DIR}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer"
+  cmake --build "${SAN_DIR}" -j "$(nproc)" \
+    --target test_snapshot test_crash_recovery test_scenario test_properties test_codec
+  ctest --test-dir "${SAN_DIR}" --output-on-failure --no-tests=error -L 'snapshot|codec'
+  echo "ASan+UBSan OK: snapshot and codec labels"
+fi
 
 SMOKE_DIR="${BUILD_DIR}/smoke"
 rm -rf "${SMOKE_DIR}"

@@ -298,8 +298,7 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
   std::size_t b0 = 0;
   while (b0 < in.rows) {
     // No block of a multi-row call holds a single row: 9 rows left split
-    // 5 + 4, so every block can ride a vector panel. Single-row calls stay
-    // on dense_block<1>.
+    // 5 + 4, so every block can ride a vector panel.
     const std::size_t left = in.rows - b0;
     const std::size_t bn = left == kBlock + 1 ? 5 : std::min(kBlock, left);
     const double* rows[kBlock];
@@ -310,10 +309,13 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
     }
     b0 += bn;
 #ifdef LINGXI_DENSE_X86
-    // The wide kernel takes any block of >= 2 rows (zero-padded lanes);
-    // single rows stay on the scalar chain, where the pack cost cannot be
-    // amortized on small weight matrices like the 64x2 head.
-    if (isa >= DenseIsa::kAvx2 && bn >= 2) {
+    // The wide kernel takes any block of >= 2 rows (zero-padded lanes), and
+    // a single row too unless the layer is as narrow as the 2-output head:
+    // one live lane still skips the zero columns and carries eight outputs'
+    // chains at once, where dense_block<1> runs one chain over every input.
+    // On the 64x2 head the pack costs more than it saves, so dense_block<1>
+    // keeps it.
+    if (isa >= DenseIsa::kAvx2 && (bn >= 2 || out_ > 2)) {
       const std::size_t width = bn <= 4 ? 4 : 8;
       const std::size_t kept = pack_panel(rows, bn, width, in_, panel.data(), cols.data());
       if (width == 4) {

@@ -46,7 +46,8 @@ class Dense final : public Layer {
   /// once per item; a multi-row call never forms a 1-row block (9 rows run
   /// as 5 + 4). The vector kernels pack each block into a panel without the
   /// input columns that are zero in every row of the block, and the AVX2
-  /// panel carries several outputs' accumulation chains at once. Each output
+  /// panel carries several outputs' accumulation chains at once (a 1-row
+  /// call too, except on a 2-output layer). Each output
   /// keeps forward()'s accumulation order over the kept columns, so every
   /// row is bitwise identical to forward() for finite weights, up to the
   /// sign of an output that is exactly zero under a -0.0 bias (see

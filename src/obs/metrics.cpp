@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <unordered_map>
+
+#include "common/bytes.h"
 
 namespace lingxi::obs {
 namespace {
@@ -391,11 +393,10 @@ void Registry::write_prometheus(std::ostream& os) const {
 }
 
 bool Registry::write_json_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
+  std::ostringstream os;
   write_json(os);
-  os.flush();
-  return static_cast<bool>(os);
+  const std::string json = os.str();
+  return write_file(path, std::vector<unsigned char>(json.begin(), json.end())).ok();
 }
 
 }  // namespace lingxi::obs

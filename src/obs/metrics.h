@@ -143,7 +143,9 @@ class Registry {
   RegistrySnapshot snapshot() const;
   /// snapshot() serialized via RegistrySnapshot::write_json.
   void write_json(std::ostream& os) const;
-  /// write_json to a file; false on I/O failure.
+  /// write_json to a file atomically (common/bytes.h write_file: temp file,
+  /// fsync, rename), so a crash never leaves a torn dump; false on I/O
+  /// failure.
   bool write_json_file(const std::string& path) const;
   /// snapshot() serialized via RegistrySnapshot::write_prometheus.
   void write_prometheus(std::ostream& os) const;

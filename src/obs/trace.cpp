@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <ostream>
+#include <sstream>
+
+#include "common/bytes.h"
 
 namespace lingxi::obs {
 namespace {
@@ -154,11 +156,10 @@ void Tracer::write_json(std::ostream& os) const {
 }
 
 bool Tracer::write_json_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
+  std::ostringstream os;
   write_json(os);
-  os.flush();
-  return static_cast<bool>(os);
+  const std::string json = os.str();
+  return write_file(path, std::vector<unsigned char>(json.begin(), json.end())).ok();
 }
 
 }  // namespace lingxi::obs

@@ -57,7 +57,9 @@ class Tracer {
   /// "pid": 0, "tid"}]}, events sorted by (ts, tid, name). tid is the
   /// order in which recording threads first touched the tracer.
   void write_json(std::ostream& os) const;
-  /// write_json to a file; false on I/O failure.
+  /// write_json to a file atomically (common/bytes.h write_file: temp file,
+  /// fsync, rename), so a crash never leaves a torn dump; false on I/O
+  /// failure.
   bool write_json_file(const std::string& path) const;
 
  private:

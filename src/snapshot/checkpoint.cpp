@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -76,8 +77,9 @@ void AutoCheckpointer::on_boundary(const sim::FleetDayState& state) {
     return;
   }
   // The hook only observes the boundary state; capture_snapshot wants its
-  // own copy to freeze.
-  auto snap = capture_snapshot(*runner_, seed_, state, capture_);
+  // own copy to freeze. The capture cursors are not copied: the commit
+  // reads them in place and writes only the bytes past capture_log_.
+  auto snap = capture_snapshot(*runner_, seed_, state);
   if (!snap) {
     if (reg != nullptr) reg->add("snapshot.checkpoint.failures");
     note_failure(snap.error());
@@ -85,7 +87,11 @@ void AutoCheckpointer::on_boundary(const sim::FleetDayState& state) {
   }
   const std::string dir =
       policy_.root + "/" + checkpoint_dirname(state.next_day);
-  if (auto s = save_snapshot(*snap, dir, policy_.users_per_shard); !s) {
+  const Status s =
+      capture_ != nullptr
+          ? save_snapshot(*snap, dir, policy_.users_per_shard, *capture_, capture_log_)
+          : save_snapshot(*snap, dir, policy_.users_per_shard);
+  if (!s) {
     if (reg != nullptr) reg->add("snapshot.checkpoint.failures");
     note_failure(s.error());
     return;
@@ -97,7 +103,11 @@ void AutoCheckpointer::on_boundary(const sim::FleetDayState& state) {
 }
 
 void AutoCheckpointer::prune() {
-  if (committed_dirs_.size() <= policy_.retain) return;
+  if (committed_dirs_.size() > policy_.retain) prune_dirs();
+  prune_segments();
+}
+
+void AutoCheckpointer::prune_dirs() {
   // Cutoff: the oldest day we keep. Everything strictly older goes —
   // including `.tmp`/`.old` crash leftovers, which would otherwise pin disk
   // forever (they only matter until a newer checkpoint commits).
@@ -131,52 +141,82 @@ void AutoCheckpointer::prune() {
                         committed_dirs_.end() - static_cast<long>(policy_.retain));
 }
 
+void AutoCheckpointer::prune_segments() {
+  // Every segment some manifest under the root lists stays, whatever the
+  // directory's name. A directory without a manifest (torn staging) lists
+  // nothing; one whose manifest exists but cannot be read stops the sweep,
+  // because its segments may still be needed.
+  std::unordered_set<std::string> listed;
+  // The one store beside every checkpoint directory under the root.
+  const std::string store = capture_store_dir(policy_.root + "/" + checkpoint_dirname(0));
+  std::error_code ec;
+  std::filesystem::directory_iterator dirs(policy_.root, ec);
+  if (ec) return;  // best-effort, like pruning directories
+  for (const auto& entry : dirs) {
+    const std::string dir = entry.path().string();
+    if (!std::filesystem::exists(dir + "/" + manifest_filename(), ec)) continue;
+    auto names = listed_segment_files(dir);
+    if (!names) {
+      if (names.error().code != Error::Code::kCorrupt) return;
+      continue;
+    }
+    listed.insert(names->begin(), names->end());
+  }
+  std::filesystem::directory_iterator files(store, ec);
+  if (ec) return;
+  for (const auto& entry : files) {
+    const std::string name = entry.path().filename().string();
+    // Segment files and write_file's temp leftovers of them; nothing else.
+    std::string base = name;
+    strip_suffix(base, ".tmp");
+    if (base.rfind("seg-", 0) != 0 || !strip_suffix(base, ".lxcs") ||
+        listed.count(name) != 0) {
+      continue;
+    }
+    if (std::filesystem::remove(entry.path(), ec) && !ec) {
+      if (obs::Registry* reg = obs::Registry::active()) {
+        reg->add("snapshot.checkpoint.pruned_segments");
+      }
+    }
+  }
+}
+
 Expected<RecoveredCheckpoint> find_latest_valid(const std::string& root) {
+  struct Candidate {
+    std::uint64_t day = 0;
+    bool committed = false;
+    std::string name;
+  };
   std::error_code ec;
   std::filesystem::directory_iterator it(root, ec);
   if (ec) return Error::io("cannot read checkpoint root: " + root);
-  bool found = false;
-  bool best_committed = false;
-  std::string best_name;
-  RecoveredCheckpoint best;
+  std::vector<Candidate> candidates;
   for (const auto& entry : it) {
     if (!entry.is_directory(ec) || ec) {
       ec.clear();
       continue;
     }
-    const std::string name = entry.path().filename().string();
-    std::uint64_t day = 0;
-    bool committed = false;
-    if (!parse_checkpoint_name(name, day, committed)) continue;
-    if (obs::Registry* reg = obs::Registry::active()) {
-      reg->add("snapshot.recovery.candidates");
-    }
+    Candidate c;
+    c.name = entry.path().filename().string();
+    if (parse_checkpoint_name(c.name, c.day, c.committed)) candidates.push_back(std::move(c));
+  }
+  std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
+    if (a.day != b.day) return a.day > b.day;
+    if (a.committed != b.committed) return a.committed;
+    return a.name < b.name;
+  });
+  obs::Registry* const reg = obs::Registry::active();
+  for (const Candidate& c : candidates) {
+    if (reg != nullptr) reg->add("snapshot.recovery.candidates");
     // The name told us where to look; the bytes decide whether it counts.
-    auto snap = load_snapshot(entry.path().string());
-    if (!snap) {
-      if (obs::Registry* reg = obs::Registry::active()) {
-        reg->add("snapshot.recovery.rejected");
-      }
-      continue;
+    const std::string dir = root + "/" + c.name;
+    auto snap = load_snapshot(dir);
+    if (snap && snap->state.next_day == c.day) {
+      return RecoveredCheckpoint{std::move(*snap), dir};
     }
-    const std::uint64_t next_day = snap->state.next_day;
-    const bool better =
-        !found || next_day > best.snapshot.state.next_day ||
-        (next_day == best.snapshot.state.next_day &&
-         ((committed && !best_committed) ||
-          (committed == best_committed && name < best_name)));
-    if (better) {
-      best.snapshot = std::move(*snap);
-      best.dir = entry.path().string();
-      best_committed = committed;
-      best_name = name;
-      found = true;
-    }
+    if (reg != nullptr) reg->add("snapshot.recovery.rejected");
   }
-  if (!found) {
-    return Error::not_found("no valid checkpoint under: " + root);
-  }
-  return best;
+  return Error::not_found("no valid checkpoint under: " + root);
 }
 
 }  // namespace lingxi::snapshot

@@ -10,10 +10,17 @@
 // every checkpoint directory under the root is committed transactionally,
 // so after a kill -9 at ANY point the root contains only (a) fully valid
 // checkpoint directories, possibly under a `.tmp`/`.old` crash-leftover
-// name, and (b) torn directories whose manifest is absent or fails
-// CRC/structural validation. find_latest_valid content-validates every
-// candidate and returns the newest recoverable state, so recovery never
+// name, (b) torn directories whose manifest is absent or fails
+// CRC/structural validation, and (c) the capture segment store
+// `<root>/capture/`, which the checkpoints share and which may hold orphan
+// segments of a torn commit. find_latest_valid content-validates candidates
+// newest first and returns the first recoverable one, so recovery never
 // trusts a name over the bytes.
+//
+// Cost model: a commit writes the user state (O(users)) plus only the
+// capture bytes recorded since the previous commit of the same
+// checkpointer; earlier days stay in the segments the previous manifests
+// already list.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +43,10 @@ struct CheckpointPolicy {
   /// boundaries: first_day + k, + 2k, ... < last_day).
   std::size_t every_k_days = 1;
   /// Keep the newest `retain` committed checkpoints; older ones (and their
-  /// stale `.tmp`/`.old` siblings) are removed after each commit. Clamped to
-  /// at least 1 — the policy never deletes the only recovery point.
+  /// stale `.tmp`/`.old` siblings) are removed after each commit, then every
+  /// segment file in `<root>/capture/` that no manifest under the root lists.
+  /// Clamped to at least 1 — the policy never deletes the only recovery
+  /// point.
   std::size_t retain = 2;
   /// State-file granularity forwarded to save_snapshot.
   std::size_t users_per_shard = 64;
@@ -84,11 +93,16 @@ class AutoCheckpointer {
  private:
   void note_failure(Error error);
   void prune();
+  void prune_dirs();
+  void prune_segments();
 
   const sim::FleetRunner* runner_;
   std::uint64_t seed_;
   CheckpointPolicy policy_;
   const telemetry::ShardedCapture* capture_;
+  /// Segment table of the last committed checkpoint: the capture bytes
+  /// already durable in the store.
+  std::vector<CaptureSegment> capture_log_;
   Status status_;
   std::vector<std::string> committed_dirs_;
   std::size_t committed_dirs_total_ = 0;
@@ -102,12 +116,14 @@ struct RecoveredCheckpoint {
   std::string dir;
 };
 
-/// Scan `root` for the newest recoverable checkpoint: every subdirectory is
-/// content-validated via load_snapshot (CRCs, version, structure), torn or
-/// partially staged directories are skipped, and candidates are ranked by
-/// next_day (committed names outrank `.tmp`/`.old` leftovers of the same
-/// day). kNotFound when nothing under `root` is recoverable, kIo when the
-/// root itself cannot be read.
+/// Scan `root` for the newest recoverable checkpoint. Candidates are ranked
+/// by their parsed names — day descending, committed names before
+/// `.tmp`/`.old` leftovers of the same day, then name — and loaded in that
+/// order; the first that passes load_snapshot's validation (CRCs, version,
+/// structure, capture segments) and whose bytes' next_day equals its name's
+/// day is returned, so only one snapshot is ever held in memory. kNotFound
+/// when nothing under `root` is recoverable, kIo when the root itself cannot
+/// be read.
 Expected<RecoveredCheckpoint> find_latest_valid(const std::string& root);
 
 }  // namespace lingxi::snapshot

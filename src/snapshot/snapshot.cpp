@@ -14,6 +14,7 @@
 #include "common/crc32.h"
 #include "logstore/record.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "obs/timer.h"
 #include "predictor/exit_net.h"
 #include "telemetry/archive.h"
@@ -47,26 +48,28 @@ std::vector<unsigned char> encode_capture_cursor(
   put_u64(p, cursor.records);
   put_u64(p, cursor.next_expected_at_least);
   put_u64(p, cursor.bytes.size());
-  p.insert(p.end(), cursor.bytes.begin(), cursor.bytes.end());
   return p;
 }
 
-Expected<std::pair<std::uint64_t, telemetry::ShardedCapture::CaptureCursor>>
-decode_capture_cursor(ByteSpan payload) {
+/// A decoded cursor record: the counters, and the byte length the segment
+/// table must supply.
+struct CursorRecord {
+  std::uint64_t user = 0;
+  telemetry::ShardedCapture::CaptureCursor cursor;
+  std::uint64_t byte_count = 0;
+};
+
+Expected<CursorRecord> decode_capture_cursor(ByteSpan payload) {
   ByteReader in(payload);
   in.u32();  // type tag
-  const std::uint64_t user = in.u64();
-  telemetry::ShardedCapture::CaptureCursor cursor;
-  cursor.records = in.u64();
-  cursor.next_expected_at_least = in.u64();
-  const std::uint64_t byte_count = in.u64();
+  CursorRecord r;
+  r.user = in.u64();
+  r.cursor.records = in.u64();
+  r.cursor.next_expected_at_least = in.u64();
+  r.byte_count = in.u64();
   if (!in.ok()) return Error::corrupt("truncated capture cursor record");
-  const ByteSpan bytes = in.bytes(byte_count);
-  if (!in.done()) {
-    return Error::corrupt("capture cursor byte count disagrees with record size");
-  }
-  cursor.bytes.assign(bytes.begin(), bytes.end());
-  return std::make_pair(user, std::move(cursor));
+  if (!in.done()) return Error::corrupt("trailing bytes in capture cursor record");
+  return r;
 }
 
 /// The 19 integer fields of FleetAccumulator in declaration order — the same
@@ -122,6 +125,7 @@ struct Manifest {
     std::uint32_t crc = 0;
   };
   std::vector<Shard> shards;
+  std::vector<CaptureSegment> segments;  ///< has_capture only
 };
 
 std::vector<unsigned char> encode_manifest(const Manifest& m) {
@@ -143,11 +147,71 @@ std::vector<unsigned char> encode_manifest(const Manifest& m) {
     put_u64(p, shard.byte_count);
     put_u32(p, shard.crc);
   }
+  if (m.has_capture) {
+    put_u64(p, m.segments.size());
+    for (const auto& seg : m.segments) {
+      put_u64(p, seg.first_user);
+      put_u64(p, seg.first_day);
+      put_u64(p, seg.end_day);
+      put_u64(p, seg.byte_count);
+      put_u32(p, seg.crc);
+      put_u64(p, seg.user_bytes.size());
+      for (std::uint64_t b : seg.user_bytes) put_u64(p, b);
+    }
+  }
   return p;
 }
 
 // u64 first_user, user_count, byte_count; u32 crc.
 constexpr std::size_t kShardWireSize = 3 * 8 + 4;
+// u64 first_user, first_day, end_day, byte_count; u32 crc; u64 user_count
+// and at least one per-user count.
+constexpr std::size_t kSegmentWireSize = 4 * 8 + 4 + 8 + 8;
+
+/// The segment table after the shard table: bounded, in-fleet, in-calendar,
+/// each user's segments in day order without overlap (so no file is listed
+/// twice), and each segment's per-user counts summing to its byte count.
+Status decode_segments(ByteReader& in, Manifest& m) {
+  const std::uint64_t segment_count = in.u64();
+  if (!in.ok()) return Error::corrupt("truncated snapshot segment table");
+  if (segment_count > kMaxCaptureSegments) {
+    return Error::corrupt("capture segment count out of range");
+  }
+  m.segments.resize(in.count(segment_count, kSegmentWireSize));
+  if (!in.ok()) return Error::corrupt("capture segment count exceeds manifest size");
+  std::vector<std::uint64_t> logged_until(m.segments.empty() ? 0 : m.users, 0);
+  for (auto& seg : m.segments) {
+    seg.first_user = in.u64();
+    seg.first_day = in.u64();
+    seg.end_day = in.u64();
+    seg.byte_count = in.u64();
+    seg.crc = in.u32();
+    const std::uint64_t user_count = in.u64();
+    if (!in.ok()) return Error::corrupt("truncated snapshot segment table");
+    if (user_count == 0 || user_count > m.users || seg.first_user > m.users - user_count) {
+      return Error::corrupt("capture segment users outside the fleet");
+    }
+    if (seg.first_day >= seg.end_day || seg.end_day > m.next_day) {
+      return Error::corrupt("capture segment days outside the snapshot");
+    }
+    seg.user_bytes.resize(in.count(user_count, 8));
+    for (auto& b : seg.user_bytes) b = in.u64();
+    if (!in.ok()) return Error::corrupt("capture segment user count exceeds manifest size");
+    for (std::uint64_t u = seg.first_user; u < seg.first_user + user_count; ++u) {
+      if (seg.first_day < logged_until[u]) {
+        return Error::corrupt("capture segments overlap in days");
+      }
+      logged_until[u] = seg.end_day;
+    }
+    std::uint64_t left = seg.byte_count;
+    for (std::uint64_t b : seg.user_bytes) {
+      if (b > left) return Error::corrupt("capture segment per-user counts exceed its size");
+      left -= b;
+    }
+    if (left != 0) return Error::corrupt("capture segment per-user counts do not sum to its size");
+  }
+  return {};
+}
 
 Expected<Manifest> decode_manifest(ByteSpan payload) {
   ByteReader in(payload);
@@ -177,6 +241,9 @@ Expected<Manifest> decode_manifest(ByteSpan payload) {
     shard.user_count = in.u64();
     shard.byte_count = in.u64();
     shard.crc = in.u32();
+  }
+  if (m.has_capture) {
+    if (auto s = decode_segments(in, m); !s) return s.error();
   }
   if (!in.done()) {
     return Error::corrupt("trailing bytes in snapshot manifest");
@@ -214,6 +281,25 @@ std::string state_filename(std::size_t shard_index) {
 }
 
 std::string net_filename() { return "net.lxnw"; }
+
+std::string capture_store_dir(const std::string& dir) {
+  std::filesystem::path path(dir);
+  if (!path.has_filename()) path = path.parent_path();  // "a/b/" names "a/b"
+  const std::filesystem::path parent = path.parent_path();
+  return ((parent.empty() ? std::filesystem::path(".") : parent) / "capture").string();
+}
+
+std::string segment_filename(std::uint64_t seed, std::uint32_t resume_digest,
+                             const CaptureSegment& segment) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "seg-%016llx-%08x-users-%llu-%llu-days-%llu-%llu.lxcs",
+                static_cast<unsigned long long>(seed), static_cast<unsigned>(resume_digest),
+                static_cast<unsigned long long>(segment.first_user),
+                static_cast<unsigned long long>(segment.first_user + segment.user_bytes.size()),
+                static_cast<unsigned long long>(segment.first_day),
+                static_cast<unsigned long long>(segment.end_day));
+  return buf;
+}
 
 std::vector<unsigned char> encode_user_state(std::uint64_t user,
                                              const sim::UserFleetState& state) {
@@ -394,16 +480,86 @@ void set_save_commit_hook(SaveCommitHook hook) { g_save_commit_hook = hook; }
 
 namespace {
 
+using Cursors = std::vector<telemetry::ShardedCapture::CaptureCursor>;
+
+/// Write the capture bytes that `log` does not already hold as new segments
+/// of `users_per_shard` users each, days [end of log, next_day), into the
+/// store beside `dir`, and make them durable. Returns `log` extended by the
+/// new segments.
+Expected<std::vector<CaptureSegment>> append_segments(const FleetSnapshot& snapshot,
+                                                      const Cursors& cursors,
+                                                      std::size_t users_per_shard,
+                                                      std::vector<CaptureSegment> log,
+                                                      const std::string& dir) {
+  OBS_TIMED("snapshot.save.capture_us");
+  const std::size_t users = cursors.size();
+  std::vector<std::uint64_t> durable(users, 0);
+  std::uint64_t first_day = 0;
+  for (const CaptureSegment& seg : log) {
+    if (seg.first_user + seg.user_bytes.size() > users) {
+      return Error::invalid_arg("capture log segment outside the fleet");
+    }
+    for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
+      durable[seg.first_user + i] += seg.user_bytes[i];
+    }
+    first_day = std::max(first_day, seg.end_day);
+  }
+  const std::string store = capture_store_dir(dir);
+  std::error_code ec;
+  std::filesystem::create_directories(store, ec);
+  if (ec) return Error::io("cannot create capture segment store: " + store);
+
+  std::uint64_t written = 0;
+  std::vector<unsigned char> bytes;
+  for (std::size_t first = 0; first < users; first += users_per_shard) {
+    const std::size_t last = std::min(first + users_per_shard, users);
+    CaptureSegment seg;
+    seg.first_user = first;
+    seg.first_day = first_day;
+    seg.end_day = snapshot.state.next_day;
+    bytes.clear();
+    for (std::size_t u = first; u < last; ++u) {
+      const std::vector<unsigned char>& all = cursors[u].bytes;
+      if (all.size() < durable[u]) {
+        return Error::invalid_arg("capture cursor is shorter than its logged bytes");
+      }
+      bytes.insert(bytes.end(), all.begin() + static_cast<std::ptrdiff_t>(durable[u]),
+                   all.end());
+      seg.user_bytes.push_back(all.size() - durable[u]);
+    }
+    if (bytes.empty()) continue;
+    if (seg.first_day >= seg.end_day) {
+      return Error::invalid_arg("new capture bytes at a day boundary the log already covers");
+    }
+    seg.byte_count = bytes.size();
+    seg.crc = crc32(bytes.data(), bytes.size());
+    const std::string path =
+        store + "/" + segment_filename(snapshot.seed, snapshot.resume_digest, seg);
+    if (auto s = write_file(path, bytes); !s) return s.error();
+    written += bytes.size();
+    log.push_back(std::move(seg));
+  }
+  if (written > 0) {
+    if (auto s = fsync_directory(store); !s) return s.error();
+  }
+  if (obs::Registry* reg = obs::Registry::active()) {
+    reg->add("snapshot.capture_log.bytes", written);
+  }
+  return log;
+}
+
 Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                      std::size_t users_per_shard) {
+                      std::size_t users_per_shard, const Cursors* cursors,
+                      std::vector<CaptureSegment> segments) {
   Manifest manifest;
   manifest.seed = snapshot.seed;
   manifest.resume_digest = snapshot.resume_digest;
   manifest.users = snapshot.state.users.size();
   manifest.next_day = snapshot.state.next_day;
   manifest.users_per_shard = users_per_shard;
-  manifest.has_capture = snapshot.has_capture;
+  manifest.has_capture = cursors != nullptr;
   manifest.accumulated = snapshot.state.accumulated;
+  manifest.segments = std::move(segments);
   {
     OBS_TIMED("snapshot.save.state_us");
     if (!snapshot.net_model.empty()) {
@@ -424,8 +580,8 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
       std::vector<unsigned char> bytes;
       for (std::size_t u = first; u < last; ++u) {
         logstore::write_record(bytes, encode_user_state(u, snapshot.state.users[u]));
-        if (snapshot.has_capture) {
-          logstore::write_record(bytes, encode_capture_cursor(u, snapshot.capture[u]));
+        if (cursors != nullptr) {
+          logstore::write_record(bytes, encode_capture_cursor(u, (*cursors)[u]));
         }
       }
       auto& info = manifest.shards[s];
@@ -456,15 +612,24 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
   return {};
 }
 
-}  // namespace
-
-Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                     std::size_t users_per_shard) {
+/// Both save_snapshot forms: segments first (durable before any manifest
+/// can list them), then the staged directory and its commit.
+Status commit_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
+                       std::size_t users_per_shard, const Cursors* cursors,
+                       std::size_t capture_users_per_shard,
+                       std::vector<CaptureSegment>& capture_log) {
   OBS_SPAN("snapshot.save");
   OBS_TIMED("snapshot.save.total_us");
   if (users_per_shard == 0) return Error::invalid_arg("users_per_shard must be >= 1");
-  if (snapshot.has_capture && snapshot.capture.size() != snapshot.state.users.size()) {
-    return Error::invalid_arg("capture cursor count disagrees with user state count");
+  std::vector<CaptureSegment> segments;
+  if (cursors != nullptr) {
+    if (cursors->size() != snapshot.state.users.size()) {
+      return Error::invalid_arg("capture cursor count disagrees with user state count");
+    }
+    auto appended = append_segments(snapshot, *cursors, capture_users_per_shard, capture_log,
+                                    dir);
+    if (!appended) return appended.error();
+    segments = std::move(*appended);
   }
   const std::string staging = dir + ".tmp";
   std::error_code ec;
@@ -472,7 +637,9 @@ Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
   if (ec) return Error::io("cannot clear stale snapshot staging: " + staging);
   std::filesystem::create_directories(staging, ec);
   if (ec) return Error::io("cannot create snapshot staging directory: " + staging);
-  if (auto s = stage_snapshot(snapshot, staging, users_per_shard); !s) return s;
+  if (auto s = stage_snapshot(snapshot, staging, users_per_shard, cursors, segments); !s) {
+    return s;
+  }
   {
     OBS_TIMED("snapshot.save.durable_us");
     if (auto s = fsync_directory(staging); !s) return s;
@@ -483,12 +650,12 @@ Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
     if (auto s = commit_directory(staging, dir); !s) return s;
   }
   commit_stage(SaveStage::kCommitted);
+  if (cursors != nullptr) capture_log = std::move(segments);
   return {};
 }
 
-Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
-  OBS_SPAN("snapshot.load");
-  OBS_TIMED("snapshot.load.total_us");
+/// Read and decode `dir`'s manifest.
+Expected<Manifest> read_manifest(const std::string& dir) {
   auto manifest_bytes = read_file(dir + "/" + manifest_filename());
   if (!manifest_bytes) return manifest_bytes.error();
   std::size_t pos = 0;
@@ -497,7 +664,92 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   if (pos != manifest_bytes->size()) {
     return Error::corrupt("trailing bytes after snapshot manifest");
   }
-  auto manifest = decode_manifest(*payload);
+  return decode_manifest(*payload);
+}
+
+/// Rebuild every cursor's bytes from the segments the manifest lists.
+/// `byte_counts` are the cursor records' lengths, which the table must
+/// match user by user.
+Status read_segments(const std::string& dir, const Manifest& m,
+                     const std::vector<std::uint64_t>& byte_counts, Cursors& capture) {
+  OBS_TIMED("snapshot.load.capture_us");
+  const std::string store = capture_store_dir(dir);
+  std::vector<std::string> paths;
+  paths.reserve(m.segments.size());
+  // Every listed file must be on disk at its listed size before any buffer
+  // is sized from the table: a hostile count can then only ever reserve
+  // bytes that exist.
+  std::vector<std::uint64_t> listed(capture.size(), 0);
+  for (const CaptureSegment& seg : m.segments) {
+    paths.push_back(store + "/" + segment_filename(m.seed, m.resume_digest, seg));
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(paths.back(), ec);
+    if (ec) return Error::corrupt("listed capture segment is missing: " + paths.back());
+    if (size != seg.byte_count) {
+      return Error::corrupt("capture segment size disagrees with manifest: " + paths.back());
+    }
+    for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
+      listed[seg.first_user + i] += seg.user_bytes[i];
+    }
+  }
+  for (std::size_t u = 0; u < capture.size(); ++u) {
+    if (listed[u] != byte_counts[u]) {
+      return Error::corrupt("capture cursor length disagrees with the segment table");
+    }
+    capture[u].bytes.reserve(listed[u]);
+  }
+  for (std::size_t k = 0; k < m.segments.size(); ++k) {
+    const CaptureSegment& seg = m.segments[k];
+    auto bytes = read_file(paths[k]);
+    if (!bytes) return bytes.error();
+    if (bytes->size() != seg.byte_count || crc32(bytes->data(), bytes->size()) != seg.crc) {
+      return Error::corrupt("capture segment disagrees with manifest: " + paths[k]);
+    }
+    auto from = bytes->begin();
+    for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
+      const auto to = from + static_cast<std::ptrdiff_t>(seg.user_bytes[i]);
+      std::vector<unsigned char>& dst = capture[seg.first_user + i].bytes;
+      dst.insert(dst.end(), from, to);
+      from = to;
+    }
+  }
+  return {};
+}
+
+}  // namespace
+
+Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
+                     std::size_t users_per_shard) {
+  std::vector<CaptureSegment> log;
+  return commit_snapshot(snapshot, dir, users_per_shard,
+                         snapshot.has_capture ? &snapshot.capture : nullptr, users_per_shard,
+                         log);
+}
+
+Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
+                     std::size_t users_per_shard, const telemetry::ShardedCapture& capture,
+                     std::vector<CaptureSegment>& capture_log) {
+  if (snapshot.has_capture) {
+    return Error::invalid_arg("snapshot carries its own capture cursors");
+  }
+  return commit_snapshot(snapshot, dir, users_per_shard, &capture.cursors(),
+                         capture.users_per_shard(), capture_log);
+}
+
+Expected<std::vector<std::string>> listed_segment_files(const std::string& dir) {
+  auto manifest = read_manifest(dir);
+  if (!manifest) return manifest.error();
+  std::vector<std::string> names;
+  for (const CaptureSegment& seg : manifest->segments) {
+    names.push_back(segment_filename(manifest->seed, manifest->resume_digest, seg));
+  }
+  return names;
+}
+
+Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
+  OBS_SPAN("snapshot.load");
+  OBS_TIMED("snapshot.load.total_us");
+  auto manifest = read_manifest(dir);
   if (!manifest) return manifest.error();
 
   FleetSnapshot snapshot;
@@ -508,9 +760,11 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   snapshot.state.users.assign(static_cast<std::size_t>(manifest->users),
                               sim::UserFleetState{});
   snapshot.has_capture = manifest->has_capture;
+  std::vector<std::uint64_t> byte_counts;
   if (manifest->has_capture) {
     snapshot.capture.assign(snapshot.state.users.size(),
                             telemetry::ShardedCapture::CaptureCursor{});
+    byte_counts.assign(snapshot.state.users.size(), 0);
   }
 
   if (manifest->has_net) {
@@ -560,12 +814,18 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
         }
         auto cursor = decode_capture_cursor(*cursor_record);
         if (!cursor) return cursor.error();
-        if (cursor->first != u) return Error::corrupt("capture cursor out of order");
-        snapshot.capture[static_cast<std::size_t>(u)] = std::move(cursor->second);
+        if (cursor->user != u) return Error::corrupt("capture cursor out of order");
+        snapshot.capture[static_cast<std::size_t>(u)] = std::move(cursor->cursor);
+        byte_counts[static_cast<std::size_t>(u)] = cursor->byte_count;
       }
     }
     if (shard_pos != bytes->size()) {
       return Error::corrupt("trailing bytes in snapshot state file: " + path);
+    }
+  }
+  if (manifest->has_capture) {
+    if (auto s = read_segments(dir, *manifest, byte_counts, snapshot.capture); !s) {
+      return s.error();
     }
   }
   return snapshot;

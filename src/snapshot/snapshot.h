@@ -9,11 +9,13 @@
 // results bitwise identical to a run that never stopped (the parity grid in
 // tests/test_properties.cpp and the scripts/ci.sh smoke pin this).
 //
-// ## Snapshot format spec (version 2)
+// ## Snapshot format spec (version 3)
 //
-// v2: the manifest accumulator block grew the sticky overflow latch
-// (19 u64 fields, declaration order); v1 snapshots fail the version check
-// rather than misparse.
+// v3: captured telemetry bytes moved out of the snapshot directory into an
+// append-only segment store shared by every checkpoint beside it; the state
+// files keep each capture cursor's counters and byte length, and the
+// manifest lists the segments that hold the bytes. v1 and v2 snapshots fail
+// the version check rather than misparse.
 //
 // A snapshot is a directory, mirroring the telemetry archive discipline
 // (manifest + framed per-shard files, everything an LXRC record of
@@ -28,6 +30,18 @@
 //   <dir>/state-NNNN.lxst  framed per-user state records for users
 //                          [NNNN * users_per_shard, (NNNN+1) * users_per_shard)
 //
+// and, when the snapshot carries a capture, the segment store beside it:
+//
+//   <parent of dir>/capture/seg-<seed>-<digest>-users-<a>-<b>-days-<c>-<d>.lxcs
+//                          raw capture bytes: the framed archive records of
+//                          users [a, b) appended during days [c, d), user-major
+//                          in ascending user order (seed: 16 hex digits;
+//                          digest: the manifest's resume_digest, 8 hex
+//                          digits; a..d decimal)
+//
+// A segment's name is a function of what it holds, so two fleets never share
+// a name and a file, once written, is never rewritten with other bytes.
+//
 // Manifest payload (little-endian, common/bytes.h codec):
 //   u32 format_version    kSnapshotFormatVersion
 //   u64 seed              fleet seed the snapshot was taken at
@@ -40,12 +54,24 @@
 //   u64 users_per_shard   state-file granularity (users per state file)
 //   u32 has_net           0/1; u32 net_crc — CRC32 of net.lxnw's bytes
 //   u32 has_capture       0/1: capture-cursor records follow each user state
+//                         and the segment table follows the shard table
 //   accumulator           19 u64 fields of the merged FleetAccumulator over
 //                         days [0, next_day), declaration order (the last is
 //                         the sticky overflow latch)
 //   u64 shard_count
 //   per shard:            u64 first_user | u64 user_count | u64 byte_count |
 //                         u32 crc32(state file bytes)
+//   [has_capture]
+//   u64 segment_count     <= kMaxCaptureSegments
+//   per segment, in append order:
+//                         u64 first_user | u64 first_day | u64 end_day |
+//                         u64 byte_count | u32 crc32(segment bytes) |
+//                         u64 user_count | user_count x u64 per-user byte
+//                         counts (summing to byte_count)
+//
+// A user's captured bytes are the concatenation of its slices of the listed
+// segments, in table order; their total must equal the byte length in the
+// user's capture cursor record.
 //
 // State-file record payloads, discriminated by a leading u32 type tag:
 //   kUserStateRecord (1):     u64 user | rng (4x u64 state words,
@@ -61,8 +87,7 @@
 //                             the ABR params during an AA period),
 //                             5x u64 optimizer counters]
 //   kCaptureCursorRecord (2): u64 user | u64 records |
-//                             u64 next_expected_at_least | u64 byte_count |
-//                             raw buffered archive bytes
+//                             u64 next_expected_at_least | u64 byte_count
 //
 // Within a state file, records are user-major in ascending user order; when
 // has_capture is set each user's state record is followed by that user's
@@ -77,15 +102,20 @@
 //
 // save_snapshot commits a checkpoint transactionally:
 //
-//   1. everything is STAGED into a sibling directory `<dir>.tmp` (a stale
-//      staging dir from a crashed save is cleared first);
-//   2. state files and the net container are written before the MANIFEST,
+//   1. capture bytes not yet in the store are written as new segments, each
+//      file atomic-durable, and the store directory is fsynced: every
+//      segment the manifest will list is DURABLE BEFORE THE MANIFEST is
+//      written. Segments are immutable; a commit never rewrites one an
+//      earlier manifest lists;
+//   2. everything else is STAGED into a sibling directory `<dir>.tmp` (a
+//      stale staging dir from a crashed save is cleared first);
+//   3. state files and the net container are written before the MANIFEST,
 //      which is written LAST — a directory with a valid manifest is
 //      therefore complete by construction;
-//   3. every file write is itself atomic-durable (common/bytes.h write_file:
+//   4. every file write is itself atomic-durable (common/bytes.h write_file:
 //      temp file, fsync, checked close, rename) and the staging directory
 //      is fsynced before the commit;
-//   4. the staging directory is RENAMED into place: onto a fresh `<dir>`
+//   5. the staging directory is RENAMED into place: onto a fresh `<dir>`
 //      directly, or — when re-checkpointing over an existing snapshot —
 //      via an atomic exchange (renameat2) with a rename-aside fallback
 //      (`<dir>` -> `<dir>.old`, staging -> `<dir>`), so the previous good
@@ -96,7 +126,9 @@
 // checkpoint is fully committed, or the previous one is intact — possibly
 // under its `.old`/`.tmp` staging name, which recovery content-validates
 // like any other candidate. Torn or partially staged directories fail CRC /
-// structural validation and are skipped.
+// structural validation and are skipped. A torn commit leaves at most
+// orphan segments that no manifest lists; AutoCheckpointer's pruning
+// deletes them.
 #pragma once
 
 #include <cstdint>
@@ -111,7 +143,25 @@
 
 namespace lingxi::snapshot {
 
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+
+/// Largest segment table a manifest may list: checked before the table is
+/// sized, so a hostile count is Error::kCorrupt, never an allocation (2^20
+/// covers a segment per day for 1024 archive shards over 1024 days).
+inline constexpr std::uint64_t kMaxCaptureSegments = std::uint64_t{1} << 20;
+
+/// One immutable file of the capture segment store: the framed archive
+/// records users [first_user, first_user + user_bytes.size()) appended during
+/// days [first_day, end_day), user-major in ascending user order.
+struct CaptureSegment {
+  std::uint64_t first_user = 0;
+  std::uint64_t first_day = 0;
+  std::uint64_t end_day = 0;
+  std::uint64_t byte_count = 0;
+  std::uint32_t crc = 0;
+  /// Each user's share of byte_count, in user order.
+  std::vector<std::uint64_t> user_bytes;
+};
 
 /// A fleet checkpoint materialized in memory: the deterministic output of
 /// capture_snapshot(), ready to be written out (save_snapshot) or resumed
@@ -140,6 +190,14 @@ std::string manifest_filename();
 std::string state_filename(std::size_t shard_index);
 std::string net_filename();
 
+/// The capture segment store of the snapshot directory `dir`: `capture/`
+/// beside it, shared by every checkpoint under the same parent.
+std::string capture_store_dir(const std::string& dir);
+/// File name of `segment` inside the store of a fleet with this seed and
+/// resume digest.
+std::string segment_filename(std::uint64_t seed, std::uint32_t resume_digest,
+                             const CaptureSegment& segment);
+
 /// Assemble a snapshot from a runner's exported day state: stamps seed and
 /// resume digest, serializes the predictor factory's net (the fleet factory
 /// is pure configuration, so one container covers every deep copy), and
@@ -153,14 +211,27 @@ Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
 /// (stage into `<dir>.tmp`, manifest last, fsync, atomic rename — see the
 /// durability contract above). `users_per_shard` is the state-file
 /// granularity. An existing snapshot at `dir` is replaced atomically and is
-/// never clobbered by a torn commit.
+/// never clobbered by a torn commit. A captured snapshot writes its whole
+/// capture as one segment per state shard, days [0, next_day).
 Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
                      std::size_t users_per_shard = 64);
+
+/// The incremental commit AutoCheckpointer makes at each day boundary. The
+/// cursors are read from the live `capture` (`snapshot` must not carry its
+/// own), and `capture_log` — the segment table of the previous commit into
+/// the same store, empty for the first — says which of their bytes are
+/// already durable: only the rest is written, as one new segment per
+/// archive shard, so a commit costs the days since the previous one, not
+/// the history. On success `capture_log` becomes this commit's table; on
+/// failure it is left as it was.
+Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
+                     std::size_t users_per_shard, const telemetry::ShardedCapture& capture,
+                     std::vector<CaptureSegment>& capture_log);
 
 /// Stages of save_snapshot's commit sequence, in order, as observed by the
 /// test-only commit hook (crash-injection harness).
 enum class SaveStage {
-  kStateFilesStaged,  ///< state files + net written into the staging dir
+  kStateFilesStaged,  ///< segments durable; state files + net staged
   kManifestStaged,    ///< manifest written (last) into the staging dir
   kStagingDurable,    ///< staging dir fsynced; the commit rename is next
   kCommitted,         ///< staging renamed into place (cleanup may follow)
@@ -177,9 +248,16 @@ void set_save_commit_hook(SaveCommitHook hook);
 
 /// Read a snapshot back. Every CRC, version and structural invariant is
 /// checked (Error::kCorrupt on mismatch) — including that the net container
-/// deserializes and the shard table tiles the user range — so a resumed
-/// fleet never starts from silently corrupt state.
+/// deserializes, the shard table tiles the user range, and every listed
+/// capture segment is present with its size and CRC — so a resumed fleet
+/// never starts from silently corrupt state. The capture cursors' bytes are
+/// rebuilt from the segment store.
 Expected<FleetSnapshot> load_snapshot(const std::string& dir);
+
+/// Names of the capture segment files the manifest in `dir` lists (empty
+/// for a snapshot without capture). Fails like load_snapshot on a missing or
+/// corrupt manifest; reads nothing else.
+Expected<std::vector<std::string>> listed_segment_files(const std::string& dir);
 
 /// Resumability check: seed, user count, result-shaping config digest and
 /// day boundary must all line up with the fleet about to resume

@@ -68,11 +68,12 @@ class ShardedCapture final : public TelemetrySink {
     bool operator==(const CaptureCursor&) const = default;
   };
 
-  /// Export every user's capture position (index == user index). Call at a
-  /// day boundary, i.e. between FleetRunner::run_days legs. Deliberately a
-  /// copy: snapshotting must not disturb a live capture, which may keep
-  /// recording further days in-process after the snapshot is taken.
-  std::vector<CaptureCursor> cursors() const { return users_; }
+  /// Every user's capture position (index == user index). Read at a day
+  /// boundary, i.e. between FleetRunner::run_days legs; a snapshot that
+  /// must outlive further recording copies it.
+  const std::vector<CaptureCursor>& cursors() const noexcept { return users_; }
+  /// Users per archive shard (Config::users_per_shard).
+  std::size_t users_per_shard() const noexcept { return config_.users_per_shard; }
   /// Restore positions exported by cursors(). Must follow a begin_fleet()
   /// with the same fleet config and seed (which pre-sizes the user table);
   /// `cursors` must hold exactly one entry per user.

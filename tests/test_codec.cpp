@@ -31,6 +31,7 @@
 #include "logstore/session_log.h"
 #include "nn/serialize.h"
 #include "obs/timeline.h"
+#include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
 #include "telemetry/archive.h"
 #include "telemetry/replay.h"
@@ -271,14 +272,17 @@ constexpr const char* kUserStatePlainHex =
     "000000001032547698badcfe000000000000e0bf010000000000000000001c40"
     "000000000000f03f000000000000d03f010000000000000000000000";
 constexpr const char* kSnapshotManifestFileHex =
-    "4c58524302000000f0000000020000004d00000000000000ed5eed5e02000000"
+    "4c5852430200000034010000030000004d00000000000000ed5eed5e02000000"
     "0000000002000000000000000200000000000000010000001d02853a01000000"
     "1800000000000000140000000000000000000000000000000000000000000000"
     "0900000000000000000000000000000000000000000000000200000000000000"
     "15cd5b0700000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000010000000000000000000000000000000100000000000000"
-    "000000000000000002000000000000000002000000000000e36a79276c52420d";
+    "00000000000000000200000000000000fc010000000000000a8b790e01000000"
+    "0000000000000000000000000000000000000000020000000000000004000000"
+    "000000005aa39c7c020000000000000004000000000000000000000000000000"
+    "d893a074";
 constexpr const char* kSnapshotStateFileHex =
     "4c5852430200000018010000010000000000000000000000efcdab8967452301"
     "020000000000000003000000000000001032547698badcfe000000000000e0bf"
@@ -289,13 +293,18 @@ constexpr const char* kSnapshotStateFileHex =
     "02000000000000000000000000c092400000000000b48d400200000000000000"
     "010000000000000000001c40000000000000f03f000000000000d03f05000000"
     "00000000020000000000000001000000000000000c0000000000000003000000"
-    "00000000d438c1164c5852430200000028000000020000000000000000000000"
-    "010000000000000003000000010000000400000000000000deadbeef0179be32"
-    "4c585243020000005c000000010000000100000000000000efcdab8967452301"
-    "020000000000000003000000000000001032547698badcfe000000000000e0bf"
-    "010000000000000000001c40000000000000f03f000000000000d03f01000000"
-    "000000000000000005b085e94c58524302000000240000000200000001000000"
-    "000000000000000000000000000000000000000000000000000000001418fc6a";
+    "00000000d438c1164c5852430200000024000000020000000000000000000000"
+    "010000000000000003000000010000000400000000000000fe8e242c4c585243"
+    "020000005c000000010000000100000000000000efcdab896745230102000000"
+    "0000000003000000000000001032547698badcfe000000000000e0bf01000000"
+    "0000000000001c40000000000000f03f000000000000d03f0100000000000000"
+    "0000000005b085e94c5852430200000024000000020000000100000000000000"
+    "0000000000000000000000000000000000000000000000001418fc6a";
+// The one segment the golden snapshot's capture fills: users [0, 2), days
+// [0, 2), user 0's four bytes then user 1's none.
+constexpr const char* kSnapshotSegmentName =
+    "seg-000000000000004d-5eed5eed-users-0-2-days-0-2.lxcs";
+constexpr const char* kSnapshotSegmentHex = "deadbeef";
 constexpr const char* kTimelineFileHex =
     "4c58544c010000001e00000000000000160000006c696e6778692e6f62732e74"
     "696d656c696e652f7631cdea8b8e4c58544c01000000f9000000010000000300"
@@ -351,13 +360,22 @@ TEST(CodecGolden, SnapshotUserState) {
 }
 
 TEST(CodecGolden, SnapshotFiles) {
-  // Manifest (with net CRC and accumulator) and one state file holding both
-  // users' state records, each followed by its capture-cursor record.
-  const std::string dir = temp_path("snapshot");
+  // Manifest (with net CRC, accumulator and segment table), one state file
+  // holding both users' state records, each followed by its capture-cursor
+  // record, and the capture segment beside the snapshot directory.
+  const std::string dir = temp_path("snapshot") + "/snapshot";
   ASSERT_TRUE(snapshot::save_snapshot(golden_fleet_snapshot(), dir, 2).ok());
   EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::manifest_filename())),
             kSnapshotManifestFileHex);
   EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::state_filename(0))), kSnapshotStateFileHex);
+  const snapshot::FleetSnapshot golden = golden_fleet_snapshot();
+  snapshot::CaptureSegment segment;
+  segment.end_day = 2;
+  segment.user_bytes = {4, 0};
+  EXPECT_EQ(snapshot::segment_filename(golden.seed, golden.resume_digest, segment),
+            kSnapshotSegmentName);
+  EXPECT_EQ(hex(file_bytes(snapshot::capture_store_dir(dir) + "/" + kSnapshotSegmentName)),
+            kSnapshotSegmentHex);
 }
 
 TEST(CodecGolden, TimelineFrames) {
@@ -607,6 +625,100 @@ TEST(HostileLengths, SnapshotVectorCount) {
   constexpr std::size_t kFirstVector = 4 + 8 + 32 + 8 + 4 + 24 + 8 + 4;
   put_u32_at(state, kFirstVector, 1u << 20);
   expect_corrupt(status_of(snapshot::decode_user_state(state)), "user state vector");
+}
+
+// The golden snapshot's manifest payload ends with its segment table: u64
+// segment count, then one segment (u64 first_user, first_day, end_day,
+// byte_count; u32 crc; u64 user_count; per-user counts {4, 0}).
+constexpr std::size_t kSegmentTableSize = 8 + 4 * 8 + 4 + 8 + 2 * 8;
+constexpr std::size_t kSegmentByteCountAt = 8 + 3 * 8;
+constexpr std::size_t kSegmentUserBytesAt = 8 + 4 * 8 + 4 + 8;
+
+void put_u64_at(std::vector<unsigned char>& bytes, std::size_t at, std::uint64_t v) {
+  std::vector<unsigned char> le;
+  put_u64(le, v);
+  std::copy(le.begin(), le.end(), bytes.begin() + static_cast<long>(at));
+}
+
+struct SegmentCase {
+  const char* name;
+  /// Patches the segment table (a view of the manifest payload's tail) or
+  /// the segment file itself.
+  void (*patch)(std::vector<unsigned char>& table, const std::string& segment_path);
+  const char* error;
+};
+
+const SegmentCase kSegmentCases[] = {
+    {"2^40 segments",
+     [](auto& t, const auto&) { put_u64_at(t, 0, std::uint64_t{1} << 40); },
+     "segment count out of range"},
+    {"byte count past the file",
+     [](auto& t, const auto&) {
+       put_u64_at(t, kSegmentByteCountAt, 5);
+       put_u64_at(t, kSegmentUserBytesAt, 5);
+     },
+     "segment size disagrees"},
+    {"per-user counts off the byte count",
+     [](auto& t, const auto&) { put_u64_at(t, kSegmentUserBytesAt + 8, 1); },
+     "per-user counts"},
+    {"missing segment",
+     [](auto&, const auto& path) { std::filesystem::remove(path); },
+     "segment is missing"},
+    {"segment CRC mismatch",
+     [](auto&, const auto& path) {
+       auto bytes = read_file(path);
+       ASSERT_TRUE(bytes.has_value());
+       (*bytes)[1] ^= 0x01;
+       ASSERT_TRUE(write_file(path, *bytes).ok());
+     },
+     "segment disagrees with manifest"},
+};
+
+TEST(HostileLengths, SnapshotSegmentTable) {
+  // Each case corrupts the day-2 checkpoint of a root that also holds a
+  // good day-1 checkpoint: load_snapshot answers kCorrupt (never an
+  // allocation sized from the hostile count), and recovery falls back.
+  for (const SegmentCase& c : kSegmentCases) {
+    const std::string root = temp_path("hostile_segments");
+    // The golden net bytes are opaque to save_snapshot but not to
+    // load_snapshot: these two snapshots carry no net.
+    snapshot::FleetSnapshot day1 = golden_fleet_snapshot();
+    day1.net_model.clear();
+    day1.state.next_day = 1;
+    ASSERT_TRUE(snapshot::save_snapshot(day1, root + "/" + snapshot::checkpoint_dirname(1), 2)
+                    .ok());
+    snapshot::FleetSnapshot day2 = golden_fleet_snapshot();
+    day2.net_model.clear();
+    ASSERT_TRUE(snapshot::load_snapshot(root + "/" + snapshot::checkpoint_dirname(1)).has_value());
+    const std::string dir = root + "/" + snapshot::checkpoint_dirname(2);
+    ASSERT_TRUE(snapshot::save_snapshot(day2, dir, 2).ok());
+
+    const std::string manifest = dir + "/" + snapshot::manifest_filename();
+    auto framed = read_file(manifest);
+    ASSERT_TRUE(framed.has_value());
+    std::size_t pos = 0;
+    auto record = logstore::read_record(*framed, pos);
+    ASSERT_TRUE(record.has_value());
+    std::vector<unsigned char> payload(record->begin(), record->end());
+    ASSERT_GT(payload.size(), kSegmentTableSize);
+    std::vector<unsigned char> table(payload.end() - kSegmentTableSize, payload.end());
+    c.patch(table, snapshot::capture_store_dir(dir) + "/" + kSnapshotSegmentName);
+    std::copy(table.begin(), table.end(), payload.end() - kSegmentTableSize);
+    std::vector<unsigned char> reframed;
+    logstore::write_record(reframed, payload);  // a fresh, valid record CRC
+    ASSERT_TRUE(write_file(manifest, reframed).ok());
+
+    const Status loaded = status_of(snapshot::load_snapshot(dir));
+    expect_corrupt(loaded, c.name);
+    if (!loaded.ok()) {
+      EXPECT_NE(loaded.error().message.find(c.error), std::string::npos)
+          << c.name << ": " << loaded.error().message;
+    }
+    const auto recovered = snapshot::find_latest_valid(root);
+    ASSERT_TRUE(recovered.has_value()) << c.name;
+    EXPECT_EQ(recovered->dir, root + "/" + snapshot::checkpoint_dirname(1)) << c.name;
+    EXPECT_EQ(recovered->snapshot.state.next_day, 1u) << c.name;
+  }
 }
 
 TEST(HostileLengths, TimelineMetricCount) {

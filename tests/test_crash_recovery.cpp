@@ -6,6 +6,7 @@
 // bytes match an uninterrupted run).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "abr/hyb.h"
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
 #include "predictor/os_model.h"
@@ -234,6 +237,72 @@ TEST(AutoCheckpointer, FailureIsRecordedButRunContinues) {
   std::filesystem::remove(root);
 }
 
+TEST(AutoCheckpointer, CommitWritesOnlyTheDaySinceThePreviousCommit) {
+  // Six days, a checkpoint at every interior boundary: commit k must write
+  // exactly the capture bytes recorded on day k - 1 (the new segments), and
+  // no segment an earlier commit wrote may be written again.
+  sim::FleetConfig cfg = fleet_config();
+  cfg.days = 6;
+  constexpr std::uint64_t kSeed = 77;
+  const Reference ref = reference_run(cfg, kSeed);
+
+  const std::string root = fresh_dir("flat-cost");
+  const std::string store = snapshot::capture_store_dir(root + "/x");
+  sim::FleetRunner runner = make_runner(cfg);
+  telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+  runner.set_telemetry_sink(&capture);
+  snapshot::AutoCheckpointer ckpt(runner, kSeed, {root, 1, /*retain=*/2, 4}, &capture);
+  obs::Registry registry;
+  obs::Registry::install(&registry);
+
+  std::uint64_t captured_before = 0;
+  std::uint64_t logged_before = 0;
+  std::map<std::string, std::pair<ino_t, std::int64_t>> written;  // inode, mtime ns
+  const auto file_id = [](const std::filesystem::path& path) {
+    struct stat st {};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return std::make_pair(st.st_ino, std::int64_t{st.st_mtim.tv_sec} * 1000000000 +
+                                         st.st_mtim.tv_nsec);
+  };
+  runner.set_checkpoint_hook(
+      [&](const sim::FleetDayState& state) {
+        ckpt.on_boundary(state);
+        std::uint64_t captured = 0;
+        for (const auto& cursor : capture.cursors()) captured += cursor.bytes.size();
+        const std::uint64_t logged = registry.counter("snapshot.capture_log.bytes");
+        EXPECT_GT(captured, captured_before) << "day " << state.next_day - 1;
+        EXPECT_EQ(logged - logged_before, captured - captured_before)
+            << "commit at day " << state.next_day;
+        captured_before = captured;
+        logged_before = logged;
+        // One new segment per archive shard (8 users / 4), none rewritten.
+        std::size_t fresh = 0;
+        for (const auto& entry : std::filesystem::directory_iterator(store)) {
+          const std::string name = entry.path().filename().string();
+          const auto id = file_id(entry.path());
+          const auto [it, inserted] = written.emplace(name, id);
+          if (inserted) {
+            ++fresh;
+          } else {
+            EXPECT_EQ(it->second, id) << name << " rewritten at day " << state.next_day;
+          }
+        }
+        EXPECT_EQ(fresh, 2u) << "commit at day " << state.next_day;
+      },
+      1);
+  const sim::FleetAccumulator acc = runner.run(kSeed);
+  obs::Registry::install(nullptr);
+  EXPECT_TRUE(ckpt.status().ok()) << ckpt.status().error().message;
+  EXPECT_EQ(ckpt.checkpoints_committed(), 5u);
+  EXPECT_EQ(acc.checksum(), ref.acc.checksum());
+  EXPECT_EQ(written.size(), 10u);
+  for (const auto& [name, id] : written) {
+    EXPECT_EQ(file_id(store + "/" + name), id) << name;
+  }
+  // The day-5 checkpoint reads its capture back from five days of segments.
+  resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/5);
+}
+
 // ---------------------------------------------------------------------------
 // Injected crashes inside the commit protocol.
 // ---------------------------------------------------------------------------
@@ -385,6 +454,33 @@ TEST(FindLatestValid, CommittedNameOutranksLeftoverOfSameDay) {
   EXPECT_EQ(recovered->dir, root + "/checkpoint-day-000003");
 
   resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/3);
+}
+
+TEST(FindLatestValid, DirectoryNamedForALaterDayIsSkipped) {
+  const sim::FleetConfig cfg = fleet_config();
+  constexpr std::uint64_t kSeed = 77;
+  const Reference ref = reference_run(cfg, kSeed);
+
+  const std::string root = fresh_dir("misnamed");
+  checkpointed_run(cfg, kSeed,
+                   {root, /*every_k_days=*/1, /*retain=*/3, /*users_per_shard=*/4});
+  // A directory named for day 3 that holds day 2's bytes: valid bytes, but
+  // not the checkpoint its name promises.
+  std::filesystem::remove_all(root + "/checkpoint-day-000003");
+  std::filesystem::copy(root + "/checkpoint-day-000002", root + "/checkpoint-day-000003",
+                        std::filesystem::copy_options::recursive);
+  obs::Registry registry;
+  obs::Registry::install(&registry);
+  auto recovered = snapshot::find_latest_valid(root);
+  obs::Registry::install(nullptr);
+  ASSERT_TRUE(recovered.has_value()) << recovered.error().message;
+  EXPECT_EQ(recovered->dir, root + "/checkpoint-day-000002");
+  // Newest first, one load per candidate until one holds: day 3 is rejected,
+  // day 2 recovered, day 1 never read.
+  EXPECT_EQ(registry.counter("snapshot.recovery.candidates"), 2u);
+  EXPECT_EQ(registry.counter("snapshot.recovery.rejected"), 1u);
+
+  resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/2);
 }
 
 // ---------------------------------------------------------------------------

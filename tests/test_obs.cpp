@@ -3,13 +3,17 @@
 // JSON schemas, and the disabled fast path.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -697,6 +701,42 @@ TEST(ObsRegistry, WriteJsonFileRoundTripsThroughDisk) {
   reg.write_json(direct);
   EXPECT_EQ(buf.str(), direct.str());
   std::remove(path.c_str());
+}
+
+TEST(ObsDumps, WriteJsonFilesReplaceTheFileAtomically) {
+  // Both dumps go through write_file: the new bytes land under a temp name
+  // and are renamed over the old file, which is never truncated in place. A
+  // hard link to the old file keeps its old bytes whole, no temp file stays
+  // behind, and an unwritable path reports false.
+  Registry reg;
+  reg.add("file.counter", 7);
+  Tracer tracer;
+  Tracer::install(&tracer);
+  { OBS_SPAN("dump.span"); }
+  Tracer::install(nullptr);
+  const auto dump_registry = [&](const std::string& p) { return reg.write_json_file(p); };
+  const auto dump_tracer = [&](const std::string& p) { return tracer.write_json_file(p); };
+  for (const auto& [name, dump] :
+       {std::pair<std::string, std::function<bool(const std::string&)>>{"metrics", dump_registry},
+        {"trace", dump_tracer}}) {
+    const std::string path = ::testing::TempDir() + "/lingxi_obs_dump_" + name + ".json";
+    const std::string link = path + ".old";
+    std::remove(link.c_str());
+    ASSERT_TRUE(write_file(path, {'s', 't', 'a', 'l', 'e'}).ok());
+    ASSERT_EQ(::link(path.c_str(), link.c_str()), 0) << name;
+
+    ASSERT_TRUE(dump(path)) << name;
+    const auto fresh = read_file(path);
+    ASSERT_TRUE(fresh.has_value()) << name;
+    EXPECT_EQ(fresh->front(), '{') << name;
+    const auto old = read_file(link);
+    ASSERT_TRUE(old.has_value()) << name;
+    EXPECT_EQ(std::string(old->begin(), old->end()), "stale") << name;
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << name;
+    EXPECT_FALSE(dump(::testing::TempDir() + "/lingxi_obs_no_such_dir/dump.json")) << name;
+    std::remove(path.c_str());
+    std::remove(link.c_str());
+  }
 }
 
 }  // namespace

@@ -823,10 +823,12 @@ TEST_P(SnapshotResumeParity, DiskResumeMatchesFullRunBitwise) {
   leg_runner.run_days(kSeed, 0, kBoundary, nullptr, &state);
   auto snap = snapshot::capture_snapshot(leg_runner, kSeed, std::move(state), &leg_capture);
   ASSERT_TRUE(snap.has_value()) << snap.error().message;
-  const std::string dir = ::testing::TempDir() + "/lingxi_prop_snap_" +
-                          std::to_string(threads) + "_" + std::to_string(users_per_shard) +
-                          "_" + std::to_string(batch);
-  std::filesystem::remove_all(dir);
+  // Its own parent, so the capture segment store beside it is private too.
+  const std::string parent = ::testing::TempDir() + "/lingxi_prop_snap_" +
+                             std::to_string(threads) + "_" + std::to_string(users_per_shard) +
+                             "_" + std::to_string(batch);
+  std::filesystem::remove_all(parent);
+  const std::string dir = parent + "/snapshot";
   ASSERT_TRUE(snapshot::save_snapshot(*snap, dir, 3).ok());
 
   // Leg 2: load, verify compatibility, resume [D, D+K) with a fresh runner,
@@ -1036,8 +1038,9 @@ TEST(DeterministicTimelineSplice, LegTimelinesConcatenateToFullRun) {
   ASSERT_EQ(full.alerts[0].day, 3u);
 
   // Leg 1: days [0, 2) with its own health plane, snapshotted to disk.
-  const std::string dir = ::testing::TempDir() + "/lingxi_dtl_splice_snap";
-  std::filesystem::remove_all(dir);
+  const std::string parent = ::testing::TempDir() + "/lingxi_dtl_splice_snap";
+  std::filesystem::remove_all(parent);
+  const std::string dir = parent + "/snapshot";
   DeterministicTimeline::TimelineRun leg1;
   sim::FleetDayState state;
   {
@@ -1097,7 +1100,7 @@ TEST(DeterministicTimelineSplice, LegTimelinesConcatenateToFullRun) {
     leg2.records = std::move(*records);
     std::filesystem::remove(path);
   }
-  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(parent);
 
   // Results splice bitwise (the snapshot contract, re-checked with obs on).
   EXPECT_EQ(leg2.acc.checksum(), full.acc.checksum());

@@ -326,7 +326,7 @@ TEST(ScenarioSplice, SnapshotAtChurnDayResumesBitwise) {
   auto snap =
       snapshot::capture_snapshot(leg_runner, kSeed, std::move(state), &leg_capture);
   ASSERT_TRUE(snap.has_value()) << snap.error().message;
-  const std::string dir = fresh_dir("churn-boundary");
+  const std::string dir = fresh_dir("churn-boundary") + "/snapshot";
   ASSERT_TRUE(snapshot::save_snapshot(*snap, dir, 3).ok());
 
   // Leg 2: fresh runner + restored capture; the churn fires inside this leg.

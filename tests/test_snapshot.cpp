@@ -29,10 +29,12 @@
 namespace lingxi {
 namespace {
 
+/// A snapshot directory inside a fresh parent of its own, so the capture
+/// segment store beside it belongs to this test alone.
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/lingxi_snapshot_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;
+  const std::string parent = ::testing::TempDir() + "/lingxi_snapshot_" + name;
+  std::filesystem::remove_all(parent);
+  return parent + "/snapshot";
 }
 
 // Small stall-prone LingXi fleet: optimizations (and so evolving per-user
