@@ -1,8 +1,8 @@
-// Observability overhead gate: sessions/sec of the LingXi treatment fleet
-// (the bench_fleet_scaling shape) with the obs layer disabled vs fully
-// enabled (metrics registry + span tracer + per-day health timeline + SLO
-// monitor installed — the full health plane, including the in-band per-day
-// accumulator totals run_days collects for interior day records).
+// Observability overhead gate: sessions/sec of a LingXi treatment fleet with
+// the obs layer disabled vs fully enabled (metrics registry + span tracer +
+// per-day health timeline + SLO monitor installed — the full health plane,
+// including the in-band per-day accumulator totals run_days collects for
+// interior day records).
 //
 // Protocol: one untimed warmup run, then N timed repetitions, each an
 // adjacent obs-off / obs-on pair whose arm order alternates per rep (even
@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
   const auto trained = bench::train_predictor(91, smoke ? 0.1 : 0.25);
   const auto predictor_factory = [&] { return trained.make(); };
 
-  // The bench_fleet_scaling LingXi treatment shape, batched inference on the
-  // cross-user cohort schedule — the hottest instrumented path (session
-  // stepping, wave flushes, GP refits, acquisition evals all fire).
+  // A LingXi treatment fleet, batched inference on the cross-user cohort
+  // schedule — the hottest instrumented path (session stepping, wave
+  // flushes, GP refits, acquisition evals all fire).
   sim::FleetConfig cfg;
   // Smoke keeps 32 users: small enough for CI, large enough that per-rep
   // walls dwarf scheduler jitter on a single-core runner.

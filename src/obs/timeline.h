@@ -15,8 +15,8 @@
 //     pure functions of (config, seed, day), so the section's bytes are
 //     bitwise identical across threads x users_per_shard x predictor_batch
 //     AND across checkpoint/kill/resume splices — the
-//     ObservabilityParity contract extended onto disk, pinned by the
-//     DeterministicTimeline grid in tests/test_properties.cpp;
+//     obs-on/off parity contract extended onto disk, pinned by the fleet
+//     parity harness in tests/test_properties.cpp;
 //   * a WALL-CLOCK section — everything else in the registry (latency
 //     histograms, RSS, sessions/sec, batching counters), which measures the
 //     machine rather than the simulation and legitimately differs run to run.

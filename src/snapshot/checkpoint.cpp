@@ -50,9 +50,18 @@ std::string checkpoint_dirname(std::uint64_t next_day) {
 
 AutoCheckpointer::AutoCheckpointer(const sim::FleetRunner& runner, std::uint64_t seed,
                                    CheckpointPolicy policy,
-                                   const telemetry::ShardedCapture* capture)
+                                   const telemetry::ShardedCapture* capture,
+                                   const RecoveredCheckpoint* recovered)
     : runner_(&runner), seed_(seed), policy_(std::move(policy)), capture_(capture) {
   if (policy_.retain == 0) policy_.retain = 1;
+  if (recovered == nullptr || capture_ == nullptr) return;
+  // Another root is another store: its segments are not in ours.
+  std::error_code ec;
+  const auto recovered_root =
+      std::filesystem::weakly_canonical(std::filesystem::path(recovered->dir).parent_path(), ec);
+  if (ec) return;
+  const auto root = std::filesystem::weakly_canonical(policy_.root, ec);
+  if (!ec && recovered_root == root) capture_log_ = recovered->capture_log;
 }
 
 void AutoCheckpointer::arm(sim::FleetRunner& runner) {
@@ -210,9 +219,10 @@ Expected<RecoveredCheckpoint> find_latest_valid(const std::string& root) {
     if (reg != nullptr) reg->add("snapshot.recovery.candidates");
     // The name told us where to look; the bytes decide whether it counts.
     const std::string dir = root + "/" + c.name;
-    auto snap = load_snapshot(dir);
+    std::vector<CaptureSegment> capture_log;
+    auto snap = load_snapshot(dir, capture_log);
     if (snap && snap->state.next_day == c.day) {
-      return RecoveredCheckpoint{std::move(*snap), dir};
+      return RecoveredCheckpoint{std::move(*snap), dir, std::move(capture_log)};
     }
     if (reg != nullptr) reg->add("snapshot.recovery.rejected");
   }

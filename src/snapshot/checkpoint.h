@@ -19,8 +19,8 @@
 //
 // Cost model: a commit writes the user state (O(users)) plus only the
 // capture bytes recorded since the previous commit of the same
-// checkpointer; earlier days stay in the segments the previous manifests
-// already list.
+// checkpointer, or since the recovered checkpoint it resumed from; earlier
+// days stay in the segments the previous manifests already list.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +56,15 @@ struct CheckpointPolicy {
 /// + zero-padded next_day, so lexicographic order is day order.
 std::string checkpoint_dirname(std::uint64_t next_day);
 
+/// A recovered checkpoint: the loaded snapshot, the directory it came from
+/// (possibly a `.tmp`/`.old` crash leftover — the bytes, not the name, were
+/// validated) and its manifest's capture segment table.
+struct RecoveredCheckpoint {
+  FleetSnapshot snapshot;
+  std::string dir;
+  std::vector<CaptureSegment> capture_log;
+};
+
 /// Cuts checkpoints at FleetRunner day boundaries, serving-style: a failed
 /// checkpoint is recorded (first error wins, see status()) but never stops
 /// the run — a durability gap is recoverable, a killed fleet is not.
@@ -69,11 +78,17 @@ std::string checkpoint_dirname(std::uint64_t next_day);
 /// The checkpointer borrows the runner and the optional capture; both must
 /// outlive it. Not thread-safe: arm on one runner, run on one thread (the
 /// hook fires on the run_days caller's thread between legs).
+///
+/// A run resumed from `recovered` passes it too: when the recovered
+/// directory sits under `policy.root` (so its segments are in this store),
+/// the first commit appends the days since the recovered boundary to its
+/// segment table instead of rewriting the whole history.
 class AutoCheckpointer {
  public:
   AutoCheckpointer(const sim::FleetRunner& runner, std::uint64_t seed,
                    CheckpointPolicy policy,
-                   const telemetry::ShardedCapture* capture = nullptr);
+                   const telemetry::ShardedCapture* capture = nullptr,
+                   const RecoveredCheckpoint* recovered = nullptr);
 
   /// Install this checkpointer as `runner`'s checkpoint hook with the
   /// policy's cadence. The runner reference must be the one passed to the
@@ -100,20 +115,12 @@ class AutoCheckpointer {
   std::uint64_t seed_;
   CheckpointPolicy policy_;
   const telemetry::ShardedCapture* capture_;
-  /// Segment table of the last committed checkpoint: the capture bytes
-  /// already durable in the store.
+  /// Segment table of the last committed (or the recovered) checkpoint:
+  /// the capture bytes already durable in the store.
   std::vector<CaptureSegment> capture_log_;
   Status status_;
   std::vector<std::string> committed_dirs_;
   std::size_t committed_dirs_total_ = 0;
-};
-
-/// A recovered checkpoint: the loaded snapshot plus the directory it came
-/// from (possibly a `.tmp`/`.old` crash leftover — the bytes, not the name,
-/// were validated).
-struct RecoveredCheckpoint {
-  FleetSnapshot snapshot;
-  std::string dir;
 };
 
 /// Scan `root` for the newest recoverable checkpoint. Candidates are ranked

@@ -747,6 +747,12 @@ Expected<std::vector<std::string>> listed_segment_files(const std::string& dir) 
 }
 
 Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
+  std::vector<CaptureSegment> capture_log;
+  return load_snapshot(dir, capture_log);
+}
+
+Expected<FleetSnapshot> load_snapshot(const std::string& dir,
+                                      std::vector<CaptureSegment>& capture_log) {
   OBS_SPAN("snapshot.load");
   OBS_TIMED("snapshot.load.total_us");
   auto manifest = read_manifest(dir);
@@ -828,6 +834,7 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
       return s.error();
     }
   }
+  capture_log = std::move(manifest->segments);
   return snapshot;
 }
 

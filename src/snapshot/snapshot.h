@@ -6,8 +6,8 @@
 // positions, plus the merged FleetAccumulator), the predictor net weights
 // (a versioned nn model container) and, optionally, the telemetry capture
 // cursors — so a later process can resume the fleet at day D and produce
-// results bitwise identical to a run that never stopped (the parity grid in
-// tests/test_properties.cpp and the scripts/ci.sh smoke pin this).
+// results bitwise identical to a run that never stopped (the parity harness
+// in tests/test_properties.cpp and the scripts/ci.sh smoke pin this).
 //
 // ## Snapshot format spec (version 3)
 //
@@ -253,6 +253,12 @@ void set_save_commit_hook(SaveCommitHook hook);
 /// never starts from silently corrupt state. The capture cursors' bytes are
 /// rebuilt from the segment store.
 Expected<FleetSnapshot> load_snapshot(const std::string& dir);
+/// load_snapshot that also hands back the manifest's capture segment table
+/// (empty without capture): the `capture_log` an AutoCheckpointer committing
+/// into the same store continues from (checkpoint.h). Left as it was on
+/// failure.
+Expected<FleetSnapshot> load_snapshot(const std::string& dir,
+                                      std::vector<CaptureSegment>& capture_log);
 
 /// Names of the capture segment files the manifest in `dir` lists (empty
 /// for a snapshot without capture). Fails like load_snapshot on a missing or

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -301,6 +302,92 @@ TEST(AutoCheckpointer, CommitWritesOnlyTheDaySinceThePreviousCommit) {
   }
   // The day-5 checkpoint reads its capture back from five days of segments.
   resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/5);
+}
+
+TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
+  // A process checkpoints days 1 and 2, then stops. Its successor recovers
+  // day 2 and checkpoints into the same root: each commit must write the
+  // capture bytes of its own day only, not days [0, 3) again.
+  sim::FleetConfig cfg = fleet_config();
+  cfg.days = 5;
+  constexpr std::uint64_t kSeed = 77;
+  const Reference ref = reference_run(cfg, kSeed);
+  const std::string root = fresh_dir("resume-append");
+  const snapshot::CheckpointPolicy policy{root, 1, /*retain=*/2, 4};
+  {
+    sim::FleetRunner runner = make_runner(cfg);
+    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+    runner.set_telemetry_sink(&capture);
+    snapshot::AutoCheckpointer ckpt(runner, kSeed, policy, &capture);
+    ckpt.arm(runner);
+    runner.run_days(kSeed, 0, 3, nullptr, nullptr);
+    ASSERT_EQ(ckpt.checkpoints_committed(), 2u);
+  }
+
+  auto recovered = snapshot::find_latest_valid(root);
+  ASSERT_TRUE(recovered.has_value()) << recovered.error().message;
+  ASSERT_EQ(recovered->snapshot.state.next_day, 2u);
+  sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
+  runner.set_predictor_factory(snapshot::resume_predictor_factory(
+      predictor_factory(), recovered->snapshot.net_model));
+  telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+  ASSERT_TRUE(snapshot::restore_capture(capture, cfg, recovered->snapshot.seed,
+                                        std::move(recovered->snapshot.capture))
+                  .ok());
+  runner.set_telemetry_sink(&capture);
+  snapshot::AutoCheckpointer ckpt(runner, kSeed, policy, &capture, &*recovered);
+
+  const auto captured = [&capture] {
+    std::uint64_t bytes = 0;
+    for (const auto& cursor : capture.cursors()) bytes += cursor.bytes.size();
+    return bytes;
+  };
+  std::uint64_t captured_before = captured();
+  obs::Registry registry;
+  obs::Registry::install(&registry);
+  runner.set_checkpoint_hook(
+      [&](const sim::FleetDayState& state) {
+        const std::uint64_t before = registry.counter("snapshot.capture_log.bytes");
+        ckpt.on_boundary(state);
+        EXPECT_EQ(registry.counter("snapshot.capture_log.bytes") - before,
+                  captured() - captured_before)
+            << "commit at day " << state.next_day;
+        captured_before = captured();
+      },
+      1);
+  const sim::FleetAccumulator resumed =
+      runner.run_days(kSeed, 2, cfg.days, &recovered->snapshot.state);
+  obs::Registry::install(nullptr);
+  EXPECT_TRUE(ckpt.status().ok()) << ckpt.status().error().message;
+  EXPECT_EQ(ckpt.checkpoints_committed(), 2u);  // boundaries 3 and 4
+
+  // The store holds the newest checkpoint's segments and nothing else, each
+  // exactly one day: days 0-3, two archive shards each.
+  auto latest = snapshot::find_latest_valid(root);
+  ASSERT_TRUE(latest.has_value()) << latest.error().message;
+  EXPECT_EQ(latest->capture_log.size(), 8u);
+  for (const snapshot::CaptureSegment& seg : latest->capture_log) {
+    EXPECT_EQ(seg.end_day, seg.first_day + 1) << "days " << seg.first_day << "-" << seg.end_day;
+  }
+  const std::filesystem::directory_iterator store(snapshot::capture_store_dir(root + "/x"));
+  EXPECT_EQ(std::distance(store, std::filesystem::directory_iterator{}), 8);
+
+  EXPECT_EQ(resumed.checksum(), ref.acc.checksum());
+  const telemetry::FleetArchive archive = capture.finish();
+  EXPECT_EQ(archive.checksum(), ref.archive.checksum());
+  EXPECT_TRUE(archive.shards == ref.archive.shards);
+  resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/4);
+
+  // Another root is another store: a checkpointer there must not continue
+  // the recovered table. Its first commit writes the whole history and loads.
+  const std::string elsewhere = fresh_dir("resume-append-elsewhere");
+  telemetry::ShardedCapture restored(telemetry::ShardedCapture::Config{4});
+  ASSERT_TRUE(snapshot::restore_capture(restored, cfg, kSeed, latest->snapshot.capture).ok());
+  snapshot::AutoCheckpointer moved(runner, kSeed, {elsewhere, 1, 2, 4}, &restored, &*latest);
+  moved.on_boundary(latest->snapshot.state);
+  EXPECT_TRUE(moved.status().ok()) << moved.status().error().message;
+  const auto loaded = snapshot::load_snapshot(elsewhere + "/" + snapshot::checkpoint_dirname(4));
+  EXPECT_TRUE(loaded.has_value()) << loaded.error().message;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-// FleetRunner: thread-count-independent determinism, exact shard-merge
-// algebra, and degenerate fleet shapes.
+// FleetRunner: exact shard-merge algebra, degenerate fleet shapes, the
+// warmup window and AA gating. Thread-count and shard-size independence is
+// pinned by the fleet parity harness in test_properties.cpp.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -73,56 +74,16 @@ void expect_identical(const sim::FleetAccumulator& a, const sim::FleetAccumulato
   EXPECT_EQ(a.adjusted_user_days, b.adjusted_user_days);
 }
 
-TEST(FleetRunner, DeterministicAcrossThreadCounts) {
-  const auto reference = run_with_threads(small_fleet(), 1, 42);
-  EXPECT_GT(reference.sessions, 0u);
-  for (std::size_t threads : {2, 3, 8, 16}) {
-    expect_identical(reference, run_with_threads(small_fleet(), threads, 42));
-  }
-}
-
-TEST(FleetRunner, DeterministicAcrossThreadCountsWithLingXi) {
-  sim::FleetConfig cfg = small_fleet();
-  cfg.users = 8;
-  cfg.users_per_shard = 2;
-  cfg.network.median_bandwidth = 1000.0;  // stalls so the trigger fires
-  const auto reference = run_with_threads(cfg, 1, 7, /*lingxi=*/true);
-  EXPECT_GT(reference.lingxi_triggers, 0u);
-  for (std::size_t threads : {2, 4}) {
-    expect_identical(reference, run_with_threads(cfg, threads, 7, /*lingxi=*/true));
-  }
-}
-
-TEST(FleetRunner, ShardSizeDoesNotChangeTheResult) {
-  sim::FleetConfig cfg = small_fleet();
-  const auto reference = run_with_threads(cfg, 2, 9);
-  for (std::size_t shard_users : {1, 5, 24, 1000}) {
-    sim::FleetConfig alt = cfg;
-    alt.users_per_shard = shard_users;
-    expect_identical(reference, run_with_threads(alt, 2, 9));
-  }
-}
-
 TEST(FleetRunner, DegenerateShardSizesAreClampedNotUndefined) {
-  // The users_per_shard doc promises "results identical for any value" —
-  // including the degenerate ones: 0 (explicitly clamped to 1 at
-  // construction), 1 (one user per shard) and far-larger-than-fleet (one
-  // whole-fleet shard). All must reproduce the reference bitwise, with and
-  // without LingXi in the loop.
-  sim::FleetConfig cfg = small_fleet();
-  cfg.users = 8;
-  cfg.network.median_bandwidth = 1000.0;
-  for (const bool lingxi : {false, true}) {
-    const auto reference = run_with_threads(cfg, 2, 9, lingxi);
-    for (std::size_t shard_users : {std::size_t{0}, std::size_t{1}, std::size_t{10000}}) {
-      sim::FleetConfig alt = cfg;
-      alt.users_per_shard = shard_users;
-      sim::FleetRunner runner(alt, hyb_factory());
-      // 0 is not a shard size; the runner must normalize it (documented
-      // clamp to 1) rather than divide by zero in shard bookkeeping.
-      EXPECT_GE(runner.config().users_per_shard, 1u) << "shard_users=" << shard_users;
-      expect_identical(reference, run_with_threads(alt, 2, 9, lingxi));
-    }
+  // 0 is not a shard size; the runner must normalize it (documented clamp
+  // to 1) rather than divide by zero in shard bookkeeping. That results do
+  // not move at 0, 1 or far-larger-than-fleet shards is a row of the fleet
+  // parity harness (test_properties.cpp).
+  for (std::size_t shard_users : {std::size_t{0}, std::size_t{1}, std::size_t{10000}}) {
+    sim::FleetConfig cfg = small_fleet();
+    cfg.users_per_shard = shard_users;
+    const sim::FleetRunner runner(cfg, hyb_factory());
+    EXPECT_GE(runner.config().users_per_shard, 1u) << "shard_users=" << shard_users;
   }
 }
 

@@ -1,15 +1,22 @@
 // Parameterized property tests (TEST_P sweeps) across module invariants:
 // player dynamics, ABR decision validity, parameter-space round trips,
 // user-model hazards, GP posteriors, predictor outputs, serialization, and
-// the session log.
+// the session log — and the fleet parity harness, one table of fixtures x
+// cells that pins the bitwise contract of every fleet output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "abr/bba.h"
 #include "abr/bola.h"
@@ -35,6 +42,7 @@
 #include "sim/monte_carlo.h"
 #include "sim/player_env.h"
 #include "sim/session.h"
+#include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
 #include "stats/ecdf.h"
 #include "telemetry/capture.h"
@@ -516,891 +524,635 @@ TEST(McPruning, EngagesAgainstUnbeatableBaseline) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched-inference invariance (the tentpole contract): a LingXi fleet's
-// merged FleetAccumulator is bitwise identical for every (Monte Carlo batch
-// size, thread count) combination — the batched path may regroup predictor
-// forwards but must not change a single bit of any result.
+// Fleet parity harness. Paired A/B comparisons are exact because of one
+// contract: a fleet's outputs — the merged FleetAccumulator, the telemetry
+// archive (manifest and every shard byte), the deterministic section of
+// every health-timeline day record and the SLO alerts — are bitwise
+// identical in every cell of the scheduling grid, under every dense-kernel
+// ISA, with the health plane on or off, and across every way of splitting
+// the calendar (in-process legs, disk snapshot round trips, AutoCheckpointer
+// legs). run_cell is the only code here that builds a parity fleet,
+// expect_same the only comparison and kRows the only table: each row runs a
+// fixture's cells and compares each with the fixture's reference cell.
 // ---------------------------------------------------------------------------
 
-using BatchThreadCase = std::tuple<int /*batch*/, int /*threads*/>;
-
-class FleetBatchingInvariance : public ::testing::TestWithParam<BatchThreadCase> {
- public:
-  static sim::FleetConfig fleet_config() {
-    sim::FleetConfig cfg;
-    cfg.users = 8;
-    cfg.days = 2;
-    cfg.sessions_per_user_day = 6;
-    cfg.users_per_shard = 2;
-    cfg.enable_lingxi = true;
-    cfg.drift_user_tolerance = true;
-    // Weak links so stalls (and therefore optimizations + net forwards)
-    // actually happen — otherwise the property would be vacuous.
-    cfg.network.median_bandwidth = 1100.0;
-    cfg.network.sigma = 0.4;
-    cfg.lingxi.space.optimize_stall = false;
-    cfg.lingxi.space.optimize_switch = false;
-    cfg.lingxi.space.optimize_beta = true;
-    cfg.lingxi.obo_rounds = 2;
-    cfg.lingxi.monte_carlo.samples = 6;
-    cfg.lingxi.monte_carlo.sample_duration = 12.0;
-    cfg.lingxi.monte_carlo.min_samples_before_prune = 3;
-    return cfg;
-  }
-
-  static sim::FleetAccumulator run(std::size_t batch, std::size_t threads) {
-    sim::FleetConfig cfg = fleet_config();
-    cfg.predictor_batch = batch;
-    cfg.threads = threads;
-    sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-    runner.set_predictor_factory([] {
-      Rng net_rng(4242);
-      return predictor::HybridExitPredictor(
-          std::make_shared<predictor::StallExitNet>(net_rng),
-          std::make_shared<predictor::OverallStatsModel>());
-    });
-    return runner.run(77);
-  }
+/// A fleet under test. Its config as written is the reference cell; the
+/// witness is what makes the row non-vacuous.
+struct Fixture {
+  const char* name;
+  sim::FleetConfig cfg;
+  const char* witness_text;
+  bool (*witness)(const sim::FleetAccumulator&);
 };
 
-TEST_P(FleetBatchingInvariance, ChecksumMatchesScalarSingleThread) {
-  static const sim::FleetAccumulator reference = run(1, 1);
-  // The property is only meaningful if the predictor actually ran.
-  ASSERT_GT(reference.lingxi_optimizations, 0u);
-  ASSERT_GT(reference.lingxi_mc_evaluations, 0u);
-
-  const auto [batch, threads] = GetParam();
-  const sim::FleetAccumulator acc =
-      run(static_cast<std::size_t>(batch), static_cast<std::size_t>(threads));
-  EXPECT_EQ(acc.checksum(), reference.checksum())
-      << "batch=" << batch << " threads=" << threads;
-  // Spot-check raw fields too, in case of an unlikely CRC collision.
-  EXPECT_EQ(acc.watch_ticks, reference.watch_ticks);
-  EXPECT_EQ(acc.stall_ticks, reference.stall_ticks);
-  EXPECT_EQ(acc.bitrate_time_ticks, reference.bitrate_time_ticks);
-  EXPECT_EQ(acc.lingxi_mc_evaluations, reference.lingxi_mc_evaluations);
-  EXPECT_EQ(acc.lingxi_mc_rollouts_pruned, reference.lingxi_mc_rollouts_pruned);
+/// Stall-prone 8-user LingXi fleet: weak links so optimizations, and with
+/// them pooled exit-net forwards, actually happen.
+sim::FleetConfig lingxi_fleet(std::size_t days) {
+  sim::FleetConfig cfg;
+  cfg.users = 8;
+  cfg.days = days;
+  cfg.sessions_per_user_day = 6;
+  cfg.users_per_shard = 2;
+  cfg.enable_lingxi = true;
+  cfg.drift_user_tolerance = true;
+  cfg.network.median_bandwidth = 1100.0;
+  cfg.network.sigma = 0.4;
+  cfg.lingxi.space.optimize_stall = false;
+  cfg.lingxi.space.optimize_switch = false;
+  cfg.lingxi.space.optimize_beta = true;
+  cfg.lingxi.obo_rounds = 2;
+  cfg.lingxi.monte_carlo.samples = 6;
+  cfg.lingxi.monte_carlo.sample_duration = 12.0;
+  cfg.lingxi.monte_carlo.min_samples_before_prune = 3;
+  return cfg;
 }
 
-INSTANTIATE_TEST_SUITE_P(BatchByThreads, FleetBatchingInvariance,
-                         ::testing::Combine(::testing::Values(1, 2, 7, 64),
-                                            ::testing::Values(1, 4)));
+/// Every event kind fires inside the 8-user, 4-day fleet: bandwidth shock,
+/// diurnal session curve, flash crowd, churn and a cohort override. Cohorts
+/// cut across shard boundaries at every users_per_shard; the override uses a
+/// stride so no cohort boundary aligns with a shard boundary.
+scenario::ScenarioScript event_script() {
+  scenario::ScenarioScript script;
+  script.shocks.push_back({{0, 4, 1, 0}, 1, 3, 0.5, 1.3});
+  script.curves.push_back({{0, 8, 1, 0}, {1.0, 1.5, 0.5, 1.0}});
+  script.flash_crowds.push_back({{6, 8, 1, 0}, 1});
+  script.churns.push_back({{2, 4, 1, 0}, 2});
+  scenario::CohortOverride mobile;  // slots 1 and 5
+  mobile.cohort = {0, 8, 4, 1};
+  mobile.population.sensitive_fraction = 0.50;
+  mobile.population.threshold_fraction = 0.35;
+  mobile.population.insensitive_fraction = 0.15;
+  mobile.population.low_tolerance_fraction = 0.40;
+  mobile.population.mid_tolerance_fraction = 0.45;
+  mobile.population.high_tolerance_fraction = 0.10;
+  mobile.population.very_high_tolerance_fraction = 0.05;
+  script.cohorts.push_back(mobile);
+  return script;
+}
 
-// ---------------------------------------------------------------------------
-// Cross-user wave invariance: cohort waves (users of a shard interleaved as
-// pausable tasks, exit queries pooled across users into per-net sub-batches)
-// must reproduce per-user order (one-user shards, serial, batch 0) bit for
-// bit over the whole (threads x users_per_shard x predictor_batch) grid —
-// and the telemetry archive bytes with it.
-// ---------------------------------------------------------------------------
-
-using WaveCase = std::tuple<int /*threads*/, int /*users_per_shard*/, int /*batch*/>;
-
-class CrossUserWaveInvariance : public ::testing::TestWithParam<WaveCase> {
- public:
-  static sim::FleetAccumulator run(std::size_t threads, std::size_t users_per_shard,
-                                   std::size_t batch,
-                                   telemetry::TelemetrySink* sink = nullptr) {
-    sim::FleetConfig cfg = FleetBatchingInvariance::fleet_config();
-    cfg.threads = threads;
-    cfg.users_per_shard = users_per_shard;
-    cfg.predictor_batch = batch;
-    sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-    runner.set_predictor_factory([] {
-      Rng net_rng(4242);
-      return predictor::HybridExitPredictor(
-          std::make_shared<predictor::StallExitNet>(net_rng),
-          std::make_shared<predictor::OverallStatsModel>());
-    });
-    if (sink != nullptr) runner.set_telemetry_sink(sink);
-    return runner.run(77);
+/// The scripted fleet. Past 4 days a second churn and a late flash crowd
+/// land on interior days, so checkpoint legs split user summaries.
+sim::FleetConfig scenario_fleet(std::size_t days) {
+  sim::FleetConfig cfg = lingxi_fleet(days);
+  cfg.scenario = event_script();
+  if (days > 4) {
+    cfg.scenario.churns.push_back({{4, 6, 1, 0}, 4});
+    cfg.scenario.flash_crowds.push_back({{0, 1, 1, 0}, 3});
   }
+  return cfg;
+}
+
+/// 24-user fleet without LingXi: jittered session counts, a warmup window.
+sim::FleetConfig small_fleet() {
+  sim::FleetConfig cfg;
+  cfg.users = 24;
+  cfg.days = 2;
+  cfg.sessions_per_user_day = 4;
+  cfg.users_per_shard = 3;
+  cfg.warmup_sessions = 2;
+  cfg.drift_user_tolerance = true;
+  cfg.session_jitter_sigma = 0.3;
+  cfg.network.median_bandwidth = 1500.0;
+  cfg.network.sigma = 0.5;
+  cfg.network.relative_sd = 0.4;
+  cfg.video.mean_duration = 20.0;
+  return cfg;
+}
+
+bool optimized(const sim::FleetAccumulator& acc) { return acc.lingxi_optimizations > 0; }
+
+constexpr std::uint64_t kSeed = 77;
+
+const Fixture kLingxi2d{"lingxi-2d", lingxi_fleet(2), "lingxi_optimizations > 0", optimized};
+const Fixture kLingxi4d{"lingxi-4d", lingxi_fleet(4), "lingxi_optimizations > 0", optimized};
+template <std::uint64_t kUsers>
+bool summaries_and_optimized(const sim::FleetAccumulator& acc) {
+  return acc.users == kUsers && optimized(acc);
+}
+// Two churned slots bank departure summaries on top of the 8 horizon ones
+// (four over 6 days).
+const Fixture kScenario4d{"scenario-4d", scenario_fleet(4), "users == 10",
+                          summaries_and_optimized<10>};
+const Fixture kScenario6d{"scenario-6d", scenario_fleet(6), "users == 12",
+                          summaries_and_optimized<12>};
+const Fixture kSmall{"small", small_fleet(), "sessions > measured_sessions > 0",
+                     [](const sim::FleetAccumulator& acc) {
+                       return acc.sessions > acc.measured_sessions &&
+                              acc.measured_sessions > 0;
+                     }};
+
+/// A scheduling axis: a FleetConfig knob that must not move a result bit,
+/// and the values the rows sweep (the first is the low end, the last the
+/// high end).
+struct Axis {
+  const char* name;
+  std::size_t sim::FleetConfig::*knob;
+  std::vector<std::size_t> values;
 };
 
-TEST_P(CrossUserWaveInvariance, ChecksumMatchesPerUserOrder) {
-  static const sim::FleetAccumulator reference = run(1, 1, 0);
-  // Meaningful only if optimizations (and so pooled forwards) actually ran.
-  ASSERT_GT(reference.lingxi_optimizations, 0u);
-
-  const auto [threads, users_per_shard, batch] = GetParam();
-  const sim::FleetAccumulator acc =
-      run(static_cast<std::size_t>(threads), static_cast<std::size_t>(users_per_shard),
-          static_cast<std::size_t>(batch));
-  EXPECT_EQ(acc.checksum(), reference.checksum())
-      << "threads=" << threads << " users_per_shard=" << users_per_shard
-      << " batch=" << batch;
-  EXPECT_EQ(acc.watch_ticks, reference.watch_ticks);
-  EXPECT_EQ(acc.stall_ticks, reference.stall_ticks);
-  EXPECT_EQ(acc.bitrate_time_ticks, reference.bitrate_time_ticks);
-  EXPECT_EQ(acc.lingxi_optimizations, reference.lingxi_optimizations);
-  EXPECT_EQ(acc.lingxi_mc_evaluations, reference.lingxi_mc_evaluations);
-  EXPECT_EQ(acc.lingxi_mc_rollouts_pruned, reference.lingxi_mc_rollouts_pruned);
-  EXPECT_EQ(acc.adjusted_user_days, reference.adjusted_user_days);
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, CrossUserWaveInvariance,
-                         ::testing::Combine(::testing::Values(1, 4),
-                                            ::testing::Values(1, 3, 8),
-                                            ::testing::Values(0, 1, 7, 64)));
-
-// The dense kernel's ISA dispatch (nn::dense_isa) must be invisible to
-// fleet results: every supported ISA reproduces the scalar checksum bit for
-// bit. The override is process-global, so the sweep runs inside one test.
-TEST(CrossUserWaveInvariance, ChecksumInvariantAcrossDenseIsa) {
-  const nn::DenseIsa before = nn::dense_isa();
-  ASSERT_EQ(nn::set_dense_isa_for_testing(nn::DenseIsa::kScalar), nn::DenseIsa::kScalar);
-  const sim::FleetAccumulator reference =
-      CrossUserWaveInvariance::run(1, 3, 7);
-  ASSERT_GT(reference.lingxi_optimizations, 0u);
-  for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
-    if (!nn::dense_isa_supported(isa)) continue;
-    ASSERT_EQ(nn::set_dense_isa_for_testing(isa), isa);
-    const sim::FleetAccumulator acc =
-        CrossUserWaveInvariance::run(1, 3, 7);
-    EXPECT_EQ(acc.checksum(), reference.checksum()) << nn::dense_isa_name(isa);
-    EXPECT_EQ(acc.watch_ticks, reference.watch_ticks) << nn::dense_isa_name(isa);
-  }
-  nn::set_dense_isa_for_testing(before);
-}
-
-TEST(CrossUserWaveArchive, BytesIdenticalUnderInterleavedExecution) {
-  // ShardedCapture buffers per user, so interleaving users within a shard
-  // must leave the merged archive — manifest and every shard byte stream —
-  // untouched. Archive shard granularity is fixed; only the execution
-  // schedule varies.
-  const auto capture_run = [](std::size_t threads, std::size_t users_per_shard,
-                              std::size_t batch) {
-    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-    CrossUserWaveInvariance::run(threads, users_per_shard, batch, &capture);
-    return capture.finish();
-  };
-
-  const telemetry::FleetArchive reference = capture_run(1, 1, 0);
-  ASSERT_GT(reference.total_bytes(), 0u);
-
-  const WaveCase interleaved_cases[] = {{1, 3, 7}, {4, 8, 64}, {2, 1, 1}, {1, 8, 7}};
-  for (const auto& [threads, users_per_shard, batch] : interleaved_cases) {
-    const telemetry::FleetArchive archive = capture_run(
-        static_cast<std::size_t>(threads), static_cast<std::size_t>(users_per_shard),
-        static_cast<std::size_t>(batch));
-    EXPECT_EQ(archive.checksum(), reference.checksum())
-        << "threads=" << threads << " users_per_shard=" << users_per_shard
-        << " batch=" << batch;
-    ASSERT_EQ(archive.shards.size(), reference.shards.size());
-    for (std::size_t s = 0; s < reference.shards.size(); ++s) {
-      EXPECT_TRUE(archive.shards[s] == reference.shards[s]) << "shard " << s;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Observability parity: installing the obs registry + tracer must not change
-// a single result bit. For a grid of (threads x shard x batch) cases, the merged
-// accumulator checksum AND the telemetry archive bytes of an instrumented
-// run are compared against the obs-off run — while asserting the registry
-// actually recorded the hot-path metrics (so the property is not vacuous).
-// ---------------------------------------------------------------------------
-
-TEST(ObservabilityParity, ChecksumAndArchiveBytesIdenticalWithObsEnabled) {
-  struct ObsCase {
-    std::size_t threads;
-    std::size_t users_per_shard;
-    std::size_t batch;
-  };
-  const ObsCase cases[] = {{1, 3, 7}, {4, 8, 64}};
-  const auto capture_run = [](const ObsCase& c) {
-    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-    const sim::FleetAccumulator acc = CrossUserWaveInvariance::run(
-        c.threads, c.users_per_shard, c.batch, &capture);
-    return std::make_pair(acc, capture.finish());
-  };
-  for (const ObsCase& c : cases) {
-    const auto [ref_acc, ref_archive] = capture_run(c);
-
-    // The FULL health plane: registry + tracer + per-day timeline + SLO
-    // monitor. Every fleet day gets a timeline record, so this also pins
-    // that the per-day records are bitwise invisible to the results.
-    const std::string timeline_path =
-        ::testing::TempDir() + "/lingxi_obs_parity_timeline.bin";
-    obs::Registry registry;
-    obs::Tracer tracer;
-    obs::TimelineWriter timeline(timeline_path);
-    obs::HealthMonitor monitor(
-        {{obs::SloKind::kGaugeFloor, "sim.fleet.sessions_total", 1.0, "sessions-floor"}});
-    obs::Registry::install(&registry);
-    obs::Tracer::install(&tracer);
-    obs::TimelineWriter::install(&timeline);
-    obs::HealthMonitor::install(&monitor);
-    const auto [obs_acc, obs_archive] = capture_run(c);
-    obs::Registry::install(nullptr);
-    obs::Tracer::install(nullptr);
-    obs::TimelineWriter::install(nullptr);
-    obs::HealthMonitor::install(nullptr);
-    EXPECT_TRUE(timeline.close().ok());
-    EXPECT_EQ(timeline.days_written(), 2u);  // one record per fleet day
-    EXPECT_TRUE(monitor.healthy());
-    std::filesystem::remove(timeline_path);
-
-    EXPECT_EQ(obs_acc.checksum(), ref_acc.checksum())
-        << "threads=" << c.threads << " users_per_shard=" << c.users_per_shard
-        << " batch=" << c.batch;
-    EXPECT_EQ(obs_archive.checksum(), ref_archive.checksum());
-    ASSERT_EQ(obs_archive.shards.size(), ref_archive.shards.size());
-    for (std::size_t s = 0; s < ref_archive.shards.size(); ++s) {
-      EXPECT_TRUE(obs_archive.shards[s] == ref_archive.shards[s]) << "shard " << s;
-    }
-
-    // Not vacuous: the instrumented run recorded sessions and predictor
-    // flushes, and the tracer saw spans.
-    const obs::RegistrySnapshot snap = registry.snapshot();
-    const obs::MetricSnapshot* steps = snap.find("sim.session.step_us");
-    ASSERT_NE(steps, nullptr);
-    EXPECT_EQ(steps->count, obs_acc.sessions);
-    EXPECT_GT(registry.counter("predictor.pool.flushes"), 0u);
-    EXPECT_GE(registry.counter("predictor.pool.queries"),
-              registry.counter("predictor.pool.flushes"));
-    EXPECT_GT(tracer.retained_events() + tracer.dropped_events(), 0u);
-    EXPECT_GT(registry.counter("core.optimization.rounds"), 0u);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot/resume parity (the snapshot subsystem's headline contract): for
-// any (threads x users_per_shard x predictor_batch) grid point, simulating days [0, D+K) in one run vs. snapshot-at-D (through a
-// disk round trip) then resume must produce a bitwise-identical
-// FleetAccumulator AND bitwise-identical telemetry archive bytes.
-// ---------------------------------------------------------------------------
-
-using SnapshotCase = std::tuple<int /*threads*/, int /*users_per_shard*/, int /*batch*/>;
-
-class SnapshotResumeParity : public ::testing::TestWithParam<SnapshotCase> {
- public:
-  static constexpr std::uint64_t kSeed = 77;
-  static constexpr std::size_t kBoundary = 2;  // D = 2, K = 2 over 4 days
-
-  static sim::FleetConfig grid_config(int threads, int users_per_shard, int batch) {
-    sim::FleetConfig cfg = FleetBatchingInvariance::fleet_config();
-    cfg.days = 4;
-    cfg.threads = static_cast<std::size_t>(threads);
-    cfg.users_per_shard = static_cast<std::size_t>(users_per_shard);
-    cfg.predictor_batch = static_cast<std::size_t>(batch);
-    return cfg;
-  }
-
-  static sim::FleetRunner::PredictorFactory predictor_factory() {
-    return [] {
-      Rng net_rng(4242);
-      return predictor::HybridExitPredictor(
-          std::make_shared<predictor::StallExitNet>(net_rng),
-          std::make_shared<predictor::OverallStatsModel>());
-    };
-  }
-
-  static sim::FleetRunner make_runner(const sim::FleetConfig& cfg) {
-    sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-    runner.set_predictor_factory(predictor_factory());
-    return runner;
-  }
+/// The scheduling axes. Deleting a line removes that axis from every row.
+const std::vector<Axis> kAxes = {
+    {"threads", &sim::FleetConfig::threads, {1, 4}},
+    {"users_per_shard", &sim::FleetConfig::users_per_shard, {1, 3, 8}},
+    {"predictor_batch", &sim::FleetConfig::predictor_batch, {0, 1, 2, 7, 64}},
 };
 
-TEST_P(SnapshotResumeParity, DiskResumeMatchesFullRunBitwise) {
-  const auto [threads, users_per_shard, batch] = GetParam();
-  const sim::FleetConfig cfg = grid_config(threads, users_per_shard, batch);
+enum class Split {
+  kNone,
+  kInProcess,     ///< run_days legs of `every` days on one runner
+  kDisk,          ///< legs of `every` days, each a fresh runner, capture and
+                  ///< health plane resumed through save/load_snapshot
+  kCheckpointer,  ///< one run with an AutoCheckpointer committing every k days
+};
 
-  // Reference: the uninterrupted [0, D+K) run, captured.
-  sim::FleetRunner full_runner = make_runner(cfg);
-  telemetry::ShardedCapture full_capture(telemetry::ShardedCapture::Config{4});
-  full_runner.set_telemetry_sink(&full_capture);
-  const sim::FleetAccumulator full = full_runner.run(kSeed);
-  const telemetry::FleetArchive full_archive = full_capture.finish();
-  ASSERT_GT(full.lingxi_optimizations, 0u);
+/// Everything about a cell but its scheduling knobs.
+struct Variant {
+  std::optional<nn::DenseIsa> isa = {};  ///< unset: the process default
+  bool obs = true;  ///< registry + tracer + timeline + SLO monitor
+  Split split = Split::kNone;
+  std::size_t every = 0;
+};
 
-  // Leg 1: [0, D), snapshotted to disk.
-  sim::FleetRunner leg_runner = make_runner(cfg);
-  telemetry::ShardedCapture leg_capture(telemetry::ShardedCapture::Config{4});
-  leg_runner.set_telemetry_sink(&leg_capture);
-  sim::FleetDayState state;
-  leg_runner.run_days(kSeed, 0, kBoundary, nullptr, &state);
-  auto snap = snapshot::capture_snapshot(leg_runner, kSeed, std::move(state), &leg_capture);
-  ASSERT_TRUE(snap.has_value()) << snap.error().message;
-  // Its own parent, so the capture segment store beside it is private too.
-  const std::string parent = ::testing::TempDir() + "/lingxi_prop_snap_" +
-                             std::to_string(threads) + "_" + std::to_string(users_per_shard) +
-                             "_" + std::to_string(batch);
-  std::filesystem::remove_all(parent);
-  const std::string dir = parent + "/snapshot";
-  ASSERT_TRUE(snapshot::save_snapshot(*snap, dir, 3).ok());
+Variant split(Split kind, std::size_t every) { return {.split = kind, .every = every}; }
 
-  // Leg 2: load, verify compatibility, resume [D, D+K) with a fresh runner,
-  // wrapped factory and restored capture — the cross-process shape.
-  auto loaded = snapshot::load_snapshot(dir);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  ASSERT_TRUE(snapshot::check_compatible(*loaded, cfg, kSeed).ok());
-  sim::FleetRunner resumed_runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  resumed_runner.set_predictor_factory(
-      snapshot::resume_predictor_factory(predictor_factory(), loaded->net_model));
-  telemetry::ShardedCapture resumed_capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, loaded->seed,
-                                        std::move(loaded->capture))
-                  .ok());
-  resumed_runner.set_telemetry_sink(&resumed_capture);
-  const sim::FleetAccumulator resumed =
-      resumed_runner.run_days(kSeed, kBoundary, cfg.days, &loaded->state);
+/// Knob settings on top of a fixture's config.
+using Knobs = std::vector<std::pair<const Axis*, std::size_t>>;
 
-  EXPECT_EQ(resumed.checksum(), full.checksum())
-      << "threads=" << threads << " users_per_shard=" << users_per_shard
-      << " batch=" << batch;
-  EXPECT_EQ(resumed.watch_ticks, full.watch_ticks);
-  EXPECT_EQ(resumed.stall_ticks, full.stall_ticks);
-  EXPECT_EQ(resumed.bitrate_time_ticks, full.bitrate_time_ticks);
-  EXPECT_EQ(resumed.lingxi_optimizations, full.lingxi_optimizations);
-  EXPECT_EQ(resumed.lingxi_mc_evaluations, full.lingxi_mc_evaluations);
-  EXPECT_EQ(resumed.adjusted_user_days, full.adjusted_user_days);
+struct Cell {
+  Knobs knobs;
+  Variant variant;
+  std::uint64_t seed = kSeed;
+};
 
-  const telemetry::FleetArchive resumed_archive = resumed_capture.finish();
-  EXPECT_EQ(resumed_archive.checksum(), full_archive.checksum());
-  ASSERT_EQ(resumed_archive.shards.size(), full_archive.shards.size());
-  for (std::size_t s = 0; s < full_archive.shards.size(); ++s) {
-    EXPECT_TRUE(resumed_archive.shards[s] == full_archive.shards[s]) << "shard " << s;
-  }
-}
+enum class Sweep {
+  kReference,  ///< the fixture's own knobs
+  kHigh,       ///< every axis at its high end
+  kCorners,    ///< every combination of each axis' low and high end
+  kGrid,       ///< every combination of the axes' values
+  kAlong,      ///< one axis at a time over the row's own values
+};
 
-INSTANTIATE_TEST_SUITE_P(Grid, SnapshotResumeParity,
-                         ::testing::Combine(::testing::Values(1, 4),
-                                            ::testing::Values(1, 8),
-                                            ::testing::Values(0, 64)));
+struct Row {
+  const Fixture* fixture;
+  Sweep sweep;
+  std::vector<Variant> variants = {{}};
+  /// kAlong: axis name and the values to visit.
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> along = {};
+  /// Every seed runs the row against its own reference.
+  std::vector<std::uint64_t> seeds = {kSeed};
+};
 
-// ---------------------------------------------------------------------------
-// Deterministic timeline (the health-timeline headline contract): the
-// deterministic section of every day record — the accumulator-derived
-// `sim.fleet.*` gauges — is BITWISE identical across the whole (threads x
-// users_per_shard x predictor_batch) grid, and an SLO rule over a
-// deterministic metric fires on the same fleet day in every cell. A
-// companion test pins the same bytes across a checkpoint/kill/resume splice:
-// leg timelines concatenate to the uninterrupted run's timeline.
-// ---------------------------------------------------------------------------
+const Row kRows[] = {
+    // The scheduling grid; 2 and 4 threads and the clamped shard sizes at two seeds.
+    {&kLingxi2d, Sweep::kGrid},
+    {&kLingxi2d,
+     Sweep::kAlong,
+     {{}},
+     {{"threads", {2, 4}}, {"users_per_shard", {0, 10000}}},
+     {kSeed, 19}},
+    // Dense-kernel ISA dispatch, and the health plane switched off.
+    {&kLingxi2d,
+     Sweep::kHigh,
+     {{.isa = nn::DenseIsa::kScalar}, {.isa = nn::DenseIsa::kSse2}, {.isa = nn::DenseIsa::kAvx2},
+      {.obs = false}}},
+    {&kLingxi2d, Sweep::kReference, {{.obs = false}}},
+    // Resumed from disk at D = 2, the health plane restarted with each leg.
+    {&kLingxi4d, Sweep::kCorners, {split(Split::kDisk, 2)}},
+    // In-process run_days legs: chained day by day, and split at D = 2.
+    {&kLingxi4d, Sweep::kReference, {split(Split::kInProcess, 1), split(Split::kInProcess, 2)}},
+    {&kLingxi4d, Sweep::kReference, {split(Split::kInProcess, 1)}, {}, {19}},
+    {&kScenario4d, Sweep::kCorners},
+    // A disk round trip on the churn day, and at every scripted boundary:
+    // flash crowd, churn, tail.
+    {&kScenario4d, Sweep::kReference, {split(Split::kDisk, 2)}},
+    {&kScenario4d, Sweep::kReference, {split(Split::kDisk, 1)}, {}, {91}},
+    // AutoCheckpointer legs of 2 and 3 days: boundaries on the late churn
+    // (day 4) and the late flash crowd (day 3), each checkpoint resumed.
+    {&kScenario6d,
+     Sweep::kReference,
+     {split(Split::kCheckpointer, 2), split(Split::kCheckpointer, 3)}},
+    {&kSmall,
+     Sweep::kAlong,
+     {{}},
+     {{"threads", {2, 3, 8, 16}}, {"users_per_shard", {0, 1, 5, 24, 1000, 10000}}},
+     {42, 9}},
+    {&kSmall, Sweep::kReference, {split(Split::kInProcess, 1)}, {}, {5}},
+};
 
-class DeterministicTimeline : public ::testing::TestWithParam<SnapshotCase> {
- public:
-  static constexpr std::uint64_t kSeed = 77;
-
-  struct TimelineRun {
-    sim::FleetAccumulator acc;
-    std::vector<obs::TimelineRecord> records;
-    std::vector<obs::HealthAlert> alerts;
-    /// (next_day, accumulated sessions) of every checkpoint-hook call.
-    std::vector<std::pair<std::size_t, std::uint64_t>> checkpoints;
-  };
-
-  /// Run `cfg` (an 8-user grid fleet) with the full health plane installed
-  /// and return the decoded timeline. `rules` arms the SLO monitor;
-  /// `every_k_days` > 0 arms a recording checkpoint hook on that cadence;
-  /// `sink`, when non-null, captures telemetry.
-  static TimelineRun run_with_timeline(const sim::FleetConfig& cfg,
-                                       const std::vector<obs::SloRule>& rules,
-                                       const std::string& tag, std::size_t every_k_days = 0,
-                                       telemetry::TelemetrySink* sink = nullptr) {
-    const std::string path = ::testing::TempDir() + "/lingxi_dtl_" + tag + ".bin";
-    TimelineRun out;
-    {
-      obs::Registry registry;
-      obs::TimelineWriter writer(path);
-      obs::HealthMonitor monitor(rules);
-      obs::Registry::install(&registry);
-      obs::TimelineWriter::install(&writer);
-      obs::HealthMonitor::install(&monitor);
-      sim::FleetRunner runner = SnapshotResumeParity::make_runner(cfg);
-      if (every_k_days > 0) {
-        runner.set_checkpoint_hook(
-            [&out](const sim::FleetDayState& state) {
-              out.checkpoints.emplace_back(state.next_day, state.accumulated.sessions);
-            },
-            every_k_days);
+/// The scheduling knob settings a row's sweep visits.
+std::vector<Knobs> sweep_knobs(const Row& row) {
+  std::vector<Knobs> points = {{}};
+  const auto cross = [&points](const Axis& axis, const std::vector<std::size_t>& values) {
+    std::vector<Knobs> next;
+    for (const auto& point : points) {
+      for (const std::size_t v : values) {
+        next.push_back(point);
+        next.back().emplace_back(&axis, v);
       }
-      if (sink != nullptr) runner.set_telemetry_sink(sink);
-      out.acc = runner.run(kSeed);
-      obs::Registry::install(nullptr);
-      obs::TimelineWriter::install(nullptr);
-      obs::HealthMonitor::install(nullptr);
-      EXPECT_TRUE(writer.close().ok());
-      out.alerts = monitor.alerts();
     }
-    auto reader = obs::TimelineReader::open(path);
-    EXPECT_TRUE(static_cast<bool>(reader)) << reader.error().message;
+    points = std::move(next);
+  };
+  switch (row.sweep) {
+    case Sweep::kReference:
+      break;
+    case Sweep::kHigh:
+      for (const Axis& axis : kAxes) cross(axis, {axis.values.back()});
+      break;
+    case Sweep::kCorners:
+      for (const Axis& axis : kAxes) cross(axis, {axis.values.front(), axis.values.back()});
+      break;
+    case Sweep::kGrid:
+      for (const Axis& axis : kAxes) cross(axis, axis.values);
+      break;
+    case Sweep::kAlong:
+      points.clear();
+      for (const auto& [name, values] : row.along) {
+        const auto axis = std::ranges::find(kAxes, name, &Axis::name);
+        EXPECT_NE(axis, kAxes.end()) << "no scheduling axis " << name;
+        if (axis == kAxes.end()) continue;
+        for (const std::size_t v : values) points.push_back({{&*axis, v}});
+      }
+      break;
+  }
+  return points;
+}
+
+std::string cell_label(const Fixture& f, const Cell& cell) {
+  std::string label = std::string(f.name) + " seed=" + std::to_string(cell.seed);
+  for (const auto& [axis, value] : cell.knobs) {
+    label += std::string(" ") + axis->name + "=" + std::to_string(value);
+  }
+  const Variant& v = cell.variant;
+  if (v.isa) label += std::string(" isa=") + nn::dense_isa_name(*v.isa);
+  if (!v.obs) label += " obs=off";
+  static const char* const kSplitNames[] = {"", "in-process", "disk", "checkpointer"};
+  if (v.split != Split::kNone) {
+    label += std::string(" split=") + kSplitNames[static_cast<int>(v.split)] + "/" +
+             std::to_string(v.every);
+  }
+  return label;
+}
+
+struct Alert {
+  std::uint64_t day = 0;
+  std::string rule;
+  double observed = 0.0;
+  bool operator==(const Alert&) const = default;
+};
+
+/// Everything a cell is compared on, then what its health plane saw (not
+/// compared; expect_seen checks it).
+struct Outputs {
+  sim::FleetAccumulator acc;
+  telemetry::FleetArchive archive;
+  bool obs = false;
+  std::vector<obs::TimelineRecord> days;  ///< day records, every leg in order
+  std::vector<Alert> alerts;
+  std::uint64_t session_steps = 0;
+  std::uint64_t pool_queries = 0;
+  std::uint64_t pool_flushes = 0;
+  std::uint64_t optimization_rounds = 0;
+  std::uint64_t trace_events = 0;
+};
+
+/// Ceilings on the deterministic session total at every power of two from
+/// 16 to 4096: each fires on the day the running total first crosses it, so
+/// the alert days trace the calendar.
+std::vector<obs::SloRule> session_ceilings() {
+  std::vector<obs::SloRule> rules;
+  for (double ceiling = 16; ceiling <= 4096; ceiling *= 2) {
+    rules.push_back({obs::SloKind::kGaugeCeiling, "sim.fleet.sessions_total", ceiling,
+                     "sessions>" + std::to_string(static_cast<int>(ceiling))});
+  }
+  return rules;
+}
+
+/// The full health plane of one leg (one process): registry, tracer,
+/// per-day timeline and SLO monitor (session_ceilings()), installed until
+/// collect().
+class HealthPlane {
+ public:
+  explicit HealthPlane(std::string path)
+      : path_(std::move(path)), timeline_(path_), monitor_(session_ceilings()) {
+    install(true);
+  }
+  ~HealthPlane() { install(false); }
+
+  void collect(Outputs& out, const std::string& label) {
+    install(false);
+    EXPECT_TRUE(timeline_.close().ok()) << label;
+    auto reader = obs::TimelineReader::open(path_);
+    ASSERT_TRUE(static_cast<bool>(reader)) << label << ": " << reader.error().message;
     auto records = reader->read_all();
-    EXPECT_TRUE(static_cast<bool>(records)) << records.error().message;
-    out.records = std::move(*records);
-    std::filesystem::remove(path);
-    return out;
-  }
-
-  /// Day records only (alert records interleave with them in file order).
-  static std::vector<const obs::TimelineRecord*> day_records(const TimelineRun& run) {
-    std::vector<const obs::TimelineRecord*> days;
-    for (const obs::TimelineRecord& r : run.records) {
-      if (r.type == obs::TimelineRecord::Type::kDay) days.push_back(&r);
+    ASSERT_TRUE(static_cast<bool>(records)) << label << ": " << records.error().message;
+    for (obs::TimelineRecord& r : *records) {
+      if (r.type == obs::TimelineRecord::Type::kDay) out.days.push_back(std::move(r));
     }
-    return days;
-  }
-
-  static double det_gauge(const obs::TimelineRecord& day, std::string_view name) {
-    for (const obs::MetricSnapshot& m : day.deterministic) {
-      if (m.name == name) return m.value;
+    // A leg's monitor starts cold and re-raises a violation still standing
+    // from an earlier leg: the compared alert is each rule's first.
+    for (const obs::HealthAlert& a : monitor_.alerts()) {
+      const auto seen = std::find_if(out.alerts.begin(), out.alerts.end(),
+                                     [&a](const Alert& b) { return b.rule == a.rule; });
+      if (seen == out.alerts.end()) out.alerts.push_back({a.day, a.rule, a.observed});
     }
-    ADD_FAILURE() << "gauge " << name << " missing from deterministic section";
-    return 0.0;
+    const obs::RegistrySnapshot snap = registry_.snapshot();
+    if (const obs::MetricSnapshot* steps = snap.find("sim.session.step_us")) {
+      out.session_steps += steps->count;
+    }
+    out.pool_queries += registry_.counter("predictor.pool.queries");
+    out.pool_flushes += registry_.counter("predictor.pool.flushes");
+    out.optimization_rounds += registry_.counter("core.optimization.rounds");
+    out.trace_events += tracer_.retained_events() + tracer_.dropped_events();
+    std::filesystem::remove(path_);
   }
 
-  struct Reference {
-    std::vector<obs::SloRule> rules;
-    TimelineRun run;
+ private:
+  void install(bool on) {
+    obs::Registry::install(on ? &registry_ : nullptr);
+    obs::Tracer::install(on ? &tracer_ : nullptr);
+    obs::TimelineWriter::install(on ? &timeline_ : nullptr);
+    obs::HealthMonitor::install(on ? &monitor_ : nullptr);
+  }
+
+  std::string path_;
+  obs::Registry registry_;
+  obs::Tracer tracer_{1024};  // spans kept per thread; the rest are counted
+  obs::TimelineWriter timeline_;
+  obs::HealthMonitor monitor_;
+};
+
+/// One leg's runner. Legs resumed from a snapshot get its net weights.
+std::unique_ptr<sim::FleetRunner> make_runner(const sim::FleetConfig& cfg,
+                                              std::vector<unsigned char> net_model) {
+  auto runner = std::make_unique<sim::FleetRunner>(
+      cfg, [] { return std::make_unique<abr::Hyb>(); });
+  if (cfg.enable_lingxi) {
+    runner->set_predictor_factory(snapshot::resume_predictor_factory(
+        [] {
+          // Drawn once: every worker's predictor starts from a copy.
+          static Rng net_rng(4242);
+          static const predictor::StallExitNet initial(net_rng);
+          return predictor::HybridExitPredictor(
+              std::make_shared<predictor::StallExitNet>(initial),
+              std::make_shared<predictor::OverallStatsModel>());
+        },
+        std::move(net_model)));
+  }
+  return runner;
+}
+
+/// Every compared output of `got` equals `want`'s. Timeline and alerts are
+/// compared when both cells ran the health plane.
+void expect_same(const Outputs& want, const Outputs& got, const std::string& label) {
+  EXPECT_EQ(got.acc.checksum(), want.acc.checksum()) << label;
+  // Every raw field too, in case of an unlikely CRC collision.
+  const auto fields = [](const sim::FleetAccumulator& a) {
+    return std::make_tuple(a.sessions, a.completed, a.measured_sessions, a.measured_completed,
+                           a.stall_events, a.stall_exits, a.quality_switches, a.users,
+                           a.watch_ticks, a.stall_ticks, a.startup_ticks, a.bitrate_time_ticks,
+                           a.lingxi_triggers, a.lingxi_optimizations, a.lingxi_pruned_preplay,
+                           a.lingxi_mc_evaluations, a.lingxi_mc_rollouts_pruned,
+                           a.adjusted_user_days, a.overflowed);
+  };
+  EXPECT_TRUE(fields(got.acc) == fields(want.acc)) << label;
+
+  EXPECT_TRUE(got.archive.manifest.encode() == want.archive.manifest.encode()) << label;
+  ASSERT_EQ(got.archive.shards.size(), want.archive.shards.size()) << label;
+  for (std::size_t s = 0; s < want.archive.shards.size(); ++s) {
+    EXPECT_TRUE(got.archive.shards[s] == want.archive.shards[s]) << label << " shard " << s;
+  }
+
+  if (!want.obs || !got.obs) return;
+  ASSERT_EQ(got.days.size(), want.days.size()) << label;
+  for (std::size_t d = 0; d < want.days.size(); ++d) {
+    EXPECT_EQ(got.days[d].day, want.days[d].day) << label;
+    EXPECT_TRUE(got.days[d].deterministic_bytes == want.days[d].deterministic_bytes)
+        << label << " day " << want.days[d].day;
+  }
+  EXPECT_TRUE(got.alerts == want.alerts) << label << " alerts";
+}
+
+/// Run `fixture` in `cell`, capture attached and, when the cell has obs on,
+/// the health plane installed. A checkpointer cell then resumes a fresh
+/// process from every checkpoint it committed and expects the resumed run
+/// to reproduce its own.
+Outputs run_cell(const Fixture& fixture, const Cell& cell) {
+  const std::string label = cell_label(fixture, cell);
+  sim::FleetConfig cfg = fixture.cfg;
+  for (const auto& [axis, value] : cell.knobs) cfg.*(axis->knob) = value;
+  const Variant& v = cell.variant;
+  const std::uint64_t seed = cell.seed;
+  // The cell's dense ISA (clamped to what the host supports) is
+  // process-global: set here, restored on the way out.
+  const nn::DenseIsa isa_before = nn::dense_isa();
+  if (v.isa) nn::set_dense_isa_for_testing(*v.isa);
+  // Snapshots and checkpoints go to a fresh directory; timelines beside it.
+  static int cells_run = 0;
+  const std::string dir =
+      ::testing::TempDir() + "/lingxi_parity_" + std::to_string(cells_run++);
+  const bool on_disk = v.split == Split::kDisk || v.split == Split::kCheckpointer;
+  if (on_disk) std::filesystem::remove_all(dir);
+
+  std::unique_ptr<sim::FleetRunner> runner;
+  std::unique_ptr<telemetry::ShardedCapture> capture;
+  std::optional<HealthPlane> plane;
+  sim::FleetDayState state;
+  snapshot::FleetSnapshot loaded;  // the snapshot the next process resumes from
+  // A new process from day `first`: fresh runner, capture and health plane,
+  // resumed from `loaded` past day 0.
+  const auto start = [&](std::size_t first) {
+    plane.reset();
+    if (v.obs) plane.emplace(dir + "-timeline-" + std::to_string(first));
+    runner = make_runner(cfg, std::move(loaded.net_model));
+    capture = std::make_unique<telemetry::ShardedCapture>(telemetry::ShardedCapture::Config{4});
+    if (first > 0) {
+      EXPECT_TRUE(
+          snapshot::restore_capture(*capture, cfg, loaded.seed, std::move(loaded.capture)).ok())
+          << label;
+      state = std::move(loaded.state);
+    }
+    runner->set_telemetry_sink(capture.get());
+  };
+  // Loads the snapshot a process resuming at `day` starts from.
+  const auto load = [&](const std::string& snap_dir, std::size_t day) {
+    auto read = snapshot::load_snapshot(snap_dir);
+    if (!read) {
+      ADD_FAILURE() << label << ": " << read.error().message;
+      return false;
+    }
+    EXPECT_TRUE(snapshot::check_compatible(*read, cfg, seed).ok()) << label;
+    EXPECT_EQ(read->state.next_day, day) << label;
+    loaded = std::move(*read);
+    return true;
   };
 
-  /// Reference cell (serial, shard=2, scalar predictor)
-  /// plus an SLO rule derived from a probe run so that the ceiling on the
-  /// deterministic sessions_total is crossed mid-run — the alert must then
-  /// land on the SAME day in every grid cell.
-  static const Reference& reference() {
-    static const Reference* ref = [] {
-      auto* r = new Reference;
-      const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(1, 2, 0);
-      const TimelineRun probe = run_with_timeline(cfg, {}, "probe");
-      auto days = day_records(probe);
-      EXPECT_EQ(days.size(), 4u);
-      const double day2 = det_gauge(*days[1], "sim.fleet.sessions_total");
-      const double day3 = det_gauge(*days[2], "sim.fleet.sessions_total");
-      EXPECT_LT(day2, day3);
-      r->rules = {{obs::SloKind::kGaugeCeiling, "sim.fleet.sessions_total",
-                   0.5 * (day2 + day3), "sessions-ceiling"}};
-      r->run = run_with_timeline(cfg, r->rules, "ref");
-      return r;
-    }();
-    return *ref;
+  Outputs out;
+  out.obs = v.obs;
+  std::optional<snapshot::AutoCheckpointer> checkpointer;
+  const bool legs = v.split == Split::kInProcess || v.split == Split::kDisk;
+  const std::size_t leg_days = legs ? v.every : cfg.days;
+  for (std::size_t first = 0; first < cfg.days; first += leg_days) {
+    const std::size_t last = std::min(first + leg_days, cfg.days);
+    if (runner == nullptr || v.split == Split::kDisk) {
+      if (plane) plane->collect(out, label);
+      start(first);
+      if (v.split == Split::kCheckpointer) {
+        // Every checkpoint is kept, so each boundary can be resumed below.
+        checkpointer.emplace(*runner, seed,
+                             snapshot::CheckpointPolicy{dir + "/checkpoints", v.every, cfg.days, 4},
+                             capture.get());
+        checkpointer->arm(*runner);
+      }
+    }
+    sim::FleetDayState next;
+    out.acc = runner->run_days(seed, first, last, first > 0 ? &state : nullptr,
+                               last < cfg.days ? &next : nullptr);
+    if (last == cfg.days) break;
+    EXPECT_EQ(next.next_day, last) << label;
+    if (v.split == Split::kDisk) {
+      auto snap = snapshot::capture_snapshot(*runner, seed, std::move(next), capture.get());
+      const std::string snap_dir = dir + "/day-" + std::to_string(last);
+      EXPECT_TRUE(snap && snapshot::save_snapshot(*snap, snap_dir, 3).ok()) << label;
+      if (!load(snap_dir, last)) break;
+    } else {
+      state = std::move(next);
+    }
   }
-};
+  if (plane) plane->collect(out, label);
+  out.archive = capture->finish();
 
-TEST_P(DeterministicTimeline, DetSectionBytesIdenticalAcrossGrid) {
-  const Reference& ref = reference();
-  const auto ref_days = day_records(ref.run);
-  ASSERT_EQ(ref_days.size(), 4u);  // one record per fleet day
-  // The derived ceiling fires exactly once, on day 3 (the first boundary
-  // whose deterministic sessions_total exceeds it), and rides the timeline.
-  ASSERT_EQ(ref.run.alerts.size(), 1u);
-  EXPECT_EQ(ref.run.alerts[0].day, 3u);
-  EXPECT_EQ(ref.run.alerts[0].rule, "sessions-ceiling");
-
-  const auto [threads, users_per_shard, batch] = GetParam();
-  const std::string tag = std::to_string(threads) + "_" + std::to_string(users_per_shard) +
-                          "_" + std::to_string(batch);
-  const TimelineRun run = run_with_timeline(
-      SnapshotResumeParity::grid_config(threads, users_per_shard, batch), ref.rules, tag);
-
-  // Result parity first: arming the health plane changed no result bit.
-  EXPECT_EQ(run.acc.checksum(), ref.run.acc.checksum()) << tag;
-
-  // The deterministic section of every day record is bitwise identical.
-  const auto days = day_records(run);
-  ASSERT_EQ(days.size(), ref_days.size()) << tag;
-  for (std::size_t d = 0; d < days.size(); ++d) {
-    EXPECT_EQ(days[d]->day, ref_days[d]->day) << tag;
-    EXPECT_EQ(days[d]->deterministic_bytes, ref_days[d]->deterministic_bytes)
-        << tag << " day " << days[d]->day;
+  std::vector<std::string> checkpoints;
+  if (checkpointer) {
+    EXPECT_TRUE(checkpointer->status().ok()) << label;
+    checkpoints = checkpointer->committed_dirs();
+    EXPECT_EQ(checkpoints.size(), (cfg.days - 1) / v.every) << label;
+    checkpointer.reset();
   }
+  for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+    const std::size_t boundary = (i + 1) * v.every;
+    const std::string resumed_label = label + " resumed at day " + std::to_string(boundary);
+    if (!load(checkpoints[i], boundary)) continue;
+    // The run's records up to the boundary, then the resumed process's.
+    Outputs resumed;
+    resumed.obs = v.obs;
+    const auto before = [boundary](const auto& r) { return r.day <= boundary; };
+    std::ranges::copy_if(out.days, std::back_inserter(resumed.days), before);
+    std::ranges::copy_if(out.alerts, std::back_inserter(resumed.alerts), before);
+    start(boundary);
+    resumed.acc = runner->run_days(seed, boundary, cfg.days, &state);
+    if (plane) plane->collect(resumed, resumed_label);
+    resumed.archive = capture->finish();
+    expect_same(out, resumed, resumed_label);
+  }
+  if (on_disk) std::filesystem::remove_all(dir);
+  nn::set_dense_isa_for_testing(isa_before);
+  return out;
+}
 
-  // The deterministic SLO rule fired on the same fleet day.
-  ASSERT_EQ(run.alerts.size(), ref.run.alerts.size()) << tag;
-  for (std::size_t a = 0; a < run.alerts.size(); ++a) {
-    EXPECT_EQ(run.alerts[a].day, ref.run.alerts[a].day) << tag;
-    EXPECT_EQ(run.alerts[a].rule, ref.run.alerts[a].rule) << tag;
-    EXPECT_EQ(run.alerts[a].observed, ref.run.alerts[a].observed) << tag;
+/// The health plane saw the run: every session stepped and, on LingXi
+/// fleets, spans traced, exit-net queries pooled into flushes and optimizer
+/// rounds run.
+void expect_seen(const Fixture& f, const Outputs& out, const std::string& label) {
+  if (!out.obs) return;
+  EXPECT_EQ(out.session_steps, out.acc.sessions) << label;
+  if (!f.cfg.enable_lingxi) return;
+  EXPECT_GT(out.trace_events, 0u) << label;
+  EXPECT_GT(out.pool_flushes, 0u) << label;
+  EXPECT_GE(out.pool_queries, out.pool_flushes) << label;
+  EXPECT_GT(out.optimization_rounds, 0u) << label;
+}
+
+/// A fixture's reference cell at `seed`, computed once, and checked for
+/// what makes its rows non-vacuous.
+const Outputs& reference(const Fixture& f, std::uint64_t seed = kSeed) {
+  static std::map<std::pair<const Fixture*, std::uint64_t>, Outputs> cache;
+  const auto key = std::make_pair(&f, seed);
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+  const Cell cell{{}, {}, seed};
+  const std::string label = cell_label(f, cell);
+  const Outputs& ref = cache[key] = run_cell(f, cell);
+  EXPECT_TRUE(f.witness(ref.acc)) << label << ": " << f.witness_text;
+  EXPECT_GT(ref.archive.total_bytes(), 0u) << label;
+  EXPECT_EQ(ref.days.size(), f.cfg.days) << label;
+  EXPECT_TRUE(std::ranges::any_of(ref.alerts, [](const Alert& a) { return a.day > 1; }))
+      << label << ": no alert after day 1";
+  expect_seen(f, ref, label);
+  return ref;
+}
+
+void check_row(const Row& row) {
+  for (const std::uint64_t seed : row.seeds) {
+    const Outputs& ref = reference(*row.fixture, seed);
+    for (const auto& knobs : sweep_knobs(row)) {
+      for (const Variant& variant : row.variants) {
+        const Cell cell{knobs, variant, seed};
+        const std::string label = cell_label(*row.fixture, cell);
+        const Outputs got = run_cell(*row.fixture, cell);
+        expect_seen(*row.fixture, got, label);
+        expect_same(ref, got, label);
+      }
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, DeterministicTimeline,
-                         ::testing::Combine(::testing::Values(1, 4),
-                                            ::testing::Values(1, 8),
-                                            ::testing::Values(0, 64)));
-
-TEST(DeterministicTimelineSplice, LegTimelinesConcatenateToFullRun) {
-  // Kill/resume through the snapshot subsystem's disk round trip: the
-  // resumed process writes its own timeline with fresh obs sinks, and the
-  // two legs' day records concatenate to the uninterrupted run's — same
-  // days, same deterministic bytes — while the deterministic SLO alert
-  // fires on the same day (it lands in leg 2, whose monitor starts cold).
-  const auto& ref = DeterministicTimeline::reference();
-  const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(4, 3, 7);
-
-  const DeterministicTimeline::TimelineRun full =
-      DeterministicTimeline::run_with_timeline(cfg, ref.rules, "splice_full");
-  const auto full_days = DeterministicTimeline::day_records(full);
-  ASSERT_EQ(full_days.size(), 4u);
-  ASSERT_EQ(full.alerts.size(), 1u);
-  ASSERT_EQ(full.alerts[0].day, 3u);
-
-  // Leg 1: days [0, 2) with its own health plane, snapshotted to disk.
-  const std::string parent = ::testing::TempDir() + "/lingxi_dtl_splice_snap";
-  std::filesystem::remove_all(parent);
-  const std::string dir = parent + "/snapshot";
-  DeterministicTimeline::TimelineRun leg1;
-  sim::FleetDayState state;
-  {
-    const std::string path = ::testing::TempDir() + "/lingxi_dtl_leg1.bin";
-    obs::Registry registry;
-    obs::TimelineWriter writer(path);
-    obs::HealthMonitor monitor(ref.rules);
-    obs::Registry::install(&registry);
-    obs::TimelineWriter::install(&writer);
-    obs::HealthMonitor::install(&monitor);
-    sim::FleetRunner runner = SnapshotResumeParity::make_runner(cfg);
-    runner.run_days(DeterministicTimeline::kSeed, 0, 2, nullptr, &state);
-    auto snap = snapshot::capture_snapshot(runner, DeterministicTimeline::kSeed,
-                                           std::move(state), nullptr);
-    obs::Registry::install(nullptr);
-    obs::TimelineWriter::install(nullptr);
-    obs::HealthMonitor::install(nullptr);
-    ASSERT_TRUE(snap.has_value()) << snap.error().message;
-    ASSERT_TRUE(snapshot::save_snapshot(*snap, dir, 3).ok());
-    EXPECT_TRUE(writer.close().ok());
-    leg1.alerts = monitor.alerts();
-    auto reader = obs::TimelineReader::open(path);
-    ASSERT_TRUE(static_cast<bool>(reader));
-    auto records = reader->read_all();
-    ASSERT_TRUE(static_cast<bool>(records)) << records.error().message;
-    leg1.records = std::move(*records);
-    std::filesystem::remove(path);
-  }
-  EXPECT_TRUE(leg1.alerts.empty());  // the ceiling is not yet crossed
-
-  // Leg 2: a "new process" — fresh runner, restored predictor, fresh sinks.
-  auto loaded = snapshot::load_snapshot(dir);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  ASSERT_TRUE(snapshot::check_compatible(*loaded, cfg, DeterministicTimeline::kSeed).ok());
-  DeterministicTimeline::TimelineRun leg2;
-  {
-    const std::string path = ::testing::TempDir() + "/lingxi_dtl_leg2.bin";
-    obs::Registry registry;
-    obs::TimelineWriter writer(path);
-    obs::HealthMonitor monitor(ref.rules);
-    obs::Registry::install(&registry);
-    obs::TimelineWriter::install(&writer);
-    obs::HealthMonitor::install(&monitor);
-    sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-    runner.set_predictor_factory(snapshot::resume_predictor_factory(
-        SnapshotResumeParity::predictor_factory(), loaded->net_model));
-    leg2.acc = runner.run_days(DeterministicTimeline::kSeed, 2, cfg.days, &loaded->state);
-    obs::Registry::install(nullptr);
-    obs::TimelineWriter::install(nullptr);
-    obs::HealthMonitor::install(nullptr);
-    EXPECT_TRUE(writer.close().ok());
-    leg2.alerts = monitor.alerts();
-    auto reader = obs::TimelineReader::open(path);
-    ASSERT_TRUE(static_cast<bool>(reader));
-    auto records = reader->read_all();
-    ASSERT_TRUE(static_cast<bool>(records)) << records.error().message;
-    leg2.records = std::move(*records);
-    std::filesystem::remove(path);
-  }
-  std::filesystem::remove_all(parent);
-
-  // Results splice bitwise (the snapshot contract, re-checked with obs on).
-  EXPECT_EQ(leg2.acc.checksum(), full.acc.checksum());
-
-  // Day records concatenate: leg1 holds days 1-2, leg2 days 3-4, and each
-  // deterministic section matches the uninterrupted run byte for byte.
-  const auto leg1_days = DeterministicTimeline::day_records(leg1);
-  const auto leg2_days = DeterministicTimeline::day_records(leg2);
-  ASSERT_EQ(leg1_days.size(), 2u);
-  ASSERT_EQ(leg2_days.size(), 2u);
-  const std::vector<const obs::TimelineRecord*> spliced = {
-      leg1_days[0], leg1_days[1], leg2_days[0], leg2_days[1]};
-  for (std::size_t d = 0; d < full_days.size(); ++d) {
-    EXPECT_EQ(spliced[d]->day, full_days[d]->day) << "day index " << d;
-    EXPECT_EQ(spliced[d]->deterministic_bytes, full_days[d]->deterministic_bytes)
-        << "day " << full_days[d]->day;
-  }
-
-  // The deterministic alert fires in leg 2, on the same day as the full run.
-  ASSERT_EQ(leg2.alerts.size(), 1u);
-  EXPECT_EQ(leg2.alerts[0].day, full.alerts[0].day);
-  EXPECT_EQ(leg2.alerts[0].rule, full.alerts[0].rule);
-  EXPECT_EQ(leg2.alerts[0].observed, full.alerts[0].observed);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario determinism (the scenario subsystem's headline contract): with a
-// script that fires every event kind — bandwidth shock, diurnal session
-// curve, flash crowd, churn, cohort override — the merged accumulator
-// checksum AND the telemetry archive bytes are identical across the whole
-// (threads x users_per_shard x predictor_batch) grid. Two
-// companion tests pin the transparency half of the contract: an empty
-// script is byte-for-byte the unscripted run, and a behaviorally NEUTRAL
-// non-empty script (scale-1 shock, all-ones curve, day-0 flash crowd,
-// default-config override) reproduces the unscripted accumulator and shard
-// bytes while only the manifest — whose config digest pins the script —
-// differs.
-// ---------------------------------------------------------------------------
-
-class ScenarioParity : public ::testing::TestWithParam<SnapshotCase> {
- public:
-  static constexpr std::uint64_t kSeed = 77;
-
-  /// Every event kind fires inside the 8-user / 4-day grid fleet. Cohorts
-  /// deliberately cut across the users_per_shard=8 single-shard case and the
-  /// users_per_shard=1 all-shards case alike; the override uses a stride so
-  /// no cohort boundary aligns with a shard boundary.
-  static scenario::ScenarioScript event_script() {
-    scenario::ScenarioScript script;
-    scenario::BandwidthShock shock;
-    shock.cohort = {0, 4, 1, 0};
-    shock.first_day = 1;
-    shock.last_day = 3;
-    shock.bandwidth_scale = 0.5;
-    shock.sd_scale = 1.3;
-    script.shocks.push_back(shock);
-
-    scenario::SessionCurve curve;
-    curve.cohort = {0, 8, 1, 0};
-    curve.multipliers = {1.0, 1.5, 0.5, 1.0};
-    script.curves.push_back(curve);
-
-    scenario::FlashCrowd crowd;
-    crowd.cohort = {6, 8, 1, 0};
-    crowd.arrival_day = 1;
-    script.flash_crowds.push_back(crowd);
-
-    scenario::ChurnEvent churn;
-    churn.cohort = {2, 4, 1, 0};
-    churn.day = 2;
-    script.churns.push_back(churn);
-
-    scenario::CohortOverride mobile;  // slots 1 and 5
-    mobile.cohort = {0, 8, 4, 1};
-    mobile.population.sensitive_fraction = 0.50;
-    mobile.population.threshold_fraction = 0.35;
-    mobile.population.insensitive_fraction = 0.15;
-    mobile.population.low_tolerance_fraction = 0.40;
-    mobile.population.mid_tolerance_fraction = 0.45;
-    mobile.population.high_tolerance_fraction = 0.10;
-    mobile.population.very_high_tolerance_fraction = 0.05;
-    script.cohorts.push_back(mobile);
-    return script;
-  }
-
-  /// Non-empty but behaviorally inert: exercises the scenario-on code paths
-  /// (override factory branch, arrival/curve/shock queries, override drift
-  /// population) without perturbing a single random draw or result bit.
-  static scenario::ScenarioScript neutral_script() {
-    scenario::ScenarioScript script;
-    scenario::BandwidthShock shock;
-    shock.cohort = {0, 8, 1, 0};
-    shock.first_day = 0;
-    shock.last_day = 4;
-    shock.bandwidth_scale = 1.0;
-    shock.sd_scale = 1.0;
-    script.shocks.push_back(shock);
-
-    scenario::SessionCurve curve;
-    curve.cohort = {0, 8, 1, 0};
-    curve.multipliers = {1.0};
-    script.curves.push_back(curve);
-
-    scenario::FlashCrowd crowd;
-    crowd.cohort = {0, 8, 1, 0};
-    crowd.arrival_day = 0;  // present from day 0: nobody is ever absent
-    script.flash_crowds.push_back(crowd);
-
-    scenario::CohortOverride stock;  // default config == fleet population
-    stock.cohort = {0, 8, 1, 0};
-    script.cohorts.push_back(stock);
-    return script;
-  }
-
-  static std::pair<sim::FleetAccumulator, telemetry::FleetArchive> run(
-      const scenario::ScenarioScript& script, int threads, int users_per_shard, int batch) {
-    sim::FleetConfig cfg = SnapshotResumeParity::grid_config(threads, users_per_shard, batch);
-    cfg.scenario = script;
-    sim::FleetRunner runner = SnapshotResumeParity::make_runner(cfg);
-    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-    runner.set_telemetry_sink(&capture);
-    const sim::FleetAccumulator acc = runner.run(kSeed);
-    return std::make_pair(acc, capture.finish());
-  }
-};
-
-TEST_P(ScenarioParity, ChecksumAndArchiveBytesIdenticalAcrossGrid) {
-  static const auto reference = run(event_script(), 1, 2, 0);
-  // Meaningful only if the scripted world actually moved: the two churned
-  // slots emit departure summaries on top of the 8 horizon summaries, and
-  // LingXi kept optimizing through the events.
-  ASSERT_EQ(reference.first.users, 10u);
-  ASSERT_GT(reference.first.lingxi_optimizations, 0u);
-
-  const auto [threads, users_per_shard, batch] = GetParam();
-  const auto [acc, archive] = run(event_script(), threads, users_per_shard, batch);
-  EXPECT_EQ(acc.checksum(), reference.first.checksum())
-      << "threads=" << threads << " users_per_shard=" << users_per_shard
-      << " batch=" << batch;
-  EXPECT_EQ(acc.sessions, reference.first.sessions);
-  EXPECT_EQ(acc.users, reference.first.users);
-  EXPECT_EQ(acc.watch_ticks, reference.first.watch_ticks);
-  EXPECT_EQ(acc.stall_ticks, reference.first.stall_ticks);
-  EXPECT_EQ(acc.bitrate_time_ticks, reference.first.bitrate_time_ticks);
-  EXPECT_EQ(acc.lingxi_optimizations, reference.first.lingxi_optimizations);
-  EXPECT_EQ(acc.lingxi_mc_evaluations, reference.first.lingxi_mc_evaluations);
-  EXPECT_EQ(acc.adjusted_user_days, reference.first.adjusted_user_days);
-
-  EXPECT_EQ(archive.checksum(), reference.second.checksum());
-  ASSERT_EQ(archive.shards.size(), reference.second.shards.size());
-  for (std::size_t s = 0; s < reference.second.shards.size(); ++s) {
-    EXPECT_TRUE(archive.shards[s] == reference.second.shards[s]) << "shard " << s;
+void check_rows(const Fixture& fixture) {
+  for (const Row& row : kRows) {
+    if (row.fixture == &fixture) check_row(row);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, ScenarioParity,
-                         ::testing::Combine(::testing::Values(1, 4),
-                                            ::testing::Values(1, 8),
-                                            ::testing::Values(0, 64)));
+TEST(FleetParity, Lingxi2d) { check_rows(kLingxi2d); }
+TEST(FleetParity, Lingxi4d) { check_rows(kLingxi4d); }
+TEST(FleetParity, Scenario4d) { check_rows(kScenario4d); }
+TEST(FleetParity, Scenario6d) { check_rows(kScenario6d); }
+TEST(FleetParity, Small) { check_rows(kSmall); }
+
+// The other half of the scenario contract: scripts that must not, or must,
+// change the run.
+
+/// kLingxi4d with `script`.
+Fixture scripted(const scenario::ScenarioScript& script) {
+  Fixture f = kLingxi4d;
+  f.cfg.scenario = script;
+  return f;
+}
 
 TEST(ScenarioScript, EventScriptActuallyChangesTheRun) {
-  // Non-vacuity for the grid above: the scripted run differs from the
-  // unscripted one in exactly the expected shape — extra user summaries from
-  // the churn departures and a different session tally from the curve +
-  // flash-crowd absence.
-  const auto scripted = ScenarioParity::run(ScenarioParity::event_script(), 1, 2, 0);
-  const auto plain = ScenarioParity::run(scenario::ScenarioScript{}, 1, 2, 0);
-  EXPECT_EQ(scripted.first.users, plain.first.users + 2);
-  EXPECT_NE(scripted.first.sessions, plain.first.sessions);
-  EXPECT_NE(scripted.first.checksum(), plain.first.checksum());
+  // Extra user summaries from the churn departures, a different session
+  // tally from the curve and the flash crowd's absence.
+  const Outputs& event = reference(kScenario4d);
+  const Outputs& plain = reference(kLingxi4d);
+  EXPECT_EQ(event.acc.users, plain.acc.users + 2);
+  EXPECT_NE(event.acc.sessions, plain.acc.sessions);
+  EXPECT_NE(event.acc.checksum(), plain.acc.checksum());
 }
 
 TEST(ScenarioScript, EmptyScriptIsByteForByteTheUnscriptedRun) {
-  // Unscripted reference built WITHOUT touching FleetConfig::scenario.
-  const sim::FleetConfig cfg = SnapshotResumeParity::grid_config(4, 3, 7);
-  sim::FleetRunner runner = SnapshotResumeParity::make_runner(cfg);
-  telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-  runner.set_telemetry_sink(&capture);
-  const sim::FleetAccumulator plain = runner.run(ScenarioParity::kSeed);
-  const telemetry::FleetArchive plain_archive = capture.finish();
-
-  const auto [acc, archive] = ScenarioParity::run(scenario::ScenarioScript{}, 4, 3, 7);
-  EXPECT_EQ(acc.checksum(), plain.checksum());
-  // Full archive equality INCLUDING the manifest: the config digest skips
+  // Full equality INCLUDING the archive manifest: the config digest skips
   // the scenario section when the script is empty, so existing archives and
   // snapshots keep their digests.
-  EXPECT_EQ(archive.manifest.config_digest, plain_archive.manifest.config_digest);
-  EXPECT_EQ(archive.checksum(), plain_archive.checksum());
-  ASSERT_EQ(archive.shards.size(), plain_archive.shards.size());
-  for (std::size_t s = 0; s < plain_archive.shards.size(); ++s) {
-    EXPECT_TRUE(archive.shards[s] == plain_archive.shards[s]) << "shard " << s;
-  }
+  expect_same(reference(kLingxi4d), run_cell(scripted({}), {}), "empty script");
 }
 
 TEST(ScenarioScript, NeutralScriptIsBitTransparent) {
-  // The strong transparency property: a NON-empty script whose events are
-  // all no-ops runs the scenario code paths yet reproduces the unscripted
-  // results and shard bytes exactly. Only the manifest moves, because a
-  // non-empty script is pinned into the config digest.
-  const scenario::ScenarioScript script = ScenarioParity::neutral_script();
+  // A non-empty script whose events are all no-ops — scale-1 shock, all-ones
+  // curve, day-0 flash crowd, default-config override — runs the scenario
+  // code paths yet reproduces every output of the unscripted run but one:
+  // a non-empty script is pinned into the manifest's config digest.
+  scenario::ScenarioScript script;
+  script.shocks.push_back({{0, 8, 1, 0}, 0, 4, 1.0, 1.0});
+  script.curves.push_back({{0, 8, 1, 0}, {1.0}});
+  script.flash_crowds.push_back({{0, 8, 1, 0}, 0});
+  scenario::CohortOverride stock;  // default config == fleet population
+  stock.cohort = {0, 8, 1, 0};
+  script.cohorts.push_back(stock);
   ASSERT_FALSE(script.empty());
-  const auto neutral = ScenarioParity::run(script, 1, 2, 0);
-  const auto plain = ScenarioParity::run(scenario::ScenarioScript{}, 1, 2, 0);
-  EXPECT_EQ(neutral.first.checksum(), plain.first.checksum());
-  EXPECT_EQ(neutral.first.sessions, plain.first.sessions);
-  EXPECT_EQ(neutral.first.users, plain.first.users);
-  ASSERT_EQ(neutral.second.shards.size(), plain.second.shards.size());
-  for (std::size_t s = 0; s < plain.second.shards.size(); ++s) {
-    EXPECT_TRUE(neutral.second.shards[s] == plain.second.shards[s]) << "shard " << s;
-  }
-  EXPECT_NE(neutral.second.manifest.config_digest, plain.second.manifest.config_digest);
-}
 
-// Leg cadence: a checkpoint hook chains run_days into <= k-day legs, each
-// leg's day records rebuilt from its per-day running sums. On a scripted
-// fleet (churn and flash crowds across a 6-day calendar, so user summaries
-// land on interior days) every cadence must reproduce the one-leg run: the
-// accumulator, the archive bytes, every day record's deterministic bytes
-// and the day a deterministic SLO alert fires.
-TEST(ScenarioTimelineCadence, CheckpointLegsMatchOneLegBitwise) {
-  sim::FleetConfig cfg = SnapshotResumeParity::grid_config(2, 3, 7);
-  cfg.days = 6;
-  cfg.scenario = ScenarioParity::event_script();
-  scenario::ChurnEvent late_churn;
-  late_churn.cohort = {4, 6, 1, 0};
-  late_churn.day = 4;
-  cfg.scenario.churns.push_back(late_churn);
-  scenario::FlashCrowd late_crowd;
-  late_crowd.cohort = {0, 1, 1, 0};
-  late_crowd.arrival_day = 3;
-  cfg.scenario.flash_crowds.push_back(late_crowd);
-
-  struct CadenceRun {
-    DeterministicTimeline::TimelineRun timeline;
-    telemetry::FleetArchive archive;
-  };
-  const auto run = [&cfg](std::size_t k, const std::vector<obs::SloRule>& rules) {
-    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-    CadenceRun out;
-    out.timeline = DeterministicTimeline::run_with_timeline(
-        cfg, rules, "cadence_" + std::to_string(k), k, &capture);
-    out.archive = capture.finish();
-    return out;
-  };
-
-  // A ceiling on the deterministic sessions_total crossed between days 4
-  // and 5 of the one-leg run.
-  const CadenceRun probe = run(0, {});
-  const auto probe_days = DeterministicTimeline::day_records(probe.timeline);
-  ASSERT_EQ(probe_days.size(), 6u);
-  const double day4 = DeterministicTimeline::det_gauge(*probe_days[3], "sim.fleet.sessions_total");
-  const double day5 = DeterministicTimeline::det_gauge(*probe_days[4], "sim.fleet.sessions_total");
-  ASSERT_LT(day4, day5);
-  const std::vector<obs::SloRule> rules = {
-      {obs::SloKind::kGaugeCeiling, "sim.fleet.sessions_total", 0.5 * (day4 + day5),
-       "sessions-ceiling"}};
-
-  const CadenceRun ref = run(0, rules);
-  // Not vacuous: the churns banked departure summaries on interior days.
-  ASSERT_EQ(ref.timeline.acc.users, 12u);
-  ASSERT_GT(ref.timeline.acc.lingxi_optimizations, 0u);
-  ASSERT_TRUE(ref.timeline.checkpoints.empty());
-  ASSERT_EQ(ref.timeline.alerts.size(), 1u);
-  EXPECT_EQ(ref.timeline.alerts[0].day, 5u);
-  const auto ref_days = DeterministicTimeline::day_records(ref.timeline);
-  ASSERT_EQ(ref_days.size(), 6u);
-
-  for (const std::size_t k : {1, 2, 3}) {
-    const CadenceRun got = run(k, rules);
-    EXPECT_EQ(got.timeline.acc.checksum(), ref.timeline.acc.checksum()) << "k=" << k;
-    EXPECT_EQ(got.archive.checksum(), ref.archive.checksum()) << "k=" << k;
-    ASSERT_EQ(got.archive.shards.size(), ref.archive.shards.size()) << "k=" << k;
-    for (std::size_t s = 0; s < ref.archive.shards.size(); ++s) {
-      EXPECT_TRUE(got.archive.shards[s] == ref.archive.shards[s]) << "k=" << k << " shard " << s;
-    }
-
-    const auto days = DeterministicTimeline::day_records(got.timeline);
-    ASSERT_EQ(days.size(), ref_days.size()) << "k=" << k;
-    for (std::size_t d = 0; d < days.size(); ++d) {
-      EXPECT_EQ(days[d]->day, ref_days[d]->day) << "k=" << k;
-      EXPECT_EQ(days[d]->deterministic_bytes, ref_days[d]->deterministic_bytes)
-          << "k=" << k << " day " << days[d]->day;
-    }
-    ASSERT_EQ(got.timeline.alerts.size(), ref.timeline.alerts.size()) << "k=" << k;
-    EXPECT_EQ(got.timeline.alerts[0].day, ref.timeline.alerts[0].day) << "k=" << k;
-    EXPECT_EQ(got.timeline.alerts[0].observed, ref.timeline.alerts[0].observed) << "k=" << k;
-
-    // The hook saw every interior boundary on the cadence, each carrying the
-    // same aggregate as that day's record.
-    std::vector<std::size_t> expected_boundaries;
-    for (std::size_t b = k; b < cfg.days; b += k) expected_boundaries.push_back(b);
-    ASSERT_EQ(got.timeline.checkpoints.size(), expected_boundaries.size()) << "k=" << k;
-    for (std::size_t i = 0; i < expected_boundaries.size(); ++i) {
-      const auto [day, sessions] = got.timeline.checkpoints[i];
-      EXPECT_EQ(day, expected_boundaries[i]) << "k=" << k;
-      EXPECT_EQ(static_cast<double>(sessions),
-                DeterministicTimeline::det_gauge(*ref_days[day - 1], "sim.fleet.sessions_total"))
-          << "k=" << k << " boundary " << day;
-    }
-  }
+  Outputs neutral = run_cell(scripted(script), {});
+  const Outputs& plain = reference(kLingxi4d);
+  EXPECT_NE(neutral.archive.manifest.config_digest, plain.archive.manifest.config_digest);
+  neutral.archive.manifest.config_digest = plain.archive.manifest.config_digest;
+  expect_same(plain, neutral, "neutral script");
 }
 
 // ---------------------------------------------------------------------------

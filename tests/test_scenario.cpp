@@ -1,7 +1,8 @@
 // Scenario subsystem: pure (user, day) query semantics, script validation,
-// the canonical demo script, scenario x checkpoint/resume splices (including
-// a real fork + SIGKILL through the churn day), and the golden-fixture
-// regression for the scenario analytics report.
+// the canonical demo script, a real fork + SIGKILL through the churn day,
+// and the golden-fixture regression for the scenario analytics report.
+// Scenario parity across the scheduling grid and disk splices is a set of
+// rows of the fleet parity harness in test_properties.cpp.
 //
 // Regenerating the analytics fixture (after an intentional numbers change):
 //   LINGXI_REGEN_SCENARIO_GOLDEN=1 ./test_scenario
@@ -300,87 +301,6 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-void expect_archive_parity(const telemetry::FleetArchive& archive,
-                           const Reference& ref) {
-  EXPECT_EQ(archive.checksum(), ref.archive.checksum());
-  ASSERT_EQ(archive.shards.size(), ref.archive.shards.size());
-  for (std::size_t s = 0; s < archive.shards.size(); ++s) {
-    EXPECT_TRUE(archive.shards[s] == ref.archive.shards[s]) << "shard " << s;
-  }
-}
-
-TEST(ScenarioSplice, SnapshotAtChurnDayResumesBitwise) {
-  const sim::FleetConfig cfg = scripted_fleet_config();
-  constexpr std::uint64_t kSeed = 77;
-  constexpr std::size_t kBoundary = 2;  // exactly the scripted churn day
-  const Reference ref = reference_run(cfg, kSeed);
-  ASSERT_GT(ref.acc.lingxi_optimizations, 0u);
-  ASSERT_EQ(ref.acc.users, 10u);  // 8 horizon summaries + 2 churn departures
-
-  // Leg 1: [0, kBoundary), snapshotted through a disk round trip.
-  sim::FleetRunner leg_runner = make_runner(cfg);
-  telemetry::ShardedCapture leg_capture(telemetry::ShardedCapture::Config{4});
-  leg_runner.set_telemetry_sink(&leg_capture);
-  sim::FleetDayState state;
-  leg_runner.run_days(kSeed, 0, kBoundary, nullptr, &state);
-  auto snap =
-      snapshot::capture_snapshot(leg_runner, kSeed, std::move(state), &leg_capture);
-  ASSERT_TRUE(snap.has_value()) << snap.error().message;
-  const std::string dir = fresh_dir("churn-boundary") + "/snapshot";
-  ASSERT_TRUE(snapshot::save_snapshot(*snap, dir, 3).ok());
-
-  // Leg 2: fresh runner + restored capture; the churn fires inside this leg.
-  auto loaded = snapshot::load_snapshot(dir);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  ASSERT_TRUE(snapshot::check_compatible(*loaded, cfg, kSeed).ok());
-  sim::FleetRunner resumed_runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  resumed_runner.set_predictor_factory(
-      snapshot::resume_predictor_factory(predictor_factory(), loaded->net_model));
-  telemetry::ShardedCapture resumed_capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, loaded->seed,
-                                        std::move(loaded->capture))
-                  .ok());
-  resumed_runner.set_telemetry_sink(&resumed_capture);
-  const sim::FleetAccumulator resumed =
-      resumed_runner.run_days(kSeed, kBoundary, cfg.days, &loaded->state);
-
-  EXPECT_EQ(resumed.checksum(), ref.acc.checksum());
-  EXPECT_EQ(resumed.users, ref.acc.users);
-  EXPECT_EQ(resumed.sessions, ref.acc.sessions);
-  expect_archive_parity(resumed_capture.finish(), ref);
-}
-
-TEST(ScenarioSplice, SnapshotResumeParityAtEveryBoundary) {
-  const sim::FleetConfig cfg = scripted_fleet_config();
-  constexpr std::uint64_t kSeed = 91;
-  const Reference ref = reference_run(cfg, kSeed);
-
-  // Day 1 splits the flash-crowd arrival, day 2 the churn, day 3 the
-  // post-event tail — every scripted discontinuity gets a boundary.
-  for (std::size_t boundary = 1; boundary < cfg.days; ++boundary) {
-    sim::FleetRunner leg_runner = make_runner(cfg);
-    telemetry::ShardedCapture leg_capture(telemetry::ShardedCapture::Config{4});
-    leg_runner.set_telemetry_sink(&leg_capture);
-    sim::FleetDayState state;
-    leg_runner.run_days(kSeed, 0, boundary, nullptr, &state);
-    auto snap =
-        snapshot::capture_snapshot(leg_runner, kSeed, std::move(state), &leg_capture);
-    ASSERT_TRUE(snap.has_value()) << snap.error().message;
-
-    sim::FleetRunner resumed_runner = make_runner(cfg);
-    telemetry::ShardedCapture resumed_capture(telemetry::ShardedCapture::Config{4});
-    ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, snap->seed,
-                                        std::move(snap->capture))
-                  .ok());
-    resumed_runner.set_telemetry_sink(&resumed_capture);
-    const sim::FleetAccumulator resumed =
-        resumed_runner.run_days(kSeed, boundary, cfg.days, &snap->state);
-
-    EXPECT_EQ(resumed.checksum(), ref.acc.checksum()) << "boundary=" << boundary;
-    expect_archive_parity(resumed_capture.finish(), ref);
-  }
-}
-
 // Commit-hook kill plan (file-scope: SaveCommitHook is a plain function
 // pointer): SIGKILL inside the `at_save`-th save at the given stage.
 int g_kill_at_save = 0;
@@ -446,7 +366,9 @@ TEST(ScenarioSplice, AutoCheckpointKillAtChurnDayResumesBitwise) {
 
   EXPECT_EQ(resumed.checksum(), ref.acc.checksum());
   EXPECT_EQ(resumed.users, ref.acc.users);
-  expect_archive_parity(capture.finish(), ref);
+  const telemetry::FleetArchive archive = capture.finish();
+  EXPECT_EQ(archive.checksum(), ref.archive.checksum());
+  EXPECT_TRUE(archive.shards == ref.archive.shards);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Unit + integration tests for src/snapshot: state codecs (engagement,
 // per-user fleet state), on-disk snapshot round trips, corruption and
-// compatibility rejection, and bitwise resume parity — in process and
-// through a saved snapshot directory, accumulator checksums and telemetry
-// archive bytes alike. The full (threads x users_per_shard x predictor_batch)
-// parity grid lives in test_properties.cpp.
+// compatibility rejection, resumed predictor weights and extended horizons.
+// Resume parity — in process and through a saved snapshot directory, at
+// every scheduling knob — is a set of rows of the fleet parity harness in
+// test_properties.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -413,103 +413,8 @@ TEST(SnapshotCompatibility, RejectsMismatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Resume parity.
+// Resumed weights and extended horizons.
 // ---------------------------------------------------------------------------
-
-TEST(FleetRunDays, InProcessSplitMatchesFullRunAtEveryBoundary) {
-  const sim::FleetConfig cfg = fleet_config();
-  const sim::FleetRunner runner = make_runner(cfg);
-  const sim::FleetAccumulator full = runner.run(77);
-  ASSERT_GT(full.lingxi_optimizations, 0u);
-
-  for (std::size_t boundary = 1; boundary < cfg.days; ++boundary) {
-    sim::FleetDayState state;
-    runner.run_days(77, 0, boundary, nullptr, &state);
-    EXPECT_EQ(state.next_day, boundary);
-    const sim::FleetAccumulator resumed = runner.run_days(77, boundary, cfg.days, &state);
-    EXPECT_EQ(resumed.checksum(), full.checksum()) << "boundary " << boundary;
-    EXPECT_EQ(resumed.watch_ticks, full.watch_ticks) << "boundary " << boundary;
-    EXPECT_EQ(resumed.lingxi_mc_evaluations, full.lingxi_mc_evaluations)
-        << "boundary " << boundary;
-    EXPECT_EQ(resumed.adjusted_user_days, full.adjusted_user_days)
-        << "boundary " << boundary;
-  }
-}
-
-TEST(FleetRunDays, ChainedLegsMatchFullRun) {
-  // Day-by-day legs: resume from a resume from a resume.
-  const sim::FleetConfig cfg = fleet_config();
-  const sim::FleetRunner runner = make_runner(cfg);
-  const sim::FleetAccumulator full = runner.run(91);
-
-  sim::FleetDayState state;
-  runner.run_days(91, 0, 1, nullptr, &state);
-  for (std::size_t day = 1; day + 1 < cfg.days; ++day) {
-    sim::FleetDayState next;
-    runner.run_days(91, day, day + 1, &state, &next);
-    state = std::move(next);
-  }
-  const sim::FleetAccumulator resumed =
-      runner.run_days(91, cfg.days - 1, cfg.days, &state);
-  EXPECT_EQ(resumed.checksum(), full.checksum());
-}
-
-TEST(FleetRunDays, NonLingxiFleetSplitMatches) {
-  sim::FleetConfig cfg = fleet_config();
-  cfg.enable_lingxi = false;
-  sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  const sim::FleetAccumulator full = runner.run(5);
-  sim::FleetDayState state;
-  runner.run_days(5, 0, 2, nullptr, &state);
-  const sim::FleetAccumulator resumed = runner.run_days(5, 2, cfg.days, &state);
-  EXPECT_EQ(resumed.checksum(), full.checksum());
-}
-
-TEST(SnapshotResume, DiskRoundTripMatchesFullRunIncludingArchiveBytes) {
-  const sim::FleetConfig cfg = fleet_config();
-  constexpr std::uint64_t kSeed = 77;
-  constexpr std::size_t kBoundary = 2;
-
-  // Reference: one uninterrupted run with a capture.
-  sim::FleetRunner full_runner = make_runner(cfg);
-  telemetry::ShardedCapture full_capture(telemetry::ShardedCapture::Config{4});
-  full_runner.set_telemetry_sink(&full_capture);
-  const sim::FleetAccumulator full = full_runner.run(kSeed);
-  const telemetry::FleetArchive full_archive = full_capture.finish();
-  ASSERT_GT(full.lingxi_optimizations, 0u);
-
-  // Leg 1 + snapshot to disk.
-  const SavedLeg leg = make_saved_leg(kSeed);
-  const std::string dir = fresh_dir("resume-parity");
-  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
-
-  // Resume in a "new process": fresh runner, factory wrapped with the
-  // snapshot's net weights, fresh capture restored from the cursors.
-  auto loaded = snapshot::load_snapshot(dir);
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  ASSERT_TRUE(snapshot::check_compatible(*loaded, cfg, kSeed).ok());
-  sim::FleetRunner resumed_runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  resumed_runner.set_predictor_factory(
-      snapshot::resume_predictor_factory(predictor_factory(), loaded->net_model));
-  telemetry::ShardedCapture resumed_capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(resumed_capture, cfg, loaded->seed,
-                                        std::move(loaded->capture))
-                  .ok());
-  resumed_runner.set_telemetry_sink(&resumed_capture);
-
-  const sim::FleetAccumulator resumed =
-      resumed_runner.run_days(kSeed, kBoundary, cfg.days, &loaded->state);
-  EXPECT_EQ(resumed.checksum(), full.checksum());
-  EXPECT_EQ(resumed.watch_ticks, full.watch_ticks);
-  EXPECT_EQ(resumed.lingxi_mc_evaluations, full.lingxi_mc_evaluations);
-
-  const telemetry::FleetArchive resumed_archive = resumed_capture.finish();
-  EXPECT_EQ(resumed_archive.checksum(), full_archive.checksum());
-  ASSERT_EQ(resumed_archive.shards.size(), full_archive.shards.size());
-  for (std::size_t s = 0; s < full_archive.shards.size(); ++s) {
-    EXPECT_TRUE(resumed_archive.shards[s] == full_archive.shards[s]) << "shard " << s;
-  }
-}
 
 TEST(SnapshotResume, PredictorFactoryOverridesDriftedWeights) {
   // The resumed process hands capture_snapshot-era weights out even when its
