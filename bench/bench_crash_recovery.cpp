@@ -19,11 +19,17 @@
 //       protocol itself (torn-commit coverage). Without kill flags the run
 //       completes and reports its own parity.
 //
-//   --resume --root DIR --json P [--expect-checksum 0xC]
+//   --resume --root DIR --json P [--every K] [--expect-checksum 0xC]
 //            [--expect-archive-checksum 0xA]
-//       Recover via snapshot::find_latest_valid, resume to the horizon, and
-//       exit non-zero unless the accumulator checksum AND archive checksum
-//       match the expectations (from the --reference JSON).
+//       Recover via snapshot::find_latest_valid, re-arm an AutoCheckpointer
+//       on the restored capture (same root, every K days), resume to the
+//       horizon checkpointing on the way, and exit non-zero unless every
+//       commit succeeds and the accumulator checksum AND archive checksum
+//       match the expectations (from the --reference JSON). The JSON also
+//       reports the first resumed commit's logged capture bytes
+//       (`snapshot.capture_log.bytes`) beside the bytes captured since the
+//       recovered boundary: equal when the commit continues the recovered
+//       segment table, one day's bytes at K = 1.
 //
 // Shared flags: --users N (default 512), --days N (default 6), --threads N
 // (default 4), --smoke (64-user fleet, cheap predictor training).
@@ -36,6 +42,7 @@
 
 #include "abr/hyb.h"
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "sim/fleet_runner.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
@@ -101,8 +108,9 @@ sim::FleetConfig make_config(std::size_t users, std::size_t days, std::size_t th
   return cfg;
 }
 
+/// `extra`: further `"name": value` lines, each ending in ",\n".
 int write_json(const char* path, std::uint32_t checksum, std::uint32_t archive_checksum,
-               bool match) {
+               bool match, const std::string& extra = "") {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -110,11 +118,12 @@ int write_json(const char* path, std::uint32_t checksum, std::uint32_t archive_c
   }
   std::fprintf(f,
                "{\n"
+               "%s"
                "  \"checksum\": \"0x%08x\",\n"
                "  \"archive_checksum\": \"0x%08x\",\n"
                "  \"match\": %s\n"
                "}\n",
-               checksum, archive_checksum, match ? "true" : "false");
+               extra.c_str(), checksum, archive_checksum, match ? "true" : "false");
   std::fclose(f);
   std::printf("json summary written to %s\n", path);
   return 0;
@@ -245,6 +254,11 @@ int main(int argc, char** argv) {
     const sim::FleetAccumulator acc = runner.run_days(kSeed, 0, days, nullptr, nullptr);
     // Only reached when no kill fired (or none was armed).
     const telemetry::FleetArchive archive = capture.finish();
+    if (!archive.status) {
+      std::fprintf(stderr, "archive read-back failed: %s\n",
+                   archive.status.error().message.c_str());
+      return 1;
+    }
     if (!ckpt.status()) {
       std::fprintf(stderr, "checkpointing failed: %s\n",
                    ckpt.status().error().message.c_str());
@@ -287,10 +301,57 @@ int main(int argc, char** argv) {
     return 1;
   }
   runner.set_telemetry_sink(&capture);
+  if (every == 0) {
+    std::fprintf(stderr, "--every must be >= 1\n");
+    return 2;
+  }
+  // Keep checkpointing into the same root. The restored capture continues
+  // the recovered segment table, so the first commit logs only the bytes
+  // captured since the recovered boundary.
+  snapshot::AutoCheckpointer ckpt(
+      runner, kSeed, {root, every, /*retain=*/2, /*users_per_shard=*/64}, &capture);
+  obs::Registry registry;
+  obs::Registry::install(&registry);
+  const auto captured = [&capture] {
+    std::uint64_t bytes = 0;
+    for (const auto& cursor : capture.cursors()) bytes += cursor.byte_count();
+    return bytes;
+  };
+  const std::uint64_t recovered_bytes = captured();
+  std::uint64_t first_commit_captured = 0;
+  std::uint64_t first_commit_logged = 0;
+  runner.set_checkpoint_hook(
+      [&](const sim::FleetDayState& state) {
+        const bool first = ckpt.checkpoints_committed() == 0;
+        const std::uint64_t captured_now = captured();
+        const std::uint64_t logged_before = registry.counter("snapshot.capture_log.bytes");
+        ckpt.on_boundary(state);
+        if (first) {
+          first_commit_captured = captured_now - recovered_bytes;
+          first_commit_logged = registry.counter("snapshot.capture_log.bytes") - logged_before;
+        }
+      },
+      every);
   const std::size_t resume_day = recovered->snapshot.state.next_day;
   const sim::FleetAccumulator acc =
       runner.run_days(kSeed, resume_day, days, &recovered->snapshot.state);
+  obs::Registry::install(nullptr);
   const telemetry::FleetArchive archive = capture.finish();
+  if (!ckpt.status()) {
+    std::fprintf(stderr, "resumed checkpointing failed: %s\n",
+                 ckpt.status().error().message.c_str());
+    return 1;
+  }
+  if (!archive.status) {
+    std::fprintf(stderr, "archive read-back failed: %s\n",
+                 archive.status.error().message.c_str());
+    return 1;
+  }
+  std::printf("resumed run committed %zu checkpoints; the first logged %llu capture bytes, "
+              "%llu captured since the recovered boundary\n",
+              ckpt.checkpoints_committed(),
+              static_cast<unsigned long long>(first_commit_logged),
+              static_cast<unsigned long long>(first_commit_captured));
   if (acc.has_overflow()) {
     std::fprintf(stderr, "accumulator overflow latched — totals saturated\n");
     return 1;
@@ -309,8 +370,12 @@ int main(int argc, char** argv) {
   }
   int rc = checksum_match && archive_match ? 0 : 1;
   if (json_path != nullptr) {
-    const int jrc =
-        write_json(json_path, acc.checksum(), archive.checksum(), rc == 0);
+    const std::string extra =
+        "  \"resumed_checkpoints\": " + std::to_string(ckpt.checkpoints_committed()) +
+        ",\n  \"first_commit_log_bytes\": " + std::to_string(first_commit_logged) +
+        ",\n  \"first_commit_captured_bytes\": " + std::to_string(first_commit_captured) +
+        ",\n";
+    const int jrc = write_json(json_path, acc.checksum(), archive.checksum(), rc == 0, extra);
     if (rc == 0) rc = jrc;
   }
   return rc;

@@ -11,8 +11,9 @@
 #     byte-at-a-time reference included), and the nn suite
 #     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2 so every dispatchable
 #     dense kernel proves bitwise parity on the CI host;
-#   * (Release) an ASan + UBSan build of every test in build-ci-asan/, the
-#     whole CTest suite run there with every UBSan finding fatal;
+#   * (Release) an ASan + UBSan build of every test and bench_crash_recovery
+#     in build-ci-asan/: the whole CTest suite and the crash-recovery smoke
+#     below run there with every UBSan finding fatal;
 #   * the net-file smoke: example_train_exit_predictor trains the exit net,
 #     writes it to ${BUILD_DIR}/smoke/exit_net.lxnw as an LXNC model
 #     container and reloads it, exiting non-zero unless the reload succeeds
@@ -25,9 +26,11 @@
 #   * a crash-recovery smoke (bench_crash_recovery): run the checkpointing
 #     fleet and SIGKILL it from inside the snapshot commit protocol, then
 #     recover via snapshot::find_latest_valid in a fresh process and resume
-#     to the horizon — non-zero exit unless the resumed FleetAccumulator
-#     checksum AND archive checksum bitwise-match an uninterrupted reference
-#     run. The checkpoint root and JSON summaries land in ${BUILD_DIR}/smoke/;
+#     to the horizon, checkpointing daily again — non-zero exit unless the
+#     resumed FleetAccumulator checksum AND archive checksum bitwise-match an
+#     uninterrupted reference run and the resumed run's first commit logged
+#     exactly the bytes captured since the recovered boundary (one day). The
+#     checkpoint root and JSON summaries land in ${BUILD_DIR}/smoke/;
 #   * a scenario smoke (bench_scenarios --smoke): the canonical "CDN
 #     brownout + flash crowd + churn" script on an A/B fleet — empty-script
 #     byte parity, scenario-on grid determinism, a SIGKILLed checkpoint leg
@@ -98,18 +101,66 @@ for isa in scalar sse2 avx2; do
   echo "forced-ISA parity OK: ${isa}"
 done
 
+# Crash-recovery smoke: reference run -> checkpointing run killed (-9, raised
+# from inside the commit protocol) -> recover + resume in a fresh process,
+# checkpointing daily again, asserting bitwise parity against the reference
+# and that the resumed run's first commit logged exactly the capture bytes
+# recorded since the recovered boundary (one day, not the history).
+# Usage: crash_recovery_smoke BUILD_DIR OUT_DIR
+crash_recovery_smoke() {
+  local bench="$1/bench/bench_crash_recovery" out="$2"
+  mkdir -p "${out}"
+  rm -rf "${out}/crash-checkpoints"
+  "${bench}" --reference --smoke --days 4 \
+    --json "${out}/crash_reference.json" \
+    | tee "${out}/crash_recovery.txt"
+  local ref_checksum ref_archive run_rc logged captured
+  ref_checksum="$(sed -n 's/.*"checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${out}/crash_reference.json")"
+  ref_archive="$(sed -n 's/.*"archive_checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${out}/crash_reference.json")"
+  set +e
+  "${bench}" --run --smoke --days 4 --every 1 \
+    --root "${out}/crash-checkpoints" \
+    --kill-at-checkpoint 2 --kill-during-commit durable \
+    2>&1 | tee -a "${out}/crash_recovery.txt"
+  run_rc="${PIPESTATUS[0]}"
+  set -e
+  if [ "${run_rc}" -eq 0 ]; then
+    echo "crash-recovery smoke BROKEN: the armed SIGKILL never fired" >&2
+    exit 1
+  fi
+  "${bench}" --resume --smoke --days 4 --every 1 \
+    --root "${out}/crash-checkpoints" \
+    --expect-checksum "${ref_checksum}" \
+    --expect-archive-checksum "${ref_archive}" \
+    --json "${out}/crash_resume.json" \
+    | tee -a "${out}/crash_recovery.txt"
+  logged="$(sed -n 's/.*"first_commit_log_bytes": \([0-9]*\).*/\1/p' "${out}/crash_resume.json")"
+  captured="$(sed -n 's/.*"first_commit_captured_bytes": \([0-9]*\).*/\1/p' "${out}/crash_resume.json")"
+  if [ -z "${logged}" ] || [ "${logged}" -eq 0 ] || [ "${logged}" != "${captured}" ]; then
+    echo "crash-recovery smoke FAILED: the resumed run's first commit logged" \
+      "'${logged}' capture bytes, want the '${captured}' captured since recovery" >&2
+    exit 1
+  fi
+  echo "crash-recovery smoke OK ($1): killed at checkpoint 2 (commit stage durable)," \
+    "resumed bitwise-identical (${ref_checksum} / ${ref_archive}); first resumed" \
+    "commit logged ${logged} bytes (one day)"
+}
+
 # Sanitizer build (Release invocation only, so CI builds it once): the
 # whole CTest suite — every on-disk decoder, the golden bytes, the hostile
 # tables, the kill-at-every-stage crash grid and the fleet parity harness —
-# under ASan + UBSan, any UBSan finding fatal. A separate tree, flags
-# through CMAKE_CXX_FLAGS; every test target is built there.
+# and the crash-recovery smoke (the file-backed capture path across a real
+# kill -9) under ASan + UBSan, any UBSan finding fatal. A separate tree,
+# flags through CMAKE_CXX_FLAGS; every test target and bench_crash_recovery
+# are built there.
 if [ "${BUILD_TYPE}" = "Release" ]; then
   SAN_DIR="${ROOT}/build-ci-asan"
   cmake -B "${SAN_DIR}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer"
-  cmake --build "${SAN_DIR}" -j "$(nproc)" --target lingxi_tests
+  cmake --build "${SAN_DIR}" -j "$(nproc)" --target lingxi_tests bench_crash_recovery
   ctest --test-dir "${SAN_DIR}" --output-on-failure --no-tests=error -j "$(nproc)"
-  echo "ASan+UBSan OK: whole CTest suite"
+  crash_recovery_smoke "${SAN_DIR}" "${SAN_DIR}/smoke"
+  echo "ASan+UBSan OK: whole CTest suite and the crash-recovery smoke"
 fi
 
 SMOKE_DIR="${BUILD_DIR}/smoke"
@@ -147,33 +198,7 @@ print(f"obs smoke OK: {len(metrics['metrics'])} metrics, "
       f"{len(trace['traceEvents'])} trace events, spans {sorted(names)}")
 PYEOF
 
-# Crash-recovery smoke: reference run -> checkpointing run killed (-9, raised
-# from inside the commit protocol) -> recover + resume in a fresh process,
-# asserting bitwise parity against the reference.
-"${BUILD_DIR}/bench/bench_crash_recovery" --reference --smoke --days 4 \
-  --json "${SMOKE_DIR}/crash_reference.json" \
-  | tee "${SMOKE_DIR}/crash_recovery.txt"
-REF_CHECKSUM="$(sed -n 's/.*"checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${SMOKE_DIR}/crash_reference.json")"
-REF_ARCHIVE="$(sed -n 's/.*"archive_checksum": "\(0x[0-9a-f]*\)".*/\1/p' "${SMOKE_DIR}/crash_reference.json")"
-set +e
-"${BUILD_DIR}/bench/bench_crash_recovery" --run --smoke --days 4 --every 1 \
-  --root "${SMOKE_DIR}/crash-checkpoints" \
-  --kill-at-checkpoint 2 --kill-during-commit durable \
-  2>&1 | tee -a "${SMOKE_DIR}/crash_recovery.txt"
-RUN_RC="${PIPESTATUS[0]}"
-set -e
-if [ "${RUN_RC}" -eq 0 ]; then
-  echo "crash-recovery smoke BROKEN: the armed SIGKILL never fired" >&2
-  exit 1
-fi
-"${BUILD_DIR}/bench/bench_crash_recovery" --resume --smoke --days 4 \
-  --root "${SMOKE_DIR}/crash-checkpoints" \
-  --expect-checksum "${REF_CHECKSUM}" \
-  --expect-archive-checksum "${REF_ARCHIVE}" \
-  --json "${SMOKE_DIR}/crash_resume.json" \
-  | tee -a "${SMOKE_DIR}/crash_recovery.txt"
-echo "crash-recovery smoke OK: killed at checkpoint 2 (commit stage durable)," \
-  "resumed bitwise-identical (${REF_CHECKSUM} / ${REF_ARCHIVE})"
+crash_recovery_smoke "${BUILD_DIR}" "${SMOKE_DIR}"
 
 # Scenario smoke: the canonical "CDN brownout + flash crowd + churn" script
 # end to end on an A/B fleet — empty-script byte parity, scenario-on grid

@@ -49,19 +49,9 @@ std::string checkpoint_dirname(std::uint64_t next_day) {
 }
 
 AutoCheckpointer::AutoCheckpointer(const sim::FleetRunner& runner, std::uint64_t seed,
-                                   CheckpointPolicy policy,
-                                   const telemetry::ShardedCapture* capture,
-                                   const RecoveredCheckpoint* recovered)
+                                   CheckpointPolicy policy, telemetry::ShardedCapture* capture)
     : runner_(&runner), seed_(seed), policy_(std::move(policy)), capture_(capture) {
   if (policy_.retain == 0) policy_.retain = 1;
-  if (recovered == nullptr || capture_ == nullptr) return;
-  // Another root is another store: its segments are not in ours.
-  std::error_code ec;
-  const auto recovered_root =
-      std::filesystem::weakly_canonical(std::filesystem::path(recovered->dir).parent_path(), ec);
-  if (ec) return;
-  const auto root = std::filesystem::weakly_canonical(policy_.root, ec);
-  if (!ec && recovered_root == root) capture_log_ = recovered->capture_log;
 }
 
 void AutoCheckpointer::arm(sim::FleetRunner& runner) {
@@ -85,21 +75,12 @@ void AutoCheckpointer::on_boundary(const sim::FleetDayState& state) {
     note_failure(Error::io("cannot create checkpoint root: " + policy_.root));
     return;
   }
-  // The hook only observes the boundary state; capture_snapshot wants its
-  // own copy to freeze. The capture cursors are not copied: the commit
-  // reads them in place and writes only the bytes past capture_log_.
-  auto snap = capture_snapshot(*runner_, seed_, state);
-  if (!snap) {
-    if (reg != nullptr) reg->add("snapshot.checkpoint.failures");
-    note_failure(snap.error());
-    return;
-  }
+  // The weights never change during a run: serialize the net once. The
+  // state and the capture are committed in place, never copied.
+  if (!run_) run_ = run_constants(*runner_, seed_);
   const std::string dir =
       policy_.root + "/" + checkpoint_dirname(state.next_day);
-  const Status s =
-      capture_ != nullptr
-          ? save_snapshot(*snap, dir, policy_.users_per_shard, *capture_, capture_log_)
-          : save_snapshot(*snap, dir, policy_.users_per_shard);
+  const Status s = save_snapshot(*run_, state, dir, policy_.users_per_shard, capture_);
   if (!s) {
     if (reg != nullptr) reg->add("snapshot.checkpoint.failures");
     note_failure(s.error());
@@ -219,11 +200,8 @@ Expected<RecoveredCheckpoint> find_latest_valid(const std::string& root) {
     if (reg != nullptr) reg->add("snapshot.recovery.candidates");
     // The name told us where to look; the bytes decide whether it counts.
     const std::string dir = root + "/" + c.name;
-    std::vector<CaptureSegment> capture_log;
-    auto snap = load_snapshot(dir, capture_log);
-    if (snap && snap->state.next_day == c.day) {
-      return RecoveredCheckpoint{std::move(*snap), dir, std::move(capture_log)};
-    }
+    auto snap = load_snapshot(dir);
+    if (snap && snap->state.next_day == c.day) return RecoveredCheckpoint{std::move(*snap), dir};
     if (reg != nullptr) reg->add("snapshot.recovery.rejected");
   }
   return Error::not_found("no valid checkpoint under: " + root);

@@ -17,13 +17,18 @@
 // newest first and returns the first recoverable one, so recovery never
 // trusts a name over the bytes.
 //
-// Cost model: a commit writes the user state (O(users)) plus only the
-// capture bytes recorded since the previous commit of the same
-// checkpointer, or since the recovered checkpoint it resumed from; earlier
-// days stay in the segments the previous manifests already list.
+// Cost model: a commit writes the user state (O(users)), the net (serialized
+// once per checkpointer: a run's weights never change) and only the capture
+// bytes recorded since the capture's previous commit, or since the
+// checkpoint it was restored from (snapshot::restore_capture re-arms the
+// capture on the recovered segment table); earlier days stay in the
+// segments the previous manifests already list. Memory follows the same
+// rule: the capture buffers only the days since its last commit, so a
+// daily cadence holds at most one day of captured bytes.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,13 +61,12 @@ struct CheckpointPolicy {
 /// + zero-padded next_day, so lexicographic order is day order.
 std::string checkpoint_dirname(std::uint64_t next_day);
 
-/// A recovered checkpoint: the loaded snapshot, the directory it came from
-/// (possibly a `.tmp`/`.old` crash leftover — the bytes, not the name, were
-/// validated) and its manifest's capture segment table.
+/// A recovered checkpoint: the loaded snapshot (its capture position holds
+/// the manifest's segment table) and the directory it came from (possibly a
+/// `.tmp`/`.old` crash leftover — the bytes, not the name, were validated).
 struct RecoveredCheckpoint {
   FleetSnapshot snapshot;
   std::string dir;
-  std::vector<CaptureSegment> capture_log;
 };
 
 /// Cuts checkpoints at FleetRunner day boundaries, serving-style: a failed
@@ -76,19 +80,14 @@ struct RecoveredCheckpoint {
 ///   if (!ckpt.status()) ...                   // durability report
 ///
 /// The checkpointer borrows the runner and the optional capture; both must
-/// outlive it. Not thread-safe: arm on one runner, run on one thread (the
-/// hook fires on the run_days caller's thread between legs).
-///
-/// A run resumed from `recovered` passes it too: when the recovered
-/// directory sits under `policy.root` (so its segments are in this store),
-/// the first commit appends the days since the recovered boundary to its
-/// segment table instead of rewriting the whole history.
+/// outlive it. Each commit commits the capture (ShardedCapture::commit), so
+/// a capture restored from a checkpoint under the same root continues that
+/// checkpoint's segment table. Not thread-safe: arm on one runner, run on
+/// one thread (the hook fires on the run_days caller's thread between legs).
 class AutoCheckpointer {
  public:
   AutoCheckpointer(const sim::FleetRunner& runner, std::uint64_t seed,
-                   CheckpointPolicy policy,
-                   const telemetry::ShardedCapture* capture = nullptr,
-                   const RecoveredCheckpoint* recovered = nullptr);
+                   CheckpointPolicy policy, telemetry::ShardedCapture* capture = nullptr);
 
   /// Install this checkpointer as `runner`'s checkpoint hook with the
   /// policy's cadence. The runner reference must be the one passed to the
@@ -114,10 +113,9 @@ class AutoCheckpointer {
   const sim::FleetRunner* runner_;
   std::uint64_t seed_;
   CheckpointPolicy policy_;
-  const telemetry::ShardedCapture* capture_;
-  /// Segment table of the last committed (or the recovered) checkpoint:
-  /// the capture bytes already durable in the store.
-  std::vector<CaptureSegment> capture_log_;
+  telemetry::ShardedCapture* capture_;
+  /// Seed, digest and serialized net, prepared at the first boundary.
+  std::optional<RunConstants> run_;
   Status status_;
   std::vector<std::string> committed_dirs_;
   std::size_t committed_dirs_total_ = 0;

@@ -20,6 +20,9 @@
 #include "telemetry/archive.h"
 
 namespace lingxi::snapshot {
+
+using telemetry::CaptureSegment;
+
 namespace {
 
 // State-file record type tags (leading u32 of every record payload).
@@ -47,7 +50,7 @@ std::vector<unsigned char> encode_capture_cursor(
   put_u64(p, user);
   put_u64(p, cursor.records);
   put_u64(p, cursor.next_expected_at_least);
-  put_u64(p, cursor.bytes.size());
+  put_u64(p, cursor.byte_count());
   return p;
 }
 
@@ -266,12 +269,6 @@ Expected<Manifest> decode_manifest(ByteSpan payload) {
 
 }  // namespace
 
-std::uint32_t resume_digest(const sim::FleetConfig& config) {
-  sim::FleetConfig undated = config;
-  undated.days = 0;
-  return telemetry::config_digest(undated);
-}
-
 std::string manifest_filename() { return "manifest.lxm"; }
 
 std::string state_filename(std::size_t shard_index) {
@@ -287,18 +284,6 @@ std::string capture_store_dir(const std::string& dir) {
   if (!path.has_filename()) path = path.parent_path();  // "a/b/" names "a/b"
   const std::filesystem::path parent = path.parent_path();
   return ((parent.empty() ? std::filesystem::path(".") : parent) / "capture").string();
-}
-
-std::string segment_filename(std::uint64_t seed, std::uint32_t resume_digest,
-                             const CaptureSegment& segment) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "seg-%016llx-%08x-users-%llu-%llu-days-%llu-%llu.lxcs",
-                static_cast<unsigned long long>(seed), static_cast<unsigned>(resume_digest),
-                static_cast<unsigned long long>(segment.first_user),
-                static_cast<unsigned long long>(segment.first_user + segment.user_bytes.size()),
-                static_cast<unsigned long long>(segment.first_day),
-                static_cast<unsigned long long>(segment.end_day));
-  return buf;
 }
 
 std::vector<unsigned char> encode_user_state(std::uint64_t user,
@@ -379,6 +364,22 @@ Expected<std::pair<std::uint64_t, sim::UserFleetState>> decode_user_state(ByteSp
   return std::make_pair(user, std::move(state));
 }
 
+RunConstants run_constants(const sim::FleetRunner& runner, std::uint64_t seed) {
+  const sim::FleetConfig& config = runner.config();
+  RunConstants run;
+  run.seed = seed;
+  run.resume_digest = resume_digest(config);
+  if (config.enable_lingxi && runner.predictor_factory() != nullptr) {
+    // The fleet's predictor factory is pure configuration (every call yields
+    // equivalent weights), so one serialized net covers every per-user /
+    // per-shard deep copy.
+    predictor::HybridExitPredictor predictor = runner.predictor_factory()();
+    run.net_model = nn::serialize_model(nn::kModelKindStallExitNet, predictor.net().weights());
+    run.net_crc = crc32(run.net_model.data(), run.net_model.size());
+  }
+  return run;
+}
+
 Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
                                          std::uint64_t seed, sim::FleetDayState state,
                                          const telemetry::ShardedCapture* capture) {
@@ -389,22 +390,16 @@ Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
   if (state.next_day == 0) {
     return Error::invalid_arg("day state is not a resumable day boundary");
   }
+  RunConstants run = run_constants(runner, seed);
   FleetSnapshot snapshot;
-  snapshot.seed = seed;
-  snapshot.resume_digest = resume_digest(config);
+  snapshot.seed = run.seed;
+  snapshot.resume_digest = run.resume_digest;
   snapshot.state = std::move(state);
-  if (config.enable_lingxi && runner.predictor_factory() != nullptr) {
-    // The fleet's predictor factory is pure configuration (every call yields
-    // equivalent weights), so one serialized net covers every per-user /
-    // per-shard deep copy.
-    predictor::HybridExitPredictor predictor = runner.predictor_factory()();
-    snapshot.net_model =
-        nn::serialize_model(nn::kModelKindStallExitNet, predictor.net().weights());
-  }
+  snapshot.net_model = std::move(run.net_model);
   if (capture != nullptr) {
     snapshot.has_capture = true;
-    snapshot.capture = capture->cursors();
-    if (snapshot.capture.size() != config.users) {
+    snapshot.capture = capture->position();
+    if (snapshot.capture.cursors.size() != config.users) {
       return Error::invalid_arg("capture user count disagrees with fleet config");
     }
   }
@@ -482,96 +477,44 @@ namespace {
 
 using Cursors = std::vector<telemetry::ShardedCapture::CaptureCursor>;
 
-/// Write the capture bytes that `log` does not already hold as new segments
-/// of `users_per_shard` users each, days [end of log, next_day), into the
-/// store beside `dir`, and make them durable. Returns `log` extended by the
-/// new segments.
-Expected<std::vector<CaptureSegment>> append_segments(const FleetSnapshot& snapshot,
-                                                      const Cursors& cursors,
-                                                      std::size_t users_per_shard,
-                                                      std::vector<CaptureSegment> log,
-                                                      const std::string& dir) {
-  OBS_TIMED("snapshot.save.capture_us");
-  const std::size_t users = cursors.size();
-  std::vector<std::uint64_t> durable(users, 0);
-  std::uint64_t first_day = 0;
-  for (const CaptureSegment& seg : log) {
-    if (seg.first_user + seg.user_bytes.size() > users) {
-      return Error::invalid_arg("capture log segment outside the fleet");
-    }
-    for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
-      durable[seg.first_user + i] += seg.user_bytes[i];
-    }
-    first_day = std::max(first_day, seg.end_day);
-  }
-  const std::string store = capture_store_dir(dir);
-  std::error_code ec;
-  std::filesystem::create_directories(store, ec);
-  if (ec) return Error::io("cannot create capture segment store: " + store);
+/// What one commit writes, borrowed from the caller.
+struct Parts {
+  std::uint64_t seed;
+  std::uint32_t resume_digest;
+  const sim::FleetDayState& state;
+  const std::vector<unsigned char>& net_model;
+  std::uint32_t net_crc;
+  /// Null without capture; else one cursor per user and the committed table.
+  const Cursors* cursors;
+  const std::vector<CaptureSegment>* segments;
+};
 
-  std::uint64_t written = 0;
-  std::vector<unsigned char> bytes;
-  for (std::size_t first = 0; first < users; first += users_per_shard) {
-    const std::size_t last = std::min(first + users_per_shard, users);
-    CaptureSegment seg;
-    seg.first_user = first;
-    seg.first_day = first_day;
-    seg.end_day = snapshot.state.next_day;
-    bytes.clear();
-    for (std::size_t u = first; u < last; ++u) {
-      const std::vector<unsigned char>& all = cursors[u].bytes;
-      if (all.size() < durable[u]) {
-        return Error::invalid_arg("capture cursor is shorter than its logged bytes");
-      }
-      bytes.insert(bytes.end(), all.begin() + static_cast<std::ptrdiff_t>(durable[u]),
-                   all.end());
-      seg.user_bytes.push_back(all.size() - durable[u]);
-    }
-    if (bytes.empty()) continue;
-    if (seg.first_day >= seg.end_day) {
-      return Error::invalid_arg("new capture bytes at a day boundary the log already covers");
-    }
-    seg.byte_count = bytes.size();
-    seg.crc = crc32(bytes.data(), bytes.size());
-    const std::string path =
-        store + "/" + segment_filename(snapshot.seed, snapshot.resume_digest, seg);
-    if (auto s = write_file(path, bytes); !s) return s.error();
-    written += bytes.size();
-    log.push_back(std::move(seg));
-  }
-  if (written > 0) {
-    if (auto s = fsync_directory(store); !s) return s.error();
-  }
+/// Count the capture bytes a commit appended to the store.
+void count_logged(std::uint64_t written) {
   if (obs::Registry* reg = obs::Registry::active()) {
     reg->add("snapshot.capture_log.bytes", written);
   }
-  return log;
 }
 
-Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                      std::size_t users_per_shard, const Cursors* cursors,
-                      std::vector<CaptureSegment> segments) {
+Status stage_snapshot(const Parts& parts, const std::string& dir, std::size_t users_per_shard) {
   Manifest manifest;
-  manifest.seed = snapshot.seed;
-  manifest.resume_digest = snapshot.resume_digest;
-  manifest.users = snapshot.state.users.size();
-  manifest.next_day = snapshot.state.next_day;
+  manifest.seed = parts.seed;
+  manifest.resume_digest = parts.resume_digest;
+  manifest.users = parts.state.users.size();
+  manifest.next_day = parts.state.next_day;
   manifest.users_per_shard = users_per_shard;
-  manifest.has_capture = cursors != nullptr;
-  manifest.accumulated = snapshot.state.accumulated;
-  manifest.segments = std::move(segments);
+  manifest.has_capture = parts.cursors != nullptr;
+  manifest.accumulated = parts.state.accumulated;
+  if (parts.segments != nullptr) manifest.segments = *parts.segments;
   {
     OBS_TIMED("snapshot.save.state_us");
-    if (!snapshot.net_model.empty()) {
+    if (!parts.net_model.empty()) {
       manifest.has_net = true;
-      manifest.net_crc = crc32(snapshot.net_model.data(), snapshot.net_model.size());
-      if (auto s = write_file(dir + "/" + net_filename(), snapshot.net_model);
-          !s) {
-        return s;
-      }
+      manifest.net_crc = parts.net_crc;
+      if (auto s = write_file(dir + "/" + net_filename(), parts.net_model); !s) return s;
     }
 
-    const std::size_t users = snapshot.state.users.size();
+    const std::size_t users = parts.state.users.size();
     const std::size_t shard_count = (users + users_per_shard - 1) / users_per_shard;
     manifest.shards.resize(shard_count);
     for (std::size_t s = 0; s < shard_count; ++s) {
@@ -579,9 +522,9 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
       const std::size_t last = std::min(first + users_per_shard, users);
       std::vector<unsigned char> bytes;
       for (std::size_t u = first; u < last; ++u) {
-        logstore::write_record(bytes, encode_user_state(u, snapshot.state.users[u]));
-        if (cursors != nullptr) {
-          logstore::write_record(bytes, encode_capture_cursor(u, (*cursors)[u]));
+        logstore::write_record(bytes, encode_user_state(u, parts.state.users[u]));
+        if (parts.cursors != nullptr) {
+          logstore::write_record(bytes, encode_capture_cursor(u, (*parts.cursors)[u]));
         }
       }
       auto& info = manifest.shards[s];
@@ -612,34 +555,18 @@ Status stage_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
   return {};
 }
 
-/// Both save_snapshot forms: segments first (durable before any manifest
-/// can list them), then the staged directory and its commit.
-Status commit_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                       std::size_t users_per_shard, const Cursors* cursors,
-                       std::size_t capture_users_per_shard,
-                       std::vector<CaptureSegment>& capture_log) {
-  OBS_SPAN("snapshot.save");
-  OBS_TIMED("snapshot.save.total_us");
-  if (users_per_shard == 0) return Error::invalid_arg("users_per_shard must be >= 1");
-  std::vector<CaptureSegment> segments;
-  if (cursors != nullptr) {
-    if (cursors->size() != snapshot.state.users.size()) {
-      return Error::invalid_arg("capture cursor count disagrees with user state count");
-    }
-    auto appended = append_segments(snapshot, *cursors, capture_users_per_shard, capture_log,
-                                    dir);
-    if (!appended) return appended.error();
-    segments = std::move(*appended);
-  }
+/// Both save_snapshot forms once their capture segments are durable (they
+/// must be before any manifest can list them): the staged directory and its
+/// commit.
+Status commit_snapshot(const Parts& parts, const std::string& dir,
+                       std::size_t users_per_shard) {
   const std::string staging = dir + ".tmp";
   std::error_code ec;
   std::filesystem::remove_all(staging, ec);
   if (ec) return Error::io("cannot clear stale snapshot staging: " + staging);
   std::filesystem::create_directories(staging, ec);
   if (ec) return Error::io("cannot create snapshot staging directory: " + staging);
-  if (auto s = stage_snapshot(snapshot, staging, users_per_shard, cursors, segments); !s) {
-    return s;
-  }
+  if (auto s = stage_snapshot(parts, staging, users_per_shard); !s) return s;
   {
     OBS_TIMED("snapshot.save.durable_us");
     if (auto s = fsync_directory(staging); !s) return s;
@@ -650,7 +577,6 @@ Status commit_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
     if (auto s = commit_directory(staging, dir); !s) return s;
   }
   commit_stage(SaveStage::kCommitted);
-  if (cursors != nullptr) capture_log = std::move(segments);
   return {};
 }
 
@@ -667,21 +593,17 @@ Expected<Manifest> read_manifest(const std::string& dir) {
   return decode_manifest(*payload);
 }
 
-/// Rebuild every cursor's bytes from the segments the manifest lists.
-/// `byte_counts` are the cursor records' lengths, which the table must
-/// match user by user.
-Status read_segments(const std::string& dir, const Manifest& m,
-                     const std::vector<std::uint64_t>& byte_counts, Cursors& capture) {
+/// Check every segment the manifest lists against the store without holding
+/// any: present at its listed size, each user's slices summing to its cursor
+/// length (`byte_counts`), then every CRC, streamed.
+Status check_segments(const std::string& store, const Manifest& m,
+                      const std::vector<std::uint64_t>& byte_counts) {
   OBS_TIMED("snapshot.load.capture_us");
-  const std::string store = capture_store_dir(dir);
   std::vector<std::string> paths;
   paths.reserve(m.segments.size());
-  // Every listed file must be on disk at its listed size before any buffer
-  // is sized from the table: a hostile count can then only ever reserve
-  // bytes that exist.
-  std::vector<std::uint64_t> listed(capture.size(), 0);
+  std::vector<std::uint64_t> listed(byte_counts.size(), 0);
   for (const CaptureSegment& seg : m.segments) {
-    paths.push_back(store + "/" + segment_filename(m.seed, m.resume_digest, seg));
+    paths.push_back(store + "/" + telemetry::segment_filename(m.seed, m.resume_digest, seg));
     std::error_code ec;
     const std::uintmax_t size = std::filesystem::file_size(paths.back(), ec);
     if (ec) return Error::corrupt("listed capture segment is missing: " + paths.back());
@@ -692,26 +614,11 @@ Status read_segments(const std::string& dir, const Manifest& m,
       listed[seg.first_user + i] += seg.user_bytes[i];
     }
   }
-  for (std::size_t u = 0; u < capture.size(); ++u) {
-    if (listed[u] != byte_counts[u]) {
-      return Error::corrupt("capture cursor length disagrees with the segment table");
-    }
-    capture[u].bytes.reserve(listed[u]);
+  if (listed != byte_counts) {
+    return Error::corrupt("capture cursor length disagrees with the segment table");
   }
   for (std::size_t k = 0; k < m.segments.size(); ++k) {
-    const CaptureSegment& seg = m.segments[k];
-    auto bytes = read_file(paths[k]);
-    if (!bytes) return bytes.error();
-    if (bytes->size() != seg.byte_count || crc32(bytes->data(), bytes->size()) != seg.crc) {
-      return Error::corrupt("capture segment disagrees with manifest: " + paths[k]);
-    }
-    auto from = bytes->begin();
-    for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
-      const auto to = from + static_cast<std::ptrdiff_t>(seg.user_bytes[i]);
-      std::vector<unsigned char>& dst = capture[seg.first_user + i].bytes;
-      dst.insert(dst.end(), from, to);
-      from = to;
-    }
+    if (auto s = telemetry::read_segment(paths[k], m.segments[k], nullptr); !s) return s;
   }
   return {};
 }
@@ -720,20 +627,59 @@ Status read_segments(const std::string& dir, const Manifest& m,
 
 Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
                      std::size_t users_per_shard) {
-  std::vector<CaptureSegment> log;
-  return commit_snapshot(snapshot, dir, users_per_shard,
-                         snapshot.has_capture ? &snapshot.capture : nullptr, users_per_shard,
-                         log);
+  OBS_SPAN("snapshot.save");
+  OBS_TIMED("snapshot.save.total_us");
+  if (users_per_shard == 0) return Error::invalid_arg("users_per_shard must be >= 1");
+  telemetry::CaptureLog log;
+  if (snapshot.has_capture) {
+    const Cursors& cursors = snapshot.capture.cursors;
+    if (cursors.size() != snapshot.state.users.size()) {
+      return Error::invalid_arg("capture cursor count disagrees with user state count");
+    }
+    OBS_TIMED("snapshot.save.capture_us");
+    log = snapshot.capture.log;
+    auto written =
+        telemetry::append_segments(cursors, users_per_shard, snapshot.seed,
+                                   snapshot.resume_digest, snapshot.state.next_day,
+                                   capture_store_dir(dir), log);
+    if (!written) return written.error();
+    count_logged(*written);
+  }
+  const Parts parts{snapshot.seed,
+                    snapshot.resume_digest,
+                    snapshot.state,
+                    snapshot.net_model,
+                    snapshot.net_model.empty()
+                        ? 0u
+                        : crc32(snapshot.net_model.data(), snapshot.net_model.size()),
+                    snapshot.has_capture ? &snapshot.capture.cursors : nullptr,
+                    &log.segments};
+  return commit_snapshot(parts, dir, users_per_shard);
 }
 
-Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                     std::size_t users_per_shard, const telemetry::ShardedCapture& capture,
-                     std::vector<CaptureSegment>& capture_log) {
-  if (snapshot.has_capture) {
-    return Error::invalid_arg("snapshot carries its own capture cursors");
+Status save_snapshot(const RunConstants& run, const sim::FleetDayState& state,
+                     const std::string& dir, std::size_t users_per_shard,
+                     telemetry::ShardedCapture* capture) {
+  OBS_SPAN("snapshot.save");
+  OBS_TIMED("snapshot.save.total_us");
+  if (users_per_shard == 0) return Error::invalid_arg("users_per_shard must be >= 1");
+  if (capture != nullptr) {
+    if (capture->cursors().size() != state.users.size()) {
+      return Error::invalid_arg("capture cursor count disagrees with user state count");
+    }
+    OBS_TIMED("snapshot.save.capture_us");
+    auto written = capture->commit(capture_store_dir(dir), state.next_day);
+    if (!written) return written.error();
+    count_logged(*written);
   }
-  return commit_snapshot(snapshot, dir, users_per_shard, &capture.cursors(),
-                         capture.users_per_shard(), capture_log);
+  const Parts parts{run.seed,
+                    run.resume_digest,
+                    state,
+                    run.net_model,
+                    run.net_crc,
+                    capture != nullptr ? &capture->cursors() : nullptr,
+                    capture != nullptr ? &capture->log().segments : nullptr};
+  return commit_snapshot(parts, dir, users_per_shard);
 }
 
 Expected<std::vector<std::string>> listed_segment_files(const std::string& dir) {
@@ -747,12 +693,6 @@ Expected<std::vector<std::string>> listed_segment_files(const std::string& dir) 
 }
 
 Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
-  std::vector<CaptureSegment> capture_log;
-  return load_snapshot(dir, capture_log);
-}
-
-Expected<FleetSnapshot> load_snapshot(const std::string& dir,
-                                      std::vector<CaptureSegment>& capture_log) {
   OBS_SPAN("snapshot.load");
   OBS_TIMED("snapshot.load.total_us");
   auto manifest = read_manifest(dir);
@@ -768,8 +708,8 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir,
   snapshot.has_capture = manifest->has_capture;
   std::vector<std::uint64_t> byte_counts;
   if (manifest->has_capture) {
-    snapshot.capture.assign(snapshot.state.users.size(),
-                            telemetry::ShardedCapture::CaptureCursor{});
+    snapshot.capture.cursors.assign(snapshot.state.users.size(),
+                                    telemetry::ShardedCapture::CaptureCursor{});
     byte_counts.assign(snapshot.state.users.size(), 0);
   }
 
@@ -821,7 +761,8 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir,
         auto cursor = decode_capture_cursor(*cursor_record);
         if (!cursor) return cursor.error();
         if (cursor->user != u) return Error::corrupt("capture cursor out of order");
-        snapshot.capture[static_cast<std::size_t>(u)] = std::move(cursor->cursor);
+        cursor->cursor.logged = cursor->byte_count;
+        snapshot.capture.cursors[static_cast<std::size_t>(u)] = std::move(cursor->cursor);
         byte_counts[static_cast<std::size_t>(u)] = cursor->byte_count;
       }
     }
@@ -830,11 +771,12 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir,
     }
   }
   if (manifest->has_capture) {
-    if (auto s = read_segments(dir, *manifest, byte_counts, snapshot.capture); !s) {
+    snapshot.capture.log.store = capture_store_dir(dir);
+    if (auto s = check_segments(snapshot.capture.log.store, *manifest, byte_counts); !s) {
       return s.error();
     }
+    snapshot.capture.log.segments = std::move(manifest->segments);
   }
-  capture_log = std::move(manifest->segments);
   return snapshot;
 }
 
@@ -869,13 +811,12 @@ sim::FleetRunner::PredictorFactory resume_predictor_factory(
 }
 
 Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,
-                       std::uint64_t seed,
-                       std::vector<telemetry::ShardedCapture::CaptureCursor> cursors) {
-  if (cursors.size() != config.users) {
+                       std::uint64_t seed, telemetry::ShardedCapture::Position position) {
+  if (position.cursors.size() != config.users) {
     return Error::invalid_arg("snapshot capture user count disagrees with fleet config");
   }
   capture.begin_fleet(config, seed);
-  capture.restore_cursors(std::move(cursors));
+  capture.restore(std::move(position));
   return {};
 }
 

@@ -4,8 +4,8 @@
 // boundary (sim::FleetDayState: per-user engagement, bandwidth windows,
 // trigger counters, adopted QoE parameters, optimizer counters, rng stream
 // positions, plus the merged FleetAccumulator), the predictor net weights
-// (a versioned nn model container) and, optionally, the telemetry capture
-// cursors — so a later process can resume the fleet at day D and produce
+// (a versioned nn model container) and, optionally, the telemetry capture's
+// position — so a later process can resume the fleet at day D and produce
 // results bitwise identical to a run that never stopped (the parity harness
 // in tests/test_properties.cpp and the scripts/ci.sh smoke pin this).
 //
@@ -16,6 +16,15 @@
 // files keep each capture cursor's counters and byte length, and the
 // manifest lists the segments that hold the bytes. v1 and v2 snapshots fail
 // the version check rather than misparse.
+//
+// The segment store belongs to the capture: telemetry/capture.h defines the
+// segments, their names and their read-back, and ShardedCapture::commit
+// appends to it. This layer only decides where the store lives (beside the
+// snapshot directory) and lists the committed table in the manifest. Loading
+// checks every listed segment (size, then CRC streamed through a fixed
+// buffer) but builds no cursor bytes: a loaded capture position is the
+// cursors' counters and lengths plus the table, and finish() reads the
+// bytes back when the archive is built.
 //
 // A snapshot is a directory, mirroring the telemetry archive discipline
 // (manifest + framed per-shard files, everything an LXRC record of
@@ -33,14 +42,9 @@
 // and, when the snapshot carries a capture, the segment store beside it:
 //
 //   <parent of dir>/capture/seg-<seed>-<digest>-users-<a>-<b>-days-<c>-<d>.lxcs
-//                          raw capture bytes: the framed archive records of
-//                          users [a, b) appended during days [c, d), user-major
-//                          in ascending user order (seed: 16 hex digits;
-//                          digest: the manifest's resume_digest, 8 hex
-//                          digits; a..d decimal)
-//
-// A segment's name is a function of what it holds, so two fleets never share
-// a name and a file, once written, is never rewritten with other bytes.
+//                          raw capture bytes of users [a, b) appended during
+//                          days [c, d) (telemetry/capture.h; digest: the
+//                          manifest's resume_digest)
 //
 // Manifest payload (little-endian, common/bytes.h codec):
 //   u32 format_version    kSnapshotFormatVersion
@@ -102,11 +106,11 @@
 //
 // save_snapshot commits a checkpoint transactionally:
 //
-//   1. capture bytes not yet in the store are written as new segments, each
-//      file atomic-durable, and the store directory is fsynced: every
-//      segment the manifest will list is DURABLE BEFORE THE MANIFEST is
-//      written. Segments are immutable; a commit never rewrites one an
-//      earlier manifest lists;
+//   1. capture bytes not yet in the store (the capture's tails) are written
+//      as new segments, each file atomic-durable, and the store directory is
+//      fsynced: every segment the manifest will list is DURABLE BEFORE THE
+//      MANIFEST is written. Segments are immutable; a commit never rewrites
+//      one an earlier manifest lists;
 //   2. everything else is STAGED into a sibling directory `<dir>.tmp` (a
 //      stale staging dir from a crashed save is cleared first);
 //   3. state files and the net container are written before the MANIFEST,
@@ -128,7 +132,8 @@
 // like any other candidate. Torn or partially staged directories fail CRC /
 // structural validation and are skipped. A torn commit leaves at most
 // orphan segments that no manifest lists; AutoCheckpointer's pruning
-// deletes them.
+// deletes them after the next commit, whose manifest lists the capture's
+// whole log.
 #pragma once
 
 #include <cstdint>
@@ -150,22 +155,14 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 /// covers a segment per day for 1024 archive shards over 1024 days).
 inline constexpr std::uint64_t kMaxCaptureSegments = std::uint64_t{1} << 20;
 
-/// One immutable file of the capture segment store: the framed archive
-/// records users [first_user, first_user + user_bytes.size()) appended during
-/// days [first_day, end_day), user-major in ascending user order.
-struct CaptureSegment {
-  std::uint64_t first_user = 0;
-  std::uint64_t first_day = 0;
-  std::uint64_t end_day = 0;
-  std::uint64_t byte_count = 0;
-  std::uint32_t crc = 0;
-  /// Each user's share of byte_count, in user order.
-  std::vector<std::uint64_t> user_bytes;
-};
+/// telemetry::config_digest with the calendar length (`days`) zeroed out: a
+/// resumed run must match every result-shaping knob but may extend the
+/// horizon (that is the point of incremental-day experiments).
+using telemetry::resume_digest;
 
 /// A fleet checkpoint materialized in memory: the deterministic output of
-/// capture_snapshot(), ready to be written out (save_snapshot) or resumed
-/// from directly.
+/// capture_snapshot() or load_snapshot(), ready to be written out
+/// (save_snapshot) or resumed from directly.
 struct FleetSnapshot {
   std::uint64_t seed = 0;
   std::uint32_t resume_digest = 0;
@@ -174,16 +171,22 @@ struct FleetSnapshot {
   /// nn::serialize model container with the predictor net weights; empty
   /// when the fleet runs without a predictor.
   std::vector<unsigned char> net_model;
-  /// Telemetry capture positions (one per user) when a ShardedCapture was
-  /// snapshotted alongside the fleet.
+  /// Telemetry capture position (one cursor per user, and the log) when a
+  /// ShardedCapture was snapshotted alongside the fleet. A loaded snapshot's
+  /// tails are empty: its bytes are in the log's segments.
   bool has_capture = false;
-  std::vector<telemetry::ShardedCapture::CaptureCursor> capture;
+  telemetry::ShardedCapture::Position capture;
 };
 
-/// telemetry::config_digest with the calendar length (`days`) zeroed out: a
-/// resumed run must match every result-shaping knob but may extend the
-/// horizon (that is the point of incremental-day experiments).
-std::uint32_t resume_digest(const sim::FleetConfig& config);
+/// The parts of every checkpoint of one run that never change, prepared
+/// once: seed, resume digest and the serialized predictor net with its CRC
+/// (a run's weights never change).
+struct RunConstants {
+  std::uint64_t seed = 0;
+  std::uint32_t resume_digest = 0;
+  std::vector<unsigned char> net_model;
+  std::uint32_t net_crc = 0;
+};
 
 /// File names inside a snapshot directory.
 std::string manifest_filename();
@@ -193,16 +196,16 @@ std::string net_filename();
 /// The capture segment store of the snapshot directory `dir`: `capture/`
 /// beside it, shared by every checkpoint under the same parent.
 std::string capture_store_dir(const std::string& dir);
-/// File name of `segment` inside the store of a fleet with this seed and
-/// resume digest.
-std::string segment_filename(std::uint64_t seed, std::uint32_t resume_digest,
-                             const CaptureSegment& segment);
 
-/// Assemble a snapshot from a runner's exported day state: stamps seed and
-/// resume digest, serializes the predictor factory's net (the fleet factory
-/// is pure configuration, so one container covers every deep copy), and
-/// exports `capture`'s cursors when given. Fails with kInvalidArg when the
-/// state's user count disagrees with the config.
+/// Stamp seed and resume digest and serialize the predictor factory's net
+/// (the fleet factory is pure configuration, so one container covers every
+/// deep copy; empty without a LingXi predictor).
+RunConstants run_constants(const sim::FleetRunner& runner, std::uint64_t seed);
+
+/// Assemble a snapshot from a runner's exported day state: run_constants()
+/// plus the state and, when given, a copy of `capture`'s position (tails
+/// included). Fails with kInvalidArg when the state's user count disagrees
+/// with the config.
 Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
                                          std::uint64_t seed, sim::FleetDayState state,
                                          const telemetry::ShardedCapture* capture = nullptr);
@@ -211,22 +214,21 @@ Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
 /// (stage into `<dir>.tmp`, manifest last, fsync, atomic rename — see the
 /// durability contract above). `users_per_shard` is the state-file
 /// granularity. An existing snapshot at `dir` is replaced atomically and is
-/// never clobbered by a torn commit. A captured snapshot writes its whole
-/// capture as one segment per state shard, days [0, next_day).
+/// never clobbered by a torn commit. A captured snapshot writes its tails as
+/// one segment per state shard, days [end of its log, next_day), into the
+/// store beside `dir`, which must be its log's store unless the log is
+/// empty.
 Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
                      std::size_t users_per_shard = 64);
 
-/// The incremental commit AutoCheckpointer makes at each day boundary. The
-/// cursors are read from the live `capture` (`snapshot` must not carry its
-/// own), and `capture_log` — the segment table of the previous commit into
-/// the same store, empty for the first — says which of their bytes are
-/// already durable: only the rest is written, as one new segment per
-/// archive shard, so a commit costs the days since the previous one, not
-/// the history. On success `capture_log` becomes this commit's table; on
-/// failure it is left as it was.
-Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                     std::size_t users_per_shard, const telemetry::ShardedCapture& capture,
-                     std::vector<CaptureSegment>& capture_log);
+/// The commit AutoCheckpointer makes at each day boundary: `state` with the
+/// run's constants and, when `capture` is non-null, the capture committed
+/// first (ShardedCapture::commit into the store beside `dir`: only the tails
+/// since its previous commit are written, so a commit costs the days since
+/// then, not the history) and its cursors and log listed in the manifest.
+Status save_snapshot(const RunConstants& run, const sim::FleetDayState& state,
+                     const std::string& dir, std::size_t users_per_shard,
+                     telemetry::ShardedCapture* capture);
 
 /// Stages of save_snapshot's commit sequence, in order, as observed by the
 /// test-only commit hook (crash-injection harness).
@@ -250,15 +252,10 @@ void set_save_commit_hook(SaveCommitHook hook);
 /// checked (Error::kCorrupt on mismatch) — including that the net container
 /// deserializes, the shard table tiles the user range, and every listed
 /// capture segment is present with its size and CRC — so a resumed fleet
-/// never starts from silently corrupt state. The capture cursors' bytes are
-/// rebuilt from the segment store.
+/// never starts from silently corrupt state. Segments are streamed, never
+/// held: the capture position comes back with empty tails, each cursor's
+/// byte length logged, and the manifest's table in the store beside `dir`.
 Expected<FleetSnapshot> load_snapshot(const std::string& dir);
-/// load_snapshot that also hands back the manifest's capture segment table
-/// (empty without capture): the `capture_log` an AutoCheckpointer committing
-/// into the same store continues from (checkpoint.h). Left as it was on
-/// failure.
-Expected<FleetSnapshot> load_snapshot(const std::string& dir,
-                                      std::vector<CaptureSegment>& capture_log);
 
 /// Names of the capture segment files the manifest in `dir` lists (empty
 /// for a snapshot without capture). Fails like load_snapshot on a missing or
@@ -280,14 +277,13 @@ sim::FleetRunner::PredictorFactory resume_predictor_factory(
     sim::FleetRunner::PredictorFactory base, std::vector<unsigned char> net_model);
 
 /// Re-arm a capture for a resumed leg: begin_fleet(config, seed) then
-/// restore the snapshot's cursors, so the resumed run appends days [D, ...)
-/// and finish() emits archive bytes identical to an unsplit run. The cursors
-/// are consumed (pass `snapshot.seed, std::move(snapshot.capture)`), so
-/// resuming does not transiently duplicate the captured archive bytes.
-/// Error::kInvalidArg when the cursor count differs from config.users.
+/// restore the snapshot's capture position, so the resumed run appends days
+/// [D, ...), its first commit into the same store writes only those days,
+/// and finish() emits archive bytes identical to an unsplit run. Pass
+/// `snapshot.seed, std::move(snapshot.capture)`. Error::kInvalidArg when the
+/// cursor count differs from config.users.
 Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,
-                       std::uint64_t seed,
-                       std::vector<telemetry::ShardedCapture::CaptureCursor> cursors);
+                       std::uint64_t seed, telemetry::ShardedCapture::Position position);
 
 /// Per-user state codec (exposed for tests and bench_micro).
 std::vector<unsigned char> encode_user_state(std::uint64_t user,

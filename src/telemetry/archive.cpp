@@ -286,6 +286,7 @@ std::vector<unsigned char> encode_user_record(const ArchiveUserRecord& rec) {
 }
 
 Status FleetArchive::write(const std::string& dir) const {
+  if (!status) return status;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Error::io("cannot create archive directory: " + dir);

@@ -121,6 +121,9 @@ struct FleetArchive {
   ArchiveManifest manifest;
   /// Framed record stream per shard, index-aligned with manifest.shards.
   std::vector<std::vector<unsigned char>> shards;
+  /// A capture read-back failure (ShardedCapture::finish): the shards are
+  /// incomplete and write() returns this before writing any file.
+  Status status;
 
   /// Write manifest + shard files into `dir` (created if missing).
   Status write(const std::string& dir) const;

@@ -34,6 +34,7 @@
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
 #include "telemetry/archive.h"
+#include "telemetry/capture.h"
 #include "telemetry/replay.h"
 
 namespace lingxi {
@@ -188,11 +189,11 @@ snapshot::FleetSnapshot golden_fleet_snapshot() {
   // Opaque to save_snapshot: only its CRC lands in the manifest.
   snap.net_model = {0x4c, 0x58, 0x4e, 0x43, 1, 2, 3};
   snap.has_capture = true;
-  snap.capture.resize(2);
-  snap.capture[0].bytes = {0xde, 0xad, 0xbe, 0xef};
-  snap.capture[0].records = 1;
-  snap.capture[0].next_expected_at_least = (std::uint64_t{1} << 32) | 3;
-  snap.capture[1].records = 0;
+  snap.capture.cursors.resize(2);
+  snap.capture.cursors[0].tail = {0xde, 0xad, 0xbe, 0xef};
+  snap.capture.cursors[0].records = 1;
+  snap.capture.cursors[0].next_expected_at_least = (std::uint64_t{1} << 32) | 3;
+  snap.capture.cursors[1].records = 0;
   return snap;
 }
 
@@ -369,10 +370,10 @@ TEST(CodecGolden, SnapshotFiles) {
             kSnapshotManifestFileHex);
   EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::state_filename(0))), kSnapshotStateFileHex);
   const snapshot::FleetSnapshot golden = golden_fleet_snapshot();
-  snapshot::CaptureSegment segment;
+  telemetry::CaptureSegment segment;
   segment.end_day = 2;
   segment.user_bytes = {4, 0};
-  EXPECT_EQ(snapshot::segment_filename(golden.seed, golden.resume_digest, segment),
+  EXPECT_EQ(telemetry::segment_filename(golden.seed, golden.resume_digest, segment),
             kSnapshotSegmentName);
   EXPECT_EQ(hex(file_bytes(snapshot::capture_store_dir(dir) + "/" + kSnapshotSegmentName)),
             kSnapshotSegmentHex);

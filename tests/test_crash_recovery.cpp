@@ -269,7 +269,7 @@ TEST(AutoCheckpointer, CommitWritesOnlyTheDaySinceThePreviousCommit) {
       [&](const sim::FleetDayState& state) {
         ckpt.on_boundary(state);
         std::uint64_t captured = 0;
-        for (const auto& cursor : capture.cursors()) captured += cursor.bytes.size();
+        for (const auto& cursor : capture.cursors()) captured += cursor.byte_count();
         const std::uint64_t logged = registry.counter("snapshot.capture_log.bytes");
         EXPECT_GT(captured, captured_before) << "day " << state.next_day - 1;
         EXPECT_EQ(logged - logged_before, captured - captured_before)
@@ -306,8 +306,9 @@ TEST(AutoCheckpointer, CommitWritesOnlyTheDaySinceThePreviousCommit) {
 
 TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
   // A process checkpoints days 1 and 2, then stops. Its successor recovers
-  // day 2 and checkpoints into the same root: each commit must write the
-  // capture bytes of its own day only, not days [0, 3) again.
+  // day 2, re-arms its capture on the recovered segment table and
+  // checkpoints into the same root: each commit must write the capture bytes
+  // of its own day only, not days [0, 3) again.
   sim::FleetConfig cfg = fleet_config();
   cfg.days = 5;
   constexpr std::uint64_t kSeed = 77;
@@ -335,11 +336,11 @@ TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
                                         std::move(recovered->snapshot.capture))
                   .ok());
   runner.set_telemetry_sink(&capture);
-  snapshot::AutoCheckpointer ckpt(runner, kSeed, policy, &capture, &*recovered);
+  snapshot::AutoCheckpointer ckpt(runner, kSeed, policy, &capture);
 
   const auto captured = [&capture] {
     std::uint64_t bytes = 0;
-    for (const auto& cursor : capture.cursors()) bytes += cursor.bytes.size();
+    for (const auto& cursor : capture.cursors()) bytes += cursor.byte_count();
     return bytes;
   };
   std::uint64_t captured_before = captured();
@@ -365,8 +366,9 @@ TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
   // exactly one day: days 0-3, two archive shards each.
   auto latest = snapshot::find_latest_valid(root);
   ASSERT_TRUE(latest.has_value()) << latest.error().message;
-  EXPECT_EQ(latest->capture_log.size(), 8u);
-  for (const snapshot::CaptureSegment& seg : latest->capture_log) {
+  const auto& segments = latest->snapshot.capture.log.segments;
+  EXPECT_EQ(segments.size(), 8u);
+  for (const telemetry::CaptureSegment& seg : segments) {
     EXPECT_EQ(seg.end_day, seg.first_day + 1) << "days " << seg.first_day << "-" << seg.end_day;
   }
   const std::filesystem::directory_iterator store(snapshot::capture_store_dir(root + "/x"));
@@ -378,16 +380,84 @@ TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
   EXPECT_TRUE(archive.shards == ref.archive.shards);
   resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/4);
 
-  // Another root is another store: a checkpointer there must not continue
-  // the recovered table. Its first commit writes the whole history and loads.
+  // Another root is another store: a capture restored from this one and
+  // checkpointed there carries the whole history over in its first commit,
+  // one segment per archive shard, and the checkpoint loads.
   const std::string elsewhere = fresh_dir("resume-append-elsewhere");
   telemetry::ShardedCapture restored(telemetry::ShardedCapture::Config{4});
   ASSERT_TRUE(snapshot::restore_capture(restored, cfg, kSeed, latest->snapshot.capture).ok());
-  snapshot::AutoCheckpointer moved(runner, kSeed, {elsewhere, 1, 2, 4}, &restored, &*latest);
+  snapshot::AutoCheckpointer moved(runner, kSeed, {elsewhere, 1, 2, 4}, &restored);
   moved.on_boundary(latest->snapshot.state);
   EXPECT_TRUE(moved.status().ok()) << moved.status().error().message;
   const auto loaded = snapshot::load_snapshot(elsewhere + "/" + snapshot::checkpoint_dirname(4));
-  EXPECT_TRUE(loaded.has_value()) << loaded.error().message;
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
+  for (const telemetry::CaptureSegment& seg : loaded->capture.log.segments) {
+    EXPECT_EQ(seg.first_day, 0u);
+    EXPECT_EQ(seg.end_day, 4u);
+  }
+  EXPECT_EQ(loaded->capture.log.segments.size(), 2u);
+  telemetry::ShardedCapture original(telemetry::ShardedCapture::Config{4});
+  ASSERT_TRUE(snapshot::restore_capture(original, cfg, kSeed, latest->snapshot.capture).ok());
+  const telemetry::FleetArchive carried = restored.finish();
+  ASSERT_TRUE(carried.status.ok()) << carried.status.error().message;
+  EXPECT_TRUE(carried.shards == original.finish().shards);
+}
+
+TEST(CaptureReadBack, CorruptSegmentFailsFinishAndLoad) {
+  // Damage a committed segment between the last commit and finish(): the
+  // capture no longer holds those bytes, so the archive must fail rather
+  // than come out short or wrong, write nothing, and every checkpoint that
+  // lists the segment must be rejected.
+  const sim::FleetConfig cfg = fleet_config();
+  constexpr std::uint64_t kSeed = 77;
+  for (const bool truncate : {true, false}) {
+    const std::string name = truncate ? "readback-truncated" : "readback-flipped";
+    const std::string root = fresh_dir(name);
+    sim::FleetRunner runner = make_runner(cfg);
+    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+    runner.set_telemetry_sink(&capture);
+    snapshot::AutoCheckpointer ckpt(runner, kSeed, {root, 1, /*retain=*/3, 4}, &capture);
+    ckpt.arm(runner);
+    runner.run(kSeed);
+    ASSERT_TRUE(ckpt.status().ok()) << ckpt.status().error().message;
+    ASSERT_EQ(ckpt.checkpoints_committed(), 3u);
+
+    // Day 0 of the first archive shard: listed by every checkpoint.
+    const telemetry::CaptureSegment& seg = capture.log().segments.front();
+    ASSERT_EQ(seg.first_day, 0u);
+    const std::string path = capture.log().store + "/" +
+                             telemetry::segment_filename(kSeed, snapshot::resume_digest(cfg), seg);
+    auto bytes = read_file(path);
+    ASSERT_TRUE(bytes.has_value()) << path;
+    if (truncate) {
+      bytes->pop_back();
+    } else {
+      (*bytes)[bytes->size() / 2] ^= 0x10;
+    }
+    ASSERT_TRUE(write_file(path, *bytes).ok());
+
+    const telemetry::FleetArchive archive = capture.finish();
+    ASSERT_FALSE(archive.status.ok()) << name;
+    EXPECT_EQ(archive.status.error().code, Error::Code::kCorrupt) << name;
+    const std::string archive_dir = root + "-archive";
+    std::filesystem::remove_all(archive_dir);
+    const Status written = archive.write(archive_dir);
+    ASSERT_FALSE(written.ok()) << name;
+    EXPECT_EQ(written.error().code, Error::Code::kCorrupt) << name;
+    EXPECT_FALSE(std::filesystem::exists(archive_dir)) << name;
+
+    for (std::size_t day = 1; day <= 3; ++day) {
+      const auto loaded = snapshot::load_snapshot(root + "/" + snapshot::checkpoint_dirname(day));
+      ASSERT_FALSE(loaded.has_value()) << name << " day " << day;
+      EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt) << name << " day " << day;
+      EXPECT_NE(loaded.error().message.find(truncate ? "size disagrees" : "segment disagrees"),
+                std::string::npos)
+          << loaded.error().message;
+    }
+    const auto recovered = snapshot::find_latest_valid(root);
+    ASSERT_FALSE(recovered.has_value()) << name;
+    EXPECT_EQ(recovered.error().code, Error::Code::kNotFound) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

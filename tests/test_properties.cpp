@@ -932,6 +932,30 @@ void expect_same(const Outputs& want, const Outputs& got, const std::string& lab
   EXPECT_TRUE(got.alerts == want.alerts) << label << " alerts";
 }
 
+/// A checkpointer boundary: commit, then check the capture's memory bound.
+/// The commit moves every buffered byte into the log, so afterwards no tail
+/// holds a byte and each user's logged length is what it had captured; the
+/// capture thus buffers only what it recorded since the last commit.
+void commit_and_expect_drained(snapshot::AutoCheckpointer& checkpointer,
+                               const telemetry::ShardedCapture& capture,
+                               const sim::FleetDayState& boundary, const std::string& label) {
+  std::vector<std::uint64_t> captured;
+  for (const auto& cursor : capture.cursors()) captured.push_back(cursor.byte_count());
+  checkpointer.on_boundary(boundary);
+  std::vector<std::uint64_t> listed(captured.size(), 0);
+  for (const telemetry::CaptureSegment& seg : capture.log().segments) {
+    for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
+      listed[seg.first_user + i] += seg.user_bytes[i];
+    }
+  }
+  for (std::size_t u = 0; u < captured.size(); ++u) {
+    const auto& cursor = capture.cursors()[u];
+    EXPECT_TRUE(cursor.tail.empty()) << label << " user " << u;
+    EXPECT_EQ(cursor.logged, captured[u]) << label << " user " << u;
+  }
+  EXPECT_TRUE(listed == captured) << label << ": the log lists other bytes than were captured";
+}
+
 /// Run `fixture` in `cell`, capture attached and, when the cell has obs on,
 /// the health plane installed. A checkpointer cell then resumes a fresh
 /// process from every checkpoint it committed and expects the resumed run
@@ -1001,7 +1025,13 @@ Outputs run_cell(const Fixture& fixture, const Cell& cell) {
         checkpointer.emplace(*runner, seed,
                              snapshot::CheckpointPolicy{dir + "/checkpoints", v.every, cfg.days, 4},
                              capture.get());
-        checkpointer->arm(*runner);
+        runner->set_checkpoint_hook(
+            [&](const sim::FleetDayState& boundary) {
+              commit_and_expect_drained(*checkpointer, *capture, boundary,
+                                        label + " commit at day " +
+                                            std::to_string(boundary.next_day));
+            },
+            v.every);
       }
     }
     sim::FleetDayState next;

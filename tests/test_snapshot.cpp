@@ -242,10 +242,18 @@ TEST(SnapshotDisk, SaveLoadRoundTrip) {
     expect_user_state_eq(loaded->state.users[u], leg.snapshot.state.users[u]);
   }
   EXPECT_EQ(loaded->net_model, leg.snapshot.net_model);
+  // The loaded capture holds no bytes: each cursor's length is logged in the
+  // store beside the snapshot.
   ASSERT_TRUE(loaded->has_capture);
-  ASSERT_EQ(loaded->capture.size(), leg.snapshot.capture.size());
-  for (std::size_t u = 0; u < loaded->capture.size(); ++u) {
-    EXPECT_EQ(loaded->capture[u], leg.snapshot.capture[u]) << "user " << u;
+  EXPECT_EQ(loaded->capture.log.store, snapshot::capture_store_dir(dir));
+  ASSERT_EQ(loaded->capture.cursors.size(), leg.snapshot.capture.cursors.size());
+  for (std::size_t u = 0; u < loaded->capture.cursors.size(); ++u) {
+    const auto& got = loaded->capture.cursors[u];
+    const auto& want = leg.snapshot.capture.cursors[u];
+    EXPECT_TRUE(got.tail.empty()) << "user " << u;
+    EXPECT_EQ(got.logged, want.byte_count()) << "user " << u;
+    EXPECT_EQ(got.records, want.records) << "user " << u;
+    EXPECT_EQ(got.next_expected_at_least, want.next_expected_at_least) << "user " << u;
   }
   EXPECT_TRUE(snapshot::check_compatible(*loaded, leg.cfg, 77).ok());
 }
