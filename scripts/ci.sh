@@ -8,12 +8,13 @@
 #     pins the on-disk byte formats (golden bytes, the frame-corruption table,
 #     hostile lengths and hostile archive shard tables), the `common` label
 #     pins the shared utilities (the slicing-by-8 CRC-32 against its
-#     byte-at-a-time reference included), and the nn suite
-#     re-runs under LINGXI_DENSE_ISA=scalar/sse2/avx2 so every dispatchable
-#     dense kernel proves bitwise parity on the CI host;
-#   * (Release) an ASan + UBSan build of every test and bench_crash_recovery
-#     in build-ci-asan/: the whole CTest suite and the crash-recovery smoke
-#     below run there with every UBSan finding fatal;
+#     byte-at-a-time reference included); the nn parity tests sweep every
+#     dense ISA the host supports in-process, so the plain CTest run already
+#     covers every dispatchable kernel;
+#   * (Release) an ASan + UBSan build of every test, bench_crash_recovery and
+#     bench_scenarios in build-ci-asan/: the whole CTest suite, the
+#     crash-recovery smoke and the scenario smoke below run there with every
+#     UBSan finding fatal;
 #   * the net-file smoke: example_train_exit_predictor trains the exit net,
 #     writes it to ${BUILD_DIR}/smoke/exit_net.lxnw as an LXNC model
 #     container and reloads it, exiting non-zero unless the reload succeeds
@@ -91,16 +92,6 @@ for label in nn fleet snapshot obs scenario bayesopt codec common; do
   ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L "${label}"
 done
 
-# Forced-ISA parity sweep: the dense-kernel dispatch (nn::dense_isa) honours
-# LINGXI_DENSE_ISA, so the nn parity suite re-runs pinned to each variant
-# (requests wider than the hardware clamp down — redundant but still a valid
-# scalar-parity run, never a skip).
-for isa in scalar sse2 avx2; do
-  LINGXI_DENSE_ISA="${isa}" \
-    ctest --test-dir "${BUILD_DIR}" --output-on-failure --no-tests=error -L nn
-  echo "forced-ISA parity OK: ${isa}"
-done
-
 # Crash-recovery smoke: reference run -> checkpointing run killed (-9, raised
 # from inside the commit protocol) -> recover + resume in a fresh process,
 # checkpointing daily again, asserting bitwise parity against the reference
@@ -149,18 +140,26 @@ crash_recovery_smoke() {
 # Sanitizer build (Release invocation only, so CI builds it once): the
 # whole CTest suite — every on-disk decoder, the golden bytes, the hostile
 # tables, the kill-at-every-stage crash grid and the fleet parity harness —
-# and the crash-recovery smoke (the file-backed capture path across a real
-# kill -9) under ASan + UBSan, any UBSan finding fatal. A separate tree,
-# flags through CMAKE_CXX_FLAGS; every test target and bench_crash_recovery
-# are built there.
+# the crash-recovery smoke (the file-backed capture path across a real
+# kill -9) and the scenario smoke (scripted world events, and a fork +
+# SIGKILL checkpoint leg resumed through the churn day) under ASan + UBSan,
+# any UBSan finding fatal. A separate tree, flags through CMAKE_CXX_FLAGS;
+# every test target, bench_crash_recovery and bench_scenarios are built
+# there.
 if [ "${BUILD_TYPE}" = "Release" ]; then
   SAN_DIR="${ROOT}/build-ci-asan"
   cmake -B "${SAN_DIR}" -S "${ROOT}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer"
-  cmake --build "${SAN_DIR}" -j "$(nproc)" --target lingxi_tests bench_crash_recovery
+  cmake --build "${SAN_DIR}" -j "$(nproc)" \
+    --target lingxi_tests bench_crash_recovery bench_scenarios
   ctest --test-dir "${SAN_DIR}" --output-on-failure --no-tests=error -j "$(nproc)"
   crash_recovery_smoke "${SAN_DIR}" "${SAN_DIR}/smoke"
-  echo "ASan+UBSan OK: whole CTest suite and the crash-recovery smoke"
+  rm -rf "${SAN_DIR}/smoke/scenario-checkpoints" "${SAN_DIR}/smoke/scenario-archive"
+  "${SAN_DIR}/bench/bench_scenarios" --smoke \
+    --root "${SAN_DIR}/smoke/scenario-checkpoints" \
+    --archive-dir "${SAN_DIR}/smoke/scenario-archive" \
+    | tee "${SAN_DIR}/smoke/scenarios.txt"
+  echo "ASan+UBSan OK: whole CTest suite, the crash-recovery and scenario smokes"
 fi
 
 SMOKE_DIR="${BUILD_DIR}/smoke"

@@ -105,11 +105,10 @@ PopulationExperiment::PopulationExperiment(
   LINGXI_ASSERT(config_.users > 0 && config_.days > 0);
 }
 
-sim::FleetConfig PopulationExperiment::fleet_config(bool treatment,
-                                                    std::size_t days) const {
+sim::FleetConfig PopulationExperiment::fleet_config(bool treatment) const {
   sim::FleetConfig fleet;
   fleet.users = config_.users;
-  fleet.days = days;
+  fleet.days = config_.days;
   fleet.sessions_per_user_day = config_.sessions_per_user_day;
   fleet.threads = config_.threads;
   fleet.enable_lingxi = treatment;
@@ -126,67 +125,20 @@ sim::FleetConfig PopulationExperiment::fleet_config(bool treatment,
   return fleet;
 }
 
-SessionRecords PopulationExperiment::make_records(bool treatment) const {
-  return SessionRecords(config_.users, config_.record_stall_events && treatment,
-                        config_.intervention_day);
-}
-
 ExperimentResult PopulationExperiment::run(bool treatment, std::uint64_t seed) const {
   // One fleet run per arm. Population, network and per-session worlds derive
   // from (seed, user, day, session) streams inside the runner, so control
   // and treatment arms are paired for a given seed: the treatment series
   // differs from control only through LingXi's parameter changes — the
   // variance-reduction analogue of the paper's 30M-user population.
-  sim::FleetRunner runner(fleet_config(treatment, config_.days), abr_factory_);
+  sim::FleetRunner runner(fleet_config(treatment), abr_factory_);
   if (treatment) runner.set_predictor_factory(make_predictor_);
-  SessionRecords records = make_records(treatment);
+  SessionRecords records(config_.users, config_.record_stall_events && treatment,
+                         config_.intervention_day);
   SessionRecordsSink sink(records);
   runner.set_telemetry_sink(&sink);
-  sim::FleetRunStats stats;
-  runner.run(seed, &stats);
-  ExperimentResult result = records.finish(config_.days);
-  result.batching = stats;
-  return result;
-}
-
-PopulationExperiment::ArmCheckpoint PopulationExperiment::run_to_day(
-    bool treatment, std::uint64_t seed, std::size_t day) const {
-  LINGXI_ASSERT(day > 0 && day < config_.days);
-  sim::FleetRunner runner(fleet_config(treatment, config_.days), abr_factory_);
-  if (treatment) runner.set_predictor_factory(make_predictor_);
-  ArmCheckpoint checkpoint{{}, make_records(treatment), {}};
-  SessionRecordsSink sink(checkpoint.records);
-  runner.set_telemetry_sink(&sink);
-  runner.run_days(seed, 0, day, nullptr, &checkpoint.fleet, &checkpoint.batching);
-  return checkpoint;
-}
-
-ExperimentResult PopulationExperiment::resume(bool treatment, std::uint64_t seed,
-                                              const ArmCheckpoint& checkpoint,
-                                              std::size_t total_days) const {
-  const std::size_t total = total_days != 0 ? total_days : config_.days;
-  const std::size_t boundary = checkpoint.fleet.next_day;
-  LINGXI_ASSERT(boundary > 0 && boundary < total);
-  LINGXI_ASSERT(checkpoint.fleet.users.size() == config_.users);
-
-  // Days before `boundary` never re-simulate: the fleet resumes from the
-  // checkpointed per-user state and the continuation feeds the checkpoint's
-  // assembler. A horizon beyond config().days is legal — no pre-boundary
-  // draw depends on the calendar length.
-  sim::FleetRunner runner(fleet_config(treatment, total), abr_factory_);
-  if (treatment) runner.set_predictor_factory(make_predictor_);
-  SessionRecords records = checkpoint.records;
-  SessionRecordsSink sink(records);
-  runner.set_telemetry_sink(&sink);
-  sim::FleetRunStats continuation_stats;
-  runner.run_days(seed, boundary, total, &checkpoint.fleet, nullptr,
-                  &continuation_stats);
-  ExperimentResult result = records.finish(total);
-  // Batching counters merge across legs — a resumed experiment reports the
-  // same pool totals as an uninterrupted one (test_analytics.cpp pins this).
-  result.batching = checkpoint.batching;
-  result.batching.merge(continuation_stats);
-  return result;
+  runner.run(seed);
+  return records.finish(config_.days);
 }
 
 std::vector<double> relative_daily_gap(const std::vector<MetricAccumulator>& treatment,

@@ -107,10 +107,6 @@ struct ExperimentResult {
   std::vector<MetricAccumulator> daily;   ///< indexed by day
   std::vector<UserDayRecord> user_days;
   std::vector<StallEventRecord> stall_events;
-  /// Predictor-pool batching counters for the whole arm. An incremental
-  /// experiment merges every leg's counters, so a run_to_day+resume split
-  /// reports the same totals as one uninterrupted run.
-  sim::FleetRunStats batching;
 };
 
 /// Assembles an ExperimentResult from (user, day, params_after,
@@ -134,7 +130,7 @@ class SessionRecords {
 
   /// Records for days [0, days): one UserDayRecord per (user, day),
   /// zero-session days included, user-major; per-day metrics merged in
-  /// user order; stall events user-major. `batching` stays empty.
+  /// user order; stall events user-major.
   ExperimentResult finish(std::size_t days) const;
 
  private:
@@ -191,36 +187,10 @@ class PopulationExperiment {
   /// so control and treatment arms are paired.
   ExperimentResult run(bool treatment, std::uint64_t seed) const;
 
-  /// Incremental-day experiments (snapshot subsystem): one arm simulated in
-  /// legs, with every leg boundary at a day boundary. The resumable state of
-  /// one arm at day D: the fleet-day state (per-user engagement, parameters,
-  /// optimizer counters, accumulator), the record assembler holding days
-  /// [0, D), and the prefix leg's batching counters.
-  struct ArmCheckpoint {
-    sim::FleetDayState fleet;
-    SessionRecords records;
-    sim::FleetRunStats batching;
-  };
-
-  /// Simulate days [0, day) of one arm (day < config().days) and checkpoint.
-  ArmCheckpoint run_to_day(bool treatment, std::uint64_t seed, std::size_t day) const;
-
-  /// Continue a checkpointed arm through day `total_days` (0 = the
-  /// configured horizon; larger values EXTEND the experiment — e.g. add K
-  /// days to a finished A/B fleet without re-simulating the first D). The
-  /// continuation feeds the checkpoint's assembler, so the result is
-  /// identical to a single run over `total_days` with the same seed —
-  /// bitwise, including the float per-day/per-user records
-  /// (test_analytics.cpp pins this against run()).
-  ExperimentResult resume(bool treatment, std::uint64_t seed,
-                          const ArmCheckpoint& checkpoint,
-                          std::size_t total_days = 0) const;
-
   const ExperimentConfig& config() const noexcept { return config_; }
 
  private:
-  sim::FleetConfig fleet_config(bool treatment, std::size_t days) const;
-  SessionRecords make_records(bool treatment) const;
+  sim::FleetConfig fleet_config(bool treatment) const;
 
   ExperimentConfig config_;
   AbrFactory abr_factory_;

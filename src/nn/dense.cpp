@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #if defined(__GNUC__) && !defined(LINGXI_NO_DENSE_SIMD)
@@ -220,7 +218,7 @@ __attribute__((target("avx2"))) void dense_panel_avx2(
 
 #endif  // LINGXI_DENSE_X86
 
-// Active ISA: -1 = undecided (read LINGXI_DENSE_ISA on first use).
+// Active ISA: -1 = undecided (the widest supported one, on first use).
 std::atomic<int> g_dense_isa{-1};
 
 DenseIsa clamp_to_supported(DenseIsa want) noexcept {
@@ -263,14 +261,7 @@ bool dense_isa_supported(DenseIsa isa) noexcept {
 DenseIsa dense_isa() noexcept {
   int v = g_dense_isa.load(std::memory_order_relaxed);
   if (v < 0) {
-    DenseIsa want = DenseIsa::kAvx2;
-    if (const char* e = std::getenv("LINGXI_DENSE_ISA"); e != nullptr && *e != '\0') {
-      if (std::strcmp(e, "scalar") == 0) want = DenseIsa::kScalar;
-      else if (std::strcmp(e, "sse2") == 0) want = DenseIsa::kSse2;
-      else if (std::strcmp(e, "avx2") == 0) want = DenseIsa::kAvx2;
-      // Unrecognized values fall through to the widest supported ISA.
-    }
-    v = static_cast<int>(clamp_to_supported(want));
+    v = static_cast<int>(clamp_to_supported(DenseIsa::kAvx2));
     g_dense_isa.store(v, std::memory_order_relaxed);
   }
   return static_cast<DenseIsa>(v);

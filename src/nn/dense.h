@@ -18,19 +18,18 @@ enum class DenseIsa {
                 ///< two for 5..8
 };
 
-/// Name for logs / env parsing: "scalar", "sse2", "avx2".
+/// Name for logs and test messages: "scalar", "sse2", "avx2".
 const char* dense_isa_name(DenseIsa isa) noexcept;
 
 /// True when this build + CPU can run `isa`.
 bool dense_isa_supported(DenseIsa isa) noexcept;
 
-/// The ISA forward_batch currently dispatches to: the widest supported one,
-/// unless LINGXI_DENSE_ISA (scalar|sse2|avx2, clamped to hardware support)
-/// or set_dense_isa_for_testing() overrode it.
+/// The ISA forward_batch currently dispatches to: the widest supported one
+/// (from cpuid), unless set_dense_isa_for_testing() overrode it.
 DenseIsa dense_isa() noexcept;
 
-/// In-process override for tests and benches (the env var is only read
-/// once). Clamped to dense_isa_supported(); returns the ISA actually set.
+/// In-process override for tests and benches, which sweep every supported
+/// ISA. Clamped to dense_isa_supported(); returns the ISA actually set.
 DenseIsa set_dense_isa_for_testing(DenseIsa isa) noexcept;
 
 class Dense final : public Layer {

@@ -149,54 +149,6 @@ void RegistrySnapshot::write_json(std::ostream& os) const {
   os << "]}\n";
 }
 
-void RegistrySnapshot::write_prometheus(std::ostream& os) const {
-  auto sanitize = [](std::string_view name) {
-    std::string out;
-    out.reserve(name.size());
-    for (const char c : name) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == ':';
-      out.push_back(ok ? c : '_');
-    }
-    if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
-    return out;
-  };
-  for (const MetricSnapshot& m : metrics) {
-    const std::string name = sanitize(m.name);
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        os << "# TYPE " << name << " counter\n" << name << " " << m.count << "\n";
-        break;
-      case MetricKind::kGauge:
-        os << "# TYPE " << name << " gauge\n" << name << " ";
-        write_double(os, m.value);
-        os << "\n";
-        break;
-      case MetricKind::kHistogram: {
-        os << "# TYPE " << name << " histogram\n";
-        std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < m.buckets.size(); ++i) {
-          cum += m.buckets[i];
-          os << name << "_bucket{le=\"";
-          if (i < m.bounds.size()) {
-            write_double(os, m.bounds[i]);
-          } else {
-            os << "+Inf";
-          }
-          os << "\"} " << cum << "\n";
-        }
-        // A spec-less empty histogram still exposes the +Inf bucket the
-        // exposition format requires.
-        if (m.buckets.empty()) os << name << "_bucket{le=\"+Inf\"} 0\n";
-        os << name << "_sum ";
-        write_double(os, m.value);
-        os << "\n" << name << "_count " << m.count << "\n";
-        break;
-      }
-    }
-  }
-}
-
 /// One named metric's per-shard accumulation. A cell is exactly one kind for
 /// its whole life; the kind is fixed on first touch.
 struct Registry::Cell {
@@ -387,10 +339,6 @@ RegistrySnapshot Registry::snapshot() const {
 }
 
 void Registry::write_json(std::ostream& os) const { snapshot().write_json(os); }
-
-void Registry::write_prometheus(std::ostream& os) const {
-  snapshot().write_prometheus(os);
-}
 
 bool Registry::write_json_file(const std::string& path) const {
   std::ostringstream os;

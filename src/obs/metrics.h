@@ -101,10 +101,6 @@ struct RegistrySnapshot {
   /// serialization round-trips bit-exactly. p50/p95/p99 are the
   /// MetricSnapshot::quantile bucket-interpolated estimates.
   void write_json(std::ostream& os) const;
-  /// Prometheus text exposition (version 0.0.4): counters and gauges as
-  /// single samples, histograms as cumulative `_bucket{le=...}` series plus
-  /// `_sum` / `_count`. Dotted names are sanitized to underscores.
-  void write_prometheus(std::ostream& os) const;
 
   bool operator==(const RegistrySnapshot&) const = default;
 };
@@ -147,8 +143,6 @@ class Registry {
   /// fsync, rename), so a crash never leaves a torn dump; false on I/O
   /// failure.
   bool write_json_file(const std::string& path) const;
-  /// snapshot() serialized via RegistrySnapshot::write_prometheus.
-  void write_prometheus(std::ostream& os) const;
 
  private:
   struct Cell;

@@ -25,11 +25,6 @@ HybridExitPredictor HybridExitPredictor::with_private_net() const {
   return {std::make_shared<StallExitNet>(*net_), os_model_, config_};
 }
 
-namespace {
-/// Sub-perceptual stalls skip the personalized stall term entirely.
-constexpr Seconds kNnStallThreshold = 0.05;
-}  // namespace
-
 double HybridExitPredictor::predict(const EngagementState& state,
                                     const sim::SegmentRecord& segment, SwitchType sw) const {
   return predict(ExitQuery{&state, segment.level, segment.stall_time, sw});
@@ -57,37 +52,6 @@ double HybridExitPredictor::combine(const EngagementState& state, double nn_term
   const double stall_term =
       config_.nn_weight * nn_term + (1.0 - config_.nn_weight) * std::min(1.0, personal);
   return std::clamp(stall_term + os, 0.0, 1.0);
-}
-
-void HybridExitPredictor::predict_batch(std::size_t count, const ExitQuery* queries,
-                                        double* out, BatchScratch* scratch) const {
-  BatchScratch local;
-  BatchScratch& s = scratch != nullptr ? *scratch : local;
-
-  // Gather the stalled queries' feature matrices; only they need the net.
-  s.stalled.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (queries[i].stall_time > kNnStallThreshold) s.stalled.push_back(i);
-  }
-  constexpr std::size_t kFeatureLen = kChannels * kHistoryLen;
-  s.features.resize(s.stalled.size() * kFeatureLen);
-  for (std::size_t j = 0; j < s.stalled.size(); ++j) {
-    queries[s.stalled[j]].state->write_features(s.features.data() + j * kFeatureLen);
-  }
-  s.nn_terms.resize(s.stalled.size());
-  net_->predict_batch({s.features.data(), s.stalled.size(), kFeatureLen},
-                      s.nn_terms.data(), &s.net);
-
-  std::size_t j = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const ExitQuery& q = queries[i];
-    const double os = os_model_->predict(q.level, q.sw);
-    if (q.stall_time <= kNnStallThreshold) {
-      out[i] = std::clamp(os, 0.0, 1.0);
-    } else {
-      out[i] = combine(*q.state, s.nn_terms[j++], os);
-    }
-  }
 }
 
 PredictorExitModel::PredictorExitModel(HybridExitPredictor predictor,
@@ -137,44 +101,30 @@ bool BatchPredictorExitEvaluator::prepare(sim::ExitModel& model,
   // Safe: the contract restricts `model` to our make_model() instances.
   auto& exit_model = static_cast<PredictorExitModel&>(model);
   const HybridExitPredictor::ExitQuery query = exit_model.prepare(segment);
-  if (query.stall_time <= kNnStallThreshold) {
+  if (query.stall_time <= HybridExitPredictor::kNnStallThreshold) {
     out = predictor_.predict(query);  // OS-only path, no net forward
     return true;
   }
-  if (pool_ != nullptr) {
-    tickets_.push_back(pool_->park(
-        predictor_, query,
-        {user_tag_, exit_model.rollout_tag(), static_cast<std::uint32_t>(segment.index)}));
-  } else {
-    scratch_.queries.push_back(query);
-  }
+  tickets_.push_back(pool_->park(
+      predictor_, query,
+      {user_tag_, exit_model.rollout_tag(), static_cast<std::uint32_t>(segment.index)}));
   return false;
 }
 
 std::size_t BatchPredictorExitEvaluator::flush(double* out) const {
-  if (pool_ != nullptr) {
-    // Pooled scope: the pool already evaluated this wave's queries (the
-    // scheduler flushes it between waves); collect ours in park order.
-    const std::size_t count = tickets_.size();
-    for (std::size_t i = 0; i < count; ++i) out[i] = pool_->prob(tickets_[i]);
-    tickets_.clear();
-    return count;
-  }
-  // The parked queries' state pointers stay valid until their rollouts
-  // resolve — parked rollouts do not advance before the flush.
-  const std::size_t count = scratch_.queries.size();
-  predictor_.predict_batch(count, scratch_.queries.data(), out, &scratch_);
-  scratch_.queries.clear();
+  // A caller's pool was already flushed by its owner between waves; our own
+  // is flushed here. The parked queries' state pointers stay valid until
+  // then — parked rollouts do not advance before the flush.
+  if (own_pool_ != nullptr) own_pool_->flush();
+  const std::size_t count = tickets_.size();
+  for (std::size_t i = 0; i < count; ++i) out[i] = pool_->prob(tickets_[i]);
+  tickets_.clear();
   return count;
 }
 
 void BatchPredictorExitEvaluator::discard_parked() const {
-  if (pool_ != nullptr) {
-    for (const std::size_t ticket : tickets_) pool_->discard(ticket);
-    tickets_.clear();
-    return;
-  }
-  scratch_.queries.clear();
+  for (const std::size_t ticket : tickets_) pool_->discard(ticket);
+  tickets_.clear();
 }
 
 std::size_t ExitQueryPool::park(const HybridExitPredictor& predictor,
@@ -257,14 +207,14 @@ void ExitQueryPool::flush() {
     features_.resize(group.members.size() * kFeatureLen);
     for (std::size_t j = 0; j < group.members.size(); ++j) {
       const Entry& entry = pending_[group.members[j]];
-      LINGXI_DASSERT(entry.query.stall_time > kNnStallThreshold);
+      LINGXI_DASSERT(entry.query.stall_time > HybridExitPredictor::kNnStallThreshold);
       entry.query.state->write_features(features_.data() + j * kFeatureLen);
     }
     nn_terms_.resize(group.members.size());
     group.net->predict_batch({features_.data(), group.members.size(), kFeatureLen},
                              nn_terms_.data(), &ws_);
     // Per-query tail through the query's own predictor (OS lookup + blend),
-    // bitwise identical to HybridExitPredictor::predict_batch.
+    // bitwise identical to predict().
     for (std::size_t j = 0; j < group.members.size(); ++j) {
       const Entry& entry = pending_[group.members[j]];
       probs_[group.members[j]] = entry.predictor->finish_stalled(entry.query, nn_terms_[j]);

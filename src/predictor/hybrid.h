@@ -48,15 +48,9 @@ class HybridExitPredictor {
     SwitchType sw = SwitchType::kNone;
   };
 
-  /// Reusable scratch for predict_batch: query/feature staging plus the
-  /// net's own workspace, so a lockstep Monte Carlo run allocates once.
-  struct BatchScratch {
-    StallExitNet::BatchWorkspace net;
-    std::vector<HybridExitPredictor::ExitQuery> queries;
-    std::vector<double> features;
-    std::vector<double> nn_terms;
-    std::vector<std::size_t> stalled;
-  };
+  /// Stalls at or below this are sub-perceptual: predict() skips the net
+  /// term, so only longer stalls are parked for a batched forward.
+  static constexpr Seconds kNnStallThreshold = 0.05;
 
   /// R_exit for the segment just downloaded. `state` must already include
   /// this segment (EngagementState::on_segment called).
@@ -64,17 +58,12 @@ class HybridExitPredictor {
                  SwitchType sw) const;
   /// predict() in query form — the shared scalar implementation.
   double predict(const ExitQuery& query) const;
-  /// Finish a stalled query given its net output — the per-query tail of
-  /// predict_batch (OS lookup + blend), bitwise identical to it. Exposed so
-  /// ExitQueryPool can batch net forwards across predictors that share a net
-  /// while every query's OS/blend still runs through its own predictor.
+  /// Finish a stalled query given its net output (OS lookup + blend): with
+  /// nn_term = net().predict(features) it is bitwise predict(query). The
+  /// per-query tail of ExitQueryPool::flush, which runs the net forwards of
+  /// many queries as one StallExitNet::predict_batch while every query's
+  /// OS/blend still runs through its own predictor.
   double finish_stalled(const ExitQuery& query, double nn_term) const;
-  /// Batched predict over `count` queries: the stalled queries' features are
-  /// gathered into one matrix and their net forwards run as a single
-  /// StallExitNet::predict_batch call. Bitwise identical per item to
-  /// predict(). `scratch` may be null; passing one amortizes buffers.
-  void predict_batch(std::size_t count, const ExitQuery* queries, double* out,
-                     BatchScratch* scratch = nullptr) const;
 
   StallExitNet& net() { return *net_; }
   const StallExitNet& net() const { return *net_; }
@@ -140,8 +129,9 @@ class PredictorExitModel final : public sim::ExitModel {
 /// first-seen order, park order within a group), each group runs as one
 /// StallExitNet::predict_batch, and each query's OS/blend tail runs through
 /// its own predictor. Per-row forwards are bitwise independent of batch
-/// composition, so pooling across users changes no result bit — only how
-/// many rows each forward amortizes weight streaming over.
+/// composition, so every probability is bitwise predict(query) and pooling
+/// across users changes no result bit — only how many rows each forward
+/// amortizes weight streaming over. This is the one batched exit path.
 ///
 /// Tickets: park() returns a ticket valid until the next flush() after that
 /// flush()'s probabilities have been superseded — i.e. each parked ticket
@@ -207,17 +197,16 @@ class ExitQueryPool {
 
 /// Bridges the hybrid predictor into the lockstep Monte Carlo engine
 /// (sim::RolloutWave): hands out per-rollout PredictorExitModel instances
-/// seeded with the live user state, and evaluates their pending queries
-/// with one batched net forward per step. Two flush scopes:
-///   * standalone (pool == nullptr): parked queries stay in the evaluator
-///     and flush() computes the batch itself — one flush per wave of one
-///     evaluation (maybe_optimize, evaluate_rollouts);
-///   * pooled: parked queries go to a shared ExitQueryPool under the
-///     (user, rollout, segment) key, the pool owner flushes once per
-///     cohort wave across ALL the shard's evaluations, and flush() here
-///     just collects this evaluator's probabilities in park order.
-/// Both scopes are bitwise identical per query. The referenced predictor,
-/// seed state and pool must outlive the evaluator.
+/// seeded with the live user state. Stalled queries always park in an
+/// ExitQueryPool under the (user, rollout, segment) key, and flush() reads
+/// this evaluator's probabilities back in park order. The pool is either
+///   * the caller's (pool != nullptr): its owner flushes it once per cohort
+///     wave across ALL the shard's evaluations, before the wave resumes; or
+///   * one the evaluator owns (pool == nullptr), which flush() flushes
+///     itself — one flush per wave of one evaluation (maybe_optimize,
+///     evaluate_rollouts).
+/// Every probability is bitwise predict(query) either way. The referenced
+/// predictor, seed state and pool must outlive the evaluator.
 class BatchPredictorExitEvaluator final : public sim::BatchExitEvaluator {
  public:
   BatchPredictorExitEvaluator(const HybridExitPredictor& predictor,
@@ -226,7 +215,8 @@ class BatchPredictorExitEvaluator final : public sim::BatchExitEvaluator {
       : predictor_(predictor),
         seed_state_(seed_state),
         segment_duration_(segment_duration),
-        pool_(pool),
+        own_pool_(pool == nullptr ? std::make_unique<ExitQueryPool>() : nullptr),
+        pool_(pool != nullptr ? pool : own_pool_.get()),
         user_tag_(user_tag) {}
 
   std::unique_ptr<sim::ExitModel> make_model() const override;
@@ -242,11 +232,11 @@ class BatchPredictorExitEvaluator final : public sim::BatchExitEvaluator {
   const HybridExitPredictor& predictor_;
   const EngagementState& seed_state_;
   Seconds segment_duration_;
+  std::unique_ptr<ExitQueryPool> own_pool_;  ///< null when the caller's pool is used
   ExitQueryPool* pool_ = nullptr;
   std::uint32_t user_tag_ = 0;
   mutable std::uint32_t next_rollout_tag_ = 0;
   mutable std::vector<std::size_t> tickets_;  ///< pool tickets, park order
-  mutable HybridExitPredictor::BatchScratch scratch_;
 };
 
 }  // namespace lingxi::predictor

@@ -192,18 +192,6 @@ void FleetRunStats::merge(const FleetRunStats& other) noexcept {
   pool_max_flush = std::max(pool_max_flush, other.pool_max_flush);
 }
 
-double FleetRunStats::mean_flush_occupancy() const noexcept {
-  return pool_flushes == 0 ? 0.0
-                           : static_cast<double>(pool_queries) /
-                                 static_cast<double>(pool_flushes);
-}
-
-double FleetRunStats::mean_net_batch() const noexcept {
-  return pool_net_batches == 0 ? 0.0
-                               : static_cast<double>(pool_queries) /
-                                     static_cast<double>(pool_net_batches);
-}
-
 FleetRunner::FleetRunner(FleetConfig config, AbrFactory abr_factory)
     : config_(std::move(config)), abr_factory_(std::move(abr_factory)) {
   LINGXI_ASSERT(abr_factory_ != nullptr);

@@ -155,10 +155,6 @@ struct FleetRunStats {
   std::uint64_t pool_net_batches = 0;  ///< per-net predict_batch calls
   std::uint64_t pool_max_flush = 0;    ///< largest single flush
   void merge(const FleetRunStats& other) noexcept;
-  /// Mean stalled queries evaluated per pooled flush (batch occupancy).
-  double mean_flush_occupancy() const noexcept;
-  /// Mean rows per net forward (after per-net sub-batching).
-  double mean_net_batch() const noexcept;
 };
 
 /// Evolving per-user state at a day boundary — everything a resumed run

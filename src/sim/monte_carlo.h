@@ -93,11 +93,12 @@ class MonteCarloEvaluator {
 /// parks a query into `exits`, folds completed rollouts into the result in
 /// rollout order (pruning fires at the same rollout whatever the batch
 /// size), and returns true when the evaluation is complete. When
-/// it returns false, at least one query is parked; the caller must make the
-/// parked probabilities available (either `exits` computes them itself on
-/// flush, or the caller flushes the shared ExitQueryPool the evaluator parks
-/// into) and then call step() again — the next step() collects the
-/// probabilities via exits.flush() before advancing.
+/// it returns false, at least one query is parked; the caller calls step()
+/// again, which collects the probabilities via exits.flush() before
+/// advancing. When `exits` parks into a pool shared with other evaluations
+/// (predictor::ExitQueryPool passed to the evaluator), the caller flushes
+/// that pool before the next step(); otherwise exits.flush() evaluates the
+/// parked queries itself.
 ///
 /// Rng contract: exactly `samples` forks are taken from `rng` at
 /// construction, so the caller's stream advances identically no matter how

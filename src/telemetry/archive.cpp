@@ -18,9 +18,9 @@ constexpr std::uint32_t kSessionRecord = 1;
 constexpr std::uint32_t kUserRecord = 2;
 
 // Fixed prefix of a kSessionRecord: type, user, day, session_in_day,
-// measured, three QoE parameters. Range scans decode only this much before
-// deciding whether to decode the embedded trajectory, which the reader is
-// left positioned at.
+// measured, three QoE parameters. scan_shard checks the user and day here
+// before decoding the embedded trajectory, which the reader is left
+// positioned at (and skips that decode when no session callback is set).
 struct SessionPrefix {
   std::uint64_t user = 0;
   std::uint32_t day = 0;
@@ -404,37 +404,13 @@ Expected<ArchiveReader> ArchiveReader::open(const std::string& dir) {
 
 Status ArchiveReader::scan(const SessionCallback& on_session,
                            const UserCallback& on_user) const {
-  return scan_users(0, manifest_.users == 0 ? 0 : manifest_.users - 1, on_session, on_user);
-}
-
-Status ArchiveReader::scan_users(std::uint64_t first_user, std::uint64_t last_user,
-                                 const SessionCallback& on_session,
-                                 const UserCallback& on_user) const {
   for (std::size_t i = 0; i < manifest_.shards.size(); ++i) {
-    const auto& shard = manifest_.shards[i];
-    if (shard.user_count == 0) continue;
-    const std::uint64_t shard_last = shard.first_user + shard.user_count - 1;
-    if (shard_last < first_user || shard.first_user > last_user) continue;
-    if (auto s = scan_shard(i, first_user, last_user, 0, ~0u, on_session, on_user); !s) {
-      return s;
-    }
+    if (auto s = scan_shard(i, on_session, on_user); !s) return s;
   }
   return {};
 }
 
-Status ArchiveReader::scan_days(std::uint32_t first_day, std::uint32_t last_day,
-                                const SessionCallback& on_session) const {
-  for (std::size_t i = 0; i < manifest_.shards.size(); ++i) {
-    if (auto s = scan_shard(i, 0, ~0ULL, first_day, last_day, on_session, nullptr); !s) {
-      return s;
-    }
-  }
-  return {};
-}
-
-Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_user,
-                                 std::uint64_t last_user, std::uint32_t first_day,
-                                 std::uint32_t last_day, const SessionCallback& on_session,
+Status ArchiveReader::scan_shard(std::size_t shard_index, const SessionCallback& on_session,
                                  const UserCallback& on_user) const {
   const std::string path = dir_ + "/" + shard_filename(shard_index);
   std::ifstream in(path, std::ios::binary);
@@ -464,8 +440,6 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
         if (prefix.day >= manifest_.days) {
           return Error::corrupt("session record day past the manifest's day count: " + path);
         }
-        if (prefix.user < first_user || prefix.user > last_user) break;
-        if (prefix.day < first_day || prefix.day > last_day) break;
         if (!on_session) break;
         auto rec = decode_session_record(prefix, in);
         if (!rec) return rec.error();
@@ -478,7 +452,6 @@ Status ArchiveReader::scan_shard(std::size_t shard_index, std::uint64_t first_us
         if (misrouted(rec->user)) {
           return Error::corrupt("user record outside its shard: " + path);
         }
-        if (rec->user < first_user || rec->user > last_user) break;
         if (on_user) on_user(*rec);
         break;
       }

@@ -43,7 +43,7 @@
 //
 // Because the layout is a pure function of (fleet config, seed), the archive
 // is byte-for-byte identical at any worker-thread count and any runner shard
-// size — the property test_telemetry.cpp asserts.
+// size — the property the fleet parity harness (test_properties.cpp) pins.
 #pragma once
 
 #include <cstdint>
@@ -148,31 +148,19 @@ class ArchiveReader {
 
   const ArchiveManifest& manifest() const noexcept { return manifest_; }
 
-  /// Full scan over every shard, in user order. Either callback may be null.
-  /// Every scan fails with kCorrupt on a record whose user lies outside its
-  /// shard's [first_user, first_user + user_count) or whose day is at or
-  /// past manifest().days, even when its CRC holds.
+  /// Full scan over every shard, in user order — the one read path (Replay
+  /// uses it). Either callback may be null. Fails with kCorrupt on a record
+  /// whose user lies outside its shard's [first_user, first_user +
+  /// user_count) or whose day is at or past manifest().days, even when its
+  /// CRC holds, and on a shard whose record count disagrees with the
+  /// manifest; kIo when a shard cannot be opened or fails mid-read.
   Status scan(const SessionCallback& on_session, const UserCallback& on_user) const;
-
-  /// Scan users in [first_user, last_user]. Only the shard files whose user
-  /// range intersects are opened, and non-matching records inside them are
-  /// skipped after decoding the fixed prefix only.
-  Status scan_users(std::uint64_t first_user, std::uint64_t last_user,
-                    const SessionCallback& on_session, const UserCallback& on_user) const;
-
-  /// Scan session records for days in [first_day, last_day]. All shards are
-  /// streamed, but out-of-range records are skipped without decoding their
-  /// per-segment trajectories.
-  Status scan_days(std::uint32_t first_day, std::uint32_t last_day,
-                   const SessionCallback& on_session) const;
 
  private:
   ArchiveReader(std::string dir, ArchiveManifest manifest)
       : dir_(std::move(dir)), manifest_(std::move(manifest)) {}
 
-  Status scan_shard(std::size_t shard_index, std::uint64_t first_user,
-                    std::uint64_t last_user, std::uint32_t first_day,
-                    std::uint32_t last_day, const SessionCallback& on_session,
+  Status scan_shard(std::size_t shard_index, const SessionCallback& on_session,
                     const UserCallback& on_user) const;
 
   std::string dir_;

@@ -160,120 +160,6 @@ TEST(PopulationExperiment, StallEventRecordingOptIn) {
   }
 }
 
-// A pure predictor factory (fresh rng per call -> identical weights every
-// call) — required by the FleetRunner factory contract, and doubly so for
-// checkpoint/resume where the invocation count depends on the leg split.
-std::function<predictor::HybridExitPredictor()> pure_predictor_factory() {
-  return [] {
-    Rng net_rng(123);
-    auto net = std::make_shared<predictor::StallExitNet>(net_rng);
-    auto os = std::make_shared<predictor::OverallStatsModel>();
-    return predictor::HybridExitPredictor(net, os);
-  };
-}
-
-void expect_results_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  ASSERT_EQ(a.daily.size(), b.daily.size());
-  for (std::size_t d = 0; d < a.daily.size(); ++d) {
-    EXPECT_EQ(a.daily[d].sessions(), b.daily[d].sessions()) << "day " << d;
-    EXPECT_EQ(a.daily[d].total_watch_time(), b.daily[d].total_watch_time()) << "day " << d;
-    EXPECT_EQ(a.daily[d].total_stall_time(), b.daily[d].total_stall_time()) << "day " << d;
-    EXPECT_EQ(a.daily[d].mean_bitrate(), b.daily[d].mean_bitrate()) << "day " << d;
-  }
-  ASSERT_EQ(a.user_days.size(), b.user_days.size());
-  for (std::size_t i = 0; i < a.user_days.size(); ++i) {
-    const auto& x = a.user_days[i];
-    const auto& y = b.user_days[i];
-    EXPECT_EQ(x.user, y.user) << "record " << i;
-    EXPECT_EQ(x.day, y.day) << "record " << i;
-    EXPECT_EQ(x.mean_beta, y.mean_beta) << "record " << i;
-    EXPECT_EQ(x.mean_stall_penalty, y.mean_stall_penalty) << "record " << i;
-    EXPECT_EQ(x.stall_events, y.stall_events) << "record " << i;
-    EXPECT_EQ(x.stall_exits, y.stall_exits) << "record " << i;
-    EXPECT_EQ(x.stall_time, y.stall_time) << "record " << i;
-    EXPECT_EQ(x.watch_time, y.watch_time) << "record " << i;
-    EXPECT_EQ(x.mean_bandwidth, y.mean_bandwidth) << "record " << i;
-  }
-  ASSERT_EQ(a.stall_events.size(), b.stall_events.size());
-  for (std::size_t i = 0; i < a.stall_events.size(); ++i) {
-    const auto& x = a.stall_events[i];
-    const auto& y = b.stall_events[i];
-    EXPECT_EQ(x.user, y.user) << "event " << i;
-    EXPECT_EQ(x.event_index, y.event_index) << "event " << i;
-    EXPECT_EQ(x.stall_time, y.stall_time) << "event " << i;
-    EXPECT_EQ(x.param_beta_after, y.param_beta_after) << "event " << i;
-    EXPECT_EQ(x.exited, y.exited) << "event " << i;
-    EXPECT_EQ(x.user_tolerance, y.user_tolerance) << "event " << i;
-  }
-}
-
-TEST(PopulationExperiment, BatchingStatsMergeAcrossLegs) {
-  // Incremental legs must MERGE the predictor-pool counters, not drop them:
-  // a run_to_day+resume split reports its own legs' flushes, and the query
-  // total — one count per parked query, schedule-independent — matches the
-  // unsplit run exactly. (Flush/wave counts may legitimately differ across
-  // the split: a leg boundary synchronizes the shard's tasks, changing wave
-  // composition but never which queries run.)
-  auto cfg = small_config();
-  cfg.predictor_batch = 4;  // pooled flushes need a batch
-  PopulationExperiment exp(cfg, [] { return std::make_unique<abr::Hyb>(); },
-                           pure_predictor_factory());
-  // Seed chosen so both legs of the day-3 split run optimizations that park
-  // predictor queries (most seeds only trigger in the prefix leg at this
-  // tiny population size).
-  const std::uint64_t seed = 15;
-  const auto full = exp.run(true, seed);
-  ASSERT_GT(full.batching.pool_flushes, 0u);
-  ASSERT_GT(full.batching.pool_queries, 0u);
-
-  // Split after the intervention day so the prefix leg has pool activity.
-  const auto checkpoint = exp.run_to_day(true, seed, 3);
-  EXPECT_GT(checkpoint.batching.pool_flushes, 0u);
-  const auto resumed = exp.resume(true, seed, checkpoint);
-  EXPECT_EQ(resumed.batching.pool_queries, full.batching.pool_queries);
-  EXPECT_GT(resumed.batching.pool_flushes, checkpoint.batching.pool_flushes);
-  EXPECT_GE(resumed.batching.pool_max_flush,
-            checkpoint.batching.pool_max_flush);
-  EXPECT_GE(resumed.batching.pool_net_batches, resumed.batching.pool_flushes);
-  EXPECT_GT(resumed.batching.mean_flush_occupancy(), 0.0);
-}
-
-TEST(PopulationExperiment, IncrementalDayResumeMatchesFullRun) {
-  // The snapshot contract at the analytics layer: checkpoint an arm at day
-  // D, resume, and every record — float sums included — is identical to the
-  // unsplit run (no accumulation crosses a day boundary).
-  auto cfg = small_config();
-  cfg.record_stall_events = true;
-  PopulationExperiment exp(cfg, [] { return std::make_unique<abr::Hyb>(); },
-                           pure_predictor_factory());
-  for (const bool treatment : {false, true}) {
-    const auto full = exp.run(treatment, 11);
-    const auto checkpoint = exp.run_to_day(treatment, 11, 2);
-    EXPECT_EQ(checkpoint.fleet.next_day, 2u);
-    EXPECT_EQ(checkpoint.records.finish(2).user_days.size(), cfg.users * 2);
-    const auto resumed = exp.resume(treatment, 11, checkpoint);
-    expect_results_identical(resumed, full);
-  }
-}
-
-TEST(PopulationExperiment, ResumeExtendsHorizonWithoutResimulating) {
-  // Intervention-day continuation: extend a finished D-day A/B fleet by K
-  // days from its checkpoint; the spliced result must equal a from-scratch
-  // experiment over D+K days.
-  const auto cfg = small_config();  // 4 days, intervention at 2
-  auto extended_cfg = cfg;
-  extended_cfg.days = 6;
-  PopulationExperiment exp(cfg, [] { return std::make_unique<abr::Hyb>(); },
-                           pure_predictor_factory());
-  PopulationExperiment extended_exp(extended_cfg,
-                                    [] { return std::make_unique<abr::Hyb>(); },
-                                    pure_predictor_factory());
-  const auto full6 = extended_exp.run(true, 13);
-  const auto checkpoint = exp.run_to_day(true, 13, 3);
-  const auto extended = exp.resume(true, 13, checkpoint, 6);
-  expect_results_identical(extended, full6);
-}
-
 TEST(RelativeDailyGap, ComputesPerDayRelativeDifference) {
   ExperimentResult control, treatment;
   control.daily.resize(2);

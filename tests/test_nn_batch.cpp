@@ -7,9 +7,12 @@
 // "equivalent" reformulations drift unless parity is pinned exactly).
 //
 // Batch sizes cover 1, 2, 7 (odd remainder against the 8-row block of
-// Dense::forward_batch), 64, and the empty batch. The exactness section
-// below adds the sparse inputs the panel kernels skip columns on, and the
-// stall-exit net's outputs pinned as hex literals.
+// Dense::forward_batch), 64, and the empty batch. Every batched-kernel test
+// runs under each dense ISA the host supports (for_each_isa), so a plain
+// test run covers every dispatchable kernel. The exactness section below
+// adds the sparse inputs the panel kernels skip columns on, and the
+// stall-exit net's outputs pinned as hex literals. The hybrid predictor's
+// batched path is ExitQueryPool::flush, checked against predict().
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -26,6 +29,7 @@
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
 #include "predictor/os_model.h"
+#include "pooled_predict.h"
 
 namespace lingxi {
 namespace {
@@ -37,6 +41,20 @@ std::vector<double> random_values(std::size_t n, Rng& rng, double lo = -2.0,
   std::vector<double> v(n);
   for (double& x : v) x = rng.uniform(lo, hi);
   return v;
+}
+
+/// Runs `body(isa)` under every dense ISA this build and CPU support, then
+/// restores the dispatch default — so a plain test run covers every kernel.
+template <typename Body>
+void for_each_isa(Body body) {
+  const nn::DenseIsa before = nn::dense_isa();
+  for (const nn::DenseIsa isa :
+       {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
+    if (!nn::dense_isa_supported(isa)) continue;
+    nn::set_dense_isa_for_testing(isa);
+    body(isa);
+  }
+  nn::set_dense_isa_for_testing(before);
 }
 
 TEST(DenseBatch, BitwiseParityAcrossBatchSizes) {
@@ -52,11 +70,14 @@ TEST(DenseBatch, BitwiseParityAcrossBatchSizes) {
           nn::Tensor({kIn}, {in.begin() + b * kIn, in.begin() + (b + 1) * kIn}));
       for (std::size_t o = 0; o < kOut; ++o) want.push_back(out[o]);
     }
-    std::vector<double> got(batch * kOut, -1.0);
-    layer.forward_batch({in.data(), batch, kIn}, {got.data(), batch, kOut});
-    for (std::size_t i = 0; i < batch * kOut; ++i) {
-      EXPECT_EQ(got[i], want[i]) << "batch " << batch << " element " << i;
-    }
+    for_each_isa([&](nn::DenseIsa isa) {
+      std::vector<double> got(batch * kOut, -1.0);
+      layer.forward_batch({in.data(), batch, kIn}, {got.data(), batch, kOut});
+      for (std::size_t i = 0; i < batch * kOut; ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << nn::dense_isa_name(isa) << " batch " << batch << " element " << i;
+      }
+    });
   }
 }
 
@@ -66,16 +87,19 @@ TEST(DenseBatch, StridedViewsMatchContiguous) {
   constexpr std::size_t kInStride = 11, kOutStride = 5;
   nn::Dense layer(kIn, kOut, rng);
   const std::vector<double> in = random_values(kBatch * kInStride, rng);
-  std::vector<double> got(kBatch * kOutStride, -1.0);
-  layer.forward_batch({in.data(), kBatch, kIn, kInStride},
-                      {got.data(), kBatch, kOut, kOutStride});
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    const nn::Tensor out = layer.forward(nn::Tensor(
-        {kIn}, {in.begin() + b * kInStride, in.begin() + b * kInStride + kIn}));
-    for (std::size_t o = 0; o < kOut; ++o) {
-      EXPECT_EQ(got[b * kOutStride + o], out[o]) << "row " << b << " col " << o;
+  for_each_isa([&](nn::DenseIsa isa) {
+    std::vector<double> got(kBatch * kOutStride, -1.0);
+    layer.forward_batch({in.data(), kBatch, kIn, kInStride},
+                        {got.data(), kBatch, kOut, kOutStride});
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      const nn::Tensor out = layer.forward(nn::Tensor(
+          {kIn}, {in.begin() + b * kInStride, in.begin() + b * kInStride + kIn}));
+      for (std::size_t o = 0; o < kOut; ++o) {
+        EXPECT_EQ(got[b * kOutStride + o], out[o])
+            << nn::dense_isa_name(isa) << " row " << b << " col " << o;
+      }
     }
-  }
+  });
 }
 
 TEST(DenseBatch, SimdPanelKernelBitwiseParity) {
@@ -89,16 +113,20 @@ TEST(DenseBatch, SimdPanelKernelBitwiseParity) {
   nn::Dense layer(kIn, kOut, rng);
   for (const std::size_t batch : {8, 9, 16, 63, 129}) {
     const std::vector<double> in = random_values(batch * kIn, rng);
-    std::vector<double> got(batch * kOut, -1.0);
-    layer.forward_batch({in.data(), batch, kIn}, {got.data(), batch, kOut});
+    std::vector<double> want;
     for (std::size_t b = 0; b < batch; ++b) {
-      const nn::Tensor want = layer.forward(
+      const nn::Tensor out = layer.forward(
           nn::Tensor({kIn}, {in.begin() + b * kIn, in.begin() + (b + 1) * kIn}));
-      for (std::size_t o = 0; o < kOut; ++o) {
-        EXPECT_EQ(got[b * kOut + o], want[o]) << "batch " << batch << " row " << b
-                                              << " col " << o;
-      }
+      for (std::size_t o = 0; o < kOut; ++o) want.push_back(out[o]);
     }
+    for_each_isa([&](nn::DenseIsa isa) {
+      std::vector<double> got(batch * kOut, -1.0);
+      layer.forward_batch({in.data(), batch, kIn}, {got.data(), batch, kOut});
+      for (std::size_t i = 0; i < batch * kOut; ++i) {
+        EXPECT_EQ(got[i], want[i]) << nn::dense_isa_name(isa) << " batch " << batch
+                                   << " row " << i / kOut << " col " << i % kOut;
+      }
+    });
   }
 }
 
@@ -111,16 +139,19 @@ TEST(DenseBatch, SimdPanelKernelStridedViews) {
   constexpr std::size_t kInStride = 23, kOutStride = 10;
   nn::Dense layer(kIn, kOut, rng);
   const std::vector<double> in = random_values(kBatch * kInStride, rng);
-  std::vector<double> got(kBatch * kOutStride, -1.0);
-  layer.forward_batch({in.data(), kBatch, kIn, kInStride},
-                      {got.data(), kBatch, kOut, kOutStride});
-  for (std::size_t b = 0; b < kBatch; ++b) {
-    const nn::Tensor want = layer.forward(nn::Tensor(
-        {kIn}, {in.begin() + b * kInStride, in.begin() + b * kInStride + kIn}));
-    for (std::size_t o = 0; o < kOut; ++o) {
-      EXPECT_EQ(got[b * kOutStride + o], want[o]) << "row " << b << " col " << o;
+  for_each_isa([&](nn::DenseIsa isa) {
+    std::vector<double> got(kBatch * kOutStride, -1.0);
+    layer.forward_batch({in.data(), kBatch, kIn, kInStride},
+                        {got.data(), kBatch, kOut, kOutStride});
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      const nn::Tensor want = layer.forward(nn::Tensor(
+          {kIn}, {in.begin() + b * kInStride, in.begin() + b * kInStride + kIn}));
+      for (std::size_t o = 0; o < kOut; ++o) {
+        EXPECT_EQ(got[b * kOutStride + o], want[o])
+            << nn::dense_isa_name(isa) << " row " << b << " col " << o;
+      }
     }
-  }
+  });
 }
 
 TEST(DenseBatch, ForcedIsaBitwiseParity) {
@@ -203,14 +234,20 @@ TEST(StallExitNetBatch, BitwiseParityAcrossBatchSizes) {
   predictor::StallExitNet::BatchWorkspace ws;  // shared across calls
   for (const std::size_t batch : kBatchSizes) {
     const std::vector<double> feats = random_values(batch * kFeat, rng, 0.0, 1.0);
-    std::vector<double> got(batch, -1.0);
-    net.predict_batch({feats.data(), batch, kFeat}, got.data(), &ws);
+    std::vector<double> want;
     for (std::size_t b = 0; b < batch; ++b) {
-      const double want = net.predict(nn::Tensor(
+      want.push_back(net.predict(nn::Tensor(
           {predictor::kChannels, predictor::kHistoryLen},
-          {feats.begin() + b * kFeat, feats.begin() + (b + 1) * kFeat}));
-      EXPECT_EQ(got[b], want) << "batch " << batch << " row " << b;
+          {feats.begin() + b * kFeat, feats.begin() + (b + 1) * kFeat})));
     }
+    for_each_isa([&](nn::DenseIsa isa) {
+      std::vector<double> got(batch, -1.0);
+      net.predict_batch({feats.data(), batch, kFeat}, got.data(), &ws);
+      for (std::size_t b = 0; b < batch; ++b) {
+        EXPECT_EQ(got[b], want[b])
+            << nn::dense_isa_name(isa) << " batch " << batch << " row " << b;
+      }
+    });
   }
 }
 
@@ -221,15 +258,6 @@ TEST(StallExitNetBatch, BitwiseParityAcrossBatchSizes) {
 // supported ISA.
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-std::vector<nn::DenseIsa> supported_isas() {
-  std::vector<nn::DenseIsa> out;
-  for (const nn::DenseIsa isa :
-       {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
-    if (nn::dense_isa_supported(isa)) out.push_back(isa);
-  }
-  return out;
-}
 
 enum class ZeroPattern { kWholeColumns, kScattered };
 
@@ -255,7 +283,6 @@ std::vector<double> sparse_inputs(std::size_t rows, std::size_t cols, double zer
 }
 
 TEST(DenseBatchExactness, SparseInputsMatchForwardBitwise) {
-  const nn::DenseIsa before = nn::dense_isa();
   Rng rng(2027);
   constexpr std::size_t kIn = 96, kOut = 13;
   nn::Dense zero_bias(kIn, kOut, rng);
@@ -274,8 +301,7 @@ TEST(DenseBatchExactness, SparseInputsMatchForwardBitwise) {
                 nn::Tensor({kIn}, {in.begin() + b * kIn, in.begin() + (b + 1) * kIn}));
             for (std::size_t o = 0; o < kOut; ++o) want.push_back(out[o]);
           }
-          for (const nn::DenseIsa isa : supported_isas()) {
-            nn::set_dense_isa_for_testing(isa);
+          for_each_isa([&](nn::DenseIsa isa) {
             std::vector<double> got(rows * kOut, -1.0);
             layer->forward_batch({in.data(), rows, kIn}, {got.data(), rows, kOut});
             for (std::size_t i = 0; i < rows * kOut; ++i) {
@@ -283,12 +309,11 @@ TEST(DenseBatchExactness, SparseInputsMatchForwardBitwise) {
                   << nn::dense_isa_name(isa) << " rows " << rows << " zero fraction "
                   << fraction << " pattern " << static_cast<int>(pattern) << " element " << i;
             }
-          }
+          });
         }
       }
     }
   }
-  nn::set_dense_isa_for_testing(before);
 }
 
 TEST(DenseBatchExactness, NegativeZeroBiasDiffersOnlyInTheSignOfZero) {
@@ -297,7 +322,6 @@ TEST(DenseBatchExactness, NegativeZeroBiasDiffersOnlyInTheSignOfZero) {
   // while a skipped column leaves the -0.0 bias untouched. Both compare
   // equal, and the ReLU after fc1 (and the softmax after fc2) map either
   // sign to the same bits, so every exit probability is unchanged.
-  const nn::DenseIsa before = nn::dense_isa();
   Rng rng(2028);
   constexpr std::size_t kIn = 40, kOut = 9;
   nn::Dense layer(kIn, kOut, rng);
@@ -307,8 +331,7 @@ TEST(DenseBatchExactness, NegativeZeroBiasDiffersOnlyInTheSignOfZero) {
     const std::vector<double> in(rows * kIn, 0.0);
     const nn::Tensor want = layer.forward(nn::Tensor({kIn}, std::vector<double>(kIn, 0.0)));
     nn::Tensor want_relu = nn::ReLU().forward(want);
-    for (const nn::DenseIsa isa : supported_isas()) {
-      nn::set_dense_isa_for_testing(isa);
+    for_each_isa([&](nn::DenseIsa isa) {
       std::vector<double> got(rows * kOut, -1.0);
       layer.forward_batch({in.data(), rows, kIn}, {got.data(), rows, kOut});
       for (std::size_t i = 0; i < rows * kOut; ++i) EXPECT_EQ(got[i], 0.0);
@@ -317,9 +340,8 @@ TEST(DenseBatchExactness, NegativeZeroBiasDiffersOnlyInTheSignOfZero) {
         ASSERT_EQ(bits(got[i]), bits(want_relu[i % kOut]))
             << nn::dense_isa_name(isa) << " rows " << rows << " element " << i;
       }
-    }
+    });
   }
-  nn::set_dense_isa_for_testing(before);
 }
 
 TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
@@ -329,7 +351,6 @@ TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
   struct Shape {
     std::size_t in_ch, out_ch, kernel, len;
   };
-  const nn::DenseIsa before = nn::dense_isa();
   Rng rng(17);
   for (const Shape s : {Shape{1, 64, 4, 8}, Shape{2, 5, 3, 10}, Shape{3, 40, 3, 7}}) {
     nn::Conv1D layer(s.in_ch, s.out_ch, s.kernel, rng);
@@ -348,8 +369,7 @@ TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
             {s.in_ch, s.len}, {in.begin() + b * in_cols, in.begin() + (b + 1) * in_cols}));
         for (std::size_t i = 0; i < out_cols; ++i) want.push_back(out[i]);
       }
-      for (const nn::DenseIsa isa : supported_isas()) {
-        nn::set_dense_isa_for_testing(isa);
+      for_each_isa([&](nn::DenseIsa isa) {
         std::vector<double> got(rows * out_cols, -1.0);
         layer.forward_batch({in.data(), rows, in_cols}, {got.data(), rows, out_cols});
         for (std::size_t i = 0; i < rows * out_cols; ++i) {
@@ -357,10 +377,9 @@ TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
               << nn::dense_isa_name(isa) << " in_ch " << s.in_ch << " rows " << rows
               << " element " << i;
         }
-      }
+      });
     }
   }
-  nn::set_dense_isa_for_testing(before);
 }
 
 /// 16 fixed 5x8 feature rows shaped like EngagementState::write_features:
@@ -399,7 +418,6 @@ constexpr std::uint64_t kExitNetGolden[16] = {
 };
 
 TEST(StallExitNetBatch, PinnedOutputsAcrossBatchSizesAndIsas) {
-  const nn::DenseIsa before = nn::dense_isa();
   Rng rng(4242);
   predictor::StallExitNet net(rng);
   constexpr std::size_t kFeat = predictor::kChannels * predictor::kHistoryLen;
@@ -411,8 +429,7 @@ TEST(StallExitNetBatch, PinnedOutputsAcrossBatchSizesAndIsas) {
     EXPECT_EQ(bits(p), kExitNetGolden[r]) << "predict() row " << r;
   }
   predictor::StallExitNet::BatchWorkspace ws;
-  for (const nn::DenseIsa isa : supported_isas()) {
-    nn::set_dense_isa_for_testing(isa);
+  for_each_isa([&](nn::DenseIsa isa) {
     for (const std::size_t batch : {1, 3, 9, 16}) {
       std::vector<double> got(batch, -1.0);
       net.predict_batch({feats.data(), batch, kFeat}, got.data(), &ws);
@@ -421,8 +438,7 @@ TEST(StallExitNetBatch, PinnedOutputsAcrossBatchSizesAndIsas) {
             << nn::dense_isa_name(isa) << " batch " << batch << " row " << r;
       }
     }
-  }
-  nn::set_dense_isa_for_testing(before);
+  });
 }
 
 sim::SegmentRecord make_segment(std::size_t index, double bitrate, double throughput,
@@ -497,7 +513,7 @@ TEST(HybridPredictorBatch, BitwiseParityAcrossBatchSizes) {
   std::vector<predictor::EngagementState> states;
   for (std::uint64_t s = 0; s < 9; ++s) states.push_back(make_state(1000 + s, 30));
 
-  predictor::HybridExitPredictor::BatchScratch scratch;
+  predictor::ExitQueryPool pool;  // reused across flushes
   for (const std::size_t batch : kBatchSizes) {
     std::vector<predictor::HybridExitPredictor::ExitQuery> queries;
     for (std::size_t i = 0; i < batch; ++i) {
@@ -508,13 +524,61 @@ TEST(HybridPredictorBatch, BitwiseParityAcrossBatchSizes) {
       q.sw = static_cast<predictor::SwitchType>(i % 3);
       queries.push_back(q);
     }
-    std::vector<double> got(batch, -1.0);
-    predictor.predict_batch(batch, queries.data(), got.data(), &scratch);
+    const std::vector<double> got = testing_util::pooled_predict(predictor, queries, pool);
     for (std::size_t i = 0; i < batch; ++i) {
       EXPECT_EQ(got[i], predictor.predict(queries[i]))
           << "batch " << batch << " query " << i;
     }
   }
+}
+
+TEST(ExitQueryPool, GroupsQueriesPerNetAndSkipsDiscardedTickets) {
+  // Two predictors over nets with different weights park interleaved stalled
+  // queries into one pool: the flush must run one forward per net, each
+  // query under its own predictor's net, and leave a discarded ticket out.
+  Rng rng(321);
+  auto os = std::make_shared<predictor::OverallStatsModel>();
+  for (std::size_t i = 0; i < 400; ++i) {
+    os->observe(i % 4, static_cast<predictor::SwitchType>(i % 3), rng.bernoulli(0.05));
+  }
+  const predictor::HybridExitPredictor a(std::make_shared<predictor::StallExitNet>(rng), os);
+  const predictor::HybridExitPredictor b(std::make_shared<predictor::StallExitNet>(rng), os);
+
+  std::vector<predictor::EngagementState> states;
+  for (std::uint64_t s = 0; s < 7; ++s) states.push_back(make_state(2000 + s, 25));
+
+  // 19 stalled queries, every third one under b: 13 for a, 6 for b.
+  constexpr std::size_t kQueries = 19, kDiscarded = 4;
+  predictor::ExitQueryPool pool;
+  std::vector<predictor::HybridExitPredictor::ExitQuery> queries;
+  std::vector<const predictor::HybridExitPredictor*> owners;
+  std::vector<std::size_t> tickets;
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    predictor::HybridExitPredictor::ExitQuery q;
+    q.state = &states[i % states.size()];
+    q.level = i % 4;
+    q.stall_time = 0.1 + 0.3 * static_cast<double>(i % 6);
+    q.sw = static_cast<predictor::SwitchType>(i % 3);
+    const predictor::HybridExitPredictor* owner = i % 3 == 1 ? &b : &a;
+    queries.push_back(q);
+    owners.push_back(owner);
+    tickets.push_back(pool.park(*owner, q, {0, static_cast<std::uint32_t>(i), 0}));
+  }
+  pool.discard(tickets[kDiscarded]);
+  pool.flush();
+
+  // The two nets really disagree, so evaluating one under the other shows.
+  EXPECT_NE(a.predict(queries[0]), b.predict(queries[0]));
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    if (i == kDiscarded) continue;
+    EXPECT_EQ(bits(pool.prob(tickets[i])), bits(owners[i]->predict(queries[i])))
+        << "query " << i;
+  }
+  EXPECT_EQ(pool.pending(), 0u);
+  EXPECT_EQ(pool.stats().flushes, 1u);
+  EXPECT_EQ(pool.stats().net_batches, 2u);
+  EXPECT_EQ(pool.stats().queries, kQueries - 1);
+  EXPECT_EQ(pool.stats().max_flush, kQueries - 1);
 }
 
 }  // namespace

@@ -384,28 +384,6 @@ TEST(ObsHistogram, QuantileEdgeCases) {
   EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
 }
 
-TEST(ObsRegistry, PrometheusExposition) {
-  Registry reg;
-  reg.add("a.counter", 3);
-  reg.set("b.gauge", 2.5);
-  const HistogramSpec spec({1.0, 2.0});
-  reg.observe("c.hist", spec, 1.5);
-  std::ostringstream os;
-  reg.write_prometheus(os);
-  const std::string expected =
-      "# TYPE a_counter counter\n"
-      "a_counter 3\n"
-      "# TYPE b_gauge gauge\n"
-      "b_gauge 2.5\n"
-      "# TYPE c_hist histogram\n"
-      "c_hist_bucket{le=\"1\"} 0\n"
-      "c_hist_bucket{le=\"2\"} 1\n"
-      "c_hist_bucket{le=\"+Inf\"} 1\n"
-      "c_hist_sum 1.5\n"
-      "c_hist_count 1\n";
-  EXPECT_EQ(os.str(), expected);
-}
-
 // ---------------------------------------------------------------------------
 // Timeline: round-trip, section partitioning, schema handling. The LXTL
 // framing itself is covered by the frame table in test_codec.cpp.

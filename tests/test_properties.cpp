@@ -34,6 +34,7 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "pooled_predict.h"
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
 #include "predictor/os_model.h"
@@ -1187,7 +1188,7 @@ TEST(ScenarioScript, NeutralScriptIsBitTransparent) {
 
 // ---------------------------------------------------------------------------
 // Permutation invariance of batch assembly: the order in which queries are
-// gathered into a predictor batch must not change any individual result —
+// parked into an ExitQueryPool flush must not change any individual result —
 // each row's forward is an independent, order-preserving accumulation.
 // ---------------------------------------------------------------------------
 
@@ -1231,8 +1232,8 @@ TEST(PredictBatchAssembly, PermutationInvariantAndScalarExact) {
   std::vector<double> scalar(kQueries);
   for (std::size_t i = 0; i < kQueries; ++i) scalar[i] = predictor.predict(queries[i]);
 
-  std::vector<double> in_order(kQueries);
-  predictor.predict_batch(kQueries, queries.data(), in_order.data());
+  predictor::ExitQueryPool pool;
+  const std::vector<double> in_order = testing_util::pooled_predict(predictor, queries, pool);
 
   // A fixed non-trivial permutation (reverse + interleave via stride 5,
   // coprime with 13).
@@ -1240,8 +1241,7 @@ TEST(PredictBatchAssembly, PermutationInvariantAndScalarExact) {
   for (std::size_t i = 0; i < kQueries; ++i) perm.push_back((i * 5 + 3) % kQueries);
   std::vector<predictor::HybridExitPredictor::ExitQuery> shuffled;
   for (const std::size_t p : perm) shuffled.push_back(queries[p]);
-  std::vector<double> permuted(kQueries);
-  predictor.predict_batch(kQueries, shuffled.data(), permuted.data());
+  const std::vector<double> permuted = testing_util::pooled_predict(predictor, shuffled, pool);
 
   for (std::size_t i = 0; i < kQueries; ++i) {
     EXPECT_EQ(in_order[i], scalar[i]) << "in-order query " << i;

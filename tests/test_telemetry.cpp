@@ -1,5 +1,5 @@
 // Telemetry subsystem: replay fidelity (bitwise accumulator reconstruction,
-// and replayed records equal to the live assembler's), archive range scans,
+// and replayed records equal to the live assembler's), the full archive scan,
 // and corruption detection. Archive bytes independent of thread count and
 // runner shard size are pinned by the fleet parity harness in
 // test_properties.cpp.
@@ -294,48 +294,40 @@ TEST(Replay, RecordsEqualLiveAssemblerBitwise) {
   }
 }
 
-TEST(ArchiveReader, PerUserScanReturnsOnlyThatUser) {
+TEST(ArchiveReader, FullScanRecordsCarryTheirUserAndDay) {
+  // Every session record's embedded log entry names its user and encodes its
+  // (day, session) slot, and the scan yields each user's and each day's full
+  // session count plus one user record per user.
   const auto archive = capture_fleet(small_fleet(), 2, 5);
-  const std::string dir = fresh_dir("scan_user");
+  const std::string dir = fresh_dir("full_scan");
   ASSERT_TRUE(archive.write(dir).ok());
   auto reader = telemetry::ArchiveReader::open(dir);
   ASSERT_TRUE(reader.has_value()) << reader.error().message;
 
-  std::size_t sessions = 0, users = 0;
-  const auto status = reader->scan_users(
-      5, 5,
+  const sim::FleetConfig cfg = small_fleet();
+  std::vector<std::size_t> per_user(cfg.users, 0), per_day(cfg.days, 0);
+  std::size_t users = 0;
+  const auto status = reader->scan(
       [&](const telemetry::ArchiveSessionRecord& rec) {
-        EXPECT_EQ(rec.user, 5u);
-        EXPECT_EQ(rec.entry.user_id, 5u);
-        ++sessions;
+        EXPECT_EQ(rec.entry.user_id, rec.user);
+        EXPECT_EQ(rec.entry.timestamp, 86400u * rec.day + rec.session_in_day);
+        ASSERT_LT(rec.user, cfg.users);
+        ASSERT_LT(rec.day, cfg.days);
+        ++per_user[rec.user];
+        ++per_day[rec.day];
       },
       [&](const telemetry::ArchiveUserRecord& rec) {
-        EXPECT_EQ(rec.user, 5u);
+        EXPECT_EQ(rec.user, users);  // user order
         ++users;
       });
   ASSERT_TRUE(status.ok()) << status.error().message;
-  const sim::FleetConfig cfg = small_fleet();
-  EXPECT_EQ(sessions, cfg.days * cfg.sessions_per_user_day);
-  EXPECT_EQ(users, 1u);
-}
-
-TEST(ArchiveReader, PerDayScanReturnsOnlyThatDay) {
-  const auto archive = capture_fleet(small_fleet(), 2, 5);
-  const std::string dir = fresh_dir("scan_day");
-  ASSERT_TRUE(archive.write(dir).ok());
-  auto reader = telemetry::ArchiveReader::open(dir);
-  ASSERT_TRUE(reader.has_value()) << reader.error().message;
-
-  std::size_t sessions = 0;
-  const auto status =
-      reader->scan_days(1, 1, [&](const telemetry::ArchiveSessionRecord& rec) {
-        EXPECT_EQ(rec.day, 1u);
-        EXPECT_EQ(rec.entry.timestamp, 86400u + rec.session_in_day);
-        ++sessions;
-      });
-  ASSERT_TRUE(status.ok()) << status.error().message;
-  const sim::FleetConfig cfg = small_fleet();
-  EXPECT_EQ(sessions, cfg.users * cfg.sessions_per_user_day);
+  EXPECT_EQ(users, cfg.users);
+  for (std::size_t u = 0; u < cfg.users; ++u) {
+    EXPECT_EQ(per_user[u], cfg.days * cfg.sessions_per_user_day) << "user " << u;
+  }
+  for (std::size_t d = 0; d < cfg.days; ++d) {
+    EXPECT_EQ(per_day[d], cfg.users * cfg.sessions_per_user_day) << "day " << d;
+  }
 }
 
 TEST(ArchiveReader, MissingManifestIsIoError) {
