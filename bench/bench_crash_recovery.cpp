@@ -286,21 +286,13 @@ int main(int argc, char** argv) {
   }
   std::printf("recovered day-%zu checkpoint from %s\n",
               recovered->snapshot.state.next_day, recovered->dir.c_str());
-  if (auto s = snapshot::check_compatible(recovered->snapshot, cfg, kSeed); !s) {
-    std::fprintf(stderr, "checkpoint incompatible: %s\n", s.error().message.c_str());
-    return 1;
-  }
   sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  runner.set_predictor_factory(
-      snapshot::resume_predictor_factory(predictor_factory, recovered->snapshot.net_model));
+  runner.set_predictor_factory(predictor_factory);
   telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{64});
-  if (auto s = snapshot::restore_capture(capture, cfg, recovered->snapshot.seed,
-                                         std::move(recovered->snapshot.capture));
-      !s) {
-    std::fprintf(stderr, "restore_capture failed: %s\n", s.error().message.c_str());
+  if (auto s = snapshot::resume(recovered->snapshot, kSeed, runner, &capture); !s) {
+    std::fprintf(stderr, "checkpoint cannot be resumed: %s\n", s.error().message.c_str());
     return 1;
   }
-  runner.set_telemetry_sink(&capture);
   if (every == 0) {
     std::fprintf(stderr, "--every must be >= 1\n");
     return 2;

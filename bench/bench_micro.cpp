@@ -354,17 +354,23 @@ sim::UserFleetState synthetic_user_state(std::uint64_t seed) {
   return user;
 }
 
-snapshot::FleetSnapshot synthetic_snapshot(std::size_t users) {
-  snapshot::FleetSnapshot snap;
-  snap.seed = 7;
-  snap.state.next_day = 2;
-  snap.state.users.reserve(users);
+sim::FleetDayState synthetic_day_state(std::size_t users) {
+  sim::FleetDayState state;
+  state.next_day = 2;
+  state.users.reserve(users);
   for (std::size_t u = 0; u < users; ++u) {
-    snap.state.users.push_back(synthetic_user_state(100 + u));
+    state.users.push_back(synthetic_user_state(100 + u));
   }
-  snap.state.accumulated.sessions = users * 16;
-  snap.state.accumulated.users = 0;
-  return snap;
+  state.accumulated.sessions = users * 16;
+  state.accumulated.users = 0;
+  return state;
+}
+
+/// A run without a predictor net: the snapshot is its state files.
+snapshot::RunConstants synthetic_run() {
+  snapshot::RunConstants run;
+  run.seed = 7;
+  return run;
 }
 
 void BM_SnapshotUserStateCodec(benchmark::State& state) {
@@ -385,16 +391,16 @@ BENCHMARK(BM_SnapshotUserStateCodec);
 
 void BM_SnapshotSave(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  const snapshot::FleetSnapshot snap = synthetic_snapshot(users);
+  const sim::FleetDayState day = synthetic_day_state(users);
   const std::string dir = std::filesystem::temp_directory_path() / "lingxi_bm_snap_save";
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const auto status = snapshot::save_snapshot(snap, dir, 64);
+    const auto status = snapshot::save_snapshot(synthetic_run(), day, dir, 64, nullptr);
     if (!status.ok()) {
       state.SkipWithError("save_snapshot failed");
       break;
     }
-    bytes += snapshot::encode_user_state(0, snap.state.users[0]).size() * users;
+    bytes += snapshot::encode_user_state(0, day.users[0]).size() * users;
   }
   std::filesystem::remove_all(dir);
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
@@ -408,9 +414,9 @@ BENCHMARK(BM_SnapshotSave)->Arg(64)->Arg(512);
 
 void BM_SnapshotLoad(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  const snapshot::FleetSnapshot snap = synthetic_snapshot(users);
+  const sim::FleetDayState day = synthetic_day_state(users);
   const std::string dir = std::filesystem::temp_directory_path() / "lingxi_bm_snap_load";
-  if (!snapshot::save_snapshot(snap, dir, 64).ok()) {
+  if (!snapshot::save_snapshot(synthetic_run(), day, dir, 64, nullptr).ok()) {
     state.SkipWithError("save_snapshot failed");
     return;
   }
@@ -422,7 +428,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
       break;
     }
     benchmark::DoNotOptimize(loaded);
-    bytes += snapshot::encode_user_state(0, snap.state.users[0]).size() * users;
+    bytes += snapshot::encode_user_state(0, day.users[0]).size() * users;
   }
   std::filesystem::remove_all(dir);
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));

@@ -300,32 +300,22 @@ int main(int argc, char** argv) {
       resume_day = recovered->snapshot.state.next_day;
       std::printf("recovered day-%zu checkpoint (churn replays %s resume)\n",
                   resume_day, resume_day <= churn_day ? "after" : "before");
-      if (auto s = snapshot::check_compatible(recovered->snapshot, ref_cfg, kSeed); !s) {
-        std::fprintf(stderr, "checkpoint incompatible: %s\n",
+      sim::FleetRunner runner(ref_cfg, [] { return std::make_unique<abr::Hyb>(); });
+      runner.set_predictor_factory(predictor_factory);
+      telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{16});
+      if (auto s = snapshot::resume(recovered->snapshot, kSeed, runner, &capture); !s) {
+        std::fprintf(stderr, "checkpoint cannot be resumed: %s\n",
                      s.error().message.c_str());
       } else {
-        sim::FleetRunner runner(ref_cfg, [] { return std::make_unique<abr::Hyb>(); });
-        runner.set_predictor_factory(snapshot::resume_predictor_factory(
-            predictor_factory, recovered->snapshot.net_model));
-        telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{16});
-        if (auto s = snapshot::restore_capture(capture, ref_cfg,
-                                               recovered->snapshot.seed,
-                                               std::move(recovered->snapshot.capture));
-            !s) {
-          std::fprintf(stderr, "restore_capture failed: %s\n",
-                       s.error().message.c_str());
-        } else {
-          runner.set_telemetry_sink(&capture);
-          const sim::FleetAccumulator resumed =
-              runner.run_days(kSeed, resume_day, days, &recovered->snapshot.state);
-          const telemetry::FleetArchive resumed_archive = capture.finish();
-          resumed_checksum = resumed.checksum();
-          resume_match = resumed.checksum() == reference.acc.checksum() &&
-                         archives_identical(resumed_archive, reference.archive);
-          std::printf("resumed days [%zu, %zu): checksum 0x%08x — bitwise identical "
-                      "to uninterrupted run: %s\n",
-                      resume_day, days, resumed.checksum(), verdict(resume_match));
-        }
+        const sim::FleetAccumulator resumed =
+            runner.run_days(kSeed, resume_day, days, &recovered->snapshot.state);
+        const telemetry::FleetArchive resumed_archive = capture.finish();
+        resumed_checksum = resumed.checksum();
+        resume_match = resumed.checksum() == reference.acc.checksum() &&
+                       archives_identical(resumed_archive, reference.archive);
+        std::printf("resumed days [%zu, %zu): checksum 0x%08x — bitwise identical "
+                    "to uninterrupted run: %s\n",
+                    resume_day, days, resumed.checksum(), verdict(resume_match));
       }
     }
   }

@@ -19,9 +19,17 @@
 // turn healthy() == false into a non-zero exit.
 //
 // Rules over deterministic metrics (the `sim.fleet.*` gauges) inherit the
-// determinism contract: the same rule fires on the same fleet day in every
-// cell of the threads x shard x batch grid and across a
-// kill/resume splice (pinned in tests/test_properties.cpp).
+// determinism contract: the same rule first fires on the same fleet day in
+// every cell of the threads x shard x batch grid and across a kill/resume
+// splice (pinned in tests/test_properties.cpp).
+//
+// A resumed leg re-alerts. The latches (and counter baselines) are
+// process-local and not part of a snapshot, so a monitor in a process
+// resumed from a checkpoint starts with every rule armed and fires again
+// for any violation still standing at the checkpoint: an uninterrupted run
+// and the same run split into legs raise the same first alert per rule,
+// but the split run may raise more. That is why the parity harness compares
+// each rule's first alert.
 //
 // Like Registry and TimelineWriter, the monitor is a runtime-nullable
 // process-global install consulted by PeriodicSampler once per day boundary.

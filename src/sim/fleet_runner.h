@@ -323,7 +323,7 @@ class FleetRunner {
   ///
   /// The telemetry sink's begin_fleet() fires only when first_day == 0; a
   /// resumed leg expects the sink to carry the capture state of the prior
-  /// legs (in-process reuse, or snapshot::restore_capture after loading).
+  /// legs (in-process reuse, or snapshot::resume after loading).
   FleetAccumulator run_days(std::uint64_t seed, std::size_t first_day,
                             std::size_t last_day, const FleetDayState* resume = nullptr,
                             FleetDayState* out_state = nullptr,

@@ -20,9 +20,9 @@
 // Cost model: a commit writes the user state (O(users)), the net (serialized
 // once per checkpointer: a run's weights never change) and only the capture
 // bytes recorded since the capture's previous commit, or since the
-// checkpoint it was restored from (snapshot::restore_capture re-arms the
-// capture on the recovered segment table); earlier days stay in the
-// segments the previous manifests already list. Memory follows the same
+// checkpoint it was resumed from (snapshot::resume re-arms the capture on
+// the recovered segment table); earlier days stay in the segments the
+// previous manifests already list. Memory follows the same
 // rule: the capture buffers only the days since its last commit, so a
 // daily cadence holds at most one day of captured bytes.
 #pragma once
@@ -80,8 +80,11 @@ struct RecoveredCheckpoint {
 ///   if (!ckpt.status()) ...                   // durability report
 ///
 /// The checkpointer borrows the runner and the optional capture; both must
-/// outlive it. Each commit commits the capture (ShardedCapture::commit), so
-/// a capture restored from a checkpoint under the same root continues that
+/// outlive it. `seed` must be the one the runner runs with: each commit
+/// commits the capture (ShardedCapture::commit), whose segment names carry
+/// the run's seed, and a capture of another seed fails every commit with
+/// kInvalidArg, before any file is written. A capture resumed from a
+/// checkpoint under the same root (snapshot::resume) continues that
 /// checkpoint's segment table. Not thread-safe: arm on one runner, run on
 /// one thread (the hook fires on the run_days caller's thread between legs).
 class AutoCheckpointer {
@@ -128,7 +131,10 @@ class AutoCheckpointer {
 /// structure, capture segments) and whose bytes' next_day equals its name's
 /// day is returned, so only one snapshot is ever held in memory. kNotFound
 /// when nothing under `root` is recoverable, kIo when the root itself cannot
-/// be read.
+/// be read. A restarted process then continues with:
+///   auto rec = find_latest_valid(root);
+///   resume(rec->snapshot, seed, runner, &capture);
+///   runner.run_days(seed, rec->snapshot.state.next_day, days, &rec->snapshot.state);
 Expected<RecoveredCheckpoint> find_latest_valid(const std::string& root);
 
 }  // namespace lingxi::snapshot

@@ -380,32 +380,6 @@ RunConstants run_constants(const sim::FleetRunner& runner, std::uint64_t seed) {
   return run;
 }
 
-Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
-                                         std::uint64_t seed, sim::FleetDayState state,
-                                         const telemetry::ShardedCapture* capture) {
-  const sim::FleetConfig& config = runner.config();
-  if (state.users.size() != config.users) {
-    return Error::invalid_arg("day state user count disagrees with fleet config");
-  }
-  if (state.next_day == 0) {
-    return Error::invalid_arg("day state is not a resumable day boundary");
-  }
-  RunConstants run = run_constants(runner, seed);
-  FleetSnapshot snapshot;
-  snapshot.seed = run.seed;
-  snapshot.resume_digest = run.resume_digest;
-  snapshot.state = std::move(state);
-  snapshot.net_model = std::move(run.net_model);
-  if (capture != nullptr) {
-    snapshot.has_capture = true;
-    snapshot.capture = capture->position();
-    if (snapshot.capture.cursors.size() != config.users) {
-      return Error::invalid_arg("capture user count disagrees with fleet config");
-    }
-  }
-  return snapshot;
-}
-
 namespace {
 
 // renameat2 flag value (RENAME_EXCHANGE); spelled out because <fcntl.h> only
@@ -475,46 +449,30 @@ void set_save_commit_hook(SaveCommitHook hook) { g_save_commit_hook = hook; }
 
 namespace {
 
-using Cursors = std::vector<telemetry::ShardedCapture::CaptureCursor>;
-
-/// What one commit writes, borrowed from the caller.
-struct Parts {
-  std::uint64_t seed;
-  std::uint32_t resume_digest;
-  const sim::FleetDayState& state;
-  const std::vector<unsigned char>& net_model;
-  std::uint32_t net_crc;
-  /// Null without capture; else one cursor per user and the committed table.
-  const Cursors* cursors;
-  const std::vector<CaptureSegment>* segments;
-};
-
-/// Count the capture bytes a commit appended to the store.
-void count_logged(std::uint64_t written) {
-  if (obs::Registry* reg = obs::Registry::active()) {
-    reg->add("snapshot.capture_log.bytes", written);
-  }
-}
-
-Status stage_snapshot(const Parts& parts, const std::string& dir, std::size_t users_per_shard) {
+/// Write the state files, the net and, last, the manifest of one commit into
+/// the staging directory `dir`. `capture`, when non-null, has committed:
+/// its cursors and log are listed.
+Status stage_snapshot(const RunConstants& run, const sim::FleetDayState& state,
+                      const telemetry::ShardedCapture* capture, const std::string& dir,
+                      std::size_t users_per_shard) {
   Manifest manifest;
-  manifest.seed = parts.seed;
-  manifest.resume_digest = parts.resume_digest;
-  manifest.users = parts.state.users.size();
-  manifest.next_day = parts.state.next_day;
+  manifest.seed = run.seed;
+  manifest.resume_digest = run.resume_digest;
+  manifest.users = state.users.size();
+  manifest.next_day = state.next_day;
   manifest.users_per_shard = users_per_shard;
-  manifest.has_capture = parts.cursors != nullptr;
-  manifest.accumulated = parts.state.accumulated;
-  if (parts.segments != nullptr) manifest.segments = *parts.segments;
+  manifest.has_capture = capture != nullptr;
+  manifest.accumulated = state.accumulated;
+  if (capture != nullptr) manifest.segments = capture->log().segments;
   {
     OBS_TIMED("snapshot.save.state_us");
-    if (!parts.net_model.empty()) {
+    if (!run.net_model.empty()) {
       manifest.has_net = true;
-      manifest.net_crc = parts.net_crc;
-      if (auto s = write_file(dir + "/" + net_filename(), parts.net_model); !s) return s;
+      manifest.net_crc = run.net_crc;
+      if (auto s = write_file(dir + "/" + net_filename(), run.net_model); !s) return s;
     }
 
-    const std::size_t users = parts.state.users.size();
+    const std::size_t users = state.users.size();
     const std::size_t shard_count = (users + users_per_shard - 1) / users_per_shard;
     manifest.shards.resize(shard_count);
     for (std::size_t s = 0; s < shard_count; ++s) {
@@ -522,9 +480,9 @@ Status stage_snapshot(const Parts& parts, const std::string& dir, std::size_t us
       const std::size_t last = std::min(first + users_per_shard, users);
       std::vector<unsigned char> bytes;
       for (std::size_t u = first; u < last; ++u) {
-        logstore::write_record(bytes, encode_user_state(u, parts.state.users[u]));
-        if (parts.cursors != nullptr) {
-          logstore::write_record(bytes, encode_capture_cursor(u, (*parts.cursors)[u]));
+        logstore::write_record(bytes, encode_user_state(u, state.users[u]));
+        if (capture != nullptr) {
+          logstore::write_record(bytes, encode_capture_cursor(u, capture->cursors()[u]));
         }
       }
       auto& info = manifest.shards[s];
@@ -552,31 +510,6 @@ Status stage_snapshot(const Parts& parts, const std::string& dir, std::size_t us
     }
   }
   if (!commit_stage(SaveStage::kManifestStaged)) return simulated_crash();
-  return {};
-}
-
-/// Both save_snapshot forms once their capture segments are durable (they
-/// must be before any manifest can list them): the staged directory and its
-/// commit.
-Status commit_snapshot(const Parts& parts, const std::string& dir,
-                       std::size_t users_per_shard) {
-  const std::string staging = dir + ".tmp";
-  std::error_code ec;
-  std::filesystem::remove_all(staging, ec);
-  if (ec) return Error::io("cannot clear stale snapshot staging: " + staging);
-  std::filesystem::create_directories(staging, ec);
-  if (ec) return Error::io("cannot create snapshot staging directory: " + staging);
-  if (auto s = stage_snapshot(parts, staging, users_per_shard); !s) return s;
-  {
-    OBS_TIMED("snapshot.save.durable_us");
-    if (auto s = fsync_directory(staging); !s) return s;
-  }
-  if (!commit_stage(SaveStage::kStagingDurable)) return simulated_crash();
-  {
-    OBS_TIMED("snapshot.save.commit_us");
-    if (auto s = commit_directory(staging, dir); !s) return s;
-  }
-  commit_stage(SaveStage::kCommitted);
   return {};
 }
 
@@ -625,38 +558,6 @@ Status check_segments(const std::string& store, const Manifest& m,
 
 }  // namespace
 
-Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                     std::size_t users_per_shard) {
-  OBS_SPAN("snapshot.save");
-  OBS_TIMED("snapshot.save.total_us");
-  if (users_per_shard == 0) return Error::invalid_arg("users_per_shard must be >= 1");
-  telemetry::CaptureLog log;
-  if (snapshot.has_capture) {
-    const Cursors& cursors = snapshot.capture.cursors;
-    if (cursors.size() != snapshot.state.users.size()) {
-      return Error::invalid_arg("capture cursor count disagrees with user state count");
-    }
-    OBS_TIMED("snapshot.save.capture_us");
-    log = snapshot.capture.log;
-    auto written =
-        telemetry::append_segments(cursors, users_per_shard, snapshot.seed,
-                                   snapshot.resume_digest, snapshot.state.next_day,
-                                   capture_store_dir(dir), log);
-    if (!written) return written.error();
-    count_logged(*written);
-  }
-  const Parts parts{snapshot.seed,
-                    snapshot.resume_digest,
-                    snapshot.state,
-                    snapshot.net_model,
-                    snapshot.net_model.empty()
-                        ? 0u
-                        : crc32(snapshot.net_model.data(), snapshot.net_model.size()),
-                    snapshot.has_capture ? &snapshot.capture.cursors : nullptr,
-                    &log.segments};
-  return commit_snapshot(parts, dir, users_per_shard);
-}
-
 Status save_snapshot(const RunConstants& run, const sim::FleetDayState& state,
                      const std::string& dir, std::size_t users_per_shard,
                      telemetry::ShardedCapture* capture) {
@@ -667,19 +568,35 @@ Status save_snapshot(const RunConstants& run, const sim::FleetDayState& state,
     if (capture->cursors().size() != state.users.size()) {
       return Error::invalid_arg("capture cursor count disagrees with user state count");
     }
+    if (capture->seed() != run.seed || capture->resume_digest() != run.resume_digest) {
+      return Error::invalid_arg("capture seed or config digest disagrees with the run's");
+    }
+    // Every segment the manifest lists is durable before the manifest.
     OBS_TIMED("snapshot.save.capture_us");
     auto written = capture->commit(capture_store_dir(dir), state.next_day);
     if (!written) return written.error();
-    count_logged(*written);
+    if (obs::Registry* reg = obs::Registry::active()) {
+      reg->add("snapshot.capture_log.bytes", *written);
+    }
   }
-  const Parts parts{run.seed,
-                    run.resume_digest,
-                    state,
-                    run.net_model,
-                    run.net_crc,
-                    capture != nullptr ? &capture->cursors() : nullptr,
-                    capture != nullptr ? &capture->log().segments : nullptr};
-  return commit_snapshot(parts, dir, users_per_shard);
+  const std::string staging = dir + ".tmp";
+  std::error_code ec;
+  std::filesystem::remove_all(staging, ec);
+  if (ec) return Error::io("cannot clear stale snapshot staging: " + staging);
+  std::filesystem::create_directories(staging, ec);
+  if (ec) return Error::io("cannot create snapshot staging directory: " + staging);
+  if (auto s = stage_snapshot(run, state, capture, staging, users_per_shard); !s) return s;
+  {
+    OBS_TIMED("snapshot.save.durable_us");
+    if (auto s = fsync_directory(staging); !s) return s;
+  }
+  if (!commit_stage(SaveStage::kStagingDurable)) return simulated_crash();
+  {
+    OBS_TIMED("snapshot.save.commit_us");
+    if (auto s = commit_directory(staging, dir); !s) return s;
+  }
+  commit_stage(SaveStage::kCommitted);
+  return {};
 }
 
 Expected<std::vector<std::string>> listed_segment_files(const std::string& dir) {
@@ -780,8 +697,9 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   return snapshot;
 }
 
-Status check_compatible(const FleetSnapshot& snapshot, const sim::FleetConfig& config,
-                        std::uint64_t seed) {
+Status resume(const FleetSnapshot& snapshot, std::uint64_t seed, sim::FleetRunner& runner,
+              telemetry::ShardedCapture* capture) {
+  const sim::FleetConfig& config = runner.config();
   if (snapshot.seed != seed) return Error::invalid_arg("snapshot seed mismatch");
   if (snapshot.state.users.size() != config.users) {
     return Error::invalid_arg("snapshot user count disagrees with fleet config");
@@ -792,31 +710,29 @@ Status check_compatible(const FleetSnapshot& snapshot, const sim::FleetConfig& c
   if (snapshot.state.next_day >= config.days) {
     return Error::invalid_arg("snapshot day boundary is past the configured horizon");
   }
-  return {};
-}
-
-sim::FleetRunner::PredictorFactory resume_predictor_factory(
-    sim::FleetRunner::PredictorFactory base, std::vector<unsigned char> net_model) {
-  if (net_model.empty() || base == nullptr) return base;
-  auto tensors = nn::deserialize_model(nn::kModelKindStallExitNet, net_model);
-  // load_snapshot validated the container; a hand-built blob must be valid.
-  LINGXI_ASSERT(tensors.has_value());
-  auto weights = std::make_shared<std::vector<nn::Tensor>>(std::move(*tensors));
-  return [base = std::move(base), weights]() {
-    predictor::HybridExitPredictor predictor = base();
-    const bool loaded = predictor.net().load_weights(*weights);
-    LINGXI_ASSERT(loaded);
-    return predictor;
-  };
-}
-
-Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,
-                       std::uint64_t seed, telemetry::ShardedCapture::Position position) {
-  if (position.cursors.size() != config.users) {
-    return Error::invalid_arg("snapshot capture user count disagrees with fleet config");
+  if (capture != nullptr &&
+      (!snapshot.has_capture || snapshot.capture.cursors.size() != config.users)) {
+    return Error::invalid_arg("snapshot carries no capture position for this fleet");
   }
-  capture.begin_fleet(config, seed);
-  capture.restore(std::move(position));
+  if (!snapshot.net_model.empty() && runner.predictor_factory() != nullptr) {
+    // load_snapshot validated the container; a hand-built one is checked
+    // here, before the runner is touched, since the factory cannot fail.
+    auto tensors = nn::deserialize_model(nn::kModelKindStallExitNet, snapshot.net_model);
+    if (!tensors) return tensors.error();
+    if (auto fits = predictor::StallExitNet::validate_weights(*tensors); !fits) return fits;
+    auto weights = std::make_shared<std::vector<nn::Tensor>>(std::move(*tensors));
+    runner.set_predictor_factory([base = runner.predictor_factory(), weights]() {
+      predictor::HybridExitPredictor predictor = base();
+      const bool loaded = predictor.net().load_weights(*weights);
+      LINGXI_ASSERT(loaded);
+      return predictor;
+    });
+  }
+  if (capture != nullptr) {
+    capture->begin_fleet(config, seed);
+    capture->restore(snapshot.capture);
+    runner.set_telemetry_sink(capture);
+  }
   return {};
 }
 

@@ -160,9 +160,7 @@ inline constexpr std::uint64_t kMaxCaptureSegments = std::uint64_t{1} << 20;
 /// horizon (that is the point of incremental-day experiments).
 using telemetry::resume_digest;
 
-/// A fleet checkpoint materialized in memory: the deterministic output of
-/// capture_snapshot() or load_snapshot(), ready to be written out
-/// (save_snapshot) or resumed from directly.
+/// A fleet checkpoint read back by load_snapshot(), ready for resume().
 struct FleetSnapshot {
   std::uint64_t seed = 0;
   std::uint32_t resume_digest = 0;
@@ -172,8 +170,8 @@ struct FleetSnapshot {
   /// when the fleet runs without a predictor.
   std::vector<unsigned char> net_model;
   /// Telemetry capture position (one cursor per user, and the log) when a
-  /// ShardedCapture was snapshotted alongside the fleet. A loaded snapshot's
-  /// tails are empty: its bytes are in the log's segments.
+  /// ShardedCapture was committed alongside the fleet. Its tails are empty:
+  /// the bytes are in the log's segments.
   bool has_capture = false;
   telemetry::ShardedCapture::Position capture;
 };
@@ -202,30 +200,19 @@ std::string capture_store_dir(const std::string& dir);
 /// deep copy; empty without a LingXi predictor).
 RunConstants run_constants(const sim::FleetRunner& runner, std::uint64_t seed);
 
-/// Assemble a snapshot from a runner's exported day state: run_constants()
-/// plus the state and, when given, a copy of `capture`'s position (tails
-/// included). Fails with kInvalidArg when the state's user count disagrees
-/// with the config.
-Expected<FleetSnapshot> capture_snapshot(const sim::FleetRunner& runner,
-                                         std::uint64_t seed, sim::FleetDayState state,
-                                         const telemetry::ShardedCapture* capture = nullptr);
-
-/// Commit manifest + net + per-shard state files into `dir` transactionally
-/// (stage into `<dir>.tmp`, manifest last, fsync, atomic rename — see the
-/// durability contract above). `users_per_shard` is the state-file
-/// granularity. An existing snapshot at `dir` is replaced atomically and is
-/// never clobbered by a torn commit. A captured snapshot writes its tails as
-/// one segment per state shard, days [end of its log, next_day), into the
-/// store beside `dir`, which must be its log's store unless the log is
-/// empty.
-Status save_snapshot(const FleetSnapshot& snapshot, const std::string& dir,
-                     std::size_t users_per_shard = 64);
-
-/// The commit AutoCheckpointer makes at each day boundary: `state` with the
-/// run's constants and, when `capture` is non-null, the capture committed
-/// first (ShardedCapture::commit into the store beside `dir`: only the tails
-/// since its previous commit are written, so a commit costs the days since
-/// then, not the history) and its cursors and log listed in the manifest.
+/// The one snapshot writer, and the commit AutoCheckpointer makes at each
+/// day boundary: manifest + net + per-shard state files of `state` with the
+/// run's constants, committed into `dir` transactionally (stage into
+/// `<dir>.tmp`, manifest last, fsync, atomic rename — see the durability
+/// contract above). `users_per_shard` is the state-file granularity. An
+/// existing snapshot at `dir` is replaced atomically and is never clobbered
+/// by a torn commit. When `capture` is non-null it is committed first
+/// (ShardedCapture::commit into the store beside `dir`: only the tails since
+/// its previous commit are written, so a commit costs the days since then,
+/// not the history) and its cursors and log are listed in the manifest.
+/// kInvalidArg, before any file is written, when the capture's user count,
+/// seed or resume digest differs from the run's: its segment names carry
+/// its own seed and digest, which the manifest must list them under.
 Status save_snapshot(const RunConstants& run, const sim::FleetDayState& state,
                      const std::string& dir, std::size_t users_per_shard,
                      telemetry::ShardedCapture* capture);
@@ -262,28 +249,22 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir);
 /// corrupt manifest; reads nothing else.
 Expected<std::vector<std::string>> listed_segment_files(const std::string& dir);
 
-/// Resumability check: seed, user count, result-shaping config digest and
-/// day boundary must all line up with the fleet about to resume
-/// (kInvalidArg with a specific message otherwise).
-Status check_compatible(const FleetSnapshot& snapshot, const sim::FleetConfig& config,
-                        std::uint64_t seed);
-
-/// Wrap a predictor factory so every predictor it hands out carries the
-/// snapshot's net weights — resume is then robust against factory drift
-/// between the saving and resuming processes. With an empty `net_model` the
-/// base factory is returned unchanged. The blob must have been validated
-/// (load_snapshot does); weight/shape mismatches are a contract violation.
-sim::FleetRunner::PredictorFactory resume_predictor_factory(
-    sim::FleetRunner::PredictorFactory base, std::vector<unsigned char> net_model);
-
-/// Re-arm a capture for a resumed leg: begin_fleet(config, seed) then
-/// restore the snapshot's capture position, so the resumed run appends days
-/// [D, ...), its first commit into the same store writes only those days,
-/// and finish() emits archive bytes identical to an unsplit run. Pass
-/// `snapshot.seed, std::move(snapshot.capture)`. Error::kInvalidArg when the
-/// cursor count differs from config.users.
-Status restore_capture(telemetry::ShardedCapture& capture, const sim::FleetConfig& config,
-                       std::uint64_t seed, telemetry::ShardedCapture::Position position);
+/// Prepare `runner` (and `capture`, when non-null) to continue from
+/// `snapshot`: the caller then calls
+/// runner.run_days(seed, snapshot.state.next_day, last_day, &snapshot.state).
+/// Checks first, touching nothing on failure (kInvalidArg): the seed, the
+/// user count, the result-shaping config digest (a longer horizon is
+/// allowed) and that the horizon is past the boundary; and, with a capture,
+/// that the snapshot carries one cursor per user. Then it wraps the runner's
+/// predictor factory so every predictor carries the snapshot's net weights
+/// (robust against factory drift between the saving and resuming
+/// processes; unchanged without a net or a factory), re-arms the capture on
+/// the snapshot's cursors and segment table (begin_fleet, then restore: the
+/// resumed run appends days [D, ...), its first commit into the same store
+/// writes only those days, and finish() emits archive bytes identical to an
+/// unsplit run) and attaches it as the runner's telemetry sink.
+Status resume(const FleetSnapshot& snapshot, std::uint64_t seed, sim::FleetRunner& runner,
+              telemetry::ShardedCapture* capture);
 
 /// Per-user state codec (exposed for tests and bench_micro).
 std::vector<unsigned char> encode_user_state(std::uint64_t user,

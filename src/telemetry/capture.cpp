@@ -91,56 +91,6 @@ Status read_segment(const std::string& path, const CaptureSegment& segment,
   return {};
 }
 
-Expected<std::uint64_t> append_segments(const std::vector<ShardedCapture::CaptureCursor>& cursors,
-                                        std::size_t users_per_shard, std::uint64_t seed,
-                                        std::uint32_t resume_digest, std::uint64_t end_day,
-                                        const std::string& store, CaptureLog& log) {
-  if (!log.segments.empty() && !same_directory(log.store, store)) {
-    return Error::invalid_arg("capture log lives in another store: " + log.store);
-  }
-  std::uint64_t first_day = 0;
-  for (const CaptureSegment& seg : log.segments) first_day = std::max(first_day, seg.end_day);
-  std::error_code ec;
-  std::filesystem::create_directories(store, ec);
-  if (ec) return Error::io("cannot create capture segment store: " + store);
-
-  std::vector<CaptureSegment> fresh;
-  std::uint64_t written = 0;
-  std::vector<unsigned char> bytes;
-  for (std::size_t first = 0; first < cursors.size(); first += users_per_shard) {
-    const std::size_t last = std::min(first + users_per_shard, cursors.size());
-    CaptureSegment seg;
-    seg.first_user = first;
-    seg.first_day = first_day;
-    seg.end_day = end_day;
-    bytes.clear();
-    for (std::size_t u = first; u < last; ++u) {
-      const std::vector<unsigned char>& tail = cursors[u].tail;
-      bytes.insert(bytes.end(), tail.begin(), tail.end());
-      seg.user_bytes.push_back(tail.size());
-    }
-    if (bytes.empty()) continue;
-    if (seg.first_day >= seg.end_day) {
-      return Error::invalid_arg("new capture bytes at a day boundary the log already covers");
-    }
-    seg.byte_count = bytes.size();
-    seg.crc = crc32(bytes.data(), bytes.size());
-    if (auto s = write_file(store + "/" + segment_filename(seed, resume_digest, seg), bytes);
-        !s) {
-      return s.error();
-    }
-    written += bytes.size();
-    fresh.push_back(std::move(seg));
-  }
-  if (written > 0) {
-    if (auto s = fsync_directory(store); !s) return s.error();
-  }
-  log.store = store;
-  log.segments.insert(log.segments.end(), std::make_move_iterator(fresh.begin()),
-                      std::make_move_iterator(fresh.end()));
-  return written;
-}
-
 ShardedCapture::ShardedCapture() : ShardedCapture(Config{}) {}
 
 ShardedCapture::ShardedCapture(Config config) : config_(config) {
@@ -158,7 +108,7 @@ void ShardedCapture::begin_fleet(const sim::FleetConfig& config, std::uint64_t s
   manifest_.intervention_day = config.intervention_day;
   manifest_.enable_lingxi = config.enable_lingxi;
   manifest_.users_per_shard = config_.users_per_shard;
-  resume_digest_ = resume_digest(config);
+  resume_digest_ = telemetry::resume_digest(config);
   users_.assign(config.users, CaptureCursor{});
   log_ = CaptureLog{};
 }
@@ -202,30 +152,48 @@ void ShardedCapture::record_user(const UserTelemetry& user) {
 
 Expected<std::uint64_t> ShardedCapture::commit(const std::string& store,
                                                std::uint64_t end_day) {
-  // The first commit into another store carries the whole history over, as
-  // tails written from day 0.
-  const bool moving = !log_.segments.empty() && !same_directory(log_.store, store);
-  std::vector<CaptureCursor> history;
-  CaptureLog moved;
-  if (moving) {
-    const FleetArchive archive = finish();
-    if (!archive.status) return archive.status.error();
-    history.resize(users_.size());
-    for (std::size_t s = 0; s < archive.shards.size(); ++s) {
-      auto from = archive.shards[s].begin();
-      const std::size_t first = s * config_.users_per_shard;
-      for (std::size_t u = first; u < first + archive.manifest.shards[s].user_count; ++u) {
-        const auto to = from + static_cast<std::ptrdiff_t>(users_[u].byte_count());
-        history[u].tail.assign(from, to);
-        from = to;
-      }
-    }
+  if (!log_.segments.empty() && !same_directory(log_.store, store)) {
+    return Error::invalid_arg("capture log lives in another store: " + log_.store);
   }
-  auto written = append_segments(moving ? history : users_, config_.users_per_shard,
-                                 manifest_.seed, resume_digest_, end_day, store,
-                                 moving ? moved : log_);
-  if (!written) return written;
-  if (moving) log_ = std::move(moved);
+  std::uint64_t first_day = 0;
+  for (const CaptureSegment& seg : log_.segments) first_day = std::max(first_day, seg.end_day);
+  std::error_code ec;
+  std::filesystem::create_directories(store, ec);
+  if (ec) return Error::io("cannot create capture segment store: " + store);
+
+  std::vector<CaptureSegment> fresh;
+  std::uint64_t written = 0;
+  std::vector<unsigned char> bytes;
+  for (std::size_t first = 0; first < users_.size(); first += config_.users_per_shard) {
+    const std::size_t last = std::min(first + config_.users_per_shard, users_.size());
+    CaptureSegment seg;
+    seg.first_user = first;
+    seg.first_day = first_day;
+    seg.end_day = end_day;
+    bytes.clear();
+    for (std::size_t u = first; u < last; ++u) {
+      const std::vector<unsigned char>& tail = users_[u].tail;
+      bytes.insert(bytes.end(), tail.begin(), tail.end());
+      seg.user_bytes.push_back(tail.size());
+    }
+    if (bytes.empty()) continue;
+    if (seg.first_day >= seg.end_day) {
+      return Error::invalid_arg("new capture bytes at a day boundary the log already covers");
+    }
+    seg.byte_count = bytes.size();
+    seg.crc = crc32(bytes.data(), bytes.size());
+    const std::string path =
+        store + "/" + segment_filename(manifest_.seed, resume_digest_, seg);
+    if (auto s = write_file(path, bytes); !s) return s.error();
+    written += bytes.size();
+    fresh.push_back(std::move(seg));
+  }
+  if (written > 0) {
+    if (auto s = fsync_directory(store); !s) return s.error();
+  }
+  log_.store = store;
+  log_.segments.insert(log_.segments.end(), std::make_move_iterator(fresh.begin()),
+                       std::make_move_iterator(fresh.end()));
   for (CaptureCursor& cursor : users_) {
     cursor.logged = cursor.byte_count();
     cursor.tail.clear();

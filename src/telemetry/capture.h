@@ -136,10 +136,11 @@ class ShardedCapture final : public TelemetrySink {
   /// Append every tail to the log as one new segment per archive shard,
   /// days [end of the log, end_day), in `store`; make the files and the
   /// directory durable; only then empty the tails (keeping their capacity).
-  /// Returns the bytes written. The first commit into a store other than
-  /// the log's carries the whole history over. On failure the capture is
-  /// unchanged (files already written are orphans no table lists). Call at
-  /// a day boundary, between FleetRunner::run_days legs.
+  /// Returns the bytes written. `store` must be the log's store unless the
+  /// log is empty: a commit anywhere else is kInvalidArg and writes nothing.
+  /// On failure the capture is unchanged (files already written are orphans
+  /// no table lists). Call at a day boundary, between FleetRunner::run_days
+  /// legs.
   Expected<std::uint64_t> commit(const std::string& store, std::uint64_t end_day);
 
   /// Merge the log and the tails into the final archive. Call after
@@ -158,9 +159,11 @@ class ShardedCapture final : public TelemetrySink {
   /// Every user's cursor (index == user index). Read at a day boundary.
   const std::vector<CaptureCursor>& cursors() const noexcept { return users_; }
   const CaptureLog& log() const noexcept { return log_; }
-  /// A copy of the cursors and the log (tails included).
-  Position position() const { return {users_, log_}; }
-  /// Re-arm on a position exported by position() or loaded from a snapshot.
+  /// The seed and resume digest of the fleet begun last: every segment name
+  /// carries them, so a checkpoint's manifest must be stamped with the same.
+  std::uint64_t seed() const noexcept { return manifest_.seed; }
+  std::uint32_t resume_digest() const noexcept { return resume_digest_; }
+  /// Re-arm on a position loaded from a snapshot (snapshot::resume does).
   /// Must follow a begin_fleet() with the same fleet config and seed (which
   /// pre-sizes the user table); `position` must hold one cursor per user.
   void restore(Position position);
@@ -172,15 +175,5 @@ class ShardedCapture final : public TelemetrySink {
   std::vector<CaptureCursor> users_;
   CaptureLog log_;
 };
-
-/// Write every cursor's tail as one new segment of `users_per_shard` users,
-/// days [end of `log`, end_day), into `store`, durable, and append them to
-/// `log` (whose store must be empty or `store`). Returns the bytes written;
-/// `log` is unchanged on failure. ShardedCapture::commit and
-/// snapshot::save_snapshot both write through it.
-Expected<std::uint64_t> append_segments(const std::vector<ShardedCapture::CaptureCursor>& cursors,
-                                        std::size_t users_per_shard, std::uint64_t seed,
-                                        std::uint32_t resume_digest, std::uint64_t end_day,
-                                        const std::string& store, CaptureLog& log);
 
 }  // namespace lingxi::telemetry

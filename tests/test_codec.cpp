@@ -24,9 +24,11 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "logstore/record.h"
 #include "logstore/session_log.h"
 #include "nn/serialize.h"
@@ -174,27 +176,52 @@ sim::UserFleetState golden_fleet_user(bool with_lingxi) {
   return s;
 }
 
-snapshot::FleetSnapshot golden_fleet_snapshot() {
-  snapshot::FleetSnapshot snap;
-  snap.seed = 77;
-  snap.resume_digest = 0x5eed5eedu;
-  snap.state.next_day = 2;
-  snap.state.users = {golden_fleet_user(true), golden_fleet_user(false)};
-  snap.state.accumulated.sessions = 24;
-  snap.state.accumulated.completed = 20;
-  snap.state.accumulated.stall_events = 9;
-  snap.state.accumulated.users = 2;
-  snap.state.accumulated.watch_ticks = 123456789;
-  snap.state.accumulated.adjusted_user_days = 1;
-  // Opaque to save_snapshot: only its CRC lands in the manifest.
-  snap.net_model = {0x4c, 0x58, 0x4e, 0x43, 1, 2, 3};
-  snap.has_capture = true;
-  snap.capture.cursors.resize(2);
-  snap.capture.cursors[0].tail = {0xde, 0xad, 0xbe, 0xef};
-  snap.capture.cursors[0].records = 1;
-  snap.capture.cursors[0].next_expected_at_least = (std::uint64_t{1} << 32) | 3;
-  snap.capture.cursors[1].records = 0;
-  return snap;
+/// The golden snapshot's fleet: two users at seed 77, every other knob at
+/// its default. Its resume digest stamps the manifest and names the segment.
+sim::FleetConfig golden_snapshot_fleet() {
+  sim::FleetConfig cfg;
+  cfg.users = 2;
+  cfg.days = 4;
+  return cfg;
+}
+constexpr std::uint64_t kGoldenSnapshotSeed = 77;
+
+snapshot::RunConstants golden_run_constants(bool with_net) {
+  snapshot::RunConstants run;
+  run.seed = kGoldenSnapshotSeed;
+  run.resume_digest = telemetry::resume_digest(golden_snapshot_fleet());
+  if (with_net) {
+    // Opaque to save_snapshot: only its CRC lands in the manifest.
+    run.net_model = {0x4c, 0x58, 0x4e, 0x43, 1, 2, 3};
+    run.net_crc = crc32(run.net_model.data(), run.net_model.size());
+  }
+  return run;
+}
+
+sim::FleetDayState golden_day_state(std::size_t next_day) {
+  sim::FleetDayState state;
+  state.next_day = next_day;
+  state.users = {golden_fleet_user(true), golden_fleet_user(false)};
+  state.accumulated.sessions = 24;
+  state.accumulated.completed = 20;
+  state.accumulated.stall_events = 9;
+  state.accumulated.users = 2;
+  state.accumulated.watch_ticks = 123456789;
+  state.accumulated.adjusted_user_days = 1;
+  return state;
+}
+
+/// Begin `capture` on the golden fleet with nothing committed yet: user 0's
+/// tail holds four bytes from one record, user 1's none.
+void begin_golden_capture(telemetry::ShardedCapture& capture) {
+  capture.begin_fleet(golden_snapshot_fleet(), kGoldenSnapshotSeed);
+  telemetry::ShardedCapture::Position position;
+  position.cursors.resize(2);
+  position.cursors[0].tail = {0xde, 0xad, 0xbe, 0xef};
+  position.cursors[0].records = 1;
+  position.cursors[0].next_expected_at_least = (std::uint64_t{1} << 32) | 3;
+  position.cursors[1].records = 0;
+  capture.restore(std::move(position));
 }
 
 obs::RegistrySnapshot golden_registry() {
@@ -273,7 +300,7 @@ constexpr const char* kUserStatePlainHex =
     "000000001032547698badcfe000000000000e0bf010000000000000000001c40"
     "000000000000f03f000000000000d03f010000000000000000000000";
 constexpr const char* kSnapshotManifestFileHex =
-    "4c5852430200000034010000030000004d00000000000000ed5eed5e02000000"
+    "4c5852430200000034010000030000004d000000000000001c6a424302000000"
     "0000000002000000000000000200000000000000010000001d02853a01000000"
     "1800000000000000140000000000000000000000000000000000000000000000"
     "0900000000000000000000000000000000000000000000000200000000000000"
@@ -283,7 +310,7 @@ constexpr const char* kSnapshotManifestFileHex =
     "00000000000000000200000000000000fc010000000000000a8b790e01000000"
     "0000000000000000000000000000000000000000020000000000000004000000"
     "000000005aa39c7c020000000000000004000000000000000000000000000000"
-    "d893a074";
+    "0a614fac";
 constexpr const char* kSnapshotStateFileHex =
     "4c5852430200000018010000010000000000000000000000efcdab8967452301"
     "020000000000000003000000000000001032547698badcfe000000000000e0bf"
@@ -304,7 +331,7 @@ constexpr const char* kSnapshotStateFileHex =
 // The one segment the golden snapshot's capture fills: users [0, 2), days
 // [0, 2), user 0's four bytes then user 1's none.
 constexpr const char* kSnapshotSegmentName =
-    "seg-000000000000004d-5eed5eed-users-0-2-days-0-2.lxcs";
+    "seg-000000000000004d-43426a1c-users-0-2-days-0-2.lxcs";
 constexpr const char* kSnapshotSegmentHex = "deadbeef";
 constexpr const char* kTimelineFileHex =
     "4c58544c010000001e00000000000000160000006c696e6778692e6f62732e74"
@@ -365,15 +392,17 @@ TEST(CodecGolden, SnapshotFiles) {
   // holding both users' state records, each followed by its capture-cursor
   // record, and the capture segment beside the snapshot directory.
   const std::string dir = temp_path("snapshot") + "/snapshot";
-  ASSERT_TRUE(snapshot::save_snapshot(golden_fleet_snapshot(), dir, 2).ok());
+  const snapshot::RunConstants run = golden_run_constants(/*with_net=*/true);
+  telemetry::ShardedCapture capture;
+  begin_golden_capture(capture);
+  ASSERT_TRUE(snapshot::save_snapshot(run, golden_day_state(2), dir, 2, &capture).ok());
   EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::manifest_filename())),
             kSnapshotManifestFileHex);
   EXPECT_EQ(hex(file_bytes(dir + "/" + snapshot::state_filename(0))), kSnapshotStateFileHex);
-  const snapshot::FleetSnapshot golden = golden_fleet_snapshot();
   telemetry::CaptureSegment segment;
   segment.end_day = 2;
   segment.user_bytes = {4, 0};
-  EXPECT_EQ(telemetry::segment_filename(golden.seed, golden.resume_digest, segment),
+  EXPECT_EQ(telemetry::segment_filename(run.seed, run.resume_digest, segment),
             kSnapshotSegmentName);
   EXPECT_EQ(hex(file_bytes(snapshot::capture_store_dir(dir) + "/" + kSnapshotSegmentName)),
             kSnapshotSegmentHex);
@@ -682,17 +711,19 @@ TEST(HostileLengths, SnapshotSegmentTable) {
   for (const SegmentCase& c : kSegmentCases) {
     const std::string root = temp_path("hostile_segments");
     // The golden net bytes are opaque to save_snapshot but not to
-    // load_snapshot: these two snapshots carry no net.
-    snapshot::FleetSnapshot day1 = golden_fleet_snapshot();
-    day1.net_model.clear();
-    day1.state.next_day = 1;
-    ASSERT_TRUE(snapshot::save_snapshot(day1, root + "/" + snapshot::checkpoint_dirname(1), 2)
+    // load_snapshot: these two snapshots carry no net. Each has a capture of
+    // its own, so day 2 lists one segment, days [0, 2), like the golden.
+    const snapshot::RunConstants run = golden_run_constants(/*with_net=*/false);
+    telemetry::ShardedCapture day1;
+    begin_golden_capture(day1);
+    ASSERT_TRUE(snapshot::save_snapshot(run, golden_day_state(1),
+                                        root + "/" + snapshot::checkpoint_dirname(1), 2, &day1)
                     .ok());
-    snapshot::FleetSnapshot day2 = golden_fleet_snapshot();
-    day2.net_model.clear();
     ASSERT_TRUE(snapshot::load_snapshot(root + "/" + snapshot::checkpoint_dirname(1)).has_value());
+    telemetry::ShardedCapture day2;
+    begin_golden_capture(day2);
     const std::string dir = root + "/" + snapshot::checkpoint_dirname(2);
-    ASSERT_TRUE(snapshot::save_snapshot(day2, dir, 2).ok());
+    ASSERT_TRUE(snapshot::save_snapshot(run, golden_day_state(2), dir, 2, &day2).ok());
 
     const std::string manifest = dir + "/" + snapshot::manifest_filename();
     auto framed = read_file(manifest);

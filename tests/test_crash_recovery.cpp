@@ -104,16 +104,11 @@ void resume_and_expect_parity(const std::string& root, const sim::FleetConfig& c
   auto recovered = snapshot::find_latest_valid(root);
   ASSERT_TRUE(recovered.has_value()) << recovered.error().message;
   EXPECT_EQ(recovered->snapshot.state.next_day, expect_resume_day);
-  ASSERT_TRUE(snapshot::check_compatible(recovered->snapshot, cfg, seed).ok());
 
-  sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  runner.set_predictor_factory(snapshot::resume_predictor_factory(
-      predictor_factory(), recovered->snapshot.net_model));
+  sim::FleetRunner runner = make_runner(cfg);
   telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(capture, cfg, recovered->snapshot.seed,
-                                        std::move(recovered->snapshot.capture))
-                  .ok());
-  runner.set_telemetry_sink(&capture);
+  const Status resumed_ok = snapshot::resume(recovered->snapshot, seed, runner, &capture);
+  ASSERT_TRUE(resumed_ok.ok()) << resumed_ok.error().message;
   const sim::FleetAccumulator resumed = runner.run_days(
       seed, recovered->snapshot.state.next_day, cfg.days, &recovered->snapshot.state);
   EXPECT_EQ(resumed.checksum(), ref.acc.checksum());
@@ -328,14 +323,9 @@ TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
   auto recovered = snapshot::find_latest_valid(root);
   ASSERT_TRUE(recovered.has_value()) << recovered.error().message;
   ASSERT_EQ(recovered->snapshot.state.next_day, 2u);
-  sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  runner.set_predictor_factory(snapshot::resume_predictor_factory(
-      predictor_factory(), recovered->snapshot.net_model));
+  sim::FleetRunner runner = make_runner(cfg);
   telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(capture, cfg, recovered->snapshot.seed,
-                                        std::move(recovered->snapshot.capture))
-                  .ok());
-  runner.set_telemetry_sink(&capture);
+  ASSERT_TRUE(snapshot::resume(recovered->snapshot, kSeed, runner, &capture).ok());
   snapshot::AutoCheckpointer ckpt(runner, kSeed, policy, &capture);
 
   const auto captured = [&capture] {
@@ -380,27 +370,68 @@ TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
   EXPECT_TRUE(archive.shards == ref.archive.shards);
   resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/4);
 
-  // Another root is another store: a capture restored from this one and
-  // checkpointed there carries the whole history over in its first commit,
-  // one segment per archive shard, and the checkpoint loads.
+  // Another root is another store, and a log lives in one store: a commit
+  // there is kInvalidArg, writes nothing and keeps the tails (day 4's bytes,
+  // recorded since the last commit).
+  const std::vector<telemetry::ShardedCapture::CaptureCursor> before = capture.cursors();
+  std::uint64_t tail_bytes = 0;
+  for (const auto& cursor : before) tail_bytes += cursor.tail.size();
+  ASSERT_GT(tail_bytes, 0u);
   const std::string elsewhere = fresh_dir("resume-append-elsewhere");
-  telemetry::ShardedCapture restored(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(restored, cfg, kSeed, latest->snapshot.capture).ok());
-  snapshot::AutoCheckpointer moved(runner, kSeed, {elsewhere, 1, 2, 4}, &restored);
-  moved.on_boundary(latest->snapshot.state);
-  EXPECT_TRUE(moved.status().ok()) << moved.status().error().message;
-  const auto loaded = snapshot::load_snapshot(elsewhere + "/" + snapshot::checkpoint_dirname(4));
-  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  for (const telemetry::CaptureSegment& seg : loaded->capture.log.segments) {
-    EXPECT_EQ(seg.first_day, 0u);
-    EXPECT_EQ(seg.end_day, 4u);
+  const auto moved = capture.commit(snapshot::capture_store_dir(elsewhere + "/x"), cfg.days);
+  ASSERT_FALSE(moved.has_value());
+  EXPECT_EQ(moved.error().code, Error::Code::kInvalidArg);
+  EXPECT_FALSE(std::filesystem::exists(elsewhere));
+  EXPECT_TRUE(capture.cursors() == before);
+  EXPECT_EQ(capture.log().segments.size(), 8u);
+}
+
+TEST(AutoCheckpointer, CaptureOfAnotherRunFailsBeforeWritingAnything) {
+  // The checkpointer stamps its manifests with its own seed and digest; the
+  // capture names its segments with the run's. When they disagree a commit
+  // would list files that do not exist (and pruning would delete every
+  // segment), so each commit must fail before writing a file, the failure
+  // must land in status(), and the capture must keep every byte.
+  const sim::FleetConfig cfg = fleet_config();
+  constexpr std::uint64_t kSeed = 2;
+  const Reference ref = reference_run(cfg, kSeed);
+  {
+    const std::string root = fresh_dir("other-seed");
+    sim::FleetRunner runner = make_runner(cfg);
+    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+    runner.set_telemetry_sink(&capture);
+    snapshot::AutoCheckpointer ckpt(runner, /*seed=*/1, {root, 1, /*retain=*/2, 4}, &capture);
+    ckpt.arm(runner);
+    const sim::FleetAccumulator acc = runner.run_days(kSeed, 0, cfg.days, nullptr, nullptr);
+    ASSERT_FALSE(ckpt.status().ok());
+    EXPECT_EQ(ckpt.status().error().code, Error::Code::kInvalidArg);
+    EXPECT_EQ(ckpt.checkpoints_committed(), 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(root)) << "a failed commit wrote under " << root;
+    EXPECT_TRUE(capture.log().segments.empty());
+    EXPECT_EQ(acc.checksum(), ref.acc.checksum());
+    const telemetry::FleetArchive archive = capture.finish();
+    ASSERT_TRUE(archive.status.ok()) << archive.status.error().message;
+    EXPECT_TRUE(archive.shards == ref.archive.shards);
+    const auto recovered = snapshot::find_latest_valid(root);
+    ASSERT_FALSE(recovered.has_value());
+    EXPECT_EQ(recovered.error().code, Error::Code::kNotFound);
   }
-  EXPECT_EQ(loaded->capture.log.segments.size(), 2u);
-  telemetry::ShardedCapture original(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(original, cfg, kSeed, latest->snapshot.capture).ok());
-  const telemetry::FleetArchive carried = restored.finish();
-  ASSERT_TRUE(carried.status.ok()) << carried.status.error().message;
-  EXPECT_TRUE(carried.shards == original.finish().shards);
+  {
+    // Same seed, a capture begun on a drifted config: the digest disagrees.
+    const std::string root = fresh_dir("other-digest");
+    sim::FleetRunner runner = make_runner(cfg);
+    sim::FleetDayState state;
+    runner.run_days(kSeed, 0, 1, nullptr, &state);
+    sim::FleetConfig drifted = cfg;
+    drifted.network.median_bandwidth += 100.0;
+    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+    capture.begin_fleet(drifted, kSeed);
+    snapshot::AutoCheckpointer ckpt(runner, kSeed, {root, 1, /*retain=*/2, 4}, &capture);
+    ckpt.on_boundary(state);
+    ASSERT_FALSE(ckpt.status().ok());
+    EXPECT_EQ(ckpt.status().error().code, Error::Code::kInvalidArg);
+    EXPECT_TRUE(std::filesystem::is_empty(root)) << "a failed commit wrote under " << root;
+  }
 }
 
 TEST(CaptureReadBack, CorruptSegmentFailsFinishAndLoad) {

@@ -882,22 +882,19 @@ class HealthPlane {
   obs::HealthMonitor monitor_;
 };
 
-/// One leg's runner. Legs resumed from a snapshot get its net weights.
-std::unique_ptr<sim::FleetRunner> make_runner(const sim::FleetConfig& cfg,
-                                              std::vector<unsigned char> net_model) {
+/// One leg's runner (snapshot::resume gives a resumed leg the saved net).
+std::unique_ptr<sim::FleetRunner> make_runner(const sim::FleetConfig& cfg) {
   auto runner = std::make_unique<sim::FleetRunner>(
       cfg, [] { return std::make_unique<abr::Hyb>(); });
   if (cfg.enable_lingxi) {
-    runner->set_predictor_factory(snapshot::resume_predictor_factory(
-        [] {
-          // Drawn once: every worker's predictor starts from a copy.
-          static Rng net_rng(4242);
-          static const predictor::StallExitNet initial(net_rng);
-          return predictor::HybridExitPredictor(
-              std::make_shared<predictor::StallExitNet>(initial),
-              std::make_shared<predictor::OverallStatsModel>());
-        },
-        std::move(net_model)));
+    runner->set_predictor_factory([] {
+      // Drawn once: every worker's predictor starts from a copy.
+      static Rng net_rng(4242);
+      static const predictor::StallExitNet initial(net_rng);
+      return predictor::HybridExitPredictor(
+          std::make_shared<predictor::StallExitNet>(initial),
+          std::make_shared<predictor::OverallStatsModel>());
+    });
   }
   return runner;
 }
@@ -988,15 +985,15 @@ Outputs run_cell(const Fixture& fixture, const Cell& cell) {
   const auto start = [&](std::size_t first) {
     plane.reset();
     if (v.obs) plane.emplace(dir + "-timeline-" + std::to_string(first));
-    runner = make_runner(cfg, std::move(loaded.net_model));
+    runner = make_runner(cfg);
     capture = std::make_unique<telemetry::ShardedCapture>(telemetry::ShardedCapture::Config{4});
-    if (first > 0) {
-      EXPECT_TRUE(
-          snapshot::restore_capture(*capture, cfg, loaded.seed, std::move(loaded.capture)).ok())
-          << label;
-      state = std::move(loaded.state);
+    if (first == 0) {
+      runner->set_telemetry_sink(capture.get());
+      return;
     }
-    runner->set_telemetry_sink(capture.get());
+    const Status resumed = snapshot::resume(loaded, seed, *runner, capture.get());
+    EXPECT_TRUE(resumed.ok()) << label << ": " << resumed.error().message;
+    state = std::move(loaded.state);
   };
   // Loads the snapshot a process resuming at `day` starts from.
   const auto load = [&](const std::string& snap_dir, std::size_t day) {
@@ -1005,7 +1002,6 @@ Outputs run_cell(const Fixture& fixture, const Cell& cell) {
       ADD_FAILURE() << label << ": " << read.error().message;
       return false;
     }
-    EXPECT_TRUE(snapshot::check_compatible(*read, cfg, seed).ok()) << label;
     EXPECT_EQ(read->state.next_day, day) << label;
     loaded = std::move(*read);
     return true;
@@ -1041,9 +1037,10 @@ Outputs run_cell(const Fixture& fixture, const Cell& cell) {
     if (last == cfg.days) break;
     EXPECT_EQ(next.next_day, last) << label;
     if (v.split == Split::kDisk) {
-      auto snap = snapshot::capture_snapshot(*runner, seed, std::move(next), capture.get());
       const std::string snap_dir = dir + "/day-" + std::to_string(last);
-      EXPECT_TRUE(snap && snapshot::save_snapshot(*snap, snap_dir, 3).ok()) << label;
+      const Status saved = snapshot::save_snapshot(snapshot::run_constants(*runner, seed), next,
+                                                   snap_dir, 3, capture.get());
+      EXPECT_TRUE(saved.ok()) << label << ": " << saved.error().message;
       if (!load(snap_dir, last)) break;
     } else {
       state = std::move(next);

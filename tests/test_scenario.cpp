@@ -351,16 +351,11 @@ TEST(ScenarioSplice, AutoCheckpointKillAtChurnDayResumesBitwise) {
   auto recovered = snapshot::find_latest_valid(root);
   ASSERT_TRUE(recovered.has_value()) << recovered.error().message;
   EXPECT_EQ(recovered->snapshot.state.next_day, 2u);
-  ASSERT_TRUE(snapshot::check_compatible(recovered->snapshot, cfg, kSeed).ok());
 
-  sim::FleetRunner runner(cfg, [] { return std::make_unique<abr::Hyb>(); });
-  runner.set_predictor_factory(snapshot::resume_predictor_factory(
-      predictor_factory(), recovered->snapshot.net_model));
+  sim::FleetRunner runner = make_runner(cfg);
   telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
-  ASSERT_TRUE(snapshot::restore_capture(capture, cfg, recovered->snapshot.seed,
-                                        std::move(recovered->snapshot.capture))
-                  .ok());
-  runner.set_telemetry_sink(&capture);
+  const Status resumed_ok = snapshot::resume(recovered->snapshot, kSeed, runner, &capture);
+  ASSERT_TRUE(resumed_ok.ok()) << resumed_ok.error().message;
   const sim::FleetAccumulator resumed = runner.run_days(
       kSeed, recovered->snapshot.state.next_day, cfg.days, &recovered->snapshot.state);
 

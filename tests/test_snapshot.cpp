@@ -1,6 +1,7 @@
 // Unit + integration tests for src/snapshot: state codecs (engagement,
-// per-user fleet state), on-disk snapshot round trips, corruption and
-// compatibility rejection, resumed predictor weights and extended horizons.
+// per-user fleet state), on-disk snapshot round trips and corruption
+// rejection, and the one resume call (compatibility rejection, resumed
+// predictor weights, extended horizons).
 // Resume parity — in process and through a saved snapshot directory, at
 // every scheduling knob — is a set of rows of the fleet parity harness in
 // test_properties.cpp.
@@ -11,10 +12,12 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
 #include "abr/hyb.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "logstore/record.h"
 #include "nn/serialize.h"
@@ -204,58 +207,61 @@ TEST(UserStateCodec, RejectsTruncation) {
 // On-disk snapshot round trip + corruption / compatibility rejection.
 // ---------------------------------------------------------------------------
 
-/// One leg [0, 2) of the standard fleet with a capture attached, snapshotted.
+/// One leg [0, 2) of the standard fleet with a capture attached, saved into
+/// `dir` through the one writer with `users_per_shard` users per state file.
 struct SavedLeg {
   sim::FleetConfig cfg;
-  snapshot::FleetSnapshot snapshot;
+  snapshot::RunConstants run;
+  sim::FleetDayState state;
+  /// The capture's cursors once the save committed them.
+  std::vector<telemetry::ShardedCapture::CaptureCursor> cursors;
 };
 
-SavedLeg make_saved_leg(std::uint64_t seed = 77) {
+SavedLeg save_leg(const std::string& dir, std::uint64_t seed = 77,
+                  std::size_t users_per_shard = 64) {
   SavedLeg leg;
   leg.cfg = fleet_config();
   sim::FleetRunner runner = make_runner(leg.cfg);
   telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
   runner.set_telemetry_sink(&capture);
-  sim::FleetDayState state;
-  runner.run_days(seed, 0, 2, nullptr, &state);
-  auto snap = snapshot::capture_snapshot(runner, seed, std::move(state), &capture);
-  EXPECT_TRUE(snap.has_value());
-  leg.snapshot = std::move(*snap);
+  runner.run_days(seed, 0, 2, nullptr, &leg.state);
+  leg.run = snapshot::run_constants(runner, seed);
+  const Status saved = snapshot::save_snapshot(leg.run, leg.state, dir, users_per_shard, &capture);
+  EXPECT_TRUE(saved.ok()) << saved.error().message;
+  leg.cursors = capture.cursors();
   return leg;
 }
 
 TEST(SnapshotDisk, SaveLoadRoundTrip) {
-  const SavedLeg leg = make_saved_leg();
   const std::string dir = fresh_dir("roundtrip");
   // users_per_shard 3 forces a partial final state file.
-  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir, 3).ok());
+  const SavedLeg leg = save_leg(dir, 77, 3);
 
   const auto loaded = snapshot::load_snapshot(dir);
   ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
-  EXPECT_EQ(loaded->seed, leg.snapshot.seed);
-  EXPECT_EQ(loaded->resume_digest, leg.snapshot.resume_digest);
-  EXPECT_EQ(loaded->state.next_day, leg.snapshot.state.next_day);
-  EXPECT_EQ(loaded->state.accumulated.checksum(),
-            leg.snapshot.state.accumulated.checksum());
-  ASSERT_EQ(loaded->state.users.size(), leg.snapshot.state.users.size());
+  EXPECT_EQ(loaded->seed, leg.run.seed);
+  EXPECT_EQ(loaded->resume_digest, leg.run.resume_digest);
+  EXPECT_EQ(loaded->state.next_day, leg.state.next_day);
+  EXPECT_EQ(loaded->state.accumulated.checksum(), leg.state.accumulated.checksum());
+  ASSERT_EQ(loaded->state.users.size(), leg.state.users.size());
   for (std::size_t u = 0; u < loaded->state.users.size(); ++u) {
-    expect_user_state_eq(loaded->state.users[u], leg.snapshot.state.users[u]);
+    expect_user_state_eq(loaded->state.users[u], leg.state.users[u]);
   }
-  EXPECT_EQ(loaded->net_model, leg.snapshot.net_model);
+  EXPECT_EQ(loaded->net_model, leg.run.net_model);
   // The loaded capture holds no bytes: each cursor's length is logged in the
   // store beside the snapshot.
   ASSERT_TRUE(loaded->has_capture);
   EXPECT_EQ(loaded->capture.log.store, snapshot::capture_store_dir(dir));
-  ASSERT_EQ(loaded->capture.cursors.size(), leg.snapshot.capture.cursors.size());
+  ASSERT_EQ(loaded->capture.cursors.size(), leg.cursors.size());
   for (std::size_t u = 0; u < loaded->capture.cursors.size(); ++u) {
     const auto& got = loaded->capture.cursors[u];
-    const auto& want = leg.snapshot.capture.cursors[u];
+    const auto& want = leg.cursors[u];
     EXPECT_TRUE(got.tail.empty()) << "user " << u;
+    EXPECT_GT(got.logged, 0u) << "user " << u;
     EXPECT_EQ(got.logged, want.byte_count()) << "user " << u;
     EXPECT_EQ(got.records, want.records) << "user " << u;
     EXPECT_EQ(got.next_expected_at_least, want.next_expected_at_least) << "user " << u;
   }
-  EXPECT_TRUE(snapshot::check_compatible(*loaded, leg.cfg, 77).ok());
 }
 
 TEST(SnapshotDisk, MissingDirectoryIsIoError) {
@@ -265,9 +271,8 @@ TEST(SnapshotDisk, MissingDirectoryIsIoError) {
 }
 
 TEST(SnapshotDisk, DetectsFlippedByteInManifest) {
-  const SavedLeg leg = make_saved_leg();
   const std::string dir = fresh_dir("manifest-flip");
-  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
+  save_leg(dir);
   const std::string path = dir + "/" + snapshot::manifest_filename();
   auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
@@ -279,9 +284,8 @@ TEST(SnapshotDisk, DetectsFlippedByteInManifest) {
 }
 
 TEST(SnapshotDisk, RejectsBadFormatVersion) {
-  const SavedLeg leg = make_saved_leg();
   const std::string dir = fresh_dir("bad-version");
-  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
+  save_leg(dir);
   const std::string path = dir + "/" + snapshot::manifest_filename();
   auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
@@ -334,9 +338,8 @@ TEST(SnapshotDisk, RejectsAbsurdUserCountInsteadOfAllocating) {
 }
 
 TEST(SnapshotDisk, DetectsTruncatedStateFile) {
-  const SavedLeg leg = make_saved_leg();
   const std::string dir = fresh_dir("state-trunc");
-  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
+  save_leg(dir);
   const std::string path = dir + "/" + snapshot::state_filename(0);
   auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
@@ -348,10 +351,8 @@ TEST(SnapshotDisk, DetectsTruncatedStateFile) {
 }
 
 TEST(SnapshotDisk, DetectsNetContainerFlip) {
-  const SavedLeg leg = make_saved_leg();
-  ASSERT_FALSE(leg.snapshot.net_model.empty());
   const std::string dir = fresh_dir("net-flip");
-  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
+  ASSERT_FALSE(save_leg(dir).run.net_model.empty());
   const std::string path = dir + "/" + snapshot::net_filename();
   auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
@@ -365,8 +366,8 @@ TEST(SnapshotDisk, DetectsNetContainerFlip) {
 TEST(SnapshotDisk, RejectsNetContainerThatDoesNotFitTheNet) {
   // Valid LXNC frames with valid CRCs whose tensors do not fit the
   // stall-exit net: the loader must answer kCorrupt rather than hand the
-  // blob to resume_predictor_factory, which cannot report an error.
-  SavedLeg leg = make_saved_leg();
+  // blob to a resumed predictor factory, which cannot report an error.
+  const SavedLeg leg = save_leg(fresh_dir("net-fit"));
   const auto original = predictor_factory(4242)();
   std::vector<nn::Tensor> weights;
   for (const nn::Tensor* t : original.net().weights()) weights.push_back(*t);
@@ -388,52 +389,87 @@ TEST(SnapshotDisk, RejectsNetContainerThatDoesNotFitTheNet) {
       {"nan-weight", pointers(nan_weight)},
   };
   for (const auto& [name, tensors] : cases) {
-    leg.snapshot.net_model = nn::serialize_model(nn::kModelKindStallExitNet, tensors);
+    snapshot::RunConstants run = leg.run;
+    run.net_model = nn::serialize_model(nn::kModelKindStallExitNet, tensors);
+    run.net_crc = crc32(run.net_model.data(), run.net_model.size());
     const std::string dir = fresh_dir(std::string("net-misfit-") + name);
-    ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok()) << name;
+    ASSERT_TRUE(snapshot::save_snapshot(run, leg.state, dir, 64, nullptr).ok()) << name;
     const auto loaded = snapshot::load_snapshot(dir);
     ASSERT_FALSE(loaded.has_value()) << name;
     EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt) << name;
   }
 }
 
-TEST(SnapshotCompatibility, RejectsMismatches) {
-  const SavedLeg leg = make_saved_leg(77);
-  // Wrong seed.
-  auto status = snapshot::check_compatible(leg.snapshot, leg.cfg, 78);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, Error::Code::kInvalidArg);
-  // Result-shaping config drift.
+// ---------------------------------------------------------------------------
+// The one resume call: compatibility checks, resumed weights, extended
+// horizons.
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotResume, RejectsMismatchesTouchingNothing) {
+  const std::string dir = fresh_dir("resume-checks");
+  const SavedLeg leg = save_leg(dir, 77);
+  const auto loaded = snapshot::load_snapshot(dir);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
+
+  sim::FleetConfig fewer_users = leg.cfg;
+  fewer_users.users = 7;
   sim::FleetConfig drifted = leg.cfg;
   drifted.network.median_bandwidth += 100.0;
-  status = snapshot::check_compatible(leg.snapshot, drifted, 77);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, Error::Code::kInvalidArg);
-  // Horizon not past the boundary.
   sim::FleetConfig short_horizon = leg.cfg;
-  short_horizon.days = 2;
-  status = snapshot::check_compatible(leg.snapshot, short_horizon, 77);
-  ASSERT_FALSE(status.ok());
-  // Extending the horizon is explicitly allowed.
+  short_horizon.days = 2;  // not past the boundary at day 2
+  const struct {
+    const char* name;
+    sim::FleetConfig cfg;
+    std::uint64_t seed;
+  } cases[] = {
+      {"wrong seed", leg.cfg, 78},
+      {"user count", fewer_users, 77},
+      {"config drift", drifted, 77},
+      {"horizon not past the boundary", short_horizon, 77},
+  };
+  for (const auto& c : cases) {
+    sim::FleetRunner runner = make_runner(c.cfg);
+    const std::type_info& factory = runner.predictor_factory().target_type();
+    // A capture begun on the runner's own fleet: a rejected resume must not
+    // re-arm it on the snapshot's cursors and segment table.
+    telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+    capture.begin_fleet(c.cfg, c.seed);
+    const std::vector<telemetry::ShardedCapture::CaptureCursor> cursors = capture.cursors();
+    const Status status = snapshot::resume(*loaded, c.seed, runner, &capture);
+    ASSERT_FALSE(status.ok()) << c.name;
+    EXPECT_EQ(status.error().code, Error::Code::kInvalidArg) << c.name;
+    EXPECT_TRUE(runner.predictor_factory().target_type() == factory) << c.name;
+    EXPECT_TRUE(capture.cursors() == cursors) << c.name;
+    EXPECT_TRUE(capture.log().segments.empty()) << c.name;
+  }
+
+  // Extending the horizon is explicitly allowed: the runner's factory then
+  // carries the snapshot's net and the capture continues its segment table.
   sim::FleetConfig extended = leg.cfg;
   extended.days = 9;
-  EXPECT_TRUE(snapshot::check_compatible(leg.snapshot, extended, 77).ok());
+  sim::FleetRunner runner = make_runner(extended);
+  const std::type_info& factory = runner.predictor_factory().target_type();
+  telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+  const Status status = snapshot::resume(*loaded, 77, runner, &capture);
+  ASSERT_TRUE(status.ok()) << status.error().message;
+  EXPECT_FALSE(runner.predictor_factory().target_type() == factory);
+  EXPECT_TRUE(capture.cursors() == loaded->capture.cursors);
+  EXPECT_EQ(capture.log().store, loaded->capture.log.store);
+  EXPECT_EQ(capture.log().segments.size(), loaded->capture.log.segments.size());
 }
 
-// ---------------------------------------------------------------------------
-// Resumed weights and extended horizons.
-// ---------------------------------------------------------------------------
-
 TEST(SnapshotResume, PredictorFactoryOverridesDriftedWeights) {
-  // The resumed process hands capture_snapshot-era weights out even when its
-  // own base factory drifted (different init seed): predictions match the
-  // original factory's, not the drifted one's.
-  const auto original = predictor_factory(4242)();
-  const auto blob =
-      nn::serialize_model(nn::kModelKindStallExitNet, original.net().weights());
-  const auto wrapped =
-      snapshot::resume_predictor_factory(predictor_factory(999), blob);
-  auto restored = wrapped();
+  // The resumed process hands the saved weights out even when its own base
+  // factory drifted (different init seed): predictions match the original
+  // factory's, not the drifted one's.
+  const std::string dir = fresh_dir("drifted-net");
+  const SavedLeg leg = save_leg(dir);
+  const auto loaded = snapshot::load_snapshot(dir);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
+  sim::FleetRunner runner(leg.cfg, [] { return std::make_unique<abr::Hyb>(); });
+  runner.set_predictor_factory(predictor_factory(999));
+  ASSERT_TRUE(snapshot::resume(*loaded, 77, runner, nullptr).ok());
+  auto restored = runner.predictor_factory()();
 
   const predictor::EngagementState state = stall_heavy_engagement(3);
   predictor::HybridExitPredictor::ExitQuery query;
@@ -441,33 +477,45 @@ TEST(SnapshotResume, PredictorFactoryOverridesDriftedWeights) {
   query.level = 1;
   query.stall_time = 0.8;
   query.sw = predictor::SwitchType::kNone;
-  auto original_copy = original;  // predict() is non-const on the net
-  EXPECT_EQ(restored.predict(query), original_copy.predict(query));
+  auto original = predictor_factory(4242)();  // predict() is non-const on the net
+  EXPECT_EQ(restored.predict(query), original.predict(query));
 
-  const auto drifted = predictor_factory(999)();
-  auto drifted_copy = drifted;
-  EXPECT_NE(restored.predict(query), drifted_copy.predict(query));
+  auto drifted = predictor_factory(999)();
+  EXPECT_NE(restored.predict(query), drifted.predict(query));
 }
 
 TEST(SnapshotResume, ExtendedHorizonMatchesLongerFullRun) {
   // Incremental-day experiment at the fleet layer: snapshot a 4-day fleet at
-  // day 2, resume with a 6-day horizon; equal to a from-scratch 6-day run.
+  // day 2, resume with a 6-day horizon and a capture; equal to a
+  // from-scratch 6-day run, accumulator and archive bytes alike.
   sim::FleetConfig extended_cfg = fleet_config();
   extended_cfg.days = 6;
-  const sim::FleetRunner extended_runner = make_runner(extended_cfg);
+  sim::FleetRunner extended_runner = make_runner(extended_cfg);
+  telemetry::ShardedCapture full_capture(telemetry::ShardedCapture::Config{4});
+  extended_runner.set_telemetry_sink(&full_capture);
   const sim::FleetAccumulator full6 = extended_runner.run(77);
+  const telemetry::FleetArchive full_archive = full_capture.finish();
 
-  const SavedLeg leg = make_saved_leg(77);
   const std::string dir = fresh_dir("extend");
-  ASSERT_TRUE(snapshot::save_snapshot(leg.snapshot, dir).ok());
+  save_leg(dir, 77);
   const auto loaded = snapshot::load_snapshot(dir);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_TRUE(snapshot::check_compatible(*loaded, extended_cfg, 77).ok());
-
-  const sim::FleetRunner resumed_runner = make_runner(extended_cfg);
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
+  sim::FleetRunner resumed_runner = make_runner(extended_cfg);
+  telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
+  const Status status = snapshot::resume(*loaded, 77, resumed_runner, &capture);
+  ASSERT_TRUE(status.ok()) << status.error().message;
   const sim::FleetAccumulator resumed =
       resumed_runner.run_days(77, 2, 6, &loaded->state);
   EXPECT_EQ(resumed.checksum(), full6.checksum());
+
+  const telemetry::FleetArchive archive = capture.finish();
+  ASSERT_TRUE(archive.status.ok()) << archive.status.error().message;
+  EXPECT_EQ(archive.checksum(), full_archive.checksum());
+  EXPECT_TRUE(archive.manifest.encode() == full_archive.manifest.encode());
+  ASSERT_EQ(archive.shards.size(), full_archive.shards.size());
+  for (std::size_t s = 0; s < archive.shards.size(); ++s) {
+    EXPECT_TRUE(archive.shards[s] == full_archive.shards[s]) << "shard " << s;
+  }
 }
 
 }  // namespace
