@@ -20,12 +20,16 @@
 //       completes and reports its own parity.
 //
 //   --resume --root DIR --json P [--every K] [--expect-checksum 0xC]
-//            [--expect-archive-checksum 0xA]
+//            [--expect-archive-checksum 0xA] [--archive-dir ADIR]
 //       Recover via snapshot::find_latest_valid, re-arm an AutoCheckpointer
 //       on the restored capture (same root, every K days), resume to the
 //       horizon checkpointing on the way, and exit non-zero unless every
 //       commit succeeds and the accumulator checksum AND archive checksum
-//       match the expectations (from the --reference JSON). The JSON also
+//       match the expectations (from the --reference JSON). With
+//       --archive-dir it also writes the archive (built from the recovered
+//       segment store plus the resumed days) into ADIR, replays it with
+//       telemetry::Replay::run and exits non-zero unless the replayed
+//       accumulator checksum equals the live one. The JSON also
 //       reports the first resumed commit's logged capture bytes
 //       (`snapshot.capture_log.bytes`) beside the bytes captured since the
 //       recovered boundary: equal when the commit continues the recovered
@@ -38,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "abr/hyb.h"
@@ -47,6 +52,7 @@
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
 #include "telemetry/capture.h"
+#include "telemetry/replay.h"
 
 using namespace lingxi;
 
@@ -108,6 +114,15 @@ sim::FleetConfig make_config(std::size_t users, std::size_t days, std::size_t th
   return cfg;
 }
 
+/// The archive's checksum, or nothing after printing why the archive could
+/// not be built (a damaged segment).
+std::optional<std::uint32_t> archive_checksum(const telemetry::FleetArchive& archive) {
+  const auto crc = archive.checksum();
+  if (crc) return *crc;
+  std::fprintf(stderr, "archive read-back failed: %s\n", crc.error().message.c_str());
+  return std::nullopt;
+}
+
 /// `extra`: further `"name": value` lines, each ending in ",\n".
 int write_json(const char* path, std::uint32_t checksum, std::uint32_t archive_checksum,
                bool match, const std::string& extra = "") {
@@ -139,6 +154,7 @@ int main(int argc, char** argv) {
   std::size_t threads = 4;
   std::size_t every = 2;
   std::string root = "crash-recovery-checkpoints";
+  std::string archive_dir;
   const char* json_path = nullptr;
   std::uint32_t expect_checksum = 0;
   std::uint32_t expect_archive = 0;
@@ -162,6 +178,8 @@ int main(int argc, char** argv) {
       every = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--root") == 0 && i + 1 < argc) {
       root = argv[++i];
+    } else if (std::strcmp(argv[i], "--archive-dir") == 0 && i + 1 < argc) {
+      archive_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--kill-at-checkpoint") == 0 && i + 1 < argc) {
@@ -186,6 +204,7 @@ int main(int argc, char** argv) {
                    "usage: %s (--reference | --run | --resume) [--root DIR] [--every K]\n"
                    "       [--kill-at-checkpoint N] [--kill-during-commit STAGE]\n"
                    "       [--expect-checksum 0xC] [--expect-archive-checksum 0xA]\n"
+                   "       [--archive-dir ADIR]\n"
                    "       [--users N] [--days N] [--threads N] [--json PATH] [--smoke]\n",
                    argv[0]);
       return 2;
@@ -212,15 +231,15 @@ int main(int argc, char** argv) {
     telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{64});
     runner.set_telemetry_sink(&capture);
     const sim::FleetAccumulator acc = runner.run(kSeed);
-    const telemetry::FleetArchive archive = capture.finish();
+    const auto archive_crc = archive_checksum(capture.finish());
+    if (!archive_crc) return 1;
     if (acc.has_overflow()) {
       std::fprintf(stderr, "accumulator overflow latched — totals saturated\n");
       return 1;
     }
-    std::printf("checksum 0x%08x, archive checksum 0x%08x\n", acc.checksum(),
-                archive.checksum());
+    std::printf("checksum 0x%08x, archive checksum 0x%08x\n", acc.checksum(), *archive_crc);
     if (json_path != nullptr) {
-      return write_json(json_path, acc.checksum(), archive.checksum(), true);
+      return write_json(json_path, acc.checksum(), *archive_crc, true);
     }
     return 0;
   }
@@ -253,12 +272,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
     const sim::FleetAccumulator acc = runner.run_days(kSeed, 0, days, nullptr, nullptr);
     // Only reached when no kill fired (or none was armed).
-    const telemetry::FleetArchive archive = capture.finish();
-    if (!archive.status) {
-      std::fprintf(stderr, "archive read-back failed: %s\n",
-                   archive.status.error().message.c_str());
-      return 1;
-    }
+    const auto archive_crc = archive_checksum(capture.finish());
+    if (!archive_crc) return 1;
     if (!ckpt.status()) {
       std::fprintf(stderr, "checkpointing failed: %s\n",
                    ckpt.status().error().message.c_str());
@@ -270,9 +285,9 @@ int main(int argc, char** argv) {
     }
     std::printf("run completed uninterrupted: %zu checkpoints, checksum 0x%08x, "
                 "archive checksum 0x%08x\n",
-                ckpt.checkpoints_committed(), acc.checksum(), archive.checksum());
+                ckpt.checkpoints_committed(), acc.checksum(), *archive_crc);
     if (json_path != nullptr) {
-      return write_json(json_path, acc.checksum(), archive.checksum(), true);
+      return write_json(json_path, acc.checksum(), *archive_crc, true);
     }
     return 0;
   }
@@ -334,11 +349,8 @@ int main(int argc, char** argv) {
                  ckpt.status().error().message.c_str());
     return 1;
   }
-  if (!archive.status) {
-    std::fprintf(stderr, "archive read-back failed: %s\n",
-                 archive.status.error().message.c_str());
-    return 1;
-  }
+  const auto archive_crc = archive_checksum(archive);
+  if (!archive_crc) return 1;
   std::printf("resumed run committed %zu checkpoints; the first logged %llu capture bytes, "
               "%llu captured since the recovered boundary\n",
               ckpt.checkpoints_committed(),
@@ -349,9 +361,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool checksum_match = !have_expect_checksum || acc.checksum() == expect_checksum;
-  const bool archive_match = !have_expect_archive || archive.checksum() == expect_archive;
+  const bool archive_match = !have_expect_archive || *archive_crc == expect_archive;
   std::printf("resumed days [%zu, %zu): checksum 0x%08x, archive checksum 0x%08x\n",
-              resume_day, days, acc.checksum(), archive.checksum());
+              resume_day, days, acc.checksum(), *archive_crc);
   if (have_expect_checksum) {
     std::printf("accumulator bitwise identical to reference: %s\n",
                 checksum_match ? "yes" : "NO — RECOVERY PARITY BUG");
@@ -360,14 +372,29 @@ int main(int argc, char** argv) {
     std::printf("archive bytes bitwise identical to reference: %s\n",
                 archive_match ? "yes" : "NO — RECOVERY PARITY BUG");
   }
-  int rc = checksum_match && archive_match ? 0 : 1;
+  bool replay_match = true;
+  if (!archive_dir.empty()) {
+    if (const Status written = archive.write(archive_dir); !written) {
+      std::fprintf(stderr, "archive write failed: %s\n", written.error().message.c_str());
+      replay_match = false;
+    } else if (const auto replayed = telemetry::Replay::run(archive_dir); !replayed) {
+      std::fprintf(stderr, "archive replay failed: %s\n", replayed.error().message.c_str());
+      replay_match = false;
+    } else {
+      replay_match = replayed->fleet.checksum() == acc.checksum();
+      std::printf("archive written to %s; replayed checksum 0x%08x equals the live run: %s\n",
+                  archive_dir.c_str(), replayed->fleet.checksum(),
+                  replay_match ? "yes" : "NO — REPLAY PARITY BUG");
+    }
+  }
+  int rc = checksum_match && archive_match && replay_match ? 0 : 1;
   if (json_path != nullptr) {
     const std::string extra =
         "  \"resumed_checkpoints\": " + std::to_string(ckpt.checkpoints_committed()) +
         ",\n  \"first_commit_log_bytes\": " + std::to_string(first_commit_logged) +
         ",\n  \"first_commit_captured_bytes\": " + std::to_string(first_commit_captured) +
         ",\n";
-    const int jrc = write_json(json_path, acc.checksum(), archive.checksum(), rc == 0, extra);
+    const int jrc = write_json(json_path, acc.checksum(), *archive_crc, rc == 0, extra);
     if (rc == 0) rc = jrc;
   }
   return rc;

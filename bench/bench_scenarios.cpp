@@ -38,6 +38,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +46,7 @@
 #include "abr/hyb.h"
 #include "analytics/scenario_report.h"
 #include "bench_util.h"
+#include "common/crc32.h"
 #include "obs/timeline.h"
 #include "scenario/scenario.h"
 #include "sim/fleet_runner.h"
@@ -116,13 +118,20 @@ RunResult run_fleet(const sim::FleetConfig& cfg,
   return result;
 }
 
+/// Same manifest and, shard by shard (one built at a time), the same
+/// CRC-32; false when either archive cannot be built.
 bool archives_identical(const telemetry::FleetArchive& a,
                         const telemetry::FleetArchive& b) {
-  if (a.checksum() != b.checksum() || a.shards.size() != b.shards.size()) return false;
-  for (std::size_t s = 0; s < a.shards.size(); ++s) {
-    if (!(a.shards[s] == b.shards[s])) return false;
-  }
-  return true;
+  const auto shard_crcs = [](const telemetry::FleetArchive& archive) {
+    std::vector<std::uint32_t> crcs;
+    const Status built = archive.visit_shards([&crcs](std::size_t, ByteSpan bytes) {
+      crcs.push_back(crc32(bytes.data(), bytes.size()));
+      return Status{};
+    });
+    return built ? std::optional(crcs) : std::nullopt;
+  };
+  const auto crcs = shard_crcs(a);
+  return crcs && a.manifest.encode() == b.manifest.encode() && crcs == shard_crcs(b);
 }
 
 const char* verdict(bool ok) { return ok ? "yes" : "NO — PARITY BUG"; }
@@ -214,7 +223,7 @@ int main(int argc, char** argv) {
       unscripted.acc.checksum() == empty_scripted.acc.checksum() &&
       archives_identical(unscripted.archive, empty_scripted.archive);
   std::printf("unscripted checksum 0x%08x, archive 0x%08x — byte-identical: %s\n",
-              unscripted.acc.checksum(), unscripted.archive.checksum(),
+              unscripted.acc.checksum(), unscripted.archive.checksum().value_or(0),
               verdict(empty_parity));
 
   // --- 2. Scripted grid determinism ----------------------------------------
@@ -224,7 +233,7 @@ int main(int argc, char** argv) {
   const bool churn_fired = reference.acc.users == users + departures;
   std::printf("reference checksum 0x%08x, archive 0x%08x, %llu sessions, "
               "%llu user summaries (churn fired: %s)\n",
-              reference.acc.checksum(), reference.archive.checksum(),
+              reference.acc.checksum(), reference.archive.checksum().value_or(0),
               static_cast<unsigned long long>(reference.acc.sessions),
               static_cast<unsigned long long>(reference.acc.users),
               verdict(churn_fired));
@@ -384,7 +393,7 @@ int main(int argc, char** argv) {
                  "  \"match\": %s,\n"
                  "  \"report\": ",
                  users, days, churn_day, departures, reference.acc.checksum(),
-                 reference.archive.checksum(), resume_day, resumed_checksum,
+                 reference.archive.checksum().value_or(0), resume_day, resumed_checksum,
                  empty_parity ? "true" : "false", grid_match ? "true" : "false",
                  resume_match ? "true" : "false", churn_fired ? "true" : "false",
                  all_ok ? "true" : "false");

@@ -31,7 +31,11 @@
 #     resumed FleetAccumulator checksum AND archive checksum bitwise-match an
 #     uninterrupted reference run and the resumed run's first commit logged
 #     exactly the bytes captured since the recovered boundary (one day). The
-#     checkpoint root and JSON summaries land in ${BUILD_DIR}/smoke/;
+#     resumed leg also writes its archive — built shard by shard from the
+#     recovered segment store plus the resumed days — and replays it with
+#     telemetry::Replay::run, non-zero unless the replayed checksum equals
+#     the live one. The checkpoint root, archive and JSON summaries land in
+#     ${BUILD_DIR}/smoke/;
 #   * a scenario smoke (bench_scenarios --smoke): the canonical "CDN
 #     brownout + flash crowd + churn" script on an A/B fleet — empty-script
 #     byte parity, scenario-on grid determinism, a SIGKILLed checkpoint leg
@@ -96,12 +100,13 @@ done
 # from inside the commit protocol) -> recover + resume in a fresh process,
 # checkpointing daily again, asserting bitwise parity against the reference
 # and that the resumed run's first commit logged exactly the capture bytes
-# recorded since the recovered boundary (one day, not the history).
+# recorded since the recovered boundary (one day, not the history); the
+# resumed leg writes its segment-store-backed archive and replays it.
 # Usage: crash_recovery_smoke BUILD_DIR OUT_DIR
 crash_recovery_smoke() {
   local bench="$1/bench/bench_crash_recovery" out="$2"
   mkdir -p "${out}"
-  rm -rf "${out}/crash-checkpoints"
+  rm -rf "${out}/crash-checkpoints" "${out}/crash-archive"
   "${bench}" --reference --smoke --days 4 \
     --json "${out}/crash_reference.json" \
     | tee "${out}/crash_recovery.txt"
@@ -123,6 +128,7 @@ crash_recovery_smoke() {
     --root "${out}/crash-checkpoints" \
     --expect-checksum "${ref_checksum}" \
     --expect-archive-checksum "${ref_archive}" \
+    --archive-dir "${out}/crash-archive" \
     --json "${out}/crash_resume.json" \
     | tee -a "${out}/crash_recovery.txt"
   logged="$(sed -n 's/.*"first_commit_log_bytes": \([0-9]*\).*/\1/p' "${out}/crash_resume.json")"
@@ -134,7 +140,7 @@ crash_recovery_smoke() {
   fi
   echo "crash-recovery smoke OK ($1): killed at checkpoint 2 (commit stage durable)," \
     "resumed bitwise-identical (${ref_checksum} / ${ref_archive}); first resumed" \
-    "commit logged ${logged} bytes (one day)"
+    "commit logged ${logged} bytes (one day); its archive replays to the live checksum"
 }
 
 # Sanitizer build (Release invocation only, so CI builds it once): the

@@ -182,7 +182,7 @@ Expected<std::vector<unsigned char>> read_frame(std::istream& in, std::string_vi
   return payload;
 }
 
-Status write_file(const std::string& path, const std::vector<unsigned char>& bytes) {
+Status write_file(const std::string& path, ByteSpan bytes) {
   // Write-to-temp, fsync, close-with-check, rename: the destination is never
   // observable half-written, and a crash at any stage leaves the previous
   // file intact (see bytes.h). POSIX fds rather than ofstream because the

@@ -104,7 +104,7 @@ Expected<std::vector<unsigned char>> read_frame(std::istream& in, std::string_vi
 /// message names the stage ("cannot open" / "write failed" / "fsync failed"
 /// / "close failed" / "rename failed"), so callers can report which part of
 /// the commit tore.
-Status write_file(const std::string& path, const std::vector<unsigned char>& bytes);
+Status write_file(const std::string& path, ByteSpan bytes);
 Expected<std::vector<unsigned char>> read_file(const std::string& path);
 
 /// fsync a directory so a just-committed rename inside it survives power

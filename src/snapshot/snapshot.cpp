@@ -551,7 +551,7 @@ Status check_segments(const std::string& store, const Manifest& m,
     return Error::corrupt("capture cursor length disagrees with the segment table");
   }
   for (std::size_t k = 0; k < m.segments.size(); ++k) {
-    if (auto s = telemetry::read_segment(paths[k], m.segments[k], nullptr); !s) return s;
+    if (auto s = telemetry::read_segment(paths[k], m.segments[k]); !s) return s;
   }
   return {};
 }

@@ -23,8 +23,8 @@
 // snapshot directory) and lists the committed table in the manifest. Loading
 // checks every listed segment (size, then CRC streamed through a fixed
 // buffer) but builds no cursor bytes: a loaded capture position is the
-// cursors' counters and lengths plus the table, and finish() reads the
-// bytes back when the archive is built.
+// cursors' counters and lengths plus the table, and the finished archive
+// reads the bytes back, one shard at a time, when it is written.
 //
 // A snapshot is a directory, mirroring the telemetry archive discipline
 // (manifest + framed per-shard files, everything an LXRC record of
@@ -261,8 +261,8 @@ Expected<std::vector<std::string>> listed_segment_files(const std::string& dir);
 /// processes; unchanged without a net or a factory), re-arms the capture on
 /// the snapshot's cursors and segment table (begin_fleet, then restore: the
 /// resumed run appends days [D, ...), its first commit into the same store
-/// writes only those days, and finish() emits archive bytes identical to an
-/// unsplit run) and attaches it as the runner's telemetry sink.
+/// writes only those days, and its finished archive writes bytes identical
+/// to an unsplit run's) and attaches it as the runner's telemetry sink.
 Status resume(const FleetSnapshot& snapshot, std::uint64_t seed, sim::FleetRunner& runner,
               telemetry::ShardedCapture* capture);
 

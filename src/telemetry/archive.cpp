@@ -7,8 +7,6 @@
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "logstore/record.h"
-#include "obs/metrics.h"
-#include "obs/timer.h"
 
 namespace lingxi::telemetry {
 namespace {
@@ -283,49 +281,6 @@ std::vector<unsigned char> encode_user_record(const ArchiveUserRecord& rec) {
   put_u64(p, rec.stats.mc_evaluations);
   put_u64(p, rec.stats.mc_rollouts_pruned);
   return p;
-}
-
-Status FleetArchive::write(const std::string& dir) const {
-  if (!status) return status;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return Error::io("cannot create archive directory: " + dir);
-  std::vector<unsigned char> manifest_bytes;
-  logstore::write_record(manifest_bytes, manifest.encode());
-  if (auto s = write_file(dir + "/" + manifest_filename(), manifest_bytes); !s) {
-    return s;
-  }
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    OBS_TIMED("telemetry.archive.shard_write_us");
-    if (auto s = write_file(dir + "/" + shard_filename(i), shards[i]); !s) {
-      return s;
-    }
-    if (obs::Registry* reg = obs::Registry::active()) {
-      reg->add("telemetry.archive.shards_written");
-      reg->add("telemetry.archive.bytes_written", shards[i].size());
-    }
-  }
-  return {};
-}
-
-std::uint32_t FleetArchive::checksum() const {
-  const auto manifest_payload = manifest.encode();
-  std::uint32_t crc = crc32(manifest_payload.data(), manifest_payload.size());
-  for (const auto& shard : shards) {
-    // Chain per-shard CRCs through a fixed 8-byte block instead of copying
-    // shard bytes: crc32(crc_so_far || crc32(shard)).
-    std::vector<unsigned char> link;
-    put_u32(link, crc);
-    put_u32(link, crc32(shard.data(), shard.size()));
-    crc = crc32(link.data(), link.size());
-  }
-  return crc;
-}
-
-std::uint64_t FleetArchive::total_bytes() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  return total;
 }
 
 namespace {

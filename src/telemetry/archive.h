@@ -115,24 +115,6 @@ std::string shard_filename(std::size_t shard_index);
 std::vector<unsigned char> encode_session_record(const ArchiveSessionRecord& rec);
 std::vector<unsigned char> encode_user_record(const ArchiveUserRecord& rec);
 
-/// An archive materialized in memory: the deterministic output of a capture
-/// (telemetry/capture.h), ready to be written out or checksummed.
-struct FleetArchive {
-  ArchiveManifest manifest;
-  /// Framed record stream per shard, index-aligned with manifest.shards.
-  std::vector<std::vector<unsigned char>> shards;
-  /// A capture read-back failure (ShardedCapture::finish): the shards are
-  /// incomplete and write() returns this before writing any file.
-  Status status;
-
-  /// Write manifest + shard files into `dir` (created if missing).
-  Status write(const std::string& dir) const;
-  /// CRC32 over the manifest payload and every shard byte stream in order —
-  /// the determinism probe used by tests and benches.
-  std::uint32_t checksum() const;
-  std::uint64_t total_bytes() const noexcept;
-};
-
 /// Streams archives back without materializing whole files: records are read
 /// frame by frame from disk, CRC-validated, and handed to callbacks.
 class ArchiveReader {

@@ -13,6 +13,8 @@
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "logstore/record.h"
+#include "obs/metrics.h"
+#include "obs/timer.h"
 
 namespace lingxi::telemetry {
 
@@ -61,7 +63,17 @@ std::string segment_filename(std::uint64_t seed, std::uint32_t resume_digest,
 }
 
 Status read_segment(const std::string& path, const CaptureSegment& segment,
-                    std::vector<unsigned char>* bytes) {
+                    const std::function<unsigned char*(std::size_t)>& place) {
+  std::uint64_t listed = 0;
+  for (const std::uint64_t n : segment.user_bytes) {
+    if (n > segment.byte_count - listed) {
+      return Error::corrupt("capture segment per-user counts exceed its size: " + path);
+    }
+    listed += n;
+  }
+  if (listed != segment.byte_count) {
+    return Error::corrupt("capture segment per-user counts do not sum to its size: " + path);
+  }
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return Error::corrupt("listed capture segment is missing: " + path);
   struct stat st {};
@@ -71,13 +83,16 @@ Status read_segment(const std::string& path, const CaptureSegment& segment,
   }
   std::uint32_t crc = 0;
   bool read = true;
-  if (bytes != nullptr) {
-    bytes->resize(segment.byte_count);
-    read = read_exact(fd, bytes->data(), bytes->size());
-    if (read) crc = crc32(bytes->data(), bytes->size());
-  } else {
-    std::vector<unsigned char> chunk(kStreamChunk);
-    for (std::uint64_t left = segment.byte_count; read && left > 0;) {
+  std::vector<unsigned char> chunk;
+  for (std::size_t i = 0; read && i < segment.user_bytes.size(); ++i) {
+    std::uint64_t left = segment.user_bytes[i];
+    if (unsigned char* dst = place ? place(i) : nullptr; dst != nullptr) {
+      read = read_exact(fd, dst, left);
+      if (read) crc = crc32_update(crc, dst, left);
+      continue;
+    }
+    if (chunk.empty() && left > 0) chunk.resize(kStreamChunk);
+    while (read && left > 0) {
       const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(left, chunk.size()));
       read = read_exact(fd, chunk.data(), n);
       crc = crc32_update(crc, chunk.data(), n);
@@ -89,6 +104,124 @@ Status read_segment(const std::string& path, const CaptureSegment& segment,
     return Error::corrupt("capture segment disagrees with manifest: " + path);
   }
   return {};
+}
+
+Status FleetArchive::visit_shards(const ShardVisitor& visit) const {
+  if (!status) return status;
+  std::vector<unsigned char> bytes;  // the one shard being built
+  std::vector<std::uint64_t> at;     // each shard user's next write offset
+  for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
+    const ArchiveShardInfo& info = manifest.shards[s];
+    if (info.first_user > tails.size() || info.user_count > tails.size() - info.first_user) {
+      return Error::invalid_arg("archive shard table names users the archive lacks");
+    }
+    const std::uint64_t first = info.first_user;
+    const std::uint64_t last = first + info.user_count;
+    const auto overlaps = [&](const CaptureSegment& seg) {
+      return seg.first_user < last && seg.first_user + seg.user_bytes.size() > first;
+    };
+    // Each user's bytes: its slices of the log in table order, then its tail.
+    at.assign(info.user_count, 0);
+    for (const CaptureSegment& seg : log.segments) {
+      if (!overlaps(seg)) continue;
+      for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
+        const std::uint64_t u = seg.first_user + i;
+        if (u >= first && u < last) at[u - first] += seg.user_bytes[i];
+      }
+    }
+    std::uint64_t size = 0;
+    for (std::uint64_t u = first; u < last; ++u) {
+      const std::uint64_t user_size = at[u - first] + tails[u].size();
+      at[u - first] = size;
+      size += user_size;
+    }
+    bytes.resize(size);
+    for (const CaptureSegment& seg : log.segments) {
+      if (!overlaps(seg)) continue;
+      const auto place = [&](std::size_t i) -> unsigned char* {
+        const std::uint64_t u = seg.first_user + i;
+        if (u < first || u >= last) return nullptr;
+        unsigned char* dst = bytes.data() + at[u - first];
+        at[u - first] += seg.user_bytes[i];
+        return dst;
+      };
+      const std::string path =
+          log.store + "/" + segment_filename(manifest.seed, resume_digest, seg);
+      if (auto st = read_segment(path, seg, place); !st) return st;
+    }
+    for (std::uint64_t u = first; u < last; ++u) {
+      std::copy(tails[u].begin(), tails[u].end(),
+                bytes.begin() + static_cast<std::ptrdiff_t>(at[u - first]));
+    }
+    if (auto st = visit(s, bytes); !st) return st;
+  }
+  return {};
+}
+
+Status FleetArchive::write(const std::string& dir) const {
+  if (!status) return status;
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const bool existed = fs::exists(dir, ec);
+  fs::create_directories(dir, ec);
+  if (ec) return Error::io("cannot create archive directory: " + dir);
+  // A directory holding a manifest is a complete archive: drop an old one
+  // before overwriting any shard, and write the new one last.
+  const std::string manifest_path = dir + "/" + manifest_filename();
+  fs::remove(manifest_path, ec);
+  std::vector<std::string> written;
+  Status st = visit_shards([&](std::size_t shard, ByteSpan bytes) -> Status {
+    const std::string path = dir + "/" + shard_filename(shard);
+    {
+      OBS_TIMED("telemetry.archive.shard_write_us");
+      if (auto w = write_file(path, bytes); !w) return w;
+    }
+    written.push_back(path);
+    if (obs::Registry* reg = obs::Registry::active()) {
+      reg->add("telemetry.archive.shards_written");
+      reg->add("telemetry.archive.bytes_written", bytes.size());
+    }
+    return {};
+  });
+  if (st) {
+    std::vector<unsigned char> manifest_bytes;
+    logstore::write_record(manifest_bytes, manifest.encode());
+    st = write_file(manifest_path, manifest_bytes);
+    if (st) written.push_back(manifest_path);
+  }
+  if (st) st = fsync_directory(dir);
+  if (st && !existed) {
+    // The new directory's own entry must survive power loss too.
+    const fs::path parent = fs::path(dir).parent_path();
+    st = fsync_directory(parent.empty() ? "." : parent.string());
+  }
+  if (!st) {
+    for (const std::string& path : written) fs::remove(path, ec);
+    if (!existed) fs::remove_all(dir, ec);
+  }
+  return st;
+}
+
+Expected<std::uint32_t> FleetArchive::checksum() const {
+  const auto manifest_payload = manifest.encode();
+  std::uint32_t crc = crc32(manifest_payload.data(), manifest_payload.size());
+  const Status st = visit_shards([&crc](std::size_t, ByteSpan bytes) -> Status {
+    // Chain per-shard CRCs through a fixed 8-byte block instead of copying
+    // shard bytes: crc32(crc_so_far || crc32(shard)).
+    std::vector<unsigned char> link;
+    put_u32(link, crc);
+    put_u32(link, crc32(bytes.data(), bytes.size()));
+    crc = crc32(link.data(), link.size());
+    return {};
+  });
+  if (!st) return st.error();
+  return crc;
+}
+
+std::uint64_t FleetArchive::total_bytes() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& shard : manifest.shards) total += shard.byte_count;
+  return total;
 }
 
 ShardedCapture::ShardedCapture() : ShardedCapture(Config{}) {}
@@ -111,6 +244,7 @@ void ShardedCapture::begin_fleet(const sim::FleetConfig& config, std::uint64_t s
   resume_digest_ = telemetry::resume_digest(config);
   users_.assign(config.users, CaptureCursor{});
   log_ = CaptureLog{};
+  finished_ = false;
 }
 
 void ShardedCapture::record_session(const SessionContext& ctx,
@@ -152,6 +286,9 @@ void ShardedCapture::record_user(const UserTelemetry& user) {
 
 Expected<std::uint64_t> ShardedCapture::commit(const std::string& store,
                                                std::uint64_t end_day) {
+  if (finished_) {
+    return Error::invalid_arg("capture already finished; begin_fleet() starts the next");
+  }
   if (!log_.segments.empty() && !same_directory(log_.store, store)) {
     return Error::invalid_arg("capture log lives in another store: " + log_.store);
   }
@@ -201,70 +338,49 @@ Expected<std::uint64_t> ShardedCapture::commit(const std::string& store,
   return written;
 }
 
-FleetArchive ShardedCapture::finish() const {
+FleetArchive ShardedCapture::finish() {
   FleetArchive archive;
   archive.manifest = manifest_;
+  if (finished_) {
+    archive.status = Error::invalid_arg("capture already finished; begin_fleet() starts the next");
+    return archive;
+  }
+  finished_ = true;
+  // The table must list exactly the bytes each cursor logged.
+  std::vector<std::uint64_t> listed(users_.size(), 0);
+  bool agrees = true;
+  for (const CaptureSegment& seg : log_.segments) {
+    for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
+      const std::uint64_t u = seg.first_user + i;
+      if (u < listed.size()) {
+        listed[u] += seg.user_bytes[i];
+      } else {
+        agrees = false;
+      }
+    }
+  }
+  for (std::size_t u = 0; u < users_.size(); ++u) agrees = agrees && listed[u] == users_[u].logged;
+  if (!agrees) {
+    archive.status = Error::corrupt("capture segment table disagrees with the logged bytes");
+  }
   const std::size_t shard_count =
       (users_.size() + config_.users_per_shard - 1) / config_.users_per_shard;
   archive.manifest.shards.resize(shard_count);
-  archive.shards.resize(shard_count);
-  std::vector<unsigned char> segment;  // one segment read back at a time
-  std::vector<std::uint64_t> at;       // each shard user's next write offset
-  std::vector<std::uint64_t> end;      // and the end of its bytes
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::size_t first = s * config_.users_per_shard;
     const std::size_t last = std::min(first + config_.users_per_shard, users_.size());
     auto& info = archive.manifest.shards[s];
-    auto& bytes = archive.shards[s];
     info.first_user = first;
     info.user_count = last - first;
-    at.clear();
-    end.clear();
-    std::uint64_t size = 0;
     for (std::size_t u = first; u < last; ++u) {
-      at.push_back(size);
-      size += users_[u].byte_count();
-      end.push_back(size);
       info.record_count += users_[u].records;
-    }
-    bytes.resize(size);
-    info.byte_count = size;
-    // The shard's slices of the log in table order, then the tails.
-    for (const CaptureSegment& seg : log_.segments) {
-      if (seg.first_user >= last || seg.first_user + seg.user_bytes.size() <= first) continue;
-      const std::string path =
-          log_.store + "/" + segment_filename(manifest_.seed, resume_digest_, seg);
-      if (auto st = read_segment(path, seg, &segment); !st) {
-        archive.status = st;
-        return archive;
-      }
-      std::uint64_t from = 0;
-      for (std::size_t i = 0; i < seg.user_bytes.size(); ++i) {
-        const std::uint64_t u = seg.first_user + i;
-        const std::uint64_t n = seg.user_bytes[i];
-        if (u >= first && u < last) {
-          const std::size_t k = u - first;
-          if (n > end[k] - at[k]) {
-            archive.status = Error::corrupt("capture segments exceed the logged bytes");
-            return archive;
-          }
-          std::copy_n(segment.begin() + static_cast<std::ptrdiff_t>(from), n,
-                      bytes.begin() + static_cast<std::ptrdiff_t>(at[k]));
-          at[k] += n;
-        }
-        from += n;
-      }
-    }
-    for (std::size_t u = first; u < last; ++u) {
-      const std::vector<unsigned char>& tail = users_[u].tail;
-      const std::size_t k = u - first;
-      if (at[k] + tail.size() != end[k]) {
-        archive.status = Error::corrupt("capture segments fall short of the logged bytes");
-        return archive;
-      }
-      std::copy(tail.begin(), tail.end(), bytes.begin() + static_cast<std::ptrdiff_t>(at[k]));
+      info.byte_count += users_[u].byte_count();
     }
   }
+  archive.log = log_;
+  archive.resume_digest = resume_digest_;
+  archive.tails.reserve(users_.size());
+  for (CaptureCursor& cursor : users_) archive.tails.push_back(std::move(cursor.tail));
   return archive;
 }
 

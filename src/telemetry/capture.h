@@ -14,15 +14,20 @@
 // commit are buffered, however long the run. A capture without a store is
 // one whose segment table is empty; its tails hold the whole run.
 //
-// finish() builds each archive shard from that shard's segments, read back
-// and checked against the table, plus the tails, in deterministic ascending
-// user order, regrouped into shard files of `users_per_shard` users each.
+// finish() merges nothing: it fills the archive manifest's shard table from
+// the cursors and hands the archive the store, a copy of the segment table
+// and the tails (moved out, so the capture waits for the next begin_fleet()).
+// The archive builds one shard at a time, when it is written or checksummed:
+// that shard's slices of the log, read back and checked against the table,
+// then its tails, in deterministic ascending user order, regrouped into shard
+// files of `users_per_shard` users each. No code path holds more than one
+// archive shard's bytes.
 //
 // The single-writer-per-user property survives the cohort waves: a cohort
 // interleaves the *users* of a shard on one worker, but each user's sessions
 // are still recorded in chronological (day, session) order (a debug
 // assertion pins this), so per-user tails — and therefore the log and the
-// merged archive bytes — cannot observe the interleaving.
+// archive bytes — cannot observe the interleaving.
 //
 // Consequently the archive bytes depend only on (fleet config, seed, archive
 // users_per_shard) — never on the thread count, the runner's scheduling
@@ -45,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -85,12 +91,45 @@ std::string segment_filename(std::uint64_t seed, std::uint32_t resume_digest,
                              const CaptureSegment& segment);
 
 /// Read the segment file at `path` back and check it against `segment`:
-/// kCorrupt unless it exists with exactly byte_count bytes and their CRC.
-/// The bytes land in `*bytes`, sized from the file only once its size
-/// matched; with `bytes` null they stream through a fixed buffer, so a
-/// hostile table never sizes an allocation.
+/// kCorrupt unless it exists with exactly byte_count bytes, its per-user
+/// counts sum to byte_count and the bytes carry its CRC. The bytes stream in
+/// file order, one user's slice at a time: slice i lands at `place(i)` (called
+/// once per slice, in order) when that is non-null, otherwise it passes
+/// through a fixed buffer, so a hostile table never sizes an allocation.
 Status read_segment(const std::string& path, const CaptureSegment& segment,
-                    std::vector<unsigned char>* bytes);
+                    const std::function<unsigned char*(std::size_t)>& place = {});
+
+/// A finished capture's archive, built one shard at a time: the manifest,
+/// plus what each shard's bytes come from — the slices of the capture's log
+/// (read back from its store and CRC-checked as they stream) and each user's
+/// tail. The store must outlive every write() and checksum(); a damaged
+/// segment surfaces there. An archive outlives its capture's reuse.
+struct FleetArchive {
+  ArchiveManifest manifest;
+  CaptureLog log;
+  /// Names the log's segment files with manifest.seed (segment_filename).
+  std::uint32_t resume_digest = 0;
+  /// Each user's records since the last commit (index == user index).
+  std::vector<std::vector<unsigned char>> tails;
+  /// A failure ShardedCapture::finish() found; every call below returns it.
+  Status status;
+
+  using ShardVisitor = std::function<Status(std::size_t shard, ByteSpan bytes)>;
+  /// Build each shard of manifest.shards in order into one reused buffer and
+  /// hand it to `visit`, stopping at the first failure (`visit`'s, or a
+  /// segment's kCorrupt read-back). The bytes are valid only during the call.
+  Status visit_shards(const ShardVisitor& visit) const;
+  /// Write the shard files, then the manifest, into `dir` (created if
+  /// missing; an old manifest there is removed first), then fsync `dir` (and
+  /// its parent when this call created it). On failure every file this call
+  /// wrote is removed, and `dir` too if this call created it.
+  Status write(const std::string& dir) const;
+  /// CRC32 over the manifest payload and every shard byte stream in order —
+  /// the determinism probe used by tests and benches.
+  Expected<std::uint32_t> checksum() const;
+  /// Sum of the manifest's shard byte counts.
+  std::uint64_t total_bytes() const noexcept;
+};
 
 class ShardedCapture final : public TelemetrySink {
  public:
@@ -126,8 +165,8 @@ class ShardedCapture final : public TelemetrySink {
 
   /// Everything a resumed leg continues from: one cursor per user and the
   /// log. The snapshot subsystem persists it at a day boundary, so a resumed
-  /// fleet appends days [D, ...) and finish() emits archive bytes identical
-  /// to an unsplit run.
+  /// fleet appends days [D, ...) and its archive's bytes are identical to an
+  /// unsplit run's.
   struct Position {
     std::vector<CaptureCursor> cursors;
     CaptureLog log;
@@ -143,12 +182,14 @@ class ShardedCapture final : public TelemetrySink {
   /// legs.
   Expected<std::uint64_t> commit(const std::string& store, std::uint64_t end_day);
 
-  /// Merge the log and the tails into the final archive. Call after
-  /// FleetRunner::run() returns; the capture can then be reused via a new
-  /// begin_fleet(). Reads one archive shard's segments at a time and checks
-  /// each against the table; a failure is the archive's `status`, and its
-  /// write() then writes nothing.
-  FleetArchive finish() const;
+  /// Hand the run over as an archive: the manifest's shard table (from the
+  /// cursors), the store, a copy of the segment table and the tails, moved
+  /// out. Reads no segment. Call after FleetRunner::run() returns; the
+  /// capture then waits for a new begin_fleet() — until then commit() and a
+  /// second finish() are kInvalidArg (the latter as the archive's status).
+  /// A segment table that disagrees with the cursors is the archive's
+  /// kCorrupt status.
+  FleetArchive finish();
 
   /// Session records captured so far, assuming one trailing user record per
   /// user slot. Scenario churn emits an extra user record per departed
@@ -174,6 +215,7 @@ class ShardedCapture final : public TelemetrySink {
   std::uint32_t resume_digest_ = 0;
   std::vector<CaptureCursor> users_;
   CaptureLog log_;
+  bool finished_ = false;  ///< finish() moved the tails out
 };
 
 }  // namespace lingxi::telemetry

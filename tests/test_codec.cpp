@@ -65,6 +65,19 @@ std::string temp_path(const std::string& name) {
   return path;
 }
 
+/// Write `manifest` and `shards` as the archive directory `dir`, byte for
+/// byte, whether or not they agree: how a hostile archive reaches the reader.
+void write_archive_files(const std::string& dir, const telemetry::ArchiveManifest& manifest,
+                         const std::vector<std::vector<unsigned char>>& shards) {
+  std::filesystem::create_directories(dir);
+  std::vector<unsigned char> framed;
+  logstore::write_record(framed, manifest.encode());
+  ASSERT_TRUE(write_file(dir + "/" + telemetry::manifest_filename(), framed).ok());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    ASSERT_TRUE(write_file(dir + "/" + telemetry::shard_filename(i), shards[i]).ok());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fixed inputs.
 // ---------------------------------------------------------------------------
@@ -359,6 +372,7 @@ TEST(CodecGolden, ArchiveManifest) {
   EXPECT_EQ(hex(m.encode()), kArchiveManifestHex);
   telemetry::FleetArchive archive;
   archive.manifest = m;
+  archive.tails.resize(m.users);
   const std::string dir = temp_path("archive");
   ASSERT_TRUE(archive.write(dir).ok());
   EXPECT_EQ(hex(file_bytes(dir + "/" + telemetry::manifest_filename())),
@@ -373,11 +387,13 @@ TEST(CodecGolden, ArchiveRecords) {
 }
 
 TEST(CodecGolden, ArchiveChecksum) {
+  // Users 0-1 make shard 0, user 2 shard 1.
   telemetry::FleetArchive archive;
   archive.manifest = golden_archive_manifest();
-  archive.shards = {telemetry::encode_session_record(golden_archive_session()),
-                    telemetry::encode_user_record(golden_archive_user())};
-  EXPECT_EQ(archive.checksum(), kArchiveChecksum);
+  archive.tails = {telemetry::encode_session_record(golden_archive_session()),
+                   {},
+                   telemetry::encode_user_record(golden_archive_user())};
+  EXPECT_EQ(archive.checksum().value(), kArchiveChecksum);
 }
 
 TEST(CodecGolden, SnapshotUserState) {
@@ -809,22 +825,21 @@ TEST(ArchiveRouting, CorruptionTableRejectsEveryMisroutedRecord) {
     put_u32_at(payload, 4, static_cast<std::uint32_t>(c.user));  // u64 user, low word
     if (!c.user_record) put_u32_at(payload, 12, c.day);
 
-    telemetry::FleetArchive archive;
-    archive.manifest = golden_archive_manifest();
-    archive.shards.resize(2);
-    logstore::write_record(archive.shards[c.shard], payload);
+    telemetry::ArchiveManifest manifest = golden_archive_manifest();
+    std::vector<std::vector<unsigned char>> shards(2);
+    logstore::write_record(shards[c.shard], payload);
     for (std::size_t i = 0; i < 2; ++i) {
-      telemetry::ArchiveShardInfo& shard = archive.manifest.shards[i];
+      telemetry::ArchiveShardInfo& shard = manifest.shards[i];
       for (std::uint64_t u = shard.first_user; u < shard.first_user + shard.user_count; ++u) {
         telemetry::ArchiveUserRecord valid = golden_archive_user();
         valid.user = u;
-        logstore::write_record(archive.shards[i], telemetry::encode_user_record(valid));
+        logstore::write_record(shards[i], telemetry::encode_user_record(valid));
       }
       shard.record_count = shard.user_count + (i == c.shard ? 1 : 0);
-      shard.byte_count = archive.shards[i].size();
+      shard.byte_count = shards[i].size();
     }
     const std::string dir = temp_path("misrouted");
-    ASSERT_TRUE(archive.write(dir).ok()) << c.name;
+    write_archive_files(dir, manifest, shards);
 
     auto reader = telemetry::ArchiveReader::open(dir);
     ASSERT_TRUE(reader.has_value()) << c.name << ": " << reader.error().message;
@@ -870,15 +885,13 @@ const ManifestCase kManifestCases[] = {
 
 TEST(ArchiveManifest, HostileShardTableIsCorruptAtOpen) {
   for (const ManifestCase& c : kManifestCases) {
-    telemetry::FleetArchive archive;
-    archive.manifest = golden_archive_manifest();
-    archive.manifest.users = c.users;
-    archive.manifest.days = c.days;
-    archive.manifest.users_per_shard = c.users;
-    archive.manifest.shards = {{0, c.users, c.record_count, c.byte_count}};
-    archive.shards = {std::vector<unsigned char>(c.file_bytes)};
+    telemetry::ArchiveManifest manifest = golden_archive_manifest();
+    manifest.users = c.users;
+    manifest.days = c.days;
+    manifest.users_per_shard = c.users;
+    manifest.shards = {{0, c.users, c.record_count, c.byte_count}};
     const std::string dir = temp_path("hostile_manifest");
-    ASSERT_TRUE(archive.write(dir).ok()) << c.name;
+    write_archive_files(dir, manifest, {std::vector<unsigned char>(c.file_bytes)});
 
     const auto reader = telemetry::ArchiveReader::open(dir);
     expect_corrupt(status_of(reader), c.name);

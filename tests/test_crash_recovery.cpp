@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "abr/hyb.h"
+#include "archive_bytes.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -81,7 +83,7 @@ sim::FleetRunner make_runner(const sim::FleetConfig& cfg) {
 
 struct Reference {
   sim::FleetAccumulator acc;
-  telemetry::FleetArchive archive;
+  testing_util::ArchiveBytes archive;
 };
 
 /// One uninterrupted run with a capture — the parity baseline.
@@ -91,7 +93,7 @@ Reference reference_run(const sim::FleetConfig& cfg, std::uint64_t seed) {
   runner.set_telemetry_sink(&capture);
   Reference ref;
   ref.acc = runner.run(seed);
-  ref.archive = capture.finish();
+  ref.archive = testing_util::materialize(capture.finish());
   return ref;
 }
 
@@ -114,8 +116,8 @@ void resume_and_expect_parity(const std::string& root, const sim::FleetConfig& c
   EXPECT_EQ(resumed.checksum(), ref.acc.checksum());
   EXPECT_FALSE(resumed.has_overflow());
 
-  const telemetry::FleetArchive archive = capture.finish();
-  EXPECT_EQ(archive.checksum(), ref.archive.checksum());
+  const testing_util::ArchiveBytes archive = testing_util::materialize(capture.finish());
+  EXPECT_TRUE(archive.manifest.encode() == ref.archive.manifest.encode());
   ASSERT_EQ(archive.shards.size(), ref.archive.shards.size());
   for (std::size_t s = 0; s < archive.shards.size(); ++s) {
     EXPECT_TRUE(archive.shards[s] == ref.archive.shards[s]) << "shard " << s;
@@ -365,10 +367,6 @@ TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
   EXPECT_EQ(std::distance(store, std::filesystem::directory_iterator{}), 8);
 
   EXPECT_EQ(resumed.checksum(), ref.acc.checksum());
-  const telemetry::FleetArchive archive = capture.finish();
-  EXPECT_EQ(archive.checksum(), ref.archive.checksum());
-  EXPECT_TRUE(archive.shards == ref.archive.shards);
-  resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/4);
 
   // Another root is another store, and a log lives in one store: a commit
   // there is kInvalidArg, writes nothing and keeps the tails (day 4's bytes,
@@ -384,6 +382,9 @@ TEST(AutoCheckpointer, ResumedRunAppendsToTheRecoveredSegmentTable) {
   EXPECT_FALSE(std::filesystem::exists(elsewhere));
   EXPECT_TRUE(capture.cursors() == before);
   EXPECT_EQ(capture.log().segments.size(), 8u);
+
+  EXPECT_TRUE(testing_util::materialize(capture.finish()) == ref.archive);
+  resume_and_expect_parity(root, cfg, kSeed, ref, /*expect_resume_day=*/4);
 }
 
 TEST(AutoCheckpointer, CaptureOfAnotherRunFailsBeforeWritingAnything) {
@@ -409,9 +410,7 @@ TEST(AutoCheckpointer, CaptureOfAnotherRunFailsBeforeWritingAnything) {
     EXPECT_TRUE(std::filesystem::is_empty(root)) << "a failed commit wrote under " << root;
     EXPECT_TRUE(capture.log().segments.empty());
     EXPECT_EQ(acc.checksum(), ref.acc.checksum());
-    const telemetry::FleetArchive archive = capture.finish();
-    ASSERT_TRUE(archive.status.ok()) << archive.status.error().message;
-    EXPECT_TRUE(archive.shards == ref.archive.shards);
+    EXPECT_TRUE(testing_util::materialize(capture.finish()) == ref.archive);
     const auto recovered = snapshot::find_latest_valid(root);
     ASSERT_FALSE(recovered.has_value());
     EXPECT_EQ(recovered.error().code, Error::Code::kNotFound);
@@ -435,14 +434,19 @@ TEST(AutoCheckpointer, CaptureOfAnotherRunFailsBeforeWritingAnything) {
 }
 
 TEST(CaptureReadBack, CorruptSegmentFailsFinishAndLoad) {
-  // Damage a committed segment between the last commit and finish(): the
-  // capture no longer holds those bytes, so the archive must fail rather
-  // than come out short or wrong, write nothing, and every checkpoint that
-  // lists the segment must be rejected.
+  // Damage a committed segment between the last commit and the archive's
+  // write(): the capture no longer holds those bytes, so the archive must
+  // fail rather than come out short or wrong, leave no file behind — also
+  // when the damaged segment belongs to the last shard, after the earlier
+  // shards were written — and every checkpoint that lists the segment must
+  // be rejected. finish() reads no segment, so it cannot see the damage.
   const sim::FleetConfig cfg = fleet_config();
   constexpr std::uint64_t kSeed = 77;
-  for (const bool truncate : {true, false}) {
-    const std::string name = truncate ? "readback-truncated" : "readback-flipped";
+  for (int damage = 0; damage < 4; ++damage) {
+    const bool last_shard = damage >= 2;
+    const bool truncate = damage % 2 == 0;
+    const std::string name = std::string(last_shard ? "last-shard-" : "first-shard-") +
+                             (truncate ? "readback-truncated" : "readback-flipped");
     const std::string root = fresh_dir(name);
     sim::FleetRunner runner = make_runner(cfg);
     telemetry::ShardedCapture capture(telemetry::ShardedCapture::Config{4});
@@ -453,9 +457,15 @@ TEST(CaptureReadBack, CorruptSegmentFailsFinishAndLoad) {
     ASSERT_TRUE(ckpt.status().ok()) << ckpt.status().error().message;
     ASSERT_EQ(ckpt.checkpoints_committed(), 3u);
 
-    // Day 0 of the first archive shard: listed by every checkpoint.
-    const telemetry::CaptureSegment& seg = capture.log().segments.front();
-    ASSERT_EQ(seg.first_day, 0u);
+    // Day 0 of the first or the last archive shard: listed by every
+    // checkpoint.
+    const std::uint64_t first_user = last_shard ? cfg.users - 4 : 0;
+    const auto& segments = capture.log().segments;
+    const auto damaged = std::find_if(segments.begin(), segments.end(), [&](const auto& seg) {
+      return seg.first_user == first_user && seg.first_day == 0;
+    });
+    ASSERT_NE(damaged, segments.end()) << name;
+    const telemetry::CaptureSegment& seg = *damaged;
     const std::string path = capture.log().store + "/" +
                              telemetry::segment_filename(kSeed, snapshot::resume_digest(cfg), seg);
     auto bytes = read_file(path);
@@ -468,8 +478,10 @@ TEST(CaptureReadBack, CorruptSegmentFailsFinishAndLoad) {
     ASSERT_TRUE(write_file(path, *bytes).ok());
 
     const telemetry::FleetArchive archive = capture.finish();
-    ASSERT_FALSE(archive.status.ok()) << name;
-    EXPECT_EQ(archive.status.error().code, Error::Code::kCorrupt) << name;
+    ASSERT_TRUE(archive.status.ok()) << name;
+    const auto checksum = archive.checksum();
+    ASSERT_FALSE(checksum.has_value()) << name;
+    EXPECT_EQ(checksum.error().code, Error::Code::kCorrupt) << name;
     const std::string archive_dir = root + "-archive";
     std::filesystem::remove_all(archive_dir);
     const Status written = archive.write(archive_dir);

@@ -131,7 +131,7 @@ TEST(WriteFile, CommitsAtomicallyAndCleansUpTemp) {
 TEST(WriteFile, OpenFailureIsIoErrorNamingTheStage) {
   const std::string path =
       ::testing::TempDir() + "/lingxi_no_such_dir/write_file.bin";
-  const auto status = write_file(path, {1, 2, 3});
+  const auto status = write_file(path, std::vector<unsigned char>{1, 2, 3});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, Error::Code::kIo);
   EXPECT_NE(status.error().message.find("cannot open"), std::string::npos);
@@ -143,7 +143,7 @@ TEST(WriteFile, RenameFailureIsDistinctErrorAndRemovesTemp) {
   const std::string path = ::testing::TempDir() + "/lingxi_write_file_dir_target";
   std::filesystem::remove_all(path);
   std::filesystem::create_directories(path + "/occupied");
-  const auto status = write_file(path, {1, 2, 3});
+  const auto status = write_file(path, std::vector<unsigned char>{1, 2, 3});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, Error::Code::kIo);
   EXPECT_NE(status.error().message.find("rename failed"), std::string::npos);

@@ -700,7 +700,7 @@ TEST(ObsDumps, WriteJsonFilesReplaceTheFileAtomically) {
     const std::string path = ::testing::TempDir() + "/lingxi_obs_dump_" + name + ".json";
     const std::string link = path + ".old";
     std::remove(link.c_str());
-    ASSERT_TRUE(write_file(path, {'s', 't', 'a', 'l', 'e'}).ok());
+    ASSERT_TRUE(write_file(path, std::vector<unsigned char>{'s', 't', 'a', 'l', 'e'}).ok());
     ASSERT_EQ(::link(path.c_str(), link.c_str()), 0) << name;
 
     ASSERT_TRUE(dump(path)) << name;

@@ -24,6 +24,7 @@
 #include "abr/pensieve.h"
 #include "abr/rate_based.h"
 #include "abr/robust_mpc.h"
+#include "archive_bytes.h"
 #include "bayesopt/gp.h"
 #include "common/rng.h"
 #include "inline_exit_evaluator.h"
@@ -805,7 +806,7 @@ struct Alert {
 /// compared; expect_seen checks it).
 struct Outputs {
   sim::FleetAccumulator acc;
-  telemetry::FleetArchive archive;
+  testing_util::ArchiveBytes archive;  ///< materialized: the store is removed
   bool obs = false;
   std::vector<obs::TimelineRecord> days;  ///< day records, every leg in order
   std::vector<Alert> alerts;
@@ -1047,7 +1048,7 @@ Outputs run_cell(const Fixture& fixture, const Cell& cell) {
     }
   }
   if (plane) plane->collect(out, label);
-  out.archive = capture->finish();
+  out.archive = testing_util::materialize(capture->finish());
 
   std::vector<std::string> checkpoints;
   if (checkpointer) {
@@ -1069,7 +1070,7 @@ Outputs run_cell(const Fixture& fixture, const Cell& cell) {
     start(boundary);
     resumed.acc = runner->run_days(seed, boundary, cfg.days, &state);
     if (plane) plane->collect(resumed, resumed_label);
-    resumed.archive = capture->finish();
+    resumed.archive = testing_util::materialize(capture->finish());
     expect_same(out, resumed, resumed_label);
   }
   if (on_disk) std::filesystem::remove_all(dir);

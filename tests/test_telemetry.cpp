@@ -12,6 +12,7 @@
 #include <string>
 
 #include "abr/hyb.h"
+#include "common/crc32.h"
 #include "analytics/experiment.h"
 #include "logstore/record.h"
 #include "predictor/exit_net.h"
@@ -110,8 +111,8 @@ std::string fresh_dir(const std::string& name) {
 }
 
 TEST(ShardedCapture, DifferentSeedsProduceDifferentArchives) {
-  EXPECT_NE(capture_fleet(small_fleet(), 2, 1).checksum(),
-            capture_fleet(small_fleet(), 2, 2).checksum());
+  EXPECT_NE(capture_fleet(small_fleet(), 2, 1).checksum().value(),
+            capture_fleet(small_fleet(), 2, 2).checksum().value());
 }
 
 TEST(ShardedCapture, ShardFilesFollowArchiveGranularity) {
@@ -122,7 +123,7 @@ TEST(ShardedCapture, ShardFilesFollowArchiveGranularity) {
   runner.set_telemetry_sink(&capture);
   runner.run(3);
   const auto archive = capture.finish();
-  ASSERT_EQ(archive.shards.size(), 3u);  // 24 users / 10 per shard
+  ASSERT_EQ(archive.manifest.shards.size(), 3u);  // 24 users / 10 per shard
   EXPECT_EQ(archive.manifest.shards[0].user_count, 10u);
   EXPECT_EQ(archive.manifest.shards[2].user_count, 4u);
   EXPECT_EQ(archive.manifest.shards[1].first_user, 10u);
@@ -130,6 +131,103 @@ TEST(ShardedCapture, ShardFilesFollowArchiveGranularity) {
   const std::uint64_t per_user = cfg.days * cfg.sessions_per_user_day + 1;
   EXPECT_EQ(archive.manifest.shards[0].record_count, 10 * per_user);
   EXPECT_EQ(capture.session_count(), cfg.users * cfg.days * cfg.sessions_per_user_day);
+}
+
+// The 24-user, 10-per-shard archive of ShardFilesFollowArchiveGranularity,
+// pinned from the archive that finish() materialized in memory before shards
+// were built one at a time: its checksum and each shard's size and CRC-32.
+constexpr std::uint32_t kGranularityChecksum = 0x55d9c1ec;
+constexpr std::uint64_t kGranularityShardBytes[] = {74200, 81000, 33248};
+constexpr std::uint32_t kGranularityShardCrcs[] = {0xd0f59f19, 0x55b7cd51, 0xbd409ae7};
+
+/// The checksum and the per-shard sizes and CRC-32s equal the pins, the
+/// shards visited in order.
+void expect_granularity_golden(const telemetry::FleetArchive& archive, const std::string& leg) {
+  const auto checksum = archive.checksum();
+  ASSERT_TRUE(checksum.has_value()) << leg << ": " << checksum.error().message;
+  EXPECT_EQ(*checksum, kGranularityChecksum) << leg;
+  std::size_t visited = 0;
+  const Status built = archive.visit_shards([&](std::size_t shard, ByteSpan bytes) {
+    EXPECT_EQ(shard, visited) << leg;
+    EXPECT_EQ(bytes.size(), kGranularityShardBytes[shard]) << leg << " shard " << shard;
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), kGranularityShardCrcs[shard])
+        << leg << " shard " << shard;
+    ++visited;
+    return Status{};
+  });
+  ASSERT_TRUE(built.ok()) << leg << ": " << built.error().message;
+  EXPECT_EQ(visited, 3u) << leg;
+}
+
+/// ShardFilesFollowArchiveGranularity's fleet at `seed`, committing into
+/// `store` after day 0 when `store` is non-empty.
+telemetry::FleetArchive granularity_archive(telemetry::ShardedCapture& capture,
+                                            std::uint64_t seed, const std::string& store) {
+  sim::FleetConfig cfg = small_fleet();
+  cfg.threads = 2;
+  sim::FleetRunner runner(cfg, hyb_factory());
+  runner.set_telemetry_sink(&capture);
+  if (store.empty()) {
+    runner.run(seed);
+  } else {
+    sim::FleetDayState state;
+    runner.run_days(seed, 0, 1, nullptr, &state);
+    const auto committed = capture.commit(store, 1);
+    EXPECT_TRUE(committed.has_value() && *committed > 0);
+    runner.run_days(seed, 1, cfg.days, &state);
+  }
+  return capture.finish();
+}
+
+TEST(ShardedCapture, StreamedShardsMatchTheMaterializedGolden) {
+  // Tails only, and day 0 read back from the segment store: both legs build
+  // the pinned bytes.
+  telemetry::ShardedCapture tails_only({/*users_per_shard=*/10});
+  expect_granularity_golden(granularity_archive(tails_only, 3, ""), "tails only");
+  const std::string store = fresh_dir("golden_store");
+  std::filesystem::remove_all(store);
+  telemetry::ShardedCapture committed({/*users_per_shard=*/10});
+  const telemetry::FleetArchive archive = granularity_archive(committed, 3, store);
+  ASSERT_EQ(archive.log.segments.size(), 3u);
+  expect_granularity_golden(archive, "committed day 0");
+  std::filesystem::remove_all(store);
+}
+
+TEST(ShardedCapture, FinishHandsOverOnceAndItsArchiveOutlivesReuse) {
+  // finish() moves the tails out: until the next begin_fleet() a second
+  // finish() yields an archive that refuses to be written or checksummed
+  // (never an empty or short one), and commit() is refused too. An archive
+  // taken before the capture is reused keeps writing its own bytes, also
+  // after the reused capture commits into the same store.
+  const std::string store = fresh_dir("reuse_store");
+  const std::string dir = fresh_dir("reuse_archive");
+  std::filesystem::remove_all(store);
+  std::filesystem::remove_all(dir);
+  telemetry::ShardedCapture capture({/*users_per_shard=*/10});
+  const telemetry::FleetArchive first = granularity_archive(capture, 3, store);
+
+  const telemetry::FleetArchive again = capture.finish();
+  const Status written = again.write(dir);
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.error().code, Error::Code::kInvalidArg);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  ASSERT_FALSE(again.checksum().has_value());
+  EXPECT_EQ(again.checksum().error().code, Error::Code::kInvalidArg);
+  const auto committed = capture.commit(store, 2);
+  ASSERT_FALSE(committed.has_value());
+  EXPECT_EQ(committed.error().code, Error::Code::kInvalidArg);
+
+  const telemetry::FleetArchive second = granularity_archive(capture, 4, store);
+  EXPECT_NE(second.checksum().value(), kGranularityChecksum);
+  expect_granularity_golden(first, "archive taken before reuse");
+  ASSERT_TRUE(first.write(dir).ok());
+  const auto replayed = telemetry::Replay::run(dir);
+  ASSERT_TRUE(replayed.has_value()) << replayed.error().message;
+  sim::FleetAccumulator live;
+  capture_fleet(small_fleet(), 2, 3, &live);
+  EXPECT_EQ(replayed->fleet.checksum(), live.checksum());
+  std::filesystem::remove_all(store);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Replay, AccumulatorBitwiseMatchesLiveRun) {
