@@ -328,10 +328,10 @@ PYEOF
   echo "smoke pin gate OK: pins match, a perturbed counter is caught"
 
   # Micro-benchmarks: Algorithm 2 on the wave engine with the batched
-  # predictor at batch 1 and 16, the pooled exit-net forward (the dense
-  # panel per ISA and zero-column share, and predict_batch per flush size),
-  # then CRC-32 beside memcpy at the same sizes (the bound of the durable
-  # plane's checksum pass).
+  # predictor at batch 1 and 16, the pooled exit-net forward (the dense row
+  # kernel per ISA, row count and zero-column share, and predict_batch per
+  # flush size), then CRC-32 beside memcpy at the same sizes (the bound of
+  # the durable plane's checksum pass).
   # bench_micro exists only when Google Benchmark was found at configure
   # time. No gate reads the JSON.
   if [ -x "${BUILD_DIR}/bench/bench_micro" ]; then

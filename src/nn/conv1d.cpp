@@ -43,7 +43,7 @@ Tensor Conv1D::forward(const Tensor& input) {
 namespace {
 
 // Output channels per accumulator group of the batched kernel: 8 doubles are
-// four 2-lane (SSE2) or two 4-lane (AVX2) vectors.
+// four 2-lane (baseline) or two 4-lane (AVX2) vectors.
 constexpr std::size_t kLanes = 8;
 
 // Weights in the batched kernel's order, [1 + ic*K + k][padded]: row 0 holds
@@ -100,7 +100,7 @@ inline __attribute__((always_inline)) void conv_rows(const LaneWeights& lw, Cons
 
 typedef double v2df __attribute__((vector_size(16)));
 
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(LINGXI_NO_DENSE_SIMD)
+#if defined(__x86_64__)
 #define LINGXI_CONV_AVX2 1
 // The same kernel on 4-lane vectors, compiled for AVX2 and dispatched at run
 // time under the dense ISA switch. Same operations in the same order, so it

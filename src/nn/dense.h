@@ -6,19 +6,17 @@
 namespace lingxi::nn {
 
 /// Instruction set the batched nn kernels run on (Dense::forward_batch, and
-/// Conv1D::forward_batch's lane width). Every variant keeps SIMD lanes ACROSS
-/// batch rows or output channels (never along the reduction), so all three
-/// produce bitwise-identical outputs — pinned by the forced-ISA parity
-/// tests. Ordered narrow to wide so clamping to hardware support is a min().
+/// Conv1D::forward_batch's lane width). Both builds keep SIMD lanes ACROSS
+/// output channels (never along the reduction), so they produce
+/// bitwise-identical outputs, pinned by the forced-ISA parity tests. Ordered
+/// narrow to wide so clamping to hardware support is a min().
 enum class DenseIsa {
-  kScalar = 0,  ///< unrolled scalar blocks only
-  kSse2 = 1,    ///< 16-byte generic vectors, full blocks only; the vector
-                ///< path on x86 without AVX2 and on non-x86 GCC builds
-  kAvx2 = 2,    ///< ymm panels sized to the block: one ymm for 2..4 rows,
-                ///< two for 5..8
+  kBaseline = 0,  ///< 16-byte generic vectors: the build's baseline target
+  kAvx2 = 1,      ///< 32-byte vectors in a target("avx2") build of the
+                  ///< same kernel (x86-64 only)
 };
 
-/// Name for logs and test messages: "scalar", "sse2", "avx2".
+/// Name for logs and test messages: "baseline", "avx2".
 const char* dense_isa_name(DenseIsa isa) noexcept;
 
 /// True when this build + CPU can run `isa`.
@@ -40,18 +38,13 @@ class Dense final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  /// Batched inference: out.row(b) = W in.row(b) + b for every row. Blocked
-  /// over batch rows so each weight row is streamed once per block instead of
-  /// once per item; a multi-row call never forms a 1-row block (9 rows run
-  /// as 5 + 4). The vector kernels pack each block into a panel without the
-  /// input columns that are zero in every row of the block, and the AVX2
-  /// panel carries several outputs' accumulation chains at once (a 1-row
-  /// call too, except on a 2-output layer). Each output
-  /// keeps forward()'s accumulation order over the kept columns, so every
-  /// row is bitwise identical to forward() for finite weights, up to the
-  /// sign of an output that is exactly zero under a -0.0 bias (see
-  /// dense.cpp). Inference only: does not touch the backward() caches, safe
-  /// on a const layer.
+  /// Batched inference: out.row(b) = W in.row(b) + b for every row, one row
+  /// at a time. Each row lists its nonzero inputs, then SIMD lanes run
+  /// across outputs: every output sums its bias and the kept inputs' terms
+  /// in forward()'s order, so every row is bitwise identical to forward()
+  /// for finite weights, up to the sign of an output that is exactly zero
+  /// under a -0.0 bias (see dense.cpp). Inference only: does not touch the
+  /// backward() caches, safe on a const layer.
   void forward_batch(ConstBatchView in, BatchView out) const;
 
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
@@ -60,13 +53,19 @@ class Dense final : public Layer {
   std::size_t in_features() const noexcept { return in_; }
   std::size_t out_features() const noexcept { return out_; }
 
-  /// Const parameter access for checkpointing (serialize.h).
-  const Tensor& weight() const noexcept { return w_; }
+  /// W as [out, in], the order the model container saves (serialize.h):
+  /// a copy transposed out of the input-major storage.
+  Tensor weight() const;
+  /// Sets W from an [out, in] tensor (the order weight() returns).
+  void set_weight(const Tensor& w);
   const Tensor& bias() const noexcept { return b_; }
 
  private:
   std::size_t in_, out_;
-  Tensor w_, b_;    // [out, in], [out]
+  // Input-major, [in, out]: one input's weights for every output are
+  // contiguous, the order forward_batch's lanes read them. parameters()
+  // hands the optimizer this storage; its gradient gw_ has the same layout.
+  Tensor w_, b_;    // [in, out], [out]
   Tensor gw_, gb_;
   Tensor last_input_;
 };

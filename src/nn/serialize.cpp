@@ -13,12 +13,12 @@ constexpr std::uint64_t kMaxDim = 1u << 24;
 // Smallest tensor on the wire: rank 1, one dim, one element.
 constexpr std::size_t kMinTensorWireSize = 4 + 8 + 8;
 
-void put_tensors(std::vector<unsigned char>& out, const std::vector<const Tensor*>& tensors) {
+void put_tensors(std::vector<unsigned char>& out, const std::vector<Tensor>& tensors) {
   put_u32(out, static_cast<std::uint32_t>(tensors.size()));
-  for (const Tensor* t : tensors) {
-    put_u32(out, static_cast<std::uint32_t>(t->rank()));
-    for (std::size_t d = 0; d < t->rank(); ++d) put_u64(out, t->dim(d));
-    put_f64s(out, {t->data(), t->size()});
+  for (const Tensor& t : tensors) {
+    put_u32(out, static_cast<std::uint32_t>(t.rank()));
+    for (std::size_t d = 0; d < t.rank(); ++d) put_u64(out, t.dim(d));
+    put_f64s(out, {t.data(), t.size()});
   }
 }
 
@@ -51,7 +51,7 @@ Expected<std::vector<Tensor>> get_tensors(ByteReader& in) {
 }  // namespace
 
 std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
-                                           const std::vector<const Tensor*>& tensors) {
+                                           const std::vector<Tensor>& tensors) {
   std::vector<unsigned char> payload;
   put_u32(payload, model_kind);
   put_tensors(payload, tensors);

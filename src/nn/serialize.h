@@ -31,7 +31,7 @@ inline constexpr std::uint32_t kModelKindStallExitNet = 3;
 
 /// Wrap a tensor list in a versioned model container tagged `model_kind`.
 std::vector<unsigned char> serialize_model(std::uint32_t model_kind,
-                                           const std::vector<const Tensor*>& tensors);
+                                           const std::vector<Tensor>& tensors);
 /// Unwrap a model container: the version and CRC must check out and the kind
 /// tag must equal `expected_kind` (Error::kCorrupt otherwise).
 Expected<std::vector<Tensor>> deserialize_model(std::uint32_t expected_kind,

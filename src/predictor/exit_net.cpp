@@ -105,13 +105,16 @@ nn::ParamSet StallExitNet::param_set() {
   return set;
 }
 
-std::vector<const nn::Tensor*> StallExitNet::weights() const {
-  std::vector<const nn::Tensor*> out;
+std::vector<nn::Tensor> StallExitNet::weights() const {
+  std::vector<nn::Tensor> out;
   for (const auto& b : branches_) {
-    for (const nn::Tensor* t : const_cast<nn::Conv1D&>(b).parameters()) out.push_back(t);
+    out.push_back(b.weight());
+    out.push_back(b.bias());
   }
-  for (const nn::Tensor* t : const_cast<nn::Dense&>(fc1_).parameters()) out.push_back(t);
-  for (const nn::Tensor* t : const_cast<nn::Dense&>(fc2_).parameters()) out.push_back(t);
+  for (const nn::Dense* fc : {&fc1_, &fc2_}) {
+    out.push_back(fc->weight());
+    out.push_back(fc->bias());
+  }
   return out;
 }
 
@@ -146,13 +149,14 @@ Status StallExitNet::validate_weights(const std::vector<nn::Tensor>& tensors) {
 
 bool StallExitNet::load_weights(const std::vector<nn::Tensor>& tensors) {
   if (!validate_weights(tensors)) return false;
-  std::vector<nn::Tensor*> targets;
+  std::size_t t = 0;
   for (auto& b : branches_) {
-    for (nn::Tensor* t : b.parameters()) targets.push_back(t);
+    for (nn::Tensor* p : b.parameters()) *p = tensors[t++];
   }
-  for (nn::Tensor* t : fc1_.parameters()) targets.push_back(t);
-  for (nn::Tensor* t : fc2_.parameters()) targets.push_back(t);
-  for (std::size_t i = 0; i < targets.size(); ++i) *targets[i] = tensors[i];
+  for (nn::Dense* fc : {&fc1_, &fc2_}) {
+    fc->set_weight(tensors[t++]);
+    *fc->parameters()[1] = tensors[t++];
+  }
   return true;
 }
 

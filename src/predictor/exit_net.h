@@ -50,12 +50,14 @@ class StallExitNet {
 
   nn::ParamSet param_set();
 
-  /// Weight (de)serialization for checkpointing.
-  std::vector<const nn::Tensor*> weights() const;
+  /// Weight (de)serialization for checkpointing: copies of every tensor,
+  /// (kernel, bias) per branch, then fc1 and fc2, each fc weight as
+  /// [out, in] (nn::Dense::weight(); the layers store it input-major).
+  std::vector<nn::Tensor> weights() const;
   /// Checks that `tensors` fit this architecture in the order of weights():
   /// the tensor count, every shape, and every value finite. Returns kCorrupt
   /// naming the first misfit. Finite weights are also what makes the batched
-  /// kernels' zero-column skip exact (nn::Dense::forward_batch).
+  /// kernels' zero-input skip exact (nn::Dense::forward_batch).
   static Status validate_weights(const std::vector<nn::Tensor>& tensors);
   /// Restore from tensors in the same order as weights(). Fails (returns
   /// false, leaving the net unchanged) unless validate_weights() accepts them.

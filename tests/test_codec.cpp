@@ -33,6 +33,7 @@
 #include "logstore/session_log.h"
 #include "nn/serialize.h"
 #include "obs/timeline.h"
+#include "predictor/exit_net.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
 #include "telemetry/archive.h"
@@ -455,8 +456,23 @@ std::vector<nn::Tensor> golden_tensors() {
 
 TEST(CodecGolden, NetContainerVersion2) {
   const std::vector<nn::Tensor> t = golden_tensors();
-  EXPECT_EQ(hex(nn::serialize_model(nn::kModelKindStallExitNet, {&t[0], &t[1]})),
+  EXPECT_EQ(hex(nn::serialize_model(nn::kModelKindStallExitNet, t)),
             kModelContainerHex);
+}
+
+// The stall-exit net's container pins the tensor order on the wire: every
+// fc weight as [out, in] (nn::Dense stores it input-major), and the He-init
+// draws in that same order. Size and CRC-32 of StallExitNet(Rng(4242))'s
+// container, captured before the layer changed its storage order. The CRC
+// leaves out the frame's CRC trailer: a CRC over bytes that end in their own
+// CRC is the same for every payload of one length.
+TEST(CodecGolden, StallExitNetWireOrder) {
+  Rng rng(4242);
+  const predictor::StallExitNet net(rng);
+  const std::vector<unsigned char> bytes =
+      nn::serialize_model(nn::kModelKindStallExitNet, net.weights());
+  ASSERT_EQ(bytes.size(), 833840u);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size() - 4), 0xff0da427u);
 }
 
 // ---------------------------------------------------------------------------
@@ -956,7 +972,7 @@ TEST(NetContainer, VersionOneBytesAreCorrupt) {
   append_frame(v1, "LXNC", 1, payload);
   expect_corrupt(decode_model(v1), "LXNC version 1");
   const auto round = nn::deserialize_model(
-      nn::kModelKindStallExitNet, nn::serialize_model(nn::kModelKindStallExitNet, {&t[0]}));
+      nn::kModelKindStallExitNet, nn::serialize_model(nn::kModelKindStallExitNet, {t[0]}));
   ASSERT_TRUE(round.has_value());
   EXPECT_EQ((*round)[0][1], -2.5);
 }
@@ -964,7 +980,7 @@ TEST(NetContainer, VersionOneBytesAreCorrupt) {
 TEST(NetContainer, WriteFileIsAtomic) {
   const std::vector<nn::Tensor> t = golden_tensors();
   const std::string path = temp_path("weights.lxnw");
-  ASSERT_TRUE(write_file(path, nn::serialize_model(nn::kModelKindStallExitNet, {&t[0], &t[1]}))
+  ASSERT_TRUE(write_file(path, nn::serialize_model(nn::kModelKindStallExitNet, t))
                   .ok());
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_EQ(hex(file_bytes(path)), kModelContainerHex);
@@ -975,7 +991,7 @@ TEST(NetContainer, WriteFileIsAtomic) {
   EXPECT_TRUE((*loaded)[1].same_shape(t[1]));
   const auto missing =
       write_file(temp_path("no_such_dir") + "/w.lxnw",
-                 nn::serialize_model(nn::kModelKindStallExitNet, {&t[0]}));
+                 nn::serialize_model(nn::kModelKindStallExitNet, {t[0]}));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.error().code, Error::Code::kIo);
 }

@@ -64,12 +64,11 @@ TEST(Tensor, Concat) {
 TEST(Dense, ForwardKnownWeights) {
   Rng rng(1);
   Dense d(2, 2, rng);
-  // Overwrite weights deterministically: W = [[1,2],[3,4]], b = [0.5, -0.5].
+  // Overwrite weights deterministically: W = [[1,2],[3,4]] in the [out, in]
+  // order set_weight() takes, b = [0.5, -0.5].
+  d.set_weight(Tensor({2, 2}, {1.0, 2.0, 3.0, 4.0}));
+  EXPECT_EQ(d.weight().at(1, 0), 3.0);
   auto params = d.parameters();
-  (*params[0])[0] = 1.0;
-  (*params[0])[1] = 2.0;
-  (*params[0])[2] = 3.0;
-  (*params[0])[3] = 4.0;
   (*params[1])[0] = 0.5;
   (*params[1])[1] = -0.5;
   const Tensor y = d.forward(Tensor::vector({1.0, 1.0}));
@@ -260,7 +259,7 @@ constexpr std::uint32_t kTestKind = 100;
 TEST(Serialize, RoundTrip) {
   Tensor a = Tensor::vector({1.5, -2.5, 3.25});
   Tensor b({2, 2}, {1.0, 2.0, 3.0, 4.0});
-  const auto bytes = serialize_model(kTestKind, {&a, &b});
+  const auto bytes = serialize_model(kTestKind, {a, b});
   const auto restored = deserialize_model(kTestKind, bytes);
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), 2u);
@@ -272,7 +271,7 @@ TEST(Serialize, RoundTrip) {
 
 TEST(Serialize, DetectsCorruption) {
   Tensor a = Tensor::vector({1.0, 2.0});
-  auto bytes = serialize_model(kTestKind, {&a});
+  auto bytes = serialize_model(kTestKind, {a});
   bytes[bytes.size() / 2] ^= 0xff;
   const auto r = deserialize_model(kTestKind, bytes);
   ASSERT_FALSE(r.has_value());
@@ -281,14 +280,14 @@ TEST(Serialize, DetectsCorruption) {
 
 TEST(Serialize, DetectsTruncation) {
   Tensor a = Tensor::vector({1.0, 2.0, 3.0});
-  auto bytes = serialize_model(kTestKind, {&a});
+  auto bytes = serialize_model(kTestKind, {a});
   bytes.resize(bytes.size() - 8);
   EXPECT_FALSE(deserialize_model(kTestKind, bytes).has_value());
 }
 
 TEST(Serialize, DetectsBadMagic) {
   Tensor a = Tensor::vector({1.0});
-  auto bytes = serialize_model(kTestKind, {&a});
+  auto bytes = serialize_model(kTestKind, {a});
   bytes[0] = 'X';
   EXPECT_FALSE(deserialize_model(kTestKind, bytes).has_value());
 }
@@ -296,7 +295,7 @@ TEST(Serialize, DetectsBadMagic) {
 TEST(Serialize, FileRoundTrip) {
   Tensor a = Tensor::vector({9.0, 8.0});
   const std::string path = ::testing::TempDir() + "/lingxi_nn_weights.bin";
-  ASSERT_TRUE(write_file(path, serialize_model(kTestKind, {&a})).ok());
+  ASSERT_TRUE(write_file(path, serialize_model(kTestKind, {a})).ok());
   const auto bytes = read_file(path);
   ASSERT_TRUE(bytes.has_value());
   const auto r = deserialize_model(kTestKind, *bytes);
@@ -308,15 +307,14 @@ TEST(SerializeModel, RoundTripIsBitwise) {
   Rng rng(11);
   Dense dense(7, 3, rng);
   Conv1D conv(2, 5, 3, rng);
-  const std::vector<const Tensor*> src = {&dense.weight(), &dense.bias(), &conv.weight(),
-                                          &conv.bias()};
+  const std::vector<Tensor> src = {dense.weight(), dense.bias(), conv.weight(), conv.bias()};
   const auto restored = deserialize_model(kTestKind, serialize_model(kTestKind, src));
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), src.size());
   for (std::size_t t = 0; t < src.size(); ++t) {
-    ASSERT_TRUE((*restored)[t].same_shape(*src[t]));
-    for (std::size_t i = 0; i < src[t]->size(); ++i) {
-      EXPECT_EQ((*restored)[t][i], (*src[t])[i]) << "tensor " << t << " element " << i;
+    ASSERT_TRUE((*restored)[t].same_shape(src[t]));
+    for (std::size_t i = 0; i < src[t].size(); ++i) {
+      EXPECT_EQ((*restored)[t][i], src[t][i]) << "tensor " << t << " element " << i;
     }
   }
 }
@@ -338,7 +336,7 @@ TEST(SerializeModel, RejectsKindMismatch) {
   Rng rng(14);
   Dense dense(4, 2, rng);
   // Weights saved under one kind tag must not load as another model's.
-  const auto bytes = serialize_model(kTestKind, {&dense.weight(), &dense.bias()});
+  const auto bytes = serialize_model(kTestKind, {dense.weight(), dense.bias()});
   const auto r = deserialize_model(kTestKind + 1, bytes);
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().code, Error::Code::kCorrupt);
@@ -347,7 +345,7 @@ TEST(SerializeModel, RejectsKindMismatch) {
 TEST(SerializeModel, RejectsCrcFlip) {
   Rng rng(16);
   Conv1D layer(1, 3, 2, rng);
-  auto bytes = serialize_model(kTestKind, {&layer.weight(), &layer.bias()});
+  auto bytes = serialize_model(kTestKind, {layer.weight(), layer.bias()});
   bytes[bytes.size() / 2] ^= 0x10;
   const auto r = deserialize_model(kTestKind, bytes);
   ASSERT_FALSE(r.has_value());

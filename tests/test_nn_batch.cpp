@@ -6,12 +6,12 @@
 // fleet checksums identical to the scalar path (Low & Lapsley's lesson:
 // "equivalent" reformulations drift unless parity is pinned exactly).
 //
-// Batch sizes cover 1, 2, 7 (odd remainder against the 8-row block of
-// Dense::forward_batch), 64, and the empty batch. Every batched-kernel test
-// runs under each dense ISA the host supports (for_each_isa), so a plain
-// test run covers every dispatchable kernel. The exactness section below
-// adds the sparse inputs the panel kernels skip columns on, and the
-// stall-exit net's outputs pinned as hex literals. The hybrid predictor's
+// Batch sizes cover 1, 2, 7, 64, and the empty batch. Every batched-kernel
+// test runs under each dense ISA the host supports (for_each_isa), so a
+// plain test run covers both builds of every kernel. The exactness section
+// below adds the sparse inputs the dense kernel skips zero inputs on, output
+// widths that hit every tail of its output blocks, and the stall-exit net's
+// outputs pinned as hex literals. The hybrid predictor's
 // batched path is ExitQueryPool::flush, checked against predict().
 #include <gtest/gtest.h>
 
@@ -48,8 +48,7 @@ std::vector<double> random_values(std::size_t n, Rng& rng, double lo = -2.0,
 template <typename Body>
 void for_each_isa(Body body) {
   const nn::DenseIsa before = nn::dense_isa();
-  for (const nn::DenseIsa isa :
-       {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
+  for (const nn::DenseIsa isa : {nn::DenseIsa::kBaseline, nn::DenseIsa::kAvx2}) {
     if (!nn::dense_isa_supported(isa)) continue;
     nn::set_dense_isa_for_testing(isa);
     body(isa);
@@ -102,12 +101,10 @@ TEST(DenseBatch, StridedViewsMatchContiguous) {
   });
 }
 
-TEST(DenseBatch, SimdPanelKernelBitwiseParity) {
-  // Batches of >= 8 rows route full blocks through the SIMD panel kernel
-  // (lanes across rows, interleaved panel loads); tails fall back to the
-  // scalar block templates. Parity must hold bitwise at sizes that mix both
-  // paths and at an in_features large enough to exercise long accumulation
-  // chains (the fc1-like shape where the kernel matters).
+TEST(DenseBatch, LongRowsBitwiseParity) {
+  // Parity must hold bitwise at larger batches and at an in_features large
+  // enough to exercise long accumulation chains (the fc1-like shape where
+  // the kernel matters); 11 outputs end in a vector tail and a scalar one.
   Rng rng(77);
   constexpr std::size_t kIn = 57, kOut = 11;
   nn::Dense layer(kIn, kOut, rng);
@@ -130,10 +127,9 @@ TEST(DenseBatch, SimdPanelKernelBitwiseParity) {
   }
 }
 
-TEST(DenseBatch, SimdPanelKernelStridedViews) {
-  // The panel gather reads through the view's row stride; strided input and
-  // output must match the contiguous result exactly, including the 8-row
-  // SIMD block (9 rows = one SIMD block + one scalar tail row).
+TEST(DenseBatch, StridedViewsAtWiderRows) {
+  // The kernel reads and writes each row through the view's stride; strided
+  // input and output must match forward() exactly.
   Rng rng(78);
   constexpr std::size_t kIn = 19, kOut = 6, kBatch = 9;
   constexpr std::size_t kInStride = 23, kOutStride = 10;
@@ -155,29 +151,29 @@ TEST(DenseBatch, SimdPanelKernelStridedViews) {
 }
 
 TEST(DenseBatch, ForcedIsaBitwiseParity) {
-  // Every dispatchable ISA must produce byte-identical outputs: lanes run
-  // across batch rows, never along the reduction, so changing the vector
-  // width changes nothing about any row's accumulation order. Sweeps every
-  // supported ISA (skipping unsupported ones) over batch sizes covering the
-  // scalar path, padded partial panels (2..7 rows) and full 8-row panels,
-  // then restores the dispatch default.
+  // Both ISAs must produce byte-identical outputs: lanes run across outputs,
+  // never along the reduction, so changing the vector width changes nothing
+  // about any output's accumulation order. The output widths hit every tail
+  // of both builds' output blocks (32 outputs per block in the baseline
+  // build, 64 in the AVX2 one, then whole vectors, then scalars), then the
+  // dispatch default is restored.
   const nn::DenseIsa before = nn::dense_isa();
   Rng rng(91);
-  constexpr std::size_t kIn = 160, kOut = 17;
-  nn::Dense layer(kIn, kOut, rng);
-  for (const std::size_t batch : {1, 2, 5, 8, 9, 24, 63}) {
-    const std::vector<double> in = random_values(batch * kIn, rng);
-    ASSERT_EQ(nn::set_dense_isa_for_testing(nn::DenseIsa::kScalar),
-              nn::DenseIsa::kScalar);
-    std::vector<double> want(batch * kOut, -1.0);
-    layer.forward_batch({in.data(), batch, kIn}, {want.data(), batch, kOut});
-    for (const nn::DenseIsa isa : {nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
-      if (!nn::dense_isa_supported(isa)) continue;
-      ASSERT_EQ(nn::set_dense_isa_for_testing(isa), isa);
-      std::vector<double> got(batch * kOut, -2.0);
-      layer.forward_batch({in.data(), batch, kIn}, {got.data(), batch, kOut});
-      for (std::size_t i = 0; i < batch * kOut; ++i) {
-        ASSERT_EQ(got[i], want[i]) << nn::dense_isa_name(isa) << " batch " << batch
+  constexpr std::size_t kIn = 160;
+  for (const std::size_t out : {2, 17, 31, 37, 64, 70}) {
+    nn::Dense layer(kIn, out, rng);
+    for (const std::size_t batch : {1, 2, 5, 8, 9, 24, 63}) {
+      const std::vector<double> in = random_values(batch * kIn, rng);
+      ASSERT_EQ(nn::set_dense_isa_for_testing(nn::DenseIsa::kBaseline),
+                nn::DenseIsa::kBaseline);
+      std::vector<double> want(batch * out, -1.0);
+      layer.forward_batch({in.data(), batch, kIn}, {want.data(), batch, out});
+      if (!nn::dense_isa_supported(nn::DenseIsa::kAvx2)) continue;
+      ASSERT_EQ(nn::set_dense_isa_for_testing(nn::DenseIsa::kAvx2), nn::DenseIsa::kAvx2);
+      std::vector<double> got(batch * out, -2.0);
+      layer.forward_batch({in.data(), batch, kIn}, {got.data(), batch, out});
+      for (std::size_t i = 0; i < batch * out; ++i) {
+        ASSERT_EQ(got[i], want[i]) << "avx2 outputs " << out << " batch " << batch
                                    << " element " << i;
       }
     }
@@ -187,13 +183,11 @@ TEST(DenseBatch, ForcedIsaBitwiseParity) {
 
 TEST(DenseIsa, ClampsToSupportAndReportsNames) {
   const nn::DenseIsa before = nn::dense_isa();
-  EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kScalar), "scalar");
-  EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kSse2), "sse2");
+  EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kBaseline), "baseline");
   EXPECT_STREQ(nn::dense_isa_name(nn::DenseIsa::kAvx2), "avx2");
-  EXPECT_TRUE(nn::dense_isa_supported(nn::DenseIsa::kScalar));
+  EXPECT_TRUE(nn::dense_isa_supported(nn::DenseIsa::kBaseline));
   // Requesting any ISA yields a supported one no wider than the request.
-  for (const nn::DenseIsa isa :
-       {nn::DenseIsa::kScalar, nn::DenseIsa::kSse2, nn::DenseIsa::kAvx2}) {
+  for (const nn::DenseIsa isa : {nn::DenseIsa::kBaseline, nn::DenseIsa::kAvx2}) {
     const nn::DenseIsa got = nn::set_dense_isa_for_testing(isa);
     EXPECT_TRUE(nn::dense_isa_supported(got));
     EXPECT_LE(static_cast<int>(got), static_cast<int>(isa));
@@ -252,8 +246,8 @@ TEST(StallExitNetBatch, BitwiseParityAcrossBatchSizes) {
 }
 
 // ------------------------------------------------------------ exactness --
-// The panel kernels drop input columns that are exactly zero in every row of
-// a block and size the AVX2 panel to the block. These tests compare bit
+// The dense kernel drops each row's inputs that are exactly zero and runs the
+// outputs in blocks, whole vectors and scalar tails. These tests compare bit
 // patterns (EXPECT_EQ on doubles would accept -0.0 == +0.0) under every
 // supported ISA.
 
@@ -262,8 +256,9 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 enum class ZeroPattern { kWholeColumns, kScattered };
 
 /// rows x cols inputs in [-2, 2] with a `zero_fraction` share of exact
-/// zeros: either whole columns (zero in every row, the kind the panel pack
-/// skips) or scattered elements. Every other zero is -0.0.
+/// zeros: either whole columns (zero in every row, like the inputs the
+/// stall-exit net's branch ReLUs zero) or scattered elements. Every other
+/// zero is -0.0.
 std::vector<double> sparse_inputs(std::size_t rows, std::size_t cols, double zero_fraction,
                                   ZeroPattern pattern, Rng& rng) {
   std::vector<double> v = random_values(rows * cols, rng);
@@ -283,33 +278,37 @@ std::vector<double> sparse_inputs(std::size_t rows, std::size_t cols, double zer
 }
 
 TEST(DenseBatchExactness, SparseInputsMatchForwardBitwise) {
+  // The output widths hit every tail of both ISAs' output blocks.
   Rng rng(2027);
-  constexpr std::size_t kIn = 96, kOut = 13;
-  nn::Dense zero_bias(kIn, kOut, rng);
-  nn::Dense random_bias(kIn, kOut, rng);
-  nn::Tensor& bias = *random_bias.parameters()[1];
-  for (std::size_t o = 0; o < kOut; ++o) bias[o] = rng.uniform(-1.0, 1.0);
+  constexpr std::size_t kIn = 96;
   constexpr std::size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 64};
-  for (nn::Dense* layer : {&zero_bias, &random_bias}) {
-    for (const ZeroPattern pattern : {ZeroPattern::kWholeColumns, ZeroPattern::kScattered}) {
-      for (const double fraction : {0.0, 0.5, 0.9, 1.0}) {
-        for (const std::size_t rows : kRows) {
-          const std::vector<double> in = sparse_inputs(rows, kIn, fraction, pattern, rng);
-          std::vector<double> want;
-          for (std::size_t b = 0; b < rows; ++b) {
-            const nn::Tensor out = layer->forward(
-                nn::Tensor({kIn}, {in.begin() + b * kIn, in.begin() + (b + 1) * kIn}));
-            for (std::size_t o = 0; o < kOut; ++o) want.push_back(out[o]);
-          }
-          for_each_isa([&](nn::DenseIsa isa) {
-            std::vector<double> got(rows * kOut, -1.0);
-            layer->forward_batch({in.data(), rows, kIn}, {got.data(), rows, kOut});
-            for (std::size_t i = 0; i < rows * kOut; ++i) {
-              ASSERT_EQ(bits(got[i]), bits(want[i]))
-                  << nn::dense_isa_name(isa) << " rows " << rows << " zero fraction "
-                  << fraction << " pattern " << static_cast<int>(pattern) << " element " << i;
+  for (const std::size_t out : {2, 13, 31, 37, 64, 70}) {
+    nn::Dense zero_bias(kIn, out, rng);
+    nn::Dense random_bias(kIn, out, rng);
+    nn::Tensor& bias = *random_bias.parameters()[1];
+    for (std::size_t o = 0; o < out; ++o) bias[o] = rng.uniform(-1.0, 1.0);
+    for (nn::Dense* layer : {&zero_bias, &random_bias}) {
+      for (const ZeroPattern pattern : {ZeroPattern::kWholeColumns, ZeroPattern::kScattered}) {
+        for (const double fraction : {0.0, 0.5, 0.9, 1.0}) {
+          for (const std::size_t rows : kRows) {
+            const std::vector<double> in = sparse_inputs(rows, kIn, fraction, pattern, rng);
+            std::vector<double> want;
+            for (std::size_t b = 0; b < rows; ++b) {
+              const nn::Tensor y = layer->forward(
+                  nn::Tensor({kIn}, {in.begin() + b * kIn, in.begin() + (b + 1) * kIn}));
+              for (std::size_t o = 0; o < out; ++o) want.push_back(y[o]);
             }
-          });
+            for_each_isa([&](nn::DenseIsa isa) {
+              std::vector<double> got(rows * out, -1.0);
+              layer->forward_batch({in.data(), rows, kIn}, {got.data(), rows, out});
+              for (std::size_t i = 0; i < rows * out; ++i) {
+                ASSERT_EQ(bits(got[i]), bits(want[i]))
+                    << nn::dense_isa_name(isa) << " outputs " << out << " rows " << rows
+                    << " zero fraction " << fraction << " pattern "
+                    << static_cast<int>(pattern) << " element " << i;
+              }
+            });
+          }
         }
       }
     }
@@ -317,7 +316,7 @@ TEST(DenseBatchExactness, SparseInputsMatchForwardBitwise) {
 }
 
 TEST(DenseBatchExactness, NegativeZeroBiasDiffersOnlyInTheSignOfZero) {
-  // The one difference the column skip allows: with a -0.0 bias and an
+  // The one difference the zero-input skip allows: with a -0.0 bias and an
   // all-zero input row, forward() adds w*(+0) terms and can land on +0.0
   // while a skipped column leaves the -0.0 bias untouched. Both compare
   // equal, and the ReLU after fc1 (and the softmax after fc2) map either

@@ -169,8 +169,7 @@ TEST(StallExitNet, LoadRejectsWrongShapes) {
 TEST(StallExitNet, ValidateWeightsChecksCountShapesAndFiniteness) {
   Rng rng(8);
   StallExitNet net(rng);
-  std::vector<nn::Tensor> tensors;
-  for (const nn::Tensor* t : net.weights()) tensors.push_back(*t);
+  const std::vector<nn::Tensor> tensors = net.weights();
   EXPECT_TRUE(StallExitNet::validate_weights(tensors).ok());
 
   std::vector<nn::Tensor> short_list(tensors.begin(), tensors.end() - 1);

@@ -715,8 +715,7 @@ const Row kRows[] = {
     // Dense-kernel ISA dispatch, and the health plane switched off.
     {&kLingxi2d,
      Sweep::kHigh,
-     {{.isa = nn::DenseIsa::kScalar}, {.isa = nn::DenseIsa::kSse2}, {.isa = nn::DenseIsa::kAvx2},
-      {.obs = false}}},
+     {{.isa = nn::DenseIsa::kBaseline}, {.isa = nn::DenseIsa::kAvx2}, {.obs = false}}},
     {&kLingxi2d, Sweep::kReference, {{.obs = false}}},
     // Resumed from disk at D = 2, the health plane restarted with each leg.
     {&kLingxi4d, Sweep::kCorners, {split(Split::kDisk, 2)}},

@@ -370,8 +370,7 @@ TEST(SnapshotDisk, RejectsNetContainerThatDoesNotFitTheNet) {
   // blob to a resumed predictor factory, which cannot report an error.
   const SavedLeg leg = save_leg(fresh_dir("net-fit"));
   const auto original = predictor_factory(4242)();
-  std::vector<nn::Tensor> weights;
-  for (const nn::Tensor* t : original.net().weights()) weights.push_back(*t);
+  const std::vector<nn::Tensor> weights = original.net().weights();
   ASSERT_TRUE(predictor::StallExitNet::validate_weights(weights).ok());
 
   const nn::Tensor one({1, 1});
@@ -379,15 +378,10 @@ TEST(SnapshotDisk, RejectsNetContainerThatDoesNotFitTheNet) {
   wrong_shape[2] = nn::Tensor({64, 1, 3});  // branch 1's kernel, one tap short
   std::vector<nn::Tensor> nan_weight = weights;
   nan_weight.back()[1] = std::numeric_limits<double>::quiet_NaN();
-  const auto pointers = [](const std::vector<nn::Tensor>& v) {
-    std::vector<const nn::Tensor*> out;
-    for (const nn::Tensor& t : v) out.push_back(&t);
-    return out;
-  };
-  const std::pair<const char*, std::vector<const nn::Tensor*>> cases[] = {
-      {"wrong-count", {&one}},
-      {"wrong-shape", pointers(wrong_shape)},
-      {"nan-weight", pointers(nan_weight)},
+  const std::pair<const char*, std::vector<nn::Tensor>> cases[] = {
+      {"wrong-count", {one}},
+      {"wrong-shape", wrong_shape},
+      {"nan-weight", nan_weight},
   };
   for (const auto& [name, tensors] : cases) {
     snapshot::RunConstants run = leg.run;
