@@ -43,7 +43,8 @@ void ablate_mc_samples(const bench::TrainedPredictor& predictor) {
   }
   std::printf("%-10s %-14s %-14s\n", "samples", "mean R_exit", "sd across runs");
   const auto exit_predictor = predictor.make();
-  const predictor::BatchPredictorExitEvaluator exits(exit_predictor, state, 1.0);
+  predictor::ExitFlushScratch scratch;
+  const predictor::BatchPredictorExitEvaluator exits(exit_predictor, state, 1.0, scratch);
   for (std::size_t samples : {2, 4, 8, 16, 32, 64}) {
     sim::MonteCarloConfig mc;
     mc.samples = samples;

@@ -25,8 +25,8 @@
 // histograms) and --trace-out a Chrome trace_event JSON of the instrumented
 // spans. Tracing also arms an AutoCheckpointer on the treatment arm (one
 // mid-run checkpoint under the archive dir) so the trace exercises the
-// checkpoint.commit span alongside wave.flush and obo.refit — the shape the
-// CI smoke validates.
+// checkpoint.commit span alongside predictor.flush and obo.refit — the shape
+// the CI smoke validates.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

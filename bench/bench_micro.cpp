@@ -99,7 +99,7 @@ BENCHMARK(BM_DenseForwardBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(64)->Arg(512);
 // The same fc1 shape under each dispatchable ISA (args: isa, rows, zero %):
 // 0 = baseline (16-byte vectors), 1 = avx2. The zero share is of whole input
 // columns, zero in every row: the kind the branch ReLUs produce (about 40% of
-// fc1's inputs in a pooled flush). Zero inputs are skipped per row, not per
+// fc1's inputs in a flush). Zero inputs are skipped per row, not per
 // block of rows. Both builds are bitwise identical (lanes across outputs).
 void BM_DenseForwardBatchIsa(benchmark::State& state) {
   const auto requested = static_cast<nn::DenseIsa>(state.range(0));
@@ -135,8 +135,8 @@ void BM_DenseForwardBatchIsa(benchmark::State& state) {
 BENCHMARK(BM_DenseForwardBatchIsa)
     ->ArgsProduct({{0, 1}, {1, 8, 64}, {0, 50}});
 
-// StallExitNet::predict_batch, the pooled forward of one wave flush (arg:
-// rows; a lowbw fleet averages about 10 rows per flush). Features are
+// StallExitNet::predict_batch, the forward of one exit-query flush (arg:
+// rows; a lowbw fleet averages about 4 rows per flush). Features are
 // uniform in [0, 1] with short histories zero-padded on the left, as
 // EngagementState::write_features emits them, so the branch ReLUs leave the
 // realistic share of zero columns for fc1.
@@ -177,18 +177,19 @@ void BM_ExitNetInference(benchmark::State& state) {
 }
 BENCHMARK(BM_ExitNetInference);
 
-// One candidate evaluation (Algorithm 2) on the wave engine, as the fleet
-// runs it (args: samples, lockstep batch). Batch 1 is a wave of one — every
-// stalled exit query pays a 1-row forward; batch 16 pools a wave's stalled
-// queries into one net forward. Results are bitwise identical across batch
-// sizes, so the gap is pure inference amortization.
+// One candidate evaluation (Algorithm 2), as the fleet runs it (args:
+// samples, lockstep batch). Batch 1 runs one rollout at a time — every
+// stalled exit query pays a 1-row forward; batch 16 gathers a lockstep
+// step's stalled queries into one net forward. Results are bitwise
+// identical across batch sizes, so the gap is pure inference amortization.
 void BM_MonteCarloEvaluation(benchmark::State& state) {
   Rng rng(3);
   const predictor::HybridExitPredictor predictor(
       std::make_shared<predictor::StallExitNet>(rng),
       std::make_shared<predictor::OverallStatsModel>());
   predictor::EngagementState seed;
-  const predictor::BatchPredictorExitEvaluator exits(predictor, seed, 1.0);
+  predictor::ExitFlushScratch scratch;
+  const predictor::BatchPredictorExitEvaluator exits(predictor, seed, 1.0, scratch);
 
   sim::MonteCarloConfig mc;
   mc.samples = static_cast<std::size_t>(state.range(0));

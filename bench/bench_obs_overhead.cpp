@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
   const auto trained = bench::train_predictor(91, smoke ? 0.1 : 0.25);
   const auto predictor_factory = [&] { return trained.make(); };
 
-  // A LingXi treatment fleet, batched inference on the cross-user cohort
-  // schedule — the hottest instrumented path (session stepping, wave
-  // flushes, GP refits, acquisition evals all fire).
+  // A LingXi treatment fleet with batched rollout inference — the hottest
+  // instrumented path (session stepping, exit-net flushes, GP refits,
+  // acquisition evals all fire).
   sim::FleetConfig cfg;
   // Smoke keeps 32 users: small enough for CI, large enough that per-rep
   // walls dwarf scheduler jitter on a single-core runner.

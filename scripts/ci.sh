@@ -44,7 +44,7 @@
 #   * observability smokes: the fig12 run above also dumps the obs metrics
 #     registry (--metrics-json) and a Chrome trace (--trace-out), validated
 #     here with python3 — both files must parse as JSON and the trace must
-#     contain wave.flush, obo.refit and checkpoint.commit spans; and in
+#     contain predictor.flush, obo.refit and checkpoint.commit spans; and in
 #     Release builds bench_obs_overhead gates the obs fast path, exiting
 #     non-zero if enabling the full health plane costs more than 3% in
 #     sessions per CPU-second (best-of-N per arm, alternating off/on pairs);
@@ -59,13 +59,13 @@
 #     correctness check (4-thread checksum equal to 1-thread, replay equal to
 #     live, checkpoint recovery), then scripts/check_smoke_pins.py compares
 #     its checksums, QoE values and exact work counters (exit-net queries and
-#     flushes, rollout segments, pruned rollouts, GP observes, wave
+#     flushes, rollout segments, pruned rollouts, GP observes, flush
 #     occupancy, archive and checkpoint bytes) with scripts/smoke_pins.json
 #     by exact equality. A copy of the result with one counter moved must
 #     fail the checker, so the gate is shown to bite on every run;
 #   * the micro-benchmarks (Release, when Google Benchmark was found):
 #     bench_micro filtered to BM_MonteCarloEvaluation — one Algorithm-2
-#     evaluation on the wave engine at batch 1 and 16 — and to the pooled
+#     evaluation at lockstep batch 1 and 16 — and to the batched
 #     exit-net forward (BM_DenseForwardBatch*, BM_PredictBatch) and to CRC-32
 #     beside memcpy (BM_Crc32, BM_Memcpy at 64 B, 4 KiB and 1 MiB), with their
 #     JSON kept under ${BUILD_DIR}/smoke/ (micro_montecarlo.json,
@@ -188,7 +188,7 @@ echo "capture->replay smoke OK: $(ls "${SMOKE_DIR}/fig12-archives")"
 
 # Observability output validation: the metrics dump and the Chrome trace must
 # both be well-formed JSON, and the trace must cover the three span families
-# the layer instruments end to end (shard wave flushes, Bayesian-optimizer
+# the layer instruments end to end (exit-net flushes, Bayesian-optimizer
 # refits, snapshot checkpoint commits).
 python3 - "${SMOKE_DIR}/fig12_metrics.json" "${SMOKE_DIR}/fig12_trace.json" <<'PYEOF'
 import json, sys
@@ -197,7 +197,7 @@ assert metrics["schema"] == "lingxi.obs.metrics/v1", metrics.get("schema")
 assert metrics["metrics"], "metrics dump is empty"
 trace = json.load(open(sys.argv[2]))
 names = {event["name"] for event in trace["traceEvents"]}
-missing = {"wave.flush", "obo.refit", "checkpoint.commit"} - names
+missing = {"predictor.flush", "obo.refit", "checkpoint.commit"} - names
 assert not missing, f"trace missing spans: {sorted(missing)}"
 print(f"obs smoke OK: {len(metrics['metrics'])} metrics, "
       f"{len(trace['traceEvents'])} trace events, spans {sorted(names)}")
@@ -327,8 +327,8 @@ PYEOF
   fi
   echo "smoke pin gate OK: pins match, a perturbed counter is caught"
 
-  # Micro-benchmarks: Algorithm 2 on the wave engine with the batched
-  # predictor at batch 1 and 16, the pooled exit-net forward (the dense row
+  # Micro-benchmarks: Algorithm 2 with the batched predictor at lockstep
+  # batch 1 and 16, the batched exit-net forward (the dense row
   # kernel per ISA, row count and zero-column share, and predict_batch per
   # flush size), then CRC-32 beside memcpy at the same sizes (the bound of
   # the durable plane's checksum pass).

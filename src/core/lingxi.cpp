@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "common/assert.h"
 #include "obs/metrics.h"
@@ -58,152 +60,107 @@ std::pair<Kbps, Kbps> LingXi::bandwidth_estimate() const {
   return {mean, std::sqrt(var)};
 }
 
-std::unique_ptr<LingXi::OptimizationRun> LingXi::begin_optimization(
-    abr::AbrAlgorithm& abr, Seconds current_buffer, Rng& rng,
-    predictor::ExitQueryPool* pool, std::uint32_t user_tag) {
-  if (!should_optimize()) return nullptr;
+std::optional<abr::QoeParams> LingXi::maybe_optimize(abr::AbrAlgorithm& abr,
+                                                     Seconds current_buffer, Rng& rng,
+                                                     predictor::ExitFlushScratch* scratch) {
+  if (!should_optimize()) return std::nullopt;
   ++stats_.triggers;
   stalls_since_optimization_ = 0;
 
-  auto [bw_mean, bw_sd] = bandwidth_estimate();
-  if (bw_mean <= 0.0) return nullptr;  // no bandwidth signal yet
+  const auto [bw_mean, bw_sd] = bandwidth_estimate();
+  if (bw_mean <= 0.0) return std::nullopt;  // no bandwidth signal yet
 
   // Pre-playback pruning: when mu - 3*sigma clears the ladder top, stall
   // probability is negligible and personalization has nothing to gain.
   if (config_.enable_preplay_pruning && bw_mean - 3.0 * bw_sd > ladder_.max_bitrate()) {
     ++stats_.pruned_preplay;
-    return nullptr;
+    return std::nullopt;
   }
   ++stats_.optimizations_run;
-  return std::unique_ptr<OptimizationRun>(new OptimizationRun(
-      *this, abr, current_buffer, rng, pool, user_tag, bw_mean, bw_sd));
-}
 
-std::optional<abr::QoeParams> LingXi::maybe_optimize(abr::AbrAlgorithm& abr,
-                                                     Seconds current_buffer, Rng& rng) {
-  const auto run = begin_optimization(abr, current_buffer, rng);
-  if (run == nullptr) return std::nullopt;
-  while (!run->step()) {
-  }
-  return current_params_;
-}
+  const sim::MonteCarloEvaluator evaluator(config_.monte_carlo, config_.virtual_session);
+  // One VBR-jittered virtual video shared by every candidate: rollouts see
+  // realistic segment-size spikes while the comparison stays paired.
+  const trace::Video virtual_video =
+      evaluator.make_virtual_video(ladder_, config_.segment_duration, &rng);
+  // One exit-model factory for every candidate: each Monte Carlo rollout
+  // gets a private PredictorExitModel seeded from the live engagement state
+  // (Algorithm 2 line 3); stalled queries park for batched forwards.
+  predictor::ExitFlushScratch local_scratch;
+  const predictor::BatchPredictorExitEvaluator exits(
+      *predictor_, engagement_, config_.segment_duration,
+      scratch != nullptr ? *scratch : local_scratch);
 
-LingXi::OptimizationRun::OptimizationRun(LingXi& owner, abr::AbrAlgorithm& abr,
-                                         Seconds current_buffer, Rng& rng,
-                                         predictor::ExitQueryPool* pool,
-                                         std::uint32_t user_tag, Kbps bw_mean, Kbps bw_sd)
-    : owner_(owner),
-      abr_(abr),
-      rng_(rng),
-      current_buffer_(current_buffer),
-      evaluator_(owner.config_.monte_carlo, owner.config_.virtual_session),
-      // One VBR-jittered virtual video shared by every candidate: rollouts
-      // see realistic segment-size spikes while the comparison stays paired.
-      virtual_video_(
-          evaluator_.make_virtual_video(owner.ladder_, owner.config_.segment_duration, &rng)),
-      // One exit-model factory for every candidate: each Monte Carlo rollout
-      // gets a private PredictorExitModel seeded from the live engagement
-      // state (Algorithm 2 line 3); stalled queries park for batched
-      // forwards, pooled across users when `pool` is set.
-      exit_eval_(*owner.predictor_, owner.engagement_, owner.config_.segment_duration, pool,
-                 user_tag),
-      obo_(owner.config_.space.dimensions(), owner.config_.obo),
-      fixed_mode_(!owner.config_.fixed_candidates.empty()),
-      // Round 0 always evaluates the incumbent (the OBO warm start does this
-      // implicitly; in fixed-candidate mode we prepend it).
-      rounds_(fixed_mode_ ? owner.config_.fixed_candidates.size() + 1
-                          : owner.config_.obo_rounds),
-      best_exit_(std::numeric_limits<double>::infinity()),
-      best_params_(owner.current_params_),
-      incumbent_exit_(std::numeric_limits<double>::infinity()) {
   // OBO.init(x*, N, S, E_player): warm-start from the current parameters —
   // the previous optimum once one exists, the defaults otherwise. The warm
   // start is evaluated first, so on a flat exit-rate landscape the system
   // keeps its current behaviour instead of drifting to an arbitrary point.
-  obo_.warm_start(owner.config_.space.to_unit(owner.current_params_));
+  bayesopt::OnlineBayesOpt obo(config_.space.dimensions(), config_.obo);
+  obo.warm_start(config_.space.to_unit(current_params_));
 
-  const Kbps rollout_mean =
-      std::max(50.0, bw_mean - owner.config_.rollout_pessimism * bw_sd);
-  if (owner.config_.rollout_rho > 0.0) {
+  const Kbps rollout_mean = std::max(50.0, bw_mean - config_.rollout_pessimism * bw_sd);
+  std::unique_ptr<trace::BandwidthModel> bandwidth_model;
+  if (config_.rollout_rho > 0.0) {
     trace::GaussMarkovBandwidth::Config gm;
     gm.mean = rollout_mean;
-    gm.rho = owner.config_.rollout_rho;
+    gm.rho = config_.rollout_rho;
     gm.noise_sd = bw_sd * std::sqrt(std::max(0.0, 1.0 - gm.rho * gm.rho));
     gm.floor = std::max(10.0, 0.05 * rollout_mean);
-    bandwidth_model_ = std::make_unique<trace::GaussMarkovBandwidth>(gm);
+    bandwidth_model = std::make_unique<trace::GaussMarkovBandwidth>(gm);
   } else {
-    bandwidth_model_ =
+    bandwidth_model =
         std::make_unique<trace::NormalBandwidth>(rollout_mean, std::max(0.0, bw_sd));
   }
-}
 
-void LingXi::OptimizationRun::begin_candidate() {
-  if (fixed_mode_) {
-    candidate_ = round_ == 0
-                     ? owner_.current_params_
-                     : owner_.config_.space.clamp(owner_.config_.fixed_candidates[round_ - 1]);
-  } else {
-    x_ = obo_.next_candidate(rng_);
-    candidate_ = owner_.config_.space.from_unit(x_, owner_.config_.default_params);
-  }
-  // Rollout prototype carrying the candidate objective; each rollout clones
-  // it.
-  rollout_abr_ = abr_.clone();
-  rollout_abr_->set_params(candidate_);
-}
-
-double LingXi::OptimizationRun::prune_bound() const noexcept {
-  // The incumbent round is never pruned: its estimate is the adoption
-  // baseline and must be complete.
-  return round_ == 0 ? std::numeric_limits<double>::infinity() : best_exit_;
-}
-
-void LingXi::OptimizationRun::start_wave() {
-  wave_ = std::make_unique<sim::RolloutWave>(evaluator_, virtual_video_, *rollout_abr_,
-                                             exit_eval_, *bandwidth_model_, current_buffer_,
-                                             prune_bound(), rng_);
-}
-
-void LingXi::OptimizationRun::finish_round(const sim::MonteCarloResult& mc) {
-  if (obs::Registry* reg = obs::Registry::active()) {
-    reg->add("core.optimization.rounds");
-    if (mc.pruned) reg->add("core.optimization.rounds_pruned");
-  }
-  ++owner_.stats_.mc_evaluations;
-  if (mc.pruned) ++owner_.stats_.mc_rollouts_pruned;
-  if (round_ == 0) incumbent_exit_ = mc.exit_rate;
-  if (!fixed_mode_) obo_.update(x_, mc.exit_rate);
-  if (mc.exit_rate < best_exit_) {
-    best_exit_ = mc.exit_rate;
-    best_params_ = candidate_;
-  }
-}
-
-void LingXi::OptimizationRun::finish() {
-  // Adopt the challenger only on clear evidence of improvement.
-  if (best_exit_ < incumbent_exit_ * (1.0 - owner_.config_.adoption_margin)) {
-    owner_.current_params_ = best_params_;
-  }
-  owner_.has_optimized_ = true;
-  abr_.set_params(owner_.current_params_);  // ABR.update(x*)
-  done_ = true;
-}
-
-bool LingXi::OptimizationRun::step() {
-  while (!done_) {
-    if (wave_ == nullptr) {
-      begin_candidate();
-      start_wave();
+  // Round 0 always evaluates the incumbent (the OBO warm start does this
+  // implicitly; in fixed-candidate mode we prepend it).
+  const bool fixed_mode = !config_.fixed_candidates.empty();
+  const std::size_t rounds =
+      fixed_mode ? config_.fixed_candidates.size() + 1 : config_.obo_rounds;
+  double best_exit = std::numeric_limits<double>::infinity();
+  abr::QoeParams best_params = current_params_;
+  double incumbent_exit = std::numeric_limits<double>::infinity();
+  for (std::size_t round = 0; round < rounds; ++round) {
+    std::vector<double> x;  // the candidate in unit coordinates (OBO mode)
+    abr::QoeParams candidate;
+    if (fixed_mode) {
+      candidate = round == 0 ? current_params_
+                             : config_.space.clamp(config_.fixed_candidates[round - 1]);
+    } else {
+      x = obo.next_candidate(rng);
+      candidate = config_.space.from_unit(x, config_.default_params);
     }
-    if (!wave_->step()) return false;  // parked on predictor queries
-    // Round boundary: GP observe, then the next candidate's acquisition
-    // sweep (or the adoption decision after the last round).
-    finish_round(wave_->take_result());
-    wave_.reset();
-    rollout_abr_.reset();
-    if (++round_ >= rounds_) finish();
+    // Rollout prototype carrying the candidate objective; each rollout
+    // clones it.
+    const std::unique_ptr<abr::AbrAlgorithm> rollout_abr = abr.clone();
+    rollout_abr->set_params(candidate);
+    // The incumbent round is never pruned: its estimate is the adoption
+    // baseline and must be complete.
+    const double prune_bound = round == 0 ? std::numeric_limits<double>::infinity() : best_exit;
+    const sim::MonteCarloResult mc = evaluator.evaluate_rollouts(
+        virtual_video, *rollout_abr, exits, *bandwidth_model, current_buffer, prune_bound, rng);
+
+    if (obs::Registry* reg = obs::Registry::active()) {
+      reg->add("core.optimization.rounds");
+      if (mc.pruned) reg->add("core.optimization.rounds_pruned");
+    }
+    ++stats_.mc_evaluations;
+    if (mc.pruned) ++stats_.mc_rollouts_pruned;
+    if (round == 0) incumbent_exit = mc.exit_rate;
+    if (!fixed_mode) obo.update(x, mc.exit_rate);
+    if (mc.exit_rate < best_exit) {
+      best_exit = mc.exit_rate;
+      best_params = candidate;
+    }
   }
-  return true;
+
+  // Adopt the challenger only on clear evidence of improvement.
+  if (best_exit < incumbent_exit * (1.0 - config_.adoption_margin)) {
+    current_params_ = best_params;
+  }
+  has_optimized_ = true;
+  abr.set_params(current_params_);  // ABR.update(x*)
+  return current_params_;
 }
 
 LingXi::PersistentState LingXi::persistent_state() const {

@@ -17,14 +17,14 @@
 //   * trigger threshold eta = 2 stall events (Fig. 8 trade-off);
 //   * pre-playback pruning — skip optimization when mu - 3*sigma > Q_max
 //     (stalls are statistically impossible, nothing to personalize);
-//   * virtual-playback pruning — inherited from sim::RolloutWave;
+//   * virtual-playback pruning — inherited from
+//     sim::MonteCarloEvaluator::evaluate_rollouts;
 //   * durable per-user state via persistent_state()/restore_persistent(),
 //     the one form fleet snapshots persist (§4 "Seamless Integration").
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "abr/abr.h"
@@ -110,80 +110,18 @@ class LingXi {
   /// True when the trigger condition (stall_count > eta) holds.
   bool should_optimize() const noexcept;
 
-  /// One OBO round (Algorithm 1 lines 6-20) in resumable form — the one
-  /// optimization loop, behind maybe_optimize() and the fleet's cohort
-  /// waves alike, so a wave scheduler can interleave many users'
-  /// optimizations and pool their predictor flushes. step() advances the
-  /// candidate loop — rollouts, then at each round boundary the GP observe
-  /// and the next candidate's acquisition sweep, inline — until every live
-  /// Monte Carlo rollout has parked an exit query (returns false; with a
-  /// pool, the caller must flush it before the next step()) or the round is
-  /// complete (returns true; the ABR carries the final parameters). The
-  /// result is bitwise identical regardless of how steps interleave with
-  /// other users' runs: every draw comes from this run's own rng and OBO.
-  class OptimizationRun {
-   public:
-    OptimizationRun(const OptimizationRun&) = delete;
-    OptimizationRun& operator=(const OptimizationRun&) = delete;
-
-    /// True when finished; false when parked on predictor queries. Once
-    /// finished, the live ABR carries the adopted parameters
-    /// (LingXi::current_params()).
-    bool step();
-    bool done() const noexcept { return done_; }
-
-   private:
-    friend class LingXi;
-    OptimizationRun(LingXi& owner, abr::AbrAlgorithm& abr, Seconds current_buffer,
-                    Rng& rng, predictor::ExitQueryPool* pool, std::uint32_t user_tag,
-                    Kbps bw_mean, Kbps bw_sd);
-    void start_wave();
-    void finish_round(const sim::MonteCarloResult& mc);
-    void finish();
-
-    /// Candidate-draw half of a round.
-    void begin_candidate();
-    double prune_bound() const noexcept;
-
-    LingXi& owner_;
-    abr::AbrAlgorithm& abr_;
-    Rng& rng_;
-    Seconds current_buffer_;
-    sim::MonteCarloEvaluator evaluator_;
-    trace::Video virtual_video_;
-    std::unique_ptr<trace::BandwidthModel> bandwidth_model_;
-    predictor::BatchPredictorExitEvaluator exit_eval_;
-    bayesopt::OnlineBayesOpt obo_;
-    bool fixed_mode_;
-    std::size_t rounds_;
-    std::size_t round_ = 0;
-    double best_exit_;
-    abr::QoeParams best_params_;
-    double incumbent_exit_;
-    std::vector<double> x_;         ///< current candidate, unit coordinates
-    abr::QoeParams candidate_;
-    std::unique_ptr<abr::AbrAlgorithm> rollout_abr_;
-    std::unique_ptr<sim::RolloutWave> wave_;
-    bool done_ = false;
-  };
-
-  /// Begin an optimization if triggered: the trigger/bandwidth/pre-playback
-  /// checks (and their stats side effects) run immediately; nullptr means no
-  /// optimization happens this session. With `pool`, Monte Carlo exit
-  /// queries park there under (user_tag, rollout, segment) for a fleet-wide
-  /// flush between steps; without one each wave flushes itself.
-  std::unique_ptr<OptimizationRun> begin_optimization(
-      abr::AbrAlgorithm& abr, Seconds current_buffer, Rng& rng,
-      predictor::ExitQueryPool* pool = nullptr, std::uint32_t user_tag = 0);
-
-  /// Run one OBO round to completion if triggered: begin_optimization()
-  /// without a pool, stepped until done — each wave flushes its own parked
-  /// queries. `abr` is the live algorithm: used as the rollout prototype and
-  /// updated in place with the optimized parameters. `current_buffer` seeds
-  /// the virtual player. Returns the new parameters when an optimization
-  /// ran.
+  /// Run one OBO round (Algorithm 1 lines 6-20) if triggered: the
+  /// trigger/bandwidth/pre-playback checks (and their stats side effects),
+  /// then T_s candidate evaluations — the incumbent first, each a Monte Carlo
+  /// evaluate_rollouts() — then the adoption decision. `abr` is the live
+  /// algorithm: used as the rollout prototype and updated in place with the
+  /// optimized parameters. `current_buffer` seeds the virtual player.
+  /// `scratch`, when non-null, holds the exit-net flush buffers across calls
+  /// (the fleet keeps one per worker); null uses buffers local to this call.
+  /// Returns the new parameters when an optimization ran.
   std::optional<abr::QoeParams> maybe_optimize(abr::AbrAlgorithm& abr,
-                                               Seconds current_buffer, Rng& rng);
+                                               Seconds current_buffer, Rng& rng,
+                                               predictor::ExitFlushScratch* scratch = nullptr);
 
   /// -- state ---------------------------------------------------------------
   const abr::QoeParams& current_params() const noexcept { return current_params_; }

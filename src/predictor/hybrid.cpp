@@ -55,13 +55,11 @@ double HybridExitPredictor::combine(const EngagementState& state, double nn_term
 }
 
 PredictorExitModel::PredictorExitModel(HybridExitPredictor predictor,
-                                       EngagementState seed_state, Seconds segment_duration,
-                                       std::uint32_t rollout_tag)
+                                       EngagementState seed_state, Seconds segment_duration)
     : predictor_(std::move(predictor)),
       seed_state_(std::move(seed_state)),
       state_(seed_state_),
-      segment_duration_(segment_duration),
-      rollout_tag_(rollout_tag) {
+      segment_duration_(segment_duration) {
   LINGXI_ASSERT(segment_duration_ > 0.0);
 }
 
@@ -88,157 +86,63 @@ HybridExitPredictor::ExitQuery PredictorExitModel::prepare(const sim::SegmentRec
 }
 
 std::unique_ptr<sim::ExitModel> BatchPredictorExitEvaluator::make_model() const {
-  // Rollout tags count up in make_model() order — rollout order, which is
-  // deterministic — so a parked query's (user, rollout, segment) key names
-  // the same rollout in every replay.
-  return std::make_unique<PredictorExitModel>(predictor_, seed_state_, segment_duration_,
-                                              next_rollout_tag_++);
+  return std::make_unique<PredictorExitModel>(predictor_, seed_state_, segment_duration_);
 }
 
 bool BatchPredictorExitEvaluator::prepare(sim::ExitModel& model,
                                           const sim::SegmentRecord& segment,
                                           double& out) const {
   // Safe: the contract restricts `model` to our make_model() instances.
-  auto& exit_model = static_cast<PredictorExitModel&>(model);
-  const HybridExitPredictor::ExitQuery query = exit_model.prepare(segment);
+  return submit(static_cast<PredictorExitModel&>(model).prepare(segment), out);
+}
+
+bool BatchPredictorExitEvaluator::submit(const HybridExitPredictor::ExitQuery& query,
+                                         double& out) const {
+  LINGXI_DASSERT(query.state != nullptr);
   if (query.stall_time <= HybridExitPredictor::kNnStallThreshold) {
     out = predictor_.predict(query);  // OS-only path, no net forward
     return true;
   }
-  tickets_.push_back(pool_->park(
-      predictor_, query,
-      {user_tag_, exit_model.rollout_tag(), static_cast<std::uint32_t>(segment.index)}));
+  parked_.push_back(query);
   return false;
 }
 
 std::size_t BatchPredictorExitEvaluator::flush(double* out) const {
-  // A caller's pool was already flushed by its owner between waves; our own
-  // is flushed here. The parked queries' state pointers stay valid until
-  // then — parked rollouts do not advance before the flush.
-  if (own_pool_ != nullptr) own_pool_->flush();
-  const std::size_t count = tickets_.size();
-  for (std::size_t i = 0; i < count; ++i) out[i] = pool_->prob(tickets_[i]);
-  tickets_.clear();
-  return count;
-}
-
-void BatchPredictorExitEvaluator::discard_parked() const {
-  for (const std::size_t ticket : tickets_) pool_->discard(ticket);
-  tickets_.clear();
-}
-
-std::size_t ExitQueryPool::park(const HybridExitPredictor& predictor,
-                                const HybridExitPredictor::ExitQuery& query,
-                                QueryTag tag) {
-  LINGXI_DASSERT(query.state != nullptr);
-  pending_.push_back(Entry{query, &predictor, tag});
-  return pending_.size() - 1;
-}
-
-void ExitQueryPool::discard(std::size_t ticket) {
-  LINGXI_ASSERT(ticket < pending_.size());
-  pending_[ticket].predictor = nullptr;
-}
-
-double ExitQueryPool::prob(std::size_t ticket) const {
-  LINGXI_ASSERT(ticket < probs_.size());
-  return probs_[ticket];
-}
-
-void ExitQueryPool::flush() {
   OBS_TIMED("predictor.pool.flush_us");
-  probs_.assign(pending_.size(), 0.0);
-  if (pending_.empty()) return;
+  OBS_SPAN("predictor.flush");
+  const std::size_t count = parked_.size();
+  if (count == 0) return 0;
 
-#ifndef NDEBUG
-  // Determinism bookkeeping check on the (user, rollout, segment) keys: a
-  // rollout parks at most one query per flush (it pauses until resolved),
-  // so the (user, rollout) pairs of live entries must be unique. A repeat
-  // means a rollout advanced past an unresolved query — exactly the bug
-  // class that would make batch composition schedule-dependent.
-  {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pending_.size());
-    for (const Entry& entry : pending_) {
-      if (entry.predictor == nullptr) continue;
-      keys.push_back((static_cast<std::uint64_t>(entry.tag.user) << 32) |
-                     entry.tag.rollout);
-    }
-    std::sort(keys.begin(), keys.end());
-    LINGXI_DASSERT(std::adjacent_find(keys.begin(), keys.end()) == keys.end());
-  }
-#endif
-
-  // Group pending queries per net (stable first-seen order; park order
-  // within a group). One shard usually holds one net — every user shares
-  // the shard predictor's copy — so this is typically a single group; it
-  // stays correct when users carry genuinely private (fine-tuned) nets.
-  // groups_ entries persist across flushes (only the first `group_count`
-  // are live) so the member index vectors keep their capacity.
-  std::size_t group_count = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const Entry& entry = pending_[i];
-    if (entry.predictor == nullptr) continue;  // discarded by pruning
-    const StallExitNet* net = &entry.predictor->net();
-    NetGroup* group = nullptr;
-    for (std::size_t g = 0; g < group_count; ++g) {
-      if (groups_[g].net == net) {
-        group = &groups_[g];
-        break;
-      }
-    }
-    if (group == nullptr) {
-      if (group_count == groups_.size()) groups_.emplace_back();
-      group = &groups_[group_count++];
-      group->net = net;
-      group->members.clear();
-    }
-    group->members.push_back(i);
-  }
-
+  // Gather the feature matrix and run one batched forward. Every parked
+  // query is a stalled one, so each row needs the net; the parked queries'
+  // state pointers stay valid because their rollouts wait for this flush.
   constexpr std::size_t kFeatureLen = kChannels * kHistoryLen;
-  std::uint64_t evaluated = 0;
-  std::uint64_t batches = 0;
-  for (std::size_t g = 0; g < group_count; ++g) {
-    NetGroup& group = groups_[g];
-    // Gather the group's feature matrix and run one batched forward. Every
-    // parked query is a stalled one (prepare() resolves sub-perceptual
-    // stalls inline), so each row needs the net.
-    features_.resize(group.members.size() * kFeatureLen);
-    for (std::size_t j = 0; j < group.members.size(); ++j) {
-      const Entry& entry = pending_[group.members[j]];
-      LINGXI_DASSERT(entry.query.stall_time > HybridExitPredictor::kNnStallThreshold);
-      entry.query.state->write_features(features_.data() + j * kFeatureLen);
-    }
-    nn_terms_.resize(group.members.size());
-    group.net->predict_batch({features_.data(), group.members.size(), kFeatureLen},
-                             nn_terms_.data(), &ws_);
-    // Per-query tail through the query's own predictor (OS lookup + blend),
-    // bitwise identical to predict().
-    for (std::size_t j = 0; j < group.members.size(); ++j) {
-      const Entry& entry = pending_[group.members[j]];
-      probs_[group.members[j]] = entry.predictor->finish_stalled(entry.query, nn_terms_[j]);
-    }
-    evaluated += group.members.size();
-    ++stats_.net_batches;
-    ++batches;
+  ExitFlushScratch& s = scratch_;
+  s.features.resize(count * kFeatureLen);
+  for (std::size_t i = 0; i < count; ++i) {
+    parked_[i].state->write_features(s.features.data() + i * kFeatureLen);
   }
-  if (evaluated > 0) {
-    ++stats_.flushes;
-    stats_.queries += evaluated;
-    stats_.max_flush = std::max(stats_.max_flush, evaluated);
-    // Fleet-wide registry view of the same counters the per-run
-    // FleetRunStats struct reports (that struct stays the per-run API;
-    // the registry aggregates across runners, legs and threads).
-    if (obs::Registry* reg = obs::Registry::active()) {
-      reg->add("predictor.pool.flushes");
-      reg->add("predictor.pool.queries", evaluated);
-      reg->add("predictor.pool.net_batches", batches);
-      reg->observe("predictor.pool.flush_rows", obs::HistogramSpec::rows(),
-                   static_cast<double>(evaluated));
-    }
+  s.nn_terms.resize(count);
+  predictor_.net().predict_batch({s.features.data(), count, kFeatureLen}, s.nn_terms.data(),
+                                 &s.ws);
+  // Per-query tail (OS lookup + blend), bitwise identical to predict().
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = predictor_.finish_stalled(parked_[i], s.nn_terms[i]);
   }
-  pending_.clear();
+  parked_.clear();
+
+  ++s.flushes;
+  s.queries += count;
+  // Fleet-wide registry view of the same counters (sim::FleetRunStats
+  // reports them per run; the registry aggregates across runners, legs and
+  // threads).
+  if (obs::Registry* reg = obs::Registry::active()) {
+    reg->add("predictor.pool.flushes");
+    reg->add("predictor.pool.queries", count);
+    reg->observe("predictor.pool.flush_rows", obs::HistogramSpec::rows(),
+                 static_cast<double>(count));
+  }
+  return count;
 }
 
 }  // namespace lingxi::predictor

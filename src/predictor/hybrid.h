@@ -60,9 +60,8 @@ class HybridExitPredictor {
   double predict(const ExitQuery& query) const;
   /// Finish a stalled query given its net output (OS lookup + blend): with
   /// nn_term = net().predict(features) it is bitwise predict(query). The
-  /// per-query tail of ExitQueryPool::flush, which runs the net forwards of
-  /// many queries as one StallExitNet::predict_batch while every query's
-  /// OS/blend still runs through its own predictor.
+  /// per-query tail of BatchPredictorExitEvaluator::flush, which runs the
+  /// net forwards of many queries as one StallExitNet::predict_batch.
   double finish_stalled(const ExitQuery& query, double nn_term) const;
 
   StallExitNet& net() { return *net_; }
@@ -91,11 +90,8 @@ class HybridExitPredictor {
 /// (Algorithm 2 line 3: S_sim <- S).
 class PredictorExitModel final : public sim::ExitModel {
  public:
-  /// `rollout_tag` is bookkeeping only (it never changes a prediction): the
-  /// rollout half of the (user, rollout, segment) key the fleet-wide
-  /// ExitQueryPool files parked queries under.
   PredictorExitModel(HybridExitPredictor predictor, EngagementState seed_state,
-                     Seconds segment_duration, std::uint32_t rollout_tag = 0);
+                     Seconds segment_duration);
 
   void begin_session() override;
   double exit_probability(const sim::SegmentRecord& segment) override;
@@ -106,137 +102,66 @@ class PredictorExitModel final : public sim::ExitModel {
   /// rollouts; exit_probability() is predict(prepare(segment)).
   HybridExitPredictor::ExitQuery prepare(const sim::SegmentRecord& segment);
 
-  std::uint32_t rollout_tag() const noexcept { return rollout_tag_; }
-
  private:
   HybridExitPredictor predictor_;
   EngagementState seed_state_;
   EngagementState state_;
   Seconds segment_duration_;
-  std::uint32_t rollout_tag_ = 0;
   bool prev_valid_ = false;
   std::size_t prev_level_ = 0;
 };
 
-/// Fleet-wide parking lot for stalled exit queries — the shared flush plane
-/// of the cross-user wave scheduler (sim::ShardScheduler).
-///
-/// Concurrent Monte Carlo evaluations (different users, different
-/// candidates) park queries here instead of flushing per evaluation; one
-/// flush() then evaluates everything parked since the previous flush.
-/// Because treatment users may own private nets, a flush sub-batches per
-/// net: queries are grouped by the net they must be evaluated under (stable
-/// first-seen order, park order within a group), each group runs as one
-/// StallExitNet::predict_batch, and each query's OS/blend tail runs through
-/// its own predictor. Per-row forwards are bitwise independent of batch
-/// composition, so every probability is bitwise predict(query) and pooling
-/// across users changes no result bit — only how many rows each forward
-/// amortizes weight streaming over. This is the one batched exit path.
-///
-/// Tickets: park() returns a ticket valid until the next flush() after that
-/// flush()'s probabilities have been superseded — i.e. each parked ticket
-/// must be read (prob()) or discarded before queries parked after the next
-/// flush are flushed again. The wave scheduler guarantees this by resuming
-/// every parked evaluation exactly once between flushes. Not thread-safe:
-/// one pool belongs to one shard, driven by one worker at a time.
-class ExitQueryPool {
- public:
-  /// Deterministic identity of a parked query, for diagnostics and ordering
-  /// assertions — replays are deterministic because park order is a pure
-  /// function of (seed, shard composition), never of wall-clock timing.
-  struct QueryTag {
-    std::uint32_t user = 0;
-    std::uint32_t rollout = 0;
-    std::uint32_t segment = 0;
-  };
-
-  /// Aggregate batching telemetry (sim::FleetRunStats reports these).
-  struct Stats {
-    std::uint64_t flushes = 0;       ///< flush() calls with >= 1 query
-    std::uint64_t queries = 0;       ///< stalled queries evaluated
-    std::uint64_t net_batches = 0;   ///< per-net predict_batch calls
-    std::uint64_t max_flush = 0;     ///< largest single flush
-  };
-
-  /// Park one stalled query to be evaluated under `predictor`'s net at the
-  /// next flush(). The query's state pointer must stay valid until then.
-  std::size_t park(const HybridExitPredictor& predictor,
-                   const HybridExitPredictor::ExitQuery& query, QueryTag tag);
-  /// Drop a pending ticket unevaluated (its rollout was abandoned by
-  /// pruning). The slot is skipped at flush time.
-  void discard(std::size_t ticket);
-  /// Evaluate every pending query (per-net sub-batches), publish their
-  /// probabilities for prob(), and clear the pending set.
-  void flush();
-  /// Probability for a ticket parked before the most recent flush().
-  double prob(std::size_t ticket) const;
-
-  std::size_t pending() const noexcept { return pending_.size(); }
-  const Stats& stats() const noexcept { return stats_; }
-
- private:
-  struct Entry {
-    HybridExitPredictor::ExitQuery query;
-    const HybridExitPredictor* predictor = nullptr;  ///< null = discarded
-    QueryTag tag;
-  };
-
-  std::vector<Entry> pending_;
-  std::vector<double> probs_;
-  // flush() scratch, reused across flushes.
-  struct NetGroup {
-    const StallExitNet* net = nullptr;
-    std::vector<std::size_t> members;  ///< pending_ indices, park order
-  };
-  std::vector<NetGroup> groups_;
-  std::vector<double> features_;
-  std::vector<double> nn_terms_;
-  StallExitNet::BatchWorkspace ws_;
-  Stats stats_;
+/// Reusable buffers and counters of BatchPredictorExitEvaluator::flush.
+/// The fleet keeps one per worker (sim::FleetRunner), so the gathered
+/// feature matrix and the forward workspace are allocated once per worker,
+/// not once per optimization. Not thread-safe: one scratch serves one
+/// evaluator at a time.
+struct ExitFlushScratch {
+  std::vector<double> features;
+  std::vector<double> nn_terms;
+  StallExitNet::BatchWorkspace ws;
+  std::uint64_t flushes = 0;  ///< flushes with >= 1 query
+  std::uint64_t queries = 0;  ///< stalled queries evaluated
 };
 
 /// Bridges the hybrid predictor into the lockstep Monte Carlo engine
-/// (sim::RolloutWave): hands out per-rollout PredictorExitModel instances
-/// seeded with the live user state. Stalled queries always park in an
-/// ExitQueryPool under the (user, rollout, segment) key, and flush() reads
-/// this evaluator's probabilities back in park order. The pool is either
-///   * the caller's (pool != nullptr): its owner flushes it once per cohort
-///     wave across ALL the shard's evaluations, before the wave resumes; or
-///   * one the evaluator owns (pool == nullptr), which flush() flushes
-///     itself — one flush per wave of one evaluation (maybe_optimize,
-///     evaluate_rollouts).
-/// Every probability is bitwise predict(query) either way. The referenced
-/// predictor, seed state and pool must outlive the evaluator.
+/// (sim::MonteCarloEvaluator::evaluate_rollouts): hands out per-rollout
+/// PredictorExitModel instances seeded with the live user state, resolves
+/// sub-perceptual stalls inline and parks stalled queries until flush().
+/// flush() is the one batched exit path: it gathers the parked queries'
+/// features, runs one StallExitNet::predict_batch on the predictor's net,
+/// and finishes each query through HybridExitPredictor::finish_stalled.
+/// Per-row forwards are bitwise independent of batch composition, so every
+/// probability is bitwise predict(query). The referenced predictor, seed
+/// state and scratch must outlive the evaluator.
 class BatchPredictorExitEvaluator final : public sim::BatchExitEvaluator {
  public:
   BatchPredictorExitEvaluator(const HybridExitPredictor& predictor,
                               const EngagementState& seed_state, Seconds segment_duration,
-                              ExitQueryPool* pool = nullptr, std::uint32_t user_tag = 0)
+                              ExitFlushScratch& scratch)
       : predictor_(predictor),
         seed_state_(seed_state),
         segment_duration_(segment_duration),
-        own_pool_(pool == nullptr ? std::make_unique<ExitQueryPool>() : nullptr),
-        pool_(pool != nullptr ? pool : own_pool_.get()),
-        user_tag_(user_tag) {}
+        scratch_(scratch) {}
 
   std::unique_ptr<sim::ExitModel> make_model() const override;
-  /// Non-stalled segments resolve inline through the OS-only path; stalled
-  /// ones park for a batched net forward. `model` must be a make_model()
-  /// instance of this evaluator.
+  /// Advance `model` (a make_model() instance) with `segment`, then
+  /// submit() its query.
   bool prepare(sim::ExitModel& model, const sim::SegmentRecord& segment,
                double& out) const override;
+  /// Resolve a query that needs no net forward inline through the OS-only
+  /// path (writes `out`, returns true); park a stalled one for the next
+  /// flush() (returns false). `query.state` must stay valid until then.
+  bool submit(const HybridExitPredictor::ExitQuery& query, double& out) const;
   std::size_t flush(double* out) const override;
-  void discard_parked() const override;
+  void discard_parked() const override { parked_.clear(); }
 
  private:
   const HybridExitPredictor& predictor_;
   const EngagementState& seed_state_;
   Seconds segment_duration_;
-  std::unique_ptr<ExitQueryPool> own_pool_;  ///< null when the caller's pool is used
-  ExitQueryPool* pool_ = nullptr;
-  std::uint32_t user_tag_ = 0;
-  mutable std::uint32_t next_rollout_tag_ = 0;
-  mutable std::vector<std::size_t> tickets_;  ///< pool tickets, park order
+  ExitFlushScratch& scratch_;
+  mutable std::vector<HybridExitPredictor::ExitQuery> parked_;  ///< park order
 };
 
 }  // namespace lingxi::predictor

@@ -188,8 +188,6 @@ std::uint32_t FleetAccumulator::checksum() const {
 void FleetRunStats::merge(const FleetRunStats& other) noexcept {
   pool_flushes += other.pool_flushes;
   pool_queries += other.pool_queries;
-  pool_net_batches += other.pool_net_batches;
-  pool_max_flush = std::max(pool_max_flush, other.pool_max_flush);
 }
 
 FleetRunner::FleetRunner(FleetConfig config, AbrFactory abr_factory)
@@ -355,104 +353,33 @@ std::size_t FleetRunner::worker_pool_size() const noexcept {
   return std::min(pool, shard_count);
 }
 
-std::vector<FleetAccumulator> FleetRunner::run_days_leg(
-    std::uint64_t seed, std::size_t first_day, std::size_t last_day,
-    const FleetDayState* resume, FleetDayState* out_state, FleetRunStats& stats,
-    const std::vector<predictor::HybridExitPredictor>& worker_predictors) const {
-  if (resume != nullptr) {
-    LINGXI_ASSERT(resume->next_day == first_day);
-    LINGXI_ASSERT(resume->users.size() == config_.users);
-  }
-  if (out_state != nullptr) {
-    out_state->next_day = last_day;
-    out_state->users.assign(config_.users, UserFleetState{});
-  }
-  const std::size_t leg_days = last_day - first_day;
-  std::vector<FleetAccumulator> days(leg_days);
-  // A resumed leg must not reset the sink: its capture buffers carry the
-  // earlier days' records (restored from a snapshot or reused in-process).
-  if (sink_ && first_day == 0) sink_->begin_fleet(config_, seed);
-  if (config_.users == 0) return days;
-
-  // Immutable config-derived context, built once and read concurrently by
-  // every worker instead of being reconstructed per user.
-  const FleetWorld world{trace::PopulationModel(config_.network),
-                         trace::VideoGenerator(config_.video),
-                         SessionSimulator(config_.session),
-                         user::UserPopulation(config_.population)};
-
-  const std::size_t shard_count =
-      (config_.users + config_.users_per_shard - 1) / config_.users_per_shard;
-  const std::size_t pool = worker_pool_size();
-  LINGXI_ASSERT(!config_.enable_lingxi || worker_predictors.size() >= pool);
-  // Per-worker per-day slots: a worker banks every tally of every shard it
-  // pulls into its own array, so the LSQ pull queue needs no coordination
-  // beyond the shard counter, and memory scales with workers x leg days
-  // instead of shards.
-  std::vector<std::vector<FleetAccumulator>> slots(pool,
-                                                   std::vector<FleetAccumulator>(leg_days));
-  std::vector<FleetRunStats> worker_stats(pool);
-
-  std::atomic<std::size_t> next_shard{0};
-  const auto worker = [&](std::size_t slot) {
-    const predictor::HybridExitPredictor* predictor =
-        config_.enable_lingxi ? &worker_predictors[slot] : nullptr;
-    for (;;) {
-      const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (shard >= shard_count) return;
-      const std::size_t first = shard * config_.users_per_shard;
-      const std::size_t last = std::min(first + config_.users_per_shard, config_.users);
-      ShardScheduler scheduler(*this, world, seed, first, last, slots[slot].data(),
-                               first_day, last_day, resume, out_state, predictor);
-      scheduler.run();
-      worker_stats[slot].merge(scheduler.stats());
-    }
-  };
-
-  if (pool <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker, t);
-    for (auto& t : threads) t.join();
-  }
-
-  // Merge order is free (see FleetAccumulator).
-  for (std::size_t w = 0; w < pool; ++w) {
-    for (std::size_t d = 0; d < leg_days; ++d) days[d].merge(slots[w][d]);
-    stats.merge(worker_stats[w]);
-  }
-  return days;
-}
-
 // ---------------------------------------------------------------------------
-// ShardScheduler: cohort waves of pausable per-user tasks.
+// UserTask: one user, run to completion.
 // ---------------------------------------------------------------------------
 
-/// One user's simulation as a pausable task — THE per-user simulation
-/// implementation. step() runs the user forward — live sessions inline
-/// (they never touch the exit predictor; user-model exits resolve
-/// immediately) — and returns false whenever the user's LingXi optimization
-/// parks stalled predictor queries in the pool; the next step() resumes it
-/// after the pool flush. When nothing
-/// triggers, step() runs the whole user in one call. Every random draw
-/// comes from (seed, user, day, session) streams only, so results cannot
-/// depend on how the waves interleave users.
-class ShardScheduler::UserTask {
+/// One user's simulation over one leg — THE per-user simulation
+/// implementation. Live sessions run in order; after each, a triggered
+/// LingXi optimization runs to completion before the next session. Every
+/// random draw comes from (seed, user, day, session) streams only, so the
+/// result cannot depend on which worker runs the user or on what it ran
+/// before.
+class FleetRunner::UserTask {
  public:
   /// Runs days [first_day, stop_day). `resume`, when non-null, is the
   /// day-boundary state exported at first_day by an earlier task for this
   /// user; the task continues bitwise identically to one that simulated the
   /// earlier days itself (static context re-derives from (seed, user)
   /// streams, evolving state restores from `resume`).
-  /// `day_slots` is the worker's leg-relative per-day slot array (see
-  /// ShardScheduler): every tally is banked into the slot of the day it is
-  /// attributed to.
+  /// `day_slots` is the worker's leg-relative per-day slot array: every
+  /// tally is banked into the slot of the day it is attributed to.
+  /// `predictor` is the worker's private-net predictor (null when LingXi is
+  /// off) and `scratch` its exit-net flush buffers, both shared by every
+  /// user the worker runs — forwards are pure functions of (weights, input),
+  /// so the sharing is bitwise invisible.
   UserTask(const FleetRunner& runner, const FleetWorld& world, std::uint64_t seed,
            std::size_t user_index, FleetAccumulator* day_slots,
            const predictor::HybridExitPredictor* predictor,
-           predictor::ExitQueryPool* pool, std::size_t first_day, std::size_t stop_day,
+           predictor::ExitFlushScratch* scratch, std::size_t first_day, std::size_t stop_day,
            const UserFleetState* resume)
       : runner_(runner),
         cfg_(runner.config()),
@@ -462,7 +389,7 @@ class ShardScheduler::UserTask {
         day_slots_(day_slots),
         leg_first_day_(first_day),
         predictor_(predictor),
-        pool_(pool),
+        scratch_(scratch),
         scenario_(runner.config().scenario.empty() ? nullptr : &runner.config().scenario),
         day_(first_day),
         stop_day_(stop_day) {
@@ -491,33 +418,20 @@ class ShardScheduler::UserTask {
     }
   }
 
-  /// True when the user is complete; false when parked on the pool.
-  bool step() {
-    if (opt_ != nullptr) {
-      if (!opt_->step()) return false;  // still parked
-      opt_.reset();
-      finish_session();
-    }
+  /// Simulate the user's days [first_day, stop_day).
+  void run() {
     while (day_ < stop_day_) {
-      if (session_ == 0) begin_day();
-      while (session_ < day_sessions_) {
-        run_live_session();
-        if (opt_ != nullptr) {
-          if (!opt_->step()) return false;
-          opt_.reset();
-        }
-        finish_session();
-      }
+      begin_day();
+      while (session_ < day_sessions_) run_session();
       end_day();
     }
     // Per-user summaries belong to the leg that completes the calendar; a
     // day-boundary leg exports state instead (export_state).
     if (stop_day_ == cfg_.days) finish_user();
-    return true;
   }
 
-  /// Day-boundary state for a later resume; call only after step() returned
-  /// true on a task whose stop_day precedes the configured horizon.
+  /// Day-boundary state for a later resume; call only after run() on a
+  /// task whose stop_day precedes the configured horizon.
   void export_state(UserFleetState& out) const {
     out.session_rng = session_rng_.state();
     out.params = abr_->params();
@@ -604,14 +518,14 @@ class ShardScheduler::UserTask {
     return drift_population_ ? *drift_population_ : world_.population;
   }
 
-  /// Simulate the next live session and feed LingXi; may leave an
-  /// OptimizationRun parked in opt_.
-  void run_live_session() {
+  /// Simulate the next live session, feed LingXi and let it optimize, then
+  /// hand the session to telemetry (which sees params_after) and advance
+  /// the session cursor.
+  void run_session() {
     session_rng_ = Rng(mix_seed(
         seed_, stream_user(),
         kSessionStream | (static_cast<std::uint64_t>(day_) << 16) | (session_ + 1)));
     const trace::Video video = world_.videos.sample(session_rng_);
-    video_duration_ = video.duration();
 
     trace::NetworkProfile session_profile = profile_;
     if (scenario_ != nullptr) {
@@ -638,38 +552,33 @@ class ShardScheduler::UserTask {
       lingxi_->begin_session();
       if (!lingxi_active_) abr_->set_params(cfg_.lingxi.default_params);
     }
+    SessionResult result;
     {
       OBS_TIMED("sim.session.step_us");
-      result_ =
-          world_.simulator.run(video, *abr_, *bandwidth, day_user_.get(), session_rng_);
+      result = world_.simulator.run(video, *abr_, *bandwidth, day_user_.get(), session_rng_);
     }
-    measured_ = session_index_ >= cfg_.warmup_sessions;
-    day_slots_[day_ - leg_first_day_].add_session(result_, measured_);
+    const bool measured = session_index_ >= cfg_.warmup_sessions;
+    day_slots_[day_ - leg_first_day_].add_session(result, measured);
 
     if (lingxi_) {
-      for (const auto& seg : result_.segments) lingxi_->on_segment(seg);
-      lingxi_->end_session(exited_during_stall(result_));
+      for (const auto& seg : result.segments) lingxi_->on_segment(seg);
+      lingxi_->end_session(exited_during_stall(result));
       if (lingxi_active_) {
         const Seconds buffer_seed =
-            result_.segments.empty() ? 0.0 : result_.segments.back().buffer_after;
-        opt_ = lingxi_->begin_optimization(*abr_, buffer_seed, session_rng_, pool_,
-                                           static_cast<std::uint32_t>(user_));
+            result.segments.empty() ? 0.0 : result.segments.back().buffer_after;
+        lingxi_->maybe_optimize(*abr_, buffer_seed, session_rng_, scratch_);
       }
     }
-  }
 
-  /// Post-optimization tail of a session (telemetry sees params_after), then
-  /// advance the session cursor.
-  void finish_session() {
     if (runner_.sink_) {
       telemetry::SessionContext ctx;
       ctx.user_index = user_;
       ctx.day = day_;
       ctx.session_in_day = session_;
-      ctx.measured = measured_;
-      ctx.video_duration = video_duration_;
+      ctx.measured = measured;
+      ctx.video_duration = video.duration();
       ctx.params_after = abr_->params();
-      runner_.sink_->record_session(ctx, result_);
+      runner_.sink_->record_session(ctx, result);
     }
     ++session_;
     ++session_index_;
@@ -726,7 +635,7 @@ class ShardScheduler::UserTask {
   FleetAccumulator* day_slots_;
   std::size_t leg_first_day_;
   const predictor::HybridExitPredictor* predictor_;  ///< kept for churn rebuilds
-  predictor::ExitQueryPool* pool_;
+  predictor::ExitFlushScratch* scratch_;  ///< the worker's, shared by its users
 
   // Scenario context: null for an empty script, which keeps every
   // scenario branch off the unscripted path. generation_ counts the slot's
@@ -753,86 +662,86 @@ class ShardScheduler::UserTask {
   std::uint64_t adjusted_days_ = 0;
   std::unique_ptr<user::UserModel> day_user_;
   bool lingxi_active_ = false;
-
-  // Per-session state that must survive a park (the session rng feeds the
-  // in-flight optimization; the result feeds the telemetry tail).
+  /// The current session's stream; its last position is exported with the
+  /// day-boundary state.
   Rng session_rng_{0};
-  double video_duration_ = 0.0;
-  SessionResult result_;
-  bool measured_ = false;
-  std::unique_ptr<core::LingXi::OptimizationRun> opt_;
 };
 
-ShardScheduler::ShardScheduler(const FleetRunner& runner, const FleetWorld& world,
-                               std::uint64_t seed, std::size_t first_user,
-                               std::size_t last_user, FleetAccumulator* day_slots,
-                               std::size_t first_day, std::size_t last_day,
-                               const FleetDayState* resume, FleetDayState* out_state,
-                               const predictor::HybridExitPredictor* predictor)
-    : runner_(runner),
-      world_(world),
-      seed_(seed),
-      first_user_(first_user),
-      last_user_(last_user),
-      day_slots_(day_slots),
-      first_day_(first_day),
-      last_day_(last_day),
-      resume_(resume),
-      out_state_(out_state),
-      predictor_(predictor),
-      pool_(std::make_unique<predictor::ExitQueryPool>()) {
-  LINGXI_ASSERT(first_user_ <= last_user_);
-  LINGXI_ASSERT(first_day_ < last_day_);
-  LINGXI_ASSERT(day_slots_ != nullptr);
-}
-
-ShardScheduler::~ShardScheduler() = default;
-
-void ShardScheduler::run() {
-  std::vector<std::unique_ptr<UserTask>> tasks;
-  tasks.reserve(last_user_ - first_user_);
-  for (std::size_t u = first_user_; u < last_user_; ++u) {
-    tasks.push_back(std::make_unique<UserTask>(
-        runner_, world_, seed_, u, day_slots_, predictor_, pool_.get(), first_day_,
-        last_day_, resume_ != nullptr ? &resume_->users[u] : nullptr));
+std::vector<FleetAccumulator> FleetRunner::run_days_leg(
+    std::uint64_t seed, std::size_t first_day, std::size_t last_day,
+    const FleetDayState* resume, FleetDayState* out_state, FleetRunStats& stats,
+    const std::vector<predictor::HybridExitPredictor>& worker_predictors) const {
+  if (resume != nullptr) {
+    LINGXI_ASSERT(resume->next_day == first_day);
+    LINGXI_ASSERT(resume->users.size() == config_.users);
   }
+  if (out_state != nullptr) {
+    out_state->next_day = last_day;
+    out_state->users.assign(config_.users, UserFleetState{});
+  }
+  const std::size_t leg_days = last_day - first_day;
+  std::vector<FleetAccumulator> days(leg_days);
+  // A resumed leg must not reset the sink: its capture buffers carry the
+  // earlier days' records (restored from a snapshot or reused in-process).
+  if (sink_ && first_day == 0) sink_->begin_fleet(config_, seed);
+  if (config_.users == 0) return days;
 
-  // Live tasks in ascending user order. Each wave steps every live task
-  // until it parks on predictor queries or completes; one pooled flush then
-  // serves all parked queries, and the next wave resumes the parked tasks.
-  std::vector<std::size_t> live;
-  live.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) live.push_back(i);
-  std::vector<std::size_t> parked;
-  while (!live.empty()) {
-    parked.clear();
-    for (const std::size_t i : live) {
-      if (tasks[i]->step()) {
-        if (out_state_ != nullptr) {
-          tasks[i]->export_state(out_state_->users[first_user_ + i]);
-        }
-        tasks[i].reset();  // free completed per-user state before the shard ends
-      } else {
-        parked.push_back(i);
+  // Immutable config-derived context, built once and read concurrently by
+  // every worker instead of being reconstructed per user.
+  const FleetWorld world{trace::PopulationModel(config_.network),
+                         trace::VideoGenerator(config_.video),
+                         SessionSimulator(config_.session),
+                         user::UserPopulation(config_.population)};
+
+  const std::size_t shard_count =
+      (config_.users + config_.users_per_shard - 1) / config_.users_per_shard;
+  const std::size_t pool = worker_pool_size();
+  LINGXI_ASSERT(!config_.enable_lingxi || worker_predictors.size() >= pool);
+  // Per-worker per-day slots: a worker banks every tally of every shard it
+  // pulls into its own array, so the LSQ pull queue needs no coordination
+  // beyond the shard counter, and memory scales with workers x leg days
+  // instead of shards.
+  std::vector<std::vector<FleetAccumulator>> slots(pool,
+                                                   std::vector<FleetAccumulator>(leg_days));
+  std::vector<FleetRunStats> worker_stats(pool);
+
+  std::atomic<std::size_t> next_shard{0};
+  const auto worker = [&](std::size_t slot) {
+    const predictor::HybridExitPredictor* predictor =
+        config_.enable_lingxi ? &worker_predictors[slot] : nullptr;
+    // The worker's exit-net flush buffers, shared by every optimization of
+    // every user it runs (one user at a time).
+    predictor::ExitFlushScratch scratch;
+    for (;;) {
+      const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
+      if (shard >= shard_count) break;
+      const std::size_t first = shard * config_.users_per_shard;
+      const std::size_t last = std::min(first + config_.users_per_shard, config_.users);
+      for (std::size_t u = first; u < last; ++u) {
+        UserTask task(*this, world, seed, u, slots[slot].data(), predictor, &scratch,
+                      first_day, last_day, resume != nullptr ? &resume->users[u] : nullptr);
+        task.run();
+        if (out_state != nullptr) task.export_state(out_state->users[u]);
       }
     }
-    live = parked;
-    if (!live.empty()) {
-      if (obs::Registry* reg = obs::Registry::active()) {
-        reg->add("sim.wave.count");
-        reg->observe("sim.wave.parked_tasks", obs::HistogramSpec::rows(),
-                     static_cast<double>(live.size()));
-      }
-      OBS_SPAN("wave.flush");
-      OBS_TIMED("sim.wave.flush_us");
-      pool_->flush();
-    }
-  }
-}
+    worker_stats[slot] = FleetRunStats{scratch.flushes, scratch.queries};
+  };
 
-FleetRunStats ShardScheduler::stats() const {
-  const auto& ps = pool_->stats();
-  return FleetRunStats{ps.flushes, ps.queries, ps.net_batches, ps.max_flush};
+  if (pool <= 1) {
+    worker(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(pool);
+    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker, t);
+    for (auto& t : threads) t.join();
+  }
+
+  // Merge order is free (see FleetAccumulator).
+  for (std::size_t w = 0; w < pool; ++w) {
+    for (std::size_t d = 0; d < leg_days; ++d) days[d].merge(slots[w][d]);
+    stats.merge(worker_stats[w]);
+  }
+  return days;
 }
 
 }  // namespace lingxi::sim

@@ -16,20 +16,15 @@
 // Hence the merged result is bitwise identical at 1, 4 or 64 threads, which
 // is what makes the parallel fleet usable for paired A/B comparisons.
 //
-// Within a shard, users run as cohort waves (ShardScheduler below): every
-// user of the shard advances as a pausable task — live sessions run inline,
-// and whenever a user's Monte Carlo optimization stalls on exit-predictor
-// queries the task parks and the next user runs. Between waves one pooled
-// flush (predictor::ExitQueryPool) evaluates every parked query across ALL
-// the shard's users — rollouts of different users and candidates — as
-// per-net sub-batches, so batch occupancy is bounded by the shard's
-// concurrent optimizations instead of a single user's rollouts.
-// users_per_shard = 1 is per-user order: one user at a time, each flush
-// scoped to that user's optimization. Any shard size produces
-// bitwise-identical FleetAccumulator checksums and telemetry archive bytes:
-// per-user state (rng streams, OBO, engagement) is task-private, predictor
-// forwards are bitwise independent of batch composition, the accumulator is
-// integer, and telemetry buffers per user.
+// Within a shard, users run one at a time, each to completion before the
+// next starts — the per-user loop of Algorithms 1 and 2 as it runs on each
+// client. A user's Monte Carlo rollouts evaluate their stalled exit-predictor
+// queries in lockstep chunks, one batched forward per chunk step on the
+// worker's private net (predictor::BatchPredictorExitEvaluator::flush).
+// Any shard size produces bitwise-identical FleetAccumulator checksums and
+// telemetry archive bytes: per-user state (rng streams, OBO, engagement) is
+// user-private, predictor forwards are bitwise independent of batch
+// composition, the accumulator is integer, and telemetry buffers per user.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +45,6 @@
 
 namespace lingxi::telemetry {
 class TelemetrySink;
-}
-
-namespace lingxi::predictor {
-class ExitQueryPool;
 }
 
 namespace lingxi::sim {
@@ -150,10 +141,8 @@ struct FleetAccumulator {
 /// FleetAccumulator: occupancy depends on the schedule, and the accumulator
 /// checksum must not.
 struct FleetRunStats {
-  std::uint64_t pool_flushes = 0;      ///< pooled flushes with >= 1 query
-  std::uint64_t pool_queries = 0;      ///< stalled queries batch-evaluated
-  std::uint64_t pool_net_batches = 0;  ///< per-net predict_batch calls
-  std::uint64_t pool_max_flush = 0;    ///< largest single flush
+  std::uint64_t pool_flushes = 0;  ///< exit-net flushes with >= 1 query
+  std::uint64_t pool_queries = 0;  ///< stalled queries batch-evaluated
   void merge(const FleetRunStats& other) noexcept;
 };
 
@@ -195,12 +184,11 @@ struct FleetConfig {
   std::size_t warmup_sessions = 0;
   /// Worker pool size; 0 = std::thread::hardware_concurrency().
   std::size_t threads = 1;
-  /// Shard granularity in users. Purely a scheduling knob: results are
-  /// identical for any value (0 is clamped to 1 at construction; values
-  /// beyond the fleet size behave as one whole-fleet shard); smaller shards
-  /// balance heterogeneous users better, larger shards amortize per-shard
-  /// setup and pool more users per predictor flush; 1 runs users in
-  /// per-user order, each flush scoped to one optimization.
+  /// Shard granularity in users: the unit the worker pool's pull queue
+  /// hands out. Purely a scheduling knob: results are identical for any
+  /// value (0 is clamped to 1 at construction; values beyond the fleet size
+  /// behave as one whole-fleet shard); smaller shards balance heterogeneous
+  /// users better, larger shards take fewer trips through the queue.
   std::size_t users_per_shard = 8;
   /// Treatment switch: run LingXi per user (config `lingxi`) vs pinning
   /// `fixed_params` on the ABR.
@@ -271,8 +259,7 @@ class FleetRunner {
   /// deep-copied before use, so a factory handing out a shared net is safe.
   /// A worker's shards and users share the deep copy: batched forwards are
   /// const and pure per row, and one shard is driven by one worker, so
-  /// sharing changes no result bit while letting one flush serve the whole
-  /// shard as a single net sub-batch. Because the invocation count depends
+  /// sharing changes no result bit. Because the invocation count depends
   /// on the thread count, the factory must be pure configuration: every
   /// call must return an equivalent predictor (same weights, same OS model,
   /// same blend config). A factory whose output varies call to call (e.g.
@@ -335,7 +322,8 @@ class FleetRunner {
   const PredictorFactory& predictor_factory() const noexcept { return predictor_factory_; }
 
  private:
-  friend class ShardScheduler;
+  /// One user's simulation over one leg (fleet_runner.cpp).
+  class UserTask;
 
   /// One contiguous leg [first_day, last_day): restores `resume`, runs
   /// every shard on the worker pool and, when `out_state` is non-null,
@@ -361,65 +349,6 @@ class FleetRunner {
   telemetry::TelemetrySink* sink_ = nullptr;
   CheckpointHook checkpoint_hook_;
   std::size_t checkpoint_every_k_days_ = 0;
-};
-
-/// Executes the users of one shard as cohort waves of pausable per-user
-/// tasks (UserTask — the one implementation of per-user simulation): every
-/// task advances in waves — live sessions simulate inline, LingXi
-/// optimizations (round-boundary GP fits included) run until each Monte
-/// Carlo rollout parks a stalled exit query in the shared ExitQueryPool,
-/// then the next user runs. One pooled flush per wave serves every parked
-/// query across users, candidates and rollouts, sub-batched per net. A
-/// one-user shard is per-user order.
-///
-/// Tasks step in ascending user order, so park order — and therefore every
-/// batch composition — is a pure function of (config, seed, shard range):
-/// replays are deterministic. Per-user outcomes cannot depend on the
-/// interleaving at all (task state is private; forwards are pure), which is
-/// what keeps results bitwise equal across shard sizes.
-/// One ShardScheduler is driven by exactly one worker thread; only
-/// FleetRunner::run_days_leg constructs one.
-class ShardScheduler {
- public:
-  /// Drives users [first_user, last_user) over days [first_day, last_day).
-  /// `day_slots` is the driving worker's array of (last_day - first_day)
-  /// accumulators: every tally is banked once, into the slot of the day it
-  /// is attributed to. `resume` / `out_state`, when non-null, are the
-  /// whole-fleet day-boundary states (indexed by absolute user index) this
-  /// shard restores from / exports into; the scheduler touches only its own
-  /// users' entries. `predictor` is the worker's private-net predictor
-  /// (null when LingXi is off), shared by every shard and user the worker
-  /// processes — forwards are pure functions of (weights, input) and weights
-  /// never change during a run, so the sharing is bitwise invisible.
-  ShardScheduler(const FleetRunner& runner, const FleetWorld& world, std::uint64_t seed,
-                 std::size_t first_user, std::size_t last_user, FleetAccumulator* day_slots,
-                 std::size_t first_day, std::size_t last_day,
-                 const FleetDayState* resume, FleetDayState* out_state,
-                 const predictor::HybridExitPredictor* predictor);
-  ~ShardScheduler();
-  ShardScheduler(const ShardScheduler&) = delete;
-  ShardScheduler& operator=(const ShardScheduler&) = delete;
-
-  /// Drive every user of the shard to completion.
-  void run();
-  /// Pool batching telemetry accumulated so far.
-  FleetRunStats stats() const;
-
- private:
-  class UserTask;
-
-  const FleetRunner& runner_;
-  const FleetWorld& world_;
-  std::uint64_t seed_;
-  std::size_t first_user_;
-  std::size_t last_user_;
-  FleetAccumulator* day_slots_;
-  std::size_t first_day_;
-  std::size_t last_day_;
-  const FleetDayState* resume_;
-  FleetDayState* out_state_;
-  const predictor::HybridExitPredictor* predictor_;
-  std::unique_ptr<predictor::ExitQueryPool> pool_;
 };
 
 }  // namespace lingxi::sim

@@ -74,8 +74,8 @@ class ExitModel {
 };
 
 /// Factory + batched evaluator for per-rollout exit models — what the
-/// lockstep Monte Carlo engine (sim::RolloutWave) needs from the predictor
-/// side. The prepare()/flush() split lets cheap decisions
+/// lockstep Monte Carlo engine (MonteCarloEvaluator::evaluate_rollouts)
+/// needs from the predictor side. The prepare()/flush() split lets cheap decisions
 /// (e.g. non-stalled segments, which skip the net entirely) resolve inline
 /// while expensive ones accumulate across rollouts into one batched forward.
 /// For any model the prepare()+flush() probabilities must be bitwise

@@ -375,9 +375,15 @@ RunConstants run_constants(const sim::FleetRunner& runner, std::uint64_t seed) {
     // per-shard deep copy.
     predictor::HybridExitPredictor predictor = runner.predictor_factory()();
     run.net_model = nn::serialize_model(nn::kModelKindStallExitNet, predictor.net().weights());
-    run.net_crc = crc32(run.net_model.data(), run.net_model.size());
+    run.net_crc = net_model_crc(run.net_model);
   }
   return run;
+}
+
+std::uint32_t net_model_crc(const std::vector<unsigned char>& net_model) {
+  constexpr std::size_t kTrailer = 4;  // the frame's own payload CRC
+  const std::size_t n = net_model.size();
+  return crc32(net_model.data(), n >= kTrailer ? n - kTrailer : n);
 }
 
 namespace {
@@ -633,7 +639,7 @@ Expected<FleetSnapshot> load_snapshot(const std::string& dir) {
   if (manifest->has_net) {
     auto net = read_file(dir + "/" + net_filename());
     if (!net) return net.error();
-    if (crc32(net->data(), net->size()) != manifest->net_crc) {
+    if (net_model_crc(*net) != manifest->net_crc) {
       return Error::corrupt("snapshot net container CRC mismatch");
     }
     // Validate the container end to end now, not at resume time inside a

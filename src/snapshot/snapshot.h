@@ -9,13 +9,15 @@
 // results bitwise identical to a run that never stopped (the parity harness
 // in tests/test_properties.cpp and the scripts/ci.sh smoke pin this).
 //
-// ## Snapshot format spec (version 3)
+// ## Snapshot format spec (version 4)
 //
 // v3: captured telemetry bytes moved out of the snapshot directory into an
 // append-only segment store shared by every checkpoint beside it; the state
 // files keep each capture cursor's counters and byte length, and the
-// manifest lists the segments that hold the bytes. v1 and v2 snapshots fail
-// the version check rather than misparse.
+// manifest lists the segments that hold the bytes. v4: the manifest's
+// net_crc leaves out the net container's own CRC trailer (net_model_crc),
+// so it tells one net from another. v1-v3 snapshots fail the version check
+// rather than misparse.
 //
 // The segment store belongs to the capture: telemetry/capture.h defines the
 // segments, their names and their read-back, and ShardedCapture::commit
@@ -56,7 +58,8 @@
 //   u64 users
 //   u64 next_day          first day a resumed run simulates (the boundary D)
 //   u64 users_per_shard   state-file granularity (users per state file)
-//   u32 has_net           0/1; u32 net_crc — CRC32 of net.lxnw's bytes
+//   u32 has_net           0/1; u32 net_crc — net_model_crc(net.lxnw): CRC32
+//                         of its bytes minus the 4-byte frame trailer
 //   u32 has_capture       0/1: capture-cursor records follow each user state
 //                         and the segment table follows the shard table
 //   accumulator           19 u64 fields of the merged FleetAccumulator over
@@ -148,7 +151,7 @@
 
 namespace lingxi::snapshot {
 
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Largest segment table a manifest may list: checked before the table is
 /// sized, so a hostile count is Error::kCorrupt, never an allocation (2^20
@@ -176,9 +179,17 @@ struct FleetSnapshot {
   telemetry::ShardedCapture::Position capture;
 };
 
+/// The manifest's binding to its net container: CRC32 over every byte of
+/// `net_model` except the last 4. A container is an LXNC frame ending in the
+/// CRC32 of its own payload, and a CRC over bytes that end in their own CRC
+/// reads the same for every payload of one length; leaving the trailer out
+/// makes the value depend on the weights. (A model shorter than 4 bytes is
+/// hashed whole.)
+std::uint32_t net_model_crc(const std::vector<unsigned char>& net_model);
+
 /// The parts of every checkpoint of one run that never change, prepared
-/// once: seed, resume digest and the serialized predictor net with its CRC
-/// (a run's weights never change).
+/// once: seed, resume digest and the serialized predictor net with its
+/// net_model_crc (a run's weights never change).
 struct RunConstants {
   std::uint64_t seed = 0;
   std::uint32_t resume_digest = 0;

@@ -261,9 +261,9 @@ void ShardedCapture::record_session(const SessionContext& ctx,
   rec.entry.video_duration = ctx.video_duration;
   rec.entry.session = session;
   CaptureCursor& buffer = users_[ctx.user_index];
-  // Cross-user waves interleave users, never one user's sessions: records
-  // for a user must arrive in strictly increasing (day, session) order or
-  // the archive bytes would depend on the schedule.
+  // Workers interleave users, never one user's sessions: records for a
+  // user must arrive in strictly increasing (day, session) order or the
+  // archive bytes would depend on the schedule.
   const std::uint64_t at =
       (static_cast<std::uint64_t>(ctx.day) << 32) | static_cast<std::uint64_t>(ctx.session_in_day);
   LINGXI_DASSERT(at >= buffer.next_expected_at_least);

@@ -23,11 +23,11 @@
 // files of `users_per_shard` users each. No code path holds more than one
 // archive shard's bytes.
 //
-// The single-writer-per-user property survives the cohort waves: a cohort
-// interleaves the *users* of a shard on one worker, but each user's sessions
-// are still recorded in chronological (day, session) order (a debug
-// assertion pins this), so per-user tails — and therefore the log and the
-// archive bytes — cannot observe the interleaving.
+// The single-writer-per-user property: workers run different users
+// concurrently, but each user's sessions are recorded by one worker in
+// chronological (day, session) order (a debug assertion pins this), so
+// per-user tails — and therefore the log and the archive bytes — cannot
+// observe the schedule.
 //
 // Consequently the archive bytes depend only on (fleet config, seed, archive
 // users_per_shard) — never on the thread count, the runner's scheduling

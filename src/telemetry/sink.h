@@ -5,9 +5,8 @@
 // format and replay.h for the query side). FleetRunner invokes the sink from
 // its worker threads, so implementations must tolerate concurrent calls for
 // *different* users; calls for one user always come from a single worker in
-// chronological (day, session) order — the cohort waves interleave
-// different users of a shard between calls, but a single user's
-// order is preserved — and record_user() follows that user's last session.
+// chronological (day, session) order, and record_user() follows that
+// user's last session.
 //
 // The sink sees everything the offline analyses need: the full per-segment
 // trajectory of every session (SessionResult), the QoE parameters the ABR

@@ -1,7 +1,7 @@
-// Test helper: drives the Monte Carlo wave engine with plain sim::ExitModels
-// (user models, constant or probing exit models) instead of the batched
-// predictor. Every rollout gets a fresh model from the factory, and prepare()
-// always resolves inline, so a wave never parks.
+// Test helper: drives the Monte Carlo lockstep loop with plain
+// sim::ExitModels (user models, constant or probing exit models) instead of
+// the batched predictor. Every rollout gets a fresh model from the factory,
+// and prepare() always resolves inline, so a rollout never parks.
 #pragma once
 
 #include <cstddef>

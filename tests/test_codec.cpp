@@ -207,7 +207,7 @@ snapshot::RunConstants golden_run_constants(bool with_net) {
   if (with_net) {
     // Opaque to save_snapshot: only its CRC lands in the manifest.
     run.net_model = {0x4c, 0x58, 0x4e, 0x43, 1, 2, 3};
-    run.net_crc = crc32(run.net_model.data(), run.net_model.size());
+    run.net_crc = snapshot::net_model_crc(run.net_model);
   }
   return run;
 }
@@ -314,8 +314,8 @@ constexpr const char* kUserStatePlainHex =
     "000000001032547698badcfe000000000000e0bf010000000000000000001c40"
     "000000000000f03f000000000000d03f010000000000000000000000";
 constexpr const char* kSnapshotManifestFileHex =
-    "4c5852430200000034010000030000004d000000000000001c6a424302000000"
-    "0000000002000000000000000200000000000000010000001d02853a01000000"
+    "4c5852430200000034010000040000004d000000000000001c6a424302000000"
+    "0000000002000000000000000200000000000000010000007d16c76501000000"
     "1800000000000000140000000000000000000000000000000000000000000000"
     "0900000000000000000000000000000000000000000000000200000000000000"
     "15cd5b0700000000000000000000000000000000000000000000000000000000"
@@ -324,7 +324,7 @@ constexpr const char* kSnapshotManifestFileHex =
     "00000000000000000200000000000000fc010000000000000a8b790e01000000"
     "0000000000000000000000000000000000000000020000000000000004000000"
     "000000005aa39c7c020000000000000004000000000000000000000000000000"
-    "0a614fac";
+    "46a0e8b9";
 constexpr const char* kSnapshotStateFileHex =
     "4c5852430200000018010000010000000000000000000000efcdab8967452301"
     "020000000000000003000000000000001032547698badcfe000000000000e0bf"

@@ -292,23 +292,22 @@ TEST(LingXiAdoption, FixedCandidateModeAdoptsOnlyIncumbentOrListed) {
   }
 }
 
-TEST(LingXiOptimizationRun, PooledStepsParkOnlyOnQueriesAndMatchMaybeOptimize) {
-  // Drive begin_optimization() by hand against a caller-owned ExitQueryPool,
-  // flushing between steps as the fleet's wave scheduler does. step() may
-  // return false only when rollouts parked exit queries — the GP observe
-  // and acquisition sweep of a round boundary run inline — and the pooled
-  // run must adopt exactly what maybe_optimize() adopts on an identically
-  // fed LingXi.
+TEST(LingXi, SharedFlushScratchMatchesCallLocalBuffers) {
+  // The fleet hands every optimization of a worker one ExitFlushScratch.
+  // Reusing it across optimizations and users must adopt exactly what
+  // call-local buffers adopt, and its counters must see the flushes.
   const LingXiConfig cfg = fast_config();
   const auto lx_predictor = make_predictor(7);
-  LingXi pooled(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
-  LingXi direct(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
-  abr::Hyb pooled_hyb;
-  abr::Hyb direct_hyb;
-  Rng pooled_rng(29);
-  Rng direct_rng(29);
-  predictor::ExitQueryPool pool;
-  std::size_t parked_steps = 0;
+  LingXi shared(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+  LingXi other(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+  LingXi local(cfg, lx_predictor, trace::BitrateLadder::default_ladder());
+  abr::Hyb shared_hyb;
+  abr::Hyb other_hyb;
+  abr::Hyb local_hyb;
+  Rng shared_rng(29);
+  Rng other_rng(31);
+  Rng local_rng(29);
+  predictor::ExitFlushScratch scratch;
   // A volatile link (sd ~ mean) so the virtual rollouts stall and park
   // net queries.
   const auto volatile_session = [](LingXi& lx, bool stall_exit) {
@@ -317,35 +316,24 @@ TEST(LingXiOptimizationRun, PooledStepsParkOnlyOnQueriesAndMatchMaybeOptimize) {
     lx.end_session(stall_exit);
   };
   for (int round = 0; round < 4; ++round) {
-    volatile_session(pooled, round % 2 == 0);
-    volatile_session(direct, round % 2 == 0);
-    const auto run = pooled.begin_optimization(pooled_hyb, 2.0, pooled_rng, &pool,
-                                               /*user_tag=*/3);
-    ASSERT_NE(run, nullptr) << "round " << round;
-    while (!run->step()) {
-      ASSERT_GT(pool.pending(), 0u) << "round " << round << ": parked with nothing to flush";
-      ++parked_steps;
-      pool.flush();
-    }
-    EXPECT_TRUE(run->done());
-    EXPECT_EQ(pool.pending(), 0u);
-
-    const auto params = direct.maybe_optimize(direct_hyb, 2.0, direct_rng);
-    ASSERT_TRUE(params.has_value());
-    EXPECT_TRUE(pooled.current_params() == *params) << "round " << round;
-    EXPECT_TRUE(pooled_hyb.params() == direct_hyb.params()) << "round " << round;
-    const LingXiStats& a = pooled.stats();
-    const LingXiStats& b = direct.stats();
-    EXPECT_EQ(a.triggers, b.triggers);
-    EXPECT_EQ(a.optimizations_run, b.optimizations_run);
-    EXPECT_EQ(a.pruned_preplay, b.pruned_preplay);
-    EXPECT_EQ(a.mc_evaluations, b.mc_evaluations);
-    EXPECT_EQ(a.mc_rollouts_pruned, b.mc_rollouts_pruned);
+    volatile_session(shared, round % 2 == 0);
+    volatile_session(other, round % 2 == 1);
+    volatile_session(local, round % 2 == 0);
+    const auto params = shared.maybe_optimize(shared_hyb, 2.0, shared_rng, &scratch);
+    ASSERT_TRUE(params.has_value()) << "round " << round;
+    // Another user's optimization in between leaves the scratch dirty.
+    ASSERT_TRUE(other.maybe_optimize(other_hyb, 2.0, other_rng, &scratch).has_value());
+    const auto want = local.maybe_optimize(local_hyb, 2.0, local_rng);
+    ASSERT_TRUE(want.has_value());
+    EXPECT_TRUE(*params == *want) << "round " << round;
+    EXPECT_TRUE(shared_hyb.params() == local_hyb.params()) << "round " << round;
+    EXPECT_TRUE(shared.stats() == local.stats()) << "round " << round;
+    EXPECT_TRUE(shared_rng.state() == local_rng.state()) << "round " << round;
   }
-  // Not vacuous: rollouts really parked on the pool and it served them.
-  EXPECT_GT(parked_steps, 0u);
-  EXPECT_EQ(pool.stats().flushes, parked_steps);
-  EXPECT_EQ(pooled.stats().optimizations_run, 4u);
+  // Not vacuous: rollouts really parked stalled queries and were flushed.
+  EXPECT_GT(scratch.flushes, 0u);
+  EXPECT_GE(scratch.queries, scratch.flushes);
+  EXPECT_EQ(shared.stats().optimizations_run, 4u);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 // plain test run covers both builds of every kernel. The exactness section
 // below adds the sparse inputs the dense kernel skips zero inputs on, output
 // widths that hit every tail of its output blocks, and the stall-exit net's
-// outputs pinned as hex literals. The hybrid predictor's
-// batched path is ExitQueryPool::flush, checked against predict().
+// outputs pinned as hex literals. The hybrid predictor's batched path is
+// BatchPredictorExitEvaluator::flush, checked against predict().
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -29,7 +29,7 @@
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
 #include "predictor/os_model.h"
-#include "pooled_predict.h"
+#include "flush_predict.h"
 
 namespace lingxi {
 namespace {
@@ -512,7 +512,7 @@ TEST(HybridPredictorBatch, BitwiseParityAcrossBatchSizes) {
   std::vector<predictor::EngagementState> states;
   for (std::uint64_t s = 0; s < 9; ++s) states.push_back(make_state(1000 + s, 30));
 
-  predictor::ExitQueryPool pool;  // reused across flushes
+  predictor::ExitFlushScratch scratch;  // reused across flushes
   for (const std::size_t batch : kBatchSizes) {
     std::vector<predictor::HybridExitPredictor::ExitQuery> queries;
     for (std::size_t i = 0; i < batch; ++i) {
@@ -523,61 +523,12 @@ TEST(HybridPredictorBatch, BitwiseParityAcrossBatchSizes) {
       q.sw = static_cast<predictor::SwitchType>(i % 3);
       queries.push_back(q);
     }
-    const std::vector<double> got = testing_util::pooled_predict(predictor, queries, pool);
+    const std::vector<double> got = testing_util::flush_predict(predictor, queries, scratch);
     for (std::size_t i = 0; i < batch; ++i) {
       EXPECT_EQ(got[i], predictor.predict(queries[i]))
           << "batch " << batch << " query " << i;
     }
   }
-}
-
-TEST(ExitQueryPool, GroupsQueriesPerNetAndSkipsDiscardedTickets) {
-  // Two predictors over nets with different weights park interleaved stalled
-  // queries into one pool: the flush must run one forward per net, each
-  // query under its own predictor's net, and leave a discarded ticket out.
-  Rng rng(321);
-  auto os = std::make_shared<predictor::OverallStatsModel>();
-  for (std::size_t i = 0; i < 400; ++i) {
-    os->observe(i % 4, static_cast<predictor::SwitchType>(i % 3), rng.bernoulli(0.05));
-  }
-  const predictor::HybridExitPredictor a(std::make_shared<predictor::StallExitNet>(rng), os);
-  const predictor::HybridExitPredictor b(std::make_shared<predictor::StallExitNet>(rng), os);
-
-  std::vector<predictor::EngagementState> states;
-  for (std::uint64_t s = 0; s < 7; ++s) states.push_back(make_state(2000 + s, 25));
-
-  // 19 stalled queries, every third one under b: 13 for a, 6 for b.
-  constexpr std::size_t kQueries = 19, kDiscarded = 4;
-  predictor::ExitQueryPool pool;
-  std::vector<predictor::HybridExitPredictor::ExitQuery> queries;
-  std::vector<const predictor::HybridExitPredictor*> owners;
-  std::vector<std::size_t> tickets;
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    predictor::HybridExitPredictor::ExitQuery q;
-    q.state = &states[i % states.size()];
-    q.level = i % 4;
-    q.stall_time = 0.1 + 0.3 * static_cast<double>(i % 6);
-    q.sw = static_cast<predictor::SwitchType>(i % 3);
-    const predictor::HybridExitPredictor* owner = i % 3 == 1 ? &b : &a;
-    queries.push_back(q);
-    owners.push_back(owner);
-    tickets.push_back(pool.park(*owner, q, {0, static_cast<std::uint32_t>(i), 0}));
-  }
-  pool.discard(tickets[kDiscarded]);
-  pool.flush();
-
-  // The two nets really disagree, so evaluating one under the other shows.
-  EXPECT_NE(a.predict(queries[0]), b.predict(queries[0]));
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    if (i == kDiscarded) continue;
-    EXPECT_EQ(bits(pool.prob(tickets[i])), bits(owners[i]->predict(queries[i])))
-        << "query " << i;
-  }
-  EXPECT_EQ(pool.pending(), 0u);
-  EXPECT_EQ(pool.stats().flushes, 1u);
-  EXPECT_EQ(pool.stats().net_batches, 2u);
-  EXPECT_EQ(pool.stats().queries, kQueries - 1);
-  EXPECT_EQ(pool.stats().max_flush, kQueries - 1);
 }
 
 }  // namespace

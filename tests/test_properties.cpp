@@ -35,7 +35,7 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "pooled_predict.h"
+#include "flush_predict.h"
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
 #include "predictor/os_model.h"
@@ -548,7 +548,7 @@ struct Fixture {
 };
 
 /// Stall-prone 8-user LingXi fleet: weak links so optimizations, and with
-/// them pooled exit-net forwards, actually happen.
+/// them batched exit-net forwards, actually happen.
 sim::FleetConfig lingxi_fleet(std::size_t days) {
   sim::FleetConfig cfg;
   cfg.users = 8;
@@ -1078,8 +1078,8 @@ Outputs run_cell(const Fixture& fixture, const Cell& cell) {
 }
 
 /// The health plane saw the run: every session stepped and, on LingXi
-/// fleets, spans traced, exit-net queries pooled into flushes and optimizer
-/// rounds run.
+/// fleets, spans traced, exit-net queries batched into flushes and
+/// optimizer rounds run.
 void expect_seen(const Fixture& f, const Outputs& out, const std::string& label) {
   if (!out.obs) return;
   EXPECT_EQ(out.session_steps, out.acc.sessions) << label;
@@ -1185,8 +1185,9 @@ TEST(ScenarioScript, NeutralScriptIsBitTransparent) {
 
 // ---------------------------------------------------------------------------
 // Permutation invariance of batch assembly: the order in which queries are
-// parked into an ExitQueryPool flush must not change any individual result —
-// each row's forward is an independent, order-preserving accumulation.
+// parked for a BatchPredictorExitEvaluator flush must not change any
+// individual result — each row's forward is an independent,
+// order-preserving accumulation.
 // ---------------------------------------------------------------------------
 
 TEST(PredictBatchAssembly, PermutationInvariantAndScalarExact) {
@@ -1229,8 +1230,8 @@ TEST(PredictBatchAssembly, PermutationInvariantAndScalarExact) {
   std::vector<double> scalar(kQueries);
   for (std::size_t i = 0; i < kQueries; ++i) scalar[i] = predictor.predict(queries[i]);
 
-  predictor::ExitQueryPool pool;
-  const std::vector<double> in_order = testing_util::pooled_predict(predictor, queries, pool);
+  predictor::ExitFlushScratch scratch;
+  const std::vector<double> in_order = testing_util::flush_predict(predictor, queries, scratch);
 
   // A fixed non-trivial permutation (reverse + interleave via stride 5,
   // coprime with 13).
@@ -1238,7 +1239,7 @@ TEST(PredictBatchAssembly, PermutationInvariantAndScalarExact) {
   for (std::size_t i = 0; i < kQueries; ++i) perm.push_back((i * 5 + 3) % kQueries);
   std::vector<predictor::HybridExitPredictor::ExitQuery> shuffled;
   for (const std::size_t p : perm) shuffled.push_back(queries[p]);
-  const std::vector<double> permuted = testing_util::pooled_predict(predictor, shuffled, pool);
+  const std::vector<double> permuted = testing_util::flush_predict(predictor, shuffled, scratch);
 
   for (std::size_t i = 0; i < kQueries; ++i) {
     EXPECT_EQ(in_order[i], scalar[i]) << "in-order query " << i;

@@ -1,6 +1,6 @@
 // Unit tests for lingxi_sim: Eq. 3 player dynamics, session simulation,
 // QoE_lin, Monte Carlo evaluation and pruning — including an independent
-// Algorithm 2 reference the wave engine must match bit for bit.
+// Algorithm 2 reference the lockstep engine must match bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -416,7 +416,7 @@ TEST(MonteCarlo, InitialBufferSeedsVirtualPlayer) {
 
 // -- Algorithm 2 against an independent reference -------------------------
 
-/// Algorithm 2 written out directly, independent of RolloutWave: fork
+/// Algorithm 2 written out directly, independent of evaluate_rollouts: fork
 /// `samples` streams upfront, play each rollout as one whole
 /// SessionSimulator::run over clones of the ABR and bandwidth with its own
 /// exit model, and stop at the optimistic prune bound.
@@ -501,7 +501,7 @@ class ThroughputHazard final : public ExitModel {
 
 /// Parks every stalled segment and evaluates the parked batch in flush(),
 /// in park order — the protocol of the batched predictor, with a hazard that
-/// makes any mix-up in the wave's park bookkeeping visible.
+/// makes any mix-up in the lockstep park bookkeeping visible.
 class ParkingExitEvaluator final : public BatchExitEvaluator {
  public:
   std::unique_ptr<ExitModel> make_model() const override {
@@ -538,8 +538,9 @@ TEST(MonteCarlo, WaveMatchesIndependentReference) {
   std::size_t exits_seen = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const PredictorWorld world(seed);
+    predictor::ExitFlushScratch scratch;
     const predictor::BatchPredictorExitEvaluator predictor_exits(world.predictor,
-                                                                 world.seed_state, 1.0);
+                                                                 world.seed_state, 1.0, scratch);
     const ParkingExitEvaluator parking_exits;
     for (const BatchExitEvaluator* exits :
          {static_cast<const BatchExitEvaluator*>(&predictor_exits),
@@ -590,7 +591,9 @@ TEST(MonteCarlo, ResultInvariantsHoldAcrossSeedsBatchesAndPruning) {
   std::size_t early_prunes = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const PredictorWorld world(seed);
-    const predictor::BatchPredictorExitEvaluator exits(world.predictor, world.seed_state, 1.0);
+    predictor::ExitFlushScratch scratch;
+    const predictor::BatchPredictorExitEvaluator exits(world.predictor, world.seed_state, 1.0,
+                                                       scratch);
     for (const bool pruning : {false, true}) {
       for (const std::size_t batch : {1u, 3u, 16u}) {
         const MonteCarloConfig mc = world_mc(batch, pruning);

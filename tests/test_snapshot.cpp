@@ -18,7 +18,6 @@
 
 #include "abr/hyb.h"
 #include "archive_bytes.h"
-#include "common/crc32.h"
 #include "common/rng.h"
 #include "logstore/record.h"
 #include "nn/serialize.h"
@@ -364,6 +363,30 @@ TEST(SnapshotDisk, DetectsNetContainerFlip) {
   EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
 }
 
+TEST(SnapshotDisk, RejectsNetContainerFromAnotherCheckpoint) {
+  // A valid net.lxnw of the same architecture, copied in from a checkpoint
+  // of another net: its frame is intact and its tensors fit, so only the
+  // manifest's binding to its own net can reject it.
+  const std::string dir = fresh_dir("net-swap");
+  const SavedLeg leg = save_leg(dir);
+  snapshot::RunConstants other = leg.run;
+  other.net_model = nn::serialize_model(nn::kModelKindStallExitNet,
+                                        predictor_factory(99)().net().weights());
+  other.net_crc = snapshot::net_model_crc(other.net_model);
+  ASSERT_EQ(other.net_model.size(), leg.run.net_model.size());
+  ASSERT_NE(other.net_model, leg.run.net_model);
+  const std::string other_dir = fresh_dir("net-swap-other");
+  ASSERT_TRUE(snapshot::save_snapshot(other, leg.state, other_dir, 64, nullptr).ok());
+  ASSERT_TRUE(snapshot::load_snapshot(other_dir).has_value());
+
+  const std::string net = "/" + snapshot::net_filename();
+  std::filesystem::copy_file(other_dir + net, dir + net,
+                             std::filesystem::copy_options::overwrite_existing);
+  const auto loaded = snapshot::load_snapshot(dir);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.error().code, Error::Code::kCorrupt);
+}
+
 TEST(SnapshotDisk, RejectsNetContainerThatDoesNotFitTheNet) {
   // Valid LXNC frames with valid CRCs whose tensors do not fit the
   // stall-exit net: the loader must answer kCorrupt rather than hand the
@@ -386,7 +409,7 @@ TEST(SnapshotDisk, RejectsNetContainerThatDoesNotFitTheNet) {
   for (const auto& [name, tensors] : cases) {
     snapshot::RunConstants run = leg.run;
     run.net_model = nn::serialize_model(nn::kModelKindStallExitNet, tensors);
-    run.net_crc = crc32(run.net_model.data(), run.net_model.size());
+    run.net_crc = snapshot::net_model_crc(run.net_model);
     const std::string dir = fresh_dir(std::string("net-misfit-") + name);
     ASSERT_TRUE(snapshot::save_snapshot(run, leg.state, dir, 64, nullptr).ok()) << name;
     const auto loaded = snapshot::load_snapshot(dir);
