@@ -122,12 +122,11 @@ std::size_t BatchPredictorExitEvaluator::flush(double* out) const {
   for (std::size_t i = 0; i < count; ++i) {
     parked_[i].state->write_features(s.features.data() + i * kFeatureLen);
   }
-  s.nn_terms.resize(count);
-  predictor_.net().predict_batch({s.features.data(), count, kFeatureLen}, s.nn_terms.data(),
-                                 &s.ws);
-  // Per-query tail (OS lookup + blend), bitwise identical to predict().
+  predictor_.net().predict_batch({s.features.data(), count, kFeatureLen}, out, &s.ws);
+  // Per-query tail (OS lookup + blend) over each net term in place, bitwise
+  // identical to predict().
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = predictor_.finish_stalled(parked_[i], s.nn_terms[i]);
+    out[i] = predictor_.finish_stalled(parked_[i], out[i]);
   }
   parked_.clear();
 

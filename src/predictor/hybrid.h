@@ -118,7 +118,6 @@ class PredictorExitModel final : public sim::ExitModel {
 /// evaluator at a time.
 struct ExitFlushScratch {
   std::vector<double> features;
-  std::vector<double> nn_terms;
   StallExitNet::BatchWorkspace ws;
   std::uint64_t flushes = 0;  ///< flushes with >= 1 query
   std::uint64_t queries = 0;  ///< stalled queries evaluated
