@@ -20,6 +20,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "nn/dense.h"
+#include "nn/optimizer.h"
 #include "predictor/exit_net.h"
 #include "predictor/hybrid.h"
 #include "sim/monte_carlo.h"
@@ -140,25 +141,31 @@ BENCHMARK(BM_DenseForwardBatchIsa)
 // uniform in [0, 1] with short histories zero-padded on the left, as
 // EngagementState::write_features emits them, so the branch ReLUs leave the
 // realistic share of zero columns for fc1.
-void BM_PredictBatch(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kFeat = predictor::kChannels * predictor::kHistoryLen;
-  Rng rng(3);
-  predictor::StallExitNet net(rng);
-  std::vector<double> features(rows * kFeat);
+constexpr std::size_t kExitFeat = predictor::kChannels * predictor::kHistoryLen;
+
+std::vector<double> exit_net_rows(std::size_t rows, Rng& rng) {
+  std::vector<double> features(rows * kExitFeat);
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t history = 1 + r % predictor::kHistoryLen;
     for (std::size_t c = 0; c < predictor::kChannels; ++c) {
       for (std::size_t i = 0; i < predictor::kHistoryLen; ++i) {
-        features[r * kFeat + c * predictor::kHistoryLen + i] =
+        features[r * kExitFeat + c * predictor::kHistoryLen + i] =
             i + history < predictor::kHistoryLen ? 0.0 : rng.uniform(0.0, 1.0);
       }
     }
   }
+  return features;
+}
+
+void BM_PredictBatch(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  Rng rng(3);
+  predictor::StallExitNet net(rng);
+  const std::vector<double> features = exit_net_rows(rows, rng);
   std::vector<double> out(rows);
   predictor::StallExitNet::BatchWorkspace ws;
   for (auto _ : state) {
-    net.predict_batch({features.data(), rows, kFeat}, out.data(), &ws);
+    net.predict_batch({features.data(), rows, kExitFeat}, out.data(), &ws);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -167,6 +174,35 @@ void BM_PredictBatch(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PredictBatch)->Arg(1)->Arg(2)->Arg(5)->Arg(10)->Arg(16)->Arg(64);
+
+// One training minibatch of the exit net, as train_exit_net runs it
+// (arg: rows; training uses 32): StallExitNet::train_step (the batched
+// forward, cross-entropy and backward pass) and one Adam step.
+// "time/sample" is the time of one minibatch divided by its rows.
+void BM_TrainExitNetBatch(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  predictor::StallExitNet net(rng);
+  const std::vector<double> features = exit_net_rows(rows, rng);
+  std::vector<std::size_t> labels(rows);
+  for (std::size_t r = 0; r < rows; ++r) labels[r] = r % 2;
+  std::vector<double> losses(rows);
+  nn::ParamSet params = net.param_set();
+  nn::Adam adam(params.params, params.grads);
+  predictor::StallExitNet::TrainWorkspace ws;
+  for (auto _ : state) {
+    params.zero_grad();
+    net.train_step({features.data(), rows, kExitFeat}, labels.data(), 1.0 / 32.0,
+                   losses.data(), ws);
+    adam.step();
+    benchmark::DoNotOptimize(losses.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["time/sample"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TrainExitNetBatch)->Arg(1)->Arg(32);
 
 void BM_ExitNetInference(benchmark::State& state) {
   Rng rng(2);

@@ -66,7 +66,9 @@
 #   * the micro-benchmarks (Release, when Google Benchmark was found):
 #     bench_micro filtered to BM_MonteCarloEvaluation — one Algorithm-2
 #     evaluation at lockstep batch 1 and 16 — and to the batched
-#     exit-net forward (BM_DenseForwardBatch*, BM_PredictBatch) and to CRC-32
+#     exit-net forward (BM_DenseForwardBatch*, BM_PredictBatch) and training
+#     step (BM_TrainExitNetBatch: forward, backward and Adam, time per
+#     sample at 1 and 32 rows) and to CRC-32
 #     beside memcpy (BM_Crc32, BM_Memcpy at 64 B, 4 KiB and 1 MiB), with their
 #     JSON kept under ${BUILD_DIR}/smoke/ (micro_montecarlo.json,
 #     micro_dense.json, micro_crc32.json). Informational: no gate reads them.
@@ -340,11 +342,12 @@ PYEOF
       --benchmark_out_format=json \
       | tee "${SMOKE_DIR}/micro_montecarlo.txt"
     echo "Monte Carlo micro-benchmark OK"
-    "${BUILD_DIR}/bench/bench_micro" --benchmark_filter='DenseForwardBatch|PredictBatch' \
+    "${BUILD_DIR}/bench/bench_micro" \
+      --benchmark_filter='DenseForwardBatch|PredictBatch|TrainExitNetBatch' \
       --benchmark_out="${SMOKE_DIR}/micro_dense.json" \
       --benchmark_out_format=json \
       | tee "${SMOKE_DIR}/micro_dense.txt"
-    echo "dense / predict_batch micro-benchmark OK"
+    echo "dense / predict_batch / train_step micro-benchmark OK"
     "${BUILD_DIR}/bench/bench_micro" --benchmark_filter='Crc32|Memcpy' \
       --benchmark_out="${SMOKE_DIR}/micro_crc32.json" \
       --benchmark_out_format=json \

@@ -15,9 +15,8 @@ Tensor ReLU::forward(const Tensor& input) {
 Tensor ReLU::backward(const Tensor& grad_output) {
   LINGXI_ASSERT(grad_output.same_shape(last_input_));
   Tensor grad_in = grad_output;
-  for (std::size_t i = 0; i < grad_in.size(); ++i) {
-    if (last_input_[i] <= 0.0) grad_in[i] = 0.0;
-  }
+  relu_backward_rows({last_input_.data(), 1, last_input_.size()},
+                     {grad_in.data(), 1, grad_in.size()});
   return grad_in;
 }
 
@@ -39,6 +38,17 @@ void relu_rows(BatchView x) noexcept {
   for (std::size_t r = 0; r < x.rows; ++r) {
     double* row = x.row(r);
     for (std::size_t i = 0; i < x.cols; ++i) row[i] = std::max(0.0, row[i]);
+  }
+}
+
+void relu_backward_rows(ConstBatchView x, BatchView grad) noexcept {
+  LINGXI_DASSERT(x.rows == grad.rows && x.cols == grad.cols);
+  for (std::size_t r = 0; r < x.rows; ++r) {
+    const double* xr = x.row(r);
+    double* g = grad.row(r);
+    for (std::size_t i = 0; i < x.cols; ++i) {
+      if (xr[i] <= 0.0) g[i] = 0.0;
+    }
   }
 }
 

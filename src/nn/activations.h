@@ -21,6 +21,11 @@ Tensor softmax(const Tensor& logits);
 /// element to ReLU::forward.
 void relu_rows(BatchView x) noexcept;
 
+/// In-place batched ReLU backward pass: zeroes (+0.0) the gradient of every
+/// unit whose `x` is <= 0. `x` may be the ReLU's input or its output (the
+/// output is 0 exactly where the input is <= 0). ReLU::backward runs it.
+void relu_backward_rows(ConstBatchView x, BatchView grad) noexcept;
+
 /// In-place row-wise numerically stable softmax. Per-row operation order
 /// matches softmax() exactly, so each row is bitwise identical to the scalar
 /// path. Rows must be non-empty (cols >= 1).

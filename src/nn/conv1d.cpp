@@ -165,19 +165,81 @@ Tensor Conv1D::backward(const Tensor& grad_output) {
   LINGXI_ASSERT(grad_output.rank() == 2 && grad_output.dim(0) == out_ch_ &&
                 grad_output.dim(1) == out_len);
   Tensor grad_in({in_ch_, len});
+  backward_batch({last_input_.data(), 1, last_input_.size()},
+                 {grad_output.data(), 1, grad_output.size()},
+                 {grad_in.data(), 1, grad_in.size()});
+  return grad_in;
+}
+
+void Conv1D::backward_batch(ConstBatchView in, ConstBatchView grad_out, BatchView grad_in) {
+  LINGXI_ASSERT(in.rows == grad_out.rows);
+  LINGXI_ASSERT(in_ch_ > 0 && in.cols % in_ch_ == 0);
+  const std::size_t len = in.cols / in_ch_;
+  LINGXI_ASSERT(len >= kernel_);
+  const std::size_t out_len = len - kernel_ + 1;
+  LINGXI_ASSERT(grad_out.cols == out_ch_ * out_len);
+  const bool want_grad_in = grad_in.data != nullptr;
+  LINGXI_ASSERT(!want_grad_in || (grad_in.rows == in.rows && grad_in.cols == in.cols));
+  if (in.rows == 0) return;
+
+  // Gradient accumulators transposed to [1 + tap][out_ch] (row 0 the
+  // biases, row 1 + ic*K + k the tap (ic, k)), and each row's output
+  // gradient to [t][out_ch], so the innermost loops run across output
+  // channels: element-wise and vectorizable, never along a sum. Every
+  // gradient element still adds its terms row by row and, inside a row, in
+  // t order, as one-row calls do.
+  const std::size_t taps = in_ch_ * kernel_;
+  std::vector<double> acc((1 + taps) * out_ch_);
+  std::vector<double> go_t(out_len * out_ch_);
   for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+    acc[oc] = gb_[oc];
+    for (std::size_t tap = 0; tap < taps; ++tap) {
+      acc[(1 + tap) * out_ch_ + oc] = gw_[oc * taps + tap];
+    }
+  }
+  for (std::size_t s = 0; s < in.rows; ++s) {
+    const double* x = in.row(s);
+    const double* go = grad_out.row(s);
     for (std::size_t t = 0; t < out_len; ++t) {
-      const double go = grad_output.at(oc, t);
-      gb_[oc] += go;
+      for (std::size_t oc = 0; oc < out_ch_; ++oc) go_t[t * out_ch_ + oc] = go[oc * out_len + t];
+    }
+    for (std::size_t t = 0; t < out_len; ++t) {
+      const double* got = go_t.data() + t * out_ch_;
+      for (std::size_t oc = 0; oc < out_ch_; ++oc) acc[oc] += got[oc];
       for (std::size_t ic = 0; ic < in_ch_; ++ic) {
         for (std::size_t k = 0; k < kernel_; ++k) {
-          gw_.at(oc, ic, k) += go * last_input_.at(ic, t + k);
-          grad_in.at(ic, t + k) += go * w_.at(oc, ic, k);
+          const double xv = x[ic * len + t + k];
+          double* a = acc.data() + (1 + ic * kernel_ + k) * out_ch_;
+          for (std::size_t oc = 0; oc < out_ch_; ++oc) a[oc] += got[oc] * xv;
         }
       }
     }
   }
-  return grad_in;
+  for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+    gb_[oc] = acc[oc];
+    for (std::size_t tap = 0; tap < taps; ++tap) {
+      gw_[oc * taps + tap] = acc[(1 + tap) * out_ch_ + oc];
+    }
+  }
+  if (!want_grad_in) return;
+
+  // grad_in(ic, j) sums go(oc, t) w(oc, ic, k) over t + k = j in (oc, t)
+  // order, from +0.
+  for (std::size_t s = 0; s < in.rows; ++s) {
+    const double* go = grad_out.row(s);
+    double* gi = grad_in.row(s);
+    std::fill(gi, gi + in.cols, 0.0);
+    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
+      for (std::size_t t = 0; t < out_len; ++t) {
+        const double gv = go[oc * out_len + t];
+        for (std::size_t ic = 0; ic < in_ch_; ++ic) {
+          for (std::size_t k = 0; k < kernel_; ++k) {
+            gi[ic * len + t + k] += gv * w_[(oc * in_ch_ + ic) * kernel_ + k];
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace lingxi::nn

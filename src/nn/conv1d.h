@@ -23,6 +23,14 @@ class Conv1D final : public Layer {
   /// path. Inference only (no backward caches).
   void forward_batch(ConstBatchView in, BatchView out) const;
 
+  /// Batched backward pass, rows laid out as in forward_batch: row r of
+  /// `in` is an input forward() saw, row r of `grad_out` the loss gradient
+  /// at its feature map. Accumulates every row's parameter gradients into
+  /// gradients(), bitwise as one backward() per row in turn would. Writes
+  /// each row's input gradient to `grad_in`, unless it is a default
+  /// (empty) view: the network's input layer has no use for it.
+  void backward_batch(ConstBatchView in, ConstBatchView grad_out, BatchView grad_in = {});
+
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&gw_, &gb_}; }
 

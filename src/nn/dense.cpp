@@ -164,6 +164,119 @@ __attribute__((target("avx2"))) void dense_rows_avx2(const InputMajor& lw, Const
 }
 #endif
 
+// The batched backward pass. Two kernels, both with SIMD lanes that never
+// run along a sum, so both ISA builds give the same bits and every row gets
+// exactly the terms, in exactly the order, of its own one-row call:
+//
+// gw: one pass per call. For each input i, a block of outputs of gw's row i
+// is loaded into accumulators once, and every row's term go[s][o] x[s][i] is
+// added in row order (lanes across outputs): gw[i][o] sums its terms in
+// sample order, as one-row calls would, while it reads and writes the row
+// once per batch instead of once per sample. Rows whose x[s][i] is zero are
+// skipped. That is exact for a gradient that starts at zero_grad()'s +0.0
+// and for finite grad_out: the dropped term go*(+-0) is +-0, adding +-0 to a
+// nonzero sum returns it unchanged, and a sum that starts at +0 can never
+// reach -0 (x + y is -0 only when both are -0), so +0 + (+-0) = +0 as well.
+//
+// grad_in: for each input i and a block of rows (lanes across rows),
+// grad_in[s][i] = +0 + go[s][0] w[i][0] + go[s][1] w[i][1] + ... in output
+// order, one rounded multiply and one rounded add per term.
+struct BackwardArgs {
+  const double* w;   // [in, out]
+  double* gw;        // [in, out]
+  std::size_t in, out;
+  ConstBatchView x, grad_out;
+  const double* go_t;  // grad_out as [out, rows]
+  BatchView grad_in;
+  std::uint32_t* kept_rows;
+  double* kept_x;
+};
+
+// gw's outputs [o, ...) of input row `gwi`, in blocks of kVecs vectors of V
+// while a whole block fits; returns the first output not written.
+template <typename V, std::size_t kVecs>
+inline __attribute__((always_inline)) std::size_t grad_weight_outputs(
+    const BackwardArgs& a, double* gwi, std::size_t kept, std::size_t o) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  constexpr std::size_t kBlock = kVecs * kWidth;
+  for (; o + kBlock <= a.out; o += kBlock) {
+    V acc[kVecs];
+    __builtin_memcpy(acc, gwi + o, sizeof acc);
+    for (std::size_t k = 0; k < kept; ++k) {
+      const double xs = a.kept_x[k];
+      const double* go = a.grad_out.row(a.kept_rows[k]) + o;
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        V gv;
+        __builtin_memcpy(&gv, go + v * kWidth, sizeof(V));
+        acc[v] += gv * xs;
+      }
+    }
+    __builtin_memcpy(gwi + o, acc, sizeof acc);
+  }
+  return o;
+}
+
+// grad_in of input i for rows [s, ...) in blocks of kVecs vectors of V
+// (lanes across rows); returns the first row not written.
+template <typename V, std::size_t kVecs>
+inline __attribute__((always_inline)) std::size_t grad_input_rows(const BackwardArgs& a,
+                                                                 std::size_t i, std::size_t s) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  constexpr std::size_t kBlock = kVecs * kWidth;
+  const std::size_t rows = a.x.rows;
+  const double* wi = a.w + i * a.out;
+  for (; s + kBlock <= rows; s += kBlock) {
+    V acc[kVecs] = {};
+    for (std::size_t o = 0; o < a.out; ++o) {
+      const double wo = wi[o];
+      const double* go = a.go_t + o * rows + s;
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        V gv;
+        __builtin_memcpy(&gv, go + v * kWidth, sizeof(V));
+        acc[v] += gv * wo;
+      }
+    }
+    double lanes[kBlock];
+    __builtin_memcpy(lanes, acc, sizeof lanes);
+    for (std::size_t l = 0; l < kBlock; ++l) a.grad_in.row(s + l)[i] = lanes[l];
+  }
+  return s;
+}
+
+// Sixteen gw accumulators are fc1's 64 outputs in one pass of 4-lane
+// vectors, as in the forward kernel; eight grad_in accumulators are eight
+// independent sums, enough to hide the add latency of each 64-term chain.
+constexpr std::size_t kGradInVecs = 8;
+
+template <typename V>
+inline __attribute__((always_inline)) void dense_backward(const BackwardArgs& a) {
+  for (std::size_t i = 0; i < a.in; ++i) {
+    std::size_t kept = 0;
+    for (std::size_t s = 0; s < a.x.rows; ++s) {
+      const double xs = a.x.row(s)[i];
+      a.kept_rows[kept] = static_cast<std::uint32_t>(s);
+      a.kept_x[kept] = xs;
+      kept += xs != 0.0 ? 1 : 0;
+    }
+    double* gwi = a.gw + i * a.out;
+    std::size_t o = grad_weight_outputs<V, kBlockVecs>(a, gwi, kept, 0);
+    o = grad_weight_outputs<V, 1>(a, gwi, kept, o);
+    grad_weight_outputs<double, 1>(a, gwi, kept, o);
+
+    std::size_t s = grad_input_rows<V, kGradInVecs>(a, i, 0);
+    s = grad_input_rows<V, 1>(a, i, s);
+    grad_input_rows<double, 1>(a, i, s);
+  }
+}
+
+void dense_backward_baseline(const BackwardArgs& a) { dense_backward<v2df>(a); }
+
+#ifdef LINGXI_DENSE_AVX2
+__attribute__((target("avx2"))) void dense_backward_avx2(const BackwardArgs& a) {
+  dense_backward<v4df>(a);
+}
+#endif
+
 // Active ISA: -1 = undecided (the widest supported one, on first use).
 std::atomic<int> g_dense_isa{-1};
 
@@ -232,22 +345,38 @@ void Dense::forward_batch(ConstBatchView in, BatchView out) const {
 Tensor Dense::backward(const Tensor& grad_output) {
   LINGXI_ASSERT(grad_output.rank() == 1 && grad_output.dim(0) == out_);
   LINGXI_ASSERT(last_input_.size() == in_);
-  for (std::size_t o = 0; o < out_; ++o) gb_[o] += grad_output[o];
-  // grad_in[i] sums go[o] w[i][o] over outputs in order, from +0.
   Tensor grad_in({in_});
-  for (std::size_t i = 0; i < in_; ++i) {
-    const double xi = last_input_[i];
-    double* gwrow = gw_.data() + i * out_;
-    const double* wrow = w_.data() + i * out_;
-    double g = 0.0;
-    for (std::size_t o = 0; o < out_; ++o) {
-      const double go = grad_output[o];
-      gwrow[o] += go * xi;
-      g += go * wrow[o];
-    }
-    grad_in[i] = g;
-  }
+  backward_batch({last_input_.data(), 1, in_}, {grad_output.data(), 1, out_},
+                 {grad_in.data(), 1, in_});
   return grad_in;
+}
+
+void Dense::backward_batch(ConstBatchView in, ConstBatchView grad_out, BatchView grad_in) {
+  LINGXI_ASSERT(in.rows == grad_out.rows && in.rows == grad_in.rows);
+  LINGXI_ASSERT(in.cols == in_ && grad_out.cols == out_ && grad_in.cols == in_);
+  const std::size_t rows = in.rows;
+  if (rows == 0) return;
+  for (std::size_t s = 0; s < rows; ++s) {
+    const double* go = grad_out.row(s);
+    for (std::size_t o = 0; o < out_; ++o) gb_[o] += go[o];
+  }
+  // grad_out transposed to [out, rows], so one output's gradient for a block
+  // of rows is contiguous lanes; and one input's kept rows.
+  std::vector<double> go_t(out_ * rows);
+  for (std::size_t s = 0; s < rows; ++s) {
+    for (std::size_t o = 0; o < out_; ++o) go_t[o * rows + s] = grad_out.row(s)[o];
+  }
+  std::vector<std::uint32_t> kept_rows(rows);
+  std::vector<double> kept_x(rows);
+  const BackwardArgs a{w_.data(), gw_.data(), in_, out_, in, grad_out, go_t.data(), grad_in,
+                       kept_rows.data(), kept_x.data()};
+#ifdef LINGXI_DENSE_AVX2
+  if (dense_isa() >= DenseIsa::kAvx2) {
+    dense_backward_avx2(a);
+    return;
+  }
+#endif
+  dense_backward_baseline(a);
 }
 
 }  // namespace lingxi::nn

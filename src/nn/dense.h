@@ -5,11 +5,12 @@
 
 namespace lingxi::nn {
 
-/// Instruction set the batched nn kernels run on (Dense::forward_batch, and
-/// Conv1D::forward_batch's lane width). Both builds keep SIMD lanes ACROSS
-/// output channels (never along the reduction), so they produce
-/// bitwise-identical outputs, pinned by the forced-ISA parity tests. Ordered
-/// narrow to wide so clamping to hardware support is a min().
+/// Instruction set the batched nn kernels run on (Dense::forward_batch and
+/// backward_batch, Conv1D::forward_batch's lane width, Adam::step). Both
+/// builds keep SIMD lanes ACROSS output channels, rows or elements (never
+/// along a sum), so they produce bitwise-identical results, pinned by the
+/// forced-ISA parity tests. Ordered narrow to wide so clamping to hardware
+/// support is a min().
 enum class DenseIsa {
   kBaseline = 0,  ///< 16-byte generic vectors: the build's baseline target
   kAvx2 = 1,      ///< 32-byte vectors in a target("avx2") build of the
@@ -46,6 +47,16 @@ class Dense final : public Layer {
   /// under a -0.0 bias (see dense.cpp). Inference only: does not touch the
   /// backward() caches, safe on a const layer.
   void forward_batch(ConstBatchView in, BatchView out) const;
+
+  /// Batched backward pass: row r of `in` is an input the forward pass saw
+  /// and row r of `grad_out` the loss gradient at its output. Accumulates
+  /// every row's parameter gradients into gradients() and writes each row's
+  /// gradient w.r.t. its input to `grad_in`. Every gradient element adds
+  /// its rows' terms in row order, so the result is bitwise that of
+  /// backpropagating the rows one at a time, from gradients that start at
+  /// zero_grad() and for a finite grad_out (see dense.cpp). backward() is
+  /// its one-row call.
+  void backward_batch(ConstBatchView in, ConstBatchView grad_out, BatchView grad_in);
 
   std::vector<Tensor*> parameters() override { return {&w_, &b_}; }
   std::vector<Tensor*> gradients() override { return {&gw_, &gb_}; }

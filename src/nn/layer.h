@@ -1,6 +1,9 @@
 // Layer interface: forward caches what backward needs; backward accumulates
 // parameter gradients (so minibatch training is gradient accumulation +
 // one optimizer step) and returns the gradient w.r.t. the layer input.
+// Dense and Conv1D also train a whole batch per call (backward_batch, on
+// the inputs the caller kept from forward_batch); their backward() is a
+// one-row call of it, so each keeps one implementation.
 #pragma once
 
 #include <vector>

@@ -12,6 +12,12 @@ namespace lingxi::nn {
 /// d loss / d logits = softmax(logits) - onehot(label).
 double softmax_cross_entropy(const Tensor& logits, std::size_t label, Tensor& grad_logits);
 
+/// The same per row of a batch whose logits are already through
+/// softmax_rows: row r of `probs` against `labels[r]`, the loss to
+/// `losses[r]` and probs - onehot(label) to row r of `grad_logits`.
+void softmax_cross_entropy_rows(ConstBatchView probs, const std::size_t* labels,
+                                BatchView grad_logits, double* losses);
+
 /// REINFORCE gradient for one step: d(-log pi(a)) * advantage / d logits
 /// = (softmax(logits) - onehot(action)) * advantage.
 Tensor policy_gradient(const Tensor& logits, std::size_t action, double advantage);

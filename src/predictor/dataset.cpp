@@ -5,7 +5,6 @@
 
 #include "abr/hyb.h"
 #include "common/assert.h"
-#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "sim/session.h"
 
@@ -123,6 +122,7 @@ SplitDataset stratified_split(const Dataset& dataset, double train_fraction, Rng
 double train_exit_net(StallExitNet& net, const Dataset& train_set, const TrainConfig& config,
                       Rng& rng) {
   LINGXI_ASSERT(!train_set.samples.empty());
+  LINGXI_ASSERT(config.batch_size > 0);
   nn::ParamSet params = net.param_set();
   nn::Adam::Config adam_cfg;
   adam_cfg.lr = config.lr;
@@ -130,6 +130,14 @@ double train_exit_net(StallExitNet& net, const Dataset& train_set, const TrainCo
 
   std::vector<std::size_t> order(train_set.samples.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
+
+  // One minibatch's gathered feature rows, labels and per-row losses.
+  constexpr std::size_t kFeatureLen = kChannels * kHistoryLen;
+  std::vector<double> features(config.batch_size * kFeatureLen);
+  std::vector<std::size_t> labels(config.batch_size);
+  std::vector<double> losses(config.batch_size);
+  StallExitNet::TrainWorkspace ws;
+  const double grad_scale = 1.0 / static_cast<double>(config.batch_size);
 
   double final_epoch_loss = 0.0;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -140,20 +148,23 @@ double train_exit_net(StallExitNet& net, const Dataset& train_set, const TrainCo
       std::swap(order[i], order[j]);
     }
     double epoch_loss = 0.0;
-    std::size_t in_batch = 0;
     params.zero_grad();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const Sample& sample = train_set.samples[order[i]];
-      const nn::Tensor z = net.logits(sample.features);
-      nn::Tensor grad;
-      epoch_loss += nn::softmax_cross_entropy(z, sample.exited ? 1u : 0u, grad);
-      grad.scale(1.0 / static_cast<double>(config.batch_size));
-      net.backward(grad);
-      if (++in_batch == config.batch_size || i + 1 == order.size()) {
-        adam.step();
-        params.zero_grad();
-        in_batch = 0;
+    for (std::size_t begin = 0; begin < order.size(); begin += config.batch_size) {
+      const std::size_t rows = std::min(config.batch_size, order.size() - begin);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const Sample& sample = train_set.samples[order[begin + r]];
+        LINGXI_ASSERT(sample.features.size() == kFeatureLen);
+        std::copy(sample.features.data(), sample.features.data() + kFeatureLen,
+                  features.begin() + static_cast<std::ptrdiff_t>(r * kFeatureLen));
+        labels[r] = sample.exited ? 1 : 0;
       }
+      // Every row's gradient is scaled by 1 / batch_size, the last, partial
+      // batch's too.
+      net.train_step({features.data(), rows, kFeatureLen}, labels.data(), grad_scale,
+                     losses.data(), ws);
+      for (std::size_t r = 0; r < rows; ++r) epoch_loss += losses[r];
+      adam.step();
+      params.zero_grad();
     }
     final_epoch_loss = epoch_loss / static_cast<double>(order.size());
   }

@@ -82,8 +82,12 @@ struct TrainConfig {
   double lr = 1e-3;
 };
 
-/// Minibatch Adam + softmax cross-entropy (Eq. 5). Returns mean loss of the
-/// final epoch.
+/// Minibatch Adam + softmax cross-entropy (Eq. 5). Each epoch shuffles the
+/// set and trains it in minibatches of `batch_size` (the last one partial),
+/// one StallExitNet::train_step and one Adam step each, with every row's
+/// gradient scaled by 1 / batch_size. The weights are bitwise those of
+/// backpropagating the rows one at a time. Returns mean loss of the final
+/// epoch.
 double train_exit_net(StallExitNet& net, const Dataset& train_set, const TrainConfig& config,
                       Rng& rng);
 

@@ -20,11 +20,9 @@ constexpr std::size_t kFc1Size = 64;
 StallExitNet::StallExitNet(Rng& rng)
     : fc1_(kMergedSize, kFc1Size, rng), fc2_(kFc1Size, 2, rng) {
   branches_.reserve(kChannels);
-  branch_relu_.resize(kChannels);
   for (std::size_t c = 0; c < kChannels; ++c) {
     branches_.emplace_back(1, kConvChannels, kKernel, rng);
   }
-  conv_out_len_ = kConvOutLen;
 }
 
 nn::Tensor StallExitNet::logits(const nn::Tensor& features) {
@@ -37,24 +35,14 @@ nn::Tensor StallExitNet::logits(const nn::Tensor& features) {
     // Slice channel c as a [1, 8] tensor.
     nn::Tensor channel({1, kHistoryLen});
     for (std::size_t i = 0; i < kHistoryLen; ++i) channel.at(0, i) = features.at(c, i);
-    nn::Tensor out = branch_relu_[c].forward(branches_[c].forward(channel));
+    nn::Tensor out = branches_[c].forward(channel);
+    nn::relu_rows({out.data(), 1, out.size()});
     merged_parts.push_back(out.reshaped({kConvChannels * kConvOutLen}));
   }
   const nn::Tensor merged = nn::concat(merged_parts);
-  return fc2_.forward(relu1_.forward(fc1_.forward(merged)));
-}
-
-void StallExitNet::backward(const nn::Tensor& grad_logits) {
-  const nn::Tensor grad_merged = fc1_.backward(relu1_.backward(fc2_.backward(grad_logits)));
-  LINGXI_ASSERT(grad_merged.size() == kMergedSize);
-  for (std::size_t c = 0; c < kChannels; ++c) {
-    nn::Tensor grad_branch({kConvChannels, kConvOutLen});
-    const std::size_t offset = c * kConvChannels * kConvOutLen;
-    for (std::size_t i = 0; i < kConvChannels * kConvOutLen; ++i) {
-      grad_branch[i] = grad_merged[offset + i];
-    }
-    branches_[c].backward(branch_relu_[c].backward(grad_branch));
-  }
+  nn::Tensor hidden = fc1_.forward(merged);
+  nn::relu_rows({hidden.data(), 1, hidden.size()});
+  return fc2_.forward(hidden);
 }
 
 double StallExitNet::predict(const nn::Tensor& features) {
@@ -62,12 +50,8 @@ double StallExitNet::predict(const nn::Tensor& features) {
   return probs[1];
 }
 
-void StallExitNet::predict_batch(nn::ConstBatchView features, double* out,
-                                 BatchWorkspace* ws) const {
-  if (features.rows == 0) return;
+void StallExitNet::forward_batch(nn::ConstBatchView features, BatchWorkspace& w) const {
   LINGXI_ASSERT(features.cols == kChannels * kHistoryLen);
-  BatchWorkspace local;
-  BatchWorkspace& w = ws != nullptr ? *ws : local;
   const std::size_t batch = features.rows;
   constexpr std::size_t kBranchCols = kConvChannels * kConvOutLen;
   w.merged.resize(batch * kMergedSize);
@@ -94,7 +78,48 @@ void StallExitNet::predict_batch(nn::ConstBatchView features, double* out,
   const nn::BatchView logit_rows(w.logits.data(), batch, 2);
   fc2_.forward_batch(hidden, logit_rows);
   nn::softmax_rows(logit_rows);
-  for (std::size_t b = 0; b < batch; ++b) out[b] = logit_rows.row(b)[1];
+}
+
+void StallExitNet::predict_batch(nn::ConstBatchView features, double* out,
+                                 BatchWorkspace* ws) const {
+  if (features.rows == 0) return;
+  BatchWorkspace local;
+  BatchWorkspace& w = ws != nullptr ? *ws : local;
+  forward_batch(features, w);
+  for (std::size_t b = 0; b < features.rows; ++b) out[b] = w.logits[b * 2 + 1];
+}
+
+void StallExitNet::train_step(nn::ConstBatchView features, const std::size_t* labels,
+                              double grad_scale, double* losses, TrainWorkspace& ws) {
+  const std::size_t batch = features.rows;
+  if (batch == 0) return;
+  constexpr std::size_t kBranchCols = kConvChannels * kConvOutLen;
+  forward_batch(features, ws.forward);
+
+  ws.grad_logits.resize(batch * 2);
+  nn::softmax_cross_entropy_rows({ws.forward.logits.data(), batch, 2}, labels,
+                                 {ws.grad_logits.data(), batch, 2}, losses);
+  for (double& g : ws.grad_logits) g *= grad_scale;
+
+  ws.grad_hidden.resize(batch * kFc1Size);
+  ws.grad_merged.resize(batch * kMergedSize);
+  fc2_.backward_batch({ws.forward.hidden.data(), batch, kFc1Size},
+                      {ws.grad_logits.data(), batch, 2},
+                      {ws.grad_hidden.data(), batch, kFc1Size});
+  nn::relu_backward_rows({ws.forward.hidden.data(), batch, kFc1Size},
+                         {ws.grad_hidden.data(), batch, kFc1Size});
+  fc1_.backward_batch({ws.forward.merged.data(), batch, kMergedSize},
+                      {ws.grad_hidden.data(), batch, kFc1Size},
+                      {ws.grad_merged.data(), batch, kMergedSize});
+  nn::relu_backward_rows({ws.forward.merged.data(), batch, kMergedSize},
+                         {ws.grad_merged.data(), batch, kMergedSize});
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    const nn::ConstBatchView channel(features.data + c * kHistoryLen, batch, kHistoryLen,
+                                     features.stride);
+    const nn::ConstBatchView grad_block(ws.grad_merged.data() + c * kBranchCols, batch,
+                                        kBranchCols, kMergedSize);
+    branches_[c].backward_batch(channel, grad_block);
+  }
 }
 
 nn::ParamSet StallExitNet::param_set() {

@@ -45,8 +45,26 @@ class StallExitNet {
   /// across rollouts. `ws` may be null; passing one amortizes scratch.
   void predict_batch(nn::ConstBatchView features, double* out,
                      BatchWorkspace* ws = nullptr) const;
-  /// Backprop a gradient w.r.t. logits (accumulates parameter grads).
-  void backward(const nn::Tensor& grad_logits);
+
+  /// Scratch for train_step: predict_batch's activations and the backward
+  /// pass's gradient matrices, kept by one training run.
+  struct TrainWorkspace {
+    BatchWorkspace forward;
+    std::vector<double> grad_logits;
+    std::vector<double> grad_hidden;
+    std::vector<double> grad_merged;
+  };
+
+  /// One minibatch of Eq. 5 training: predict_batch's forward over the rows
+  /// of `features`, softmax cross-entropy of each row against its label
+  /// (`labels[r]`: 0 continue, 1 exit), written to `losses[r]`, and the
+  /// backward pass of the whole batch with each row's logit gradient scaled
+  /// by `grad_scale`. Accumulates into the gradients of param_set(). Every
+  /// gradient element adds its rows' terms in row order, so from gradients
+  /// that start at zero a batch gives the bits of backpropagating its rows
+  /// one at a time (see nn::Dense::backward_batch).
+  void train_step(nn::ConstBatchView features, const std::size_t* labels, double grad_scale,
+                  double* losses, TrainWorkspace& ws);
 
   nn::ParamSet param_set();
 
@@ -64,13 +82,13 @@ class StallExitNet {
   bool load_weights(const std::vector<nn::Tensor>& tensors);
 
  private:
+  /// The batched forward: fills ws.merged and ws.hidden with the
+  /// post-ReLU activations and ws.logits with each row's softmax.
+  void forward_batch(nn::ConstBatchView features, BatchWorkspace& ws) const;
+
   std::vector<nn::Conv1D> branches_;  // one per input channel
-  std::vector<nn::ReLU> branch_relu_;
   nn::Dense fc1_;
-  nn::ReLU relu1_;
   nn::Dense fc2_;
-  // backward() bookkeeping
-  std::size_t conv_out_len_ = 0;
 };
 
 }  // namespace lingxi::predictor

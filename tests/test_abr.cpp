@@ -2,7 +2,9 @@
 // all six ABR algorithms (including behavioural/property checks).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "abr/bba.h"
 #include "abr/bola.h"
@@ -12,6 +14,7 @@
 #include "abr/qoe.h"
 #include "abr/rate_based.h"
 #include "abr/robust_mpc.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "sim/session.h"
 #include "trace/bandwidth.h"
@@ -397,6 +400,30 @@ TEST(Pensieve, TrainingRunsAndReportsFiniteReturns) {
   const auto report = train_pensieve(policy, videos, population, cfg, rng);
   EXPECT_TRUE(std::isfinite(report.initial_mean_return));
   EXPECT_TRUE(std::isfinite(report.final_mean_return));
+}
+
+TEST(Pensieve, TrainingIsPinnedBitwise) {
+  // TrainingRunsAndReportsFiniteReturns' configuration, with the trained
+  // weights and both reported returns pinned bit for bit: Pensieve trains
+  // through nn::Dense::backward and nn::Adam, the kernels the stall-exit
+  // net's batched training shares.
+  Rng rng(7);
+  Pensieve policy(4, rng);
+  trace::VideoGenerator::Config vcfg;
+  vcfg.mean_duration = 20.0;
+  const trace::VideoGenerator videos(vcfg);
+  const trace::PopulationModel population;
+  PensieveTrainConfig cfg;
+  cfg.episodes = 30;
+  cfg.max_segments = 20;
+  const auto report = train_pensieve(policy, videos, population, cfg, rng);
+  std::uint32_t crc = 0;
+  for (const nn::Tensor* p : policy.param_set().params) {
+    crc = crc32_update(crc, p->data(), p->size() * sizeof(double));
+  }
+  EXPECT_EQ(crc, 0x287cf404u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report.initial_mean_return), 0xc04972151003d4cfu);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report.final_mean_return), 0x4014ffe938a8e40cu);
 }
 
 }  // namespace

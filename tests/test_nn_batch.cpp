@@ -1,10 +1,12 @@
 // Exhaustive scalar-vs-batched bitwise parity for the batched inference
 // engine: nn layers (Dense, Conv1D, activations), the stall-exit net, the
 // full hybrid predictor, and the engagement-state feature cache the batched
-// assembly path relies on. "Bitwise" means EXPECT_EQ on doubles — the
-// batched kernels must reorder no accumulation, which is what keeps batched
-// fleet checksums identical to the scalar path (Low & Lapsley's lesson:
-// "equivalent" reformulations drift unless parity is pinned exactly).
+// assembly path relies on; and for the batched training kernels: the
+// Dense and Conv1D backward passes and the vector Adam step. "Bitwise"
+// means EXPECT_EQ on doubles — the batched kernels must reorder no
+// accumulation, which is what keeps batched fleet checksums identical to
+// the scalar path (Low & Lapsley's lesson: "equivalent" reformulations
+// drift unless parity is pinned exactly).
 //
 // Batch sizes cover 1, 2, 7, 64, and the empty batch. Every batched-kernel
 // test runs under each dense ISA the host supports (for_each_isa), so a
@@ -16,14 +18,17 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "nn/activations.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
+#include "nn/optimizer.h"
 #include "nn/tensor.h"
 #include "predictor/engagement_state.h"
 #include "predictor/exit_net.h"
@@ -378,6 +383,198 @@ TEST(Conv1DBatch, BitwiseParityAcrossBatchSizes) {
         }
       });
     }
+  }
+}
+
+// -- Batched backward passes and the vector Adam step -------------------------
+//
+// Each batched backward pass must give, bitwise, a plain scalar
+// backpropagation of its rows one at a time from zeroed gradients (the
+// per-sample loops the layers ran before they gained a batched form), under
+// every ISA; and so must each one-row call. The inputs hold 40% zeros and
+// one -0.0, so the dense kernel's zero-input skip runs; the widths and row
+// counts hit the vector blocks and the scalar tails of both ISA builds.
+
+/// Random inputs with 40% zeros and, in row 0, one -0.0.
+std::vector<double> backward_inputs(std::size_t rows, std::size_t cols, Rng& rng) {
+  std::vector<double> v(rows * cols);
+  for (double& x : v) x = rng.uniform() < 0.4 ? 0.0 : rng.uniform(-2.0, 2.0);
+  v[cols / 2] = -0.0;
+  return v;
+}
+
+struct Grads {
+  std::vector<double> gw, gb, grad_in;
+};
+
+void expect_same_bits(const std::vector<double>& got, const std::vector<double>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << what << " element " << i;
+  }
+}
+
+std::vector<double> tensor_values(const nn::Tensor& t) {
+  return {t.data(), t.data() + t.size()};
+}
+
+TEST(DenseBackwardBatch, MatchesOneRowCallsAndPlainBackpropBitwise) {
+  Rng rng(2929);
+  constexpr std::size_t kIn = 37;
+  for (const std::size_t out : {2, 13, 64, 70}) {
+    const nn::Dense layer(kIn, out, rng);
+    const nn::Tensor w = layer.weight();  // [out, in]
+    for (const std::size_t rows : {1, 5, 32, 33}) {
+      const std::vector<double> in = backward_inputs(rows, kIn, rng);
+      const std::vector<double> go = random_values(rows * out, rng);
+      // Plain backprop, one row at a time, gw in [in, out] as gradients()
+      // stores it.
+      Grads want{std::vector<double>(kIn * out, 0.0), std::vector<double>(out, 0.0),
+                 std::vector<double>(rows * kIn, 0.0)};
+      for (std::size_t s = 0; s < rows; ++s) {
+        for (std::size_t o = 0; o < out; ++o) want.gb[o] += go[s * out + o];
+        for (std::size_t i = 0; i < kIn; ++i) {
+          double g = 0.0;
+          for (std::size_t o = 0; o < out; ++o) {
+            want.gw[i * out + o] += go[s * out + o] * in[s * kIn + i];
+            g += go[s * out + o] * w.at(o, i);
+          }
+          want.grad_in[s * kIn + i] = g;
+        }
+      }
+      for_each_isa([&](nn::DenseIsa isa) {
+        const std::string label = std::string(nn::dense_isa_name(isa)) + " outputs " +
+                                  std::to_string(out) + " rows " + std::to_string(rows);
+        nn::Dense batched = layer;
+        batched.zero_grad();
+        std::vector<double> grad_in(rows * kIn, -1.0);
+        batched.backward_batch({in.data(), rows, kIn}, {go.data(), rows, out},
+                               {grad_in.data(), rows, kIn});
+        expect_same_bits(tensor_values(*batched.gradients()[0]), want.gw, label + " gw");
+        expect_same_bits(tensor_values(*batched.gradients()[1]), want.gb, label + " gb");
+        expect_same_bits(grad_in, want.grad_in, label + " grad_in");
+
+        nn::Dense one_row = layer;
+        one_row.zero_grad();
+        for (std::size_t s = 0; s < rows; ++s) {
+          one_row.forward(nn::Tensor({kIn}, {in.begin() + s * kIn, in.begin() + (s + 1) * kIn}));
+          const nn::Tensor g = one_row.backward(
+              nn::Tensor({out}, {go.begin() + s * out, go.begin() + (s + 1) * out}));
+          for (std::size_t i = 0; i < kIn; ++i) grad_in[s * kIn + i] = g[i];
+        }
+        expect_same_bits(tensor_values(*one_row.gradients()[0]), want.gw, label + " one-row gw");
+        expect_same_bits(tensor_values(*one_row.gradients()[1]), want.gb, label + " one-row gb");
+        expect_same_bits(grad_in, want.grad_in, label + " one-row grad_in");
+      });
+    }
+  }
+}
+
+TEST(Conv1DBackwardBatch, MatchesOneRowCallsAndPlainBackpropBitwise) {
+  Rng rng(2930);
+  constexpr std::size_t kKernel = 4, kLen = 8, kOutLen = kLen - kKernel + 1;
+  for (const std::size_t in_ch : {1, 3}) {
+    for (const std::size_t out_ch : {2, 13, 64, 70}) {
+      const nn::Conv1D layer(in_ch, out_ch, kKernel, rng);
+      const nn::Tensor& w = layer.weight();  // [out_ch, in_ch, K]
+      const std::size_t in_cols = in_ch * kLen, out_cols = out_ch * kOutLen;
+      for (const std::size_t rows : {1, 5, 32, 33}) {
+        const std::vector<double> in = backward_inputs(rows, in_cols, rng);
+        const std::vector<double> go = random_values(rows * out_cols, rng);
+        Grads want{std::vector<double>(w.size(), 0.0), std::vector<double>(out_ch, 0.0),
+                   std::vector<double>(rows * in_cols, 0.0)};
+        for (std::size_t s = 0; s < rows; ++s) {
+          for (std::size_t oc = 0; oc < out_ch; ++oc) {
+            for (std::size_t t = 0; t < kOutLen; ++t) {
+              const double g = go[s * out_cols + oc * kOutLen + t];
+              want.gb[oc] += g;
+              for (std::size_t ic = 0; ic < in_ch; ++ic) {
+                for (std::size_t k = 0; k < kKernel; ++k) {
+                  want.gw[(oc * in_ch + ic) * kKernel + k] +=
+                      g * in[s * in_cols + ic * kLen + t + k];
+                  want.grad_in[s * in_cols + ic * kLen + t + k] += g * w.at(oc, ic, k);
+                }
+              }
+            }
+          }
+        }
+        for_each_isa([&](nn::DenseIsa isa) {
+          const std::string label = std::string(nn::dense_isa_name(isa)) + " in_ch " +
+                                    std::to_string(in_ch) + " out_ch " +
+                                    std::to_string(out_ch) + " rows " + std::to_string(rows);
+          nn::Conv1D batched = layer;
+          batched.zero_grad();
+          std::vector<double> grad_in(rows * in_cols, -1.0);
+          batched.backward_batch({in.data(), rows, in_cols}, {go.data(), rows, out_cols},
+                                 {grad_in.data(), rows, in_cols});
+          expect_same_bits(tensor_values(*batched.gradients()[0]), want.gw, label + " gw");
+          expect_same_bits(tensor_values(*batched.gradients()[1]), want.gb, label + " gb");
+          expect_same_bits(grad_in, want.grad_in, label + " grad_in");
+
+          // Without grad_in, the parameter gradients are the same.
+          nn::Conv1D no_grad_in = layer;
+          no_grad_in.zero_grad();
+          no_grad_in.backward_batch({in.data(), rows, in_cols}, {go.data(), rows, out_cols});
+          expect_same_bits(tensor_values(*no_grad_in.gradients()[0]), want.gw,
+                           label + " gw without grad_in");
+          expect_same_bits(tensor_values(*no_grad_in.gradients()[1]), want.gb,
+                           label + " gb without grad_in");
+
+          nn::Conv1D one_row = layer;
+          one_row.zero_grad();
+          for (std::size_t s = 0; s < rows; ++s) {
+            one_row.forward(nn::Tensor(
+                {in_ch, kLen}, {in.begin() + s * in_cols, in.begin() + (s + 1) * in_cols}));
+            const nn::Tensor g = one_row.backward(nn::Tensor(
+                {out_ch, kOutLen}, {go.begin() + s * out_cols, go.begin() + (s + 1) * out_cols}));
+            for (std::size_t i = 0; i < in_cols; ++i) grad_in[s * in_cols + i] = g[i];
+          }
+          expect_same_bits(tensor_values(*one_row.gradients()[0]), want.gw,
+                           label + " one-row gw");
+          expect_same_bits(tensor_values(*one_row.gradients()[1]), want.gb,
+                           label + " one-row gb");
+          expect_same_bits(grad_in, want.grad_in, label + " one-row grad_in");
+        });
+      }
+    }
+  }
+}
+
+TEST(AdamVector, MatchesPlainScalarLoopBitwise) {
+  // Three steps on sizes that leave scalar tails of 1, 3 and 3 elements
+  // after the 4-lane blocks, against the update written out per element.
+  Rng rng(2931);
+  nn::Adam::Config cfg;
+  cfg.lr = 3e-3;
+  for (const std::size_t n : {1, 7, 4099}) {
+    const std::vector<double> p0 = random_values(n, rng);
+    std::vector<std::vector<double>> grads;
+    for (int step = 0; step < 3; ++step) grads.push_back(random_values(n, rng, -0.1, 0.1));
+    grads[1][0] = 0.0;
+    std::vector<double> want = p0, m(n, 0.0), v(n, 0.0);
+    for (std::size_t t = 1; t <= grads.size(); ++t) {
+      const double bc1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(t));
+      const double bc2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(t));
+      const std::vector<double>& g = grads[t - 1];
+      for (std::size_t j = 0; j < n; ++j) {
+        m[j] = cfg.beta1 * m[j] + (1.0 - cfg.beta1) * g[j];
+        v[j] = cfg.beta2 * v[j] + (1.0 - cfg.beta2) * g[j] * g[j];
+        const double mhat = m[j] / bc1;
+        const double vhat = v[j] / bc2;
+        want[j] -= cfg.lr * mhat / (std::sqrt(vhat) + cfg.eps);
+      }
+    }
+    for_each_isa([&](nn::DenseIsa isa) {
+      nn::Tensor p({n}, p0), g({n});
+      nn::Adam adam({&p}, {&g}, cfg);
+      for (const std::vector<double>& step : grads) {
+        for (std::size_t j = 0; j < n; ++j) g[j] = step[j];
+        adam.step();
+      }
+      expect_same_bits(tensor_values(p), want,
+                       std::string(nn::dense_isa_name(isa)) + " size " + std::to_string(n));
+    });
   }
 }
 

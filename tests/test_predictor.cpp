@@ -2,10 +2,13 @@
 // the OS model, the Eq. 4 hybrid predictor and dataset tooling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "nn/serialize.h"
 #include "predictor/dataset.h"
@@ -211,6 +214,31 @@ TEST(StallExitNet, LearnsSimpleSeparableRule) {
   const auto m = evaluate(net, train);
   EXPECT_GT(m.accuracy, 0.95);
   EXPECT_GT(m.f1, 0.95);
+}
+
+TEST(StallExitNet, TrainingIsPinnedBitwise) {
+  // Trains on a fixed generated stall set whose size is not a multiple of
+  // the batch size, so the last minibatch is partial, and pins the final
+  // epoch loss and the trained weights bit for bit. The literals were
+  // captured with the one-sample-at-a-time trainer: the batched training
+  // step must add every gradient term in the same order to reproduce them.
+  Rng rng(29);
+  DatasetGenConfig gen;
+  gen.users = 24;
+  gen.sessions_per_user = 10;
+  gen.filter = DatasetFilter::kStall;
+  const Dataset set = balance(generate_dataset(gen, rng), rng);
+  const TrainConfig cfg{3, 32, 1e-3};
+  ASSERT_GT(set.size(), cfg.batch_size);
+  ASSERT_NE(set.size() % cfg.batch_size, 0u);
+  StallExitNet net(rng);
+  const double loss = train_exit_net(net, set, cfg, rng);
+  const std::vector<unsigned char> bytes =
+      nn::serialize_model(nn::kModelKindStallExitNet, net.weights());
+  // The container ends in the CRC of its own payload; hash all but that.
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), 0x3fe4ec33b02052d8u) << loss;
+  EXPECT_EQ(crc, 0x1ea0b06du);
 }
 
 // -- OverallStatsModel -------------------------------------------------------
